@@ -55,10 +55,10 @@ Status ArchiveStore::Append(Sample sample) {
   if (has_last_append_ && sample.t < last_append_ts_) {
     return InvalidArgumentError("archive appends must be time-ordered");
   }
-  PRESTO_RETURN_IF_ERROR(EnsureWritable(sample.t));
+  PRESTO_RETURN_IF_ERROR(EnsureWritable());
   if (!page_builder_.Fits(sample.t, sample.value)) {
     PRESTO_RETURN_IF_ERROR(FlushPage());
-    PRESTO_RETURN_IF_ERROR(EnsureWritable(sample.t));
+    PRESTO_RETURN_IF_ERROR(EnsureWritable());
   }
   page_builder_.Add(sample.t, sample.value);
   last_append_ts_ = sample.t;
@@ -67,7 +67,7 @@ Status ArchiveStore::Append(Sample sample) {
   return OkStatus();
 }
 
-Status ArchiveStore::EnsureWritable(SimTime t) {
+Status ArchiveStore::EnsureWritable() {
   if (!open_) {
     // Aging keeps headroom *before* we need a block, so appends rarely block on it.
     if (static_cast<int>(free_blocks_.size()) <= params_.reserve_blocks) {

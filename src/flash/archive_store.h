@@ -106,7 +106,7 @@ class ArchiveStore {
 
   Status FlushPage();
   Status OpenNewSegment(Duration resolution);
-  Status EnsureWritable(SimTime t);
+  Status EnsureWritable();
   Status RunAgingPass();
   Result<std::vector<Sample>> ReadSegment(const Segment& seg, TimeInterval range);
 

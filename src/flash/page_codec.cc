@@ -1,5 +1,7 @@
 #include "src/flash/page_codec.h"
 
+#include <cstring>
+
 #include "src/util/assert.h"
 #include "src/util/ckpt.h"
 #include "src/util/bytes.h"
@@ -28,23 +30,29 @@ PageBuilder::PageBuilder(int page_size_bytes) : page_size_(page_size_bytes) {
   PRESTO_CHECK(page_size_ > kPageHeaderBytes + 16);
 }
 
-std::vector<uint8_t> PageBuilder::EncodeRecord(SimTime t, double value) const {
-  ByteWriter w;
-  const SimTime base = count_ == 0 ? t : last_ts_;
-  w.WriteVarU64(static_cast<uint64_t>(ToDeltaMs(t, base)));
-  w.WriteF32(static_cast<float>(value));
-  return w.TakeBuffer();
+uint64_t PageBuilder::DeltaMsOf(SimTime t) const {
+  return static_cast<uint64_t>(ToDeltaMs(t, count_ == 0 ? t : last_ts_));
 }
 
-bool PageBuilder::Fits(SimTime t, double value) const {
-  const std::vector<uint8_t> rec = EncodeRecord(t, value);
-  return static_cast<int>(records_.size() + rec.size()) <= page_size_ - kPageHeaderBytes;
+bool PageBuilder::Fits(SimTime t, double /*value*/) const {
+  return static_cast<int>(records_.size()) + VarU64Bytes(DeltaMsOf(t)) + 4 <=
+         page_size_ - kPageHeaderBytes;
 }
 
 void PageBuilder::Add(SimTime t, double value) {
   PRESTO_CHECK_MSG(count_ == 0 || t >= last_ts_, "archive records must be time-ordered");
-  PRESTO_CHECK_MSG(Fits(t, value), "record does not fit in page");
-  const std::vector<uint8_t> rec = EncodeRecord(t, value);
+  // Same bytes as ByteWriter::WriteVarU64 + WriteF32, without a heap buffer.
+  uint8_t rec[kMaxVarU64Bytes + 4];
+  int n = EncodeVarU64(DeltaMsOf(t), rec);
+  const float f = static_cast<float>(value);
+  uint32_t bits;
+  std::memcpy(&bits, &f, sizeof(bits));
+  for (int i = 0; i < 4; ++i) {
+    rec[n++] = static_cast<uint8_t>(bits >> (8 * i));
+  }
+  const int capacity = page_size_ - kPageHeaderBytes;
+  PRESTO_CHECK_MSG(static_cast<int>(records_.size()) + n <= capacity,
+                   "record does not fit in page");
   if (count_ == 0) {
     // Millisecond storage granularity: remember the rounded value so deltas line up.
     first_ts_ = (t / kMillisecond) * kMillisecond;
@@ -52,7 +60,7 @@ void PageBuilder::Add(SimTime t, double value) {
   } else {
     last_ts_ += ToDeltaMs(t, last_ts_) * kMillisecond;
   }
-  records_.insert(records_.end(), rec.begin(), rec.end());
+  records_.insert(records_.end(), rec, rec + n);
   ++count_;
 }
 

@@ -43,10 +43,12 @@ class PageBuilder {
  public:
   explicit PageBuilder(int page_size_bytes);
 
-  // True if a record at time `t` still fits. Call before Add.
+  // True if a record at time `t` still fits. Call before Add. The value is a
+  // fixed-width float32, so only `t` decides the record's size.
   bool Fits(SimTime t, double value) const;
 
-  // Appends a record; timestamps must be non-decreasing within the page.
+  // Appends a record; timestamps must be non-decreasing within the page. Encodes the
+  // record once, into a stack buffer.
   void Add(SimTime t, double value);
 
   bool Empty() const { return count_ == 0; }
@@ -63,7 +65,8 @@ class PageBuilder {
   Status LoadCkpt(ByteReader& r);
 
  private:
-  std::vector<uint8_t> EncodeRecord(SimTime t, double value) const;
+  // Millisecond delta of a record at `t` from the previous one (0 for the first).
+  uint64_t DeltaMsOf(SimTime t) const;
 
   int page_size_;
   std::vector<uint8_t> records_;

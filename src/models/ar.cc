@@ -14,6 +14,7 @@ namespace presto {
 Status ArCore::Fit(const std::vector<double>& values, SimTime last_sample_time,
                    int order) {
   PRESTO_CHECK(order >= 1);
+  cursor_.steps = -1;
   if (static_cast<int>(values.size()) < std::max(8, 4 * order)) {
     return FailedPreconditionError("AR fit: history too short");
   }
@@ -55,14 +56,39 @@ Status ArCore::Fit(const std::vector<double>& values, SimTime last_sample_time,
   return OkStatus();
 }
 
-double ArCore::StepOnce(const std::vector<double>& window) const {
-  // window holds the last p values, newest last; phi[0] multiplies the newest.
+double ArCore::StepOnce(const double* newest_end) const {
+  // phi[0] multiplies the newest value.
   double next = mean;
   const size_t p = phi.size();
   for (size_t i = 0; i < p; ++i) {
-    next += phi[i] * (window[window.size() - 1 - i] - mean);
+    next += phi[i] * (newest_end[-1 - static_cast<ptrdiff_t>(i)] - mean);
   }
   return next;
+}
+
+const double* ArCore::RollTo(int64_t k) const {
+  // Room for this many steps past the window before it slides back to the front.
+  constexpr size_t kCursorSlack = 32;
+  const size_t p = state.size();
+  Cursor& c = cursor_;
+  if (c.steps < 0 || c.base != state_time || k < c.steps) {
+    if (c.buf.size() < p + kCursorSlack) {
+      c.buf.resize(p + kCursorSlack);
+    }
+    std::copy(state.begin(), state.end(), c.buf.begin());
+    c.end = p;
+    c.steps = 0;
+    c.base = state_time;
+  }
+  for (; c.steps < k; ++c.steps) {
+    if (c.end == c.buf.size()) {
+      std::copy(c.buf.end() - static_cast<ptrdiff_t>(p), c.buf.end(), c.buf.begin());
+      c.end = p;
+    }
+    c.buf[c.end] = StepOnce(c.buf.data() + c.end);
+    ++c.end;
+  }
+  return c.buf.data() + c.end;
 }
 
 void ArCore::ComputeHorizonStd() {
@@ -102,13 +128,8 @@ Prediction ArCore::Forecast(SimTime t) const {
   if (k > max_forecast_steps) {
     return Prediction{mean, marginal_std};
   }
-  std::vector<double> window = state;
-  for (int64_t i = 0; i < k; ++i) {
-    const double next = StepOnce(window);
-    window.erase(window.begin());
-    window.push_back(next);
-  }
-  return Prediction{window.back(), std::max(horizon_std[static_cast<size_t>(k)], 1e-9)};
+  const double newest = RollTo(k)[-1];
+  return Prediction{newest, std::max(horizon_std[static_cast<size_t>(k)], 1e-9)};
 }
 
 void ArCore::Anchor(const Sample& s) {
@@ -118,11 +139,11 @@ void ArCore::Anchor(const Sample& s) {
   }
   int64_t k = (s.t - state_time + sample_period / 2) / sample_period;
   k = std::min<int64_t>(std::max<int64_t>(k, 1), max_forecast_steps);
-  for (int64_t i = 0; i < k; ++i) {
-    const double next = StepOnce(state);
-    state.erase(state.begin());
-    state.push_back(next);
-  }
+  // The sensor anchors the sample it just checked, so the cursor is usually already k
+  // steps out.
+  const double* newest_end = RollTo(k);
+  std::copy(newest_end - static_cast<ptrdiff_t>(state.size()), newest_end, state.begin());
+  cursor_.steps = -1;
   // Attribute the innovation as a level shift across the whole lag window rather than
   // pinning only the newest entry: a lone corrected value next to stale forecasts
   // fabricates a trend, which inflates the push rate right after every anchor.
@@ -149,6 +170,7 @@ void ArCore::SerializeTo(ByteWriter* w) const {
 }
 
 Status ArCore::DeserializeFrom(ByteReader* r) {
+  cursor_.steps = -1;
   auto period = r->ReadVarU64();
   auto order = r->ReadVarU64();
   if (!period.ok() || !order.ok() || *order == 0 || *order > 64) {
@@ -184,13 +206,6 @@ Status ArCore::DeserializeFrom(ByteReader* r) {
   }
   ComputeHorizonStd();
   return OkStatus();
-}
-
-int64_t ArCore::ForecastCostOps(SimTime t) const {
-  const int64_t k =
-      t > state_time ? (t - state_time + sample_period / 2) / sample_period : 0;
-  return 4 + static_cast<int64_t>(phi.size()) *
-                 std::clamp<int64_t>(k, 1, max_forecast_steps);
 }
 
 // ---------- ArModel ----------
@@ -333,6 +348,7 @@ void ArCore::SaveCkpt(ByteWriter& w) const {
 }
 
 Status ArCore::LoadCkpt(ByteReader& r) {
+  cursor_.steps = -1;
   CKPT_READ(r, sample_period);
   CKPT_READ(r, max_forecast_steps);
   CKPT_READ(r, phi);

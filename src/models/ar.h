@@ -40,7 +40,13 @@ struct ArCore {
   // from its tail. `values[i]` is at `start + i * sample_period`.
   Status Fit(const std::vector<double>& values, SimTime last_sample_time, int order);
 
-  // Forecast at absolute time t. Rolls a copy of the state forward (never mutates).
+  // Forecast at absolute time t, k = round((t - state_time) / sample_period) steps
+  // ahead. Rolls a private cursor (the state stepped forward, never the state itself):
+  // a request at or past the cursor's step count continues it, an earlier one rebuilds
+  // it from `state`. A sensor checking consecutive samples therefore pays one AR step
+  // per check instead of k, with results bit-identical to a cold roll. The cursor is a
+  // mutable cache, so each ArCore is used by one lane only (the sensor's copy, or its
+  // proxy's engine); copies start without one.
   Prediction Forecast(SimTime t) const;
 
   // Advances the state to `s.t` (predicting the gap) and pins the newest value to the
@@ -54,11 +60,30 @@ struct ArCore {
   void SaveCkpt(ByteWriter& w) const;
   Status LoadCkpt(ByteReader& r);
 
-  int64_t ForecastCostOps(SimTime t) const;
-
  private:
-  double StepOnce(const std::vector<double>& window) const;
+  // The forecast cursor: buf[end - p, end) is `state` rolled `steps` grid steps past
+  // `base` (steps < 0: none). Never serialized or copied.
+  struct Cursor {
+    std::vector<double> buf;
+    size_t end = 0;
+    int64_t steps = -1;
+    SimTime base = 0;
+
+    Cursor() = default;
+    Cursor(const Cursor&) {}
+    Cursor& operator=(const Cursor&) {
+      steps = -1;
+      return *this;
+    }
+  };
+
+  // One AR step from the p values ending at `newest_end` (newest at newest_end[-1]).
+  double StepOnce(const double* newest_end) const;
+  // Rolls the cursor to k >= 1 steps past state_time; returns one past its newest value.
+  const double* RollTo(int64_t k) const;
   void ComputeHorizonStd();
+
+  mutable Cursor cursor_;
 };
 
 // Plain AR(p) on the observed values.

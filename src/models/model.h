@@ -74,7 +74,11 @@ class PredictiveModel {
   virtual Status Deserialize(span<const uint8_t> bytes) = 0;
 
   // Forecast at absolute time `t`, given params + anchors so far. Must be callable for
-  // any `t` (queries extrapolate both forward and into unpushed past gaps).
+  // any `t` (queries extrapolate both forward and into unpushed past gaps). Part of the
+  // lockstep contract: an implementation may cache work between calls (the AR models
+  // keep a forecast cursor), but every answer must equal, bit for bit, what a fresh
+  // Clone() of the model returns for the same `t`. Such a cache makes Predict a
+  // mutating call, so one model object belongs to one lane.
   virtual Prediction Predict(SimTime t) const = 0;
 
   // State update when a sample crosses the radio (push or pull); called identically at

@@ -31,12 +31,27 @@ void ByteWriter::WriteF64(double v) {
   WriteU64(bits);
 }
 
-void ByteWriter::WriteVarU64(uint64_t v) {
+int EncodeVarU64(uint64_t v, uint8_t* out) {
+  int n = 0;
   while (v >= 0x80) {
-    WriteU8(static_cast<uint8_t>(v) | 0x80);
+    out[n++] = static_cast<uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  WriteU8(static_cast<uint8_t>(v));
+  out[n++] = static_cast<uint8_t>(v);
+  return n;
+}
+
+int VarU64Bytes(uint64_t v) {
+  int n = 1;
+  for (; v >= 0x80; v >>= 7) {
+    ++n;
+  }
+  return n;
+}
+
+void ByteWriter::WriteVarU64(uint64_t v) {
+  uint8_t bytes[kMaxVarU64Bytes];
+  buffer_.insert(buffer_.end(), bytes, bytes + EncodeVarU64(v, bytes));
 }
 
 void ByteWriter::WriteVarI64(int64_t v) {

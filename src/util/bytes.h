@@ -17,6 +17,16 @@
 
 namespace presto {
 
+// Longest LEB128 encoding of a uint64_t.
+inline constexpr int kMaxVarU64Bytes = 10;
+
+// Writes `v` as an LEB128 varint to `out` (room for kMaxVarU64Bytes); returns the
+// length. ByteWriter::WriteVarU64 emits the same bytes.
+int EncodeVarU64(uint64_t v, uint8_t* out);
+
+// Length of `v`'s LEB128 encoding.
+int VarU64Bytes(uint64_t v);
+
 // Appends little-endian primitive encodings to a growable buffer.
 class ByteWriter {
  public:

@@ -129,12 +129,8 @@ std::vector<double> InverseDwt(const DwtCoeffs& coeffs) {
   std::vector<double> data = coeffs.data;
   const size_t padded = data.size();
   std::vector<double> scratch(padded);
-  size_t n = padded >> (coeffs.levels - 1);
-  if (coeffs.levels == 0) {
-    n = 0;
-  }
   for (int l = coeffs.levels; l >= 1; --l) {
-    n = padded >> (l - 1);
+    const size_t n = padded >> (l - 1);
     SynthesizeStep(data, n, coeffs.kind, &scratch);
     std::copy(scratch.begin(), scratch.begin() + static_cast<ptrdiff_t>(n), data.begin());
   }

@@ -28,16 +28,23 @@ TemperatureSignal::TemperatureSignal(const TemperatureParams& params)
       event_rng_(params.seed, /*stream=*/0x45564e54) {}
 
 double TemperatureSignal::BaseAt(SimTime t) {
-  const double diurnal =
-      params_.diurnal_amplitude_c *
-      std::cos(2.0 * M_PI *
-               static_cast<double>((t - params_.diurnal_peak) % kDay) /
-               static_cast<double>(kDay));
-  const double seasonal =
-      params_.seasonal_amplitude_c *
-      std::sin(2.0 * M_PI * static_cast<double>(t % params_.seasonal_period) /
-               static_cast<double>(params_.seasonal_period));
-  return params_.mean_c + diurnal + seasonal + FrontAt(t);
+  // Zero-amplitude terms (the per-node signals of a TemperatureField have no diurnal,
+  // seasonal or, for event-only signals, front part) would only add +0.0: skip them.
+  double value = params_.mean_c;
+  if (params_.diurnal_amplitude_c != 0.0) {
+    const double since_peak = static_cast<double>((t - params_.diurnal_peak) % kDay);
+    const double day = static_cast<double>(kDay);
+    value += params_.diurnal_amplitude_c * std::cos(2.0 * M_PI * since_peak / day);
+  }
+  if (params_.seasonal_amplitude_c != 0.0) {
+    const double into_season = static_cast<double>(t % params_.seasonal_period);
+    const double season = static_cast<double>(params_.seasonal_period);
+    value += params_.seasonal_amplitude_c * std::sin(2.0 * M_PI * into_season / season);
+  }
+  if (params_.front_std_c != 0.0) {
+    value += FrontAt(t);
+  }
+  return value;
 }
 
 void TemperatureSignal::ExtendFronts(SimTime t) {

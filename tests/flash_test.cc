@@ -9,6 +9,7 @@
 #include "src/flash/archive_store.h"
 #include "src/flash/flash_device.h"
 #include "src/flash/page_codec.h"
+#include "src/util/bytes.h"
 #include "src/util/rng.h"
 
 namespace presto {
@@ -132,6 +133,69 @@ TEST(PageCodecTest, PaddingCorruptionIsHarmless) {
   std::vector<uint8_t> page = builder.Seal(1, Seconds(31));
   page[200] ^= 0xFF;
   EXPECT_TRUE(DecodePage(page).ok());
+}
+
+// The page image PageBuilder seals must match one written field by field with
+// ByteWriter: 1-, 2- and 3-byte varint deltas, float32 values, and a page filled to
+// its last byte.
+TEST(PageCodecTest, SealMatchesByteWriterGolden) {
+  constexpr int kPageSize = 64;
+  constexpr int kCapacity = kPageSize - kPageHeaderBytes;  // 38 record bytes
+  const SimTime t0 = Hours(7) + 250 * kMillisecond;
+  // Deltas in ms: first record (0, 5 bytes), then 1-, 2-, 3-, 1- and 1-byte varints.
+  const std::vector<int64_t> deltas_ms = {0, 100, 1000, 20000, 127, 1};
+  const std::vector<double> values = {21.5, -3.25, 1e6, 0.1, 19.875, -0.0};
+
+  PageBuilder builder(kPageSize);
+  ByteWriter records;
+  SimTime t = t0;
+  for (size_t i = 0; i < deltas_ms.size(); ++i) {
+    t += deltas_ms[i] * kMillisecond;
+    ASSERT_TRUE(builder.Fits(t, values[i])) << i;
+    builder.Add(t, values[i]);
+    records.WriteVarU64(static_cast<uint64_t>(deltas_ms[i]));
+    records.WriteF32(static_cast<float>(values[i]));
+  }
+  ASSERT_EQ(records.size(), 33u);  // 5 + 5 + 6 + 7 + 5 + 5
+
+  // 5 bytes left: a 1-byte-delta record fills the page exactly; a 2-byte one is one
+  // byte past it.
+  EXPECT_FALSE(builder.Fits(t + 128 * kMillisecond, 1.0));
+  EXPECT_TRUE(builder.Fits(t + 127 * kMillisecond, 1.0));
+  t += 127 * kMillisecond;
+  builder.Add(t, 1.0);
+  records.WriteVarU64(127);
+  records.WriteF32(1.0f);
+  ASSERT_EQ(static_cast<int>(records.size()), kCapacity);
+  EXPECT_FALSE(builder.Fits(t, 1.0));
+
+  ByteWriter golden;
+  golden.WriteU16(kPageMagic);
+  golden.WriteU32(42);
+  golden.WriteU16(static_cast<uint16_t>(records.size()));
+  golden.WriteU16(Fletcher16(records.buffer()));
+  golden.WriteI64(t0);
+  golden.WriteI64(Seconds(31));
+  std::vector<uint8_t> expected = golden.TakeBuffer();
+  expected.insert(expected.end(), records.buffer().begin(), records.buffer().end());
+  ASSERT_EQ(static_cast<int>(expected.size()), kPageSize);
+
+  const std::vector<uint8_t> page = builder.Seal(/*seq=*/42, Seconds(31));
+  EXPECT_EQ(page, expected);
+  EXPECT_TRUE(builder.Empty());
+
+  auto decoded = DecodePage(page);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->header.seq, 42u);
+  EXPECT_EQ(decoded->header.used, kCapacity);
+  ASSERT_EQ(decoded->samples.size(), deltas_ms.size() + 1);
+  SimTime expected_t = t0;
+  for (size_t i = 0; i < decoded->samples.size(); ++i) {
+    expected_t += (i < deltas_ms.size() ? deltas_ms[i] : 127) * kMillisecond;
+    const double v = i < values.size() ? values[i] : 1.0;
+    EXPECT_EQ(decoded->samples[i].t, expected_t) << i;
+    EXPECT_EQ(decoded->samples[i].value, static_cast<double>(static_cast<float>(v))) << i;
+  }
 }
 
 class PageCodecPropertyTest : public ::testing::TestWithParam<uint64_t> {};

@@ -13,6 +13,7 @@
 #include "src/models/registry.h"
 #include "src/models/seasonal.h"
 #include "src/models/spatial.h"
+#include "src/util/bytes.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 
@@ -188,19 +189,21 @@ TEST_P(ModelConsistencyTest, FitFailsOnTinyHistory) {
   EXPECT_FALSE(model->Fit({Sample{0, 1.0}, Sample{kPeriod, 1.1}}).ok());
 }
 
+std::string ModelTestName(const ::testing::TestParamInfo<ModelType>& info) {
+  std::string name = ModelTypeName(info.param);
+  for (char& c : name) {
+    if (c == '-') {
+      c = '_';
+    }
+  }
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModels, ModelConsistencyTest,
                          ::testing::Values(ModelType::kLastValue, ModelType::kSeasonal,
                                            ModelType::kAr, ModelType::kSeasonalAr,
                                            ModelType::kMarkov),
-                         [](const auto& info) {
-                           std::string name = ModelTypeName(info.param);
-                           for (char& c : name) {
-                             if (c == '-') {
-                               c = '_';
-                             }
-                           }
-                           return name;
-                         });
+                         ModelTestName);
 
 // ---------- model quality ----------
 
@@ -260,6 +263,133 @@ TEST(ArModelTest, UncertaintyGrowsWithHorizon) {
     prev = sd;
   }
 }
+
+// The forecast cursor against the arithmetic it replaces: each forecast rolls a fresh
+// copy of the state, one erase + push_back per step.
+TEST(ArCoreTest, ForecastMatchesNaiveRoll) {
+  ArCore core;
+  core.sample_period = kPeriod;
+  core.max_forecast_steps = 500;
+  ASSERT_TRUE(core.Fit(ValuesOf(DiurnalSeries()), Days(3), /*order=*/3).ok());
+  auto naive = [&](int64_t k) {
+    std::vector<double> window = core.state;
+    for (int64_t i = 0; i < k; ++i) {
+      double next = core.mean;
+      for (size_t j = 0; j < core.phi.size(); ++j) {
+        next += core.phi[j] * (window[window.size() - 1 - j] - core.mean);
+      }
+      window.erase(window.begin());
+      window.push_back(next);
+    }
+    return window.back();
+  };
+  // Jumps forward across several window slides, one step back, a long backward jump
+  // and forward again; then one step at a time.
+  const int64_t kSteps[] = {1, 2, 3, 5, 13, 34, 35, 36, 70, 71, 140, 139, 10, 480};
+  for (int64_t k : kSteps) {
+    EXPECT_EQ(core.Forecast(core.state_time + k * kPeriod).value, naive(k)) << k;
+  }
+  for (int64_t k = 1; k <= 100; ++k) {
+    EXPECT_EQ(core.Forecast(core.state_time + k * kPeriod).value, naive(k)) << k;
+  }
+}
+
+// Predict may continue a cached forecast cursor, but every answer must equal, bit for
+// bit, the cold roll of a fresh clone (clones start without a cursor) — through forward
+// steps, repeats, backward jumps, past and beyond-horizon requests, and every state
+// change: anchors, cloning, re-installing the wire params, checkpoint restore, refits.
+class ForecastCursorTest : public ::testing::TestWithParam<ModelType> {};
+
+TEST_P(ForecastCursorTest, ScriptedPredictsMatchColdRolls) {
+  ModelConfig config = TestConfig();
+  config.max_forecast_steps = 300;  // keeps the beyond-horizon probe cheap
+  std::unique_ptr<PredictiveModel> model = CreateModel(GetParam(), config);
+  const std::vector<Sample> history = DiurnalSeries();
+  ASSERT_TRUE(model->Fit(history).ok());
+
+  int probes = 0;
+  auto check = [&](SimTime t) {
+    const std::unique_ptr<PredictiveModel> cold = model->Clone();
+    const Prediction warm = model->Predict(t);
+    const Prediction expected = cold->Predict(t);
+    EXPECT_EQ(warm.value, expected.value) << "probe " << probes << " t=" << t;
+    EXPECT_EQ(warm.stddev, expected.stddev) << "probe " << probes << " t=" << t;
+    ++probes;
+  };
+  // Sensor-style checks: one grid step at a time, with clock jitter around the grid.
+  auto walk = [&](SimTime from, int steps) {
+    for (int i = 1; i <= steps; ++i) {
+      check(from + i * kPeriod + (i % 3 - 1) * Seconds(4));
+    }
+  };
+  // After a state change, first probe ahead of any cursor left from before it (a
+  // stale cursor would be continued there), then walk.
+  auto after_change = [&](SimTime from) {
+    check(from + 30 * kPeriod);
+    walk(from, 10);
+  };
+
+  // Monotone, a repeat, one step back, a backward and a forward jump, t <= state_time,
+  // k rounding to 0, and k > max_forecast_steps.
+  SimTime t0 = history.back().t;
+  walk(t0, 40);
+  for (int k : {40, 40, 39, 7, 90}) {
+    check(t0 + k * kPeriod);
+  }
+  check(t0);
+  check(t0 - Hours(2));
+  check(t0 + kPeriod / 4);
+  check(t0 + 400 * kPeriod);
+  check(t0 + 91 * kPeriod);
+
+  // Anchor behind the cursor, then exactly at the last checked sample (the sensor's
+  // push path, which continues the cursor).
+  model->OnAnchor(Sample{t0 + 60 * kPeriod, 24.0});
+  t0 += 60 * kPeriod;
+  walk(t0, 12);
+  model->OnAnchor(Sample{t0 + 12 * kPeriod, 17.5});
+  t0 += 12 * kPeriod;
+  after_change(t0);
+  // A stale anchor is ignored.
+  model->OnAnchor(Sample{t0 - kPeriod, 30.0});
+  walk(t0, 8);
+
+  // A clone carries the state but not the cursor; the original keeps its own.
+  std::unique_ptr<PredictiveModel> original = model->Clone();
+  std::swap(original, model);
+  walk(t0, 8);
+  std::swap(original, model);
+  walk(t0, 10);
+
+  // Re-installing the (f32-rounded) wire params changes the state, not its time.
+  ASSERT_TRUE(model->Deserialize(model->Serialize()).ok());
+  after_change(t0);
+
+  // Restoring a checkpoint of a replica anchored differently at the same time.
+  std::unique_ptr<PredictiveModel> replica = model->Clone();
+  replica->OnAnchor(Sample{t0 + 3 * kPeriod, 12.0});
+  model->OnAnchor(Sample{t0 + 3 * kPeriod, 26.0});
+  t0 += 3 * kPeriod;
+  walk(t0, 6);
+  ByteWriter w;
+  replica->SaveState(w);
+  ByteReader r(w.buffer());
+  ASSERT_TRUE(model->LoadState(r).ok());
+  after_change(t0);
+  EXPECT_EQ(model->Predict(t0 + 6 * kPeriod).value,
+            replica->Predict(t0 + 6 * kPeriod).value);
+
+  // Refits ending at the same time: the cursor must not survive new parameters.
+  ASSERT_TRUE(model->Fit(DiurnalSeries(3, /*seed=*/9)).ok());
+  after_change(history.back().t);
+  ASSERT_TRUE(model->Fit(DiurnalSeries(3, /*seed=*/13)).ok());
+  after_change(history.back().t);
+  EXPECT_EQ(probes, 149);
+}
+
+INSTANTIATE_TEST_SUITE_P(ArFamily, ForecastCursorTest,
+                         ::testing::Values(ModelType::kAr, ModelType::kSeasonalAr),
+                         ModelTestName);
 
 TEST(MarkovModelTest, TracksRegimeSwitching) {
   // Two-level square wave with sticky states.
