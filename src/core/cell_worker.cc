@@ -1,6 +1,8 @@
 #include "src/core/cell_worker.h"
 
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -18,11 +20,555 @@
 
 namespace presto {
 
+namespace {
+
+int TotalSensors(const FederationConfig& config) {
+  return config.num_cells * config.cell.num_proxies * config.cell.sensors_per_proxy;
+}
+
+std::string CellPrefix(int cell_index) {
+  return "cell" + std::to_string(cell_index) + "/";
+}
+
+// FederationConfig and QueryDriverParams cross the seam as length-prefixed raw
+// struct bytes; both ends go through this pair.
+template <typename T>
+void WriteRaw(ByteWriter& w, const T& v) {
+  static_assert(std::is_trivially_copyable<T>::value, "rides the wire as raw bytes");
+  w.WriteBytes(span<const uint8_t>(reinterpret_cast<const uint8_t*>(&v), sizeof(T)));
+}
+
+template <typename T>
+Status ReadRaw(ByteReader& r, T* v) {
+  auto raw = r.ReadBytes();
+  if (!raw.ok()) {
+    return raw.status();
+  }
+  if (raw->size() != sizeof(T)) {
+    return DataLossError("cell_worker: raw struct size mismatch");
+  }
+  std::memcpy(static_cast<void*>(v), raw->data(), sizeof(T));
+  return OkStatus();
+}
+
+// The op's payload fields in wire order — one list for both codec directions, so
+// encoder and decoder cannot drift. Returns false for a non-control frame type.
+template <typename Op, typename Field>
+bool ForEachControlField(Op& op, Field&& field) {
+  switch (op.type) {
+    case FedFrameType::kStart:
+      return true;
+    case FedFrameType::kStartDriver:
+      field(op.cell);
+      field(op.index);
+      field(op.duration);
+      return true;
+    case FedFrameType::kInject:
+      field(op.cell);
+      field(op.token);
+      field(op.spec);
+      return true;
+    case FedFrameType::kKillCell:
+    case FedFrameType::kReviveCell:
+      field(op.cell);
+      return true;
+    case FedFrameType::kKillProxy:
+    case FedFrameType::kReviveProxy:
+      field(op.cell);
+      field(op.index);
+      return true;
+    case FedFrameType::kMigrateSensor:
+      field(op.cell);
+      field(op.index);
+      field(op.owner);
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Control-op codec.
+// ---------------------------------------------------------------------------
+
+std::vector<uint8_t> EncodeCellControl(const CellControl& op) {
+  ByteWriter w;
+  ForEachControlField(op, [&w](const auto& f) { CkptWrite(w, f); });
+  return w.TakeBuffer();
+}
+
+Status DecodeCellControl(FedFrameType type, span<const uint8_t> payload,
+                         CellControl* op) {
+  ByteReader r{payload};
+  *op = CellControl{};
+  op->type = type;
+  Status s = OkStatus();
+  if (!ForEachControlField(*op, [&](auto& f) {
+        if (s.ok()) {
+          s = CkptRead(r, f);
+        }
+      })) {
+    return InvalidArgumentError("cell_worker: unexpected frame type");
+  }
+  PRESTO_RETURN_IF_ERROR(s);
+  if (r.remaining() != 0) {
+    return DataLossError("cell_worker: control op trailing bytes");
+  }
+  return OkStatus();
+}
+
+// ---------------------------------------------------------------------------
+// CellHost: the cells themselves, and the direct transport.
+// ---------------------------------------------------------------------------
+
+CellHost::CellHost(const FederationConfig& config, int worker_index, int num_workers)
+    : config_(config), worker_index_(worker_index), num_workers_(num_workers) {
+  PRESTO_CHECK(num_workers_ >= 1 && worker_index_ >= 0 && worker_index_ < num_workers_);
+  for (int c = worker_index_; c < config_.num_cells; c += num_workers_) {
+    DeploymentConfig cell_config = config_.cell;
+    cell_config.seed = FederationCellSeed(config_.seed, c);
+    Hosted hosted;
+    hosted.deployment = std::make_unique<Deployment>(cell_config);
+    // Pairwise construction: each simulator registers the deployment's sinks,
+    // then the router's — the same sink ids in every mode (checkpoint contract).
+    hosted.router = std::make_unique<FedCell>(c, &config_, hosted.deployment.get());
+    hosted_.push_back(std::move(hosted));
+  }
+}
+
+CellHost::Hosted* CellHost::Find(int cell_index) {
+  if (cell_index < worker_index_ || cell_index >= config_.num_cells ||
+      cell_index % num_workers_ != worker_index_) {
+    return nullptr;
+  }
+  return &hosted_[static_cast<size_t>((cell_index - worker_index_) / num_workers_)];
+}
+
+Deployment& CellHost::cell(int cell_index) {
+  Hosted* hosted = Find(cell_index);
+  PRESTO_CHECK_MSG(hosted != nullptr, "cell is not hosted here");
+  return *hosted->deployment;
+}
+
+Result<int> CellHost::AttachDriver(int origin_cell, const QueryDriverParams& params) {
+  Hosted* hosted = Find(origin_cell);
+  if (hosted == nullptr) {
+    return InvalidArgumentError("cell_worker: cell is not hosted by this worker");
+  }
+  if (params.mix.num_sensors > TotalSensors(config_)) {
+    return InvalidArgumentError("driver namespace exceeds the federation population");
+  }
+  return hosted->router->AttachDriver(params);
+}
+
+Status CellHost::Control(const CellControl& op, CellOutput* out) {
+  const Status s = Apply(op);
+  // Every op hands back the mail (and host-probe completions) it generated.
+  TakeOutput(out);
+  return s;
+}
+
+Status CellHost::Apply(const CellControl& op) {
+  switch (op.type) {
+    case FedFrameType::kStart:
+      for (Hosted& hosted : hosted_) {
+        hosted.deployment->Start();
+      }
+      return OkStatus();
+    case FedFrameType::kKillCell:
+    case FedFrameType::kReviveCell:
+      return SetCellState(op.cell, op.type == FedFrameType::kKillCell);
+    default:
+      break;
+  }
+  Hosted* hosted = Find(op.cell);
+  if (hosted == nullptr) {
+    return InvalidArgumentError("cell_worker: cell is not hosted by this worker");
+  }
+  Deployment& cell = *hosted->deployment;
+  switch (op.type) {
+    case FedFrameType::kStartDriver:
+      if (op.index < 0 || op.index >= hosted->router->num_drivers()) {
+        return InvalidArgumentError("cell_worker: driver slot out of range");
+      }
+      hosted->router->StartDriver(op.index, op.duration);
+      return OkStatus();
+    case FedFrameType::kInject: {
+      if (op.spec.fed_sensor < 0 || op.spec.fed_sensor >= TotalSensors(config_)) {
+        return InvalidArgumentError("cell_worker: inject sensor out of range");
+      }
+      FedCell::Pending q;
+      q.origin = FedCell::Origin::kHost;
+      q.host_token = op.token;
+      // Fail-fast (dead target) and same-instant completions land in host_done
+      // and ride back in this op's own output.
+      hosted->router->Issue(op.spec, std::move(q));
+      return OkStatus();
+    }
+    case FedFrameType::kKillProxy:
+    case FedFrameType::kReviveProxy:
+      if (op.index < 0 || op.index >= cell.config().num_proxies) {
+        return InvalidArgumentError("cell_worker: proxy index out of range");
+      }
+      if (op.type == FedFrameType::kKillProxy) {
+        cell.KillProxy(op.index);
+      } else {
+        cell.ReviveProxy(op.index);
+      }
+      return OkStatus();
+    case FedFrameType::kMigrateSensor:
+      if (op.index < 0 || op.index >= cell.total_sensors() || op.owner < 0 ||
+          op.owner >= cell.config().num_proxies) {
+        return InvalidArgumentError("cell_worker: migrate-sensor argument out of range");
+      }
+      cell.MigrateSensor(op.index, op.owner);
+      return OkStatus();
+    default:
+      return InvalidArgumentError("cell_worker: unexpected frame type");
+  }
+}
+
+Status CellHost::SetCellState(int cell_index, bool down) {
+  if (cell_index < 0 || cell_index >= config_.num_cells) {
+    return InvalidArgumentError("cell_worker: cell index out of range");
+  }
+  Hosted* target = Find(cell_index);
+  if (down) {
+    // Every hosted gateway marks the cell down and fails its pending queries
+    // toward it (hosted-cell ascending, qid ascending within — deterministic),
+    // then the cell's own proxies die.
+    for (Hosted& hosted : hosted_) {
+      hosted.router->SetCellDown(cell_index, true);
+      hosted.router->FailPendingToward(cell_index);
+    }
+    for (int p = 0; target != nullptr && p < config_.cell.num_proxies; ++p) {
+      target->deployment->KillProxy(p);
+    }
+    return OkStatus();
+  }
+  for (int p = 0; target != nullptr && p < config_.cell.num_proxies; ++p) {
+    target->deployment->ReviveProxy(p);
+  }
+  for (Hosted& hosted : hosted_) {
+    hosted.router->SetCellDown(cell_index, false);
+  }
+  return OkStatus();
+}
+
+Status CellHost::PostStep(SimTime barrier, SimTime end, std::vector<FedMail> mail) {
+  for (FedMail& m : mail) {
+    Hosted* hosted = Find(m.target_cell);
+    if (hosted == nullptr) {
+      return InvalidArgumentError("cell_worker: cell is not hosted by this worker");
+    }
+    if (m.op != kFedOpExecute && m.op != kFedOpComplete) {
+      return DataLossError("cell_worker: bad mail op in step");
+    }
+    hosted->router->DeliverMail(std::move(m), barrier);
+  }
+  step_end_ = end;
+  return OkStatus();
+}
+
+Status CellHost::FinishStep(CellOutput* out) {
+  for (Hosted& hosted : hosted_) {
+    hosted.deployment->RunUntil(step_end_);
+  }
+  TakeOutput(out);
+  return OkStatus();
+}
+
+Status CellHost::Snapshot(std::vector<FedCellSnapshot>* out) {
+  out->clear();
+  for (Hosted& hosted : hosted_) {
+    FedCell& router = *hosted.router;
+    FedCellSnapshot snap;
+    snap.sim_fingerprint = hosted.deployment->sim().fingerprint();
+    snap.events = hosted.deployment->sim().events_executed();
+    snap.counters = router.counters();
+    snap.trunks = router.TrunkTotals();
+    for (int d = 0; d < router.num_drivers(); ++d) {
+      snap.drivers.push_back(router.driver(d).stats());
+    }
+    out->push_back(std::move(snap));
+  }
+  return OkStatus();
+}
+
+Status CellHost::SaveCheckpoint(Checkpoint* out) {
+  for (const Hosted& hosted : hosted_) {
+    const std::string prefix = CellPrefix(hosted.router->index());
+    PRESTO_RETURN_IF_ERROR(hosted.deployment->SaveCheckpoint(out, prefix));
+    ByteWriter w;
+    PRESTO_RETURN_IF_ERROR(hosted.router->SaveState(w));
+    out->Add(prefix + "fed", w.TakeBuffer());
+  }
+  return OkStatus();
+}
+
+Status CellHost::LoadCheckpoint(const Checkpoint& ckpt,
+                                const std::vector<uint8_t>& cell_down,
+                                std::vector<uint8_t>* /*encoded*/) {
+  for (Hosted& hosted : hosted_) {
+    hosted.router->RestoreCellDown(cell_down);
+    hosted.router->TakeOutbox();  // undrained mail belongs to the orchestrator
+    const std::string prefix = CellPrefix(hosted.router->index());
+    const std::vector<uint8_t>* payload = ckpt.Find(prefix + "fed");
+    if (payload == nullptr) {
+      return NotFoundError("checkpoint missing section " + prefix + "fed");
+    }
+    ByteReader r{span<const uint8_t>(*payload)};
+    // Router first: the cell's simulator (loaded last inside LoadCheckpoint)
+    // re-announces restored events into fully rebuilt tables.
+    PRESTO_RETURN_IF_ERROR(hosted.router->LoadState(r));
+    if (r.remaining() != 0) {
+      return DataLossError("checkpoint section " + prefix + "fed has trailing bytes");
+    }
+    PRESTO_RETURN_IF_ERROR(hosted.deployment->LoadCheckpoint(ckpt, prefix));
+  }
+  return OkStatus();
+}
+
+void CellHost::TakeOutput(CellOutput* out) {
+  for (Hosted& hosted : hosted_) {
+    std::vector<FedMail> box = hosted.router->TakeOutbox();
+    std::move(box.begin(), box.end(), std::back_inserter(out->mail));
+    std::vector<FedCell::HostDone> done = hosted.router->TakeHostDone();
+    std::move(done.begin(), done.end(), std::back_inserter(out->host_done));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// FrameTransport: the orchestrator end of the wire.
+// ---------------------------------------------------------------------------
+
+Status FrameTransport::Send(FedFrameType type, std::vector<uint8_t> payload) {
+  if (broken_) {
+    return UnavailableError("cell transport: the link is down");
+  }
+  FedFrame frame;
+  frame.type = type;
+  frame.payload = std::move(payload);
+  const Status sent = channel_->Send(frame);
+  if (!sent.ok()) {
+    broken_ = true;
+  }
+  return sent;
+}
+
+Result<std::vector<uint8_t>> FrameTransport::Reply() {
+  auto reply = channel_->Recv();
+  if (!reply.ok()) {
+    broken_ = true;
+    return reply.status();
+  }
+  if (reply->type == FedFrameType::kError) {
+    ByteReader r{span<const uint8_t>(reply->payload)};
+    Status failure = OkStatus();
+    if (!CkptRead(r, failure).ok() || failure.ok()) {
+      broken_ = true;
+      return DataLossError("cell transport: malformed error reply");
+    }
+    return failure;  // the worker refused the op; the link is fine
+  }
+  if (reply->type != FedFrameType::kAck) {
+    broken_ = true;
+    return DataLossError("cell transport: unexpected reply type");
+  }
+  return std::move(reply->payload);
+}
+
+Result<std::vector<uint8_t>> FrameTransport::Call(FedFrameType type,
+                                                  std::vector<uint8_t> payload) {
+  PRESTO_RETURN_IF_ERROR(Send(type, std::move(payload)));
+  return Reply();
+}
+
+Status FrameTransport::DecodeOutput(const std::vector<uint8_t>& payload,
+                                    CellOutput* out) const {
+  PRESTO_RETURN_IF_ERROR(DecodeFedControlReply(span<const uint8_t>(payload),
+                                               &out->mail, &out->host_done));
+  for (const FedMail& m : out->mail) {
+    if (m.source_cell < 0 || m.source_cell >= cell_count_ || m.target_cell < 0 ||
+        m.target_cell >= cell_count_ ||
+        (m.op != kFedOpExecute && m.op != kFedOpComplete)) {
+      return DataLossError("cell transport: bad mail in control reply");
+    }
+  }
+  return OkStatus();
+}
+
+Status FrameTransport::Bootstrap(const FederationConfig& config, int worker_index,
+                                 int num_workers) {
+  ByteWriter payload;
+  WriteRaw(payload, config);
+  CkptWrite(payload, worker_index);
+  CkptWrite(payload, num_workers);
+  auto reply = Call(FedFrameType::kBootstrap, payload.TakeBuffer());
+  if (!reply.ok()) {
+    return reply.status();
+  }
+  cell_count_ = config.num_cells;
+  return OkStatus();
+}
+
+Result<int> FrameTransport::AttachDriver(int origin_cell,
+                                         const QueryDriverParams& params) {
+  ByteWriter w;
+  CkptWrite(w, origin_cell);
+  WriteRaw(w, params);
+  auto reply = Call(FedFrameType::kAttachDriver, w.TakeBuffer());
+  if (!reply.ok()) {
+    return reply.status();
+  }
+  ByteReader r{span<const uint8_t>(*reply)};
+  auto slot = r.ReadVarU64();
+  if (!slot.ok() || r.remaining() != 0) {
+    broken_ = true;
+    return DataLossError("cell transport: bad attach-driver reply");
+  }
+  return static_cast<int>(*slot);
+}
+
+Status FrameTransport::Control(const CellControl& op, CellOutput* out) {
+  auto reply = Call(op.type, EncodeCellControl(op));
+  if (!reply.ok()) {
+    return reply.status();
+  }
+  return DecodeOutput(*reply, out);
+}
+
+Status FrameTransport::PostStep(SimTime barrier, SimTime end, std::vector<FedMail> mail) {
+  ByteWriter payload;
+  CkptWrite(payload, barrier);
+  CkptWrite(payload, end);
+  CkptWrite(payload, mail);
+  return Send(FedFrameType::kStep, payload.TakeBuffer());
+}
+
+Status FrameTransport::FinishStep(CellOutput* out) {
+  auto reply = Reply();
+  if (!reply.ok()) {
+    return reply.status();
+  }
+  return DecodeOutput(*reply, out);
+}
+
+Status FrameTransport::Snapshot(std::vector<FedCellSnapshot>* out) {
+  auto reply = Call(FedFrameType::kSnapshot, {});
+  if (!reply.ok()) {
+    return reply.status();
+  }
+  ByteReader r{span<const uint8_t>(*reply)};
+  CKPT_READ(r, *out);
+  if (r.remaining() != 0) {
+    return DataLossError("cell transport: snapshot trailing bytes");
+  }
+  return OkStatus();
+}
+
+Status FrameTransport::SaveCheckpoint(Checkpoint* out) {
+  auto reply = Call(FedFrameType::kCkptSave, {});
+  if (!reply.ok()) {
+    return reply.status();  // e.g. a probe query in flight on the worker
+  }
+  auto sub = Checkpoint::Decode(span<const uint8_t>(*reply));
+  if (!sub.ok()) {
+    return sub.status();
+  }
+  *out = std::move(*sub);
+  return OkStatus();
+}
+
+Status FrameTransport::LoadCheckpoint(const Checkpoint& ckpt,
+                                      const std::vector<uint8_t>& cell_down,
+                                      std::vector<uint8_t>* encoded) {
+  if (encoded->empty()) {
+    *encoded = ckpt.Encode();
+  }
+  ByteWriter req;
+  req.WriteBytes(span<const uint8_t>(*encoded));
+  WriteCellBitmap(req, cell_down);
+  auto reply = Call(FedFrameType::kCkptLoad, req.TakeBuffer());
+  return reply.ok() ? OkStatus() : reply.status();
+}
+
+void FrameTransport::Close(bool graceful) {
+  bool clean = false;
+  if (graceful && !broken_) {
+    FedFrame bye;
+    bye.type = FedFrameType::kShutdown;
+    auto reply = channel_->Call(bye);
+    clean = reply.ok() && reply->type == FedFrameType::kAck;
+  }
+  broken_ = true;
+  channel_->Close();
+  if (pid_ > 0) {
+    if (!clean) {
+      ::kill(static_cast<pid_t>(pid_), SIGKILL);
+    }
+    int status = 0;
+    ::waitpid(static_cast<pid_t>(pid_), &status, 0);
+    pid_ = -1;
+  }
+}
+
+Result<std::unique_ptr<FrameTransport>> SpawnCellWorker(const FederationConfig& config,
+                                                        int worker_index,
+                                                        int num_workers) {
+  const std::string bin = ResolveCellWorkerBinary();
+  int fds[2];
+  PRESTO_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0);
+  // The orchestrator's end must not leak into *any* worker (each fork inherits
+  // every fd open at that moment): close-on-exec before forking.
+  PRESTO_CHECK(::fcntl(fds[0], F_SETFD, FD_CLOEXEC) == 0);
+  const pid_t pid = ::fork();
+  PRESTO_CHECK(pid >= 0);
+  if (pid == 0) {
+    char fd_arg[16];
+    std::snprintf(fd_arg, sizeof(fd_arg), "%d", fds[1]);
+    ::execl(bin.c_str(), "presto_cell", fd_arg, static_cast<char*>(nullptr));
+    _exit(127);  // exec failed; the bootstrap call reports the actionable error
+  }
+  ::close(fds[1]);
+  Result<std::unique_ptr<FrameTransport>> transport =
+      std::make_unique<FrameTransport>(std::make_unique<FrameChannel>(fds[0]), pid);
+  PRESTO_RETURN_IF_ERROR((*transport)->Bootstrap(config, worker_index, num_workers));
+  return transport;
+}
+
+Result<std::unique_ptr<FrameTransport>> ConnectCellWorker(const FedEndpoint& endpoint,
+                                                          Duration deadline,
+                                                          const FederationConfig& config,
+                                                          int worker_index,
+                                                          int num_workers) {
+  if (endpoint.host[0] == '\0' || endpoint.port == 0) {
+    return InvalidArgumentError("federation: empty cell endpoint");
+  }
+  auto fd = TcpConnect(endpoint.host, endpoint.port, deadline);
+  if (!fd.ok()) {
+    return fd.status();
+  }
+  auto channel = std::make_unique<FrameChannel>(*fd);
+  channel->SetDeadline(deadline);
+  PRESTO_RETURN_IF_ERROR(FedHelloClient(*channel, worker_index, num_workers));
+  Result<std::unique_ptr<FrameTransport>> transport =
+      std::make_unique<FrameTransport>(std::move(channel), /*pid=*/-1);
+  PRESTO_RETURN_IF_ERROR((*transport)->Bootstrap(config, worker_index, num_workers));
+  return transport;
+}
+
+// ---------------------------------------------------------------------------
+// CellWorker: the frame server.
+// ---------------------------------------------------------------------------
+
 int CellWorker::Serve() {
   while (true) {
     auto request = channel_->Recv();
     if (!request.ok()) {
-      // The parent exited or closed the channel: a clean worker exit, so a
+      // The orchestrator exited or closed the channel: a clean worker exit, so a
       // normal shutdown never trips process-death detection (or LeakSanitizer).
       return 0;
     }
@@ -36,8 +582,8 @@ int CellWorker::Serve() {
       reply.payload = w.TakeBuffer();
     }
     if (request->type == FedFrameType::kShutdown) {
-      // Requested even if the kAck below fails to send — the parent is leaving
-      // either way, and the --listen loop must not re-accept after a shutdown.
+      // Requested even if the kAck below fails to send — the orchestrator is
+      // leaving either way, and the --listen loop must not re-accept after it.
       shutdown_requested_ = true;
     }
     if (!channel_->Send(reply).ok()) {
@@ -52,381 +598,109 @@ int CellWorker::Serve() {
 Status CellWorker::Dispatch(const FedFrame& request, FedFrame* reply) {
   const span<const uint8_t> payload(request.payload);
   if (request.type == FedFrameType::kBootstrap) {
-    return HandleBootstrap(payload);
+    return Bootstrap(payload);
   }
   if (request.type == FedFrameType::kShutdown) {
     return OkStatus();  // reply kAck, then Serve leaves its loop
   }
-  if (!bootstrapped_) {
+  if (host_ == nullptr) {
     return FailedPreconditionError("cell_worker: not bootstrapped");
   }
+  ByteReader r{payload};
+  CellOutput out;
   switch (request.type) {
-    case FedFrameType::kStart:
-      PRESTO_RETURN_IF_ERROR(HandleStart());
+    case FedFrameType::kAttachDriver: {
+      int origin = 0;
+      QueryDriverParams params{};
+      CKPT_READ(r, origin);
+      PRESTO_RETURN_IF_ERROR(ReadRaw(r, &params));
+      if (r.remaining() != 0) {
+        return DataLossError("cell_worker: attach-driver trailing bytes");
+      }
+      auto slot = host_->AttachDriver(origin, params);
+      if (!slot.ok()) {
+        return slot.status();
+      }
+      ByteWriter w;
+      w.WriteVarU64(static_cast<uint64_t>(*slot));
+      reply->payload = w.TakeBuffer();
+      return OkStatus();
+    }
+    case FedFrameType::kStep: {
+      SimTime barrier = 0, end = 0;
+      std::vector<FedMail> mail;
+      CKPT_READ(r, barrier);
+      CKPT_READ(r, end);
+      CKPT_READ(r, mail);
+      if (r.remaining() != 0) {
+        return DataLossError("cell_worker: step trailing bytes");
+      }
+      PRESTO_RETURN_IF_ERROR(host_->PostStep(barrier, end, std::move(mail)));
+      PRESTO_RETURN_IF_ERROR(host_->FinishStep(&out));
       break;
-    case FedFrameType::kAttachDriver:
-      return HandleAttachDriver(payload, reply);
-    case FedFrameType::kStartDriver:
-      PRESTO_RETURN_IF_ERROR(HandleStartDriver(payload));
+    }
+    case FedFrameType::kSnapshot: {
+      std::vector<FedCellSnapshot> snaps;
+      PRESTO_RETURN_IF_ERROR(host_->Snapshot(&snaps));
+      ByteWriter w;
+      CkptWrite(w, snaps);
+      reply->payload = w.TakeBuffer();
+      return OkStatus();
+    }
+    case FedFrameType::kCkptSave: {
+      Checkpoint sub;
+      PRESTO_RETURN_IF_ERROR(host_->SaveCheckpoint(&sub));
+      reply->payload = sub.Encode();
+      return OkStatus();
+    }
+    case FedFrameType::kCkptLoad: {
+      auto blob = r.ReadBytes();
+      if (!blob.ok()) {
+        return blob.status();
+      }
+      std::vector<uint8_t> down;
+      PRESTO_RETURN_IF_ERROR(
+          ReadCellBitmap(r, static_cast<size_t>(host_->num_cells()), &down));
+      if (r.remaining() != 0) {
+        return DataLossError("cell_worker: ckpt-load trailing bytes");
+      }
+      auto ckpt = Checkpoint::Decode(span<const uint8_t>(*blob));
+      if (!ckpt.ok()) {
+        return ckpt.status();
+      }
+      return host_->LoadCheckpoint(*ckpt, down, nullptr);
+    }
+    default: {
+      CellControl op;
+      PRESTO_RETURN_IF_ERROR(DecodeCellControl(request.type, payload, &op));
+      PRESTO_RETURN_IF_ERROR(host_->Control(op, &out));
       break;
-    case FedFrameType::kStep:
-      PRESTO_RETURN_IF_ERROR(HandleStep(payload));
-      break;
-    case FedFrameType::kInject:
-      PRESTO_RETURN_IF_ERROR(HandleInject(payload));
-      break;
-    case FedFrameType::kKillCell:
-      PRESTO_RETURN_IF_ERROR(HandleKillCell(payload));
-      break;
-    case FedFrameType::kReviveCell:
-      PRESTO_RETURN_IF_ERROR(HandleReviveCell(payload));
-      break;
-    case FedFrameType::kKillProxy:
-      PRESTO_RETURN_IF_ERROR(HandleProxyOp(payload, /*kill=*/true));
-      break;
-    case FedFrameType::kReviveProxy:
-      PRESTO_RETURN_IF_ERROR(HandleProxyOp(payload, /*kill=*/false));
-      break;
-    case FedFrameType::kMigrateSensor:
-      PRESTO_RETURN_IF_ERROR(HandleMigrateSensor(payload));
-      break;
-    case FedFrameType::kSnapshot:
-      return HandleSnapshot(reply);
-    case FedFrameType::kCkptSave:
-      return HandleCkptSave(reply);
-    case FedFrameType::kCkptLoad:
-      return HandleCkptLoad(payload);
-    default:
-      return InvalidArgumentError("cell_worker: unexpected frame type");
+    }
   }
-  // Every control op replies with the mail (and host-probe completions) it
-  // generated, so the parent's routing never waits an extra barrier.
-  reply->payload = ControlReply();
+  reply->payload = EncodeFedControlReply(out.mail, out.host_done);
   return OkStatus();
 }
 
-Status CellWorker::HandleBootstrap(span<const uint8_t> payload) {
-  if (bootstrapped_) {
+Status CellWorker::Bootstrap(span<const uint8_t> payload) {
+  if (host_ != nullptr) {
     return FailedPreconditionError("cell_worker: already bootstrapped");
   }
   ByteReader r{payload};
-  auto raw = r.ReadBytes();
-  if (!raw.ok()) {
-    return raw.status();
-  }
-  static_assert(std::is_trivially_copyable<FederationConfig>::value,
-                "FederationConfig rides the wire as raw bytes");
-  if (raw->size() != sizeof(FederationConfig)) {
-    return DataLossError("cell_worker: bootstrap config size mismatch");
-  }
-  std::memcpy(&config_, raw->data(), sizeof(FederationConfig));
-  CKPT_READ(r, worker_index_);
-  CKPT_READ(r, num_workers_);
+  FederationConfig config{};
+  int worker_index = 0, num_workers = 1;
+  PRESTO_RETURN_IF_ERROR(ReadRaw(r, &config));
+  CKPT_READ(r, worker_index);
+  CKPT_READ(r, num_workers);
   if (r.remaining() != 0) {
     return DataLossError("cell_worker: bootstrap trailing bytes");
   }
-  if (num_workers_ < 1 || worker_index_ < 0 || worker_index_ >= num_workers_ ||
-      config_.num_cells < 1 || config_.cell.num_proxies < 1 ||
-      config_.cell.sensors_per_proxy < 1 || config_.epoch <= 0) {
+  if (num_workers < 1 || worker_index < 0 || worker_index >= num_workers ||
+      config.num_cells < 1 || config.cell.num_proxies < 1 ||
+      config.cell.sensors_per_proxy < 1 || config.epoch <= 0) {
     return InvalidArgumentError("cell_worker: bad bootstrap parameters");
   }
-  for (int c = worker_index_; c < config_.num_cells; c += num_workers_) {
-    hosted_.push_back(c);
-    DeploymentConfig cell_config = config_.cell;
-    cell_config.seed = FederationCellSeed(config_.seed, c);
-    cells_.push_back(std::make_unique<Deployment>(cell_config));
-    // Pairwise construction keeps each simulator's sink-registration order
-    // identical to the in-process federation — the checkpoint sink-id contract.
-    cores_.push_back(std::make_unique<FedCell>(c, &config_, cells_.back().get()));
-  }
-  bootstrapped_ = true;
+  host_ = std::make_unique<CellHost>(config, worker_index, num_workers);
   return OkStatus();
-}
-
-Status CellWorker::HandleStart() {
-  for (auto& cell : cells_) {
-    cell->Start();
-  }
-  return OkStatus();
-}
-
-Status CellWorker::HandleAttachDriver(span<const uint8_t> payload, FedFrame* reply) {
-  ByteReader r{payload};
-  int origin = 0;
-  CKPT_READ(r, origin);
-  auto raw = r.ReadBytes();
-  if (!raw.ok()) {
-    return raw.status();
-  }
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: attach-driver trailing bytes");
-  }
-  static_assert(std::is_trivially_copyable<QueryDriverParams>::value,
-                "QueryDriverParams rides the wire as raw bytes");
-  if (raw->size() != sizeof(QueryDriverParams)) {
-    return DataLossError("cell_worker: driver params size mismatch");
-  }
-  QueryDriverParams params{};
-  std::memcpy(&params, raw->data(), sizeof(QueryDriverParams));
-  auto slot = SlotOf(origin);
-  if (!slot.ok()) {
-    return slot.status();
-  }
-  if (params.mix.num_sensors > 0 &&
-      params.mix.num_sensors > config_.num_cells * config_.cell.num_proxies *
-                                   config_.cell.sensors_per_proxy) {
-    return InvalidArgumentError("driver namespace exceeds the federation population");
-  }
-  const int driver_slot =
-      cores_[static_cast<size_t>(*slot)]->AttachDriver(params);
-  ByteWriter w;
-  w.WriteVarU64(static_cast<uint64_t>(driver_slot));
-  reply->payload = w.TakeBuffer();
-  return OkStatus();
-}
-
-Status CellWorker::HandleStartDriver(span<const uint8_t> payload) {
-  ByteReader r{payload};
-  int cell = 0, driver_slot = 0;
-  Duration duration = 0;
-  CKPT_READ(r, cell);
-  CKPT_READ(r, driver_slot);
-  CKPT_READ(r, duration);
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: start-driver trailing bytes");
-  }
-  auto slot = SlotOf(cell);
-  if (!slot.ok()) {
-    return slot.status();
-  }
-  FedCell& core = *cores_[static_cast<size_t>(*slot)];
-  if (driver_slot < 0 || driver_slot >= core.num_drivers()) {
-    return InvalidArgumentError("cell_worker: driver slot out of range");
-  }
-  core.StartDriver(driver_slot, duration);
-  return OkStatus();
-}
-
-Status CellWorker::HandleStep(span<const uint8_t> payload) {
-  ByteReader r{payload};
-  SimTime barrier = 0, end = 0;
-  CKPT_READ(r, barrier);
-  CKPT_READ(r, end);
-  std::vector<FedMail> mail;
-  CKPT_READ(r, mail);
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: step trailing bytes");
-  }
-  for (FedMail& m : mail) {
-    auto slot = SlotOf(m.target_cell);
-    if (!slot.ok()) {
-      return slot.status();
-    }
-    if (m.op != kFedOpExecute && m.op != kFedOpComplete) {
-      return DataLossError("cell_worker: bad mail op in step");
-    }
-    cores_[static_cast<size_t>(*slot)]->DeliverMail(std::move(m), barrier);
-  }
-  for (auto& cell : cells_) {
-    cell->RunUntil(end);
-  }
-  return OkStatus();
-}
-
-Status CellWorker::HandleInject(span<const uint8_t> payload) {
-  ByteReader r{payload};
-  int origin = 0;
-  uint64_t token = 0;
-  FederationQuerySpec spec;
-  CKPT_READ(r, origin);
-  CKPT_READ(r, token);
-  CKPT_READ(r, spec);
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: inject trailing bytes");
-  }
-  auto slot = SlotOf(origin);
-  if (!slot.ok()) {
-    return slot.status();
-  }
-  const int total = config_.num_cells * config_.cell.num_proxies *
-                    config_.cell.sensors_per_proxy;
-  if (spec.fed_sensor < 0 || spec.fed_sensor >= total) {
-    return InvalidArgumentError("cell_worker: inject sensor out of range");
-  }
-  FedCell::Pending q;
-  q.origin = FedCell::Origin::kHost;
-  q.host_token = token;
-  // Fail-fast (dead target) and same-instant completions land in host_done_ and
-  // ride back in this very reply's control fold.
-  cores_[static_cast<size_t>(*slot)]->Issue(spec, std::move(q));
-  return OkStatus();
-}
-
-Status CellWorker::HandleKillCell(span<const uint8_t> payload) {
-  ByteReader r{payload};
-  int cell = 0;
-  CKPT_READ(r, cell);
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: kill-cell trailing bytes");
-  }
-  if (cell < 0 || cell >= config_.num_cells) {
-    return InvalidArgumentError("cell_worker: cell index out of range");
-  }
-  // Every hosted gateway marks the cell down and fails its pending queries
-  // toward it (hosted-cell ascending, qid ascending within — deterministic).
-  for (auto& core : cores_) {
-    core->SetCellDown(cell, true);
-    core->FailPendingToward(cell);
-  }
-  auto slot = SlotOf(cell);
-  if (slot.ok()) {
-    Deployment& victim = *cells_[static_cast<size_t>(*slot)];
-    for (int p = 0; p < victim.config().num_proxies; ++p) {
-      victim.KillProxy(p);
-    }
-  }
-  return OkStatus();
-}
-
-Status CellWorker::HandleReviveCell(span<const uint8_t> payload) {
-  ByteReader r{payload};
-  int cell = 0;
-  CKPT_READ(r, cell);
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: revive-cell trailing bytes");
-  }
-  if (cell < 0 || cell >= config_.num_cells) {
-    return InvalidArgumentError("cell_worker: cell index out of range");
-  }
-  auto slot = SlotOf(cell);
-  if (slot.ok()) {
-    Deployment& revived = *cells_[static_cast<size_t>(*slot)];
-    for (int p = 0; p < revived.config().num_proxies; ++p) {
-      revived.ReviveProxy(p);
-    }
-  }
-  for (auto& core : cores_) {
-    core->SetCellDown(cell, false);
-  }
-  return OkStatus();
-}
-
-Status CellWorker::HandleProxyOp(span<const uint8_t> payload, bool kill) {
-  ByteReader r{payload};
-  int cell = 0, proxy = 0;
-  CKPT_READ(r, cell);
-  CKPT_READ(r, proxy);
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: proxy-op trailing bytes");
-  }
-  auto slot = SlotOf(cell);
-  if (!slot.ok()) {
-    return slot.status();
-  }
-  Deployment& target = *cells_[static_cast<size_t>(*slot)];
-  if (proxy < 0 || proxy >= target.config().num_proxies) {
-    return InvalidArgumentError("cell_worker: proxy index out of range");
-  }
-  if (kill) {
-    target.KillProxy(proxy);
-  } else {
-    target.ReviveProxy(proxy);
-  }
-  return OkStatus();
-}
-
-Status CellWorker::HandleMigrateSensor(span<const uint8_t> payload) {
-  ByteReader r{payload};
-  int cell = 0, global_index = 0, new_owner = 0;
-  CKPT_READ(r, cell);
-  CKPT_READ(r, global_index);
-  CKPT_READ(r, new_owner);
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: migrate-sensor trailing bytes");
-  }
-  auto slot = SlotOf(cell);
-  if (!slot.ok()) {
-    return slot.status();
-  }
-  Deployment& target = *cells_[static_cast<size_t>(*slot)];
-  if (global_index < 0 || global_index >= target.total_sensors() ||
-      new_owner < 0 || new_owner >= target.config().num_proxies) {
-    return InvalidArgumentError("cell_worker: migrate-sensor argument out of range");
-  }
-  target.MigrateSensor(global_index, new_owner);
-  return OkStatus();
-}
-
-Status CellWorker::HandleSnapshot(FedFrame* reply) {
-  ByteWriter w;
-  w.WriteVarU64(cores_.size());
-  for (size_t i = 0; i < cores_.size(); ++i) {
-    FedCell& core = *cores_[i];
-    FedCellSnapshot snap;
-    snap.sim_fingerprint = cells_[i]->sim().fingerprint();
-    snap.events = cells_[i]->sim().events_executed();
-    snap.counters = core.counters();
-    snap.trunks = core.TrunkTotals();
-    for (int d = 0; d < core.num_drivers(); ++d) {
-      snap.drivers.push_back(core.driver(d).stats());
-    }
-    CkptWrite(w, snap);
-  }
-  reply->payload = w.TakeBuffer();
-  return OkStatus();
-}
-
-Status CellWorker::HandleCkptSave(FedFrame* reply) {
-  Checkpoint sub;
-  for (size_t i = 0; i < cores_.size(); ++i) {
-    PRESTO_RETURN_IF_ERROR(SaveCellCheckpoint(*cells_[i], *cores_[i], &sub));
-  }
-  reply->payload = sub.Encode();
-  return OkStatus();
-}
-
-Status CellWorker::HandleCkptLoad(span<const uint8_t> payload) {
-  ByteReader r{payload};
-  auto blob = r.ReadBytes();
-  if (!blob.ok()) {
-    return blob.status();
-  }
-  std::vector<uint8_t> down;
-  PRESTO_RETURN_IF_ERROR(
-      ReadCellBitmap(r, static_cast<size_t>(config_.num_cells), &down));
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: ckpt-load trailing bytes");
-  }
-  auto ckpt = Checkpoint::Decode(span<const uint8_t>(*blob));
-  if (!ckpt.ok()) {
-    return ckpt.status();
-  }
-  for (size_t i = 0; i < cores_.size(); ++i) {
-    cores_[i]->RestoreCellDown(down);
-    cores_[i]->TakeOutbox();  // undrained mail belongs to the orchestrator
-    PRESTO_RETURN_IF_ERROR(LoadCellCheckpoint(*cells_[i], *cores_[i], *ckpt));
-  }
-  return OkStatus();
-}
-
-Result<int> CellWorker::SlotOf(int cell_index) const {
-  if (cell_index >= worker_index_ && cell_index < config_.num_cells &&
-      cell_index % num_workers_ == worker_index_) {
-    return (cell_index - worker_index_) / num_workers_;
-  }
-  return InvalidArgumentError("cell_worker: cell is not hosted by this worker");
-}
-
-std::vector<uint8_t> CellWorker::ControlReply() {
-  std::vector<FedMail> mail;
-  std::vector<FedCell::HostDone> done;
-  for (auto& core : cores_) {
-    std::vector<FedMail> box = core->TakeOutbox();
-    std::move(box.begin(), box.end(), std::back_inserter(mail));
-    std::vector<FedCell::HostDone> host = core->TakeHostDone();
-    std::move(host.begin(), host.end(), std::back_inserter(done));
-  }
-  return EncodeFedControlReply(mail, done);
 }
 
 std::string ResolveCellWorkerBinary() {

@@ -1,90 +1,236 @@
-// The presto_cell worker: one process hosting a slice of a federation's cells.
+// The cell side of the federation seam: where cells live, and how the one
+// orchestrator reaches them.
 //
-// A Federation in process mode (FederationConfig::cell_processes > 1) forks one
-// of these per process slot; cell c lives in worker c % cell_processes. The
-// worker owns full Deployment + FedCell pairs for its hosted cells and speaks
-// the fed_wire frame protocol over a single inherited socketpair fd: kBootstrap
-// constructs the cells (same seeds, same sink-registration order as the
-// in-process constructor — the cross-mode fingerprint contract), kStep runs one
-// federation epoch and returns the mail it generated, control frames mutate
-// topology, kSnapshot folds telemetry, and kCkptSave/kCkptLoad reuse the exact
-// per-cell checkpoint sections the in-process federation writes (live
-// migration: a worker can bootstrap from either mode's checkpoint).
+// A Federation orchestrates a fixed set of workers; cell c lives in worker
+// c % num_workers. Every worker sits behind the same CellTransport interface — the
+// typed ops below — so the orchestrator has exactly one mail drain, one step loop,
+// one death path, one snapshot fold and one checkpoint composer, whatever carries
+// the calls:
 //
-// Error discipline mirrors fed_wire's: malformed payloads return kError frames
-// (Status code + message), never a PRESTO_CHECK abort — the parent treats an
-// aborted worker as a crashed cell, so clean errors must stay clean.
+//  - Direct transport (the default, in-process): each worker is a CellHost living
+//    in the orchestrator's own process, one per cell, called directly with no
+//    serialization. FederationConfig::cell_threads > 1 runs the hosts' steps
+//    concurrently.
+//  - Wire transport (cell_processes > 1 forks, cell_endpoints dials TCP): each
+//    worker is a presto_cell process whose CellWorker frame server wraps its own
+//    CellHost; the orchestrator's FrameTransport turns every op into one fed_wire
+//    request frame and decodes the single reply.
+//
+// CellHost owns full Deployment + FedCell pairs — same seeds, same sink
+// registration order in every mode (the cross-mode fingerprint and checkpoint
+// contract) — and its ops are the only implementation of what a worker does. The
+// frame server only decodes, validates and encodes.
+//
+// Error discipline mirrors fed_wire's: ops report bad input as a Status, never a
+// PRESTO_CHECK abort — the orchestrator treats an aborted worker as a crashed
+// cell, so clean refusals must stay clean.
 
 #ifndef SRC_CORE_CELL_WORKER_H_
 #define SRC_CORE_CELL_WORKER_H_
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/deployment.h"
 #include "src/core/federation.h"
 #include "src/net/fed_wire.h"
+#include "src/util/ckpt.h"
 
 namespace presto {
 
+// One control op addressed to a worker: every frame type from kStart through
+// kMigrateSensor. Which fields count depends on `type`.
+struct CellControl {
+  FedFrameType type = FedFrameType::kStart;
+  // The addressed cell (kInject: the origin gateway).
+  int cell = 0;
+  // kStartDriver: driver slot; proxy ops: proxy; kMigrateSensor: global sensor.
+  int index = 0;
+  int owner = 0;               // kMigrateSensor: the new owning proxy
+  Duration duration = 0;       // kStartDriver
+  uint64_t token = 0;          // kInject: the orchestrator's correlation token
+  FederationQuerySpec spec{};  // kInject
+};
+
+// The op's wire payload (the frame type travels in the frame header).
+std::vector<uint8_t> EncodeCellControl(const CellControl& op);
+Status DecodeCellControl(FedFrameType type, span<const uint8_t> payload,
+                         CellControl* op);
+
+class CellHost;
+
+// The orchestrator's view of one worker.
+class CellTransport {
+ public:
+  CellTransport() = default;
+  CellTransport(const CellTransport&) = delete;
+  CellTransport& operator=(const CellTransport&) = delete;
+  virtual ~CellTransport() = default;
+
+  // Attaches a driver at `origin_cell` and returns its per-cell slot.
+  virtual Result<int> AttachDriver(int origin_cell, const QueryDriverParams& params) = 0;
+  virtual Status Control(const CellControl& op, CellOutput* out) = 0;
+  // One federation epoch in two halves, so every worker steps at once: PostStep
+  // hands over the barrier's mail (the orchestrator posts worker by worker);
+  // FinishStep completes the epoch through `end` and collects what it generated.
+  // Different workers' FinishStep calls may run on different threads.
+  virtual Status PostStep(SimTime barrier, SimTime end, std::vector<FedMail> mail) = 0;
+  virtual Status FinishStep(CellOutput* out) = 0;
+  // One snapshot per hosted cell, ascending.
+  virtual Status Snapshot(std::vector<FedCellSnapshot>* out) = 0;
+  // Writes the hosted cells' "cell<i>/" sections into a fresh `out`.
+  virtual Status SaveCheckpoint(Checkpoint* out) = 0;
+  // Restores the hosted cells from a whole-federation checkpoint. `encoded`
+  // carries ckpt's wire encoding across the workers of one restore: the first
+  // wire transport fills it, the rest reuse it; the direct host ignores it.
+  virtual Status LoadCheckpoint(const Checkpoint& ckpt,
+                                const std::vector<uint8_t>& cell_down,
+                                std::vector<uint8_t>* encoded) = 0;
+
+  // The link itself failed (peer gone, deadline, malformed reply) — as opposed
+  // to the worker refusing an op.
+  virtual bool broken() const { return false; }
+  // Ends the link, saying goodbye first when `graceful`, and reaps a forked
+  // worker either way. Idempotent.
+  virtual void Close(bool graceful) { (void)graceful; }
+  // The forked worker's pid, or -1 (in-process host, TCP peer, reaped child).
+  virtual long pid() const { return -1; }
+  // The host behind a direct transport; nullptr across a wire.
+  virtual CellHost* local_host() { return nullptr; }
+};
+
+// The cells of one worker, and the direct transport to them.
+class CellHost final : public CellTransport {
+ public:
+  // Builds every cell c with c % num_workers == worker_index, ascending, from a
+  // resolved config (epoch derived, parallelism fields neutralized). The frame
+  // server validates wire-supplied parameters before constructing.
+  CellHost(const FederationConfig& config, int worker_index, int num_workers);
+
+  int num_cells() const { return config_.num_cells; }
+  Deployment& cell(int cell_index);
+
+  Result<int> AttachDriver(int origin_cell, const QueryDriverParams& params) override;
+  Status Control(const CellControl& op, CellOutput* out) override;
+  Status PostStep(SimTime barrier, SimTime end, std::vector<FedMail> mail) override;
+  Status FinishStep(CellOutput* out) override;
+  Status Snapshot(std::vector<FedCellSnapshot>* out) override;
+  Status SaveCheckpoint(Checkpoint* out) override;
+  Status LoadCheckpoint(const Checkpoint& ckpt, const std::vector<uint8_t>& cell_down,
+                        std::vector<uint8_t>* encoded) override;
+  CellHost* local_host() override { return this; }
+
+ private:
+  struct Hosted {
+    // Declared deployment first, so the router (and the drivers holding events
+    // in the deployment's simulator) is destroyed before it.
+    std::unique_ptr<Deployment> deployment;
+    std::unique_ptr<FedCell> router;
+  };
+
+  // The hosted cell, or nullptr if it lives in another worker.
+  Hosted* Find(int cell_index);
+  Status Apply(const CellControl& op);
+  Status SetCellState(int cell_index, bool down);
+  void TakeOutput(CellOutput* out);
+
+  FederationConfig config_;  // the FedCells hold a pointer: declared first
+  int worker_index_;
+  int num_workers_;
+  std::vector<Hosted> hosted_;  // ascending cell index
+  SimTime step_end_ = 0;        // the posted epoch's end
+};
+
+// The wire transport: every op is one request frame and one reply on a
+// FrameChannel (fork socketpair or TCP).
+class FrameTransport final : public CellTransport {
+ public:
+  // Owns `channel` and, when pid > 0, the forked worker process behind it.
+  FrameTransport(std::unique_ptr<FrameChannel> channel, long pid)
+      : channel_(std::move(channel)), pid_(pid) {}
+  ~FrameTransport() override { Close(/*graceful=*/false); }
+
+  // kBootstrap: ships the resolved config and the worker's slot; the worker
+  // builds its CellHost from them. The factories below call it.
+  Status Bootstrap(const FederationConfig& config, int worker_index, int num_workers);
+
+  Result<int> AttachDriver(int origin_cell, const QueryDriverParams& params) override;
+  Status Control(const CellControl& op, CellOutput* out) override;
+  Status PostStep(SimTime barrier, SimTime end, std::vector<FedMail> mail) override;
+  Status FinishStep(CellOutput* out) override;
+  Status Snapshot(std::vector<FedCellSnapshot>* out) override;
+  Status SaveCheckpoint(Checkpoint* out) override;
+  Status LoadCheckpoint(const Checkpoint& ckpt, const std::vector<uint8_t>& cell_down,
+                        std::vector<uint8_t>* encoded) override;
+  bool broken() const override { return broken_; }
+  void Close(bool graceful) override;
+  long pid() const override { return pid_; }
+
+ private:
+  // One strict round trip (Send, then Reply); returns the kAck payload. A
+  // send/recv failure or an unexpected reply latches broken_; a kError reply
+  // decodes into the returned Status.
+  Result<std::vector<uint8_t>> Call(FedFrameType type, std::vector<uint8_t> payload);
+  Status Send(FedFrameType type, std::vector<uint8_t> payload);
+  Result<std::vector<uint8_t>> Reply();
+  // Decodes a control reply, checking every mail entry against the namespace.
+  Status DecodeOutput(const std::vector<uint8_t>& payload, CellOutput* out) const;
+
+  std::unique_ptr<FrameChannel> channel_;
+  long pid_;
+  int cell_count_ = 0;  // set by Bootstrap
+  bool broken_ = false;
+};
+
+// The bootstrapped wire worker `worker_index` of `num_workers`, built from the
+// resolved `config`. Fork mode execs a presto_cell over a fresh socketpair;
+// socket mode (config.num_endpoints > 0 on the orchestrator) dials a
+// `presto_cell --listen` endpoint, runs the hello handshake, and bounds every
+// frame by `deadline`.
+Result<std::unique_ptr<FrameTransport>> SpawnCellWorker(const FederationConfig& config,
+                                                        int worker_index,
+                                                        int num_workers);
+Result<std::unique_ptr<FrameTransport>> ConnectCellWorker(const FedEndpoint& endpoint,
+                                                          Duration deadline,
+                                                          const FederationConfig& config,
+                                                          int worker_index,
+                                                          int num_workers);
+
+// The frame server inside a presto_cell process: decodes each request, runs it on
+// the worker's CellHost, and encodes the one reply.
 class CellWorker {
  public:
   // `channel` must outlive the worker (it is the process's one link to the
-  // parent orchestrator).
+  // orchestrator).
   explicit CellWorker(FrameChannel* channel) : channel_(channel) {}
 
   CellWorker(const CellWorker&) = delete;
   CellWorker& operator=(const CellWorker&) = delete;
 
-  // Serves frames until kShutdown or the parent closes the channel; either is a
-  // clean exit (returns the process exit code). Every request gets exactly one
-  // reply: kAck with the op's payload, or kError carrying a Status.
+  // Serves frames until kShutdown or the orchestrator closes the channel; either
+  // is a clean exit (returns the process exit code). Every request gets exactly
+  // one reply: kAck with the op's payload, or kError carrying a Status.
   int Serve();
 
-  // Whether Serve ended because the parent sent kShutdown (vs. channel EOF).
-  // The --listen accept loop re-accepts after an EOF — a reconnecting
+  // Whether Serve ended because the orchestrator sent kShutdown (vs. channel
+  // EOF). The --listen accept loop re-accepts after an EOF — a reconnecting
   // orchestrator re-bootstraps the worker — but exits on a real shutdown.
   bool shutdown_requested() const { return shutdown_requested_; }
 
  private:
   // Routes one request; a non-OK return becomes the kError reply.
   Status Dispatch(const FedFrame& request, FedFrame* reply);
-
-  Status HandleBootstrap(span<const uint8_t> payload);
-  Status HandleStart();
-  Status HandleAttachDriver(span<const uint8_t> payload, FedFrame* reply);
-  Status HandleStartDriver(span<const uint8_t> payload);
-  Status HandleStep(span<const uint8_t> payload);
-  Status HandleInject(span<const uint8_t> payload);
-  Status HandleKillCell(span<const uint8_t> payload);
-  Status HandleReviveCell(span<const uint8_t> payload);
-  Status HandleProxyOp(span<const uint8_t> payload, bool kill);
-  Status HandleMigrateSensor(span<const uint8_t> payload);
-  Status HandleSnapshot(FedFrame* reply);
-  Status HandleCkptSave(FedFrame* reply);
-  Status HandleCkptLoad(span<const uint8_t> payload);
-
-  // Hosted slot of a global cell index, or an error if it lives elsewhere.
-  Result<int> SlotOf(int cell_index) const;
-  // Drains every hosted cell's outbox + host-probe completions into one encoded
-  // control reply (hosted-cell ascending order — the parent re-sorts by source).
-  std::vector<uint8_t> ControlReply();
+  Status Bootstrap(span<const uint8_t> payload);
 
   FrameChannel* channel_;
-  bool bootstrapped_ = false;
   bool shutdown_requested_ = false;
-  FederationConfig config_{};  // outlives the FedCells, which hold a pointer
-  int worker_index_ = 0;
-  int num_workers_ = 1;
-  std::vector<int> hosted_;  // global cell indices, ascending
-  std::vector<std::unique_ptr<Deployment>> cells_;  // paired with cores_
-  std::vector<std::unique_ptr<FedCell>> cores_;
+  std::unique_ptr<CellHost> host_;
 };
 
 // Path to the presto_cell binary: $PRESTO_CELL_BIN wins, else the file next to
-// this executable, else whatever PATH resolves. Shared by the fork bootstrap
-// (federation.cc) and the test/bench helpers that spawn listening workers.
+// this executable, else whatever PATH resolves.
 std::string ResolveCellWorkerBinary();
 
 // The `presto_cell --listen <port>` accept loop: binds 0.0.0.0:<port> (0 picks

@@ -1,24 +1,15 @@
 #include "src/core/federation.h"
 
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/socket.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "src/core/cell_worker.h"
 #include "src/util/assert.h"
+#include "src/util/claim_pool.h"
 #include "src/util/hash.h"
 
 namespace presto {
@@ -42,8 +33,8 @@ FedEndpoint MakeFedEndpoint(const char* host, uint16_t port) {
 }
 
 CellDirectory::CellDirectory(int num_cells, int sensors_per_cell)
-    : num_cells_(num_cells), sensors_per_cell_(sensors_per_cell) {
-  PRESTO_CHECK(num_cells_ >= 1);
+    : cell_count_(num_cells), sensors_per_cell_(sensors_per_cell) {
+  PRESTO_CHECK(cell_count_ >= 1);
   PRESTO_CHECK(sensors_per_cell_ >= 1);
 }
 
@@ -58,7 +49,7 @@ int CellDirectory::LocalOf(int fed_index) const {
 }
 
 int CellDirectory::FedIndexOf(int cell, int local) const {
-  PRESTO_CHECK(cell >= 0 && cell < num_cells_);
+  PRESTO_CHECK(cell >= 0 && cell < cell_count_);
   PRESTO_CHECK(local >= 0 && local < sensors_per_cell_);
   return cell * sensors_per_cell_ + local;
 }
@@ -370,11 +361,6 @@ void FedCell::Complete(Pending q) {
     case Origin::kHost:
       host_done_.push_back(HostDone{q.host_token, std::move(q.result)});
       return;
-    case Origin::kClosure:
-      if (q.callback) {
-        q.callback(q.result);
-      }
-      return;
   }
 }
 
@@ -493,7 +479,7 @@ Status FedCell::SaveState(ByteWriter& w) const {
     const Pending& q = pending_.at(qid);
     if (q.origin != Origin::kDriver) {
       return FailedPreconditionError(
-          "federation checkpoint: closure-form query in flight (QueryAndWait probe)");
+          "federation checkpoint: host probe in flight (QueryAndWait)");
     }
     CkptWrite(w, qid);
     CkptWrite(w, q.spec);
@@ -563,36 +549,6 @@ Status FedCell::LoadState(ByteReader& r) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared per-cell checkpoint composition (in-process federation + workers).
-// ---------------------------------------------------------------------------
-
-Status SaveCellCheckpoint(const Deployment& cell, const FedCell& core,
-                          Checkpoint* out) {
-  const std::string prefix = "cell" + std::to_string(core.index()) + "/";
-  PRESTO_RETURN_IF_ERROR(cell.SaveCheckpoint(out, prefix));
-  ByteWriter w;
-  PRESTO_RETURN_IF_ERROR(core.SaveState(w));
-  out->Add(prefix + "fed", w.TakeBuffer());
-  return OkStatus();
-}
-
-Status LoadCellCheckpoint(Deployment& cell, FedCell& core, const Checkpoint& ckpt) {
-  const std::string prefix = "cell" + std::to_string(core.index()) + "/";
-  const std::vector<uint8_t>* payload = ckpt.Find(prefix + "fed");
-  if (payload == nullptr) {
-    return NotFoundError("checkpoint missing section " + prefix + "fed");
-  }
-  ByteReader r{span<const uint8_t>(*payload)};
-  // Router first: the cell's simulator (loaded last inside LoadCheckpoint)
-  // re-announces restored events into fully rebuilt tables.
-  PRESTO_RETURN_IF_ERROR(core.LoadState(r));
-  if (r.remaining() != 0) {
-    return DataLossError("checkpoint section " + prefix + "fed has trailing bytes");
-  }
-  return cell.LoadCheckpoint(ckpt, prefix);
-}
-
-// ---------------------------------------------------------------------------
 // Federation: construction and the shared barrier schedule.
 // ---------------------------------------------------------------------------
 
@@ -634,47 +590,42 @@ Federation::Federation(const FederationConfig& config)
     PRESTO_CHECK_MSG(config_.epoch >= cap,
                      "federation epoch must cover the cell lane epoch cap");
   }
-  cell_down_.assign(static_cast<size_t>(config_.num_cells), 0);
-  if (process_mode()) {
-    route_.resize(static_cast<size_t>(config_.num_cells));
-    if (socket_mode_) {
-      ConnectWorkers();
+  const size_t num_cells = static_cast<size_t>(config_.num_cells);
+  cell_down_.assign(num_cells, 0);
+  route_.resize(num_cells);
+  snaps_.assign(num_cells, FedCellSnapshot{});
+  // The one mode switch: which transport reaches each worker. In-process runs
+  // get one direct host per cell; process runs one wire worker per slot.
+  const int n = process_mode() ? cell_processes_ : config_.num_cells;
+  workers_.resize(static_cast<size_t>(n));
+  for (int c = 0; c < config_.num_cells; ++c) {
+    workers_[static_cast<size_t>(WorkerOf(c))].cells.push_back(c);
+  }
+  for (int w = 0; w < n; ++w) {
+    Worker& worker = workers_[static_cast<size_t>(w)];
+    if (process_mode()) {
+      auto transport = socket_mode_ ? ConnectCellWorker(config_.cell_endpoints[w],
+                                                        config_.frame_deadline,
+                                                        WorkerConfig(), w, n)
+                                    : SpawnCellWorker(WorkerConfig(), w, n);
+      PRESTO_CHECK_MSG(transport.ok(),
+                       "failed to start a presto_cell worker (fork mode: is the "
+                       "presto_cell binary next to this executable? set "
+                       "PRESTO_CELL_BIN otherwise; socket mode: is it running at "
+                       "cell_endpoints[w]?)");
+      worker.transport = std::move(*transport);
     } else {
-      SpawnWorkers();
+      worker.transport = std::make_unique<CellHost>(WorkerConfig(), w, n);
     }
-    return;
+    worker.alive = true;
   }
-  for (int c = 0; c < config_.num_cells; ++c) {
-    DeploymentConfig cell_config = config_.cell;
-    cell_config.seed = FederationCellSeed(config_.seed, c);
-    cells_.push_back(std::make_unique<Deployment>(cell_config));
-  }
-  for (int c = 0; c < config_.num_cells; ++c) {
-    // Cell-index order: the FedCell registers sinks on its cell's simulator, and
-    // sink ids are part of the checkpoint contract across modes.
-    cores_.push_back(
-        std::make_unique<FedCell>(c, &config_, cells_[static_cast<size_t>(c)].get()));
-    if (cap != Simulator::kNoEpochGrid) {
-      PRESTO_CHECK(cells_[static_cast<size_t>(c)]->sim().epoch_cap() == cap);
-    }
-  }
-  for (int w = 1; w < cell_threads_; ++w) {
-    cell_workers_.emplace_back([this] { CellWorkerLoop(); });
-  }
+  pool_ = std::make_unique<ClaimPool>(cell_threads_);
 }
 
 Federation::~Federation() {
-  if (!cell_workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(pool_m_);
-      pool_quit_ = true;
-    }
-    pool_cv_.notify_all();
-    for (std::thread& worker : cell_workers_) {
-      worker.join();
-    }
+  for (Worker& worker : workers_) {
+    worker.transport->Close(/*graceful=*/worker.alive);
   }
-  ShutdownWorkers();
 }
 
 Duration Federation::CellEpochCap() const {
@@ -695,15 +646,25 @@ Duration Federation::DeriveEpoch() const {
   return derived;
 }
 
-void Federation::Start() {
-  if (process_mode()) {
-    BroadcastControl(FedFrameType::kStart, {});
-    return;
-  }
-  for (auto& cell : cells_) {
-    cell->Start();
-  }
+FederationConfig Federation::WorkerConfig() const {
+  // Workers construct their cells from the *resolved* config: epoch already
+  // derived, parallelism fields neutralized (the orchestrator owns the
+  // parallelism), num_cells kept — every worker owns a full routing view. The
+  // endpoint map is neutralized too: the transport that delivers this config is
+  // not part of the simulated world, so every mode builds from identical bytes.
+  FederationConfig wire = config_;
+  wire.auto_epoch = false;
+  wire.cell_threads = 1;
+  wire.cell_processes = 1;
+  wire.num_endpoints = 0;
+  // memset (not per-element assignment) so padding bytes zero too: the struct
+  // ships as raw bytes and every worker must receive identical payloads.
+  std::memset(static_cast<void*>(wire.cell_endpoints), 0,
+              sizeof(wire.cell_endpoints));
+  return wire;
 }
+
+void Federation::Start() { Broadcast(CellControl{FedFrameType::kStart}); }
 
 void Federation::RunUntil(SimTime t) {
   PRESTO_CHECK_MSG(t >= now_, "cannot run the federation backwards");
@@ -713,168 +674,107 @@ void Federation::RunUntil(SimTime t) {
     // off-grid resumes with a partial iteration whose start is *not* a barrier —
     // draining there would make delivery times (and the barrier hash) depend on
     // how the host happened to slice its RunUntil calls.
-    const bool on_grid = now_ % config_.epoch == 0;
-    if (process_mode()) {
-      StepWorkers(end, on_grid);
-    } else {
-      if (on_grid) {
-        DrainMail();
-      }
-      // Cells step through the epoch — concurrently when cell_threads_ > 1.
-      // Cells only interact through outboxes drained at the (serial) barrier
-      // above, so which host thread steps a cell is unobservable: fingerprints
-      // and driver histograms are identical for sequential and parallel runs.
-      if (cell_threads_ <= 1) {
-        for (auto& cell : cells_) {
-          cell->RunUntil(end);
-        }
-      } else {
-        StepCells(end);
-      }
-    }
+    StepWorkers(end, /*on_grid=*/now_ % config_.epoch == 0);
     now_ = end;
   }
 }
 
-void Federation::DrainMail() {
-  uint64_t drained = 0;
-  for (int c = 0; c < config_.num_cells; ++c) {
-    // Source-ascending, FIFO within a source: the per-target arrival order every
-    // mode reproduces (the process-mode parent routes in exactly this order).
-    for (FedMail& mail : cores_[static_cast<size_t>(c)]->TakeOutbox()) {
-      ++drained;
-      if (cell_down_[static_cast<size_t>(mail.source_cell)] != 0) {
-        // A killed cell keeps stepping, but its trunks are down: late mail from
-        // it is dropped at the barrier, never delivered. This is what makes a
-        // KillCell run fingerprint-identical on the survivors to a run whose
-        // worker was SIGKILLed (where that mail never exists at all).
-        ++serial_stats_.orphans;
-        continue;
+void Federation::StepWorkers(SimTime end, bool on_grid) {
+  if (on_grid) {
+    // The barrier drain: route_ holds per-source FIFOs, walked source-ascending —
+    // the per-target arrival order every transport reproduces, so delivery
+    // schedules (and fingerprints) match across modes.
+    uint64_t drained = 0;
+    for (std::vector<FedMail>& box : route_) {
+      for (FedMail& mail : box) {
+        ++drained;  // delivery happened at this barrier either way
+        if (cell_down_[static_cast<size_t>(mail.source_cell)] != 0) {
+          // A killed cell keeps stepping, but its trunks are down: late mail from
+          // it is dropped at the barrier, never delivered. This is what makes a
+          // KillCell run fingerprint-identical on the survivors to a run whose
+          // worker was SIGKILLed (where that mail never exists at all).
+          ++orphans_;
+          continue;
+        }
+        Worker& target = workers_[static_cast<size_t>(WorkerOf(mail.target_cell))];
+        if (!target.alive) {
+          ++orphans_;  // the dead cell drops it, counted like any orphan
+          continue;
+        }
+        target.deliver.push_back(std::move(mail));
       }
-      const int target = mail.target_cell;
-      cores_[static_cast<size_t>(target)]->DeliverMail(std::move(mail), now_);
+      box.clear();
+    }
+    ++barriers_;
+    if (drained > 0) {
+      mail_drained_ += drained;
+      // Which barrier took delivery of how much inter-cell traffic is part of
+      // the federation replay contract (mirrors the simulator's barrier hash).
+      FnvMix(barrier_hash_, static_cast<uint64_t>(now_));
+      FnvMix(barrier_hash_, drained);
     }
   }
-  ++serial_stats_.barriers;
-  if (drained > 0) {
-    serial_stats_.mail_drained += drained;
-    // Which barrier took delivery of how much inter-cell traffic is part of the
-    // federation replay contract (mirrors the simulator's barrier-sequence hash).
-    FnvMix(barrier_hash_, static_cast<uint64_t>(now_));
-    FnvMix(barrier_hash_, drained);
-  }
-}
-
-void Federation::StepCells(SimTime end) {
-  {
-    std::lock_guard<std::mutex> lock(pool_m_);
-    pool_end_ = end;
-    pool_done_ = 0;
-    next_cell_.store(0, std::memory_order_relaxed);
-    ++pool_gen_;
-  }
-  pool_cv_.notify_all();
-  ClaimCells(end);  // the calling thread is worker 0
-  std::unique_lock<std::mutex> lock(pool_m_);
-  done_cv_.wait(lock,
-                [&] { return pool_done_ == static_cast<int>(cell_workers_.size()); });
-}
-
-void Federation::CellWorkerLoop() {
-  uint64_t seen_gen = 0;
-  while (true) {
-    SimTime end;
-    {
-      std::unique_lock<std::mutex> lock(pool_m_);
-      pool_cv_.wait(lock, [&] { return pool_quit_ || pool_gen_ != seen_gen; });
-      if (pool_quit_) {
-        return;
-      }
-      seen_gen = pool_gen_;
-      end = pool_end_;
+  // Post every live worker its epoch, then finish them all: worker processes
+  // compute between the two halves, and in-process hosts run their epochs on
+  // the pool. Cells only interact through the mail drained above, so which
+  // thread or process steps a cell is unobservable.
+  for (int w = 0; w < num_workers(); ++w) {
+    Worker& worker = workers_[static_cast<size_t>(w)];
+    worker.posted = false;
+    if (!worker.alive) {
+      continue;
     }
-    ClaimCells(end);
-    {
-      std::lock_guard<std::mutex> lock(pool_m_);
-      ++pool_done_;
+    const size_t count = worker.deliver.size();
+    if (!worker.transport->PostStep(now_, end, std::exchange(worker.deliver, {})).ok()) {
+      orphans_ += count;
+      MarkWorkerDead(w);
+      continue;
     }
-    done_cv_.notify_one();
+    worker.posted = true;
   }
-}
-
-void Federation::ClaimCells(SimTime end) {
-  const int total = config_.num_cells;
-  int cell;
-  while ((cell = next_cell_.fetch_add(1, std::memory_order_relaxed)) < total) {
-    cells_[static_cast<size_t>(cell)]->RunUntil(end);
+  pool_->Run(num_workers(), [this](int w) {
+    Worker& worker = workers_[static_cast<size_t>(w)];
+    if (worker.posted) {
+      worker.stepped = worker.transport->FinishStep(&worker.output);
+    }
+  });
+  for (int w = 0; w < num_workers(); ++w) {
+    Worker& worker = workers_[static_cast<size_t>(w)];
+    if (!worker.posted) {
+      continue;
+    }
+    if (!worker.stepped.ok()) {
+      MarkWorkerDead(w);
+      continue;
+    }
+    Absorb(&worker.output);
   }
+  // Only now — with no reply outstanding — may the survivors hear about deaths.
+  FlushDeadCellKills();
+  snaps_fresh_ = false;
 }
-
-// ---------------------------------------------------------------------------
-// In-process-only accessors.
-// ---------------------------------------------------------------------------
 
 Deployment& Federation::cell(int index) {
-  PRESTO_CHECK_MSG(!process_mode(), "Federation::cell is in-process only");
   PRESTO_CHECK(index >= 0 && index < config_.num_cells);
-  return *cells_[static_cast<size_t>(index)];
+  CellHost* host = workers_[static_cast<size_t>(WorkerOf(index))].transport->local_host();
+  PRESTO_CHECK_MSG(host != nullptr, "Federation::cell is in-process only");
+  return host->cell(index);
 }
 
-const CellLink& Federation::link(int src, int dst) const {
-  PRESTO_CHECK_MSG(!process_mode(), "Federation::link is in-process only");
-  PRESTO_CHECK(src >= 0 && src < config_.num_cells);
-  PRESTO_CHECK(dst >= 0 && dst < config_.num_cells && src != dst);
-  return cores_[static_cast<size_t>(src)]->link_out(dst);
-}
-
-QueryDriver& Federation::AttachQueryDriver(int origin_cell,
-                                           const QueryDriverParams& params) {
-  PRESTO_CHECK_MSG(!process_mode(),
-                   "Federation::AttachQueryDriver is in-process only");
-  const int index = AttachDriver(origin_cell, params);
-  const auto [cell_index, slot] = driver_map_[static_cast<size_t>(index)];
-  return cores_[static_cast<size_t>(cell_index)]->driver(slot);
-}
-
-void Federation::IssueFromCell(
-    int origin_cell, const FederationQuerySpec& spec,
-    std::function<void(const FederationQueryResult&)> callback) {
-  PRESTO_CHECK_MSG(!process_mode(), "Federation::IssueFromCell is in-process only");
-  PRESTO_CHECK(origin_cell >= 0 && origin_cell < config_.num_cells);
-  FedCell::Pending q;
-  q.origin = FedCell::Origin::kClosure;
-  q.callback = std::move(callback);
-  cores_[static_cast<size_t>(origin_cell)]->Issue(spec, std::move(q));
+int Federation::worker_pid(int w) const {
+  return static_cast<int>(workers_[static_cast<size_t>(w)].transport->pid());
 }
 
 // ---------------------------------------------------------------------------
-// Mode-independent facade.
+// The facade.
 // ---------------------------------------------------------------------------
 
 int Federation::AttachDriver(int origin_cell, const QueryDriverParams& params) {
   PRESTO_CHECK(origin_cell >= 0 && origin_cell < config_.num_cells);
-  int slot;
-  if (process_mode()) {
-    static_assert(std::is_trivially_copyable<QueryDriverParams>::value,
-                  "QueryDriverParams rides the wire as raw bytes");
-    ByteWriter w;
-    CkptWrite(w, origin_cell);
-    const auto* raw = reinterpret_cast<const uint8_t*>(&params);
-    w.WriteBytes(span<const uint8_t>(raw, sizeof(params)));
-    const int target = WorkerOf(origin_cell);
-    FedFrame reply;
-    const Status s =
-        CallWorker(target, FedFrameType::kAttachDriver, w.TakeBuffer(), &reply);
-    PRESTO_CHECK_MSG(s.ok() && reply.type == FedFrameType::kAck,
-                     "failed to attach a driver on a presto_cell worker");
-    ByteReader r{span<const uint8_t>(reply.payload)};
-    auto wire_slot = r.ReadVarU64();
-    PRESTO_CHECK(wire_slot.ok() && r.remaining() == 0);
-    slot = static_cast<int>(*wire_slot);
-  } else {
-    slot = cores_[static_cast<size_t>(origin_cell)]->AttachDriver(params);
-  }
-  driver_map_.emplace_back(origin_cell, slot);
+  auto slot = workers_[static_cast<size_t>(WorkerOf(origin_cell))]
+                  .transport->AttachDriver(origin_cell, params);
+  PRESTO_CHECK_MSG(slot.ok(), "failed to attach a query driver to its cell");
+  driver_map_.emplace_back(origin_cell, *slot);
   driver_params_.push_back(params);
   snaps_fresh_ = false;
   return static_cast<int>(driver_map_.size()) - 1;
@@ -883,567 +783,214 @@ int Federation::AttachDriver(int origin_cell, const QueryDriverParams& params) {
 void Federation::StartDriver(int driver_index, Duration duration) {
   PRESTO_CHECK(driver_index >= 0 && driver_index < num_drivers());
   const auto [cell_index, slot] = driver_map_[static_cast<size_t>(driver_index)];
-  if (process_mode()) {
-    const int w = WorkerOf(cell_index);
-    if (!workers_[static_cast<size_t>(w)].alive) {
-      return;  // the dead worker's cells are already down: nothing to start
-    }
-    ByteWriter payload;
-    CkptWrite(payload, cell_index);
-    CkptWrite(payload, slot);
-    CkptWrite(payload, duration);
-    ControlCall(w, FedFrameType::kStartDriver, payload.TakeBuffer());
-    FlushDeadCellKills();
-    return;
+  const int w = WorkerOf(cell_index);
+  if (!workers_[static_cast<size_t>(w)].alive) {
+    return;  // the dead worker's cells are already down: nothing to start
   }
-  cores_[static_cast<size_t>(cell_index)]->StartDriver(slot, duration);
+  CellControl op{FedFrameType::kStartDriver, cell_index, slot};
+  op.duration = duration;
+  Control(w, op);
+  FlushDeadCellKills();
 }
 
 QueryDriverStats Federation::DriverStats(int driver_index) const {
   PRESTO_CHECK(driver_index >= 0 && driver_index < num_drivers());
   const auto [cell_index, slot] = driver_map_[static_cast<size_t>(driver_index)];
-  if (process_mode()) {
-    RefreshSnapshots();
-    const FedCellSnapshot& snap = snaps_[static_cast<size_t>(cell_index)];
-    if (static_cast<size_t>(slot) >= snap.drivers.size()) {
-      return QueryDriverStats{};  // worker died before its first snapshot fold
-    }
-    return snap.drivers[static_cast<size_t>(slot)];
+  RefreshSnapshots();
+  const FedCellSnapshot& snap = snaps_[static_cast<size_t>(cell_index)];
+  if (static_cast<size_t>(slot) >= snap.drivers.size()) {
+    return QueryDriverStats{};  // worker died before its first snapshot fold
   }
-  return cores_[static_cast<size_t>(cell_index)]->driver(slot).stats();
+  return snap.drivers[static_cast<size_t>(slot)];
 }
 
 FederationQueryResult Federation::QueryAndWait(int origin_cell,
                                                const FederationQuerySpec& spec,
                                                Duration max_wait) {
   PRESTO_CHECK(origin_cell >= 0 && origin_cell < config_.num_cells);
+  const int target = directory_.CellOf(spec.fed_sensor);
   const SimTime deadline = now_ + max_wait;
-  if (process_mode()) {
-    const int w = WorkerOf(origin_cell);
-    auto synthesize = [&](Status status) {
-      FederationQueryResult out;
-      out.cell.answer.status = std::move(status);
-      out.origin_cell = origin_cell;
-      out.target_cell = directory_.CellOf(spec.fed_sensor);
-      out.issued_at = now_;
-      out.completed_at = now_;
-      return out;
-    };
-    if (!workers_[static_cast<size_t>(w)].alive) {
-      return synthesize(UnavailableError("federation: origin cell's worker is gone"));
-    }
-    const uint64_t token = ++next_host_token_;
-    ByteWriter payload;
-    CkptWrite(payload, origin_cell);
-    CkptWrite(payload, token);
-    CkptWrite(payload, spec);
-    ControlCall(w, FedFrameType::kInject, payload.TakeBuffer());
-    FlushDeadCellKills();
-    // Fail-fast and same-epoch completions ride back in the inject reply itself;
-    // anything slower surfaces through a later kStep reply's host_done fold.
-    auto it = host_results_.find(token);
-    while (it == host_results_.end() && now_ < deadline &&
-           workers_[static_cast<size_t>(w)].alive) {
-      RunUntil(std::min(now_ + config_.epoch, deadline));
-      it = host_results_.find(token);  // re-find: absorbs may rehash the map
-    }
-    if (it == host_results_.end()) {
-      if (!workers_[static_cast<size_t>(w)].alive) {
-        return synthesize(
-            UnavailableError("federation: origin cell's worker died mid-query"));
-      }
-      return synthesize(
-          DeadlineExceededError("federated query did not complete in max_wait"));
-    }
-    FederationQueryResult out = std::move(it->second);
-    host_results_.erase(it);
-    return out;
-  }
-  // Shared (not stack-referencing) wait state: on a timeout the pending entry —
-  // and its callback — outlive this frame, and a late completion must write into
-  // state that is still alive, not a popped stack.
-  struct WaitState {
-    bool done = false;
+  const int w = WorkerOf(origin_cell);
+  auto synthesize = [&](Status status) {
     FederationQueryResult out;
-  };
-  auto state = std::make_shared<WaitState>();
-  IssueFromCell(origin_cell, spec, [state](const FederationQueryResult& r) {
-    state->out = r;
-    state->done = true;
-  });
-  while (!state->done && now_ < deadline) {
-    RunUntil(std::min(now_ + config_.epoch, deadline));
-  }
-  if (!state->done) {
-    FederationQueryResult out;
-    out.cell.answer.status =
-        DeadlineExceededError("federated query did not complete in max_wait");
+    out.cell.answer.status = std::move(status);
     out.origin_cell = origin_cell;
+    out.target_cell = target;
     out.issued_at = now_;
     out.completed_at = now_;
     return out;
+  };
+  if (!workers_[static_cast<size_t>(w)].alive) {
+    return synthesize(UnavailableError("federation: origin cell's worker is gone"));
   }
-  return state->out;
+  const uint64_t token = ++next_host_token_;
+  CellControl op{FedFrameType::kInject, origin_cell};
+  op.token = token;
+  op.spec = spec;
+  Control(w, op);
+  FlushDeadCellKills();
+  // Fail-fast and same-instant completions ride back in the inject's own output;
+  // anything slower surfaces in a later step's host_done fold.
+  auto it = host_results_.find(token);
+  while (it == host_results_.end() && now_ < deadline &&
+         workers_[static_cast<size_t>(w)].alive) {
+    RunUntil(std::min(now_ + config_.epoch, deadline));
+    it = host_results_.find(token);  // re-find: absorbs may rehash the map
+  }
+  if (it == host_results_.end()) {
+    if (!workers_[static_cast<size_t>(w)].alive) {
+      return synthesize(
+          UnavailableError("federation: origin cell's worker died mid-query"));
+    }
+    return synthesize(
+        DeadlineExceededError("federated query did not complete in max_wait"));
+  }
+  FederationQueryResult out = std::move(it->second);
+  host_results_.erase(it);
+  return out;
 }
 
 void Federation::KillCell(int cell_index) {
   PRESTO_CHECK(cell_index >= 0 && cell_index < config_.num_cells);
   cell_down_[static_cast<size_t>(cell_index)] = 1;
-  if (process_mode()) {
-    ByteWriter payload;
-    CkptWrite(payload, cell_index);
-    BroadcastControl(FedFrameType::kKillCell, payload.TakeBuffer());
-    snaps_fresh_ = false;
-    return;
-  }
-  // Every gateway marks the cell down and fails its pending queries toward it
-  // (cell-index order, ascending qid within a cell: deterministic), then the
-  // cell's own proxies die.
-  for (auto& core : cores_) {
-    core->SetCellDown(cell_index, true);
-    core->FailPendingToward(cell_index);
-  }
-  Deployment& cell = *cells_[static_cast<size_t>(cell_index)];
-  for (int p = 0; p < cell.config().num_proxies; ++p) {
-    cell.KillProxy(p);
-  }
+  Broadcast(CellControl{FedFrameType::kKillCell, cell_index});
+  snaps_fresh_ = false;
 }
 
 void Federation::ReviveCell(int cell_index) {
   PRESTO_CHECK(cell_index >= 0 && cell_index < config_.num_cells);
-  if (process_mode()) {
-    PRESTO_CHECK_MSG(workers_[static_cast<size_t>(WorkerOf(cell_index))].alive,
-                     "cannot revive a cell whose worker died");
-    ByteWriter payload;
-    CkptWrite(payload, cell_index);
-    BroadcastControl(FedFrameType::kReviveCell, payload.TakeBuffer());
-    cell_down_[static_cast<size_t>(cell_index)] = 0;
-    snaps_fresh_ = false;
-    return;
-  }
-  Deployment& cell = *cells_[static_cast<size_t>(cell_index)];
-  for (int p = 0; p < cell.config().num_proxies; ++p) {
-    cell.ReviveProxy(p);
-  }
-  for (auto& core : cores_) {
-    core->SetCellDown(cell_index, false);
-  }
+  PRESTO_CHECK_MSG(workers_[static_cast<size_t>(WorkerOf(cell_index))].alive,
+                   "cannot revive a cell whose worker died");
+  Broadcast(CellControl{FedFrameType::kReviveCell, cell_index});
   cell_down_[static_cast<size_t>(cell_index)] = 0;
+  snaps_fresh_ = false;
 }
 
 void Federation::KillProxyInCell(int cell_index, int proxy_index) {
-  PRESTO_CHECK(cell_index >= 0 && cell_index < config_.num_cells);
-  if (process_mode()) {
-    const int w = WorkerOf(cell_index);
-    PRESTO_CHECK_MSG(workers_[static_cast<size_t>(w)].alive,
-                     "cannot mutate a cell whose worker died");
-    ByteWriter payload;
-    CkptWrite(payload, cell_index);
-    CkptWrite(payload, proxy_index);
-    ControlCall(w, FedFrameType::kKillProxy, payload.TakeBuffer());
-    FlushDeadCellKills();
-    snaps_fresh_ = false;
-    return;
-  }
-  cells_[static_cast<size_t>(cell_index)]->KillProxy(proxy_index);
+  PRESTO_CHECK(proxy_index >= 0 && proxy_index < config_.cell.num_proxies);
+  MutateCell(CellControl{FedFrameType::kKillProxy, cell_index, proxy_index});
 }
 
 void Federation::ReviveProxyInCell(int cell_index, int proxy_index) {
-  PRESTO_CHECK(cell_index >= 0 && cell_index < config_.num_cells);
-  if (process_mode()) {
-    const int w = WorkerOf(cell_index);
-    PRESTO_CHECK_MSG(workers_[static_cast<size_t>(w)].alive,
-                     "cannot mutate a cell whose worker died");
-    ByteWriter payload;
-    CkptWrite(payload, cell_index);
-    CkptWrite(payload, proxy_index);
-    ControlCall(w, FedFrameType::kReviveProxy, payload.TakeBuffer());
-    FlushDeadCellKills();
-    snaps_fresh_ = false;
-    return;
-  }
-  cells_[static_cast<size_t>(cell_index)]->ReviveProxy(proxy_index);
+  PRESTO_CHECK(proxy_index >= 0 && proxy_index < config_.cell.num_proxies);
+  MutateCell(CellControl{FedFrameType::kReviveProxy, cell_index, proxy_index});
 }
 
 void Federation::MigrateSensorInCell(int cell_index, int global_index,
                                      int new_owner) {
-  PRESTO_CHECK(cell_index >= 0 && cell_index < config_.num_cells);
-  if (process_mode()) {
-    const int w = WorkerOf(cell_index);
-    PRESTO_CHECK_MSG(workers_[static_cast<size_t>(w)].alive,
-                     "cannot mutate a cell whose worker died");
-    ByteWriter payload;
-    CkptWrite(payload, cell_index);
-    CkptWrite(payload, global_index);
-    CkptWrite(payload, new_owner);
-    ControlCall(w, FedFrameType::kMigrateSensor, payload.TakeBuffer());
-    FlushDeadCellKills();
-    snaps_fresh_ = false;
-    return;
-  }
-  cells_[static_cast<size_t>(cell_index)]->MigrateSensor(global_index, new_owner);
+  PRESTO_CHECK(global_index >= 0 && global_index < directory_.sensors_per_cell());
+  PRESTO_CHECK(new_owner >= 0 && new_owner < config_.cell.num_proxies);
+  MutateCell(
+      CellControl{FedFrameType::kMigrateSensor, cell_index, global_index, new_owner});
 }
 
 uint64_t Federation::EventsExecuted() const {
-  if (process_mode()) {
-    RefreshSnapshots();
-    uint64_t total = 0;
-    for (const FedCellSnapshot& snap : snaps_) {
-      total += snap.events;
-    }
-    return total;
-  }
+  RefreshSnapshots();
   uint64_t total = 0;
-  for (const auto& cell : cells_) {
-    total += cell->sim().events_executed();
+  for (const FedCellSnapshot& snap : snaps_) {
+    total += snap.events;
   }
   return total;
 }
 
 FederationTrunkTotals Federation::TrunkTotals() const {
+  RefreshSnapshots();
   FederationTrunkTotals total;
-  if (process_mode()) {
-    RefreshSnapshots();
-    for (const FedCellSnapshot& snap : snaps_) {
-      total.messages += snap.trunks.messages;
-      total.bytes += snap.trunks.bytes;
-    }
-    return total;
-  }
-  for (const auto& core : cores_) {
-    const FederationTrunkTotals t = core->TrunkTotals();
-    total.messages += t.messages;
-    total.bytes += t.bytes;
+  for (const FedCellSnapshot& snap : snaps_) {
+    total.messages += snap.trunks.messages;
+    total.bytes += snap.trunks.bytes;
   }
   return total;
 }
 
 FederationStats Federation::stats() const {
-  FederationStats total = serial_stats_;
-  auto fold = [&total](const FedCell::Counters& ctr) {
-    total.queries += ctr.queries;
-    total.local += ctr.local;
-    total.forwarded += ctr.forwarded;
-    total.failed += ctr.failed;
-    total.orphans += ctr.orphans;
-  };
-  if (process_mode()) {
-    RefreshSnapshots();
-    for (const FedCellSnapshot& snap : snaps_) {
-      fold(snap.counters);
-    }
-    total.orphans += parent_orphans_;
-    return total;
-  }
-  for (const auto& core : cores_) {
-    fold(core->counters());
+  RefreshSnapshots();
+  FederationStats total;
+  total.barriers = barriers_;
+  total.mail_drained = mail_drained_;
+  total.orphans = orphans_;
+  for (const FedCellSnapshot& snap : snaps_) {
+    total.queries += snap.counters.queries;
+    total.local += snap.counters.local;
+    total.forwarded += snap.counters.forwarded;
+    total.failed += snap.counters.failed;
+    total.orphans += snap.counters.orphans;
   }
   return total;
 }
 
 uint64_t Federation::fingerprint() const {
+  RefreshSnapshots();
   uint64_t total = barrier_hash_;
   uint64_t index = 0;
-  auto fold = [&](uint64_t sim_fp) {
+  for (const FedCellSnapshot& snap : snaps_) {
     // Bind each stream to its cell identity before the commutative sum, so
     // swapping two cells' entire histories (a directory misrouting bug) still
     // changes the fold — the same shape as the simulator's per-lane fingerprint.
-    uint64_t term = sim_fp;
+    uint64_t term = snap.sim_fingerprint;
     FnvMix(term, index++);
     total += term * kGolden;
-  };
-  if (process_mode()) {
-    RefreshSnapshots();
-    for (const FedCellSnapshot& snap : snaps_) {
-      fold(snap.sim_fingerprint);
-    }
-    return total;
-  }
-  for (const auto& cell : cells_) {
-    fold(cell->sim().fingerprint());
   }
   return total;
 }
 
 uint64_t Federation::CellFingerprint(int cell_index) const {
   PRESTO_CHECK(cell_index >= 0 && cell_index < config_.num_cells);
-  if (process_mode()) {
-    RefreshSnapshots();
-    return snaps_[static_cast<size_t>(cell_index)].sim_fingerprint;
-  }
-  return cells_[static_cast<size_t>(cell_index)]->sim().fingerprint();
+  RefreshSnapshots();
+  return snaps_[static_cast<size_t>(cell_index)].sim_fingerprint;
 }
 
 // ---------------------------------------------------------------------------
-// Process mode: worker lifecycle and the frame RPC discipline.
+// Worker ops and the one death path.
 // ---------------------------------------------------------------------------
 
-void Federation::AssignWorkerCells() {
-  workers_.resize(static_cast<size_t>(cell_processes_));
-  for (int c = 0; c < config_.num_cells; ++c) {
-    workers_[static_cast<size_t>(WorkerOf(c))].cells.push_back(c);
-  }
-}
-
-void Federation::SpawnWorkers() {
-  const std::string bin = ResolveCellWorkerBinary();
-  AssignWorkerCells();
-  for (int w = 0; w < cell_processes_; ++w) {
-    int fds[2];
-    PRESTO_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0);
-    // The parent-side fd must not leak into *any* worker (each fork inherits
-    // every fd open at that moment): close-on-exec before the first fork.
-    PRESTO_CHECK(::fcntl(fds[0], F_SETFD, FD_CLOEXEC) == 0);
-    const pid_t pid = ::fork();
-    PRESTO_CHECK(pid >= 0);
-    if (pid == 0) {
-      char fd_arg[16];
-      std::snprintf(fd_arg, sizeof(fd_arg), "%d", fds[1]);
-      ::execl(bin.c_str(), "presto_cell", fd_arg, static_cast<char*>(nullptr));
-      _exit(127);  // exec failed; bootstrap below reports the actionable error
-    }
-    ::close(fds[1]);
-    WorkerProc& worker = workers_[static_cast<size_t>(w)];
-    worker.pid = pid;
-    worker.channel = std::make_unique<FrameChannel>(fds[0]);
-    worker.alive = true;
-  }
-  for (int w = 0; w < cell_processes_; ++w) {
-    const Status s = BootstrapWorker(w);
-    PRESTO_CHECK_MSG(
-        s.ok(),
-        "failed to bootstrap a presto_cell worker (is the presto_cell binary "
-        "next to this executable? set PRESTO_CELL_BIN otherwise)");
-  }
-  snaps_.assign(static_cast<size_t>(config_.num_cells), FedCellSnapshot{});
-}
-
-void Federation::ConnectWorkers() {
-  AssignWorkerCells();
-  for (int w = 0; w < cell_processes_; ++w) {
-    const Status s = ConnectWorkerChannel(w, config_.cell_endpoints[w]);
-    PRESTO_CHECK_MSG(s.ok(),
-                     "failed to connect a presto_cell --listen worker (is it "
-                     "running at cell_endpoints[w]?)");
-  }
-  for (int w = 0; w < cell_processes_; ++w) {
-    const Status s = BootstrapWorker(w);
-    PRESTO_CHECK_MSG(s.ok(),
-                     "failed to bootstrap a presto_cell worker over its socket");
-  }
-  snaps_.assign(static_cast<size_t>(config_.num_cells), FedCellSnapshot{});
-}
-
-Status Federation::ConnectWorkerChannel(int w, const FedEndpoint& endpoint) {
-  if (endpoint.host[0] == '\0' || endpoint.port == 0) {
-    return InvalidArgumentError("federation: empty cell endpoint");
-  }
-  auto fd = TcpConnect(endpoint.host, endpoint.port, config_.frame_deadline);
-  if (!fd.ok()) {
-    return fd.status();
-  }
-  WorkerProc& worker = workers_[static_cast<size_t>(w)];
-  worker.pid = -1;  // not our child: death surfaces as a channel failure
-  worker.channel = std::make_unique<FrameChannel>(*fd);
-  worker.channel->SetDeadline(config_.frame_deadline);
-  worker.alive = true;
-  const Status hello = FedHelloClient(*worker.channel, w, cell_processes_);
-  if (!hello.ok()) {
-    worker.channel->Close();
-    worker.alive = false;
-    return hello;
-  }
-  return OkStatus();
-}
-
-Status Federation::BootstrapWorker(int w) {
-  static_assert(std::is_trivially_copyable<FederationConfig>::value,
-                "FederationConfig rides the wire as raw bytes");
-  // The worker constructs its hosted cells from the *resolved* config: epoch
-  // already derived, parallelism fields neutralized (the worker is the
-  // parallelism), num_cells kept — every worker owns a full routing view. The
-  // endpoint map is neutralized too: the transport that delivered this config
-  // is not part of the simulated world, so socket- and fork-mode workers build
-  // from identical bytes.
-  FederationConfig wire = config_;
-  wire.auto_epoch = false;
-  wire.cell_threads = 1;
-  wire.cell_processes = 1;
-  wire.num_endpoints = 0;
-  // memset (not per-element assignment) so padding bytes zero too: the struct
-  // ships as raw bytes below and every worker must receive identical payloads.
-  std::memset(static_cast<void*>(wire.cell_endpoints), 0,
-              sizeof(wire.cell_endpoints));
-  ByteWriter payload;
-  const auto* raw = reinterpret_cast<const uint8_t*>(&wire);
-  payload.WriteBytes(span<const uint8_t>(raw, sizeof(wire)));
-  CkptWrite(payload, w);
-  CkptWrite(payload, cell_processes_);
-  FedFrame reply;
-  PRESTO_RETURN_IF_ERROR(
-      CallWorker(w, FedFrameType::kBootstrap, payload.TakeBuffer(), &reply));
-  if (reply.type != FedFrameType::kAck) {
-    return FailedPreconditionError("federation: worker refused the bootstrap");
-  }
-  return OkStatus();
-}
-
-Status Federation::CallWorker(int w, FedFrameType type, std::vector<uint8_t> payload,
-                              FedFrame* reply) {
-  WorkerProc& worker = workers_[static_cast<size_t>(w)];
-  PRESTO_CHECK(worker.alive);
-  FedFrame frame;
-  frame.type = type;
-  frame.payload = std::move(payload);
-  const Status sent = worker.channel->Send(frame);
-  if (!sent.ok()) {
-    MarkWorkerDead(w);
-    return sent;
-  }
-  auto received = worker.channel->Recv();
-  if (!received.ok()) {
-    MarkWorkerDead(w);
-    return received.status();
-  }
-  *reply = std::move(*received);
-  return OkStatus();
-}
-
-bool Federation::ControlCall(int w, FedFrameType type, std::vector<uint8_t> payload) {
-  FedFrame reply;
-  if (!CallWorker(w, type, std::move(payload), &reply).ok()) {
-    return false;  // CallWorker already marked the worker dead
-  }
-  if (reply.type != FedFrameType::kAck) {
+bool Federation::Control(int w, const CellControl& op) {
+  CellOutput out;
+  if (!workers_[static_cast<size_t>(w)].transport->Control(op, &out).ok()) {
     MarkWorkerDead(w);
     return false;
   }
-  if (!AbsorbControlReply(reply.payload).ok()) {
-    MarkWorkerDead(w);
-    return false;
-  }
+  Absorb(&out);
   return true;
 }
 
-Status Federation::AbsorbControlReply(const std::vector<uint8_t>& payload) {
-  std::vector<FedMail> mail;
-  std::vector<FedCell::HostDone> host_done;
-  PRESTO_RETURN_IF_ERROR(
-      DecodeFedControlReply(span<const uint8_t>(payload), &mail, &host_done));
-  for (FedMail& m : mail) {
-    if (m.source_cell < 0 || m.source_cell >= config_.num_cells ||
-        m.target_cell < 0 || m.target_cell >= config_.num_cells ||
-        (m.op != kFedOpExecute && m.op != kFedOpComplete)) {
-      return DataLossError("federation: bad mail in control reply");
+void Federation::Broadcast(const CellControl& op) {
+  for (int w = 0; w < num_workers(); ++w) {
+    if (workers_[static_cast<size_t>(w)].alive) {
+      Control(w, op);
     }
-    route_[static_cast<size_t>(m.source_cell)].push_back(std::move(m));
-  }
-  for (FedCell::HostDone& d : host_done) {
-    host_results_[d.token] = std::move(d.result);
-  }
-  return OkStatus();
-}
-
-void Federation::BroadcastControl(FedFrameType type,
-                                  const std::vector<uint8_t>& payload) {
-  for (int w = 0; w < cell_processes_; ++w) {
-    if (!workers_[static_cast<size_t>(w)].alive) {
-      continue;
-    }
-    ControlCall(w, type, payload);  // copy: each worker consumes its own
   }
   FlushDeadCellKills();
 }
 
-void Federation::StepWorkers(SimTime end, bool on_grid) {
-  std::vector<std::vector<FedMail>> deliver(workers_.size());
-  if (on_grid) {
-    // The parent-side barrier drain: route_ holds per-source FIFOs, walked
-    // source-ascending — the exact per-target arrival order DrainMail produces
-    // in-process, so delivery schedules (and fingerprints) match across modes.
-    uint64_t drained = 0;
-    for (int c = 0; c < config_.num_cells; ++c) {
-      auto& box = route_[static_cast<size_t>(c)];
-      for (FedMail& mail : box) {
-        const int w = WorkerOf(mail.target_cell);
-        ++drained;  // delivery happened at this barrier either way
-        if (cell_down_[static_cast<size_t>(mail.source_cell)] != 0) {
-          // Down-source drop, mirroring DrainMail: late mail from a killed cell
-          // is never delivered, so KillCell survivors match worker-kill
-          // survivors bit for bit.
-          ++parent_orphans_;
-          continue;
-        }
-        if (!workers_[static_cast<size_t>(w)].alive) {
-          ++parent_orphans_;  // the dead cell drops it, counted like any orphan
-          continue;
-        }
-        deliver[static_cast<size_t>(w)].push_back(std::move(mail));
-      }
-      box.clear();
-    }
-    ++serial_stats_.barriers;
-    if (drained > 0) {
-      serial_stats_.mail_drained += drained;
-      FnvMix(barrier_hash_, static_cast<uint64_t>(now_));
-      FnvMix(barrier_hash_, drained);
-    }
-  }
-  // Strict one-reply-per-request RPC, batched: send every worker its step, then
-  // collect every reply — workers step their cells concurrently in between.
-  std::vector<uint8_t> sent(workers_.size(), 0);
-  for (int w = 0; w < cell_processes_; ++w) {
-    WorkerProc& worker = workers_[static_cast<size_t>(w)];
-    if (!worker.alive) {
-      continue;
-    }
-    ByteWriter payload;
-    CkptWrite(payload, now_);
-    CkptWrite(payload, end);
-    CkptWrite(payload, deliver[static_cast<size_t>(w)]);
-    FedFrame frame;
-    frame.type = FedFrameType::kStep;
-    frame.payload = payload.TakeBuffer();
-    if (!worker.channel->Send(frame).ok()) {
-      parent_orphans_ += deliver[static_cast<size_t>(w)].size();
-      MarkWorkerDead(w);
-      continue;
-    }
-    sent[static_cast<size_t>(w)] = 1;
-  }
-  for (int w = 0; w < cell_processes_; ++w) {
-    WorkerProc& worker = workers_[static_cast<size_t>(w)];
-    if (!sent[static_cast<size_t>(w)] || !worker.alive) {
-      continue;
-    }
-    auto reply = worker.channel->Recv();
-    if (!reply.ok() || reply->type != FedFrameType::kAck ||
-        !AbsorbControlReply(reply->payload).ok()) {
-      MarkWorkerDead(w);
-    }
-  }
-  // Only now — with no reply outstanding — may the survivors hear about deaths.
+void Federation::MutateCell(const CellControl& op) {
+  PRESTO_CHECK(op.cell >= 0 && op.cell < config_.num_cells);
+  const int w = WorkerOf(op.cell);
+  PRESTO_CHECK_MSG(workers_[static_cast<size_t>(w)].alive,
+                   "cannot mutate a cell whose worker died");
+  Control(w, op);
   FlushDeadCellKills();
   snaps_fresh_ = false;
 }
 
+void Federation::Absorb(CellOutput* out) {
+  for (FedMail& mail : out->mail) {
+    route_[static_cast<size_t>(mail.source_cell)].push_back(std::move(mail));
+  }
+  for (FedCell::HostDone& done : out->host_done) {
+    host_results_[done.token] = std::move(done.result);
+  }
+  out->mail.clear();
+  out->host_done.clear();
+}
+
 void Federation::MarkWorkerDead(int w) {
-  WorkerProc& worker = workers_[static_cast<size_t>(w)];
+  Worker& worker = workers_[static_cast<size_t>(w)];
   if (!worker.alive) {
     return;
   }
-  // Local bookkeeping only — never sends frames (a sibling kStep reply may still
-  // be outstanding; see the header). Survivors learn via FlushDeadCellKills.
   worker.alive = false;
-  if (worker.channel != nullptr) {
-    worker.channel->Close();
-  }
-  if (worker.pid > 0) {
-    ::kill(static_cast<pid_t>(worker.pid), SIGKILL);
-    int status = 0;
-    ::waitpid(static_cast<pid_t>(worker.pid), &status, 0);
-    worker.pid = -1;
-  }
+  worker.transport->Close(/*graceful=*/false);
   for (const int c : worker.cells) {
     // A crash is observable history: fold a death marker per cell into the
     // barrier hash (always — even if the cell was already marked down).
@@ -1451,24 +998,17 @@ void Federation::MarkWorkerDead(int w) {
     FnvMix(barrier_hash_, static_cast<uint64_t>(c));
     if (!cell_down_[static_cast<size_t>(c)]) {
       cell_down_[static_cast<size_t>(c)] = 1;
-      dead_cells_pending_kill_.push_back(c);
+      kills_pending_.push_back(c);
     }
   }
   // Undelivered mail toward the dead cells can never land: drop and count.
-  for (auto& box : route_) {
-    size_t kept = 0;
-    for (FedMail& mail : box) {
-      if (!workers_[static_cast<size_t>(WorkerOf(mail.target_cell))].alive) {
-        ++parent_orphans_;
-        continue;
-      }
-      // Guard the no-drops-yet case: a vector self-move empties the mail body.
-      if (&box[kept] != &mail) {
-        box[kept] = std::move(mail);
-      }
-      ++kept;
-    }
-    box.resize(kept);
+  const auto undeliverable = [this](const FedMail& mail) {
+    return !workers_[static_cast<size_t>(WorkerOf(mail.target_cell))].alive;
+  };
+  for (std::vector<FedMail>& box : route_) {
+    const auto kept = std::remove_if(box.begin(), box.end(), undeliverable);
+    orphans_ += static_cast<uint64_t>(box.end() - kept);
+    box.erase(kept, box.end());
   }
   snaps_fresh_ = false;
 }
@@ -1476,84 +1016,38 @@ void Federation::MarkWorkerDead(int w) {
 void Federation::FlushDeadCellKills() {
   // Loop: broadcasting a kill can itself discover another dead worker, which
   // queues more kills.
-  while (!dead_cells_pending_kill_.empty()) {
-    std::vector<int> batch = std::exchange(dead_cells_pending_kill_, {});
-    for (const int c : batch) {
-      ByteWriter payload;
-      CkptWrite(payload, c);
-      const std::vector<uint8_t> bytes = payload.TakeBuffer();
-      for (int w = 0; w < cell_processes_; ++w) {
-        if (!workers_[static_cast<size_t>(w)].alive) {
-          continue;
+  while (!kills_pending_.empty()) {
+    for (const int c : std::exchange(kills_pending_, {})) {
+      for (int w = 0; w < num_workers(); ++w) {
+        if (workers_[static_cast<size_t>(w)].alive) {
+          Control(w, CellControl{FedFrameType::kKillCell, c});
         }
-        ControlCall(w, FedFrameType::kKillCell, bytes);
       }
     }
   }
-}
-
-void Federation::ShutdownWorkers() {
-  for (WorkerProc& worker : workers_) {
-    bool clean = false;
-    if (worker.alive && worker.channel != nullptr) {
-      FedFrame frame;
-      frame.type = FedFrameType::kShutdown;
-      auto reply = worker.channel->Call(frame);
-      clean = reply.ok() && reply->type == FedFrameType::kAck;
-    }
-    if (worker.channel != nullptr) {
-      worker.channel->Close();
-    }
-    worker.alive = false;
-    if (worker.pid > 0) {
-      if (!clean) {
-        ::kill(static_cast<pid_t>(worker.pid), SIGKILL);
-      }
-      int status = 0;
-      ::waitpid(static_cast<pid_t>(worker.pid), &status, 0);
-      worker.pid = -1;
-    }
-  }
-  workers_.clear();
 }
 
 void Federation::RefreshSnapshots() const {
-  if (!process_mode() || snaps_fresh_) {
+  if (snaps_fresh_) {
     return;
   }
   // Logically const: folds worker-side telemetry into the mutable snapshot
-  // cache. CallWorker/MarkWorkerDead mutate worker state on failure, which is
-  // exactly the "crashed worker freezes at its last fold" contract.
+  // cache. A failed fold marks the worker dead, which is exactly the "crashed
+  // worker freezes at its last fold" contract.
   auto* self = const_cast<Federation*>(this);
-  for (int w = 0; w < cell_processes_; ++w) {
-    const WorkerProc& worker = workers_[static_cast<size_t>(w)];
+  for (int w = 0; w < num_workers(); ++w) {
+    const Worker& worker = workers_[static_cast<size_t>(w)];
     if (!worker.alive) {
       continue;  // its cells freeze at their last folded snapshot
     }
-    FedFrame reply;
-    if (!self->CallWorker(w, FedFrameType::kSnapshot, {}, &reply).ok()) {
-      continue;  // already marked dead
-    }
-    if (reply.type != FedFrameType::kAck) {
+    std::vector<FedCellSnapshot> snaps;
+    if (!worker.transport->Snapshot(&snaps).ok() ||
+        snaps.size() != worker.cells.size()) {
       self->MarkWorkerDead(w);
       continue;
     }
-    ByteReader r{span<const uint8_t>(reply.payload)};
-    auto count = r.ReadVarU64();
-    bool ok = count.ok() && *count == worker.cells.size();
-    if (ok) {
-      for (const int c : worker.cells) {
-        FedCellSnapshot snap;
-        if (!CkptRead(r, snap).ok()) {
-          ok = false;
-          break;
-        }
-        snaps_[static_cast<size_t>(c)] = std::move(snap);
-      }
-      ok = ok && r.remaining() == 0;
-    }
-    if (!ok) {
-      self->MarkWorkerDead(w);
+    for (size_t i = 0; i < snaps.size(); ++i) {
+      snaps_[static_cast<size_t>(worker.cells[i])] = std::move(snaps[i]);
     }
   }
   self->FlushDeadCellKills();
@@ -1562,85 +1056,53 @@ void Federation::RefreshSnapshots() const {
 
 // ---------------------------------------------------------------------------
 // Checkpoints: per-cell sections + one orchestrator "fed" section, byte-
-// identical whichever mode produced them (the live-migration contract).
+// identical whichever transport produced them (the live-migration contract).
 // ---------------------------------------------------------------------------
 
 Status Federation::SaveCheckpoint(Checkpoint* out) const {
   PRESTO_CHECK(out != nullptr);
-  Checkpoint staged;
-  if (process_mode()) {
-    auto* self = const_cast<Federation*>(this);
-    std::vector<Checkpoint> subs;
-    subs.reserve(workers_.size());
-    for (int w = 0; w < cell_processes_; ++w) {
-      if (!workers_[static_cast<size_t>(w)].alive) {
-        return FailedPreconditionError("federation checkpoint: a cell worker died");
-      }
-      FedFrame reply;
-      PRESTO_RETURN_IF_ERROR(
-          self->CallWorker(w, FedFrameType::kCkptSave, {}, &reply));
-      if (reply.type == FedFrameType::kError) {
-        ByteReader r{span<const uint8_t>(reply.payload)};
-        Status failure = OkStatus();
-        PRESTO_RETURN_IF_ERROR(CkptRead(r, failure));
-        return failure;  // e.g. a probe query in flight on the worker
-      }
-      if (reply.type != FedFrameType::kAck) {
-        return DataLossError("federation checkpoint: unexpected worker reply");
-      }
-      auto sub = Checkpoint::Decode(span<const uint8_t>(reply.payload));
-      if (!sub.ok()) {
-        return sub.status();
-      }
-      subs.push_back(std::move(*sub));
+  auto* self = const_cast<Federation*>(this);
+  std::vector<Checkpoint> subs(workers_.size());
+  for (int w = 0; w < num_workers(); ++w) {
+    const Worker& worker = workers_[static_cast<size_t>(w)];
+    if (!worker.alive) {
+      return FailedPreconditionError("federation checkpoint: a cell worker died");
     }
-    // Deterministic cell-index section order regardless of worker layout: walk
-    // cells 0..N-1 and copy each cell's sections from its worker's checkpoint.
-    // The trailing '/' in the prefix keeps "cell1/" from matching "cell10/...".
-    for (int c = 0; c < config_.num_cells; ++c) {
-      const std::string prefix = "cell" + std::to_string(c) + "/";
-      const Checkpoint& sub = subs[static_cast<size_t>(WorkerOf(c))];
-      for (const Checkpoint::Section& section : sub.sections()) {
-        if (section.name.compare(0, prefix.size(), prefix) == 0) {
-          staged.Add(section.name, section.payload);
-        }
-      }
+    // A refusal (e.g. a probe query in flight) leaves the worker alive.
+    const Status s = worker.transport->SaveCheckpoint(&subs[static_cast<size_t>(w)]);
+    if (worker.transport->broken()) {
+      self->MarkWorkerDead(w);
     }
-  } else {
-    for (int c = 0; c < config_.num_cells; ++c) {
-      PRESTO_RETURN_IF_ERROR(SaveCellCheckpoint(*cells_[static_cast<size_t>(c)],
-                                                *cores_[static_cast<size_t>(c)],
-                                                &staged));
+    PRESTO_RETURN_IF_ERROR(s);
+  }
+  // Nothing partial on failure: sections land in the output only once every
+  // worker serialized cleanly. Cell-index section order regardless of worker
+  // layout; the trailing '/' keeps "cell1/" from matching "cell10/...".
+  for (int c = 0; c < config_.num_cells; ++c) {
+    const std::string prefix = "cell" + std::to_string(c) + "/";
+    for (const Checkpoint::Section& section :
+         subs[static_cast<size_t>(WorkerOf(c))].sections()) {
+      if (section.name.compare(0, prefix.size(), prefix) == 0) {
+        out->Add(section.name, section.payload);
+      }
     }
   }
   // Orchestrator-only state: the federation clock, barrier-sequence hash,
-  // barrier counters, cell-down flags, and the undrained FedMail (per-source
-  // FIFO, flattened source-ascending — both modes produce identical bytes).
+  // barrier and orphan counters, cell-down flags, and the undrained FedMail
+  // (per-source FIFO, flattened source-ascending).
   ByteWriter w;
   CkptWrite(w, now_);
   CkptWrite(w, barrier_hash_);
-  CkptWrite(w, serial_stats_.barriers);
-  CkptWrite(w, serial_stats_.mail_drained);
-  CkptWrite(w, parent_orphans_);
+  CkptWrite(w, barriers_);
+  CkptWrite(w, mail_drained_);
+  CkptWrite(w, orphans_);
   WriteCellBitmap(w, cell_down_);
   std::vector<FedMail> mail;
-  if (process_mode()) {
-    for (const auto& box : route_) {
-      mail.insert(mail.end(), box.begin(), box.end());
-    }
-  } else {
-    for (const auto& core : cores_) {
-      const std::vector<FedMail>& box = core->outbox();
-      mail.insert(mail.end(), box.begin(), box.end());
-    }
+  for (const std::vector<FedMail>& box : route_) {
+    mail.insert(mail.end(), box.begin(), box.end());
   }
   CkptWrite(w, mail);
-  staged.Add("fed", w.TakeBuffer());
-  // Nothing partial on failure: sections land in the output only once every
-  // cell and the federation itself serialized cleanly.
-  for (const Checkpoint::Section& section : staged.sections()) {
-    out->Add(section.name, section.payload);
-  }
+  out->Add("fed", w.TakeBuffer());
   return OkStatus();
 }
 
@@ -1652,9 +1114,9 @@ Status Federation::LoadCheckpoint(const Checkpoint& ckpt) {
   ByteReader r{span<const uint8_t>(*payload)};
   CKPT_READ(r, now_);
   CKPT_READ(r, barrier_hash_);
-  CKPT_READ(r, serial_stats_.barriers);
-  CKPT_READ(r, serial_stats_.mail_drained);
-  CKPT_READ(r, parent_orphans_);
+  CKPT_READ(r, barriers_);
+  CKPT_READ(r, mail_drained_);
+  CKPT_READ(r, orphans_);
   PRESTO_RETURN_IF_ERROR(
       ReadCellBitmap(r, static_cast<size_t>(config_.num_cells), &cell_down_));
   std::vector<FedMail> mail;
@@ -1669,60 +1131,34 @@ Status Federation::LoadCheckpoint(const Checkpoint& ckpt) {
   if (r.remaining() != 0) {
     return DataLossError("checkpoint section fed has trailing bytes");
   }
-  if (process_mode()) {
-    // Each worker restores its hosted cells from the same container the
-    // in-process path reads — live migration is just "bootstrap, then load".
-    const std::vector<uint8_t> encoded = ckpt.Encode();
-    for (int w = 0; w < cell_processes_; ++w) {
-      if (!workers_[static_cast<size_t>(w)].alive) {
-        return FailedPreconditionError("federation restore: a cell worker died");
-      }
-      PRESTO_RETURN_IF_ERROR(LoadWorkerCheckpoint(w, encoded));
+  // Each worker restores its cells from the same container, whatever the
+  // transport — live migration is just "bootstrap, then load".
+  std::vector<uint8_t> encoded;
+  for (int w = 0; w < num_workers(); ++w) {
+    Worker& worker = workers_[static_cast<size_t>(w)];
+    if (!worker.alive) {
+      return FailedPreconditionError("federation restore: a cell worker died");
     }
-    for (auto& box : route_) {
-      box.clear();
+    const Status s = worker.transport->LoadCheckpoint(ckpt, cell_down_, &encoded);
+    if (worker.transport->broken()) {
+      MarkWorkerDead(w);
     }
-    for (FedMail& m : mail) {
-      route_[static_cast<size_t>(m.source_cell)].push_back(std::move(m));
-    }
-    host_results_.clear();
-    snaps_fresh_ = false;
-    return OkStatus();
+    PRESTO_RETURN_IF_ERROR(s);
   }
-  for (auto& core : cores_) {
-    core->RestoreCellDown(cell_down_);
-    core->TakeOutbox();  // drop stale undrained mail before re-queuing saved mail
+  for (std::vector<FedMail>& box : route_) {
+    box.clear();
   }
   for (FedMail& m : mail) {
-    cores_[static_cast<size_t>(m.source_cell)]->RestoreMail(std::move(m));
+    route_[static_cast<size_t>(m.source_cell)].push_back(std::move(m));
   }
-  // Cells load after "fed" so each cell simulator (loaded last within its own
-  // cell) re-announces queued events into fully restored drivers and tables.
-  for (int c = 0; c < config_.num_cells; ++c) {
-    PRESTO_RETURN_IF_ERROR(LoadCellCheckpoint(
-        *cells_[static_cast<size_t>(c)], *cores_[static_cast<size_t>(c)], ckpt));
-  }
+  host_results_.clear();
+  snaps_fresh_ = false;
   return OkStatus();
 }
 
-Status Federation::LoadWorkerCheckpoint(int w, const std::vector<uint8_t>& encoded) {
-  ByteWriter req;
-  req.WriteBytes(span<const uint8_t>(encoded));
-  WriteCellBitmap(req, cell_down_);
-  FedFrame reply;
-  PRESTO_RETURN_IF_ERROR(
-      CallWorker(w, FedFrameType::kCkptLoad, req.TakeBuffer(), &reply));
-  if (reply.type == FedFrameType::kError) {
-    ByteReader er{span<const uint8_t>(reply.payload)};
-    Status failure = OkStatus();
-    PRESTO_RETURN_IF_ERROR(CkptRead(er, failure));
-    return failure;
-  }
-  if (reply.type != FedFrameType::kAck) {
-    return DataLossError("federation restore: unexpected worker reply");
-  }
-  return OkStatus();
-}
+// ---------------------------------------------------------------------------
+// Socket mode: connection setup and live migration.
+// ---------------------------------------------------------------------------
 
 Status Federation::ReplayDriverAttachments(int w) {
   for (size_t i = 0; i < driver_map_.size(); ++i) {
@@ -1730,21 +1166,12 @@ Status Federation::ReplayDriverAttachments(int w) {
     if (WorkerOf(cell_index) != w) {
       continue;
     }
-    ByteWriter payload;
-    CkptWrite(payload, cell_index);
-    const auto* raw = reinterpret_cast<const uint8_t*>(&driver_params_[i]);
-    payload.WriteBytes(span<const uint8_t>(raw, sizeof(QueryDriverParams)));
-    FedFrame reply;
-    PRESTO_RETURN_IF_ERROR(
-        CallWorker(w, FedFrameType::kAttachDriver, payload.TakeBuffer(), &reply));
-    if (reply.type != FedFrameType::kAck) {
-      return FailedPreconditionError(
-          "federation migrate: driver re-attach refused");
+    auto replayed = workers_[static_cast<size_t>(w)].transport->AttachDriver(
+        cell_index, driver_params_[i]);
+    if (!replayed.ok()) {
+      return replayed.status();
     }
-    ByteReader r{span<const uint8_t>(reply.payload)};
-    auto wire_slot = r.ReadVarU64();
-    if (!wire_slot.ok() || r.remaining() != 0 ||
-        static_cast<int>(*wire_slot) != slot) {
+    if (*replayed != slot) {
       return DataLossError("federation migrate: driver slot mismatch on re-attach");
     }
   }
@@ -1753,8 +1180,8 @@ Status Federation::ReplayDriverAttachments(int w) {
 
 Status Federation::MigrateWorkerEndpoint(int w, const FedEndpoint& endpoint) {
   PRESTO_CHECK_MSG(socket_mode_, "MigrateWorkerEndpoint requires socket transport");
-  PRESTO_CHECK(w >= 0 && w < cell_processes_);
-  WorkerProc& worker = workers_[static_cast<size_t>(w)];
+  PRESTO_CHECK(w >= 0 && w < num_workers());
+  Worker& worker = workers_[static_cast<size_t>(w)];
   if (!worker.alive) {
     return FailedPreconditionError("federation migrate: worker is already dead");
   }
@@ -1765,37 +1192,25 @@ Status Federation::MigrateWorkerEndpoint(int w, const FedEndpoint& endpoint) {
   PRESTO_RETURN_IF_ERROR(SaveCheckpoint(&ckpt));
   // Decommission the old endpoint (best effort: the peer may already be gone),
   // then stand the worker up again over the new fd.
-  FedFrame bye;
-  bye.type = FedFrameType::kShutdown;
-  (void)worker.channel->Call(bye);
-  worker.channel->Close();
-  worker.alive = false;
-  Status s = ConnectWorkerChannel(w, endpoint);
-  if (!s.ok()) {
-    // Same containment path as any worker death: mark cells down, tell
-    // survivors. ConnectWorkerChannel left alive=false; arm it so
-    // MarkWorkerDead runs its full bookkeeping exactly once.
-    worker.alive = true;
-    MarkWorkerDead(w);
-    FlushDeadCellKills();
-    return s;
-  }
-  // From here every hop is a CallWorker: transport failures mark the worker
-  // dead themselves, so only protocol-level refusals still need the hammer.
-  s = BootstrapWorker(w);
+  worker.transport->Close(/*graceful=*/true);
+  auto transport = ConnectCellWorker(endpoint, config_.frame_deadline, WorkerConfig(),
+                                     w, num_workers());
+  Status s = transport.status();
   if (s.ok()) {
+    worker.transport = std::move(*transport);
     s = ReplayDriverAttachments(w);
   }
-  if (s.ok() && !ControlCall(w, FedFrameType::kStart, {})) {
+  if (s.ok() && !Control(w, CellControl{FedFrameType::kStart})) {
     s = UnavailableError("federation migrate: start failed on the new worker");
   }
   if (s.ok()) {
-    s = LoadWorkerCheckpoint(w, ckpt.Encode());
+    std::vector<uint8_t> encoded;
+    s = worker.transport->LoadCheckpoint(ckpt, cell_down_, &encoded);
   }
   if (!s.ok()) {
-    if (worker.alive) {
-      MarkWorkerDead(w);
-    }
+    // Same containment path as any worker death: mark cells down, tell
+    // survivors.
+    MarkWorkerDead(w);
     FlushDeadCellKills();
     return s;
   }

@@ -17,8 +17,7 @@
 //    query drivers, and a FIFO outbox of FedMail — byte-serialized trunk messages
 //    (the query spec rides the request, the full result rides the response). A
 //    FedCell therefore needs *nothing* from any other cell at runtime: every
-//    cross-cell interaction is a FedMail, which is what lets a cell live in another
-//    process (below) without changing a single observable.
+//    cross-cell interaction is a FedMail.
 //
 //  - All cells advance under one shared epoch-barrier schedule (FederationConfig::
 //    epoch): Federation::RunUntil steps every cell through the same absolute grid.
@@ -27,27 +26,27 @@
 //    to the barrier, exactly the rule the intra-cell lane mailboxes follow, so
 //    inter-cell delivery granularity is the federation epoch.
 //
-//  - Cell-parallel stepping (FederationConfig::cell_threads > 1): within each
-//    federation epoch the cells themselves run concurrently, claimed off a shared
-//    counter by a persistent pool of host threads. Safe without locks because every
-//    mutable structure (outbox, trunk row, pending table, counters) belongs to
-//    exactly one cell and is only touched from that cell's serial control lane;
-//    barrier-time work (mail drain, kills, driver starts) stays on the serial
-//    control step between epochs.
-//
-//  - Cells as processes (FederationConfig::cell_processes > 1): the same seam,
-//    moved across a process boundary. The parent becomes a pure orchestrator — it
-//    owns no Deployments — and forks one worker (tools/presto_cell) per process
-//    slot; cell c lives in worker c % cell_processes. Every boundary crossing is a
-//    versioned wire frame (src/net/fed_wire.h) on a socketpair: bootstrap, barrier
-//    stepping (kStep carries the epoch window plus that barrier's FedMail
-//    deliveries; the reply returns the mail the epoch generated), control messages
-//    (kill / revive / migrate / query-inject), and the fingerprint + stats fold
-//    (kSnapshot). Workers step their cells concurrently between barriers — process
-//    parallelism with the same observables. A worker that dies mid-run is a
-//    deployment-visible failure, not a hang: its cells are marked down everywhere
-//    (fail-fast, like KillCell), its last folded stats freeze, and the run
-//    continues on the survivors.
+//  - One orchestrator, direct or wire transport (src/core/cell_worker.h). The
+//    Federation owns no Deployments: every cell lives in a worker's CellHost
+//    (Deployment + FedCell pairs), and cell c belongs to worker c % num_workers.
+//    The orchestrator reaches every worker through the same typed ops — start,
+//    driver attach/start, step, inject, kill/revive, proxy ops, migrate, snapshot,
+//    checkpoint save/load — so it has one mail drain (per-source FIFOs routed at
+//    barriers), one step loop, one death path, one snapshot fold and one
+//    checkpoint composer. What carries the calls is the only thing the modes
+//    change:
+//      * in-process (the default): one CellHost per cell, called directly — no
+//        serialization. cell_threads > 1 runs the hosts' epochs concurrently on a
+//        claim pool; safe without locks because every mutable structure belongs to
+//        exactly one cell, and barrier-time work stays serial.
+//      * cell_processes > 1 / cell_endpoints: each worker is a presto_cell process
+//        (forked over a socketpair, or dialled over TCP) and every op is one
+//        versioned fed_wire frame (src/net/fed_wire.h) with one reply. Workers step
+//        between the kStep request and its reply — process parallelism with the
+//        same observables. A worker whose link fails is a deployment-visible
+//        failure, not a hang: its cells are marked down everywhere (fail-fast,
+//        like KillCell), its last folded stats freeze, and the run continues on
+//        the survivors.
 //
 //  - Determinism: cells only interact through FedMail drained serially at barriers,
 //    so per-cell event streams are independent of which host thread, how many, or
@@ -67,14 +66,8 @@
 #ifndef SRC_CORE_FEDERATION_H_
 #define SRC_CORE_FEDERATION_H_
 
-#include <array>
-#include <atomic>
-#include <condition_variable>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <set>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -91,14 +84,12 @@ namespace presto {
 
 // Federation kQuery payload.a op codes (payload.b carries the query id, and
 // payload.bytes the serialized QuerySpec / UnifiedQueryResult). Shared by the
-// in-process outboxes, the wire frames, and the checkpoint — one mail format.
+// outboxes, the wire frames, and the checkpoint — one mail format.
 inline constexpr uint64_t kFedOpExecute = 1;   // request landed at the target cell
 inline constexpr uint64_t kFedOpComplete = 2;  // response landed back at the origin
 
 // Per-cell deployment seed derived from the federation seed: cells are
 // statistically independent but the whole federation replays from one number.
-// Shared by the in-process constructor and presto_cell workers — the two paths
-// must agree or fingerprints diverge across modes.
 inline uint64_t FederationCellSeed(uint64_t fed_seed, int cell) {
   return fed_seed ^ (0xfedc0de + 0x9e3779b9ull * static_cast<uint64_t>(cell));
 }
@@ -109,16 +100,16 @@ class CellDirectory {
  public:
   CellDirectory(int num_cells, int sensors_per_cell);
 
-  int num_cells() const { return num_cells_; }
+  int num_cells() const { return cell_count_; }
   int sensors_per_cell() const { return sensors_per_cell_; }
-  int total_sensors() const { return num_cells_ * sensors_per_cell_; }
+  int total_sensors() const { return cell_count_ * sensors_per_cell_; }
 
   int CellOf(int fed_index) const;
   int LocalOf(int fed_index) const;
   int FedIndexOf(int cell, int local) const;
 
  private:
-  int num_cells_;
+  int cell_count_;
   int sensors_per_cell_;
 };
 
@@ -156,13 +147,11 @@ struct FederationConfig {
   int cell_threads = 1;
   // Worker *processes* hosting the cells, clamped to [1, num_cells]. 1 (the
   // default) keeps every cell in this process. > 1 forks that many presto_cell
-  // workers and distributes cell c to worker c % cell_processes; all
-  // federation<->cell traffic then rides the fed_wire frame protocol and the
-  // parent holds no Deployments (cell()/link()/AttachQueryDriver are in-process
-  // only — use the mode-independent facade: AttachDriver / DriverStats /
-  // KillProxyInCell / EventsExecuted / TrunkTotals). Mutually exclusive with
-  // cell_threads > 1: processes already step cells concurrently. Observables
-  // (fingerprint, histograms, stats) are bit-identical to in-process runs.
+  // workers and distributes cell c to worker c % cell_processes; every
+  // orchestrator<->cell call then rides the fed_wire frame protocol (and cell()
+  // is unavailable). Mutually exclusive with cell_threads > 1: processes already
+  // step cells concurrently. Observables (fingerprint, histograms, stats,
+  // checkpoint bytes) are bit-identical to in-process runs.
   int cell_processes = 1;
   // TCP socket transport (num_endpoints > 0): instead of forking, the federation
   // connects to `num_endpoints` already-listening `presto_cell --listen` workers
@@ -242,25 +231,23 @@ void CkptWrite(ByteWriter& w, const FederationTrunkTotals& v);
 Status CkptRead(ByteReader& r, FederationTrunkTotals& v);
 
 // The per-cell half of the federation router (see file header). One FedCell per
-// cell, living wherever its Deployment lives — the Federation in-process, a
-// presto_cell worker in process mode. All methods run on the cell's serial control
-// lane or in host/worker control context between steps; nothing here locks.
+// cell, living in the CellHost that owns its Deployment. All methods run on the
+// cell's serial control lane or in host control context between steps; nothing
+// here locks.
 class FedCell : public EventSink, public FederationQueryClient {
  public:
-  // Completion target of a pending query: a serializable driver tag, a host-side
-  // closure (in-process QueryAndWait — never checkpointable in flight), or a
-  // host-probe token (process-mode QueryAndWait — the result rides back to the
-  // parent in the next reply's host_done list).
-  enum class Origin : uint8_t { kClosure = 0, kDriver = 1, kHost = 2 };
+  // Completion target of a pending query: a serializable driver tag, or a
+  // host-probe token (QueryAndWait — the result rides back to the orchestrator
+  // in the next op's host_done list; never checkpointable in flight).
+  enum class Origin : uint8_t { kDriver = 1, kHost = 2 };
 
   struct Pending {
     QuerySpec spec;  // target-cell-local spec
     FederationQueryResult result;
-    Origin origin = Origin::kClosure;
+    Origin origin = Origin::kDriver;
     uint64_t driver_slot = 0;  // kDriver: index into this cell's drivers
     bool past = false;         // kDriver: query class for the recorded outcome
-    uint64_t host_token = 0;   // kHost: parent-side correlation token
-    std::function<void(const FederationQueryResult&)> callback;  // kClosure
+    uint64_t host_token = 0;   // kHost: orchestrator-side correlation token
   };
 
   struct HostDone {
@@ -288,7 +275,6 @@ class FedCell : public EventSink, public FederationQueryClient {
   FedCell& operator=(const FedCell&) = delete;
 
   int index() const { return index_; }
-  Deployment& cell() { return *cell_; }
 
   // Issues a query entering at this cell. A query whose target cell is marked down
   // fails fast at this gateway (zero added latency, no trunk hop); otherwise it
@@ -315,14 +301,7 @@ class FedCell : public EventSink, public FederationQueryClient {
   void DeliverMail(FedMail mail, SimTime barrier);
   std::vector<FedMail> TakeOutbox();
   std::vector<HostDone> TakeHostDone();
-  const std::vector<FedMail>& outbox() const { return outbox_; }
-  // Checkpoint restore: re-queues undrained mail this cell had generated.
-  void RestoreMail(FedMail mail) { outbox_.push_back(std::move(mail)); }
 
-  CellLink& link_out(int dst) { return *links_out_[static_cast<size_t>(dst)]; }
-  const CellLink& link_out(int dst) const {
-    return *links_out_[static_cast<size_t>(dst)];
-  }
   const Counters& counters() const { return counters_; }
   FederationTrunkTotals TrunkTotals() const;
 
@@ -339,10 +318,10 @@ class FedCell : public EventSink, public FederationQueryClient {
   void OnDeploymentQueryDone(uint64_t qid, const UnifiedQueryResult& result) override;
 
   // Checkpoint codec for the "cell<i>/fed" section: counters, outgoing trunk row,
-  // pending table (ascending qid; driver-form only — closure and host-probe
-  // entries cannot cross a checkpoint), and attached driver state. The outbox is
-  // *not* here: undrained mail belongs to the orchestrator's "fed" section, which
-  // is what makes in-process and multi-process checkpoints byte-identical.
+  // pending table (ascending qid; driver-form only — host-probe entries cannot
+  // cross a checkpoint), and attached driver state. The outbox is *not* here:
+  // undrained mail belongs to the orchestrator's "fed" section, which is what
+  // makes checkpoints byte-identical whatever the worker layout.
   Status SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
 
@@ -394,22 +373,24 @@ struct FedCellSnapshot {
 void CkptWrite(ByteWriter& w, const FedCellSnapshot& v);
 Status CkptRead(ByteReader& r, FedCellSnapshot& v);
 
-// Control-reply payload: the FedMail the op (or epoch) generated plus any
-// host-probe completions. Every control frame (kStart through kMigrateSensor,
-// including kStep and kInject) replies with one, so the parent's mail routing
-// never waits an extra barrier.
+// What a worker op (or epoch) hands back: the FedMail its cells generated plus
+// any host-probe completions. Over the wire this is the control-reply payload:
+// every control frame (kStart through kMigrateSensor, including kStep and
+// kInject) replies with one, so the orchestrator's mail routing never waits an
+// extra barrier.
+struct CellOutput {
+  std::vector<FedMail> mail;
+  std::vector<FedCell::HostDone> host_done;
+};
+
 std::vector<uint8_t> EncodeFedControlReply(
     const std::vector<FedMail>& mail, const std::vector<FedCell::HostDone>& host_done);
 Status DecodeFedControlReply(span<const uint8_t> payload, std::vector<FedMail>* mail,
                              std::vector<FedCell::HostDone>* host_done);
 
-// Saves/loads one cell — the deployment's own sections plus the "cell<i>/fed"
-// router section, all under the "cell<i>/" prefix. Shared by the in-process
-// federation and presto_cell workers, which is what makes checkpoint bytes
-// mode-independent (the live-migration contract). Load restores the router first
-// so the simulator (loaded last) re-announces into rebuilt tables.
-Status SaveCellCheckpoint(const Deployment& cell, const FedCell& core, Checkpoint* out);
-Status LoadCellCheckpoint(Deployment& cell, FedCell& core, const Checkpoint& ckpt);
+class CellTransport;
+class ClaimPool;
+struct CellControl;
 
 class Federation {
  public:
@@ -419,10 +400,10 @@ class Federation {
   // Starts every cell. Call once, then RunUntil.
   void Start();
 
-  // Advances every cell through the shared barrier grid to `t`. With
-  // `cell_threads > 1` the cells of each epoch run concurrently on the host pool;
-  // with `cell_processes > 1` each worker process steps its cells between
-  // barriers. Mail drain and everything else at the barrier stays serial.
+  // Advances every cell through the shared barrier grid to `t`. Workers step
+  // their cells concurrently between barriers (in-process hosts on the
+  // cell_threads pool, worker processes on their own); mail drain and everything
+  // else at the barrier stays serial.
   void RunUntil(SimTime t);
 
   // Effective parallelism (config clamped to the cell count).
@@ -436,31 +417,26 @@ class Federation {
   const CellDirectory& directory() const { return directory_; }
   const FederationConfig& config() const { return config_; }
 
-  // --- in-process-only accessors (PRESTO_CHECK in process mode) ---
+  // The cell's Deployment, for read-side inspection of in-process runs
+  // (PRESTO_CHECK in process mode: the cell lives in another process). Mutate
+  // through the facade below so every mode behaves alike.
   Deployment& cell(int index);
-  const CellLink& link(int src, int dst) const;
-  // Attaches a driver and returns it by reference. Prefer the mode-independent
-  // AttachDriver/DriverStats pair in code that must also run multi-process.
-  QueryDriver& AttachQueryDriver(int origin_cell, const QueryDriverParams& params);
-  // Issues with a host-side completion closure (in-process QueryAndWait form).
-  void IssueFromCell(int origin_cell, const FederationQuerySpec& spec,
-                     std::function<void(const FederationQueryResult&)> callback);
 
-  // --- mode-independent facade ---
+  // --- the facade: one body per op, whatever the transport ---
   // Attaches an open-loop in-sim query driver whose queries enter at `origin_cell`
   // and target the whole federation namespace (mix.num_sensors <= 0 defaults to
   // directory().total_sensors()); returns a federation-wide driver index. Call
   // before Start()/RunUntil in the same order on save and restore sides.
   int AttachDriver(int origin_cell, const QueryDriverParams& params);
   void StartDriver(int driver_index, Duration duration);
-  // Stats snapshot by value (process mode folds them over the wire; a crashed
-  // worker's drivers freeze at their last folded values).
+  // Stats snapshot by value (a crashed worker's drivers freeze at their last
+  // folded values).
   QueryDriverStats DriverStats(int driver_index) const;
   int num_drivers() const { return static_cast<int>(driver_map_.size()); }
 
   // Issues and runs the federation until the answer arrives (or `max_wait`
-  // passes). In process mode the probe rides a kInject frame to the origin worker
-  // and the result returns in a reply's host_done fold.
+  // passes). The probe rides a kInject op to the origin cell's worker and its
+  // result returns in that op's (or a later step's) host_done fold.
   FederationQueryResult QueryAndWait(int origin_cell, const FederationQuerySpec& spec,
                                      Duration max_wait = Minutes(30));
 
@@ -470,8 +446,7 @@ class Federation {
   void KillCell(int cell_index);
   void ReviveCell(int cell_index);
 
-  // Per-proxy topology mutations addressed by cell — the mode-independent form of
-  // cell(i).KillProxy(p) and friends.
+  // Per-proxy topology mutations addressed by cell.
   void KillProxyInCell(int cell_index, int proxy_index);
   void ReviveProxyInCell(int cell_index, int proxy_index);
   void MigrateSensorInCell(int cell_index, int global_index, int new_owner);
@@ -480,8 +455,8 @@ class Federation {
   uint64_t EventsExecuted() const;
   FederationTrunkTotals TrunkTotals() const;
 
-  // Aggregated over the per-cell counter blocks plus the serial barrier counters;
-  // call from host control context (between RunUntil calls).
+  // Aggregated over the per-cell counter blocks plus the orchestrator's barrier
+  // and orphan counters; call from host control context (between RunUntil calls).
   FederationStats stats() const;
 
   // Order-independent fold of the per-cell fingerprints (each bound to its cell
@@ -504,21 +479,21 @@ class Federation {
   // is marked dead (contained cell failure) and the error returned.
   Status MigrateWorkerEndpoint(int w, const FedEndpoint& endpoint);
 
-  // --- process-mode test/telemetry hooks ---
+  // --- worker table (one per cell in-process; one per process or endpoint
+  // otherwise) ---
   int num_workers() const { return static_cast<int>(workers_.size()); }
   bool worker_alive(int w) const { return workers_[static_cast<size_t>(w)].alive; }
-  int worker_pid(int w) const {
-    return static_cast<int>(workers_[static_cast<size_t>(w)].pid);
-  }
+  // The forked worker's pid; -1 for in-process hosts, TCP peers and dead workers.
+  int worker_pid(int w) const;
 
   // Composes every cell's checkpoint (sections prefixed "cell<i>/", including the
   // per-cell federation router state "cell<i>/fed") plus one "fed" section holding
-  // only orchestrator state: federation clock, barrier hash, cell-down flags, and
-  // the undrained FedMail. The container is byte-identical whether the cells run
-  // in-process or in workers — a checkpoint taken from either mode restores into
-  // either mode (the live-migration primitive; process-mode workers bootstrap from
-  // exactly this format). Call only between RunUntil calls; fails if a probe query
-  // (QueryAndWait) is in flight or a worker has crashed.
+  // only orchestrator state: federation clock, barrier hash, barrier and orphan
+  // counters, cell-down flags, and the undrained FedMail. The container is
+  // byte-identical whatever the transport — a checkpoint taken from any mode
+  // restores into any mode (the live-migration primitive; process-mode workers
+  // bootstrap from exactly this format). Call only between RunUntil calls; fails
+  // if a probe query (QueryAndWait) is in flight or a worker has crashed.
   Status SaveCheckpoint(Checkpoint* out) const;
 
   // Inverse of SaveCheckpoint, into a freshly constructed federation with the same
@@ -528,51 +503,43 @@ class Federation {
   Status LoadCheckpoint(const Checkpoint& ckpt);
 
  private:
-  struct WorkerProc {
-    long pid = -1;
-    std::unique_ptr<FrameChannel> channel;
+  struct Worker {
+    std::unique_ptr<CellTransport> transport;
     std::vector<int> cells;  // global cell indices, ascending
     bool alive = false;
+    // StepWorkers' per-epoch state, kept here so stepping allocates nothing.
+    std::vector<FedMail> deliver;  // drained mail for the next PostStep
+    bool posted = false;
+    Status stepped;
+    CellOutput output;
   };
 
   Duration CellEpochCap() const;
   Duration DeriveEpoch() const;
-  void DrainMail();
-  void StepCells(SimTime end);
-  void CellWorkerLoop();
-  void ClaimCells(SimTime end);
-
-  int WorkerOf(int cell_index) const { return cell_index % cell_processes_; }
-  void AssignWorkerCells();
-  void SpawnWorkers();
-  void ConnectWorkers();
-  // Connect + hello handshake for one socket worker (channel setup only).
-  Status ConnectWorkerChannel(int w, const FedEndpoint& endpoint);
-  Status BootstrapWorker(int w);
-  // Re-sends kAttachDriver for every driver whose origin cell worker w hosts
-  // (migration replay; slots must match the original attachment order).
+  int WorkerOf(int cell_index) const { return cell_index % num_workers(); }
+  // The config every worker builds its cells from: epoch resolved, parallelism
+  // and endpoint fields neutralized.
+  FederationConfig WorkerConfig() const;
+  // Re-attaches every driver whose origin cell worker w hosts (migration replay;
+  // slots must match the original attachment order).
   Status ReplayDriverAttachments(int w);
-  // Sends one worker the full checkpoint container + down flags (kCkptLoad).
-  Status LoadWorkerCheckpoint(int w, const std::vector<uint8_t>& encoded);
-  // One strict RPC round trip. A transport failure marks the worker dead (never
-  // aborts the parent) and returns the transport status; the reply frame — kAck
-  // or kError — is the caller's to interpret.
-  Status CallWorker(int w, FedFrameType type, std::vector<uint8_t> payload,
-                    FedFrame* reply);
-  // CallWorker for control ops: requires kAck, absorbs the control reply into
-  // route_ / host_results_, and marks the worker dead on any deviation.
-  bool ControlCall(int w, FedFrameType type, std::vector<uint8_t> payload);
-  // Parses a control reply {mail, host_done} into route_ / host_results_.
-  Status AbsorbControlReply(const std::vector<uint8_t>& payload);
-  void BroadcastControl(FedFrameType type, const std::vector<uint8_t>& payload);
+  // Runs one control op on worker w and routes its output. Any failure marks
+  // the worker dead; returns whether the op ran.
+  bool Control(int w, const CellControl& op);
+  // Control on every live worker, then FlushDeadCellKills.
+  void Broadcast(const CellControl& op);
+  // Control on the worker hosting op.cell (which must be alive).
+  void MutateCell(const CellControl& op);
+  // Routes (and empties) an op's output: mail into route_, probe results into
+  // host_results_.
+  void Absorb(CellOutput* out);
   void StepWorkers(SimTime end, bool on_grid);
-  // Local bookkeeping only (kill + reap + mark cells down + drop routed mail):
-  // never sends frames, so it is safe while sibling kStep replies are still
-  // outstanding. The survivor-facing kKillCell broadcast is deferred into
-  // dead_cells_pending_kill_ and flushed once no reply is pending.
+  // The one death path. Local bookkeeping only (close + reap + mark cells down +
+  // drop routed mail): never sends frames, so it is safe while sibling step
+  // replies are still outstanding. The survivor-facing kKillCell broadcast is
+  // deferred into kills_pending_ and flushed once no reply is pending.
   void MarkWorkerDead(int w);
   void FlushDeadCellKills();
-  void ShutdownWorkers();
   void RefreshSnapshots() const;
 
   FederationConfig config_;
@@ -581,22 +548,18 @@ class Federation {
   int cell_processes_ = 1;
   bool socket_mode_ = false;
 
-  // In-process mode: the cells and their routers, paired in cell-index order.
-  std::vector<std::unique_ptr<Deployment>> cells_;
-  std::vector<std::unique_ptr<FedCell>> cores_;
+  std::vector<Worker> workers_;      // cell c lives in workers_[c % size]
+  std::unique_ptr<ClaimPool> pool_;  // runs the workers' epochs (cell_threads)
 
-  // Process mode: worker table, parent-side mail routing (per source-cell FIFO,
-  // the orchestrator's copy of the outboxes), and host-probe correlation.
-  std::vector<WorkerProc> workers_;
-  std::vector<std::vector<FedMail>> route_;  // [source cell] FIFO
+  // Undrained inter-cell mail, per source cell FIFO.
+  std::vector<std::vector<FedMail>> route_;
   uint64_t next_host_token_ = 0;
   std::unordered_map<uint64_t, FederationQueryResult> host_results_;
-  uint64_t parent_orphans_ = 0;  // mail dropped toward crashed workers' cells
-  std::vector<int> dead_cells_pending_kill_;
-  mutable std::vector<FedCellSnapshot> snaps_;
+  std::vector<int> kills_pending_;
+  mutable std::vector<FedCellSnapshot> snaps_;  // [cell], refreshed lazily
   mutable bool snaps_fresh_ = false;
 
-  std::vector<uint8_t> cell_down_;  // orchestrator view (both modes)
+  std::vector<uint8_t> cell_down_;  // the orchestrator's routing view
   // Global driver index -> (origin cell, per-cell slot).
   std::vector<std::pair<int, int>> driver_map_;
   // The raw params of each AttachDriver call, in driver-index order — replayed
@@ -605,19 +568,11 @@ class Federation {
 
   SimTime now_ = 0;
   uint64_t barrier_hash_ = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-  FederationStats serial_stats_;                   // barriers / mail_drained only
-
-  // Cell-stepping pool (cell_threads_ > 1): the simulator's lane pool one level
-  // up. Workers claim cells off next_cell_ and run each through [now_, pool_end_].
-  std::vector<std::thread> cell_workers_;
-  std::mutex pool_m_;
-  std::condition_variable pool_cv_;
-  std::condition_variable done_cv_;
-  uint64_t pool_gen_ = 0;
-  SimTime pool_end_ = 0;
-  bool pool_quit_ = false;
-  int pool_done_ = 0;
-  std::atomic<int> next_cell_{0};
+  uint64_t barriers_ = 0;
+  uint64_t mail_drained_ = 0;  // inter-cell messages delivered at barriers
+  // Mail dropped at the barrier: from a downed source cell, or toward a crashed
+  // worker's cells. Checkpointed in the "fed" section.
+  uint64_t orphans_ = 0;
 };
 
 }  // namespace presto

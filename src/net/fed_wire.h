@@ -1,14 +1,14 @@
 // Versioned wire protocol for the federation <-> cell process seam.
 //
 // When a federation runs its cells as separate processes (FederationConfig::
-// cell_processes > 1), everything that used to be a function call across the
-// federation/cell boundary becomes a length-prefixed frame on a socketpair:
+// cell_processes > 1, or cell_endpoints over TCP), every typed op the orchestrator
+// would otherwise call directly on a cell host becomes a length-prefixed frame:
 // epoch-barrier stepping, trunk mail (query requests and responses), control
 // messages (kill / revive / migrate / query-inject), and the fingerprint + stats
 // fold. This header defines that boundary and nothing above it: frames carry
 // opaque payload bytes encoded with the util/bytes codecs, so the net layer stays
-// agnostic of core types — the orchestrator (src/core/federation.cc) and the
-// worker (src/core/cell_worker.cc) agree on each frame type's payload layout.
+// agnostic of core types — both ends of each frame type's payload layout live in
+// src/core/cell_worker.cc (FrameTransport encodes, CellWorker decodes).
 //
 // Frame layout (all little-endian):
 //

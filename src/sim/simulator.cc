@@ -27,19 +27,6 @@ void EventHandle::Cancel() {
   }
 }
 
-Simulator::~Simulator() {
-  if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(pool_m_);
-      pool_quit_ = true;
-    }
-    pool_cv_.notify_all();
-    for (std::thread& worker : workers_) {
-      worker.join();
-    }
-  }
-}
-
 void Simulator::ConfigureLanes(int num_lanes, int threads, Duration epoch) {
   PRESTO_CHECK_MSG(!any_scheduled_, "ConfigureLanes must precede all scheduling");
   PRESTO_CHECK_MSG(!lane_mode_, "lanes already configured");
@@ -55,9 +42,7 @@ void Simulator::ConfigureLanes(int num_lanes, int threads, Duration epoch) {
   for (Lane& lane : lanes_) {
     lane.inbox.resize(static_cast<size_t>(num_lanes));
   }
-  for (int w = 1; w < threads_; ++w) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
+  pool_ = std::make_unique<ClaimPool>(threads_);
 }
 
 void Simulator::SetLookahead(Duration lookahead) {
@@ -322,53 +307,6 @@ void Simulator::RunLaneTo(int internal_lane, SimTime end, bool inclusive) {
   tl_lane_ctx = saved;
 }
 
-void Simulator::WorkerLoop() {
-  uint64_t seen_gen = 0;
-  while (true) {
-    SimTime end;
-    bool inclusive;
-    {
-      std::unique_lock<std::mutex> lock(pool_m_);
-      pool_cv_.wait(lock, [&] { return pool_quit_ || pool_gen_ != seen_gen; });
-      if (pool_quit_) {
-        return;
-      }
-      seen_gen = pool_gen_;
-      end = pool_end_;
-      inclusive = pool_inclusive_;
-    }
-    ClaimLanes(end, inclusive);
-    {
-      std::lock_guard<std::mutex> lock(pool_m_);
-      ++pool_done_;
-    }
-    done_cv_.notify_one();
-  }
-}
-
-void Simulator::ClaimLanes(SimTime end, bool inclusive) {
-  const int total = num_lanes();
-  int lane;
-  while ((lane = next_lane_.fetch_add(1, std::memory_order_relaxed)) < total) {
-    RunLaneTo(lane, end, inclusive);
-  }
-}
-
-void Simulator::RunLanesParallel(SimTime end, bool inclusive) {
-  {
-    std::lock_guard<std::mutex> lock(pool_m_);
-    pool_end_ = end;
-    pool_inclusive_ = inclusive;
-    pool_done_ = 0;
-    next_lane_.store(0, std::memory_order_relaxed);
-    ++pool_gen_;
-  }
-  pool_cv_.notify_all();
-  ClaimLanes(end, inclusive);  // the calling thread is worker 0
-  std::unique_lock<std::mutex> lock(pool_m_);
-  done_cv_.wait(lock, [&] { return pool_done_ == static_cast<int>(workers_.size()); });
-}
-
 void Simulator::RunEpoch(SimTime end, bool inclusive) {
   const SimTime start = global_now_;
   // 1) Drain mailboxes: for each target lane, source lanes in index order, FIFO
@@ -395,13 +333,7 @@ void Simulator::RunEpoch(SimTime end, bool inclusive) {
     barrier_hook_(end);
   }
   // 3) Worker lanes.
-  if (threads_ <= 1) {
-    for (int lane = 0; lane < num_lanes(); ++lane) {
-      RunLaneTo(lane, end, inclusive);
-    }
-  } else {
-    RunLanesParallel(end, inclusive);
-  }
+  pool_->Run(num_lanes(), [&](int lane) { RunLaneTo(lane, end, inclusive); });
   // 4) Control lane: mutations and other serial work run at the closing barrier,
   //    with every worker idle and the global clock at `end`. An event scheduled for
   //    time T executes at the first barrier at-or-after T (never before it), but

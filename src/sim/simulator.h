@@ -38,16 +38,14 @@
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
+#include <memory>
 #include <queue>
-#include <thread>
 #include <vector>
 
+#include "src/util/claim_pool.h"
 #include "src/util/result.h"
 #include "src/util/sim_time.h"
 
@@ -148,7 +146,6 @@ class Simulator {
   Simulator() { lanes_.resize(1); }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-  ~Simulator();
 
   // Splits execution into `num_lanes` parallel lanes plus the serial control lane,
   // run by `threads` workers (clamped to [1, num_lanes]; the calling thread is one of
@@ -337,9 +334,6 @@ class Simulator {
   // execute the worker lanes through the epoch, then run due control-lane events at
   // the closing barrier (with the global clock at `end` and every worker idle).
   void RunEpoch(SimTime end, bool inclusive);
-  void RunLanesParallel(SimTime end, bool inclusive);
-  void WorkerLoop();
-  void ClaimLanes(SimTime end, bool inclusive);
   void MixFp(uint64_t& fp, uint64_t v) const;
   // First barrier strictly after `t` on the current grid. The grid is anchored at
   // the barrier where the epoch length last changed (epoch_anchor_, 0 until a
@@ -363,17 +357,8 @@ class Simulator {
   std::vector<EventSink*> sinks_;  // checkpoint sink table, construction order
   std::map<const EventSink*, uint64_t> sink_ids_;
 
-  // Worker pool (lane mode, threads_ > 1).
-  std::vector<std::thread> workers_;
-  std::mutex pool_m_;
-  std::condition_variable pool_cv_;
-  std::condition_variable done_cv_;
-  uint64_t pool_gen_ = 0;
-  SimTime pool_end_ = 0;
-  bool pool_inclusive_ = false;
-  bool pool_quit_ = false;
-  int pool_done_ = 0;
-  std::atomic<int> next_lane_{0};
+  // Worker lanes' host threads (lane mode).
+  std::unique_ptr<ClaimPool> pool_;
 };
 
 }  // namespace presto

@@ -10,7 +10,7 @@
 //
 // Layering: the driver knows simulators and QueryRequests, not proxies or stores.
 // The binding to a concrete query path is the IssueFn — Deployment::AttachQueryDriver
-// issues into its unified store, Federation::AttachQueryDriver into the cross-cell
+// issues into its unified store, FedCell::AttachDriver into the cross-cell
 // router. The glue must invoke the completion callback from control context (both
 // bindings marshal completions onto the control lane), so recording is serial and
 // needs no locks.

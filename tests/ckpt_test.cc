@@ -292,8 +292,8 @@ FederationConfig CkptFederationConfig() {
   return config;
 }
 
-std::vector<QueryDriver*> AttachFedDrivers(Federation& fed) {
-  std::vector<QueryDriver*> drivers;
+std::vector<int> AttachFedDrivers(Federation& fed) {
+  std::vector<int> drivers;
   for (int c = 0; c < fed.num_cells(); ++c) {
     QueryDriverParams params;
     params.mix.queries_per_hour = 1800.0;
@@ -304,7 +304,7 @@ std::vector<QueryDriver*> AttachFedDrivers(Federation& fed) {
     params.mix.min_tolerance = 1.5;
     params.mix.max_tolerance = 3.0;
     params.mix.seed = 913 + static_cast<uint64_t>(c);
-    drivers.push_back(&fed.AttachQueryDriver(c, params));
+    drivers.push_back(fed.AttachDriver(c, params));
   }
   return drivers;
 }
@@ -319,18 +319,18 @@ TEST(FederationCheckpointTest, RoundTripCarriesInFlightCrossCellQueries) {
   {
     Federation fed(CkptFederationConfig());
     fed.Start();
-    std::vector<QueryDriver*> drivers = AttachFedDrivers(fed);
+    const std::vector<int> drivers = AttachFedDrivers(fed);
     fed.RunUntil(Minutes(5));
-    for (QueryDriver* driver : drivers) {
-      driver->Start(0);
+    for (const int d : drivers) {
+      fed.StartDriver(d, 0);
     }
     fed.RunUntil(ckpt_at);
     ASSERT_TRUE(fed.SaveCheckpoint(&ckpt).ok());
     fed.RunUntil(end);
     fp_cont = fed.fingerprint();
     LatencyHistogram merged;
-    for (const QueryDriver* driver : drivers) {
-      merged.Merge(driver->stats().latency);
+    for (const int d : drivers) {
+      merged.Merge(fed.DriverStats(d).latency);
     }
     hist_cont = merged.Hash();
     forwarded_cont = fed.stats().forwarded;
@@ -339,14 +339,14 @@ TEST(FederationCheckpointTest, RoundTripCarriesInFlightCrossCellQueries) {
   {
     Federation fed(CkptFederationConfig());
     fed.Start();
-    std::vector<QueryDriver*> drivers = AttachFedDrivers(fed);
+    const std::vector<int> drivers = AttachFedDrivers(fed);
     ASSERT_TRUE(fed.LoadCheckpoint(ckpt).ok());
     EXPECT_EQ(fed.Now(), ckpt_at);
     fed.RunUntil(end);
     EXPECT_EQ(fed.fingerprint(), fp_cont);
     LatencyHistogram merged;
-    for (const QueryDriver* driver : drivers) {
-      merged.Merge(driver->stats().latency);
+    for (const int d : drivers) {
+      merged.Merge(fed.DriverStats(d).latency);
     }
     EXPECT_EQ(merged.Hash(), hist_cont);
     EXPECT_EQ(fed.stats().forwarded, forwarded_cont);

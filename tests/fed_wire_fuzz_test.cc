@@ -7,7 +7,8 @@
 // seeded Pcg32 mutation engine over corpora of *valid* captured encodings and
 // assert that invariant across every decoder on the seam: DecodeFedFrame,
 // FrameChannel::Recv (over a real socketpair), DecodeFedHello, the FedMail and
-// cell-bitmap codecs, and DecodeFedControlReply. Seeds are fixed, so a failure
+// cell-bitmap codecs, DecodeFedControlReply, and DecodeCellControl (the control
+// ops' payloads). Seeds are fixed, so a failure
 // reproduces exactly; CI runs this under ASan/UBSan where "never crash" has
 // teeth.
 
@@ -20,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/core/cell_worker.h"
 #include "src/core/federation.h"
 #include "src/net/fed_wire.h"
 #include "src/util/ckpt.h"
@@ -291,6 +293,44 @@ TEST(FedWireFuzzTest, PayloadCodecsAreTotal) {
   }
   // Reaching here without a crash, hang, or sanitizer report IS the assertion.
   SUCCEED();
+}
+
+TEST(FedWireFuzzTest, ControlOpCodecRoundTripsAndSurvivesMutations) {
+  // Every control op's payload, encoded by the orchestrator's FrameTransport and
+  // decoded by the worker's frame server: exact round trips for valid ops, and a
+  // typed Status (never a crash) for mutated bytes under any frame type.
+  const FedFrameType types[] = {
+      FedFrameType::kStart,       FedFrameType::kStartDriver, FedFrameType::kInject,
+      FedFrameType::kKillCell,    FedFrameType::kReviveCell,  FedFrameType::kKillProxy,
+      FedFrameType::kReviveProxy, FedFrameType::kMigrateSensor};
+  std::vector<std::vector<uint8_t>> seeds;
+  for (const FedFrameType type : types) {
+    CellControl op;
+    op.type = type;
+    op.cell = 3;
+    op.index = 517;
+    op.owner = 2;
+    op.duration = Minutes(12);
+    op.token = 0x1234567890ull;
+    op.spec.type = QueryType::kPast;
+    op.spec.fed_sensor = 41;
+    op.spec.range = TimeInterval{Hours(1), Hours(2)};
+    const std::vector<uint8_t> bytes = EncodeCellControl(op);
+    CellControl decoded;
+    ASSERT_TRUE(DecodeCellControl(type, span<const uint8_t>(bytes), &decoded).ok());
+    EXPECT_EQ(EncodeCellControl(decoded), bytes);
+    seeds.push_back(bytes);
+  }
+  CellControl out;
+  EXPECT_FALSE(DecodeCellControl(FedFrameType::kStep, {}, &out).ok())
+      << "a non-control frame type must be refused";
+
+  Pcg32 rng(4077);
+  for (int iter = 0; iter < 20000; ++iter) {
+    const auto bytes = Mutate(rng, seeds[rng.Below(seeds.size())], 0);
+    const auto type = types[rng.Below(sizeof(types) / sizeof(types[0]))];
+    (void)DecodeCellControl(type, span<const uint8_t>(bytes), &out);
+  }
 }
 
 }  // namespace

@@ -184,8 +184,8 @@ TEST(FederationTest, LocalAndCrossCellQueriesRouteThroughTheDirectory) {
   EXPECT_EQ(remote_result.target_cell, 1);
   EXPECT_GE(remote_result.Latency(), 2 * fed.config().link.latency);
   EXPECT_EQ(fed.stats().forwarded, 1u);
-  EXPECT_GE(fed.link(0, 1).stats().messages, 1u);
-  EXPECT_GE(fed.link(1, 0).stats().messages, 1u);
+  // One forwarded query: the request rode the 0->1 trunk, the answer 1->0.
+  EXPECT_GE(fed.TrunkTotals().messages, 2u);
   EXPECT_EQ(fed.stats().failed, 0u);
 }
 
@@ -203,27 +203,28 @@ TEST(FederationTest, CrossCellQueriesSurviveTargetProxyKillMidStream) {
   params.mix.min_tolerance = 2.0;
   params.mix.max_tolerance = 3.0;
   params.mix.seed = 4242;
-  QueryDriver& driver = fed.AttachQueryDriver(0, params);
-  driver.Start(Minutes(10));
+  const int driver = fed.AttachDriver(0, params);
+  fed.StartDriver(driver, Minutes(10));
 
   fed.RunUntil(fed.Now() + Minutes(2));
   // Kill one of cell 1's proxies mid-stream: its shard must keep answering through
   // the in-cell replica chain, then first-class again after promotion.
-  fed.cell(1).KillProxy(0);
+  fed.KillProxyInCell(1, 0);
   fed.RunUntil(fed.Now() + Minutes(4));
-  fed.cell(1).ReviveProxy(0);
+  fed.ReviveProxyInCell(1, 0);
   fed.RunUntil(fed.Now() + Minutes(6));
 
-  EXPECT_GT(driver.stats().issued, 250u);
-  EXPECT_EQ(driver.stats().completed, driver.stats().issued);
-  EXPECT_GT(driver.stats().cross_cell, 50u);
-  EXPECT_EQ(driver.stats().failed, 0u)
+  const QueryDriverStats stats = fed.DriverStats(driver);
+  EXPECT_GT(stats.issued, 250u);
+  EXPECT_EQ(stats.completed, stats.issued);
+  EXPECT_GT(stats.cross_cell, 50u);
+  EXPECT_EQ(stats.failed, 0u)
       << "in-cell failover must keep every cross-cell query answerable";
   EXPECT_GT(fed.cell(1).shard_stats().promotions, 0u);
 
   // And a direct probe into the killed proxy's shard while it is down again, from
   // the other cell, rides the replica chain.
-  fed.cell(1).KillProxy(0);
+  fed.KillProxyInCell(1, 0);
   const int victim_sensor =
       fed.directory().FedIndexOf(1, fed.cell(1).shard().SensorsOf(0).front());
   FederationQuerySpec probe;
@@ -293,33 +294,34 @@ FedDigest RunLaneFederation(int sim_threads, int cell_threads = 1) {
   params.mix.max_past_age = Minutes(40);
   params.mix.min_tolerance = 2.0;
   params.mix.max_tolerance = 3.0;
-  std::vector<QueryDriver*> drivers;
+  std::vector<int> drivers;
   for (int c = 0; c < fed.num_cells(); ++c) {
     QueryDriverParams p = params;
     p.mix.seed = 5150 + static_cast<uint64_t>(c);
-    drivers.push_back(&fed.AttachQueryDriver(c, p));
+    drivers.push_back(fed.AttachDriver(c, p));
   }
   fed.RunUntil(Hours(1));
-  for (QueryDriver* driver : drivers) {
-    driver->Start(Minutes(12));
+  for (const int d : drivers) {
+    fed.StartDriver(d, Minutes(12));
   }
   fed.RunUntil(fed.Now() + Minutes(3));
-  fed.cell(0).KillProxy(2);
-  fed.cell(1).KillProxy(5);
+  fed.KillProxyInCell(0, 2);
+  fed.KillProxyInCell(1, 5);
   fed.RunUntil(fed.Now() + Minutes(4));
-  fed.cell(0).ReviveProxy(2);
-  fed.cell(1).ReviveProxy(5);
+  fed.ReviveProxyInCell(0, 2);
+  fed.ReviveProxyInCell(1, 5);
   fed.RunUntil(fed.Now() + Minutes(8));
 
   FedDigest digest;
   digest.fingerprint = fed.fingerprint();
   LatencyHistogram merged;
-  for (QueryDriver* driver : drivers) {
-    merged.Merge(driver->stats().latency);
-    digest.issued += driver->stats().issued;
-    digest.completed += driver->stats().completed;
-    digest.failed += driver->stats().failed;
-    digest.cross_cell += driver->stats().cross_cell;
+  for (const int d : drivers) {
+    const QueryDriverStats stats = fed.DriverStats(d);
+    merged.Merge(stats.latency);
+    digest.issued += stats.issued;
+    digest.completed += stats.completed;
+    digest.failed += stats.failed;
+    digest.cross_cell += stats.cross_cell;
   }
   digest.histogram = merged.Hash();
   return digest;
@@ -397,14 +399,14 @@ TEST(FederationTest, PendingTableSurvivesCrossCellContentionThroughOneGateway) {
     params.mix.max_past_age = Minutes(30);
     params.mix.min_tolerance = 2.0;
     params.mix.max_tolerance = 3.0;
-    std::vector<QueryDriver*> drivers;
+    std::vector<int> drivers;
     for (int d = 0; d < 8; ++d) {
       QueryDriverParams p = params;
       p.mix.seed = 777 + static_cast<uint64_t>(d);
-      drivers.push_back(&fed.AttachQueryDriver(0, p));
+      drivers.push_back(fed.AttachDriver(0, p));
     }
-    for (QueryDriver* driver : drivers) {
-      driver->Start(Minutes(3));
+    for (const int d : drivers) {
+      fed.StartDriver(d, Minutes(3));
     }
     fed.RunUntil(fed.Now() + Minutes(5));
 
@@ -415,12 +417,13 @@ TEST(FederationTest, PendingTableSurvivesCrossCellContentionThroughOneGateway) {
     };
     Out out;
     LatencyHistogram merged;
-    for (QueryDriver* driver : drivers) {
-      out.issued += driver->stats().issued;
-      out.completed += driver->stats().completed;
-      out.failed += driver->stats().failed;
-      out.cross_cell += driver->stats().cross_cell;
-      merged.Merge(driver->stats().latency);
+    for (const int d : drivers) {
+      const QueryDriverStats stats = fed.DriverStats(d);
+      out.issued += stats.issued;
+      out.completed += stats.completed;
+      out.failed += stats.failed;
+      out.cross_cell += stats.cross_cell;
+      merged.Merge(stats.latency);
     }
     out.histogram = merged.Hash();
     out.fingerprint = fed.fingerprint();
@@ -522,8 +525,8 @@ FedDigest RunFacadeFederation(int cell_threads, int cell_processes,
   fed.ReviveCell(3);
   fed.RunUntil(fed.Now() + Minutes(3));
 
-  // A host probe rides whichever seam is active (closure in-process, kInject +
-  // host_done fold across the process boundary) — and must not perturb replay.
+  // A host probe rides the same kInject op + host_done fold whatever the
+  // transport — and must not perturb replay.
   FederationQuerySpec probe;
   probe.fed_sensor = fed.directory().FedIndexOf(2, 1);
   probe.tolerance = 3.0;
@@ -732,6 +735,79 @@ TEST(FederationProcessModeTest, CrossModeCheckpointMigration) {
   EXPECT_EQ(reference.histogram, in_digest.histogram);
   EXPECT_EQ(reference.issued, out_digest.issued);
   EXPECT_EQ(reference.issued, in_digest.issued);
+}
+
+TEST(FederationProcessModeTest, KilledCellOrphansSurviveEveryModePair) {
+  // A whole-cell kill under load: the killed cell keeps stepping and its late
+  // cross-cell mail is dropped (and counted) at the barrier. That orphan count is
+  // orchestrator state, so the checkpoint must carry it byte-identically from
+  // every mode and restore it into every mode.
+  struct Mode {
+    int cell_processes;
+    int cell_threads;
+  };
+  auto fresh = [](Mode mode) {
+    FederationConfig config = SmallFederation(2, 2, 4);
+    config.cell_processes = mode.cell_processes;
+    config.cell_threads = mode.cell_threads;
+    auto fed = std::make_unique<Federation>(config);
+    for (int c = 0; c < 2; ++c) {
+      QueryDriverParams p;
+      p.mix.queries_per_hour = 1200.0;
+      p.mix.num_sensors = 0;
+      p.mix.past_fraction = 0.1;
+      p.mix.mean_past_age = Minutes(5);
+      p.mix.max_past_age = Minutes(8);
+      p.mix.min_tolerance = 2.0;
+      p.mix.max_tolerance = 3.0;
+      p.mix.seed = 4711 + static_cast<uint64_t>(c);
+      fed->AttachDriver(c, p);
+    }
+    fed->Start();
+    return fed;
+  };
+  const Mode in_process{1, 1}, procs{2, 1}, threads{1, 2};
+  std::vector<Checkpoint> saved;
+  std::vector<FederationStats> at_save;
+  for (const Mode mode : {in_process, procs, threads}) {
+    auto fed = fresh(mode);
+    fed->RunUntil(Minutes(10));
+    fed->StartDriver(0, Minutes(10));
+    fed->StartDriver(1, Minutes(10));
+    fed->RunUntil(Minutes(12));
+    fed->KillCell(1);
+    fed->RunUntil(Minutes(15));
+    at_save.push_back(fed->stats());
+    saved.emplace_back();
+    ASSERT_TRUE(fed->SaveCheckpoint(&saved.back()).ok());
+  }
+  EXPECT_GT(at_save[0].orphans, 0u) << "no orphaned mail: the test is vacuous";
+  for (size_t m = 1; m < saved.size(); ++m) {
+    EXPECT_EQ(saved[0].Digest(), saved[m].Digest())
+        << "checkpoint bytes must not depend on the execution mode (mode " << m << ")";
+    EXPECT_EQ(at_save[0].orphans, at_save[m].orphans) << "mode " << m;
+  }
+
+  // Every save -> load pair across in-process and cell_processes=2, plus a
+  // cell_threads=2 leg: the restored federation reports the saved orphans.
+  struct Hop {
+    size_t save;
+    Mode load;
+  };
+  for (const Hop hop : {Hop{0, in_process}, Hop{0, procs}, Hop{1, in_process},
+                        Hop{1, procs}, Hop{0, threads}, Hop{2, procs}}) {
+    auto fed = fresh(hop.load);
+    ASSERT_TRUE(fed->LoadCheckpoint(saved[hop.save]).ok());
+    const FederationStats restored = fed->stats();
+    const FederationStats& expected = at_save[hop.save];
+    EXPECT_EQ(restored.orphans, expected.orphans)
+        << "save mode " << hop.save << " -> load procs " << hop.load.cell_processes
+        << " threads " << hop.load.cell_threads;
+    EXPECT_EQ(restored.queries, expected.queries);
+    EXPECT_EQ(restored.failed, expected.failed);
+    EXPECT_EQ(restored.barriers, expected.barriers);
+    EXPECT_EQ(restored.mail_drained, expected.mail_drained);
+  }
 }
 
 // ---------- socket transport ----------

@@ -15,8 +15,15 @@ Rows are matched by their "key". Two families of comparison:
   drift at all means the model's behaviour changed and the baseline needs a
   deliberate refresh.
 
-The exit code is 0 unless --fail-on-regression is passed (local A/B runs on one
-machine, or latency-only gating where host speed cannot be the cause).
+Simulation fingerprints (each row's "fingerprints" map) replay bit for bit
+across hosts, so they are a hard gate: any fingerprint that differs between
+matched rows, or that only one side reports, prints a MISMATCH and makes the
+exit code 1 whatever the flags. A deliberate behaviour change regenerates the
+baseline in the same change.
+
+Otherwise the exit code is 0 unless --fail-on-regression is passed (local A/B
+runs on one machine, or latency-only gating where host speed cannot be the
+cause).
 """
 
 import json
@@ -54,14 +61,24 @@ def main(argv):
               f"({baseline_doc.get('bench')} vs {new_doc.get('bench')})")
 
     warnings = 0
+    mismatches = 0
     compared = 0
     latency_compared = 0
+    fingerprints_compared = 0
     for key, base_row in sorted(baseline.items()):
         new_row = new.get(key)
         if new_row is None:
             print(f"note: row '{key}' in baseline but not in the new run "
                   f"(grid {baseline_doc.get('grid')} vs {new_doc.get('grid')})")
             continue
+        base_fps = base_row.get("fingerprints", {})
+        new_fps = new_row.get("fingerprints", {})
+        for name in sorted(set(base_fps) | set(new_fps)):
+            fingerprints_compared += 1
+            if base_fps.get(name) != new_fps.get(name):
+                print(f"MISMATCH: {key}: fingerprint {name} "
+                      f"{base_fps.get(name)} -> {new_fps.get(name)}")
+                mismatches += 1
         for metric in THROUGHPUT_METRICS:
             base_value = base_row.get("metrics", {}).get(metric)
             new_value = new_row.get("metrics", {}).get(metric)
@@ -94,9 +111,12 @@ def main(argv):
                       f"{new_value:.4g}ms (+{100 * rise:.1f}% > "
                       f"{100 * latency_threshold:.0f}% tolerance)")
                 warnings += 1
-    print(f"bench_compare: {compared} throughput metric(s) and "
-          f"{latency_compared} latency percentile(s) compared, "
-          f"{warnings} regression warning(s)")
+    print(f"bench_compare: {compared} throughput metric(s), "
+          f"{latency_compared} latency percentile(s) and "
+          f"{fingerprints_compared} fingerprint(s) compared, "
+          f"{warnings} regression warning(s), {mismatches} fingerprint mismatch(es)")
+    if mismatches:
+        return 1
     return 1 if (warnings and fail_on_regression) else 0
 
 
