@@ -3,6 +3,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "src/index/skip_graph.h"
 #include "src/proxy/summary_cache.h"
 #include "src/sim/simulator.h"
@@ -75,6 +79,55 @@ void BM_SummaryCacheCoverage(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SummaryCacheCoverage);
+
+// The read path's insert pattern: a 36 h series at a 31 s period of which every 50th
+// sample (2%) was pushed, then refilled by 3 h windows of pulled records taken in
+// shuffled order, each window ascending — as archive replies and replica updates
+// write pulled ranges back inside the series.
+void BM_SummaryCacheFillHoles(benchmark::State& state) {
+  constexpr Duration kPeriod = Seconds(31);
+  constexpr int64_t kSlots = Hours(36) / kPeriod;
+  constexpr int64_t kWindow = Hours(3) / kPeriod;
+  std::vector<int64_t> windows;
+  for (int64_t first = 0; first < kSlots; first += kWindow) {
+    windows.push_back(first);
+  }
+  Pcg32 rng(7);
+  for (size_t i = windows.size() - 1; i > 0; --i) {
+    const int64_t j = rng.UniformInt(0, static_cast<int64_t>(i));
+    std::swap(windows[i], windows[static_cast<size_t>(j)]);
+  }
+  int64_t inserts = 0;
+  for (auto _ : state) {
+    SummaryCache cache(1 << 20);
+    for (int64_t slot = 0; slot < kSlots; slot += 50) {
+      cache.Insert(slot * kPeriod, 20.0, CacheSource::kPushed);
+    }
+    for (const int64_t first : windows) {
+      for (int64_t slot = first; slot < std::min(first + kWindow, kSlots); ++slot) {
+        cache.Insert(slot * kPeriod, 20.5, CacheSource::kPulled);
+      }
+    }
+    benchmark::DoNotOptimize(cache.size());
+    inserts += static_cast<int64_t>(cache.stats().inserts + cache.stats().refinements);
+  }
+  state.SetItemsProcessed(inserts);
+}
+BENCHMARK(BM_SummaryCacheFillHoles);
+
+void BM_SummaryCacheRange(benchmark::State& state) {
+  SummaryCache cache(1 << 20);
+  for (SimTime t = 0; t < Days(7); t += Seconds(31)) {
+    cache.Insert(t, 20.0, CacheSource::kPushed);
+  }
+  Pcg32 rng(8);
+  for (auto _ : state) {
+    const SimTime start = static_cast<SimTime>(rng.UniformInt(0, Days(6)));
+    benchmark::DoNotOptimize(cache.Range(TimeInterval{start, start + Hours(1)}));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SummaryCacheRange);
 
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   for (auto _ : state) {

@@ -5,13 +5,29 @@
 // entries refine lower ones ("the summary data cache ... can be progressively refined
 // as more accurate data is obtained from the remote sensors"). Timestamps are on the
 // proxy's reference timeline (drift-corrected before insertion).
+//
+// Storage: one contiguous vector of {t, CachedValue} slots, strictly ascending in t.
+// The live entries are slots_[head_, end); slots before head_ are evicted and are
+// reclaimed in one move once they are as many as the live ones. Costs, for n live
+// entries:
+//   Insert             O(1) amortised when t is newer than every entry (append);
+//                      O(log n) search plus an in-place shift of the later entries
+//                      otherwise (pulled archive records and replica updates land
+//                      inside the series, and they are most of the inserts; in
+//                      perfbench `query` a series holds ~420 entries and such an
+//                      insert moves 33 of them on average)
+//   Nearest            O(log n)
+//   CoverageFraction   O(log n): two binary searches and a subtraction
+//   Range(Entries)     O(log n + k) into an exactly reserved vector of k entries
+//   EvictBefore        O(log n) plus the amortised reclaim; cap eviction O(1) amortised
 
 #ifndef SRC_PROXY_SUMMARY_CACHE_H_
 #define SRC_PROXY_SUMMARY_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/util/result.h"
@@ -83,7 +99,7 @@ class SummaryCache {
 
   void EvictBefore(SimTime t);
 
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return slots_.size() - head_; }
   const CacheStats& stats() const { return stats_; }
 
   // Checkpoint codec: entries with provenance, plus stats (max_entries_ is config).
@@ -91,8 +107,24 @@ class SummaryCache {
   Status LoadState(ByteReader& r);
 
  private:
+  struct Slot {
+    SimTime t = 0;
+    CachedValue v;
+  };
+  using Iter = std::vector<Slot>::const_iterator;
+
+  Iter live_begin() const { return slots_.begin() + static_cast<ptrdiff_t>(head_); }
+  // First live slot with t >= `t`, searching [from, end).
+  Iter LowerBound(Iter from, SimTime t) const;
+  // Live slots with t in [range.start, range.end); empty when the range is inverted.
+  std::pair<Iter, Iter> Span(TimeInterval range) const;
+  // Drops the first `n` live slots (oldest first), reclaiming the dead prefix once it
+  // is as long as the live part.
+  void DropOldest(size_t n);
+
   size_t max_entries_;
-  std::map<SimTime, CachedValue> entries_;
+  std::vector<Slot> slots_;
+  size_t head_ = 0;  // slots_[0, head_) are evicted
   CacheStats stats_;
 };
 

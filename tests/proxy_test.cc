@@ -4,13 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <map>
 
 #include "src/net/network.h"
 #include "src/proxy/proxy_node.h"
 #include "src/proxy/summary_cache.h"
 #include "src/sensor/sensor_node.h"
 #include "src/sim/simulator.h"
+#include "src/util/bytes.h"
+#include "src/util/ckpt.h"
+#include "src/util/rng.h"
 
 namespace presto {
 namespace {
@@ -117,6 +123,338 @@ TEST(SummaryCacheTest, EvictionCapsMemory) {
   EXPECT_EQ(cache.stats().evictions, 900u);
   // Oldest went first.
   EXPECT_FALSE(cache.Nearest(0, Seconds(10)).has_value());
+}
+
+// The std::map implementation SummaryCache had before it became a flat vector: the
+// oracle for the differential test below.
+class MapCache {
+ public:
+  explicit MapCache(size_t max_entries) : max_entries_(max_entries) {}
+
+  void Insert(SimTime t, double value, CacheSource source, SimTime inserted_at) {
+    auto it = entries_.find(t);
+    if (it != entries_.end()) {
+      if (static_cast<uint8_t>(source) >= static_cast<uint8_t>(it->second.source)) {
+        it->second = CachedValue{value, source, inserted_at};
+        ++stats_.refinements;
+      } else {
+        ++stats_.downgrades_rejected;
+      }
+      return;
+    }
+    entries_.emplace(t, CachedValue{value, source, inserted_at});
+    ++stats_.inserts;
+    while (entries_.size() > max_entries_) {
+      entries_.erase(entries_.begin());
+      ++stats_.evictions;
+    }
+  }
+
+  std::optional<std::pair<SimTime, CachedValue>> Nearest(SimTime t,
+                                                         Duration max_gap) const {
+    if (entries_.empty()) {
+      return std::nullopt;
+    }
+    auto after = entries_.lower_bound(t);
+    std::optional<std::pair<SimTime, CachedValue>> best;
+    Duration best_gap = max_gap;
+    if (after != entries_.end() && after->first - t <= best_gap) {
+      best_gap = after->first - t;
+      best = *after;
+    }
+    if (after != entries_.begin()) {
+      auto before = std::prev(after);
+      if (t - before->first <= best_gap) {
+        best = *before;
+      }
+    }
+    return best;
+  }
+
+  std::optional<std::pair<SimTime, CachedValue>> Latest() const {
+    if (entries_.empty()) {
+      return std::nullopt;
+    }
+    return *entries_.rbegin();
+  }
+
+  std::vector<SummaryCache::Entry> RangeEntries(TimeInterval range) const {
+    std::vector<SummaryCache::Entry> out;
+    for (auto it = entries_.lower_bound(range.start);
+         it != entries_.end() && it->first < range.end; ++it) {
+      out.push_back(SummaryCache::Entry{it->first, it->second.value, it->second.source,
+                                        it->second.inserted_at});
+    }
+    return out;
+  }
+
+  double CoverageFraction(TimeInterval range, Duration expected_period) const {
+    const int64_t expected = std::max<int64_t>(1, range.Length() / expected_period);
+    int64_t have = 0;
+    for (auto it = entries_.lower_bound(range.start);
+         it != entries_.end() && it->first < range.end; ++it) {
+      ++have;
+    }
+    return std::min(1.0, static_cast<double>(have) / static_cast<double>(expected));
+  }
+
+  void EvictBefore(SimTime t) {
+    auto end = entries_.lower_bound(t);
+    const size_t n = static_cast<size_t>(std::distance(entries_.begin(), end));
+    entries_.erase(entries_.begin(), end);
+    stats_.evictions += n;
+  }
+
+  void SaveState(ByteWriter& w) const {
+    CkptWrite(w, entries_);
+    CkptWrite(w, stats_.inserts);
+    CkptWrite(w, stats_.refinements);
+    CkptWrite(w, stats_.downgrades_rejected);
+    CkptWrite(w, stats_.evictions);
+  }
+
+  size_t size() const { return entries_.size(); }
+  const CacheStats& stats() const { return stats_; }
+  const std::map<SimTime, CachedValue>& entries() const { return entries_; }
+
+ private:
+  size_t max_entries_;
+  std::map<SimTime, CachedValue> entries_;
+  CacheStats stats_;
+};
+
+void ExpectSameEntry(const std::optional<std::pair<SimTime, CachedValue>>& got,
+                     const std::optional<std::pair<SimTime, CachedValue>>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (want) {
+    EXPECT_EQ(got->first, want->first);
+    EXPECT_EQ(got->second.value, want->second.value);
+    EXPECT_EQ(got->second.source, want->second.source);
+    EXPECT_EQ(got->second.inserted_at, want->second.inserted_at);
+  }
+}
+
+void ExpectSameRange(const std::vector<SummaryCache::Entry>& got,
+                     const std::vector<SummaryCache::Entry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].t, want[i].t);
+    EXPECT_EQ(got[i].value, want[i].value);
+    EXPECT_EQ(got[i].source, want[i].source);
+    EXPECT_EQ(got[i].inserted_at, want[i].inserted_at);
+  }
+}
+
+void ExpectSameStats(const CacheStats& got, const CacheStats& want) {
+  EXPECT_EQ(got.inserts, want.inserts);
+  EXPECT_EQ(got.refinements, want.refinements);
+  EXPECT_EQ(got.downgrades_rejected, want.downgrades_rejected);
+  EXPECT_EQ(got.evictions, want.evictions);
+}
+
+std::vector<uint8_t> Saved(const SummaryCache& cache) {
+  ByteWriter w;
+  cache.SaveState(w);
+  return w.TakeBuffer();
+}
+
+TEST(SummaryCacheTest, MatchesMapReference) {
+  // A large cap never evicts on its own; 7 and 1 evict on almost every new key,
+  // including keys inserted behind the oldest entry.
+  for (const size_t cap : {size_t{1} << 20, size_t{7}, size_t{1}}) {
+    SCOPED_TRACE(cap);
+    SummaryCache cache(cap);
+    MapCache oracle(cap);
+    Pcg32 rng(0x5eed + cap);
+    SimTime newest = 0;
+    for (int op = 0; op < 6000; ++op) {
+      SCOPED_TRACE(op);
+      const auto source = static_cast<CacheSource>(rng.UniformInt(0, 2));
+      const double value = rng.Uniform(-5.0, 30.0);
+      const SimTime arrival = rng.UniformInt(0, 1 << 20);
+      // A key already cached, if there is one: equal-t refinements and downgrades.
+      auto existing = [&]() -> SimTime {
+        if (oracle.size() == 0) {
+          return rng.UniformInt(0, newest);
+        }
+        auto it = oracle.entries().lower_bound(rng.UniformInt(0, newest));
+        return it == oracle.entries().end() ? oracle.entries().rbegin()->first
+                                            : it->first;
+      };
+      switch (rng.UniformInt(0, 9)) {
+        case 0:
+        case 1: {  // append
+          newest += rng.UniformInt(1, 40);
+          cache.Insert(newest, value, source, arrival);
+          oracle.Insert(newest, value, source, arrival);
+          break;
+        }
+        case 2:
+        case 3: {  // out of order, anywhere up to just past the newest key
+          const SimTime t = rng.UniformInt(0, newest + 5);
+          newest = std::max(newest, t);
+          cache.Insert(t, value, source, arrival);
+          oracle.Insert(t, value, source, arrival);
+          break;
+        }
+        case 4: {  // same t as a cached entry
+          const SimTime t = existing();
+          cache.Insert(t, value, source, arrival);
+          oracle.Insert(t, value, source, arrival);
+          break;
+        }
+        case 5: {  // Nearest exactly half way between two neighbours
+          const SimTime a = existing();
+          auto next = oracle.entries().upper_bound(a);
+          const SimTime b = next == oracle.entries().end() ? a + 2 : next->first;
+          const SimTime mid = a + (b - a) / 2;
+          const Duration gap = (b - a) / 2 + rng.UniformInt(-1, 1);
+          ExpectSameEntry(cache.Nearest(mid, gap), oracle.Nearest(mid, gap));
+          break;
+        }
+        case 6: {
+          const SimTime t = rng.UniformInt(-10, newest + 10);
+          const Duration gap = rng.UniformInt(0, 50);
+          ExpectSameEntry(cache.Nearest(t, gap), oracle.Nearest(t, gap));
+          break;
+        }
+        case 7: {  // ranges, including empty and inverted ones
+          const SimTime start = rng.UniformInt(-10, newest + 10);
+          const SimTime end = start + rng.UniformInt(-20, 200);
+          const TimeInterval range{start, end};
+          ExpectSameRange(cache.RangeEntries(range), oracle.RangeEntries(range));
+          const std::vector<Sample> samples = cache.Range(range);
+          const std::vector<SummaryCache::Entry> want = oracle.RangeEntries(range);
+          ASSERT_EQ(samples.size(), want.size());
+          for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(samples[i].t, want[i].t);
+            EXPECT_EQ(samples[i].value, want[i].value);
+          }
+          const Duration period = rng.UniformInt(1, 20);
+          EXPECT_EQ(cache.CoverageFraction(range, period),
+                    oracle.CoverageFraction(range, period));
+          break;
+        }
+        case 8: {
+          if (rng.UniformInt(0, 9) == 0) {
+            const SimTime t = rng.UniformInt(0, newest + 1);
+            cache.EvictBefore(t);
+            oracle.EvictBefore(t);
+          }
+          break;
+        }
+        default: {  // a run of out-of-order inserts into one window, like a pull reply
+          const SimTime start = rng.UniformInt(0, newest);
+          for (SimTime t = start; t < start + 60; t += rng.UniformInt(1, 7)) {
+            cache.Insert(t, value, CacheSource::kPulled, arrival);
+            oracle.Insert(t, value, CacheSource::kPulled, arrival);
+          }
+          newest = std::max(newest, start + 60);
+          break;
+        }
+      }
+      ASSERT_EQ(cache.size(), oracle.size());
+      ExpectSameStats(cache.stats(), oracle.stats());
+      ExpectSameEntry(cache.Latest(), oracle.Latest());
+      if (op % 25 == 0 || op == 5999) {
+        ByteWriter want;
+        oracle.SaveState(want);
+        ASSERT_EQ(Saved(cache), want.buffer());
+      }
+      if (HasFailure()) {
+        return;
+      }
+    }
+    // The saved bytes restore the same cache.
+    const std::vector<uint8_t> bytes = Saved(cache);
+    SummaryCache restored(cap);
+    ByteReader reader(bytes);
+    ASSERT_TRUE(restored.LoadState(reader).ok());
+    EXPECT_EQ(Saved(restored), bytes);
+  }
+}
+
+// One cache entry in the checkpoint layout, with the source as a raw varint.
+void WriteEntry(ByteWriter& w, SimTime t, uint64_t source) {
+  CkptWrite(w, t);
+  w.WriteF64(21.5);
+  w.WriteVarU64(source);
+  CkptWrite(w, SimTime{7});
+}
+
+std::vector<uint8_t> CacheBlob(uint64_t count,
+                               const std::vector<std::pair<SimTime, uint64_t>>& entries) {
+  ByteWriter w;
+  w.WriteVarU64(count);
+  for (const auto& [t, source] : entries) {
+    WriteEntry(w, t, source);
+  }
+  for (int stat = 0; stat < 4; ++stat) {
+    w.WriteVarU64(0);
+  }
+  return w.TakeBuffer();
+}
+
+Status Load(const std::vector<uint8_t>& bytes) {
+  SummaryCache cache;
+  ByteReader reader(bytes);
+  return cache.LoadState(reader);
+}
+
+TEST(SummaryCacheTest, LoadStateRejectsMalformedBytes) {
+  EXPECT_TRUE(Load(CacheBlob(2, {{10, 0}, {20, 2}})).ok());
+  // A planted source must not outrank kPulled or wrap around to kExtrapolated.
+  EXPECT_EQ(Load(CacheBlob(2, {{10, 1}, {20, 3}})).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(Load(CacheBlob(1, {{10, 256}})).code(), StatusCode::kDataLoss);
+  // No writer produces unsorted or repeated keys.
+  EXPECT_EQ(Load(CacheBlob(2, {{20, 1}, {10, 1}})).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(Load(CacheBlob(2, {{10, 1}, {10, 2}})).code(), StatusCode::kDataLoss);
+  // A count the remaining bytes cannot hold fails before anything is reserved.
+  EXPECT_EQ(Load(CacheBlob(1000, {{10, 1}})).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(Load(CacheBlob(uint64_t{1} << 62, {})).code(), StatusCode::kDataLoss);
+
+  // Byte mutations of a real blob decode to a cache or to a typed error.
+  SummaryCache source_cache;
+  Pcg32 rng(99);
+  for (int i = 0; i < 300; ++i) {
+    source_cache.Insert(rng.UniformInt(0, Hours(6)), rng.Uniform(10.0, 30.0),
+                        static_cast<CacheSource>(rng.UniformInt(0, 2)),
+                        rng.UniformInt(0, Hours(6)));
+  }
+  const std::vector<uint8_t> blob = Saved(source_cache);
+  ASSERT_TRUE(Load(blob).ok());
+  for (int trial = 0; trial < 10000; ++trial) {
+    std::vector<uint8_t> bytes = blob;
+    const auto at =
+        static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(bytes.size()) - 1));
+    switch (rng.UniformInt(0, 3)) {
+      case 0:
+        bytes[at] ^= static_cast<uint8_t>(1u << rng.UniformInt(0, 7));
+        break;
+      case 1:
+        bytes[at] = static_cast<uint8_t>(rng.UniformInt(0, 255));
+        break;
+      case 2:
+        bytes.resize(at);
+        break;
+      default:
+        bytes.insert(bytes.begin() + static_cast<ptrdiff_t>(at),
+                     static_cast<uint8_t>(rng.UniformInt(0, 255)));
+        break;
+    }
+    SummaryCache cache;
+    ByteReader reader(bytes);
+    const Status status = cache.LoadState(reader);
+    if (status.ok()) {
+      // Whatever decoded is a valid cache: it saves and restores again.
+      ASSERT_TRUE(Load(Saved(cache)).ok()) << "trial " << trial;
+    } else {
+      const StatusCode code = status.code();
+      ASSERT_TRUE(code == StatusCode::kDataLoss || code == StatusCode::kOutOfRange ||
+                  code == StatusCode::kInvalidArgument)
+          << "trial " << trial << ": " << status.ToString();
+    }
+  }
 }
 
 // ---------- proxy behaviour ----------
