@@ -120,6 +120,63 @@ Status DecodeCellControl(FedFrameType type, span<const uint8_t> payload,
 }
 
 // ---------------------------------------------------------------------------
+// Checkpoint handoff codec.
+// ---------------------------------------------------------------------------
+
+int CheckpointSectionCell(const std::string& name) {
+  // "cell" + a canonical decimal index (no leading zero, at most 9 digits) + '/'.
+  constexpr size_t kFirstDigit = 4;  // after "cell"
+  if (name.compare(0, kFirstDigit, "cell") != 0) {
+    return -1;
+  }
+  size_t pos = kFirstDigit;
+  int index = 0;
+  while (pos < name.size() && pos - kFirstDigit < 9 && name[pos] >= '0' &&
+         name[pos] <= '9') {
+    index = index * 10 + (name[pos] - '0');
+    ++pos;
+  }
+  if (pos == kFirstDigit || pos >= name.size() || name[pos] != '/' ||
+      (name[kFirstDigit] == '0' && pos > kFirstDigit + 1)) {
+    return -1;
+  }
+  return index;
+}
+
+std::vector<uint8_t> EncodeCkptLoad(const Checkpoint& ckpt,
+                                    const Checkpoint::SectionFilter& keep,
+                                    const std::vector<uint8_t>& cell_down) {
+  const size_t blob = ckpt.EncodedSize(keep);
+  ByteWriter w;
+  // Length prefix, blob, and the bitmap's two varints + packed bits.
+  w.Reserve(static_cast<size_t>(VarU64Bytes(blob)) + blob + 2 * kMaxVarU64Bytes +
+            (cell_down.size() + 7) / 8);
+  w.WriteVarU64(blob);
+  ckpt.EncodeTo(w, keep);
+  WriteCellBitmap(w, cell_down);
+  return w.TakeBuffer();
+}
+
+Status DecodeCkptLoad(span<const uint8_t> payload, size_t num_cells, Checkpoint* ckpt,
+                      std::vector<uint8_t>* cell_down) {
+  ByteReader r{payload};
+  auto blob = r.ReadByteSpan();
+  if (!blob.ok()) {
+    return blob.status();
+  }
+  PRESTO_RETURN_IF_ERROR(ReadCellBitmap(r, num_cells, cell_down));
+  if (r.remaining() != 0) {
+    return DataLossError("cell_worker: ckpt-load trailing bytes");
+  }
+  auto decoded = Checkpoint::Decode(*blob);
+  if (!decoded.ok()) {
+    return decoded.status();
+  }
+  *ckpt = std::move(*decoded);
+  return OkStatus();
+}
+
+// ---------------------------------------------------------------------------
 // CellHost: the cells themselves, and the direct transport.
 // ---------------------------------------------------------------------------
 
@@ -139,8 +196,7 @@ CellHost::CellHost(const FederationConfig& config, int worker_index, int num_wor
 }
 
 CellHost::Hosted* CellHost::Find(int cell_index) {
-  if (cell_index < worker_index_ || cell_index >= config_.num_cells ||
-      cell_index % num_workers_ != worker_index_) {
+  if (!hosts(cell_index)) {
     return nullptr;
   }
   return &hosted_[static_cast<size_t>((cell_index - worker_index_) / num_workers_)];
@@ -309,17 +365,24 @@ Status CellHost::SaveCheckpoint(Checkpoint* out) {
 }
 
 Status CellHost::LoadCheckpoint(const Checkpoint& ckpt,
-                                const std::vector<uint8_t>& cell_down,
-                                std::vector<uint8_t>* /*encoded*/) {
+                                const std::vector<uint8_t>& cell_down) {
+  // Every hosted cell's sections must be present before any cell is touched: a
+  // restore that stopped halfway would leave the worker between two states.
+  for (const Hosted& hosted : hosted_) {
+    const std::string prefix = CellPrefix(hosted.router->index());
+    std::vector<std::string> names = hosted.deployment->CheckpointSections();
+    names.push_back("fed");
+    for (const std::string& name : names) {
+      if (ckpt.Find(prefix + name) == nullptr) {
+        return DataLossError("checkpoint missing section " + prefix + name);
+      }
+    }
+  }
   for (Hosted& hosted : hosted_) {
     hosted.router->RestoreCellDown(cell_down);
     hosted.router->TakeOutbox();  // undrained mail belongs to the orchestrator
     const std::string prefix = CellPrefix(hosted.router->index());
-    const std::vector<uint8_t>* payload = ckpt.Find(prefix + "fed");
-    if (payload == nullptr) {
-      return NotFoundError("checkpoint missing section " + prefix + "fed");
-    }
-    ByteReader r{span<const uint8_t>(*payload)};
+    ByteReader r{span<const uint8_t>(*ckpt.Find(prefix + "fed"))};
     // Router first: the cell's simulator (loaded last inside LoadCheckpoint)
     // re-announces restored events into fully rebuilt tables.
     PRESTO_RETURN_IF_ERROR(hosted.router->LoadState(r));
@@ -411,6 +474,8 @@ Status FrameTransport::Bootstrap(const FederationConfig& config, int worker_inde
     return reply.status();
   }
   cell_count_ = config.num_cells;
+  worker_index_ = worker_index;
+  num_workers_ = num_workers;
   return OkStatus();
 }
 
@@ -483,15 +548,22 @@ Status FrameTransport::SaveCheckpoint(Checkpoint* out) {
 }
 
 Status FrameTransport::LoadCheckpoint(const Checkpoint& ckpt,
-                                      const std::vector<uint8_t>& cell_down,
-                                      std::vector<uint8_t>* encoded) {
-  if (encoded->empty()) {
-    *encoded = ckpt.Encode();
-  }
-  ByteWriter req;
-  req.WriteBytes(span<const uint8_t>(*encoded));
-  WriteCellBitmap(req, cell_down);
-  auto reply = Call(FedFrameType::kCkptLoad, req.TakeBuffer());
+                                      const std::vector<uint8_t>& cell_down) {
+  // Only this worker's cells cross. Send owns the request and frees it once it is
+  // out, so one restore holds at most one worker's request at a time.
+  return Send(FedFrameType::kCkptLoad,
+              EncodeCkptLoad(
+                  ckpt,
+                  [this](const std::string& name) {
+                    const int cell = CheckpointSectionCell(name);
+                    return cell >= 0 && cell < cell_count_ &&
+                           cell % num_workers_ == worker_index_;
+                  },
+                  cell_down));
+}
+
+Status FrameTransport::FinishLoad() {
+  auto reply = Reply();
   return reply.ok() ? OkStatus() : reply.status();
 }
 
@@ -572,6 +644,7 @@ int CellWorker::Serve() {
       // normal shutdown never trips process-death detection (or LeakSanitizer).
       return 0;
     }
+    const FedFrameType type = request->type;
     FedFrame reply;
     reply.type = FedFrameType::kAck;
     const Status s = Dispatch(*request, &reply);
@@ -581,7 +654,7 @@ int CellWorker::Serve() {
       reply.type = FedFrameType::kError;
       reply.payload = w.TakeBuffer();
     }
-    if (request->type == FedFrameType::kShutdown) {
+    if (type == FedFrameType::kShutdown) {
       // Requested even if the kAck below fails to send — the orchestrator is
       // leaving either way, and the --listen loop must not re-accept after it.
       shutdown_requested_ = true;
@@ -589,13 +662,13 @@ int CellWorker::Serve() {
     if (!channel_->Send(reply).ok()) {
       return 0;
     }
-    if (request->type == FedFrameType::kShutdown) {
+    if (type == FedFrameType::kShutdown) {
       return 0;
     }
   }
 }
 
-Status CellWorker::Dispatch(const FedFrame& request, FedFrame* reply) {
+Status CellWorker::Dispatch(FedFrame& request, FedFrame* reply) {
   const span<const uint8_t> payload(request.payload);
   if (request.type == FedFrameType::kBootstrap) {
     return Bootstrap(payload);
@@ -648,27 +721,30 @@ Status CellWorker::Dispatch(const FedFrame& request, FedFrame* reply) {
       return OkStatus();
     }
     case FedFrameType::kCkptSave: {
+      // One exact-size encoding (the sections are freed before it is sent);
+      // Send writes it out without a frame copy.
       Checkpoint sub;
       PRESTO_RETURN_IF_ERROR(host_->SaveCheckpoint(&sub));
       reply->payload = sub.Encode();
       return OkStatus();
     }
     case FedFrameType::kCkptLoad: {
-      auto blob = r.ReadBytes();
-      if (!blob.ok()) {
-        return blob.status();
-      }
+      Checkpoint ckpt;
       std::vector<uint8_t> down;
-      PRESTO_RETURN_IF_ERROR(
-          ReadCellBitmap(r, static_cast<size_t>(host_->num_cells()), &down));
-      if (r.remaining() != 0) {
-        return DataLossError("cell_worker: ckpt-load trailing bytes");
+      PRESTO_RETURN_IF_ERROR(DecodeCkptLoad(
+          payload, static_cast<size_t>(host_->num_cells()), &ckpt, &down));
+      // The sections own their bytes now: free the request before the cells grow.
+      std::vector<uint8_t>().swap(request.payload);
+      // Exactly the hosted cells' sections: anything else is an orchestrator
+      // routing bug, refused before any state is touched (LoadCheckpoint checks
+      // that none is missing).
+      for (const Checkpoint::Section& section : ckpt.sections()) {
+        if (!host_->hosts(CheckpointSectionCell(section.name))) {
+          return InvalidArgumentError("cell_worker: restore carries section '" +
+                                      section.name + "' of no hosted cell");
+        }
       }
-      auto ckpt = Checkpoint::Decode(span<const uint8_t>(*blob));
-      if (!ckpt.ok()) {
-        return ckpt.status();
-      }
-      return host_->LoadCheckpoint(*ckpt, down, nullptr);
+      return host_->LoadCheckpoint(ckpt, down);
     }
     default: {
       CellControl op;

@@ -59,6 +59,22 @@ std::vector<uint8_t> EncodeCellControl(const CellControl& op);
 Status DecodeCellControl(FedFrameType type, span<const uint8_t> payload,
                          CellControl* op);
 
+// The cell a checkpoint section belongs to: i for "cell<i>/...", else -1 (the
+// orchestrator's "fed" section, or any other name).
+int CheckpointSectionCell(const std::string& name);
+
+// The kCkptLoad payload: the sections of `ckpt` that `keep` accepts, as a
+// length-prefixed Checkpoint encoding written in place (one allocation, no
+// intermediate copy), then the cell-down bitmap.
+std::vector<uint8_t> EncodeCkptLoad(const Checkpoint& ckpt,
+                                    const Checkpoint::SectionFilter& keep,
+                                    const std::vector<uint8_t>& cell_down);
+// Its inverse: reads the blob as a view into `payload` (verifying every section
+// checksum), the bitmap, and rejects trailing bytes. `ckpt` owns its sections, so
+// `payload` may be freed afterwards.
+Status DecodeCkptLoad(span<const uint8_t> payload, size_t num_cells, Checkpoint* ckpt,
+                      std::vector<uint8_t>* cell_down);
+
 class CellHost;
 
 // The orchestrator's view of one worker.
@@ -82,12 +98,15 @@ class CellTransport {
   virtual Status Snapshot(std::vector<FedCellSnapshot>* out) = 0;
   // Writes the hosted cells' "cell<i>/" sections into a fresh `out`.
   virtual Status SaveCheckpoint(Checkpoint* out) = 0;
-  // Restores the hosted cells from a whole-federation checkpoint. `encoded`
-  // carries ckpt's wire encoding across the workers of one restore: the first
-  // wire transport fills it, the rest reuse it; the direct host ignores it.
+  // Restores the hosted cells from a checkpoint holding (at least) their
+  // sections, in two halves like a step so every worker loads at once:
+  // LoadCheckpoint hands the restore over, FinishLoad reports how it went. The
+  // direct host restores from `ckpt` in place; a wire transport sends the worker
+  // only its own cells' sections, encoded straight into the request frame, and
+  // frees that frame once sent. Missing sections fail before any state changes.
   virtual Status LoadCheckpoint(const Checkpoint& ckpt,
-                                const std::vector<uint8_t>& cell_down,
-                                std::vector<uint8_t>* encoded) = 0;
+                                const std::vector<uint8_t>& cell_down) = 0;
+  virtual Status FinishLoad() = 0;
 
   // The link itself failed (peer gone, deadline, malformed reply) — as opposed
   // to the worker refusing an op.
@@ -110,6 +129,11 @@ class CellHost final : public CellTransport {
   CellHost(const FederationConfig& config, int worker_index, int num_workers);
 
   int num_cells() const { return config_.num_cells; }
+  // Whether cell `cell_index` lives in this worker.
+  bool hosts(int cell_index) const {
+    return cell_index >= 0 && cell_index < config_.num_cells &&
+           cell_index % num_workers_ == worker_index_;
+  }
   Deployment& cell(int cell_index);
 
   Result<int> AttachDriver(int origin_cell, const QueryDriverParams& params) override;
@@ -118,8 +142,9 @@ class CellHost final : public CellTransport {
   Status FinishStep(CellOutput* out) override;
   Status Snapshot(std::vector<FedCellSnapshot>* out) override;
   Status SaveCheckpoint(Checkpoint* out) override;
-  Status LoadCheckpoint(const Checkpoint& ckpt, const std::vector<uint8_t>& cell_down,
-                        std::vector<uint8_t>* encoded) override;
+  Status LoadCheckpoint(const Checkpoint& ckpt,
+                        const std::vector<uint8_t>& cell_down) override;
+  Status FinishLoad() override { return OkStatus(); }
   CellHost* local_host() override { return this; }
 
  private:
@@ -162,8 +187,9 @@ class FrameTransport final : public CellTransport {
   Status FinishStep(CellOutput* out) override;
   Status Snapshot(std::vector<FedCellSnapshot>* out) override;
   Status SaveCheckpoint(Checkpoint* out) override;
-  Status LoadCheckpoint(const Checkpoint& ckpt, const std::vector<uint8_t>& cell_down,
-                        std::vector<uint8_t>* encoded) override;
+  Status LoadCheckpoint(const Checkpoint& ckpt,
+                        const std::vector<uint8_t>& cell_down) override;
+  Status FinishLoad() override;
   bool broken() const override { return broken_; }
   void Close(bool graceful) override;
   long pid() const override { return pid_; }
@@ -180,7 +206,10 @@ class FrameTransport final : public CellTransport {
 
   std::unique_ptr<FrameChannel> channel_;
   long pid_;
-  int cell_count_ = 0;  // set by Bootstrap
+  // The worker's slot, set by Bootstrap.
+  int cell_count_ = 0;
+  int worker_index_ = 0;
+  int num_workers_ = 1;
   bool broken_ = false;
 };
 
@@ -220,8 +249,9 @@ class CellWorker {
   bool shutdown_requested() const { return shutdown_requested_; }
 
  private:
-  // Routes one request; a non-OK return becomes the kError reply.
-  Status Dispatch(const FedFrame& request, FedFrame* reply);
+  // Routes one request; a non-OK return becomes the kError reply. May free the
+  // request's payload once it is decoded (kCkptLoad).
+  Status Dispatch(FedFrame& request, FedFrame* reply);
   Status Bootstrap(span<const uint8_t> payload);
 
   FrameChannel* channel_;

@@ -930,10 +930,19 @@ Status Deployment::SaveCheckpoint(Checkpoint* out, const std::string& prefix) co
   PRESTO_RETURN_IF_ERROR(add("sim", [&](ByteWriter& w) { return sim_.SaveState(w); }));
   // Nothing partial on failure: sections land in the output only once every
   // subsystem serialized cleanly.
-  for (const Checkpoint::Section& section : staged.sections()) {
-    out->Add(section.name, section.payload);
+  for (Checkpoint::Section& section : staged.TakeSections()) {
+    out->Add(section.name, std::move(section.payload));
   }
   return OkStatus();
+}
+
+std::vector<std::string> Deployment::CheckpointSections() const {
+  std::vector<std::string> names = {"net", "store", "shard_map", "deploy"};
+  for (int p = 0; p < config_.num_proxies; ++p) {
+    names.push_back("proxy/" + std::to_string(p));
+  }
+  names.insert(names.end(), {"sensors", "drivers", "sim"});
+  return names;
 }
 
 Status Deployment::LoadCheckpoint(const Checkpoint& ckpt, const std::string& prefix) {

@@ -303,6 +303,10 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   // the section names ("cell3/sim") for multi-deployment containers.
   Status SaveCheckpoint(Checkpoint* out, const std::string& prefix = "") const;
 
+  // The section names SaveCheckpoint writes (unprefixed), in save order — what a
+  // restore must find before it touches anything.
+  std::vector<std::string> CheckpointSections() const;
+
   // Restores into a *freshly constructed, identically configured* deployment (same
   // config, same AttachQueryDriver calls, Start() already run). Subsystem sections
   // load first; "sim" loads last so restored queue events re-announce into

@@ -1076,15 +1076,21 @@ Status Federation::SaveCheckpoint(Checkpoint* out) const {
     PRESTO_RETURN_IF_ERROR(s);
   }
   // Nothing partial on failure: sections land in the output only once every
-  // worker serialized cleanly. Cell-index section order regardless of worker
-  // layout; the trailing '/' keeps "cell1/" from matching "cell10/...".
-  for (int c = 0; c < config_.num_cells; ++c) {
-    const std::string prefix = "cell" + std::to_string(c) + "/";
-    for (const Checkpoint::Section& section :
-         subs[static_cast<size_t>(WorkerOf(c))].sections()) {
-      if (section.name.compare(0, prefix.size(), prefix) == 0) {
-        out->Add(section.name, section.payload);
+  // worker serialized cleanly. They move (never copy) into cell-index order
+  // regardless of worker layout, each cell's in its worker's save order.
+  std::vector<std::vector<Checkpoint::Section>> by_cell(
+      static_cast<size_t>(config_.num_cells));
+  for (int w = 0; w < num_workers(); ++w) {
+    for (Checkpoint::Section& section : subs[static_cast<size_t>(w)].TakeSections()) {
+      const int c = CheckpointSectionCell(section.name);
+      if (c >= 0 && c < config_.num_cells && WorkerOf(c) == w) {
+        by_cell[static_cast<size_t>(c)].push_back(std::move(section));
       }
+    }
+  }
+  for (std::vector<Checkpoint::Section>& sections : by_cell) {
+    for (Checkpoint::Section& section : sections) {
+      out->Add(section.name, std::move(section.payload));
     }
   }
   // Orchestrator-only state: the federation clock, barrier-sequence hash,
@@ -1132,19 +1138,35 @@ Status Federation::LoadCheckpoint(const Checkpoint& ckpt) {
     return DataLossError("checkpoint section fed has trailing bytes");
   }
   // Each worker restores its cells from the same container, whatever the
-  // transport — live migration is just "bootstrap, then load".
-  std::vector<uint8_t> encoded;
-  for (int w = 0; w < num_workers(); ++w) {
-    Worker& worker = workers_[static_cast<size_t>(w)];
+  // transport — live migration is just "bootstrap, then load". Restores fan out
+  // like steps: post every worker its cells, then collect every reply, so wire
+  // workers load concurrently.
+  for (const Worker& worker : workers_) {
     if (!worker.alive) {
       return FailedPreconditionError("federation restore: a cell worker died");
     }
-    const Status s = worker.transport->LoadCheckpoint(ckpt, cell_down_, &encoded);
-    if (worker.transport->broken()) {
+  }
+  Status restored = OkStatus();
+  int posted = 0;  // workers [0, posted) owe a reply, even after a failed post
+  while (posted < num_workers()) {
+    restored = workers_[static_cast<size_t>(posted)].transport->LoadCheckpoint(
+        ckpt, cell_down_);
+    if (!restored.ok()) {
+      break;
+    }
+    ++posted;
+  }
+  for (int w = 0; w < num_workers(); ++w) {
+    CellTransport& transport = *workers_[static_cast<size_t>(w)].transport;
+    const Status s = w < posted ? transport.FinishLoad() : OkStatus();
+    if (transport.broken()) {
       MarkWorkerDead(w);
     }
-    PRESTO_RETURN_IF_ERROR(s);
+    if (restored.ok()) {
+      restored = s;
+    }
   }
+  PRESTO_RETURN_IF_ERROR(restored);
   for (std::vector<FedMail>& box : route_) {
     box.clear();
   }
@@ -1185,9 +1207,10 @@ Status Federation::MigrateWorkerEndpoint(int w, const FedEndpoint& endpoint) {
   if (!worker.alive) {
     return FailedPreconditionError("federation migrate: worker is already dead");
   }
-  // The migration payload is the full federation checkpoint — the same bytes a
-  // fork-mode restore reads. SaveCheckpoint enforces its own preconditions
-  // (every worker alive, no host probe in flight).
+  // The migration payload is the federation checkpoint — of which, as in any
+  // restore, the new endpoint receives only its own cells' sections.
+  // SaveCheckpoint enforces its own preconditions (every worker alive, no host
+  // probe in flight).
   Checkpoint ckpt;
   PRESTO_RETURN_IF_ERROR(SaveCheckpoint(&ckpt));
   // Decommission the old endpoint (best effort: the peer may already be gone),
@@ -1204,8 +1227,10 @@ Status Federation::MigrateWorkerEndpoint(int w, const FedEndpoint& endpoint) {
     s = UnavailableError("federation migrate: start failed on the new worker");
   }
   if (s.ok()) {
-    std::vector<uint8_t> encoded;
-    s = worker.transport->LoadCheckpoint(ckpt, cell_down_, &encoded);
+    s = worker.transport->LoadCheckpoint(ckpt, cell_down_);
+  }
+  if (s.ok()) {
+    s = worker.transport->FinishLoad();
   }
   if (!s.ok()) {
     // Same containment path as any worker death: mark cells down, tell

@@ -473,8 +473,8 @@ class Federation {
 
   // Live migration (socket mode): checkpoints the whole federation, shuts the
   // worker's old channel down, connects/handshakes/bootstraps `endpoint`, and
-  // restores worker w from the very bytes fork-mode workers bootstrap from —
-  // the same bytes over a different fd. Requires every worker alive and no
+  // restores worker w exactly as a fork-mode restore would — its own cells'
+  // sections of that checkpoint, over a different fd. Requires every worker alive and no
   // probe in flight (SaveCheckpoint's contract). On a dead endpoint the worker
   // is marked dead (contained cell failure) and the error returned.
   Status MigrateWorkerEndpoint(int w, const FedEndpoint& endpoint);
@@ -499,7 +499,9 @@ class Federation {
   // Inverse of SaveCheckpoint, into a freshly constructed federation with the same
   // FederationConfig (cell_threads / cell_processes may differ) and the same
   // AttachDriver calls, after Start(). Router state restores before each cell's
-  // simulator, so restored events re-announce into fully rebuilt tables.
+  // simulator, so restored events re-announce into fully rebuilt tables. Every
+  // worker is handed its cells before any reply is awaited (a wire worker gets
+  // only its own cells' sections), so worker processes load concurrently.
   Status LoadCheckpoint(const Checkpoint& ckpt);
 
  private:

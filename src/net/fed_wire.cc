@@ -7,6 +7,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -404,14 +405,17 @@ std::chrono::steady_clock::time_point FrameChannel::FrameCutoff() const {
   return WireClock::now() + std::chrono::microseconds(deadline_);
 }
 
-Status FrameChannel::WriteAll(const uint8_t* data, size_t size,
+Status FrameChannel::WriteAll(struct iovec* iov, int count,
                               std::chrono::steady_clock::time_point deadline) {
   if (fd_ < 0) {
     return UnavailableError("fed_wire: channel closed");
   }
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::send(fd_, data + done, size - done, MSG_NOSIGNAL);
+  while (count > 0) {
+    struct msghdr msg;
+    std::memset(&msg, 0, sizeof(msg));
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<size_t>(count);
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
@@ -422,7 +426,17 @@ Status FrameChannel::WriteAll(const uint8_t* data, size_t size,
       }
       return UnavailableError("fed_wire: send failed (peer gone?)");
     }
-    done += static_cast<size_t>(n);
+    // Drop what went out; a short write may end inside either buffer.
+    size_t sent = static_cast<size_t>(n);
+    while (count > 0 && sent >= iov->iov_len) {
+      sent -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + sent;
+      iov->iov_len -= sent;
+    }
   }
   return OkStatus();
 }
@@ -458,11 +472,19 @@ Status FrameChannel::ReadAll(uint8_t* data, size_t size, bool* eof_at_start,
 }
 
 Status FrameChannel::Send(const FedFrame& frame) {
-  auto encoded = EncodeFedFrame(frame);
-  if (!encoded.ok()) {
-    return encoded.status();
+  if (frame.payload.size() > kMaxFedFramePayload) {
+    return ResourceExhaustedError("fed_wire: frame payload exceeds the cap");
   }
-  return WriteAll(encoded->data(), encoded->size(), FrameCutoff());
+  // Header and payload leave in one sendmsg, straight from the caller's buffer:
+  // the bytes of EncodeFedFrame(frame), without building them.
+  uint8_t header[kHeaderBytes];
+  PutHeader(header, frame.type, static_cast<uint32_t>(frame.payload.size()));
+  struct iovec iov[2];
+  iov[0].iov_base = header;
+  iov[0].iov_len = sizeof(header);
+  iov[1].iov_base = const_cast<uint8_t*>(frame.payload.data());
+  iov[1].iov_len = frame.payload.size();
+  return WriteAll(iov, frame.payload.empty() ? 1 : 2, FrameCutoff());
 }
 
 Result<FedFrame> FrameChannel::Recv() {

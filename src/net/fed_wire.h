@@ -36,6 +36,8 @@
 #include "src/util/sim_time.h"
 #include "src/util/span.h"
 
+struct iovec;
+
 namespace presto {
 
 // Version 2 added the kHello handshake frame (the TCP listen/connect bootstrap);
@@ -65,7 +67,10 @@ enum class FedFrameType : uint8_t {
   kMigrateSensor = 12,  // cell + global sensor index + new owner proxy
   kSnapshot = 13,     // fold request: counters, fingerprints, trunks, drivers
   kCkptSave = 14,     // reply: encoded Checkpoint of the hosted cells
-  kCkptLoad = 15,     // encoded Checkpoint + down flags: restore hosted cells
+  // Encoded Checkpoint holding exactly the worker's hosted cells' sections (each
+  // worker receives only its own; any other cell's section is refused) + the
+  // cell-down bitmap: restore the hosted cells.
+  kCkptLoad = 15,
   kShutdown = 16,     // clean exit; worker replies kAck then leaves its loop
   kHello = 17,        // handshake: advertised version + cell assignment echo
 };
@@ -155,8 +160,10 @@ Result<FedHello> FedHelloServer(FrameChannel& channel);
 // Blocking frame transport over one end of a socketpair or a connected TCP fd.
 // Send/Recv run full write/read loops (short transfers and EINTR handled); a
 // peer that closed or crashed surfaces as a non-OK Status from either side,
-// never a signal (MSG_NOSIGNAL) or an abort. Not thread-safe: each channel has
-// one owner.
+// never a signal (MSG_NOSIGNAL) or an abort. Send writes header and payload with
+// one sendmsg from the frame itself — no encoded copy of the frame is built, so a
+// checkpoint-sized payload crosses with one copy per hop. Not thread-safe: each
+// channel has one owner.
 class FrameChannel {
  public:
   explicit FrameChannel(int fd) : fd_(fd) {}
@@ -184,7 +191,8 @@ class FrameChannel {
   void Close();
 
  private:
-  Status WriteAll(const uint8_t* data, size_t size,
+  // Writes the `count` buffers of `iov` whole, advancing it past short writes.
+  Status WriteAll(struct iovec* iov, int count,
                   std::chrono::steady_clock::time_point deadline);
   // Reads exactly `size` bytes. `*eof_at_start` reports a clean EOF before any
   // byte arrived (peer exited between frames) vs. a mid-frame truncation.

@@ -164,7 +164,7 @@ Result<int64_t> ByteReader::ReadVarI64() {
   return static_cast<int64_t>((*zigzag >> 1) ^ (~(*zigzag & 1) + 1));
 }
 
-Result<std::vector<uint8_t>> ByteReader::ReadBytes() {
+Result<span<const uint8_t>> ByteReader::ReadByteSpan() {
   auto len = ReadVarU64();
   if (!len.ok()) {
     return len.status();
@@ -172,10 +172,17 @@ Result<std::vector<uint8_t>> ByteReader::ReadBytes() {
   if (!Need(*len)) {
     return OutOfRangeError("ByteReader: truncated byte array");
   }
-  std::vector<uint8_t> out(data_.begin() + static_cast<ptrdiff_t>(pos_),
-                           data_.begin() + static_cast<ptrdiff_t>(pos_ + *len));
-  pos_ += *len;
+  const span<const uint8_t> out = data_.subspan(pos_, static_cast<size_t>(*len));
+  pos_ += static_cast<size_t>(*len);
   return out;
+}
+
+Result<std::vector<uint8_t>> ByteReader::ReadBytes() {
+  auto bytes = ReadByteSpan();
+  if (!bytes.ok()) {
+    return bytes.status();
+  }
+  return std::vector<uint8_t>(bytes->begin(), bytes->end());
 }
 
 Result<std::string> ByteReader::ReadString() {

@@ -47,6 +47,10 @@ class ByteWriter {
   void WriteBytes(span<const uint8_t> bytes);
   void WriteString(const std::string& s);
 
+  // Room for `bytes` more without reallocating: an encoder that knows its size
+  // writes into one allocation of exactly that size.
+  void Reserve(size_t bytes) { buffer_.reserve(buffer_.size() + bytes); }
+
   size_t size() const { return buffer_.size(); }
   const std::vector<uint8_t>& buffer() const { return buffer_; }
   std::vector<uint8_t> TakeBuffer() { return std::move(buffer_); }
@@ -71,6 +75,8 @@ class ByteReader {
   Result<uint64_t> ReadVarU64();
   Result<int64_t> ReadVarI64();
   Result<std::vector<uint8_t>> ReadBytes();
+  // ReadBytes without the copy: a view into the reader's data.
+  Result<span<const uint8_t>> ReadByteSpan();
   Result<std::string> ReadString();
 
   size_t remaining() const { return data_.size() - pos_; }

@@ -1,12 +1,17 @@
 #include "src/util/ckpt.h"
 
 #include <cstdio>
+#include <utility>
 
 namespace presto {
 namespace {
 
 constexpr uint32_t kSnapshotMagic = 0x314b4350;  // "PCK1" little-endian
 constexpr uint32_t kDiffMagic = 0x444b4350;      // "PCKD" little-endian
+
+bool Keeps(const Checkpoint::SectionFilter& keep, const std::string& name) {
+  return keep == nullptr || keep(name);
+}
 
 }  // namespace
 
@@ -39,16 +44,46 @@ uint64_t Checkpoint::Digest() const {
   return fp;
 }
 
-std::vector<uint8_t> Checkpoint::Encode() const {
-  ByteWriter w;
+std::vector<Checkpoint::Section> Checkpoint::TakeSections() {
+  index_.clear();
+  return std::exchange(sections_, {});
+}
+
+size_t Checkpoint::EncodedSize(const SectionFilter& keep) const {
+  size_t count = 0;
+  size_t bytes = 4 + 4;  // magic, version
+  for (const Section& s : sections_) {
+    if (Keeps(keep, s.name)) {
+      ++count;
+      bytes += static_cast<size_t>(VarU64Bytes(s.name.size())) + s.name.size() +
+               static_cast<size_t>(VarU64Bytes(s.payload.size())) + s.payload.size() +
+               8;  // checksum
+    }
+  }
+  return bytes + static_cast<size_t>(VarU64Bytes(count));
+}
+
+void Checkpoint::EncodeTo(ByteWriter& w, const SectionFilter& keep) const {
+  size_t count = 0;
+  for (const Section& s : sections_) {
+    count += Keeps(keep, s.name) ? 1 : 0;
+  }
   w.WriteU32(kSnapshotMagic);
   w.WriteU32(kVersion);
-  w.WriteVarU64(sections_.size());
+  w.WriteVarU64(count);
   for (const Section& s : sections_) {
-    w.WriteString(s.name);
-    w.WriteBytes(span<const uint8_t>(s.payload));
-    w.WriteU64(CkptChecksum(span<const uint8_t>(s.payload)));
+    if (Keeps(keep, s.name)) {
+      w.WriteString(s.name);
+      w.WriteBytes(span<const uint8_t>(s.payload));
+      w.WriteU64(CkptChecksum(span<const uint8_t>(s.payload)));
+    }
   }
+}
+
+std::vector<uint8_t> Checkpoint::Encode(const SectionFilter& keep) const {
+  ByteWriter w;
+  w.Reserve(EncodedSize(keep));
+  EncodeTo(w, keep);
   return w.TakeBuffer();
 }
 
@@ -76,7 +111,8 @@ Result<Checkpoint> Checkpoint::Decode(span<const uint8_t> data) {
     if (!name.ok()) {
       return name.status();
     }
-    auto payload = r.ReadBytes();
+    // Verified in place: only a good payload is copied out of `data`.
+    auto payload = r.ReadByteSpan();
     if (!payload.ok()) {
       return payload.status();
     }
@@ -84,10 +120,10 @@ Result<Checkpoint> Checkpoint::Decode(span<const uint8_t> data) {
     if (!checksum.ok()) {
       return checksum.status();
     }
-    if (CkptChecksum(span<const uint8_t>(*payload)) != *checksum) {
+    if (CkptChecksum(*payload) != *checksum) {
       return DataLossError("ckpt: checksum mismatch in section '" + *name + "'");
     }
-    out.Add(*name, std::move(*payload));
+    out.Add(*name, std::vector<uint8_t>(payload->begin(), payload->end()));
   }
   return out;
 }

@@ -21,6 +21,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <string>
 #include <type_traits>
@@ -392,9 +393,22 @@ class Checkpoint {
   // diff base pinning and quick equality checks.
   uint64_t Digest() const;
 
+  // Moves every section out (in order), leaving the checkpoint empty — how a
+  // composer splices sections into another checkpoint without copying them.
+  std::vector<Section> TakeSections();
+
+  // Picks sections by name for a partial encode; an empty filter keeps all.
+  using SectionFilter = std::function<bool(const std::string& name)>;
+
   // Full snapshot framing: "PCK1" magic, version, section table with per-section
-  // FNV checksums.
-  std::vector<uint8_t> Encode() const;
+  // FNV checksums. With `keep`, only the sections it accepts, in section order —
+  // byte for byte what Encode() gives for a checkpoint holding just those. The
+  // result is one allocation of exactly EncodedSize(keep) bytes.
+  std::vector<uint8_t> Encode(const SectionFilter& keep = nullptr) const;
+  size_t EncodedSize(const SectionFilter& keep = nullptr) const;
+  // Appends Encode(keep)'s bytes to `w` — to frame a checkpoint inside a larger
+  // message without an intermediate buffer.
+  void EncodeTo(ByteWriter& w, const SectionFilter& keep = nullptr) const;
 
   // Parses and verifies a full snapshot. Every section checksum is checked before any
   // state is handed back — a corrupted section fails the whole decode with its name.

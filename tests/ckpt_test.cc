@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/core/deployment.h"
@@ -218,6 +219,101 @@ TEST(DeploymentCheckpointTest, DiffApplyEqualsFullRestore) {
   deployment.RunUntil(end);
   EXPECT_EQ(deployment.sim().fingerprint(), fp_cont)
       << "restoring base + diff must equal restoring the full second snapshot";
+}
+
+// ---------- container encoding ----------
+
+// Sections of assorted sizes, including an empty payload and a name long enough
+// for a two-byte length prefix.
+Checkpoint MixedCheckpoint() {
+  Checkpoint ckpt;
+  const std::vector<std::pair<std::string, size_t>> shapes = {
+      {"cell0/net", 300}, {"cell0/fed", 0},     {"cell1/net", 1},
+      {"cell10/sim", 70000}, {std::string(130, 'x'), 5}, {"fed", 129}};
+  uint8_t next = 1;
+  for (const auto& [name, size] : shapes) {
+    std::vector<uint8_t> payload(size);
+    for (uint8_t& b : payload) {
+      b = next;
+      next = static_cast<uint8_t>(next * 31 + 7);
+    }
+    ckpt.Add(name, std::move(payload));
+  }
+  return ckpt;
+}
+
+TEST(CheckpointEncodeTest, FilteredEncodeEqualsEncodeOfTheKeptSections) {
+  const Checkpoint full = MixedCheckpoint();
+  const std::vector<std::pair<std::string, Checkpoint::SectionFilter>> filters = {
+      {"none", [](const std::string&) { return false; }},
+      {"one", [](const std::string& name) { return name == "cell10/sim"; }},
+      {"cell0", [](const std::string& name) { return name.rfind("cell0/", 0) == 0; }},
+      {"all", [](const std::string&) { return true; }},
+      {"null", nullptr},
+  };
+  for (const auto& [label, keep] : filters) {
+    SCOPED_TRACE(label);
+    Checkpoint only;
+    for (const Checkpoint::Section& section : full.sections()) {
+      if (keep == nullptr || keep(section.name)) {
+        only.Add(section.name, section.payload);
+      }
+    }
+    const std::vector<uint8_t> bytes = full.Encode(keep);
+    EXPECT_EQ(bytes, only.Encode()) << "same bytes, same section order";
+    EXPECT_EQ(bytes.size(), full.EncodedSize(keep));
+    EXPECT_EQ(bytes.capacity(), bytes.size()) << "one exact-size allocation";
+    // EncodeTo appends the same bytes behind whatever the writer holds.
+    ByteWriter w;
+    w.WriteU8(0xab);
+    full.EncodeTo(w, keep);
+    ASSERT_EQ(w.size(), bytes.size() + 1);
+    EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), w.buffer().begin() + 1));
+
+    auto decoded = Checkpoint::Decode(span<const uint8_t>(bytes));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+    ASSERT_EQ(decoded->sections().size(), only.sections().size());
+    for (size_t i = 0; i < only.sections().size(); ++i) {
+      EXPECT_EQ(decoded->sections()[i].name, only.sections()[i].name);
+      EXPECT_EQ(decoded->sections()[i].payload, only.sections()[i].payload);
+    }
+    EXPECT_EQ(decoded->Digest(), only.Digest());
+  }
+}
+
+TEST(CheckpointEncodeTest, DeploymentEncodeIsExactSizeAndTakeSectionsMovesInOrder) {
+  Checkpoint ckpt;
+  {
+    Deployment deployment(CkptDeploymentConfig(1));
+    deployment.Start();
+    deployment.RunUntil(Minutes(30));
+    ASSERT_TRUE(deployment.SaveCheckpoint(&ckpt, "cell3/").ok());
+    // CheckpointSections names exactly what SaveCheckpoint wrote, in order.
+    const std::vector<std::string> names = deployment.CheckpointSections();
+    ASSERT_EQ(names.size(), ckpt.sections().size());
+    for (size_t i = 0; i < names.size(); ++i) {
+      EXPECT_EQ(ckpt.sections()[i].name, "cell3/" + names[i]);
+    }
+  }
+  const std::vector<uint8_t> bytes = ckpt.Encode();
+  EXPECT_EQ(bytes.size(), ckpt.EncodedSize());
+  EXPECT_EQ(bytes.capacity(), bytes.size());
+
+  const uint64_t digest = ckpt.Digest();
+  const std::vector<Checkpoint::Section> copy = ckpt.sections();
+  std::vector<Checkpoint::Section> taken = ckpt.TakeSections();
+  EXPECT_TRUE(ckpt.sections().empty());
+  EXPECT_EQ(ckpt.Find(copy.front().name), nullptr) << "the index empties too";
+  EXPECT_EQ(ckpt.Encode(), Checkpoint().Encode());
+  ASSERT_EQ(taken.size(), copy.size());
+  Checkpoint rebuilt;
+  for (size_t i = 0; i < taken.size(); ++i) {
+    EXPECT_EQ(taken[i].name, copy[i].name);
+    EXPECT_EQ(taken[i].payload, copy[i].payload);
+    rebuilt.Add(taken[i].name, std::move(taken[i].payload));
+  }
+  EXPECT_EQ(rebuilt.Digest(), digest);
+  EXPECT_EQ(rebuilt.Encode(), bytes);
 }
 
 // ---------- corruption and divergence naming ----------

@@ -7,8 +7,9 @@
 // seeded Pcg32 mutation engine over corpora of *valid* captured encodings and
 // assert that invariant across every decoder on the seam: DecodeFedFrame,
 // FrameChannel::Recv (over a real socketpair), DecodeFedHello, the FedMail and
-// cell-bitmap codecs, DecodeFedControlReply, and DecodeCellControl (the control
-// ops' payloads). Seeds are fixed, so a failure
+// cell-bitmap codecs, DecodeFedControlReply, DecodeCellControl (the control
+// ops' payloads), and DecodeCkptLoad (the restore handoff: blob span +
+// Checkpoint::Decode + bitmap + trailing bytes). Seeds are fixed, so a failure
 // reproduces exactly; CI runs this under ASan/UBSan where "never crash" has
 // teeth.
 
@@ -19,6 +20,7 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/core/cell_worker.h"
@@ -49,6 +51,18 @@ std::vector<uint8_t> MustEncode(const FedFrame& frame) {
   auto encoded = EncodeFedFrame(frame);
   EXPECT_TRUE(encoded.ok()) << encoded.status().message();
   return *encoded;
+}
+
+// A small federation-shaped checkpoint: per-cell sections plus the orchestrator's.
+Checkpoint SmallFederationCheckpoint() {
+  Checkpoint ckpt;
+  for (int c = 0; c < 3; ++c) {
+    const std::string prefix = "cell" + std::to_string(c) + "/";
+    ckpt.Add(prefix + "sim", std::vector<uint8_t>(40 + 17 * c, static_cast<uint8_t>(c)));
+    ckpt.Add(prefix + "fed", std::vector<uint8_t>{1, 2, static_cast<uint8_t>(c)});
+  }
+  ckpt.Add("fed", std::vector<uint8_t>(9, 0xee));
+  return ckpt;
 }
 
 // A corpus of valid frames covering every type and the payload shapes the real
@@ -103,11 +117,7 @@ std::vector<std::vector<uint8_t>> FrameCorpus() {
   {
     FedFrame load;
     load.type = FedFrameType::kCkptLoad;
-    ByteWriter w;
-    const std::vector<uint8_t> blob(257, 0xc3);
-    w.WriteBytes(span<const uint8_t>(blob));
-    WriteCellBitmap(w, {1, 0, 0, 1, 0, 1});
-    load.payload = w.TakeBuffer();
+    load.payload = EncodeCkptLoad(SmallFederationCheckpoint(), nullptr, {1, 0, 0});
     corpus.push_back(MustEncode(load));
   }
   return corpus;
@@ -331,6 +341,74 @@ TEST(FedWireFuzzTest, ControlOpCodecRoundTripsAndSurvivesMutations) {
     const auto type = types[rng.Below(sizeof(types) / sizeof(types[0]))];
     (void)DecodeCellControl(type, span<const uint8_t>(bytes), &out);
   }
+}
+
+TEST(FedWireFuzzTest, CkptLoadCodecRoundTripsAndSurvivesMutations) {
+  // The restore handoff payload: round trips exactly for every section subset
+  // the orchestrator sends, and a mutated payload decodes to a well-formed
+  // checkpoint + bitmap or a typed Status — never a crash or a partial result.
+  const Checkpoint full = SmallFederationCheckpoint();
+  const std::vector<uint8_t> flags = {0, 1, 0};
+  const std::vector<Checkpoint::SectionFilter> filters = {
+      [](const std::string&) { return false; },
+      [](const std::string& name) { return CheckpointSectionCell(name) == 1; },
+      [](const std::string& name) { return CheckpointSectionCell(name) % 2 == 0; },
+      nullptr,
+  };
+  std::vector<std::vector<uint8_t>> seeds;
+  for (const Checkpoint::SectionFilter& keep : filters) {
+    const std::vector<uint8_t> payload = EncodeCkptLoad(full, keep, flags);
+    Checkpoint ckpt;
+    std::vector<uint8_t> down;
+    ASSERT_TRUE(DecodeCkptLoad(span<const uint8_t>(payload), flags.size(), &ckpt,
+                               &down)
+                    .ok());
+    EXPECT_EQ(down, flags);
+    EXPECT_EQ(ckpt.Encode(), full.Encode(keep));
+    EXPECT_EQ(EncodeCkptLoad(ckpt, nullptr, down), payload);
+    seeds.push_back(payload);
+  }
+  {
+    Checkpoint ckpt;
+    std::vector<uint8_t> down;
+    std::vector<uint8_t> trailing = seeds.back();
+    trailing.push_back(0);
+    EXPECT_EQ(DecodeCkptLoad(span<const uint8_t>(trailing), flags.size(), &ckpt, &down)
+                  .code(),
+              StatusCode::kDataLoss);
+    EXPECT_FALSE(DecodeCkptLoad(span<const uint8_t>(seeds.back()), flags.size() + 1,
+                                &ckpt, &down)
+                     .ok())
+        << "a bitmap for the wrong cell count is refused";
+  }
+
+  Pcg32 rng(9173);
+  int accepted = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    const auto bytes = Mutate(rng, seeds[rng.Below(seeds.size())], 0);
+    const size_t num_cells = rng.Below(8) == 0 ? rng.Below(5) : flags.size();
+    Checkpoint ckpt;
+    std::vector<uint8_t> down;
+    const Status s = DecodeCkptLoad(span<const uint8_t>(bytes), num_cells, &ckpt, &down);
+    if (!s.ok()) {
+      EXPECT_NE(s.message(), "");
+      continue;
+    }
+    ++accepted;
+    ASSERT_EQ(down.size(), num_cells);
+    for (const uint8_t flag : down) {
+      ASSERT_LE(flag, 1);
+    }
+    // Whatever was accepted re-encodes to a payload that decodes the same way.
+    const std::vector<uint8_t> again = EncodeCkptLoad(ckpt, nullptr, down);
+    Checkpoint ckpt2;
+    std::vector<uint8_t> down2;
+    ASSERT_TRUE(
+        DecodeCkptLoad(span<const uint8_t>(again), num_cells, &ckpt2, &down2).ok());
+    EXPECT_EQ(ckpt2.Digest(), ckpt.Digest());
+    EXPECT_EQ(down2, down);
+  }
+  EXPECT_GT(accepted, 0) << "some mutations (e.g. name bit flips) stay valid";
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -281,6 +283,72 @@ TEST(FrameChannelTest, ClosedChannelFailsBothDirections) {
   EXPECT_EQ(pair.a->fd(), -1);
   EXPECT_FALSE(pair.a->Send(FedFrame{}).ok());
   EXPECT_FALSE(pair.a->Recv().ok());
+}
+
+// Reads exactly `n` raw bytes from `fd`, slowly: 1, 3, 7, ... byte reads (the
+// first ones land inside the frame header) with a pause before each, capped at
+// 64 KiB. Stops early on EOF or error.
+std::vector<uint8_t> ReadRawSlowly(int fd, size_t n) {
+  std::vector<uint8_t> out(n);
+  size_t done = 0;
+  size_t chunk = 1;
+  while (done < n) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    const ssize_t got = ::recv(fd, out.data() + done, std::min(chunk, n - done), 0);
+    if (got <= 0) {
+      break;
+    }
+    done += static_cast<size_t>(got);
+    chunk = std::min<size_t>(chunk * 2 + 1, 64 << 10);
+  }
+  out.resize(done);
+  return out;
+}
+
+TEST(FrameChannelTest, SendPutsExactlyTheEncodedFrameOnTheWire) {
+  // Send writes header + payload with one sendmsg from the frame itself; the
+  // bytes on the wire must be EncodeFedFrame's. A deadlined (nonblocking) sender
+  // with small socket buffers against a slow reader makes sendmsg return short,
+  // so the loop resumes mid-iovec — wherever the kernel cut.
+  for (const size_t size : {size_t{0}, size_t{1}, size_t{4095}, size_t{4096},
+                            size_t{8} << 20}) {
+    SCOPED_TRACE(size);
+    ChannelPair pair;
+    const int small = 4096;
+    ASSERT_EQ(::setsockopt(pair.a->fd(), SOL_SOCKET, SO_SNDBUF, &small, sizeof(small)),
+              0);
+    ASSERT_EQ(::setsockopt(pair.b->fd(), SOL_SOCKET, SO_RCVBUF, &small, sizeof(small)),
+              0);
+    pair.a->SetDeadline(Seconds(60));
+    FedFrame frame;
+    frame.type = FedFrameType::kCkptLoad;
+    frame.payload.resize(size);
+    for (size_t i = 0; i < size; ++i) {
+      frame.payload[i] = static_cast<uint8_t>((i * 131) ^ (i >> 13));
+    }
+    const std::vector<uint8_t> expected = MustEncode(frame);
+    std::thread sender([&] { EXPECT_TRUE(pair.a->Send(frame).ok()); });
+    const std::vector<uint8_t> raw = ReadRawSlowly(pair.b->fd(), expected.size());
+    sender.join();
+    EXPECT_TRUE(raw == expected) << "wire bytes differ from EncodeFedFrame";
+    // Nothing follows the frame.
+    pair.a->Close();
+    uint8_t extra = 0;
+    EXPECT_EQ(::recv(pair.b->fd(), &extra, 1, 0), 0);
+  }
+}
+
+TEST(FrameChannelTest, SendToAClosedPeerIsUnavailable) {
+  for (const Duration deadline : {Duration{0}, Seconds(5)}) {
+    ChannelPair pair;
+    pair.a->SetDeadline(deadline);
+    pair.b->Close();
+    FedFrame frame;
+    frame.type = FedFrameType::kCkptLoad;
+    frame.payload.assign(1 << 20, 0x5a);
+    const Status sent = pair.a->Send(frame);
+    EXPECT_EQ(sent.code(), StatusCode::kUnavailable) << sent.message();
+  }
 }
 
 // ---------- hello handshake ----------

@@ -9,9 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/cell_worker.h"
@@ -735,6 +739,201 @@ TEST(FederationProcessModeTest, CrossModeCheckpointMigration) {
   EXPECT_EQ(reference.histogram, in_digest.histogram);
   EXPECT_EQ(reference.issued, out_digest.issued);
   EXPECT_EQ(reference.issued, in_digest.issued);
+}
+
+// ---------- restore handoff over the cell seam ----------
+
+// A 4-cell federation's checkpoint after a few minutes, with each cell's
+// simulator fingerprint at the save.
+Checkpoint FourCellCheckpoint(const FederationConfig& config,
+                              std::vector<uint64_t>* fingerprints) {
+  Federation fed(config);
+  fed.Start();
+  fed.RunUntil(Minutes(5));
+  Checkpoint ckpt;
+  EXPECT_TRUE(fed.SaveCheckpoint(&ckpt).ok());
+  for (int c = 0; c < config.num_cells; ++c) {
+    fingerprints->push_back(fed.cell(c).sim().fingerprint());
+  }
+  return ckpt;
+}
+
+TEST(FederationHandoffTest, SectionCellParsesOnlyCanonicalCellPrefixes) {
+  EXPECT_EQ(CheckpointSectionCell("cell0/sim"), 0);
+  EXPECT_EQ(CheckpointSectionCell("cell12/proxy/3"), 12);
+  EXPECT_EQ(CheckpointSectionCell("cell999999999/fed"), 999999999);
+  for (const char* name : {"fed", "cell", "cell1", "cell/sim", "cell01/sim", "cell1x/sim",
+                           "cellA/sim", "Cell1/sim", "cell1234567890/sim", ""}) {
+    EXPECT_EQ(CheckpointSectionCell(name), -1) << name;
+  }
+}
+
+TEST(FederationHandoffTest, CkptLoadFrameCarriesExactlyTheWorkersCells) {
+  // What a restore puts on the wire to worker w: the "cell<i>/" sections with
+  // WorkerOf(i) == w, in the checkpoint's order, byte for byte — nothing of any
+  // other cell and not the orchestrator's "fed" section.
+  const FederationConfig config = SmallFederation(4, 2, 2);
+  std::vector<uint64_t> fingerprints;
+  const Checkpoint ckpt = FourCellCheckpoint(config, &fingerprints);
+  const std::vector<uint8_t> down = {0, 1, 0, 0};
+  for (const int num_workers : {2, 3}) {
+    for (int w = 0; w < num_workers; ++w) {
+      SCOPED_TRACE(std::to_string(w) + " of " + std::to_string(num_workers));
+      int fds[2] = {-1, -1};
+      ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+      FrameChannel worker_end(fds[1]);
+      // A stand-in worker: acks kBootstrap, then records the kCkptLoad payload.
+      std::vector<uint8_t> load_payload;
+      std::thread fake([&] {
+        for (int i = 0; i < 2; ++i) {
+          auto request = worker_end.Recv();
+          if (!request.ok()) {
+            return;
+          }
+          if (request->type == FedFrameType::kCkptLoad) {
+            load_payload = std::move(request->payload);
+          }
+          FedFrame ack;
+          ack.type = FedFrameType::kAck;
+          (void)worker_end.Send(ack);
+        }
+      });
+      {
+        FrameTransport transport(std::make_unique<FrameChannel>(fds[0]), -1);
+        EXPECT_TRUE(transport.Bootstrap(config, w, num_workers).ok());
+        EXPECT_TRUE(transport.LoadCheckpoint(ckpt, down).ok());
+        EXPECT_TRUE(transport.FinishLoad().ok());
+      }
+      fake.join();
+      Checkpoint sent;
+      std::vector<uint8_t> sent_down;
+      ASSERT_TRUE(DecodeCkptLoad(span<const uint8_t>(load_payload), 4, &sent, &sent_down)
+                      .ok());
+      EXPECT_EQ(sent_down, down);
+      std::vector<std::string> expected;
+      for (const Checkpoint::Section& section : ckpt.sections()) {
+        const int c = CheckpointSectionCell(section.name);
+        if (c >= 0 && c % num_workers == w) {
+          expected.push_back(section.name);
+        }
+      }
+      ASSERT_FALSE(expected.empty());
+      ASSERT_EQ(sent.sections().size(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(sent.sections()[i].name, expected[i]);
+        EXPECT_EQ(sent.sections()[i].payload, *ckpt.Find(expected[i]));
+      }
+    }
+  }
+}
+
+TEST(FederationHandoffTest, WorkerRefusesForeignOrMissingSectionsBeforeTouchingState) {
+  // A real frame server (worker 0 of 2: cells 0 and 2) fed hand-built kCkptLoad
+  // frames: a foreign section is InvalidArgument, a missing one DataLoss, and
+  // neither refusal changes a hosted cell. The exact set then restores.
+  const FederationConfig config = SmallFederation(4, 2, 2);
+  std::vector<uint64_t> fingerprints;
+  const Checkpoint ckpt = FourCellCheckpoint(config, &fingerprints);
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  FrameChannel worker_end(fds[1]);
+  std::thread serve([&worker_end] { CellWorker(&worker_end).Serve(); });
+  // The transport bootstraps and snapshots; `raw` shares its socket to send the
+  // hand-built frames (one request at a time, so the replies cannot interleave).
+  FrameChannel raw(::dup(fds[0]));
+  FrameTransport transport(std::make_unique<FrameChannel>(fds[0]), -1);
+  EXPECT_TRUE(transport.Bootstrap(config, 0, 2).ok());
+  CellOutput out;
+  EXPECT_TRUE(transport.Control(CellControl{FedFrameType::kStart}, &out).ok());
+  std::vector<FedCellSnapshot> before;
+  EXPECT_TRUE(transport.Snapshot(&before).ok());
+
+  const auto hosted = [](const std::string& name) {
+    const int c = CheckpointSectionCell(name);
+    return c == 0 || c == 2;
+  };
+  const auto load = [&](const Checkpoint::SectionFilter& keep) -> Status {
+    FedFrame request;
+    request.type = FedFrameType::kCkptLoad;
+    request.payload = EncodeCkptLoad(ckpt, keep, {0, 0, 0, 0});
+    auto reply = raw.Call(request);
+    if (!reply.ok()) {
+      return reply.status();
+    }
+    if (reply->type == FedFrameType::kAck) {
+      return OkStatus();
+    }
+    ByteReader r{span<const uint8_t>(reply->payload)};
+    Status refused = OkStatus();
+    EXPECT_TRUE(CkptRead(r, refused).ok());
+    return refused;
+  };
+  // Foreign: the whole federation, one of cell 1's sections, the orchestrator's.
+  EXPECT_EQ(load(nullptr).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(load([&](const std::string& name) {
+              return hosted(name) || name == "cell1/net";
+            }).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(load([&](const std::string& name) {
+              return hosted(name) || name == "fed";
+            }).code(),
+            StatusCode::kInvalidArgument);
+  // Missing: cell 2's simulator, or cell 0's router (cell 0 would load first).
+  EXPECT_EQ(load([&](const std::string& name) {
+              return hosted(name) && name != "cell2/sim";
+            }).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(load([&](const std::string& name) {
+              return hosted(name) && name != "cell0/fed";
+            }).code(),
+            StatusCode::kDataLoss);
+  std::vector<FedCellSnapshot> after;
+  EXPECT_TRUE(transport.Snapshot(&after).ok());
+  ASSERT_EQ(after.size(), 2u);
+  ASSERT_EQ(before.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(after[i].sim_fingerprint, before[i].sim_fingerprint);
+    EXPECT_EQ(after[i].events, before[i].events);
+  }
+
+  EXPECT_TRUE(load(hosted).ok());
+  std::vector<FedCellSnapshot> restored;
+  EXPECT_TRUE(transport.Snapshot(&restored).ok());
+  ASSERT_EQ(restored.size(), 2u);
+  EXPECT_EQ(restored[0].sim_fingerprint, fingerprints[0]);
+  EXPECT_EQ(restored[1].sim_fingerprint, fingerprints[2]);
+  EXPECT_NE(restored[0].sim_fingerprint, before[0].sim_fingerprint);
+
+  transport.Close(/*graceful=*/true);  // kShutdown: Serve returns
+  raw.Close();
+  serve.join();
+}
+
+TEST(FederationHandoffTest, ARefusedRestoreStillCollectsEveryReply) {
+  // Restores fan out: every worker is posted before any reply is read. When one
+  // worker refuses (cell 2's simulator section is missing), the others' replies
+  // must still be collected — the links stay usable, nobody is marked dead, and
+  // a complete checkpoint then restores the same federation.
+  FederationConfig config = SmallFederation(4, 2, 2);
+  std::vector<uint64_t> fingerprints;
+  const Checkpoint ckpt = FourCellCheckpoint(config, &fingerprints);
+  Checkpoint partial;
+  for (const Checkpoint::Section& section : ckpt.sections()) {
+    if (section.name != "cell2/sim") {
+      partial.Add(section.name, section.payload);
+    }
+  }
+  config.cell_processes = 2;
+  Federation fed(config);
+  fed.Start();
+  const Status refused = fed.LoadCheckpoint(partial);
+  EXPECT_EQ(refused.code(), StatusCode::kDataLoss) << refused.message();
+  EXPECT_TRUE(fed.worker_alive(0));
+  EXPECT_TRUE(fed.worker_alive(1));
+  ASSERT_TRUE(fed.LoadCheckpoint(ckpt).ok());
+  for (int c = 0; c < 4; ++c) {
+    EXPECT_EQ(fed.CellFingerprint(c), fingerprints[static_cast<size_t>(c)]) << c;
+  }
 }
 
 TEST(FederationProcessModeTest, KilledCellOrphansSurviveEveryModePair) {

@@ -125,6 +125,26 @@ TEST(BytesTest, TruncatedVarintFails) {
   EXPECT_FALSE(r.ReadVarU64().ok());
 }
 
+TEST(BytesTest, ByteSpanIsAViewAndBoundsChecked) {
+  ByteWriter w;
+  w.Reserve(16);
+  const size_t capacity = w.buffer().capacity();
+  w.WriteBytes(span<const uint8_t>(std::vector<uint8_t>{7, 8, 9}));
+  w.WriteU8(42);
+  EXPECT_EQ(w.buffer().capacity(), capacity) << "reserved room is used in place";
+  const std::vector<uint8_t> bytes = w.TakeBuffer();
+  ByteReader r(bytes);
+  auto view = r.ReadByteSpan();
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view->data(), bytes.data() + 1) << "no copy";
+  EXPECT_EQ(std::vector<uint8_t>(view->begin(), view->end()),
+            (std::vector<uint8_t>{7, 8, 9}));
+  EXPECT_EQ(*r.ReadU8(), 42);
+  const std::vector<uint8_t> lying = {5, 1, 2};  // claims 5 bytes, has 2
+  ByteReader short_reader(lying);
+  EXPECT_EQ(short_reader.ReadByteSpan().status().code(), StatusCode::kOutOfRange);
+}
+
 // Property: random mixed payloads round-trip exactly.
 class BytesPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 

@@ -8,7 +8,10 @@
 // whose bytes diverge — the bisect starting point (tools/ckpt_bisect.py drives it
 // across a barrier sequence).
 //
-//   presto_ckpt info <file>                 section table, sizes, digest
+//   presto_ckpt info <file>                 section table, sizes, digest, and
+//                                           per-cell byte totals (+ "fed"): a
+//                                           federation restore sends each worker
+//                                           only its cells' sections
 //   presto_ckpt verify <file>               decode + checksum every section
 //   presto_ckpt diff <a> <b>                divergent sections, first = bisect hint
 //   presto_ckpt delta <base> <target> <out> barrier-to-barrier diff (PCKD) file
@@ -19,9 +22,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "src/core/cell_worker.h"
 #include "src/util/ckpt.h"
 
 namespace {
@@ -58,10 +63,25 @@ int Info(const std::string& path) {
     return Fail(path + ": " + ckpt.status().message());
   }
   size_t total = 0;
+  std::map<int, size_t> per_cell;  // payload bytes under "cell<i>/"
   std::printf("%-32s %12s\n", "section", "bytes");
   for (const Checkpoint::Section& section : ckpt->sections()) {
     std::printf("%-32s %12zu\n", section.name.c_str(), section.payload.size());
     total += section.payload.size();
+    const int cell = presto::CheckpointSectionCell(section.name);
+    if (cell >= 0) {
+      per_cell[cell] += section.payload.size();
+    }
+  }
+  // A worker's restore payload is the sum over the cells it hosts.
+  if (!per_cell.empty()) {
+    std::printf("%-32s %12s\n", "cell", "bytes");
+    for (const auto& [cell, bytes] : per_cell) {
+      std::printf("%-32s %12zu\n", ("cell" + std::to_string(cell)).c_str(), bytes);
+    }
+    if (const std::vector<uint8_t>* fed = ckpt->Find("fed")) {
+      std::printf("%-32s %12zu\n", "fed", fed->size());
+    }
   }
   std::printf("%zu sections, %zu payload bytes, digest %016llx\n",
               ckpt->sections().size(), total,
@@ -155,7 +175,7 @@ int Apply(const std::string& base_path, const std::string& delta_path,
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: presto_ckpt info <file>\n"
+               "usage: presto_ckpt info <file>     (sections, per-cell totals)\n"
                "       presto_ckpt verify <file>\n"
                "       presto_ckpt diff <a> <b>\n"
                "       presto_ckpt delta <base> <target> <out>\n"
