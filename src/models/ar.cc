@@ -14,7 +14,7 @@ namespace presto {
 Status ArCore::Fit(const std::vector<double>& values, SimTime last_sample_time,
                    int order) {
   PRESTO_CHECK(order >= 1);
-  cursor_.steps = -1;
+  ResetCaches();
   if (static_cast<int>(values.size()) < std::max(8, 4 * order)) {
     return FailedPreconditionError("AR fit: history too short");
   }
@@ -52,7 +52,6 @@ Status ArCore::Fit(const std::vector<double>& values, SimTime last_sample_time,
   for (double& v : state) {
     v = f32(v);
   }
-  ComputeHorizonStd();
   return OkStatus();
 }
 
@@ -91,27 +90,33 @@ const double* ArCore::RollTo(int64_t k) const {
   return c.buf.data() + c.end;
 }
 
-void ArCore::ComputeHorizonStd() {
-  // psi-weight recursion: psi_0 = 1, psi_j = sum_{i<=min(j,p)} phi_i psi_{j-i}.
-  const int p = static_cast<int>(phi.size());
-  const int horizon = max_forecast_steps;
-  std::vector<double> psi(static_cast<size_t>(horizon) + 1, 0.0);
-  psi[0] = 1.0;
-  for (int j = 1; j <= horizon; ++j) {
-    double v = 0.0;
-    for (int i = 1; i <= std::min(j, p); ++i) {
-      v += phi[static_cast<size_t>(i - 1)] * psi[static_cast<size_t>(j - i)];
-    }
-    psi[static_cast<size_t>(j)] = v;
+void ArCore::ResetCaches() {
+  cursor_.steps = -1;
+  horizon_.Reset();
+}
+
+double ArCore::HorizonStd(int64_t k) const {
+  PRESTO_DCHECK(k >= 1 && k <= max_forecast_steps);
+  HorizonTable& h = horizon_;
+  if (h.stddev.empty()) {
+    h.psi.assign(1, 1.0);
+    h.stddev.assign(1, 0.0);
   }
-  horizon_std.assign(static_cast<size_t>(horizon) + 1, 0.0);
-  double cum = 0.0;
+  // psi-weight recursion: psi_0 = 1, psi_j = sum_{i<=min(j,p)} phi_i psi_{j-i};
+  // stddev[n] = sqrt(min(sigma^2 * sum_{j<n} psi_j^2, 1.5 * marginal^2)).
+  const size_t p = phi.size();
   const double var_cap = marginal_std * marginal_std;
-  for (int k = 1; k <= horizon; ++k) {
-    cum += psi[static_cast<size_t>(k - 1)] * psi[static_cast<size_t>(k - 1)];
-    const double var = std::min(innovation_std * innovation_std * cum, 1.5 * var_cap);
-    horizon_std[static_cast<size_t>(k)] = std::sqrt(var);
+  for (size_t n = h.stddev.size(); n <= static_cast<size_t>(k); ++n) {
+    h.cum += h.psi[n - 1] * h.psi[n - 1];
+    const double var = std::min(innovation_std * innovation_std * h.cum, 1.5 * var_cap);
+    h.stddev.push_back(std::sqrt(var));
+    double v = 0.0;
+    for (size_t i = 1; i <= std::min(n, p); ++i) {
+      v += phi[i - 1] * h.psi[n - i];
+    }
+    h.psi.push_back(v);
   }
+  return h.stddev[static_cast<size_t>(k)];
 }
 
 Prediction ArCore::Forecast(SimTime t) const {
@@ -129,7 +134,7 @@ Prediction ArCore::Forecast(SimTime t) const {
     return Prediction{mean, marginal_std};
   }
   const double newest = RollTo(k)[-1];
-  return Prediction{newest, std::max(horizon_std[static_cast<size_t>(k)], 1e-9)};
+  return Prediction{newest, std::max(HorizonStd(k), 1e-9)};
 }
 
 void ArCore::Anchor(const Sample& s) {
@@ -170,7 +175,7 @@ void ArCore::SerializeTo(ByteWriter* w) const {
 }
 
 Status ArCore::DeserializeFrom(ByteReader* r) {
-  cursor_.steps = -1;
+  ResetCaches();
   auto period = r->ReadVarU64();
   auto order = r->ReadVarU64();
   if (!period.ok() || !order.ok() || *order == 0 || *order > 64) {
@@ -204,7 +209,6 @@ Status ArCore::DeserializeFrom(ByteReader* r) {
     }
     state.push_back(static_cast<double>(*v));
   }
-  ComputeHorizonStd();
   return OkStatus();
 }
 
@@ -344,11 +348,10 @@ void ArCore::SaveCkpt(ByteWriter& w) const {
   CkptWrite(w, marginal_std);
   CkptWrite(w, state);
   CkptWrite(w, state_time);
-  CkptWrite(w, horizon_std);
 }
 
 Status ArCore::LoadCkpt(ByteReader& r) {
-  cursor_.steps = -1;
+  ResetCaches();
   CKPT_READ(r, sample_period);
   CKPT_READ(r, max_forecast_steps);
   CKPT_READ(r, phi);
@@ -357,7 +360,18 @@ Status ArCore::LoadCkpt(ByteReader& r) {
   CKPT_READ(r, marginal_std);
   CKPT_READ(r, state);
   CKPT_READ(r, state_time);
-  CKPT_READ(r, horizon_std);
+  if (sample_period <= 0) {
+    return DataLossError("AR restore: sample period not positive");
+  }
+  if (phi.empty() || phi.size() > 64) {
+    return DataLossError("AR restore: order outside [1, 64]");
+  }
+  if (state.size() != phi.size()) {
+    return DataLossError("AR restore: state window is not one value per coefficient");
+  }
+  if (max_forecast_steps < 1 || max_forecast_steps > 65536) {
+    return DataLossError("AR restore: max_forecast_steps outside [1, 65536]");
+  }
   return OkStatus();
 }
 

@@ -33,9 +33,6 @@ struct ArCore {
   std::vector<double> state;
   SimTime state_time = 0;
 
-  // Cumulative forecast stddev by horizon (index k = k-step-ahead), from psi weights.
-  std::vector<double> horizon_std;
-
   // Fits phi/mean/sigmas from a regular time-ordered series and initializes the state
   // from its tail. `values[i]` is at `start + i * sample_period`.
   Status Fit(const std::vector<double>& values, SimTime last_sample_time, int order);
@@ -44,9 +41,10 @@ struct ArCore {
   // ahead. Rolls a private cursor (the state stepped forward, never the state itself):
   // a request at or past the cursor's step count continues it, an earlier one rebuilds
   // it from `state`. A sensor checking consecutive samples therefore pays one AR step
-  // per check instead of k, with results bit-identical to a cold roll. The cursor is a
-  // mutable cache, so each ArCore is used by one lane only (the sensor's copy, or its
-  // proxy's engine); copies start without one.
+  // per check instead of k, with results bit-identical to a cold roll. The stddev
+  // comes from HorizonStd(k). The cursor and the horizon table are mutable caches, so
+  // each ArCore is used by one lane only (the sensor's copy, or its proxy's engine);
+  // copies start without either.
   Prediction Forecast(SimTime t) const;
 
   // Advances the state to `s.t` (predicting the gap) and pins the newest value to the
@@ -56,7 +54,10 @@ struct ArCore {
   void SerializeTo(ByteWriter* w) const;
   Status DeserializeFrom(ByteReader* r);
 
-  // Full-precision checkpoint codec (the wire form above rounds through f32).
+  // Full-precision checkpoint codec (the wire form above rounds through f32). Only
+  // fitted models are checkpointed, so LoadCkpt refuses, as DataLoss, any state a
+  // forecast cannot run on: sample_period <= 0, an order outside [1, 64], a state
+  // window that is not p values, or max_forecast_steps outside [1, 65536].
   void SaveCkpt(ByteWriter& w) const;
   Status LoadCkpt(ByteReader& r);
 
@@ -77,13 +78,41 @@ struct ArCore {
     }
   };
 
+  // The horizon table: psi[j] and stddev[j] for j < psi.size() == stddev.size()
+  // (stddev[0] unused), with cum = sum of psi[j]^2 over j < stddev.size() - 1. Grown
+  // by HorizonStd one horizon at a time in the order the eager psi-weight recursion
+  // used, so every entry is bit-identical to it. Never serialized or copied.
+  struct HorizonTable {
+    std::vector<double> psi;
+    std::vector<double> stddev;
+    double cum = 0.0;
+
+    HorizonTable() = default;
+    HorizonTable(const HorizonTable&) {}
+    HorizonTable& operator=(const HorizonTable&) {
+      Reset();
+      return *this;
+    }
+    void Reset() {
+      psi.clear();
+      stddev.clear();
+      cum = 0.0;
+    }
+  };
+
+  // Cumulative k-step forecast stddev from the psi weights of phi, for
+  // 1 <= k <= max_forecast_steps. Extends the horizon table only as far as the largest
+  // k asked since the last Fit/install/restore (a sensor only ever asks k = 1).
+  double HorizonStd(int64_t k) const;
   // One AR step from the p values ending at `newest_end` (newest at newest_end[-1]).
   double StepOnce(const double* newest_end) const;
   // Rolls the cursor to k >= 1 steps past state_time; returns one past its newest value.
   const double* RollTo(int64_t k) const;
-  void ComputeHorizonStd();
+  // Drops both caches: Fit, DeserializeFrom and LoadCkpt replace what they derive from.
+  void ResetCaches();
 
   mutable Cursor cursor_;
+  mutable HorizonTable horizon_;
 };
 
 // Plain AR(p) on the observed values.

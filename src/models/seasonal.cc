@@ -232,6 +232,15 @@ Status SeasonalBins::LoadCkpt(ByteReader& r) {
   CKPT_READ(r, period);
   CKPT_READ(r, means);
   CKPT_READ(r, stddevs);
+  if (period <= 0) {
+    return DataLossError("seasonal restore: period not positive");
+  }
+  if (means.empty() || means.size() != stddevs.size()) {
+    return DataLossError("seasonal restore: bins missing or mismatched");
+  }
+  if (static_cast<Duration>(means.size()) > period) {
+    return DataLossError("seasonal restore: more bins than period ticks");
+  }
   return OkStatus();
 }
 

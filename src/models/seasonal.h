@@ -29,7 +29,9 @@ struct SeasonalBins {
   void SerializeTo(ByteWriter* w) const;
   Status DeserializeFrom(ByteReader* r);
 
-  // Full-precision checkpoint codec (the wire form above rounds through f32).
+  // Full-precision checkpoint codec (the wire form above rounds through f32). Only
+  // fitted bins are checkpointed, so LoadCkpt refuses, as DataLoss, a period <= 0,
+  // no bins, mismatched mean/stddev counts, or more bins than the period has ticks.
   void SaveCkpt(ByteWriter& w) const;
   Status LoadCkpt(ByteReader& r);
 };

@@ -379,7 +379,8 @@ class Checkpoint {
   // not archival data, so no cross-version migration is attempted. v2: the
   // federation "fed" section moved to the process-seam layout (per-cell FedCell
   // blobs under "cell<i>/fed", payload-carrying trunk mail, cell-down bitmap).
-  static constexpr uint32_t kVersion = 2;
+  // v3: AR model state drops the derived horizon_std table (rebuilt on demand).
+  static constexpr uint32_t kVersion = 3;
 
   // Appends (or replaces) a named section.
   void Add(const std::string& name, std::vector<uint8_t> payload);

@@ -281,6 +281,35 @@ TEST(CheckpointEncodeTest, FilteredEncodeEqualsEncodeOfTheKeptSections) {
   }
 }
 
+// Checkpoints are version-pinned: a snapshot or diff of the previous version (v2 AR
+// model states still carry the horizon table) is refused with a typed error, never
+// parsed as the current one.
+TEST(CheckpointEncodeTest, PreviousVersionIsRefused) {
+  const uint32_t previous = Checkpoint::kVersion - 1;
+  const Checkpoint ckpt = MixedCheckpoint();
+  auto with_version = [](std::vector<uint8_t> bytes, uint32_t version) {
+    ByteWriter w;
+    w.WriteU32(version);
+    std::copy(w.buffer().begin(), w.buffer().end(), bytes.begin() + 4);
+    return bytes;
+  };
+  const std::vector<uint8_t> snapshot = ckpt.Encode();
+  ASSERT_EQ(with_version(snapshot, Checkpoint::kVersion), snapshot)
+      << "version follows the magic";
+  auto old = Checkpoint::Decode(span<const uint8_t>(with_version(snapshot, previous)));
+  ASSERT_FALSE(old.ok());
+  EXPECT_EQ(old.status().code(), StatusCode::kInvalidArgument);
+
+  Checkpoint changed = ckpt;
+  changed.Add("cell0/sim", {1, 2, 3});
+  const std::vector<uint8_t> diff = changed.EncodeDiffFrom(ckpt);
+  ASSERT_EQ(with_version(diff, Checkpoint::kVersion), diff);
+  auto old_diff =
+      Checkpoint::ApplyDiff(ckpt, span<const uint8_t>(with_version(diff, previous)));
+  ASSERT_FALSE(old_diff.ok());
+  EXPECT_EQ(old_diff.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(CheckpointEncodeTest, DeploymentEncodeIsExactSizeAndTakeSectionsMovesInOrder) {
   Checkpoint ckpt;
   {

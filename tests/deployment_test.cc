@@ -982,6 +982,61 @@ TEST(LaneEngineDeploymentTest, DigestIdenticalAcrossWorkerCounts) {
   EXPECT_TRUE(eight == again);
 }
 
+// Past a day of warmup most sensors run a fitted model that their proxy mirrors, and
+// NOW queries on stale caches are answered from multi-step proxy forecasts. Each
+// model copy's forecast cursor and horizon table are mutable caches behind const
+// methods, pinned to the lane that owns the copy: the threaded run must match the
+// single-worker one bit for bit (and, under TSan, race-free).
+ReplayDigest RunLaneEngineModelScenario(int threads, uint64_t* extrapolated) {
+  DeploymentConfig config;
+  config.num_proxies = 2;
+  config.sensors_per_proxy = 8;
+  config.lane_engine = true;
+  config.sim_threads = threads;
+  config.sim_epoch = Seconds(2);
+  config.seed = 359;
+  Deployment deployment(config);
+  deployment.Start();
+  deployment.RunUntil(Hours(27));
+
+  ReplayDigest digest;
+  *extrapolated = 0;
+  for (int round = 0; round < 3; ++round) {
+    deployment.RunUntil(deployment.sim().Now() + Minutes(7));
+    for (int g = 0; g < deployment.total_sensors(); ++g) {
+      UnifiedQueryResult result =
+          deployment.QueryAndWait(NowSpec(deployment.GlobalSensorId(g), 5.0));
+      digest.answers.push_back(result.answer.status.ok() ? result.answer.value : -1e9);
+      digest.answers.push_back(result.answer.error_estimate);
+      *extrapolated += result.answer.source == AnswerSource::kExtrapolated ? 1 : 0;
+    }
+  }
+  int with_model = 0;
+  for (int p = 0; p < config.num_proxies; ++p) {
+    for (int s = 0; s < config.sensors_per_proxy; ++s) {
+      with_model += deployment.sensor(p, s).stats().model_updates > 0 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(2 * with_model, deployment.total_sensors())
+      << "most sensors must run an installed model";
+  digest.fingerprint = deployment.sim().fingerprint();
+  digest.events = deployment.sim().events_executed();
+  digest.energy = deployment.MeanSensorEnergy();
+  digest.messages_sent = deployment.net().stats().messages_sent;
+  return digest;
+}
+
+TEST(LaneEngineDeploymentTest, ModelForecastCachesAreLanePinned) {
+  uint64_t extrapolated_one = 0;
+  uint64_t extrapolated_two = 0;
+  const ReplayDigest one = RunLaneEngineModelScenario(1, &extrapolated_one);
+  const ReplayDigest two = RunLaneEngineModelScenario(2, &extrapolated_two);
+  EXPECT_GT(extrapolated_one, 0u) << "queries must reach the proxies' model forecasts";
+  EXPECT_EQ(extrapolated_one, extrapolated_two);
+  EXPECT_EQ(one.fingerprint, two.fingerprint);
+  EXPECT_TRUE(one == two) << "worker count must not change any observable";
+}
+
 // ---------- barrier-time lane re-binding on migration ----------
 
 TEST(LaneEngineDeploymentTest, MigrationRebindsSensorLaneAndDropsCrossLaneSends) {

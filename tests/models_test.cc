@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/models/ar.h"
@@ -14,6 +18,7 @@
 #include "src/models/seasonal.h"
 #include "src/models/spatial.h"
 #include "src/util/bytes.h"
+#include "src/util/ckpt.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 
@@ -292,6 +297,226 @@ TEST(ArCoreTest, ForecastMatchesNaiveRoll) {
   for (int64_t k = 1; k <= 100; ++k) {
     EXPECT_EQ(core.Forecast(core.state_time + k * kPeriod).value, naive(k)) << k;
   }
+}
+
+// The eager psi-weight table that HorizonStd grows lazily, kept as its oracle:
+// table[k] is the k-step-ahead stddev for every k in [1, max_forecast_steps].
+std::vector<double> EagerHorizonStd(const ArCore& core) {
+  const int p = static_cast<int>(core.phi.size());
+  const int horizon = core.max_forecast_steps;
+  std::vector<double> psi(static_cast<size_t>(horizon) + 1, 0.0);
+  psi[0] = 1.0;
+  for (int j = 1; j <= horizon; ++j) {
+    double v = 0.0;
+    for (int i = 1; i <= std::min(j, p); ++i) {
+      v += core.phi[static_cast<size_t>(i - 1)] * psi[static_cast<size_t>(j - i)];
+    }
+    psi[static_cast<size_t>(j)] = v;
+  }
+  std::vector<double> table(static_cast<size_t>(horizon) + 1, 0.0);
+  double cum = 0.0;
+  const double var_cap = core.marginal_std * core.marginal_std;
+  for (int k = 1; k <= horizon; ++k) {
+    cum += psi[static_cast<size_t>(k - 1)] * psi[static_cast<size_t>(k - 1)];
+    const double var =
+        std::min(core.innovation_std * core.innovation_std * cum, 1.5 * var_cap);
+    table[static_cast<size_t>(k)] = std::sqrt(var);
+  }
+  return table;
+}
+
+// The AR core a fitted (seasonal-)AR model forecasts with, read back from its
+// full-precision checkpoint state (fitted flag, seasonal bins, core).
+ArCore CoreOf(const PredictiveModel& model) {
+  ByteWriter w;
+  model.SaveState(w);
+  ByteReader r(w.buffer());
+  bool fitted = false;
+  EXPECT_TRUE(CkptRead(r, fitted).ok() && fitted);
+  if (model.type() == ModelType::kSeasonalAr) {
+    SeasonalBins bins;
+    EXPECT_TRUE(bins.LoadCkpt(r).ok());
+  }
+  ArCore core;
+  EXPECT_TRUE(core.LoadCkpt(r).ok());
+  return core;
+}
+
+// Every forecast stddev the model gives at `horizons` (grid steps past its state,
+// visited in that order) equals the eager table's entry, bit for bit; past
+// max_forecast_steps it is the marginal sigma.
+void ExpectEagerStddevs(const PredictiveModel& model,
+                        const std::vector<int64_t>& horizons, const std::string& what) {
+  const ArCore core = CoreOf(model);
+  const std::vector<double> eager = EagerHorizonStd(core);
+  for (int64_t k : horizons) {
+    const double want = k > core.max_forecast_steps
+                            ? core.marginal_std
+                            : std::max(eager[static_cast<size_t>(k)], 1e-9);
+    EXPECT_EQ(model.Predict(core.state_time + k * kPeriod).stddev, want)
+        << what << " k=" << k;
+  }
+}
+
+// A hand-built (seasonal-)AR checkpoint state, as SaveModelState lays it out.
+struct ArStateBlob {
+  ModelType type = ModelType::kSeasonalAr;
+  Duration season = Hours(24);
+  std::vector<double> means = std::vector<double>(24, 20.0);
+  std::vector<double> stddevs = std::vector<double>(24, 1.0);
+  Duration period = kPeriod;
+  int max_forecast_steps = 4096;
+  std::vector<double> phi = {0.6, 0.2};
+  double innovation_std = 0.5;
+  double marginal_std = 1.0;
+  std::vector<double> state = {0.5, -0.25};
+
+  std::vector<uint8_t> Encode() const {
+    ByteWriter w;
+    w.WriteU8(static_cast<uint8_t>(type));
+    CkptWrite(w, true);  // fitted
+    if (type == ModelType::kSeasonalAr) {
+      CkptWrite(w, season);
+      CkptWrite(w, means);
+      CkptWrite(w, stddevs);
+    }
+    CkptWrite(w, period);
+    CkptWrite(w, max_forecast_steps);
+    CkptWrite(w, phi);
+    CkptWrite(w, 0.0);  // mean
+    CkptWrite(w, innovation_std);
+    CkptWrite(w, marginal_std);
+    CkptWrite(w, state);
+    CkptWrite(w, Days(3));  // state_time
+    return w.TakeBuffer();
+  }
+};
+
+Result<std::unique_ptr<PredictiveModel>> Restore(const std::vector<uint8_t>& bytes) {
+  ByteReader r(bytes);
+  return LoadModelState(r, TestConfig());
+}
+
+// The lazily grown horizon table against the eager one it replaced: (seasonal-)AR fits
+// of orders 1-8 plus a model whose variance ceiling binds, horizons visited out of
+// order (4097 is past the table), and the same on a clone and a checkpoint copy,
+// which start with empty tables and here grow them one horizon at a time.
+TEST(ArCoreTest, LazyHorizonStdMatchesEagerTable) {
+  const std::vector<int64_t> kOutOfOrder = {4096, 1, 37, 2048, 4097};
+  const std::vector<int64_t> kGrowing = {1, 2, 3, 37, 36, 2048, 4096, 4097};
+  auto check = [&](const PredictiveModel& model, const std::string& what) {
+    ExpectEagerStddevs(model, kOutOfOrder, what);
+    ExpectEagerStddevs(*model.Clone(), kGrowing, what + " clone");
+    ByteWriter w;
+    SaveModelState(w, &model);
+    ByteReader r(w.buffer());
+    auto copy = LoadModelState(r, TestConfig());
+    ASSERT_TRUE(copy.ok()) << what;
+    ExpectEagerStddevs(**copy, kGrowing, what + " restored");
+    ExpectEagerStddevs(model, kGrowing, what + " again");
+  };
+  for (ModelType type : {ModelType::kAr, ModelType::kSeasonalAr}) {
+    for (int order = 1; order <= 8; ++order) {
+      ModelConfig config = TestConfig();
+      config.ar_order = order;
+      std::unique_ptr<PredictiveModel> model = CreateModel(type, config);
+      ASSERT_TRUE(model->Fit(DiurnalSeries()).ok());
+      check(*model, std::string(ModelTypeName(type)) + " order " + std::to_string(order));
+    }
+  }
+
+  // A Yule-Walker fit's sigma^2 * sum(psi^2) tends to the marginal variance, so the
+  // 1.5 * marginal^2 ceiling only binds on a state like this one (sum psi^2 -> 2.38).
+  ArStateBlob blob;
+  blob.type = ModelType::kAr;
+  blob.marginal_std = 0.5;
+  auto capped = Restore(blob.Encode());
+  ASSERT_TRUE(capped.ok()) << capped.status().message();
+  const std::vector<double> eager = EagerHorizonStd(CoreOf(**capped));
+  const double ceiling = std::sqrt(1.5 * blob.marginal_std * blob.marginal_std);
+  ASSERT_LT(eager[1], ceiling);
+  ASSERT_EQ(eager[4096], ceiling) << "the ceiling must bind inside the horizon";
+  check(**capped, "capped");
+}
+
+// A checkpointed model is its parameters and state, not the derived table: well
+// under the 4097-entry table it used to carry (~33 KiB).
+TEST(ArCoreTest, FittedModelStateIsCompact) {
+  std::unique_ptr<PredictiveModel> model =
+      CreateModel(ModelType::kSeasonalAr, TestConfig());
+  const std::vector<Sample> history = DiurnalSeries();
+  ASSERT_TRUE(model->Fit(history).ok());
+  model->Predict(history.back().t + 4096 * kPeriod);  // grows the full table
+  ByteWriter w;
+  model->SaveState(w);
+  EXPECT_LT(w.size(), 1024u);
+}
+
+// Checkpoint bytes come from peers: a model state no forecast can run on decodes to a
+// typed error, never to a model that reads out of bounds or divides by zero.
+TEST(ArCoreTest, MalformedCheckpointStateIsDataLoss) {
+  for (ModelType type : {ModelType::kAr, ModelType::kSeasonalAr}) {
+    ArStateBlob good;
+    good.type = type;
+    auto restored = Restore(good.Encode());
+    ASSERT_TRUE(restored.ok()) << restored.status().message();
+    const SimTime t = Days(3) + 10 * kPeriod;
+    EXPECT_TRUE(std::isfinite((*restored)->Predict(t).value));
+    EXPECT_GT((*restored)->Predict(t).stddev, 0.0);
+
+    std::vector<std::pair<std::string, ArStateBlob>> bad;
+    auto add = [&](const std::string& label, auto mutate) {
+      ArStateBlob blob = good;
+      mutate(blob);
+      bad.emplace_back(label, blob);
+    };
+    add("state shorter than phi", [](ArStateBlob& b) { b.state.pop_back(); });
+    add("state longer than phi", [](ArStateBlob& b) { b.state.push_back(1.0); });
+    add("no coefficients", [](ArStateBlob& b) {
+      b.phi.clear();
+      b.state.clear();
+    });
+    add("order 65", [](ArStateBlob& b) {
+      b.phi.assign(65, 0.01);
+      b.state.assign(65, 0.0);
+    });
+    add("zero sample period", [](ArStateBlob& b) { b.period = 0; });
+    add("negative sample period", [](ArStateBlob& b) { b.period = -kPeriod; });
+    add("zero horizon", [](ArStateBlob& b) { b.max_forecast_steps = 0; });
+    add("huge horizon", [](ArStateBlob& b) { b.max_forecast_steps = 2147483647; });
+    add("horizon 65537", [](ArStateBlob& b) { b.max_forecast_steps = 65537; });
+    if (type == ModelType::kSeasonalAr) {
+      add("empty means", [](ArStateBlob& b) {
+        b.means.clear();
+        b.stddevs.clear();
+      });
+      add("means without stddevs", [](ArStateBlob& b) { b.stddevs.clear(); });
+      add("zero period", [](ArStateBlob& b) { b.season = 0; });
+      add("more bins than ticks", [](ArStateBlob& b) { b.season = 12; });
+    }
+    for (const auto& [label, blob] : bad) {
+      auto result = Restore(blob.Encode());
+      ASSERT_FALSE(result.ok()) << ModelTypeName(type) << ": " << label;
+      EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
+          << ModelTypeName(type) << ": " << label;
+    }
+    // Every truncation is an error too.
+    const std::vector<uint8_t> bytes = good.Encode();
+    for (size_t n = 0; n < bytes.size(); ++n) {
+      EXPECT_FALSE(Restore(std::vector<uint8_t>(bytes.begin(), bytes.begin() + n)).ok())
+          << ModelTypeName(type) << " truncated to " << n;
+    }
+  }
+  // The pure seasonal model shares the bins' checks.
+  ByteWriter w;
+  w.WriteU8(static_cast<uint8_t>(ModelType::kSeasonal));
+  CkptWrite(w, true);
+  CkptWrite(w, Duration{0});
+  CkptWrite(w, std::vector<double>(24, 20.0));
+  CkptWrite(w, std::vector<double>(24, 1.0));
+  auto seasonal = Restore(w.TakeBuffer());
+  ASSERT_FALSE(seasonal.ok());
+  EXPECT_EQ(seasonal.status().code(), StatusCode::kDataLoss);
 }
 
 // Predict may continue a cached forecast cursor, but every answer must equal, bit for
