@@ -680,11 +680,14 @@ void Federation::RunUntil(SimTime t) {
 }
 
 void Federation::StepWorkers(SimTime end, bool on_grid) {
+  // Mail drained at this barrier, and how much of it became orphans instead of
+  // reaching a worker (both stay 0 off the grid).
+  uint64_t drained = 0;
+  uint64_t orphaned = 0;
   if (on_grid) {
     // The barrier drain: route_ holds per-source FIFOs, walked source-ascending —
     // the per-target arrival order every transport reproduces, so delivery
     // schedules (and fingerprints) match across modes.
-    uint64_t drained = 0;
     for (std::vector<FedMail>& box : route_) {
       for (FedMail& mail : box) {
         ++drained;  // delivery happened at this barrier either way
@@ -693,12 +696,12 @@ void Federation::StepWorkers(SimTime end, bool on_grid) {
           // it is dropped at the barrier, never delivered. This is what makes a
           // KillCell run fingerprint-identical on the survivors to a run whose
           // worker was SIGKILLed (where that mail never exists at all).
-          ++orphans_;
+          ++orphaned;
           continue;
         }
         Worker& target = workers_[static_cast<size_t>(WorkerOf(mail.target_cell))];
         if (!target.alive) {
-          ++orphans_;  // the dead cell drops it, counted like any orphan
+          ++orphaned;  // the dead cell drops it, counted like any orphan
           continue;
         }
         target.deliver.push_back(std::move(mail));
@@ -718,6 +721,7 @@ void Federation::StepWorkers(SimTime end, bool on_grid) {
   // compute between the two halves, and in-process hosts run their epochs on
   // the pool. Cells only interact through the mail drained above, so which
   // thread or process steps a cell is unobservable.
+  [[maybe_unused]] uint64_t delivered = 0;  // read only by the DCHECK below
   for (int w = 0; w < num_workers(); ++w) {
     Worker& worker = workers_[static_cast<size_t>(w)];
     worker.posted = false;
@@ -726,12 +730,16 @@ void Federation::StepWorkers(SimTime end, bool on_grid) {
     }
     const size_t count = worker.deliver.size();
     if (!worker.transport->PostStep(now_, end, std::exchange(worker.deliver, {})).ok()) {
-      orphans_ += count;
+      orphaned += count;
       MarkWorkerDead(w);
       continue;
     }
+    delivered += count;
     worker.posted = true;
   }
+  // Every message drained at this barrier reached a worker or is an orphan of it.
+  PRESTO_DCHECK(drained == delivered + orphaned);
+  orphans_ += orphaned;
   pool_->Run(num_workers(), [this](int w) {
     Worker& worker = workers_[static_cast<size_t>(w)];
     if (worker.posted) {

@@ -181,6 +181,9 @@ Status ArCore::DeserializeFrom(ByteReader* r) {
   if (!period.ok() || !order.ok() || *order == 0 || *order > 64) {
     return InvalidArgumentError("AR params malformed");
   }
+  if (!IsWirePeriod(*period)) {
+    return InvalidArgumentError("AR params: sample period not positive");
+  }
   sample_period = static_cast<Duration>(*period);
   phi.clear();
   for (uint64_t i = 0; i < *order; ++i) {
@@ -197,6 +200,10 @@ Status ArCore::DeserializeFrom(ByteReader* r) {
   if (!m.ok() || !inno.ok() || !marg.ok() || !st.ok()) {
     return InvalidArgumentError("AR params truncated");
   }
+  if (*st < 0) {
+    // Sim time starts at 0; a negative state time overflows the forecast's t - time.
+    return InvalidArgumentError("AR params: state time negative");
+  }
   mean = static_cast<double>(*m);
   innovation_std = static_cast<double>(*inno);
   marginal_std = static_cast<double>(*marg);
@@ -208,6 +215,12 @@ Status ArCore::DeserializeFrom(ByteReader* r) {
       return InvalidArgumentError("AR state truncated");
     }
     state.push_back(static_cast<double>(*v));
+  }
+  const auto finite = [](double v) { return std::isfinite(v); };
+  if (!std::all_of(phi.begin(), phi.end(), finite) ||
+      !std::all_of(state.begin(), state.end(), finite) || !std::isfinite(mean) ||
+      !std::isfinite(innovation_std) || !std::isfinite(marginal_std)) {
+    return InvalidArgumentError("AR params not finite");
   }
   return OkStatus();
 }
@@ -371,6 +384,9 @@ Status ArCore::LoadCkpt(ByteReader& r) {
   }
   if (max_forecast_steps < 1 || max_forecast_steps > 65536) {
     return DataLossError("AR restore: max_forecast_steps outside [1, 65536]");
+  }
+  if (state_time < 0) {
+    return DataLossError("AR restore: state time negative");
   }
   return OkStatus();
 }

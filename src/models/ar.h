@@ -57,7 +57,8 @@ struct ArCore {
   // Full-precision checkpoint codec (the wire form above rounds through f32). Only
   // fitted models are checkpointed, so LoadCkpt refuses, as DataLoss, any state a
   // forecast cannot run on: sample_period <= 0, an order outside [1, 64], a state
-  // window that is not p values, or max_forecast_steps outside [1, 65536].
+  // window that is not p values, max_forecast_steps outside [1, 65536], or a
+  // negative state_time.
   void SaveCkpt(ByteWriter& w) const;
   Status LoadCkpt(ByteReader& r);
 

@@ -255,6 +255,12 @@ Status MarkovModel::Deserialize(span<const uint8_t> bytes) {
   if (!period.ok() || !k.ok() || !half.ok() || *k < 2 || *k > 64) {
     return InvalidArgumentError("markov params malformed");
   }
+  if (!IsWirePeriod(*period)) {
+    return InvalidArgumentError("markov params: sample period not positive");
+  }
+  if (!std::isfinite(*half)) {
+    return InvalidArgumentError("markov params not finite");
+  }
   config_.sample_period = static_cast<Duration>(*period);
   bin_half_width_ = static_cast<double>(*half);
   const int n = static_cast<int>(*k);
@@ -263,6 +269,9 @@ Status MarkovModel::Deserialize(span<const uint8_t> bytes) {
     auto c = r.ReadF32();
     if (!c.ok()) {
       return InvalidArgumentError("markov params truncated");
+    }
+    if (!std::isfinite(*c)) {
+      return InvalidArgumentError("markov params not finite");
     }
     centers_[static_cast<size_t>(i)] = static_cast<double>(*c);
   }

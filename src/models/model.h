@@ -45,6 +45,12 @@ enum class ModelType : uint8_t {
 
 const char* ModelTypeName(ModelType type);
 
+// Whether a period read from model params as a varint is one Predict can divide by: a
+// value above INT64_MAX would turn negative in the cast to Duration.
+inline bool IsWirePeriod(uint64_t raw) {
+  return raw > 0 && raw <= static_cast<uint64_t>(INT64_MAX);
+}
+
 // Tuning knobs shared by the factory. Fields irrelevant to a model type are ignored.
 struct ModelConfig {
   Duration sample_period = Seconds(31);   // sensing grid the AR state rolls on
@@ -70,7 +76,9 @@ class PredictiveModel {
   // their size is a real communication cost). First byte is the ModelType.
   virtual std::vector<uint8_t> Serialize() const = 0;
 
-  // Reconstructs a fitted model from Serialize() output (sensor side).
+  // Reconstructs a fitted model from Serialize() output (sensor side). Params no
+  // forecast can run on (a period <= 0, a non-finite float, a bin or state count the
+  // bytes cannot hold) are InvalidArgument, refused before anything is allocated.
   virtual Status Deserialize(span<const uint8_t> bytes) = 0;
 
   // Forecast at absolute time `t`, given params + anchors so far. Must be callable for

@@ -82,10 +82,27 @@ Status SeasonalBins::DeserializeFrom(ByteReader* r) {
   if (!p.ok()) {
     return p.status();
   }
+  if (!IsWirePeriod(*p)) {
+    return InvalidArgumentError("seasonal params: period not positive");
+  }
   period = static_cast<Duration>(*p);
   auto n = r->ReadVarU64();
   if (!n.ok()) {
     return n.status();
+  }
+  // Checked before the bins are allocated: each bin is 8 wire bytes, every bin must
+  // span at least one tick, and BinOf's phase * bin count must stay in range.
+  if (*n == 0) {
+    return InvalidArgumentError("seasonal params empty");
+  }
+  if (*n > r->remaining() / 8) {
+    return InvalidArgumentError("seasonal params truncated");
+  }
+  if (*n > *p) {
+    return InvalidArgumentError("seasonal params: more bins than period ticks");
+  }
+  if (*p > static_cast<uint64_t>(INT64_MAX) / *n) {
+    return InvalidArgumentError("seasonal params: period too long for the bin count");
   }
   means.clear();
   stddevs.clear();
@@ -95,11 +112,11 @@ Status SeasonalBins::DeserializeFrom(ByteReader* r) {
     if (!m.ok() || !s.ok()) {
       return InvalidArgumentError("seasonal params truncated");
     }
+    if (!std::isfinite(*m) || !std::isfinite(*s)) {
+      return InvalidArgumentError("seasonal params not finite");
+    }
     means.push_back(static_cast<double>(*m));
     stddevs.push_back(static_cast<double>(*s));
-  }
-  if (means.empty()) {
-    return InvalidArgumentError("seasonal params empty");
   }
   return OkStatus();
 }
@@ -192,6 +209,12 @@ Status LastValueModel::Deserialize(span<const uint8_t> bytes) {
   auto step = r.ReadF32();
   if (!period.ok() || !mean.ok() || !marg.ok() || !step.ok()) {
     return InvalidArgumentError("last-value params truncated");
+  }
+  if (!IsWirePeriod(*period)) {
+    return InvalidArgumentError("last-value params: sample period not positive");
+  }
+  if (!std::isfinite(*mean) || !std::isfinite(*marg) || !std::isfinite(*step)) {
+    return InvalidArgumentError("last-value params not finite");
   }
   config_.sample_period = static_cast<Duration>(*period);
   mean_ = static_cast<double>(*mean);

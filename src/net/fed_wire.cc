@@ -6,6 +6,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -442,15 +443,25 @@ Status FrameChannel::WriteAll(struct iovec* iov, int count,
 }
 
 Status FrameChannel::ReadAll(uint8_t* data, size_t size, bool* eof_at_start,
-                             std::chrono::steady_clock::time_point deadline) {
+                             std::chrono::steady_clock::time_point deadline,
+                             Duration spin) {
   if (fd_ < 0) {
     return UnavailableError("fed_wire: channel closed");
   }
+  const auto spin_until = WireClock::now() + std::chrono::microseconds(spin);
   size_t done = 0;
+  bool spinning = spin > 0;
   while (done < size) {
-    const ssize_t n = ::recv(fd_, data + done, size - done, 0);
+    const ssize_t n = ::recv(fd_, data + done, size - done, spinning ? MSG_DONTWAIT : 0);
     if (n < 0) {
       if (errno == EINTR) {
+        continue;
+      }
+      if (spinning && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        spinning = WireClock::now() < spin_until;
+        if (spinning) {
+          ::sched_yield();
+        }
         continue;
       }
       if (deadline_ > 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -467,6 +478,7 @@ Status FrameChannel::ReadAll(uint8_t* data, size_t size, bool* eof_at_start,
                        : DataLossError("fed_wire: mid-frame EOF");
     }
     done += static_cast<size_t>(n);
+    spinning = false;
   }
   return OkStatus();
 }
@@ -489,9 +501,13 @@ Status FrameChannel::Send(const FedFrame& frame) {
 
 Result<FedFrame> FrameChannel::Recv() {
   const auto cutoff = FrameCutoff();
+  Duration spin = kFrameRecvSpin;
+  if (deadline_ > 0) {
+    spin = std::min(spin, deadline_);  // the poll window ends at the deadline
+  }
   uint8_t header[kHeaderBytes];
   bool eof_at_start = false;
-  PRESTO_RETURN_IF_ERROR(ReadAll(header, sizeof(header), &eof_at_start, cutoff));
+  PRESTO_RETURN_IF_ERROR(ReadAll(header, sizeof(header), &eof_at_start, cutoff, spin));
   FedFrameType type;
   uint32_t length = 0;
   PRESTO_RETURN_IF_ERROR(ParseHeader(header, &type, &length));
@@ -499,7 +515,7 @@ Result<FedFrame> FrameChannel::Recv() {
   frame.type = type;
   frame.payload.resize(length);
   if (length > 0) {
-    PRESTO_RETURN_IF_ERROR(ReadAll(frame.payload.data(), length, nullptr, cutoff));
+    PRESTO_RETURN_IF_ERROR(ReadAll(frame.payload.data(), length, nullptr, cutoff, 0));
   }
   return frame;
 }

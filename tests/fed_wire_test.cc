@@ -2,7 +2,8 @@
 // header shape must come back as a clean Status — the parent orchestrator treats
 // a PRESTO_CHECK in the decode path as a crashed worker, so decode must stay
 // total on arbitrary bytes), the FedMail / cell-bitmap codecs, and the blocking
-// FrameChannel over a real socketpair including both EOF flavors.
+// FrameChannel over a real socketpair including both EOF flavors and its receive
+// policy (poll briefly, then wait).
 
 #include <gtest/gtest.h>
 
@@ -351,6 +352,98 @@ TEST(FrameChannelTest, SendToAClosedPeerIsUnavailable) {
   }
 }
 
+// ---------- receive policy: poll for kFrameRecvSpin, then wait ----------
+
+Duration ElapsedSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+// Far longer than the poll window, so the reader has fallen back to its wait.
+constexpr Duration kPastTheSpin = Millis(20);
+static_assert(kPastTheSpin > 100 * kFrameRecvSpin);
+
+FedFrame PatternFrame(size_t size) {
+  FedFrame frame;
+  frame.type = FedFrameType::kStep;
+  frame.payload.resize(size);
+  for (size_t i = 0; i < size; ++i) {
+    frame.payload[i] = static_cast<uint8_t>(i * 7 + (i >> 8));
+  }
+  return frame;
+}
+
+TEST(FrameChannelTest, LateFrameArrivesThroughTheWait) {
+  // Blocking (fork socketpair, TCP after the hello) and deadlined (orchestrator TCP)
+  // channels both stop polling and wait for a frame sent long after the window.
+  for (const Duration deadline : {Duration{0}, Seconds(30)}) {
+    SCOPED_TRACE(deadline);
+    ChannelPair pair;
+    pair.b->SetDeadline(deadline);
+    const FedFrame frame = PatternFrame(64 << 10);
+    std::thread peer([&] {
+      std::this_thread::sleep_for(std::chrono::microseconds(kPastTheSpin));
+      EXPECT_TRUE(pair.a->Send(frame).ok());
+    });
+    const auto start = std::chrono::steady_clock::now();
+    auto received = pair.b->Recv();
+    const Duration waited = ElapsedSince(start);
+    peer.join();
+    ASSERT_TRUE(received.ok()) << received.status().message();
+    EXPECT_EQ(received->type, frame.type);
+    EXPECT_EQ(received->payload, frame.payload);
+    EXPECT_GE(waited, kPastTheSpin / 2);
+  }
+}
+
+TEST(FrameChannelTest, PayloadPausedPastTheWindowArrivesWhole) {
+  // Only a frame's first bytes are polled for: a header that arrives alone, its payload
+  // a pause later, is finished by the plain wait.
+  for (const Duration deadline : {Duration{0}, Seconds(30)}) {
+    SCOPED_TRACE(deadline);
+    ChannelPair pair;
+    pair.b->SetDeadline(deadline);
+    const FedFrame frame = PatternFrame(4096);
+    const std::vector<uint8_t> bytes = MustEncode(frame);
+    const size_t header = bytes.size() - frame.payload.size();
+    std::thread peer([&] {
+      ASSERT_EQ(::write(pair.a->fd(), bytes.data(), header),
+                static_cast<ssize_t>(header));
+      std::this_thread::sleep_for(std::chrono::microseconds(kPastTheSpin));
+      ASSERT_EQ(::write(pair.a->fd(), bytes.data() + header, bytes.size() - header),
+                static_cast<ssize_t>(bytes.size() - header));
+    });
+    auto received = pair.b->Recv();
+    peer.join();
+    ASSERT_TRUE(received.ok()) << received.status().message();
+    EXPECT_EQ(received->type, frame.type);
+    EXPECT_EQ(received->payload, frame.payload);
+  }
+}
+
+TEST(FrameChannelTest, DeadlineInsideTheWindowStillExpires) {
+  // The poll window ends at the frame's deadline: a deadline shorter than the window
+  // expires on time instead of waiting out the window or blocking.
+  ChannelPair pair;
+  const Duration deadline = kFrameRecvSpin / 5;
+  ASSERT_GT(deadline, 0);
+  pair.b->SetDeadline(deadline);
+  const auto start = std::chrono::steady_clock::now();
+  auto received = pair.b->Recv();
+  const Duration waited = ElapsedSince(start);
+  ASSERT_FALSE(received.ok());
+  EXPECT_EQ(received.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(received.status().message(), "fed_wire: frame deadline expired");
+  EXPECT_LT(waited, deadline + Millis(100));
+  // The channel stays usable for the next frame.
+  ASSERT_TRUE(pair.a->Send(PatternFrame(16)).ok());
+  pair.b->SetDeadline(Seconds(30));
+  auto next = pair.b->Recv();
+  ASSERT_TRUE(next.ok()) << next.status().message();
+  EXPECT_EQ(next->payload, PatternFrame(16).payload);
+}
+
 // ---------- hello handshake ----------
 
 TEST(FedHelloTest, CodecRoundTripsAndValidates) {
@@ -483,12 +576,6 @@ TEST(FedHelloTest, GarbageAckIsDataLoss) {
 }
 
 // ---------- TCP transport ----------
-
-Duration ElapsedSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 TEST(FedWireTcpTest, ListenConnectAcceptRoundTripsFrames) {
   uint16_t port = 0;

@@ -370,6 +370,7 @@ struct ArStateBlob {
   double innovation_std = 0.5;
   double marginal_std = 1.0;
   std::vector<double> state = {0.5, -0.25};
+  SimTime state_time = Days(3);
 
   std::vector<uint8_t> Encode() const {
     ByteWriter w;
@@ -387,7 +388,7 @@ struct ArStateBlob {
     CkptWrite(w, innovation_std);
     CkptWrite(w, marginal_std);
     CkptWrite(w, state);
-    CkptWrite(w, Days(3));  // state_time
+    CkptWrite(w, state_time);
     return w.TakeBuffer();
   }
 };
@@ -485,6 +486,7 @@ TEST(ArCoreTest, MalformedCheckpointStateIsDataLoss) {
     add("zero horizon", [](ArStateBlob& b) { b.max_forecast_steps = 0; });
     add("huge horizon", [](ArStateBlob& b) { b.max_forecast_steps = 2147483647; });
     add("horizon 65537", [](ArStateBlob& b) { b.max_forecast_steps = 65537; });
+    add("negative state time", [](ArStateBlob& b) { b.state_time = -1; });
     if (type == ModelType::kSeasonalAr) {
       add("empty means", [](ArStateBlob& b) {
         b.means.clear();
@@ -645,6 +647,124 @@ TEST(MarkovModelTest, TracksRegimeSwitching) {
 TEST(RegistryTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(DeserializeModel(std::vector<uint8_t>{}, TestConfig()).ok());
   EXPECT_FALSE(DeserializeModel(std::vector<uint8_t>{0xEE, 1, 2}, TestConfig()).ok());
+}
+
+// Model params arrive over the radio and the cell seam: a parameter no forecast can run
+// on decodes to InvalidArgument before anything is allocated or divided by.
+TEST(RegistryTest, DeserializeRejectsOutOfRangeParams) {
+  const uint64_t kNegative = uint64_t{1} << 63;  // INT64_MIN after the cast
+  // Wire layout of ArCore: period, order, phi, mean, innovation, marginal, time, state.
+  auto ar_core = [](ByteWriter& w, uint64_t period) {
+    w.WriteVarU64(period);
+    w.WriteVarU64(2);
+    w.WriteF32(0.9f);
+    w.WriteF32(-0.1f);
+    w.WriteF32(0.0f);
+    w.WriteF32(0.1f);
+    w.WriteF32(1.0f);
+    w.WriteI64(Days(3));
+    w.WriteF32(0.5f);
+    w.WriteF32(0.4f);
+  };
+  // Wire layout of SeasonalBins: period, bin count, then a (mean, stddev) per bin.
+  auto bins = [](ByteWriter& w, uint64_t period, uint64_t count, size_t written) {
+    w.WriteVarU64(period);
+    w.WriteVarU64(count);
+    for (size_t i = 0; i < written; ++i) {
+      w.WriteF32(20.0f);
+      w.WriteF32(1.0f);
+    }
+  };
+  auto ar = [&](uint64_t period) {
+    ByteWriter w;
+    w.WriteU8(static_cast<uint8_t>(ModelType::kAr));
+    ar_core(w, period);
+    return w.TakeBuffer();
+  };
+  auto seasonal = [&](ModelType type, uint64_t period, uint64_t count, size_t written) {
+    ByteWriter w;
+    w.WriteU8(static_cast<uint8_t>(type));
+    bins(w, period, count, written);
+    if (type == ModelType::kSeasonalAr) {
+      ar_core(w, static_cast<uint64_t>(kPeriod));
+    }
+    return w.TakeBuffer();
+  };
+  const uint64_t day = static_cast<uint64_t>(Hours(24));
+
+  // The hand-built blobs are well formed when their parameters are in range.
+  ASSERT_TRUE(DeserializeModel(ar(static_cast<uint64_t>(kPeriod)), TestConfig()).ok());
+  for (ModelType type : {ModelType::kSeasonal, ModelType::kSeasonalAr}) {
+    ASSERT_TRUE(DeserializeModel(seasonal(type, day, 24, 24), TestConfig()).ok());
+  }
+
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> bad = {
+      {"AR zero sample period", ar(0)},
+      {"AR sample period above INT64_MAX", ar(kNegative)},
+      {"AR sample period 2^64-1", ar(~uint64_t{0})},
+  };
+  for (ModelType type : {ModelType::kSeasonal, ModelType::kSeasonalAr}) {
+    const std::string name = ModelTypeName(type);
+    bad.emplace_back(name + " zero period", seasonal(type, 0, 24, 24));
+    bad.emplace_back(name + " period above INT64_MAX", seasonal(type, kNegative, 24, 24));
+    bad.emplace_back(name + " more bins than ticks", seasonal(type, 12, 24, 24));
+    bad.emplace_back(name + " absurd bin count",
+                     seasonal(type, day, uint64_t{1} << 40, 4));
+    bad.emplace_back(name + " bin count 2^64-1", seasonal(type, day, ~uint64_t{0}, 4));
+  }
+  {
+    // The seasonal-AR residual core shares the AR checks.
+    ByteWriter w;
+    w.WriteU8(static_cast<uint8_t>(ModelType::kSeasonalAr));
+    bins(w, day, 24, 24);
+    ar_core(w, 0);
+    bad.emplace_back("seasonal-ar zero sample period", w.TakeBuffer());
+  }
+  for (const auto& [label, bytes] : bad) {
+    auto model = DeserializeModel(bytes, TestConfig());
+    ASSERT_FALSE(model.ok()) << label;
+    EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument) << label;
+  }
+}
+
+// Every one-byte mutation of every fitted model's wire params either fails to decode or
+// decodes to a model whose forecasts, before and after an anchor, are finite. Under the
+// sanitizers this is also the divide-by-zero and overflow check for the decode path.
+TEST(RegistryTest, MutatedParamsDecodeToAnErrorOrFiniteForecasts) {
+  const ModelConfig config = TestConfig();
+  const std::vector<Sample> history = DiurnalSeries();
+  const SimTime t0 = history.back().t;
+  for (ModelType type : {ModelType::kLastValue, ModelType::kSeasonal, ModelType::kAr,
+                         ModelType::kSeasonalAr, ModelType::kMarkov}) {
+    auto fitted = CreateModel(type, config);
+    ASSERT_TRUE(fitted->Fit(history).ok());
+    const std::vector<uint8_t> wire = fitted->Serialize();
+    int decoded = 0;
+    for (size_t at = 0; at < wire.size(); ++at) {
+      for (const uint8_t flip : {0x01, 0x02, 0x40, 0x80, 0xFF}) {
+        std::vector<uint8_t> mutant = wire;
+        mutant[at] ^= flip;
+        auto model = DeserializeModel(mutant, config);
+        if (!model.ok()) {
+          continue;
+        }
+        ++decoded;
+        auto finite = [&](SimTime t) {
+          const Prediction p = (*model)->Predict(t);
+          EXPECT_TRUE(std::isfinite(p.value) && std::isfinite(p.stddev))
+              << ModelTypeName(type) << " byte " << at << " ^ " << int{flip}
+              << " at t0 + " << (t - t0);
+        };
+        finite(t0 - kPeriod);
+        finite(t0 + kPeriod);
+        finite(t0 + 4 * kPeriod);
+        (*model)->OnAnchor(Sample{t0 + kPeriod, 21.0});
+        finite(t0 + 2 * kPeriod);
+        finite(t0 + 4 * kPeriod);
+      }
+    }
+    EXPECT_GT(decoded, 0) << ModelTypeName(type);
+  }
 }
 
 TEST(RegistryTest, ModelParamsAreCompact) {
