@@ -103,7 +103,7 @@ struct FedCellResult {
   uint64_t histogram = 0;
   bool spawn_failed = false;  // could not launch the localhost socket workers
   double wall_s = 0.0;
-  double fed_epoch_ms = 0.0;  // lookahead-derived federation epoch
+  double fed_epoch_ms = 0.0;  // the federation epoch the row ran on
   // Per-query energy attribution: sensor radio joules the drivers' queries cost,
   // split by query class and by serving (source) cell.
   double energy_j = 0.0;
@@ -204,18 +204,15 @@ FedCellResult RunFederationCell(int num_cells, int proxies, int sensors_per_cell
   // on every sample. The ~100k-sensor mega cell drops to 16 KiB (as in
   // scale_sharding's 100k cell).
   config.cell.flash.num_blocks = tiny_flash ? 4 : 64;
-  config.cell.lane_engine = true;
   config.cell.sim_threads = sim_threads;
-  // Conservative-lookahead operating point: long-haul 250 ms trunks, cells stepping
-  // on the same 250 ms grid, and auto_epoch deriving the federation epoch from the
-  // fastest trunk (250 ms here, under the 1 s ceiling). The barrier clamp then
-  // never binds on trunk mail, so cross-cell latency is trunk latency plus real
-  // serialization time instead of being quantized up to 1 s barrier multiples —
-  // the p95 self-check below holds the bench to that.
-  config.cell.sim_epoch = Millis(250);
+  // Conservative-lookahead operating point: long-haul 250 ms trunks and a
+  // federation epoch equal to the trunk latency (cells step on their own 2 ms
+  // route-hop grid to each federation barrier). The barrier clamp then never
+  // binds on trunk mail, so cross-cell latency is trunk latency plus real
+  // serialization time instead of being quantized up to barrier multiples — the
+  // p95 self-check below holds the bench to that.
   config.link.latency = Millis(250);
-  config.epoch = Seconds(1);
-  config.auto_epoch = true;
+  config.epoch = Millis(250);
   config.cell_threads = cell_threads;
   config.cell_processes = cell_processes;
   config.seed = kSeed;
@@ -392,12 +389,9 @@ FederationConfig RoundTripConfig(int sim_threads, int cell_threads,
   config.cell.promotion_delay = Seconds(10);
   config.cell.pull_timeout = Seconds(30);
   config.cell.flash.num_blocks = 4;
-  config.cell.lane_engine = true;
   config.cell.sim_threads = sim_threads;
-  config.cell.sim_epoch = Millis(250);
   config.link.latency = Millis(250);
-  config.epoch = Seconds(1);
-  config.auto_epoch = true;
+  config.epoch = Millis(250);
   config.cell_threads = cell_threads;
   config.cell_processes = cell_processes;
   config.seed = kSeed;
@@ -809,10 +803,10 @@ int main(int argc, char** argv) {
         std::printf("  VIOLATION: no cross-cell queries in a multi-cell run\n");
         ++violations;
       }
-      // The lookahead contract, held end to end: with the federation epoch derived
-      // at (or under) trunk latency the DrainMail clamp never binds, so the p95
-      // must carry real trunk serialization time — not sit on a barrier multiple
-      // the way the fixed 1 s epoch pinned it.
+      // The lookahead contract, held end to end: with the federation epoch at
+      // (or under) trunk latency the DrainMail clamp never binds, so the p95 must
+      // carry real trunk serialization time — not sit on a barrier multiple the
+      // way a 1 s epoch pinned it.
       const double p95_mod_epoch =
           std::fmod(r.now_latency_ms_p95, r.fed_epoch_ms);
       if (r.healthy.completed > 0 &&

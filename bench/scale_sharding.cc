@@ -426,7 +426,7 @@ struct EngineResult {
 // mutations + cross-lane failover traffic), then a routability probe. Wall clock
 // covers the simulation only; the probe runs untimed.
 EngineResult RunEngineCell(int num_proxies, int total_sensors, int threads,
-                           Duration span, Duration sim_epoch, bool tiny_flash) {
+                           Duration span, bool tiny_flash) {
   DeploymentConfig config;
   config.num_proxies = num_proxies;
   config.sensors_per_proxy = total_sensors / num_proxies;
@@ -434,9 +434,7 @@ EngineResult RunEngineCell(int num_proxies, int total_sensors, int threads,
   config.enable_replication = true;
   config.replication_factor = 2;
   config.promotion_delay = Seconds(10);
-  config.lane_engine = true;
   config.sim_threads = threads;
-  config.sim_epoch = sim_epoch;
   config.seed = kSeed;
   if (tiny_flash) {
     // ~100k sensors: a 16 KiB archive per sensor keeps the cell inside laptop RAM
@@ -680,17 +678,16 @@ int main(int argc, char** argv) {
       int proxies;
       int sensors;
       Duration span;
-      Duration sim_epoch;
     };
     std::vector<EngineCell> engine_cells;
     std::vector<int> thread_counts;
     if (smoke) {
-      engine_cells.push_back({4, 256, Hours(1), Seconds(1)});
+      engine_cells.push_back({4, 256, Hours(1)});
       thread_counts = {1, 2};
     } else {
-      engine_cells.push_back({4, 256, Hours(1), Seconds(1)});
-      engine_cells.push_back({16, 1024, Hours(1), Seconds(1)});
-      engine_cells.push_back({16, 4096, Hours(2), Seconds(1)});
+      engine_cells.push_back({4, 256, Hours(1)});
+      engine_cells.push_back({16, 1024, Hours(1)});
+      engine_cells.push_back({16, 4096, Hours(2)});
       thread_counts = {1, 2, 8};
     }
     const unsigned hw_threads = std::thread::hardware_concurrency();
@@ -705,8 +702,7 @@ int main(int argc, char** argv) {
       uint64_t base_fp = 0;
       for (int threads : thread_counts) {
         const EngineResult r = RunEngineCell(cell.proxies, cell.sensors, threads,
-                                             cell.span, cell.sim_epoch,
-                                             /*tiny_flash=*/false);
+                                             cell.span, /*tiny_flash=*/false);
         if (threads == 1) {
           base_eps = r.events_per_sec;
           base_fp = r.fingerprint;
@@ -756,7 +752,7 @@ int main(int argc, char** argv) {
     engine_table.Print();
 
     if (!smoke) {
-      // ~100k sensors: the cell the single-queue engine could not touch. Budgeted:
+      // ~100k sensors in one cell, 128 lanes. Budgeted:
       // blowing the wall clock is a violation, not a shrug.
       constexpr double kWallBudgetS = 300.0;
       const int big_proxies = 128;
@@ -764,7 +760,7 @@ int main(int argc, char** argv) {
       std::printf("\n100k-sensor cell (%d proxies x %d sensors, threads=8, 1 h "
                   "simulated):\n", big_proxies, big_sensors);
       const EngineResult big = RunEngineCell(big_proxies, big_sensors, /*threads=*/8,
-                                             Hours(1), Seconds(2), /*tiny_flash=*/true);
+                                             Hours(1), /*tiny_flash=*/true);
       std::printf("  %llu events in %.1f s wall (%.2fM events/s) | failed probes %d |"
                   " fingerprint=%016llx\n",
                   static_cast<unsigned long long>(big.events), big.wall_s,

@@ -78,7 +78,6 @@ ArchitectureMetrics RunArchitectureBench(ArchitectureKind kind,
     int global_sensor = 0;
   };
   std::vector<Outcome> outcomes(requests.size());
-  size_t completed = 0;
 
   for (size_t i = 0; i < requests.size(); ++i) {
     const QueryRequest& request = requests[i];
@@ -97,16 +96,14 @@ ArchitectureMetrics RunArchitectureBench(ArchitectureKind kind,
     outcomes[i].global_sensor = request.sensor;
     // Query issue is pinned to the control lane: UnifiedStore routing walks
     // cross-shard state (index, chains, proxy registries), which only the
-    // barrier-serial context may touch. Note this bench is still legacy-engine only
-    // (a no-op placement today): the completion callbacks below share `completed`
-    // and would themselves need control-lane routing before enabling lane_engine.
+    // barrier-serial context may touch. Completions run in the serving proxy's
+    // lane; each writes only its own outcome slot, so they are race-free at any
+    // sim_threads.
     deployment.sim().ScheduleAt(
         request.issue_at,
-        [&deployment, &outcomes, &completed, i, spec] {
-          deployment.store().Query(spec, [&outcomes, &completed,
-                                          i](const UnifiedQueryResult& r) {
+        [&deployment, &outcomes, i, spec] {
+          deployment.store().Query(spec, [&outcomes, i](const UnifiedQueryResult& r) {
             outcomes[i].result = r;
-            ++completed;
           });
         },
         Simulator::kLaneControl);

@@ -17,14 +17,17 @@ constexpr uint64_t kOpMigrate = 3;   // b = global index | (new owner << 32)
 
 }  // namespace
 
-Deployment::Deployment(const DeploymentConfig& config) : config_(config) {
+Deployment::Deployment(const DeploymentConfig& config)
+    : config_(config),
+      sim_(config.num_proxies, config.sim_threads) {
   Build([this](int global_index) {
     return [this, global_index](SimTime t) { return field_->MeasureAt(global_index, t); };
   });
 }
 
 Deployment::Deployment(const DeploymentConfig& config, MeasureFactory measure_factory)
-    : config_(config) {
+    : config_(config),
+      sim_(config.num_proxies, config.sim_threads) {
   Build(std::move(measure_factory));
 }
 
@@ -38,16 +41,13 @@ void Deployment::Build(MeasureFactory measure_factory) {
                    "naming grid caps sensors_per_proxy at 999");
   PRESTO_CHECK(config_.replication_factor >= 1);
   PRESTO_CHECK(measure_factory != nullptr);
+  PRESTO_CHECK_MSG(config_.lane_engine,
+                   "lane_engine must be true: the shard-lane engine is the only engine");
 
-  // Lane engine: one lane per proxy shard, configured before anything schedules.
-  // Sensors start on their home shard's lane so radio neighbourhoods execute
-  // together; with lane_rebind a long-lived ownership change moves them at a
-  // barrier, otherwise failover and migration traffic simply crosses lanes.
-  if (config_.lane_engine) {
-    sim_.ConfigureLanes(config_.num_proxies, config_.sim_threads, config_.sim_epoch);
-  }
-  PRESTO_CHECK_MSG(!config_.auto_epoch || sim_.num_lanes() > 0,
-                   "auto_epoch requires the lane engine");
+  // One simulator lane per proxy shard (sim_ is built with them). Sensors start on
+  // their home shard's lane so radio neighbourhoods execute together; a long-lived
+  // ownership change moves them at a barrier, short-lived failover traffic simply
+  // crosses lanes.
 
   shard_map_ = std::make_unique<ShardMap>(config_.num_proxies, total_sensors(),
                                           config_.shard_policy,
@@ -62,11 +62,9 @@ void Deployment::Build(MeasureFactory measure_factory) {
   field_params.seed = config_.seed ^ 0x6669656c64;
   field_ = std::make_unique<TemperatureField>(total_sensors(), field_params,
                                               config_.spatial_correlation);
-  if (sim_.num_lanes() > 0) {
-    // The shared component of the temperature field is built lazily on read; extend
-    // it at each barrier so concurrent lane measurements are pure reads.
-    sim_.SetBarrierHook([this](SimTime epoch_end) { field_->PrepareThrough(epoch_end); });
-  }
+  // The shared component of the temperature field is built lazily on read; extend
+  // it at each barrier so concurrent lane measurements are pure reads.
+  sim_.SetBarrierHook([this](SimTime epoch_end) { field_->PrepareThrough(epoch_end); });
   store_ = std::make_unique<UnifiedStore>(&sim_, net_.get(), config_.seed ^ 0x696478);
   store_->SetClient(this);
   sim_.RegisterSink(this);
@@ -88,10 +86,8 @@ void Deployment::Build(MeasureFactory measure_factory) {
     pc.enable_replication = ReplicationEnabled();
     pc.seed = config_.seed ^ (0x5050 + static_cast<uint64_t>(p));
     proxies_.push_back(std::make_unique<ProxyNode>(&sim_, net_.get(), pc));
-    if (sim_.num_lanes() > 0) {
-      net_->SetNodeLane(pc.id, p);
-      proxies_.back()->BindLane(p);
-    }
+    net_->SetNodeLane(pc.id, p);
+    proxies_.back()->BindLane(p);
   }
   // Wired mesh between proxies (replication + query forwarding).
   for (int a = 0; a < config_.num_proxies; ++a) {
@@ -127,10 +123,8 @@ void Deployment::Build(MeasureFactory measure_factory) {
 
     sensors_.push_back(
         std::make_unique<SensorNode>(&sim_, net_.get(), sc, measure_factory(g)));
-    if (sim_.num_lanes() > 0) {
-      net_->SetNodeLane(sc.id, owner);
-      sensors_.back()->BindLane(owner);
-    }
+    net_->SetNodeLane(sc.id, owner);
+    sensors_.back()->BindLane(owner);
     proxies_[static_cast<size_t>(owner)]->RegisterSensor(sc.id, config_.sensing_period);
     // Every member of the owner's K-way replica set must know the sensor to accept
     // replicated state and serve failover; the owner mirrors its state to all of them.
@@ -168,8 +162,8 @@ void Deployment::Build(MeasureFactory measure_factory) {
   }
 
   // Conservative lookahead: derive the epoch from the topology the wiring above just
-  // declared (min cross-lane wired latency), instead of trusting sim_epoch to be
-  // below it. Mutations re-derive as the live link set changes.
+  // declared, before any event runs. Mutations re-derive as the live link set
+  // changes.
   RetuneEpoch();
 }
 
@@ -304,9 +298,6 @@ void Deployment::ApplyChain(int global_index, std::vector<int> chain) {
 }
 
 void Deployment::RebindSensorLane(int global_index, int acting) {
-  if (!config_.lane_rebind || sim_.num_lanes() == 0) {
-    return;
-  }
   const NodeId id = GlobalSensorId(global_index);
   if (net_->NodeLane(id) == acting) {
     return;
@@ -320,12 +311,17 @@ void Deployment::RebindSensorLane(int global_index, int acting) {
 }
 
 void Deployment::RetuneEpoch() {
-  if (!config_.auto_epoch || sim_.num_lanes() == 0) {
-    return;
-  }
+  // The epoch is the lookahead: the smallest fixed delay any event crosses lanes
+  // with. Two paths have one: the store's route hop (a control-lane query entering
+  // the serving proxy's lane) and wired links between proxies in different lanes
+  // (none with a single live proxy). A zero-latency link offers no lookahead; its
+  // deliveries clamp to the next barrier instead.
+  Duration lookahead = store_->per_hop_latency();
   const Duration min_wired = net_->MinCrossLaneWiredLatency();
-  // No cross-lane wired link (single live proxy): no bound, the cap rules.
-  sim_.SetLookahead(min_wired >= 0 ? min_wired : 0);
+  if (min_wired > 0) {
+    lookahead = std::min(lookahead, min_wired);
+  }
+  sim_.SetEpoch(lookahead);
 }
 
 void Deployment::KillProxy(int proxy_index) {

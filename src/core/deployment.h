@@ -117,30 +117,17 @@ struct DeploymentConfig {
   bool promotion_backfill = true;
   Duration pull_timeout = Minutes(10);
 
-  // --- parallel shard-lane engine (opt-in) ---
-  // lane_engine splits the simulator into one lane per proxy shard (sensors ride
-  // their home shard's lane) executed under an epoch-barrier schedule; mutations
-  // (kill / revive / promote / migrate / rebalance) run at barriers. sim_threads
-  // workers execute the lanes — fingerprints are identical for 1 and N workers.
-  // False keeps the seed's legacy single-queue engine (and its fingerprint path).
-  bool lane_engine = false;
+  // --- shard-lane engine ---
+  // The simulator runs one lane per proxy shard (sensors ride their acting owner's
+  // lane) under an epoch-barrier schedule; mutations (kill / revive / promote /
+  // migrate / rebalance) run at barriers and move a re-homed sensor's lane there.
+  // sim_threads workers execute the lanes — fingerprints are identical for 1 and N
+  // workers. The epoch is the conservative lookahead, the fastest cross-lane delay
+  // (the store's route hop, cross-lane wired links), re-derived at every mutation
+  // barrier: cross-lane latencies stay faithful. lane_engine must stay true (the
+  // only engine); the field remains for callers that still assign it.
+  bool lane_engine = true;
   int sim_threads = 1;
-  Duration sim_epoch = Millis(500);  // epoch cap / cross-lane delivery granularity
-  // Conservative-lookahead epochs (opt-in; lane_engine only): derive the epoch from
-  // the topology instead of hard-coding it. The engine runs at
-  // epoch = min(sim_epoch, minimum cross-lane wired latency), so a cross-lane wired
-  // send always has a barrier between send and delivery and its sub-epoch latency is
-  // delivered faithfully (the mailbox clamp never binds). Re-derived at mutation
-  // barriers — kills, revives, and lane re-binds change the cross-lane link set.
-  bool auto_epoch = false;
-  // Barrier-time lane re-binding (lane_engine only): when a mutation gives a sensor
-  // a new acting owner (migration, promotion, hand-back), move the sensor's lane to
-  // the owner's at that barrier — timers re-bind cooperatively, pending deliveries
-  // and coalescing batches hand over with times preserved — so a long-lived
-  // ownership change stops paying the conservative cross-lane radio tax after one
-  // epoch. Off: the PR-4 behaviour (lane fixed at build, migrations cross lanes
-  // forever).
-  bool lane_rebind = true;
 
   // Load-aware rebalancing (opt-in): every rebalance_period, per-sensor query+push
   // window counters feed an EMA (one window is a noisy sample of the workload); if
@@ -287,8 +274,8 @@ class Deployment : public EventSink, public UnifiedStore::Client {
 
   // Topology mutations (promotion, hand-back, migration) arrive as typed kMutation
   // events on the control lane: they touch every layer, so they only ever execute at
-  // epoch barriers (or inline in legacy mode). kQuery events are QueryAsync
-  // completions marshalled from the serving proxy's lane back to control context.
+  // epoch barriers. kQuery events are QueryAsync completions marshalled from the
+  // serving proxy's lane back to control context.
   void OnSimEvent(EventKind kind, EventPayload& payload) override;
   void OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
                        const EventHandle& handle, int lane) override;
@@ -348,7 +335,7 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   // Moves sensor `g`'s lane to its acting owner's at the current barrier (control
   // context): timers re-bind cooperatively, pending network events hand over.
   void RebindSensorLane(int global_index, int acting);
-  // Re-derives the lookahead bound from the live topology (auto_epoch only).
+  // Sets the epoch to the lookahead the live topology allows.
   void RetuneEpoch();
 
   DeploymentConfig config_;

@@ -576,20 +576,6 @@ Federation::Federation(const FederationConfig& config)
     // exact placement rule fork mode uses, so observables cannot drift.
     cell_processes_ = std::min(config_.num_endpoints, config_.num_cells);
   }
-  if (config_.auto_epoch) {
-    config_.epoch = DeriveEpoch();
-    config_.auto_epoch = false;  // resolved: workers must not re-derive
-  }
-  const Duration cap = CellEpochCap();
-  if (cap != Simulator::kNoEpochGrid) {
-    // A trunk cannot deliver finer than its endpoints step: clamping inter-cell
-    // mail to federation barriers below the cells' own barrier grid would
-    // schedule into epochs the cells never open. Validated against the
-    // configured cap, not the current effective epoch — lookahead may shrink
-    // the latter mid-run, but it can also grow back to the cap.
-    PRESTO_CHECK_MSG(config_.epoch >= cap,
-                     "federation epoch must cover the cell lane epoch cap");
-  }
   const size_t num_cells = static_cast<size_t>(config_.num_cells);
   cell_down_.assign(num_cells, 0);
   route_.resize(num_cells);
@@ -628,32 +614,13 @@ Federation::~Federation() {
   }
 }
 
-Duration Federation::CellEpochCap() const {
-  // Config-only math (no instantiated simulator needed — workers aren't local):
-  // lane-engine cells step on their configured sim_epoch grid; legacy
-  // single-queue cells have no grid and impose no constraint.
-  return config_.cell.lane_engine ? config_.cell.sim_epoch : Simulator::kNoEpochGrid;
-}
-
-Duration Federation::DeriveEpoch() const {
-  // Topology-derived conservative bound: the fastest trunk is the soonest any
-  // cell can affect another, so stepping no coarser than it keeps barrier
-  // clamping from distorting cross-cell delivery times. All trunks share
-  // config_.link, so the minimum is the configured latency.
-  Duration derived = std::min(config_.epoch, config_.link.latency);
-  derived = std::max(derived, CellEpochCap());  // kNoEpochGrid = 0: no floor
-  PRESTO_CHECK_MSG(derived > 0, "derived federation epoch must be positive");
-  return derived;
-}
-
 FederationConfig Federation::WorkerConfig() const {
-  // Workers construct their cells from the *resolved* config: epoch already
-  // derived, parallelism fields neutralized (the orchestrator owns the
-  // parallelism), num_cells kept — every worker owns a full routing view. The
+  // Workers construct their cells from the orchestrator's config with the
+  // parallelism fields neutralized (the orchestrator owns the parallelism),
+  // num_cells kept — every worker owns a full routing view. The
   // endpoint map is neutralized too: the transport that delivers this config is
   // not part of the simulated world, so every mode builds from identical bytes.
   FederationConfig wire = config_;
-  wire.auto_epoch = false;
   wire.cell_threads = 1;
   wire.cell_processes = 1;
   wire.num_endpoints = 0;

@@ -128,18 +128,12 @@ struct FederationConfig {
   // gets a distinct seed derived from `seed`, so cells are statistically independent
   // but the whole federation replays from one number.
   DeploymentConfig cell;
-  // Federation barrier grid: inter-cell delivery granularity. Must cover the cells'
-  // configured lane epoch cap (checked) — a trunk cannot deliver *finer* than its
-  // endpoints step. Cells without a lane grid (legacy single-queue engine) report
-  // Simulator::kNoEpochGrid and impose no constraint.
-  Duration epoch = Seconds(1);
-  // Derive the federation epoch from the topology instead of trusting `epoch`
-  // verbatim: epoch = clamp(trunk latency, [cell epoch cap, epoch]). Stepping no
-  // coarser than the trunk keeps the barrier clamp from ever binding, so
+  // Federation barrier grid: inter-cell delivery granularity (> 0). Each cell runs
+  // exactly to every federation barrier, whatever its own lane epoch. An epoch no
+  // longer than the trunk latency keeps the barrier clamp from binding, so
   // cross-cell completion times are faithful to trunk latency rather than
-  // quantized to federation barrier multiples. `epoch` stays the ceiling; the
-  // cells' configured lane grid stays the floor.
-  bool auto_epoch = false;
+  // quantized to federation barrier multiples.
+  Duration epoch = Seconds(1);
   // Host threads stepping cells concurrently within each federation epoch, clamped
   // to [1, num_cells]. 1 (the default) keeps sequential cell-index-order stepping.
   // Fingerprints and driver latency histograms are identical at every value — the
@@ -516,11 +510,9 @@ class Federation {
     CellOutput output;
   };
 
-  Duration CellEpochCap() const;
-  Duration DeriveEpoch() const;
   int WorkerOf(int cell_index) const { return cell_index % num_workers(); }
-  // The config every worker builds its cells from: epoch resolved, parallelism
-  // and endpoint fields neutralized.
+  // The config every worker builds its cells from: parallelism and endpoint
+  // fields neutralized.
   FederationConfig WorkerConfig() const;
   // Re-attaches every driver whose origin cell worker w hosts (migration replay;
   // slots must match the original attachment order).

@@ -37,7 +37,7 @@ struct UnifiedStoreStats {
 };
 
 // Routing (index search, chain walk, stats) runs in the calling context — queries are
-// issued from control context (between epochs / at barriers) in lane mode. Query
+// issued from control context (between epochs / at barriers). Query
 // *execution* is a pair of typed kQuery events pinned to the serving proxy's lane, so
 // the cache/model/pull work runs with that shard's other events; the completion
 // callback therefore also fires in the serving proxy's lane, synchronized with the
@@ -62,6 +62,8 @@ class UnifiedStore : public EventSink, public PullClient {
   // the distributed index.
   UnifiedStore(Simulator* sim, Network* net, uint64_t seed,
                Duration per_hop_latency = Millis(2));
+
+  Duration per_hop_latency() const { return per_hop_latency_; }
 
   // Indexes every sensor the proxy manages (and installs this store as the proxy's
   // pull client). Call after RegisterSensor on the proxy.

@@ -41,8 +41,10 @@ struct iovec;
 namespace presto {
 
 // Version 2 added the kHello handshake frame (the TCP listen/connect bootstrap);
-// peers on either side of a skew reject each other with a typed error.
-inline constexpr uint8_t kFedWireVersion = 2;
+// peers on either side of a skew reject each other with a typed error. Version 3:
+// the bootstrap's raw FederationConfig bytes dropped the lookahead, lane
+// re-binding and lane epoch-cap knobs.
+inline constexpr uint8_t kFedWireVersion = 3;
 
 // Hard cap on a single frame payload: far above any real checkpoint, far below
 // anything a corrupt length prefix could use to drive an allocation attack.

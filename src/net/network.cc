@@ -42,8 +42,8 @@ Network::Network(Simulator* sim, NetworkParams params, uint64_t seed)
     : sim_(sim), params_(params) {
   PRESTO_CHECK(sim_ != nullptr);
   PRESTO_CHECK(params_.max_retries >= 0);
-  // ctx_[0] keeps the seed deployment's stream so legacy runs replay unchanged; each
-  // worker lane draws from its own stream, fixed by lane index (not worker count).
+  // ctx_[0] serves the control lane; each worker lane draws from its own stream,
+  // fixed by lane index (not worker count).
   ctx_.emplace_back(Pcg32(seed, /*stream=*/0x4e4554));
   for (int lane = 0; lane < sim_->num_lanes(); ++lane) {
     ctx_.emplace_back(

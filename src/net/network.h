@@ -20,8 +20,9 @@
 // All sender/receiver energy is charged to the nodes' EnergyMeters; idle costs (sleep +
 // LPL channel sampling) accrue per configured interval via SettleIdleEnergy().
 //
-// Shard-lane routing: when the simulator runs in lane mode, every node carries a lane
-// (SetNodeLane; the deployment pins it to the node's home shard). Sends execute in the
+// Shard-lane routing: every node carries a simulator lane (SetNodeLane; the
+// deployment pins it to the node's acting owner's shard; unpinned nodes live on the
+// control lane). Sends execute in the
 // caller's lane and touch only sender-side state plus barrier-stable reads of the
 // receiver (powered flag, LPL config, down flag); delivery executes as a typed kFrame
 // event in the *receiver's* lane (via the simulator mailbox when lanes differ).
@@ -111,7 +112,7 @@ struct NetStats {
 
 class Network : public EventSink {
  public:
-  // Lane contexts are sized off `sim`: configure lanes before constructing.
+  // Lane contexts are sized off `sim`'s lane count.
   Network(Simulator* sim, NetworkParams params, uint64_t seed);
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -139,12 +140,12 @@ class Network : public EventSink {
   void ConnectWired(NodeId a, NodeId b, Duration latency = -1);
 
   // Minimum propagation latency over wired links whose live endpoints sit in
-  // different lanes, or -1 when no such link exists (legacy mode, all-intra-lane
-  // topologies). This is the conservative lookahead bound for the wired mesh: with
-  // sim epoch <= this, a barrier always lands between a cross-lane wired send and
-  // its delivery, so the mailbox clamp never defers it (sub-epoch latency stays
-  // faithful). Recomputed lazily; mutations (kill/revive/lane re-bind/link change)
-  // invalidate the cache. Control context only.
+  // different lanes, or -1 when no such link exists (a single live proxy, or every
+  // wired pair sharing a lane). This is the conservative lookahead bound for the
+  // wired mesh: with sim epoch <= this, a barrier always lands between a cross-lane
+  // wired send and its delivery, so the mailbox clamp never defers it (sub-epoch
+  // latency stays faithful). Recomputed lazily; mutations (kill/revive/lane
+  // re-bind/link change) invalidate the cache. Control context only.
   Duration MinCrossLaneWiredLatency() const;
 
   // Sets the symmetric per-frame loss probability between two nodes.
@@ -238,7 +239,7 @@ class Network : public EventSink {
   };
   // Everything a concurrently executing lane mutates, sharded per lane so parallel
   // execution shares nothing: loss/rendezvous draws, aggregate counters, coalescing
-  // windows. Index 0 is the control context (and the whole network in legacy mode).
+  // windows. Index 0 is the control context.
   struct LaneCtx {
     Pcg32 rng;
     NetStats stats;
@@ -264,7 +265,7 @@ class Network : public EventSink {
 
   Simulator* sim_;
   NetworkParams params_;
-  std::vector<LaneCtx> ctx_;  // [0] control/legacy, [1 + lane] per worker lane
+  std::vector<LaneCtx> ctx_;  // [0] control, [1 + lane] per worker lane
   std::map<NodeId, NodeState> nodes_;
   std::map<std::pair<NodeId, NodeId>, double> link_loss_;
   std::map<std::pair<NodeId, NodeId>, Duration> wired_;  // pair -> propagation latency

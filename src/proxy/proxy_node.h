@@ -362,7 +362,7 @@ class ProxyNode : public NetNode, public EventSink {
   Network* net_;
   ProxyNodeConfig config_;
   PullClient* pull_client_ = nullptr;
-  int lane_ = Simulator::kLaneCurrent;  // set by BindLane in lane mode
+  int lane_ = Simulator::kLaneCurrent;  // set by BindLane (deployments)
   PeriodicTimer maintenance_timer_;
   std::map<NodeId, std::unique_ptr<SensorState>> sensors_;
   std::map<uint32_t, PendingPull> pending_pulls_;

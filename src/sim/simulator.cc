@@ -1,6 +1,7 @@
 #include "src/sim/simulator.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "src/util/assert.h"
@@ -10,9 +11,9 @@
 namespace presto {
 namespace {
 
-// Which lane (of which simulator) the calling thread is currently executing. Control
-// contexts (the main thread between epochs, barrier-time execution, legacy mode)
-// leave this unset.
+// Which lane (of which simulator) the calling thread is currently executing. The
+// main thread between runs leaves this unset; barrier-time control-lane execution
+// sets it to kLaneControl.
 struct ThreadLaneContext {
   const Simulator* sim = nullptr;
   int lane = 0;  // external worker lane index
@@ -27,17 +28,10 @@ void EventHandle::Cancel() {
   }
 }
 
-void Simulator::ConfigureLanes(int num_lanes, int threads, Duration epoch) {
-  PRESTO_CHECK_MSG(!any_scheduled_, "ConfigureLanes must precede all scheduling");
-  PRESTO_CHECK_MSG(!lane_mode_, "lanes already configured");
-  if (num_lanes <= 1) {
-    return;  // legacy single-queue engine
-  }
+Simulator::Simulator(int num_lanes, int threads, Duration epoch)
+    : threads_(std::max(1, std::min(threads, num_lanes))), epoch_(epoch) {
+  PRESTO_CHECK_MSG(num_lanes >= 0, "negative lane count");
   PRESTO_CHECK_MSG(epoch > 0, "lane epoch must be positive");
-  lane_mode_ = true;
-  epoch_ = epoch;
-  epoch_cap_ = epoch;
-  threads_ = std::max(1, std::min(threads, num_lanes));
   lanes_.assign(static_cast<size_t>(num_lanes) + 1, Lane{});
   for (Lane& lane : lanes_) {
     lane.inbox.resize(static_cast<size_t>(num_lanes));
@@ -45,29 +39,24 @@ void Simulator::ConfigureLanes(int num_lanes, int threads, Duration epoch) {
   pool_ = std::make_unique<ClaimPool>(threads_);
 }
 
-void Simulator::SetLookahead(Duration lookahead) {
-  PRESTO_CHECK_MSG(lane_mode_, "lookahead requires the lane engine");
-  PRESTO_CHECK_MSG(lookahead >= 0, "negative lookahead");
+void Simulator::SetEpoch(Duration epoch) {
+  PRESTO_CHECK_MSG(epoch > 0, "lane epoch must be positive");
   PRESTO_CHECK_MSG(CurrentLane() == kLaneControl,
-                   "lookahead changes only from control context");
-  lookahead_ = lookahead;
-  const Duration effective =
-      lookahead > 0 ? std::min(epoch_cap_, lookahead) : epoch_cap_;
-  if (effective == epoch_) {
+                   "epoch changes only from control context");
+  if (epoch == epoch_) {
     return;
   }
   // Re-anchor the absolute grid at the current barrier: every lane has run through
   // global_now_, so barriers after it land on the new grid without ever moving a
   // barrier into the past.
   epoch_anchor_ = global_now_;
-  epoch_ = effective;
+  epoch_ = epoch;
 }
 
 size_t Simulator::RebindMatchingEvents(
     int from_lane, int to_lane,
     const std::function<bool(EventKind, const EventSink*, const EventPayload&)>&
         match) {
-  PRESTO_CHECK_MSG(lane_mode_, "lane re-binding requires the lane engine");
   PRESTO_CHECK_MSG(CurrentLane() == kLaneControl,
                    "lane membership changes only at barriers, on the control lane");
   PRESTO_CHECK_MSG(from_lane >= 0 && from_lane < num_lanes(), "bad from_lane");
@@ -142,9 +131,6 @@ int Simulator::CurrentLane() const {
 }
 
 SimTime Simulator::Now() const {
-  if (!lane_mode_) {
-    return lanes_[0].now;
-  }
   if (tl_lane_ctx.sim == this) {
     // kLaneControl is a sentinel, not an index: control events keep
     // CurrentLane() == kLaneControl but read the control lane's own clock, so a
@@ -158,9 +144,6 @@ SimTime Simulator::Now() const {
 }
 
 int Simulator::ResolveLane(int lane) const {
-  if (!lane_mode_) {
-    return 0;
-  }
   if (lane == kLaneCurrent) {
     lane = CurrentLane();
   }
@@ -193,13 +176,7 @@ EventHandle Simulator::Push(int internal_lane, SimTime t, EventKind kind,
                             EventSink* sink, EventPayload&& payload,
                             std::function<void()>&& fn) {
   const int current = CurrentLane();
-  if (current == Simulator::kLaneControl) {
-    // Only control-context schedules can be "the first ever" (a lane cannot execute
-    // before something was scheduled into it), so the ConfigureLanes ordering guard
-    // needs no cross-thread write.
-    any_scheduled_ = true;
-  }
-  if (lane_mode_ && current != kLaneControl && internal_lane != current) {
+  if (current != kLaneControl && internal_lane != current) {
     // Cross-lane post from a running worker: mailbox, drained (single-writer FIFO,
     // deterministic source order) at the next barrier. Not cancellable.
     Lane& target = lanes_[static_cast<size_t>(internal_lane)];
@@ -207,12 +184,12 @@ EventHandle Simulator::Push(int internal_lane, SimTime t, EventKind kind,
         Mail{t, kind, sink, std::move(payload), std::move(fn)});
     return EventHandle();
   }
-  if (lane_mode_ && current == kLaneControl && internal_lane != ControlIndex() &&
-      t < global_now_) {
+  if (current == kLaneControl && internal_lane != ControlIndex() && t < global_now_) {
     // A control event observes its own timestamp, which may trail the barrier —
     // but by the time control runs, worker lanes have already replayed up to it.
     // Deliveries into a worker lane clamp forward to the barrier so they can
-    // never land in a lane's already-executed past.
+    // never land in a lane's already-executed past. A lookahead no longer than the
+    // delivery's delay keeps the barrier within reach, so the clamp never binds.
     t = global_now_;
   }
   Lane& lane = lanes_[static_cast<size_t>(internal_lane)];
@@ -289,14 +266,11 @@ bool Simulator::ExecuteOne(Lane& lane) {
 void Simulator::RunLaneTo(int internal_lane, SimTime end, bool inclusive) {
   Lane& lane = lanes_[static_cast<size_t>(internal_lane)];
   const ThreadLaneContext saved = tl_lane_ctx;
-  const bool is_control = internal_lane == ControlIndex();
-  if (lane_mode_) {
-    // Control keeps the kLaneControl sentinel (CurrentLane() must keep reporting
-    // control context for the barrier-only mutation checks); Now() maps it back
-    // to the control lane's clock.
-    tl_lane_ctx =
-        ThreadLaneContext{this, is_control ? kLaneControl : internal_lane};
-  }
+  // Control keeps the kLaneControl sentinel (CurrentLane() must keep reporting
+  // control context for the barrier-only mutation checks); Now() maps it back to
+  // the control lane's clock.
+  tl_lane_ctx = ThreadLaneContext{
+      this, internal_lane == ControlIndex() ? kLaneControl : internal_lane};
   while (!lane.queue.empty()) {
     const SimTime top = lane.queue.top().time;
     if (inclusive ? top > end : top >= end) {
@@ -345,51 +319,26 @@ void Simulator::RunEpoch(SimTime end, bool inclusive) {
 }
 
 void Simulator::SetBarrierHook(std::function<void(SimTime)> hook) {
+  PRESTO_CHECK_MSG(num_lanes() > 0, "a barrier hook needs worker lanes to guard");
   barrier_hook_ = std::move(hook);
 }
 
 bool Simulator::Step() {
-  if (!lane_mode_) {
-    Lane& lane = lanes_[0];
-    while (!lane.queue.empty()) {
-      if (ExecuteOne(lane)) {
-        return true;
-      }
-    }
-    return false;
-  }
   const SimTime next = NextEventTime();
   if (next < 0) {
     return false;
   }
   const SimTime target = std::max(next, global_now_);
-  RunEpoch(GridEnd(target), /*inclusive=*/false);
+  if (num_lanes() == 0) {
+    // No worker lanes, no mail to clamp: nothing ties the step to the grid.
+    RunEpoch(target, /*inclusive=*/true);
+  } else {
+    RunEpoch(GridEnd(target), /*inclusive=*/false);
+  }
   return true;
 }
 
 void Simulator::RunUntil(SimTime t) {
-  if (!lane_mode_) {
-    Lane& lane = lanes_[0];
-    while (!lane.queue.empty()) {
-      const QueueEntry& top = lane.queue.top();
-      if (lane.pool[top.slot].gen != top.gen) {
-        // Lazy-deleted (cancelled) entry. Dropping it here matters: a stale entry
-        // at time <= t can front a live event beyond t, and deciding on the stale
-        // top's time would execute that event past the bound (Step() runs the
-        // first *live* event it finds, whatever its time).
-        lane.queue.pop();
-        continue;
-      }
-      if (top.time > t) {
-        break;
-      }
-      ExecuteOne(lane);
-    }
-    if (lane.now < t) {
-      lane.now = t;
-    }
-    return;
-  }
   while (global_now_ <= t) {
     SimTime next = NextEventTime();
     if (next < 0) {
@@ -402,7 +351,8 @@ void Simulator::RunUntil(SimTime t) {
       return;
     }
     // Skip empty grid cells: barriers only run where work (or mail) is waiting.
-    const SimTime end = std::min(GridEnd(next), t);
+    // Without worker lanes there is no grid: one pass runs the control lane to t.
+    const SimTime end = num_lanes() == 0 ? t : std::min(GridEnd(next), t);
     RunEpoch(end, /*inclusive=*/end == t);
     if (end == t) {
       return;
@@ -411,6 +361,14 @@ void Simulator::RunUntil(SimTime t) {
 }
 
 void Simulator::RunAll() {
+  if (num_lanes() == 0) {
+    // No grid and no mail: one control-lane pass drains everything, and the clock
+    // stops at the last event.
+    Lane& control = lanes_[static_cast<size_t>(ControlIndex())];
+    RunLaneTo(ControlIndex(), std::numeric_limits<SimTime>::max(), /*inclusive=*/true);
+    global_now_ = std::max(global_now_, control.now);
+    return;
+  }
   while (Step()) {
   }
 }
@@ -435,9 +393,6 @@ size_t Simulator::events_pending() const {
 }
 
 uint64_t Simulator::fingerprint() const {
-  if (!lane_mode_) {
-    return lanes_[0].fp;
-  }
   // Order-independent fold: lanes execute concurrently, so the combined fingerprint
   // must not encode an inter-lane *ordering* — but each stream is bound to its lane
   // identity before summing, so swapping two lanes' entire event streams (a lane
@@ -513,16 +468,12 @@ Status ReadPayload(ByteReader& r, EventPayload& p) {
 Status Simulator::SaveState(ByteWriter& w) const {
   PRESTO_CHECK_MSG(CurrentLane() == kLaneControl,
                    "checkpoint only from control context");
-  CkptWrite(w, lane_mode_);
   CkptWrite(w, static_cast<uint64_t>(lanes_.size()));
   CkptWrite(w, static_cast<uint64_t>(sinks_.size()));
   CkptWrite(w, epoch_);
-  CkptWrite(w, epoch_cap_);
-  CkptWrite(w, lookahead_);
   CkptWrite(w, epoch_anchor_);
   CkptWrite(w, global_now_);
   w.WriteU64(barrier_hash_);
-  CkptWrite(w, any_scheduled_);
   for (size_t li = 0; li < lanes_.size(); ++li) {
     const Lane& lane = lanes_[li];
     CkptWrite(w, lane.now);
@@ -585,13 +536,11 @@ Status Simulator::SaveState(ByteWriter& w) const {
 
 Status Simulator::LoadState(ByteReader& r) {
   PRESTO_CHECK_MSG(CurrentLane() == kLaneControl, "restore only from control context");
-  bool lane_mode = false;
   uint64_t lane_count = 0;
   uint64_t sink_count = 0;
-  CKPT_READ(r, lane_mode);
   CKPT_READ(r, lane_count);
   CKPT_READ(r, sink_count);
-  if (lane_mode != lane_mode_ || lane_count != lanes_.size()) {
+  if (lane_count != lanes_.size()) {
     return FailedPreconditionError(
         "restore: lane configuration mismatch (checkpoint has " +
         std::to_string(lane_count) + " lanes, simulator has " +
@@ -604,14 +553,11 @@ Status Simulator::LoadState(ByteReader& r) {
         "; construction order must match the saving run)");
   }
   Duration epoch = 0;
-  Duration epoch_cap = 0;
   CKPT_READ(r, epoch);
-  CKPT_READ(r, epoch_cap);
-  if (epoch_cap != epoch_cap_) {
-    return FailedPreconditionError("restore: epoch grid mismatch");
+  if (epoch <= 0) {
+    return DataLossError("restore: invalid epoch");
   }
   epoch_ = epoch;
-  CKPT_READ(r, lookahead_);
   CKPT_READ(r, epoch_anchor_);
   CKPT_READ(r, global_now_);
   auto barrier_hash = r.ReadU64();
@@ -619,7 +565,6 @@ Status Simulator::LoadState(ByteReader& r) {
     return barrier_hash.status();
   }
   barrier_hash_ = *barrier_hash;
-  CKPT_READ(r, any_scheduled_);
   // Restored events to announce once every lane's queues are rebuilt.
   struct Restored {
     int lane;
@@ -698,9 +643,7 @@ Status Simulator::LoadState(ByteReader& r) {
   for (const Restored& item : announce) {
     Lane& lane = lanes_[static_cast<size_t>(item.lane)];
     Event& event = lane.pool[item.slot];
-    const int external_lane = lane_mode_ && item.lane != ControlIndex()
-                                  ? item.lane
-                                  : kLaneControl;
+    const int external_lane = item.lane != ControlIndex() ? item.lane : kLaneControl;
     event.sink->OnEventRestored(item.time, item.kind, event.payload,
                                 EventHandle(this, item.lane, item.slot, event.gen),
                                 external_lane);

@@ -3,30 +3,29 @@
 // This is the testbed substitute for the paper's mote/proxy hardware: every radio
 // transmission, flash operation, sensing tick, and query in PRESTO is an event here.
 //
-// Two execution modes share one event representation:
+// One execution engine: shard lanes under an epoch-barrier schedule. A simulator
+// has `num_lanes` worker lanes (fixed at construction; the deployment maps lane =
+// home shard) plus a serial *control lane*, executed by a worker pool. Within an
+// epoch [T, T+E) every worker lane runs its own events independently; an event that
+// schedules into *another* lane posts to a per-lane mailbox instead, and mailboxes
+// are drained serially at the next barrier (arrival times clamp forward to it). The
+// control lane runs at barriers with no workers active — deployment mutations (kill /
+// revive / promote / migrate / rebalance) and query drivers execute there so they
+// may touch any lane's state; a control event observes its own timestamp, not the
+// barrier it runs at. A bare Simulator has zero worker lanes: every event runs on the
+// control lane in (time, seq) order, with ties broken by scheduling order.
 //
-//  - Legacy (default): a single global queue executed inline, exactly the seed
-//    behaviour. Events at equal timestamps fire in scheduling order, all randomness is
-//    injected via seeded Pcg32 streams, and fingerprint() is the original global
-//    rolling FNV-1a over every executed event's (time, seq) — replays bit-identically.
+// Conservative lookahead: the owner sets the epoch (SetEpoch) to the smallest latency
+// any event can cross lanes with, so neither clamp ever binds and cross-lane latencies
+// are delivered at their true times.
 //
-//  - Shard lanes (ConfigureLanes): the queue splits into `num_lanes` per-lane queues
-//    (the deployment maps lane = home shard) executed by a worker pool under an
-//    epoch-barrier schedule. Within an epoch [T, T+E) every lane runs its own events
-//    independently; an event that schedules into *another* lane posts to a per-lane
-//    mailbox instead, and mailboxes are drained serially at the next barrier (the
-//    cross-lane delivery granularity is therefore the epoch). A serial *control lane*
-//    runs at barriers with no workers active — deployment mutations (kill / revive /
-//    promote / migrate / rebalance) execute there so they may touch any lane's state.
-//
-//    Determinism contract in lane mode: each lane keeps its own clock, sequence
-//    counter, and rolling FNV fingerprint; mailboxes are single-writer FIFOs drained
-//    in (source-lane, FIFO) order on a fixed absolute epoch grid, so per-lane event
-//    streams do not depend on the worker count. fingerprint() folds the per-lane
-//    fingerprints order-independently (commutative sum of mixed lane hashes) together
-//    with a barrier-sequence hash over (epoch start, mail count) of every draining
-//    barrier. threads=1 and threads=N produce identical fingerprints; a simulator
-//    that never configured lanes keeps the legacy global fingerprint path.
+// Determinism contract: each lane keeps its own clock, sequence counter, and rolling
+// FNV fingerprint; mailboxes are single-writer FIFOs drained in (source-lane, FIFO)
+// order on a fixed absolute epoch grid, so per-lane event streams do not depend on the
+// worker count. fingerprint() folds the per-lane fingerprints order-independently
+// (commutative sum of mixed lane hashes) together with a barrier-sequence hash over
+// (epoch start, mail count) of every draining barrier. threads=1 and threads=N
+// produce identical fingerprints. All randomness is injected via seeded Pcg32 streams.
 //
 // Events are a typed, pool-allocated union instead of heap-allocated std::function
 // closures: timer fires, radio frame deliveries, batch flushes, query stages, and
@@ -90,7 +89,7 @@ class EventSink {
   // event to its sink (per lane, in (time, seq) order) so holders of cancellable
   // handles — timers, pull timeouts, batch flushes — re-capture them. `lane` is the
   // external designator the event lives in (a worker lane index, or kLaneControl for
-  // the control/legacy lane) — sinks with per-lane state use it to find the owning
+  // the control lane) — sinks with per-lane state use it to find the owning
   // context. Mailbox entries are not announced (cross-lane posts never had handles).
   // Default no-op: sinks whose events carry no handle state ignore it.
   virtual void OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
@@ -135,48 +134,27 @@ class Simulator {
   static constexpr int kLaneCurrent = -2;  // the scheduling context's own lane
   static constexpr int kLaneControl = -1;  // serial barrier lane
 
-  // Sentinel returned by epoch() / epoch_cap() when no lane grid is configured
-  // (legacy mode). Layers that validate a stacked barrier schedule against the cell
-  // grid must treat this value explicitly ("no grid" — not "grid of length zero"):
-  // an unconfigured cell imposes no epoch constraint, and arithmetic on the grid
-  // (GridEnd) is meaningless. Never a legal configured epoch (ConfigureLanes
-  // requires epoch > 0).
-  static constexpr Duration kNoEpochGrid = 0;
-
-  Simulator() { lanes_.resize(1); }
+  // `num_lanes` worker lanes (0: everything runs on the control lane) plus the
+  // serial control lane, run by `threads` workers (clamped to [1, num_lanes]; the
+  // calling thread is one of them) on an absolute epoch grid of length `epoch`
+  // (> 0; unused without worker lanes).
+  explicit Simulator(int num_lanes = 0, int threads = 1, Duration epoch = Millis(500));
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  // Splits execution into `num_lanes` parallel lanes plus the serial control lane,
-  // run by `threads` workers (clamped to [1, num_lanes]; the calling thread is one of
-  // them) on an absolute epoch grid of length `epoch`. Must be called once, before
-  // any event is scheduled. num_lanes <= 1 keeps the legacy single-queue engine.
-  void ConfigureLanes(int num_lanes, int threads, Duration epoch);
-
-  // Worker lanes configured (0 in legacy mode).
-  int num_lanes() const { return lane_mode_ ? static_cast<int>(lanes_.size()) - 1 : 0; }
+  int num_lanes() const { return static_cast<int>(lanes_.size()) - 1; }
   int threads() const { return threads_; }
-  // The *current* epoch-barrier grid length (kNoEpochGrid in legacy mode). With a
-  // lookahead bound applied this can be smaller than the configured cap and can
-  // change at barriers; layers that stack their own barrier schedule on top (the
-  // federation) must validate against epoch_cap(), which is stable for the run.
-  Duration epoch() const { return lane_mode_ ? epoch_ : kNoEpochGrid; }
-  // The epoch passed to ConfigureLanes — the upper bound SetLookahead can never
-  // exceed (kNoEpochGrid in legacy mode).
-  Duration epoch_cap() const { return lane_mode_ ? epoch_cap_ : kNoEpochGrid; }
-  // The lookahead bound currently applied (0 = none; the configured cap rules).
-  Duration lookahead() const { return lookahead_; }
+  // The current epoch-barrier grid length (changes only through SetEpoch).
+  Duration epoch() const { return epoch_; }
 
-  // Conservative-lookahead mode: bounds the epoch so cross-lane deliveries (which
-  // clamp to the next barrier) are never deferred past `lookahead` — with
-  // `lookahead` <= the minimum cross-lane wired latency, clamped arrival times
-  // equal true arrival times and sub-epoch latencies become faithful. The engine
-  // picks epoch = min(epoch_cap, lookahead) and re-anchors the absolute grid at the
-  // current barrier; lookahead = 0 clears the bound (epoch returns to the cap).
-  // Control context only (between runs or at a barrier, on the control lane), lane
-  // mode only. Deterministic: the call sites are themselves control-lane events, so
-  // the epoch-length schedule replays identically across worker counts.
-  void SetLookahead(Duration lookahead);
+  // Sets the epoch (> 0) and re-anchors the absolute grid at the current barrier.
+  // Cross-lane deliveries clamp forward to the next barrier, so an epoch no longer
+  // than the smallest cross-lane delay (the conservative lookahead) keeps every
+  // clamped arrival time equal to its true arrival time. Control context only
+  // (between runs or at a barrier, on the control lane). Deterministic: the call
+  // sites are themselves control-lane events, so the epoch-length schedule replays
+  // identically across worker counts.
+  void SetEpoch(Duration epoch);
 
   // Barrier-time lane re-binding: moves every *live* pending event and undrained
   // mailbox entry of `from_lane` that `match`es to `to_lane`, preserving delivery
@@ -194,7 +172,7 @@ class Simulator {
           match);
 
   // The lane the calling context executes in: a worker lane index during lane event
-  // execution, else kLaneControl (also always kLaneControl in legacy mode).
+  // execution, else kLaneControl.
   int CurrentLane() const;
 
   // Current simulated time: the executing lane's clock during event execution, the
@@ -214,19 +192,21 @@ class Simulator {
   EventHandle ScheduleEventAt(SimTime t, EventKind kind, EventSink* sink,
                               EventPayload payload, int lane = kLaneCurrent);
 
-  // Runs a barrier-time hook before each epoch's workers launch (lane mode only):
+  // Runs a barrier-time hook before each epoch's workers launch:
   // the deployment pre-extends shared lazily-built world state (e.g. the temperature
   // field's weather fronts) through `epoch_end` so lane execution only reads it.
+  // Needs worker lanes: without them nothing runs concurrently to guard against.
   void SetBarrierHook(std::function<void(SimTime epoch_end)> hook);
 
-  // Legacy: executes the next event, returns false when the queue is empty.
-  // Lane mode: advances one epoch covering the next pending event (or returns false
-  // when nothing is pending anywhere).
+  // Advances one epoch covering the next pending event (or returns false when
+  // nothing is pending anywhere). With no worker lanes there is no grid to keep: the
+  // step runs exactly the next pending timestamp and the clock stops there.
   bool Step();
 
   // Runs until pending work is exhausted or `t` is reached; the clock finishes at
   // exactly `t` if any events remain beyond it (they stay queued). Events scheduled
-  // at exactly `t` execute, matching the legacy inclusive bound.
+  // at exactly `t` execute (an inclusive bound). With no worker lanes the control
+  // lane runs straight through `t` in one pass.
   void RunUntil(SimTime t);
 
   // Runs until every queue and mailbox drains.
@@ -235,9 +215,9 @@ class Simulator {
   uint64_t events_executed() const;
   size_t events_pending() const;
 
-  // Replay fingerprint. Legacy: the global rolling FNV-1a over executed (time, seq).
-  // Lane mode: order-independent fold of the per-lane rolling hashes plus the
-  // barrier-sequence hash (see file header). Equal across reruns and worker counts.
+  // Replay fingerprint: order-independent fold of the per-lane rolling FNV-1a hashes
+  // over executed (time, seq) plus the barrier-sequence hash (see file header).
+  // Equal across reruns and worker counts.
   uint64_t fingerprint() const;
 
   // Timestamp of the next queued event (in any lane or mailbox), or -1 when idle.
@@ -266,8 +246,8 @@ class Simulator {
   Status SaveState(ByteWriter& w) const;
 
   // Restores state saved by SaveState into a freshly constructed, identically
-  // configured simulator: same lane count and epoch cap — the thread count may
-  // differ (replay is thread-count independent). Existing queues are discarded;
+  // configured simulator: same lane count — the thread count may differ (replay is
+  // thread-count independent), and the epoch grid is restored with the state. Existing queues are discarded;
   // events re-enter their pools with their original (time, seq) keys and each is
   // announced via OnEventRestored. Call after every subsystem's own LoadState, so
   // re-captured handles land in fully restored objects.
@@ -317,9 +297,7 @@ class Simulator {
 
   friend class EventHandle;
 
-  int ControlIndex() const {
-    return lane_mode_ ? static_cast<int>(lanes_.size()) - 1 : 0;
-  }
+  int ControlIndex() const { return static_cast<int>(lanes_.size()) - 1; }
   int ResolveLane(int lane) const;
   EventHandle Push(int internal_lane, SimTime t, EventKind kind, EventSink* sink,
                    EventPayload&& payload, std::function<void()>&& fn);
@@ -337,27 +315,23 @@ class Simulator {
   void MixFp(uint64_t& fp, uint64_t v) const;
   // First barrier strictly after `t` on the current grid. The grid is anchored at
   // the barrier where the epoch length last changed (epoch_anchor_, 0 until a
-  // SetLookahead retune), so shrinking or restoring the epoch mid-run keeps every
-  // subsequent barrier an exact multiple away from a past barrier.
+  // SetEpoch), so changing the epoch mid-run keeps every subsequent barrier an
+  // exact multiple away from a past barrier.
   SimTime GridEnd(SimTime t) const {
     return epoch_anchor_ + ((t - epoch_anchor_) / epoch_ + 1) * epoch_;
   }
 
-  bool lane_mode_ = false;
   int threads_ = 1;
-  Duration epoch_ = 0;      // current effective epoch (<= epoch_cap_)
-  Duration epoch_cap_ = 0;  // the ConfigureLanes epoch
-  Duration lookahead_ = 0;  // 0 = no lookahead bound
+  Duration epoch_ = 0;
   SimTime epoch_anchor_ = 0;
   SimTime global_now_ = 0;
   uint64_t barrier_hash_ = 0xcbf29ce484222325ull;
-  bool any_scheduled_ = false;
-  std::vector<Lane> lanes_;  // legacy: [0]; lane mode: [0..L-1] workers, [L] control
+  std::vector<Lane> lanes_;  // [0..L-1] workers, [L] control
   std::function<void(SimTime)> barrier_hook_;
   std::vector<EventSink*> sinks_;  // checkpoint sink table, construction order
   std::map<const EventSink*, uint64_t> sink_ids_;
 
-  // Worker lanes' host threads (lane mode).
+  // Worker lanes' host threads.
   std::unique_ptr<ClaimPool> pool_;
 };
 

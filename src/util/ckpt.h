@@ -380,7 +380,10 @@ class Checkpoint {
   // federation "fed" section moved to the process-seam layout (per-cell FedCell
   // blobs under "cell<i>/fed", payload-carrying trunk mail, cell-down bitmap).
   // v3: AR model state drops the derived horizon_std table (rebuilt on demand).
-  static constexpr uint32_t kVersion = 3;
+  // v4: the simulator's "sim" section drops its engine-mode and first-schedule
+  // flags (one engine, lane count fixed at construction) and its epoch cap and
+  // lookahead (the epoch is the lookahead).
+  static constexpr uint32_t kVersion = 4;
 
   // Appends (or replaces) a named section.
   void Add(const std::string& name, std::vector<uint8_t> payload);

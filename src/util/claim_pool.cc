@@ -1,9 +1,29 @@
 #include "src/util/claim_pool.h"
 
-namespace presto {
+#include <chrono>
 
-ClaimPool::ClaimPool(int threads) {
-  for (int t = 1; t < threads; ++t) {
+namespace presto {
+namespace {
+
+// Polls `ready` for up to ClaimPool::kSpinWindow, yielding between polls so a
+// poller never starves the thread it waits for when both share one CPU.
+template <typename Ready>
+bool PollFor(Ready ready) {
+  const auto until = std::chrono::steady_clock::now() +
+                     std::chrono::microseconds(ClaimPool::kSpinWindow);
+  while (!ready()) {
+    if (std::chrono::steady_clock::now() >= until) {
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+}  // namespace
+
+ClaimPool::ClaimPool(int threads) : num_helpers_(threads > 1 ? threads - 1 : 0) {
+  for (int t = 0; t < num_helpers_; ++t) {
     helpers_.emplace_back([this] { HelperLoop(); });
   }
 }
@@ -11,7 +31,7 @@ ClaimPool::ClaimPool(int threads) {
 ClaimPool::~ClaimPool() {
   {
     std::lock_guard<std::mutex> lock(m_);
-    quit_ = true;
+    quit_.store(true);
   }
   start_cv_.notify_all();
   for (std::thread& helper : helpers_) {
@@ -20,44 +40,55 @@ ClaimPool::~ClaimPool() {
 }
 
 void ClaimPool::RunShared(int n, void* ctx, void (*call)(void*, int)) {
+  // Every helper finished the previous run before it returned, so the run fields
+  // are free to rewrite; the generation bump publishes them.
+  n_ = n;
+  ctx_ = ctx;
+  call_ = call;
+  done_.store(0, std::memory_order_relaxed);
+  next_.store(0, std::memory_order_relaxed);
   {
+    // Under m_: a helper about to park re-checks the generation under m_ too.
     std::lock_guard<std::mutex> lock(m_);
-    n_ = n;
-    ctx_ = ctx;
-    call_ = call;
-    done_ = 0;
-    next_.store(0, std::memory_order_relaxed);
-    ++gen_;
+    gen_.fetch_add(1, std::memory_order_release);
   }
   start_cv_.notify_all();
   Claim();  // the calling thread is worker 0
-  std::unique_lock<std::mutex> lock(m_);
-  done_cv_.wait(lock, [&] { return done_ == static_cast<int>(helpers_.size()); });
+  auto all_done = [this] { return done_.load() == num_helpers_; };
+  if (!PollFor(all_done)) {
+    std::unique_lock<std::mutex> lock(m_);
+    // Set before the done count is re-read (both sequentially consistent): the
+    // last helper either sees the flag and wakes us, or we see its count.
+    caller_parked_.store(true);
+    done_cv_.wait(lock, all_done);
+    caller_parked_.store(false);
+  }
 }
 
 void ClaimPool::HelperLoop() {
   uint64_t seen_gen = 0;
+  auto started = [&] { return quit_.load() || gen_.load() != seen_gen; };
   while (true) {
-    {
+    if (!PollFor(started)) {
       std::unique_lock<std::mutex> lock(m_);
-      start_cv_.wait(lock, [&] { return quit_ || gen_ != seen_gen; });
-      if (quit_) {
-        return;
-      }
-      seen_gen = gen_;
+      start_cv_.wait(lock, started);
     }
+    if (quit_.load()) {
+      return;
+    }
+    seen_gen = gen_.load();
     Claim();
-    {
-      std::lock_guard<std::mutex> lock(m_);
-      ++done_;
+    if (done_.fetch_add(1) + 1 == num_helpers_ && caller_parked_.load()) {
+      // Taking m_ orders this wake-up after the caller's wait began.
+      { std::lock_guard<std::mutex> lock(m_); }
+      done_cv_.notify_one();
     }
-    done_cv_.notify_one();
   }
 }
 
 void ClaimPool::Claim() {
-  // n_, ctx_ and call_ are stable for the whole run: written under m_ before
-  // the generation bump every helper synchronizes on.
+  // n_, ctx_ and call_ are stable for the whole run: written before the
+  // generation bump every helper synchronizes on.
   int i;
   while ((i = next_.fetch_add(1, std::memory_order_relaxed)) < n_) {
     call_(ctx_, i);

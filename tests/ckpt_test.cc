@@ -69,9 +69,7 @@ DeploymentConfig CkptDeploymentConfig(int threads) {
   config.enable_replication = true;
   config.replication_factor = 2;
   config.promotion_delay = Seconds(20);
-  config.lane_engine = true;
   config.sim_threads = threads;
-  config.sim_epoch = Millis(500);
   config.seed = 811;
   return config;
 }
@@ -281,9 +279,8 @@ TEST(CheckpointEncodeTest, FilteredEncodeEqualsEncodeOfTheKeptSections) {
   }
 }
 
-// Checkpoints are version-pinned: a snapshot or diff of the previous version (v2 AR
-// model states still carry the horizon table) is refused with a typed error, never
-// parsed as the current one.
+// Checkpoints are version-pinned: a snapshot or diff of the previous version is
+// refused with a typed error, never parsed as the current one.
 TEST(CheckpointEncodeTest, PreviousVersionIsRefused) {
   const uint32_t previous = Checkpoint::kVersion - 1;
   const Checkpoint ckpt = MixedCheckpoint();
@@ -308,6 +305,31 @@ TEST(CheckpointEncodeTest, PreviousVersionIsRefused) {
       Checkpoint::ApplyDiff(ckpt, span<const uint8_t>(with_version(diff, previous)));
   ASSERT_FALSE(old_diff.ok());
   EXPECT_EQ(old_diff.status().code(), StatusCode::kInvalidArgument);
+}
+
+// v4 dropped the engine-mode and scheduling-guard flags, the epoch cap and the
+// lookahead from the simulator's "sim" section, so a v3 deployment checkpoint's sim
+// bytes would misparse under v4. A v3 container (here a real deployment checkpoint
+// relabelled 3) must be refused at the header with a typed error, before any
+// section is read.
+TEST(CheckpointEncodeTest, V3DeploymentCheckpointIsRefused) {
+  ASSERT_EQ(Checkpoint::kVersion, 4u);
+  Checkpoint ckpt;
+  {
+    Deployment deployment(CkptDeploymentConfig(1));
+    deployment.Start();
+    deployment.RunUntil(Minutes(10));
+    ASSERT_TRUE(deployment.SaveCheckpoint(&ckpt).ok());
+  }
+  std::vector<uint8_t> bytes = ckpt.Encode();
+  ByteWriter v3;
+  v3.WriteU32(3);
+  std::copy(v3.buffer().begin(), v3.buffer().end(), bytes.begin() + 4);
+  auto decoded = Checkpoint::Decode(span<const uint8_t>(bytes));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("unsupported version 3"), std::string::npos)
+      << decoded.status().message();
 }
 
 TEST(CheckpointEncodeTest, DeploymentEncodeIsExactSizeAndTakeSectionsMovesInOrder) {
@@ -407,12 +429,9 @@ FederationConfig CkptFederationConfig() {
   config.cell.sensors_per_proxy = 8;
   config.cell.enable_replication = true;
   config.cell.replication_factor = 2;
-  config.cell.lane_engine = true;
   config.cell.sim_threads = 2;
-  config.cell.sim_epoch = Millis(250);
   config.link.latency = Millis(250);
-  config.epoch = Seconds(1);
-  config.auto_epoch = true;
+  config.epoch = Millis(250);
   config.seed = 911;
   return config;
 }

@@ -927,9 +927,7 @@ ReplayDigest RunLaneEngineScenario(int threads) {
   config.enable_replication = true;
   config.replication_factor = 2;
   config.promotion_delay = Seconds(10);
-  config.lane_engine = true;
   config.sim_threads = threads;
-  config.sim_epoch = Seconds(2);
   config.net.batch_epoch = Seconds(1);  // exercise per-lane coalescing windows
   config.seed = 331;
   Deployment deployment(config);
@@ -991,9 +989,7 @@ ReplayDigest RunLaneEngineModelScenario(int threads, uint64_t* extrapolated) {
   DeploymentConfig config;
   config.num_proxies = 2;
   config.sensors_per_proxy = 8;
-  config.lane_engine = true;
   config.sim_threads = threads;
-  config.sim_epoch = Seconds(2);
   config.seed = 359;
   Deployment deployment(config);
   deployment.Start();
@@ -1040,50 +1036,83 @@ TEST(LaneEngineDeploymentTest, ModelForecastCachesAreLanePinned) {
 // ---------- barrier-time lane re-binding on migration ----------
 
 TEST(LaneEngineDeploymentTest, MigrationRebindsSensorLaneAndDropsCrossLaneSends) {
-  auto run = [](bool rebind, int* lane_after, uint64_t* cross_after) {
-    DeploymentConfig config;
-    config.num_proxies = 2;
-    config.sensors_per_proxy = 4;
-    config.lane_engine = true;
-    config.sim_threads = 2;
-    config.sim_epoch = Seconds(2);
-    config.lane_rebind = rebind;
-    config.seed = 353;
-    Deployment deployment(config);
-    deployment.Start();
-    deployment.RunUntil(Hours(2));
+  DeploymentConfig config;
+  config.num_proxies = 2;
+  config.sensors_per_proxy = 4;
+  config.sim_threads = 2;
+  config.seed = 353;
+  Deployment deployment(config);
+  deployment.Start();
+  deployment.RunUntil(Hours(2));
 
-    const int g = 1;  // geographic: owned by proxy 0, so home lane 0
-    const NodeId id = deployment.GlobalSensorId(g);
-    EXPECT_EQ(deployment.net().NodeLane(id), 0);
+  const int g = 1;  // geographic: owned by proxy 0, so home lane 0
+  const NodeId id = deployment.GlobalSensorId(g);
+  EXPECT_EQ(deployment.net().NodeLane(id), 0);
 
-    deployment.MigrateSensor(g, 1);
-    // Lane membership changes at the migration barrier; give it one epoch to land.
-    deployment.RunUntil(deployment.sim().Now() + config.sim_epoch);
-    *lane_after = deployment.net().NodeLane(id);
+  deployment.MigrateSensor(g, 1);
+  // Lane membership changes at the migration barrier; give it one epoch to land.
+  deployment.RunUntil(deployment.sim().Now() + deployment.sim().epoch());
+  EXPECT_EQ(deployment.net().NodeLane(id), 1)
+      << "migrated sensor must re-home to the new owner's lane";
 
-    // From here on, count the migrated sensor's cross-lane radio sends. Re-bound,
-    // its pushes execute in the acting owner's own lane (no LPL worst-case preamble
-    // tax); pinned to the stale home lane, every push stays cross-lane forever.
-    const uint64_t before = deployment.net().node_stats(id).cross_lane_sends;
-    deployment.RunUntil(deployment.sim().Now() + Hours(4));
-    *cross_after = deployment.net().node_stats(id).cross_lane_sends - before;
-    const uint64_t pushes = deployment.sensor(0, g).stats().pushes;
-    EXPECT_GT(pushes, 0u) << "scenario must actually exercise the push path";
-  };
-
-  int lane_rebound = -1;
-  int lane_pinned = -1;
-  uint64_t cross_rebound = 0;
-  uint64_t cross_pinned = 0;
-  run(/*rebind=*/true, &lane_rebound, &cross_rebound);
-  run(/*rebind=*/false, &lane_pinned, &cross_pinned);
-  EXPECT_EQ(lane_rebound, 1) << "migrated sensor must re-home to the new owner's lane";
-  EXPECT_EQ(lane_pinned, 0) << "with re-binding off, the PR-4 pinning must persist";
-  EXPECT_EQ(cross_rebound, 0u)
+  // From here on, the migrated sensor's pushes execute in the acting owner's own
+  // lane: no cross-lane radio sends (and no LPL worst-case preamble tax).
+  const uint64_t before = deployment.net().node_stats(id).cross_lane_sends;
+  deployment.RunUntil(deployment.sim().Now() + Hours(4));
+  EXPECT_EQ(deployment.net().node_stats(id).cross_lane_sends - before, 0u)
       << "after one epoch a re-bound sensor's sends must stay in-lane";
-  EXPECT_GT(cross_pinned, 0u)
-      << "the pinned baseline must show the cross-lane tax the re-bind removes";
+  EXPECT_GT(deployment.sensor(0, g).stats().pushes, 0u)
+      << "scenario must actually exercise the push path";
+}
+
+// ---------- conservative lookahead ----------
+
+TEST(LookaheadTest, OneProxyControlIssuedQueryCompletesAtItsTrueTime) {
+  // One proxy has no cross-lane wired link, so only the store's route hop (control
+  // lane -> the proxy's lane) bounds the epoch. A query a control-lane event issues
+  // between barriers must reach the proxy and come back at its true route + answer
+  // time; an epoch left at the simulator's 500 ms default would push the route hop
+  // forward to the next barrier.
+  DeploymentConfig config;
+  config.num_proxies = 1;
+  config.sensors_per_proxy = 4;
+  config.policy = PushPolicy::kEverySample;  // a fresh cache answers at the proxy
+  config.seed = 367;
+  Deployment deployment(config);
+  const Duration hop = deployment.store().per_hop_latency();
+  EXPECT_EQ(deployment.sim().epoch(), hop);
+  deployment.Start();
+  deployment.RunUntil(Hours(2));
+
+  const SimTime issue_at = deployment.sim().Now() + Millis(123);
+  UnifiedQueryResult result;
+  bool done = false;
+  deployment.sim().ScheduleAt(
+      issue_at,
+      [&] {
+        deployment.store().Query(NowSpec(deployment.GlobalSensorId(0), 1.0),
+                                 [&](const UnifiedQueryResult& r) {
+                                   result = r;
+                                   done = true;
+                                 });
+      },
+      Simulator::kLaneControl);
+  deployment.RunUntil(issue_at + Seconds(10));
+  ASSERT_TRUE(done);
+  ASSERT_TRUE(result.answer.status.ok());
+  EXPECT_EQ(result.answer.source, AnswerSource::kCacheHit)
+      << "the answer must come from the proxy, with no radio latency";
+  EXPECT_EQ(result.issued_at, issue_at);
+  EXPECT_EQ(result.completed_at, issue_at + 2 * hop) << "route there and back";
+  EXPECT_NE(result.completed_at % Millis(500), 0) << "not a default-grid multiple";
+}
+
+TEST(LookaheadTest, LaneEngineFalseIsRejected) {
+  DeploymentConfig config;
+  config.num_proxies = 1;
+  config.sensors_per_proxy = 1;
+  config.lane_engine = false;
+  EXPECT_DEATH(Deployment deployment(config), "lane_engine must be true");
 }
 
 // ---------- archive-backed backfill on promotion ----------
@@ -1220,9 +1249,7 @@ TEST(ExternalQueryTest, AttachedDriverCarriesAWorkloadInOneRunUntil) {
     DeploymentConfig config;
     config.num_proxies = 4;
     config.sensors_per_proxy = 4;
-    config.lane_engine = true;
     config.sim_threads = threads;
-    config.sim_epoch = Millis(500);
     config.seed = 353;
     Deployment deployment(config);
     deployment.Start();

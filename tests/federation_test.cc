@@ -131,37 +131,6 @@ FederationConfig SmallFederation(int num_cells, int proxies, int sensors_per_pro
   return config;
 }
 
-TEST(FederationTest, AutoEpochDerivesFromTrunkLatencyAndCellCap) {
-  // With lookahead derivation on, the federation steps at the fastest trunk's
-  // latency (the conservative bound), floored at the cells' configured lane epoch:
-  // barrier clamping then never distorts cross-cell delivery times.
-  FederationConfig config = SmallFederation(2, 2, 2);
-  config.auto_epoch = true;
-  config.epoch = Seconds(1);
-  config.link.latency = Millis(250);
-  config.cell.lane_engine = true;
-  config.cell.sim_epoch = Millis(250);
-  {
-    Federation fed(config);
-    EXPECT_EQ(fed.config().epoch, Millis(250));
-  }
-  // The cell cap floors the derivation: a trunk faster than the cells can step
-  // must not drive the federation below their grid.
-  config.cell.sim_epoch = Millis(400);
-  {
-    Federation fed(config);
-    EXPECT_EQ(fed.config().epoch, Millis(400));
-  }
-  // Legacy (single-queue) cells report kNoEpochGrid — explicitly "no constraint",
-  // so the trunk latency alone decides.
-  config.cell.lane_engine = false;
-  {
-    Federation fed(config);
-    EXPECT_EQ(fed.cell(0).sim().epoch_cap(), Simulator::kNoEpochGrid);
-    EXPECT_EQ(fed.config().epoch, Millis(250));
-  }
-}
-
 TEST(FederationTest, LocalAndCrossCellQueriesRouteThroughTheDirectory) {
   Federation fed(SmallFederation(2, 2, 4));
   fed.Start();
@@ -283,9 +252,7 @@ struct FedDigest {
 // pool inside each epoch.
 FedDigest RunLaneFederation(int sim_threads, int cell_threads = 1) {
   FederationConfig config = SmallFederation(2, 8, 2);
-  config.cell.lane_engine = true;
   config.cell.sim_threads = sim_threads;
-  config.cell.sim_epoch = Millis(500);
   config.cell_threads = cell_threads;
   Federation fed(config);
   fed.Start();
@@ -387,9 +354,7 @@ TEST(FederationTest, PendingTableSurvivesCrossCellContentionThroughOneGateway) {
   // outcome must be bit-identical to sequential stepping.
   auto run = [](int cell_threads) {
     FederationConfig config = SmallFederation(4, 2, 4);
-    config.cell.lane_engine = true;
     config.cell.sim_threads = 2;
-    config.cell.sim_epoch = Millis(500);
     config.cell_threads = cell_threads;
     Federation fed(config);
     fed.Start();
@@ -488,8 +453,6 @@ struct ScopedSocketWorkers {
 FedDigest RunFacadeFederation(int cell_threads, int cell_processes,
                               int sockets = 0) {
   FederationConfig config = SmallFederation(4, 4, 2);
-  config.cell.lane_engine = true;
-  config.cell.sim_epoch = Millis(500);
   config.cell_threads = cell_threads;
   config.cell_processes = cell_processes;
   // Socket mode: the same scenario with the cells living in spawned --listen
@@ -1145,8 +1108,6 @@ enum class ChaosMode {
 ChaosDigest RunChaosFederation(ChaosMode mode, uint64_t schedule_seed) {
   const int kCells = 6;
   FederationConfig config = SmallFederation(kCells, 2, 2);
-  config.cell.lane_engine = true;
-  config.cell.sim_epoch = Millis(500);
   std::unique_ptr<ScopedSocketWorkers> socket_workers;
   if (mode == ChaosMode::kForkSigkill) {
     config.cell_processes = kCells;  // one cell per worker: kill cell == kill worker

@@ -1,11 +1,15 @@
 // Tests for the discrete-event simulator: ordering, cancellation, timers, and the
 // parallel shard-lane engine (determinism across worker counts, mailbox barriers,
-// generation-based cancellation, event-pool reuse).
+// generation-based cancellation, event-pool reuse, the claim pool's handoffs).
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <chrono>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -136,7 +140,7 @@ TEST(PeriodicTimerTest, RestartReschedules) {
 
 // ---------- shard-lane engine ----------
 
-TEST(SimulatorTest, LegacyFingerprintIsScheduleSensitive) {
+TEST(SimulatorTest, FingerprintIsScheduleSensitive) {
   auto run = [](bool swap) {
     Simulator sim;
     sim.ScheduleAt(Seconds(swap ? 2 : 1), [] {});
@@ -159,8 +163,7 @@ struct LaneCell {
 
 uint64_t RunLaneWorkload(int threads, uint64_t* executed = nullptr) {
   constexpr int kLanes = 4;
-  Simulator sim;
-  sim.ConfigureLanes(kLanes, threads, Millis(100));
+  Simulator sim(kLanes, threads, Millis(100));
   auto cells = std::make_shared<std::array<LaneCell, kLanes>>();
   std::function<void(int)> tick = [&sim, cells, &tick](int lane) {
     LaneCell& cell = (*cells)[static_cast<size_t>(lane)];
@@ -204,8 +207,7 @@ TEST(LaneEngineTest, FingerprintIdenticalAcrossWorkerCounts) {
 }
 
 TEST(LaneEngineTest, CrossLaneCancellation) {
-  Simulator sim;
-  sim.ConfigureLanes(4, 2, Millis(100));
+  Simulator sim(4, 2, Millis(100));
   bool fired = false;
   // Scheduled from control into lane 2, cancelled from control before it fires.
   EventHandle handle = sim.ScheduleAt(Seconds(1), [&] { fired = true; }, 2);
@@ -217,8 +219,7 @@ TEST(LaneEngineTest, CrossLaneCancellation) {
 }
 
 TEST(LaneEngineTest, CancellationIsGenerationScoped) {
-  Simulator sim;
-  sim.ConfigureLanes(2, 1, Millis(100));
+  Simulator sim(2, 1, Millis(100));
   bool a_fired = false;
   bool b_fired = false;
   EventHandle a = sim.ScheduleAt(Seconds(1), [&] { a_fired = true; }, 0);
@@ -239,8 +240,7 @@ TEST(LaneEngineTest, CancellationIsGenerationScoped) {
 TEST(LaneEngineTest, MailboxOrderingAtBarriers) {
   // Lane 2 posts first in real order, lane 0 second — the barrier drains mailboxes
   // in source-lane order, so lane 0's mail arrives first, all clamped to the barrier.
-  Simulator sim;
-  sim.ConfigureLanes(3, 3, Millis(100));
+  Simulator sim(3, 3, Millis(100));
   auto log = std::make_shared<std::vector<std::pair<std::string, SimTime>>>();
   auto post = [&sim, log](const char* tag) {
     sim.ScheduleIn(Millis(1), [log, tag, &sim] { log->emplace_back(tag, sim.Now()); },
@@ -263,7 +263,7 @@ TEST(LaneEngineTest, MailboxOrderingAtBarriers) {
 }
 
 TEST(LaneEngineTest, EventPoolSlotsAreReused) {
-  Simulator sim;  // legacy single lane: same pool machinery
+  Simulator sim;  // no worker lanes: the control lane uses the same pool machinery
   int remaining = 2000;
   std::function<void()> chain = [&] {
     if (--remaining > 0) {
@@ -277,43 +277,65 @@ TEST(LaneEngineTest, EventPoolSlotsAreReused) {
   EXPECT_LE(sim.PoolSlotsForTest(Simulator::kLaneControl), 4u);
 }
 
-TEST(LaneEngineTest, LegacyModeReportsNoEpochGrid) {
-  // Legacy single-queue engine: no barrier grid exists, and the accessors say so
-  // explicitly with the sentinel rather than a fake zero-length epoch (stacked
-  // layers treat kNoEpochGrid as "no constraint").
-  Simulator sim;
-  EXPECT_EQ(sim.epoch(), Simulator::kNoEpochGrid);
-  EXPECT_EQ(sim.epoch_cap(), Simulator::kNoEpochGrid);
+TEST(LaneEngineTest, WorkerLaneKeepsTimeOrderAndFifoTies) {
+  // The bare-simulator ordering and tie-break cases, inside a worker lane.
+  Simulator sim(2, 2, Millis(100));
+  auto order = std::make_shared<std::vector<int>>();
+  sim.ScheduleAt(Millis(350), [order] { order->push_back(100); }, 1);
+  for (int i = 0; i < 5; ++i) {
+    sim.ScheduleAt(Millis(120), [order, i] { order->push_back(i); }, 1);
+  }
+  sim.ScheduleAt(Millis(50), [order] { order->push_back(-1); }, 1);
+  sim.RunAll();
+  EXPECT_EQ(*order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 100}));
+  EXPECT_EQ(sim.Now(), Millis(400)) << "a lane run ends on the barrier grid";
 }
 
-TEST(LaneEngineTest, LookaheadShrinksTheEffectiveEpoch) {
-  Simulator sim;
-  sim.ConfigureLanes(2, 2, Millis(100));
+TEST(LaneEngineTest, LookaheadKeepsControlIssuedDeliveriesExact) {
+  // A control event runs at the barrier at-or-after its time, and its deliveries
+  // into a worker lane clamp forward to that barrier. An epoch no longer than the
+  // delivery delay (the lookahead) keeps the barrier within reach: no clamp.
+  auto deliver = [](Duration epoch) {
+    Simulator sim(1, 1, epoch);
+    auto seen = std::make_shared<SimTime>(-1);
+    sim.ScheduleAt(Millis(123), [&sim, seen] {
+      sim.ScheduleIn(Millis(2), [&sim, seen] { *seen = sim.Now(); }, 0);
+    }, Simulator::kLaneControl);
+    sim.RunUntil(Seconds(5));
+    return *seen;
+  };
+  EXPECT_EQ(deliver(Millis(2)), Millis(125));
+  EXPECT_EQ(deliver(Seconds(2)), Seconds(2)) << "a 2 s epoch's barrier binds";
+}
+
+TEST(LaneEngineTest, SetEpochReanchorsTheGrid) {
+  Simulator sim(2, 2, Millis(100));
   EXPECT_EQ(sim.epoch(), Millis(100));
-  EXPECT_EQ(sim.epoch_cap(), Millis(100));
-  sim.SetLookahead(Millis(30));
+  sim.SetEpoch(Millis(30));
   EXPECT_EQ(sim.epoch(), Millis(30));
-  EXPECT_EQ(sim.epoch_cap(), Millis(100)) << "the configured cap never moves";
   // Cross-lane mail now clamps to the finer grid: posted at 6 ms, delivered at the
   // 30 ms barrier instead of 100 ms.
   auto log = std::make_shared<std::vector<SimTime>>();
-  sim.ScheduleAt(Millis(5), [&sim, log] {
-    sim.ScheduleIn(Millis(1), [log, &sim] { log->push_back(sim.Now()); }, 1);
-  }, 0);
+  auto post = [&sim, log](SimTime at) {
+    sim.ScheduleAt(at, [&sim, log] {
+      sim.ScheduleIn(Millis(1), [log, &sim] { log->push_back(sim.Now()); }, 1);
+    }, 0);
+  };
+  post(Millis(5));
   sim.RunUntil(Millis(200));
   ASSERT_EQ(log->size(), 1u);
   EXPECT_EQ((*log)[0], Millis(30));
-  // A lookahead above the cap clamps to it; clearing (0) restores the cap too.
-  sim.SetLookahead(Seconds(5));
-  EXPECT_EQ(sim.epoch(), Millis(100));
-  sim.SetLookahead(0);
-  EXPECT_EQ(sim.epoch(), Millis(100));
-  EXPECT_EQ(sim.lookahead(), 0);
+  // A change mid-run anchors the new grid at the current barrier (200 ms), not at
+  // zero: mail posted at 205 ms lands on 270 ms, not on 210 ms.
+  sim.SetEpoch(Millis(70));
+  post(Millis(205));
+  sim.RunUntil(Millis(400));
+  ASSERT_EQ(log->size(), 2u);
+  EXPECT_EQ((*log)[1], Millis(270));
 }
 
 TEST(LaneEngineTest, TimersFireInBoundLanes) {
-  Simulator sim;
-  sim.ConfigureLanes(2, 2, Millis(50));
+  Simulator sim(2, 2, Millis(50));
   auto lanes_seen = std::make_shared<std::vector<int>>();
   PeriodicTimer timer(&sim, [&sim, lanes_seen] {
     lanes_seen->push_back(sim.CurrentLane());
@@ -334,8 +356,7 @@ bool MatchCallbacks(EventKind kind, const EventSink*, const EventPayload&) {
 }
 
 TEST(LaneRebindTest, PendingEventsHandOffPreservingDeliveryTimes) {
-  Simulator sim;
-  sim.ConfigureLanes(2, 2, Millis(100));
+  Simulator sim(2, 2, Millis(100));
   auto fires = std::make_shared<std::vector<std::pair<int, SimTime>>>();
   for (int i = 1; i <= 3; ++i) {
     sim.ScheduleAt(Millis(250 * i), [&sim, fires] {
@@ -355,8 +376,7 @@ TEST(LaneRebindTest, PendingEventsHandOffPreservingDeliveryTimes) {
 }
 
 TEST(LaneRebindTest, UndrainedMailFollowsTheRebind) {
-  Simulator sim;
-  sim.ConfigureLanes(2, 2, Millis(100));
+  Simulator sim(2, 2, Millis(100));
   auto lanes_seen = std::make_shared<std::vector<int>>();
   // A lane-1 event posts cross-lane work at lane 0 mid-epoch; that mail waits in
   // lane 0's inbox for the next opening barrier — exactly when a re-bind happens.
@@ -372,8 +392,7 @@ TEST(LaneRebindTest, UndrainedMailFollowsTheRebind) {
 }
 
 TEST(LaneRebindTest, StaleHandlesAfterRebindAreNoOps) {
-  Simulator sim;
-  sim.ConfigureLanes(2, 1, Millis(100));
+  Simulator sim(2, 1, Millis(100));
   bool moved_fired = false;
   bool other_fired = false;
   EventHandle handle = sim.ScheduleAt(Seconds(1), [&] { moved_fired = true; }, 0);
@@ -392,8 +411,7 @@ TEST(LaneRebindTest, StaleHandlesAfterRebindAreNoOps) {
 }
 
 TEST(LaneRebindTest, TimerRebindPreservesPhase) {
-  Simulator sim;
-  sim.ConfigureLanes(2, 2, Millis(50));
+  Simulator sim(2, 2, Millis(50));
   auto fires = std::make_shared<std::vector<std::pair<int, SimTime>>>();
   PeriodicTimer timer(&sim, [&sim, fires] {
     fires->emplace_back(sim.CurrentLane(), sim.Now());
@@ -418,8 +436,7 @@ TEST(LaneRebindTest, TimerRebindPreservesPhase) {
 uint64_t RunRebindWorkload(int threads, uint64_t* executed = nullptr,
                            bool with_rebinds = true) {
   constexpr int kLanes = 4;
-  Simulator sim;
-  sim.ConfigureLanes(kLanes, threads, Millis(100));
+  Simulator sim(kLanes, threads, Millis(100));
   auto cells = std::make_shared<std::array<LaneCell, kLanes>>();
   std::function<void(int)> tick = [&sim, cells, &tick](int chain) {
     LaneCell& cell = (*cells)[static_cast<size_t>(chain)];
@@ -465,6 +482,31 @@ TEST(LaneRebindTest, FingerprintIdenticalAcrossWorkerCountsWithRebinds) {
   // Re-binds are part of the replay contract: the same workload *without* them
   // must not collide with the re-bound fingerprint.
   EXPECT_NE(fp1, RunRebindWorkload(1, nullptr, /*with_rebinds=*/false));
+}
+
+// Back-to-back runs hand off while the helpers poll; gaps longer than the poll
+// window park them, and slow items park the caller on the done count. Every item
+// must run exactly once per run on every path.
+TEST(ClaimPoolTest, EveryItemRunsOnceAcrossPollAndParkHandoffs) {
+  ClaimPool pool(3);
+  const auto park_gap = std::chrono::microseconds(4 * ClaimPool::kSpinWindow);
+  for (int round = 0; round < 300; ++round) {
+    const int n = round % 7;
+    std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
+    const bool slow = round % 10 == 3;
+    pool.Run(n, [&](int i) {
+      if (slow) {
+        std::this_thread::sleep_for(park_gap);
+      }
+      hits[static_cast<size_t>(i)].fetch_add(1);
+    });
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "round " << round;
+    }
+    if (round % 25 == 0) {
+      std::this_thread::sleep_for(park_gap);
+    }
+  }
 }
 
 }  // namespace

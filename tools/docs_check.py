@@ -2,8 +2,10 @@
 """Repo documentation checks (the CI `docs-check` job).
 
 1. Knob-table coverage: every field of the config structs listed in STRUCTS must be
-   mentioned (as `field`) in README.md — the knob reference table cannot silently
-   fall behind a struct change.
+   mentioned (as `field`) in README.md, and every row of a struct's knob table
+   (the README section headed "### `Struct`") must name a field the struct has —
+   the knob reference table can neither fall behind a struct change nor keep rows
+   for deleted fields.
 2. Markdown links: intra-repo links in every tracked *.md file must resolve.
    External schemes, pure anchors, and paths that escape the repo (e.g. the GitHub
    badge's ../../actions/... trick) are skipped — they cannot be validated locally.
@@ -36,7 +38,8 @@ STRUCTS = [
 ]
 
 MEMBER_RE = re.compile(
-    r"^\s*(?:[A-Za-z_][\w:]*(?:<[^;=]*>)?[\s&*]+)+([A-Za-z_]\w*)\s*(?:=[^;]*)?;\s*(?://.*)?$"
+    r"^\s*(?:[A-Za-z_][\w:]*(?:<[^;=]*>)?[\s&*]+)+([A-Za-z_]\w*)\s*(?:\[[^\]]*\])?\s*"
+    r"(?:=[^;]*)?;\s*(?://.*)?$"
 )
 LINK_RE = re.compile(r"\[[^\]^]*\]\(([^)\s]+)\)")
 
@@ -67,14 +70,37 @@ def struct_fields(path, name):
     return fields
 
 
+KNOB_ROW_RE = re.compile(r"^\|\s*`(\w+)`\s*\|", re.MULTILINE)
+
+
+def knob_table_rows(readme, name):
+    """Knob names in the README section headed "### `name`" (up to the next heading)."""
+    match = re.search(r"^###\s+`%s`[^\n]*$" % re.escape(name), readme, re.MULTILINE)
+    if not match:
+        return None
+    rest = readme[match.end():]
+    end = re.search(r"^#", rest, re.MULTILINE)
+    return KNOB_ROW_RE.findall(rest[:end.start()] if end else rest)
+
+
 def check_knob_tables(problems):
     with open(os.path.join(REPO, "README.md"), encoding="utf-8") as f:
         readme = f.read()
     for path, name in STRUCTS:
-        for field in struct_fields(path, name):
+        fields = struct_fields(path, name)
+        for field in fields:
             if f"`{field}`" not in readme:
                 problems.append(
                     f"README.md: {name}::{field} ({path}) missing from the knob table"
+                )
+        rows = knob_table_rows(readme, name)
+        if rows is None:
+            problems.append(f"README.md: no knob table section for {name}")
+            continue
+        for row in rows:
+            if row not in fields:
+                problems.append(
+                    f"README.md: knob table row `{row}` names no field of {name} ({path})"
                 )
 
 
