@@ -591,22 +591,35 @@ Result<std::unique_ptr<FrameTransport>> SpawnCellWorker(const FederationConfig& 
                                                         int worker_index,
                                                         int num_workers) {
   const std::string bin = ResolveCellWorkerBinary();
+  auto ring = FrameRing::Create();
+  if (!ring.ok()) {
+    return ring.status();
+  }
   int fds[2];
   PRESTO_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0);
   // The orchestrator's end must not leak into *any* worker (each fork inherits
-  // every fd open at that moment): close-on-exec before forking.
+  // every fd open at that moment): close-on-exec before forking. The ring's memfd
+  // is close-on-exec from birth; only this worker's child clears the flag.
   PRESTO_CHECK(::fcntl(fds[0], F_SETFD, FD_CLOEXEC) == 0);
+  const int ring_fd = (*ring)->fd();
   const pid_t pid = ::fork();
   PRESTO_CHECK(pid >= 0);
   if (pid == 0) {
     char fd_arg[16];
+    char ring_arg[16];
     std::snprintf(fd_arg, sizeof(fd_arg), "%d", fds[1]);
-    ::execl(bin.c_str(), "presto_cell", fd_arg, static_cast<char*>(nullptr));
+    std::snprintf(ring_arg, sizeof(ring_arg), "%d", ring_fd);
+    if (::fcntl(ring_fd, F_SETFD, 0) == 0) {
+      ::execl(bin.c_str(), "presto_cell", fd_arg, ring_arg, static_cast<char*>(nullptr));
+    }
     _exit(127);  // exec failed; the bootstrap call reports the actionable error
   }
   ::close(fds[1]);
+  (*ring)->CloseFd();  // the mapping stays; the child holds its own fd
+  auto channel = std::make_unique<FrameChannel>(fds[0], std::move(*ring),
+                                                FrameRing::End::kOrchestrator);
   Result<std::unique_ptr<FrameTransport>> transport =
-      std::make_unique<FrameTransport>(std::make_unique<FrameChannel>(fds[0]), pid);
+      std::make_unique<FrameTransport>(std::move(channel), pid);
   PRESTO_RETURN_IF_ERROR((*transport)->Bootstrap(config, worker_index, num_workers));
   return transport;
 }

@@ -169,7 +169,7 @@ class CellHost final : public CellTransport {
 };
 
 // The wire transport: every op is one request frame and one reply on a
-// FrameChannel (fork socketpair or TCP).
+// FrameChannel (fork: shared rings beside a socketpair; or TCP).
 class FrameTransport final : public CellTransport {
  public:
   // Owns `channel` and, when pid > 0, the forked worker process behind it.
@@ -214,10 +214,10 @@ class FrameTransport final : public CellTransport {
 };
 
 // The bootstrapped wire worker `worker_index` of `num_workers`, built from the
-// resolved `config`. Fork mode execs a presto_cell over a fresh socketpair;
-// socket mode (config.num_endpoints > 0 on the orchestrator) dials a
-// `presto_cell --listen` endpoint, runs the hello handshake, and bounds every
-// frame by `deadline`.
+// resolved `config`. Fork mode execs a presto_cell over a fresh FrameRing
+// mapping and socketpair; socket mode (config.num_endpoints > 0 on the
+// orchestrator) dials a `presto_cell --listen` endpoint, runs the hello
+// handshake, and bounds every frame by `deadline`.
 Result<std::unique_ptr<FrameTransport>> SpawnCellWorker(const FederationConfig& config,
                                                         int worker_index,
                                                         int num_workers);

@@ -40,7 +40,7 @@
 //        claim pool; safe without locks because every mutable structure belongs to
 //        exactly one cell, and barrier-time work stays serial.
 //      * cell_processes > 1 / cell_endpoints: each worker is a presto_cell process
-//        (forked over a socketpair, or dialled over TCP) and every op is one
+//        (forked over shared frame rings, or dialled over TCP) and every op is one
 //        versioned fed_wire frame (src/net/fed_wire.h) with one reply. Workers step
 //        between the kStep request and its reply — process parallelism with the
 //        same observables. A worker whose link fails is a deployment-visible
@@ -161,8 +161,8 @@ struct FederationConfig {
   // Per-frame wall-clock deadline on socket channels (connect, handshake, and
   // every frame read/write). A worker that stops responding — SIGSTOP, network
   // black hole — degrades into a contained cell failure within this bound
-  // instead of wedging the barrier loop. Fork-mode socketpairs stay fully
-  // blocking (death there always arrives as EOF).
+  // instead of wedging the barrier loop. Fork-mode links stay fully blocking
+  // (death there always arrives as EOF).
   Duration frame_deadline = Seconds(30);
   // Inter-cell trunk model (one directed CellLink per cell pair).
   CellLinkParams link;

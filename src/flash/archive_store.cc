@@ -163,6 +163,12 @@ Status ArchiveStore::RunAgingPass() {
     return ResourceExhaustedError("archive full: nothing old enough to age");
   }
 
+  // Every sealed segment holds records, so the summary needs at least one block.
+  // Without one the pass fails below anyway; fail before decoding the merge.
+  if (free_blocks_.empty()) {
+    return ResourceExhaustedError("no reserve block for aging");
+  }
+
   // Decode the `merge` oldest segments of the chosen tier in full.
   std::vector<Sample> samples;
   const Duration finest = segments_[begin].resolution;

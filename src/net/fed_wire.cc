@@ -7,12 +7,16 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sched.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "src/util/bitpack.h"
@@ -116,6 +120,56 @@ Status ParseHeader(const uint8_t* header, FedFrameType* type, uint32_t* length) 
   *length = len;
   return OkStatus();
 }
+
+// The EOF flavours: a peer that leaves between frames closed the channel; one
+// that leaves inside a frame tore it.
+Status EofStatus(bool between_frames) {
+  return between_frames ? UnavailableError("fed_wire: peer closed the channel")
+                        : DataLossError("fed_wire: mid-frame EOF");
+}
+
+// Copies `n` <= kFrameRingBytes bytes into / out of a ring's data at stream
+// position `pos`, wrapping at the end.
+void RingCopyIn(uint8_t* ring, uint64_t pos, const uint8_t* src, size_t n) {
+  const size_t at = static_cast<size_t>(pos & (kFrameRingBytes - 1));
+  const size_t first = std::min(n, kFrameRingBytes - at);
+  std::memcpy(ring + at, src, first);
+  std::memcpy(ring, src + first, n - first);
+}
+
+void RingCopyOut(uint8_t* dst, const uint8_t* ring, uint64_t pos, size_t n) {
+  const size_t at = static_cast<size_t>(pos & (kFrameRingBytes - 1));
+  const size_t first = std::min(n, kFrameRingBytes - at);
+  std::memcpy(dst, ring + at, first);
+  std::memcpy(dst + first, ring, n - first);
+}
+
+}  // namespace
+
+// One direction of a FrameRing; the layout is documented in fed_wire.h.
+struct FrameRing::Half {
+  alignas(64) std::atomic<uint64_t> head;
+  alignas(64) std::atomic<uint64_t> tail;
+  alignas(64) std::atomic<uint32_t> reader_parked;
+  alignas(64) std::atomic<uint32_t> writer_parked;
+  alignas(64) uint8_t data[kFrameRingBytes];
+};
+
+namespace {
+
+static_assert(std::atomic<uint64_t>::is_always_lock_free &&
+                  std::atomic<uint32_t>::is_always_lock_free,
+              "ring indices must be lock-free (address-free) across processes");
+static_assert(std::is_standard_layout<FrameRing::Half>::value &&
+                  offsetof(FrameRing::Half, tail) == 64 &&
+                  offsetof(FrameRing::Half, reader_parked) == 128 &&
+                  offsetof(FrameRing::Half, writer_parked) == 192 &&
+                  offsetof(FrameRing::Half, data) == 256,
+              "the ring layout is shared with the peer process");
+static_assert((kFrameRingBytes & (kFrameRingBytes - 1)) == 0,
+              "ring positions wrap by masking");
+
+constexpr size_t kRingLinkBytes = 2 * sizeof(FrameRing::Half);
 
 }  // namespace
 
@@ -395,6 +449,63 @@ Result<FedHello> FedHelloServer(FrameChannel& channel) {
   return hello;
 }
 
+Result<std::shared_ptr<FrameRing>> FrameRing::Create() {
+  const int fd = ::memfd_create("presto_fed_ring", MFD_CLOEXEC);
+  if (fd < 0) {
+    return UnavailableError("fed_wire: memfd_create failed");
+  }
+  if (::ftruncate(fd, static_cast<off_t>(kRingLinkBytes)) != 0) {
+    ::close(fd);
+    return UnavailableError("fed_wire: sizing the ring mapping failed");
+  }
+  void* base =
+      ::mmap(nullptr, kRingLinkBytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+  if (base == MAP_FAILED) {
+    ::close(fd);
+    return UnavailableError("fed_wire: mapping the ring failed");
+  }
+  // A fresh memfd reads as zeros: both indices and both flags start at 0.
+  return std::make_shared<FrameRing>(base, fd);
+}
+
+Result<std::shared_ptr<FrameRing>> FrameRing::Map(int fd) {
+  struct stat st;
+  if (::fstat(fd, &st) != 0 || st.st_size != static_cast<off_t>(kRingLinkBytes)) {
+    ::close(fd);
+    return FailedPreconditionError("fed_wire: ring mapping has the wrong size");
+  }
+  void* base =
+      ::mmap(nullptr, kRingLinkBytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+  ::close(fd);
+  if (base == MAP_FAILED) {
+    return UnavailableError("fed_wire: mapping the ring failed");
+  }
+  return std::make_shared<FrameRing>(base, -1);
+}
+
+FrameRing::~FrameRing() {
+  ::munmap(base_, kRingLinkBytes);
+  CloseFd();
+}
+
+void FrameRing::CloseFd() {
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
+}
+
+FrameRing::Half* FrameRing::tx(End end) const {
+  return static_cast<Half*>(base_) + (end == End::kOrchestrator ? 0 : 1);
+}
+
+FrameRing::Half* FrameRing::rx(End end) const {
+  return static_cast<Half*>(base_) + (end == End::kOrchestrator ? 1 : 0);
+}
+
+FrameChannel::FrameChannel(int fd, std::shared_ptr<FrameRing> ring, FrameRing::End end)
+    : fd_(fd), ring_(std::move(ring)), tx_(ring_->tx(end)), rx_(ring_->rx(end)) {}
+
 void FrameChannel::SetDeadline(Duration deadline) {
   deadline_ = deadline > 0 ? deadline : 0;
   if (fd_ >= 0) {
@@ -410,6 +521,9 @@ Status FrameChannel::WriteAll(struct iovec* iov, int count,
                               std::chrono::steady_clock::time_point deadline) {
   if (fd_ < 0) {
     return UnavailableError("fed_wire: channel closed");
+  }
+  if (ring_ != nullptr) {
+    return RingWrite(iov, count, deadline);
   }
   while (count > 0) {
     struct msghdr msg;
@@ -442,15 +556,18 @@ Status FrameChannel::WriteAll(struct iovec* iov, int count,
   return OkStatus();
 }
 
-Status FrameChannel::ReadAll(uint8_t* data, size_t size, bool* eof_at_start,
-                             std::chrono::steady_clock::time_point deadline,
-                             Duration spin) {
+Status FrameChannel::ReadAll(uint8_t* data, size_t size, bool frame_start,
+                             std::chrono::steady_clock::time_point deadline) {
   if (fd_ < 0) {
     return UnavailableError("fed_wire: channel closed");
   }
-  const auto spin_until = WireClock::now() + std::chrono::microseconds(spin);
+  if (ring_ != nullptr) {
+    return RingRead(data, size, frame_start, deadline);
+  }
+  // Only a frame's first bytes are polled for; the rest follow them closely.
+  const auto spin_until = SpinCutoff(deadline);
   size_t done = 0;
-  bool spinning = spin > 0;
+  bool spinning = frame_start;
   while (done < size) {
     const ssize_t n = ::recv(fd_, data + done, size - done, spinning ? MSG_DONTWAIT : 0);
     if (n < 0) {
@@ -471,14 +588,142 @@ Status FrameChannel::ReadAll(uint8_t* data, size_t size, bool* eof_at_start,
       return UnavailableError("fed_wire: recv failed");
     }
     if (n == 0) {
-      if (eof_at_start != nullptr) {
-        *eof_at_start = (done == 0);
-      }
-      return done == 0 ? UnavailableError("fed_wire: peer closed the channel")
-                       : DataLossError("fed_wire: mid-frame EOF");
+      return EofStatus(frame_start && done == 0);
     }
     done += static_cast<size_t>(n);
     spinning = false;
+  }
+  return OkStatus();
+}
+
+std::chrono::steady_clock::time_point FrameChannel::SpinCutoff(
+    std::chrono::steady_clock::time_point deadline) const {
+  const auto spin_until =
+      WireClock::now() + std::chrono::microseconds(kFrameRecvSpin);
+  return deadline_ > 0 ? std::min(spin_until, deadline) : spin_until;
+}
+
+template <typename Probe>
+Status FrameChannel::RingWait(std::atomic<uint32_t>* parked, Probe probe, size_t* n,
+                              std::chrono::steady_clock::time_point deadline) {
+  PRESTO_RETURN_IF_ERROR(probe(n));
+  if (*n > 0) {
+    return OkStatus();
+  }
+  // Poll the ring, yielding the CPU between looks (the peer may share it).
+  const auto spin_until = SpinCutoff(deadline);
+  while (WireClock::now() < spin_until) {
+    ::sched_yield();
+    PRESTO_RETURN_IF_ERROR(probe(n));
+    if (*n > 0) {
+      return OkStatus();
+    }
+  }
+  // Park: raise the flag, then look once more. The peer publishes its index and
+  // then reads the flag (both sequentially consistent), so either this look sees
+  // the bytes or the peer sees the flag and rings the doorbell.
+  for (;;) {
+    parked->store(1, std::memory_order_seq_cst);
+    const Status looked = probe(n);
+    if (!looked.ok() || *n > 0) {
+      parked->store(0, std::memory_order_seq_cst);
+      return looked;
+    }
+    const Status woke = WaitReady(fd_, POLLIN, deadline, deadline_ > 0);
+    if (!woke.ok()) {
+      parked->store(0, std::memory_order_seq_cst);
+      return woke;
+    }
+    // Drain the doorbells (stale ones included: a wake-up only means "look").
+    uint8_t bells[64];
+    const ssize_t got = ::recv(fd_, bells, sizeof(bells), MSG_DONTWAIT);
+    parked->store(0, std::memory_order_seq_cst);
+    if (got == 0) {
+      // The peer is gone; what it published before it left still counts.
+      return probe(n);
+    }
+    if (got < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+      return UnavailableError("fed_wire: recv failed");
+    }
+  }
+}
+
+void FrameChannel::RingDoorbell() {
+  const uint8_t bell = 1;
+  (void)::send(fd_, &bell, 1, MSG_DONTWAIT | MSG_NOSIGNAL);
+}
+
+Status FrameChannel::RingWrite(const struct iovec* iov, int count,
+                               std::chrono::steady_clock::time_point deadline) {
+  FrameRing::Half& ring = *tx_;
+  // The peer's tail, read once: at most a ring's worth behind this end's head.
+  const auto space = [this, &ring](size_t* n) -> Status {
+    const uint64_t used = tx_pos_ - ring.tail.load(std::memory_order_seq_cst);
+    if (used > kFrameRingBytes) {
+      return DataLossError("fed_wire: ring index out of range");
+    }
+    *n = kFrameRingBytes - used;
+    return OkStatus();
+  };
+  const auto publish = [this, &ring] {
+    ring.head.store(tx_pos_, std::memory_order_seq_cst);
+    if (ring.reader_parked.load(std::memory_order_seq_cst) != 0 &&
+        ring.reader_parked.exchange(0, std::memory_order_seq_cst) != 0) {
+      RingDoorbell();
+    }
+  };
+  for (int i = 0; i < count; ++i) {
+    const uint8_t* src = static_cast<const uint8_t*>(iov[i].iov_base);
+    size_t left = iov[i].iov_len;
+    while (left > 0) {
+      size_t room = 0;
+      PRESTO_RETURN_IF_ERROR(space(&room));
+      if (room == 0) {
+        publish();  // the reader must see what fills the ring before it can drain it
+        PRESTO_RETURN_IF_ERROR(RingWait(&ring.writer_parked, space, &room, deadline));
+        if (room == 0) {
+          return UnavailableError("fed_wire: send failed (peer gone?)");
+        }
+      }
+      const size_t n = std::min(room, left);
+      RingCopyIn(ring.data, tx_pos_, src, n);
+      tx_pos_ += n;
+      src += n;
+      left -= n;
+    }
+  }
+  publish();
+  return OkStatus();
+}
+
+Status FrameChannel::RingRead(uint8_t* data, size_t size, bool frame_start,
+                              std::chrono::steady_clock::time_point deadline) {
+  FrameRing::Half& ring = *rx_;
+  // The peer's head, read once: at most a ring's worth ahead of this end's tail.
+  const auto ready = [this, &ring](size_t* n) -> Status {
+    const uint64_t avail = ring.head.load(std::memory_order_seq_cst) - rx_pos_;
+    if (avail > kFrameRingBytes) {
+      return DataLossError("fed_wire: ring index out of range");
+    }
+    *n = static_cast<size_t>(avail);
+    return OkStatus();
+  };
+  size_t done = 0;
+  while (done < size) {
+    size_t avail = 0;
+    PRESTO_RETURN_IF_ERROR(RingWait(&ring.reader_parked, ready, &avail, deadline));
+    if (avail == 0) {
+      return EofStatus(frame_start && done == 0);
+    }
+    const size_t n = std::min(avail, size - done);
+    RingCopyOut(data + done, ring.data, rx_pos_, n);
+    rx_pos_ += n;
+    done += n;
+    ring.tail.store(rx_pos_, std::memory_order_seq_cst);
+    if (ring.writer_parked.load(std::memory_order_seq_cst) != 0 &&
+        ring.writer_parked.exchange(0, std::memory_order_seq_cst) != 0) {
+      RingDoorbell();
+    }
   }
   return OkStatus();
 }
@@ -487,7 +732,7 @@ Status FrameChannel::Send(const FedFrame& frame) {
   if (frame.payload.size() > kMaxFedFramePayload) {
     return ResourceExhaustedError("fed_wire: frame payload exceeds the cap");
   }
-  // Header and payload leave in one sendmsg, straight from the caller's buffer:
+  // Header and payload leave in one write, straight from the caller's buffer:
   // the bytes of EncodeFedFrame(frame), without building them.
   uint8_t header[kHeaderBytes];
   PutHeader(header, frame.type, static_cast<uint32_t>(frame.payload.size()));
@@ -501,13 +746,8 @@ Status FrameChannel::Send(const FedFrame& frame) {
 
 Result<FedFrame> FrameChannel::Recv() {
   const auto cutoff = FrameCutoff();
-  Duration spin = kFrameRecvSpin;
-  if (deadline_ > 0) {
-    spin = std::min(spin, deadline_);  // the poll window ends at the deadline
-  }
   uint8_t header[kHeaderBytes];
-  bool eof_at_start = false;
-  PRESTO_RETURN_IF_ERROR(ReadAll(header, sizeof(header), &eof_at_start, cutoff, spin));
+  PRESTO_RETURN_IF_ERROR(ReadAll(header, sizeof(header), /*frame_start=*/true, cutoff));
   FedFrameType type;
   uint32_t length = 0;
   PRESTO_RETURN_IF_ERROR(ParseHeader(header, &type, &length));
@@ -515,7 +755,8 @@ Result<FedFrame> FrameChannel::Recv() {
   frame.type = type;
   frame.payload.resize(length);
   if (length > 0) {
-    PRESTO_RETURN_IF_ERROR(ReadAll(frame.payload.data(), length, nullptr, cutoff, 0));
+    PRESTO_RETURN_IF_ERROR(
+        ReadAll(frame.payload.data(), length, /*frame_start=*/false, cutoff));
   }
   return frame;
 }
@@ -530,6 +771,9 @@ void FrameChannel::Close() {
     ::close(fd_);
     fd_ = -1;
   }
+  ring_.reset();
+  tx_ = nullptr;
+  rx_ = nullptr;
 }
 
 }  // namespace presto

@@ -27,8 +27,11 @@
 #ifndef SRC_NET_FED_WIRE_H_
 #define SRC_NET_FED_WIRE_H_
 
+#include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/util/bytes.h"
@@ -159,28 +162,92 @@ Status FedHelloClient(FrameChannel& channel, int worker_index, int num_workers);
 // kAck (echo) on success or kError + a typed Status on refusal.
 Result<FedHello> FedHelloServer(FrameChannel& channel);
 
-// How long Recv polls an empty socket for the first bytes of a frame before it
-// blocks (or poll()s, on a deadlined channel). Traced perfbench fed_procs (4 cells
-// in 2 forked workers, 4-core Xeon) measured an 86-105 us barrier wall with a
-// blocking receive, 36-54 us of it in the wire: most frames land within a few
+// How long a receive polls for a frame's first bytes before it waits: on a socket,
+// blocking (or poll()ing, on a deadlined channel); on a ring, every wait, for data
+// or for space, polls this long before it parks. Traced perfbench fed_procs (4
+// cells in 2 forked workers, 4-core Xeon) measured an 86-105 us barrier wall with
+// a blocking receive, 36-54 us of it in the wire: most frames land within a few
 // tens of us, so polling that long skips a block/wake-up pair per frame, and a
 // later frame costs at most this window of extra CPU. Windows of 20, 100 and
 // 200 us were no faster end to end.
 inline constexpr Duration kFrameRecvSpin = 50;  // us
 
-// Blocking frame transport over one end of a socketpair or a connected TCP fd.
-// Send/Recv run full write/read loops (short transfers and EINTR handled); a
-// peer that closed or crashed surfaces as a non-OK Status from either side,
-// never a signal (MSG_NOSIGNAL) or an abort. Send writes header and payload with
-// one sendmsg from the frame itself — no encoded copy of the frame is built, so a
-// checkpoint-sized payload crosses with one copy per hop. Recv first polls for
-// the frame's first bytes with nonblocking recv and sched_yield() for at most
-// kFrameRecvSpin (cut at the deadline), then waits as described above. The
-// yield keeps the poll from starving its own peer when both share one CPU. Not
-// thread-safe: each channel has one owner.
+// Bytes in each direction's ring of a forked worker's shared link. A frame of any
+// size streams through it in ring-sized pieces (the 13 MB fed_procs checkpoint
+// handoff included); with two workers, the rings touch 0.5 MiB summed over the
+// three processes.
+inline constexpr size_t kFrameRingBytes = size_t{64} << 10;
+
+// The shared-memory link between the orchestrator and one forked presto_cell
+// worker: two single-producer/single-consumer byte rings (orchestrator -> worker
+// first, then worker -> orchestrator) in one memfd mapping that the exec'd worker
+// maps too. Each direction is a 256-byte control block followed by
+// kFrameRingBytes of data; the control block holds, each on its own 64-byte line,
+//
+//   +0    u64  head           bytes ever written (producer)
+//   +64   u64  tail           bytes ever read (consumer)
+//   +128  u32  reader_parked  the consumer sleeps in poll() on the socketpair
+//   +192  u32  writer_parked  the producer sleeps there, waiting for space
+//
+// all lock-free atomics (address-free, so valid across processes). Each side
+// keeps its own index privately and only publishes it; the peer's index is read
+// once per look and bound-checked, so a corrupt or hostile peer yields a typed
+// DataLoss, never an out-of-range copy.
+class FrameRing {
+ public:
+  enum class End : uint8_t { kOrchestrator, kWorker };
+
+  // A zeroed memfd of the link's size, mapped. fd() stays open (close-on-exec) so
+  // the spawner can hand it to the worker; CloseFd() once it has.
+  static Result<std::shared_ptr<FrameRing>> Create();
+  // Maps an inherited link memfd, checking its size, and closes `fd`.
+  static Result<std::shared_ptr<FrameRing>> Map(int fd);
+
+  FrameRing(void* base, int fd) : base_(base), fd_(fd) {}
+  ~FrameRing();
+  FrameRing(const FrameRing&) = delete;
+  FrameRing& operator=(const FrameRing&) = delete;
+
+  int fd() const { return fd_; }
+  void CloseFd();
+
+  // The direction `end` writes into (tx) and reads from (rx).
+  struct Half;
+  Half* tx(End end) const;
+  Half* rx(End end) const;
+
+ private:
+  void* base_;
+  int fd_;
+};
+
+// Blocking frame transport over one end of a socketpair or a connected TCP fd,
+// optionally with a FrameRing carrying the bytes. Send/Recv run full write/read
+// loops (short transfers and EINTR handled); a peer that closed or crashed
+// surfaces as a non-OK Status from either side, never a signal (MSG_NOSIGNAL) or
+// an abort. Only WriteAll/ReadAll choose between the fd and the ring, so header
+// parsing, the payload cap, the EOF flavours and the deadlines are shared.
+//
+// Socket (TCP workers): Send writes header and payload with one sendmsg from the
+// frame itself — no encoded copy of the frame is built, so a checkpoint-sized
+// payload crosses with one copy per hop. Recv first polls for the frame's first
+// bytes with nonblocking recv and sched_yield() for at most kFrameRecvSpin (cut
+// at the deadline), then waits as described above. The yield keeps the poll from
+// starving its own peer when both share one CPU.
+//
+// Ring (fork workers): the frame's bytes go through the shared rings and the
+// socketpair carries only doorbell bytes and death. A wait for data (or space)
+// polls the ring, yielding, for at most kFrameRecvSpin, then raises its parked
+// flag, looks once more and poll()s the socket; the peer rings the doorbell only
+// when it sees that flag, after publishing its index. Peer death is the socket's
+// EOF: between frames it is kUnavailable, mid-frame kDataLoss, and bytes the peer
+// published before dying are still delivered.
+//
+// Not thread-safe: each channel has one owner.
 class FrameChannel {
  public:
   explicit FrameChannel(int fd) : fd_(fd) {}
+  FrameChannel(int fd, std::shared_ptr<FrameRing> ring, FrameRing::End end);
   ~FrameChannel() { Close(); }
 
   FrameChannel(const FrameChannel&) = delete;
@@ -193,11 +260,11 @@ class FrameChannel {
   Result<FedFrame> Call(const FedFrame& frame);
 
   // Per-frame wall-clock deadline. 0 (the default) keeps the original fully
-  // blocking behaviour — fork-mode socketpairs rely on it, since worker death
-  // there always arrives as EOF. With a positive deadline the fd flips to
-  // nonblocking and every Send/Recv must complete its *whole frame* within the
-  // budget, else kDeadlineExceeded — how a SIGSTOPped or black-holed TCP peer
-  // degrades into a contained cell failure instead of wedging the barrier loop.
+  // blocking behaviour — fork-mode links rely on it, since worker death there
+  // always arrives as EOF. With a positive deadline the fd flips to nonblocking
+  // and every Send/Recv must complete its *whole frame* within the budget, else
+  // kDeadlineExceeded — how a SIGSTOPped or black-holed TCP peer degrades into a
+  // contained cell failure instead of wedging the barrier loop.
   void SetDeadline(Duration deadline);
   Duration deadline() const { return deadline_; }
 
@@ -208,17 +275,40 @@ class FrameChannel {
   // Writes the `count` buffers of `iov` whole, advancing it past short writes.
   Status WriteAll(struct iovec* iov, int count,
                   std::chrono::steady_clock::time_point deadline);
-  // Reads exactly `size` bytes. `*eof_at_start` reports a clean EOF before any
-  // byte arrived (peer exited between frames) vs. a mid-frame truncation. Until
-  // the first byte arrives or `spin` microseconds pass, an empty socket is polled
-  // without blocking, yielding the CPU between attempts.
-  Status ReadAll(uint8_t* data, size_t size, bool* eof_at_start,
-                 std::chrono::steady_clock::time_point deadline, Duration spin);
+  // Reads exactly `size` bytes. EOF before any byte of a read that starts a
+  // frame (`frame_start`) is a clean kUnavailable (the peer left between
+  // frames); any other EOF is a mid-frame kDataLoss. On a socket, a read that
+  // starts a frame polls without blocking, yielding between attempts, until the
+  // first byte arrives or the spin window ends.
+  Status ReadAll(uint8_t* data, size_t size, bool frame_start,
+                 std::chrono::steady_clock::time_point deadline);
+  // The ring halves of WriteAll/ReadAll.
+  Status RingWrite(const struct iovec* iov, int count,
+                   std::chrono::steady_clock::time_point deadline);
+  Status RingRead(uint8_t* data, size_t size, bool frame_start,
+                  std::chrono::steady_clock::time_point deadline);
+  // Waits until `probe` (one bound-checked look at a peer index) reports bytes
+  // (or space); `*parked` is this side's flag in the half being waited on. Sets
+  // `*n` to 0 when the peer closed the socket and the probe still reports none.
+  template <typename Probe>
+  Status RingWait(std::atomic<uint32_t>* parked, Probe probe, size_t* n,
+                  std::chrono::steady_clock::time_point deadline);
+  // One doorbell byte to the parked peer; failures show at the next wait.
+  void RingDoorbell();
+  // The end of a wait's poll window: kFrameRecvSpin from now, cut at `deadline`
+  // on a deadlined channel.
+  std::chrono::steady_clock::time_point SpinCutoff(
+      std::chrono::steady_clock::time_point deadline) const;
   // Absolute cutoff for the frame starting now (ignored when deadline_ == 0).
   std::chrono::steady_clock::time_point FrameCutoff() const;
 
   int fd_ = -1;
   Duration deadline_ = 0;
+  std::shared_ptr<FrameRing> ring_;  // null: the bytes go through fd_
+  FrameRing::Half* tx_ = nullptr;
+  FrameRing::Half* rx_ = nullptr;
+  uint64_t tx_pos_ = 0;  // bytes this end has written into tx_ (its head)
+  uint64_t rx_pos_ = 0;  // bytes this end has read from rx_ (its tail)
 };
 
 }  // namespace presto

@@ -3,11 +3,15 @@
 // a PRESTO_CHECK in the decode path as a crashed worker, so decode must stay
 // total on arbitrary bytes), the FedMail / cell-bitmap codecs, and the blocking
 // FrameChannel over a real socketpair including both EOF flavors and its receive
-// policy (poll briefly, then wait).
+// policy (poll briefly, then wait), and over a shared ring (fork workers): a
+// two-thread stress, forked peers that die or send late, and hostile ring words.
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -442,6 +446,248 @@ TEST(FrameChannelTest, DeadlineInsideTheWindowStillExpires) {
   auto next = pair.b->Recv();
   ASSERT_TRUE(next.ok()) << next.status().message();
   EXPECT_EQ(next->payload, PatternFrame(16).payload);
+}
+
+// ---------- FrameChannel over a shared ring (fork workers) ----------
+
+// Both ends of one ring link in this process, sharing one mapping (so the thread
+// sanitizer sees every ring access of both ends).
+struct RingLink {
+  RingLink() {
+    int fds[2] = {-1, -1};
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    auto made = FrameRing::Create();
+    EXPECT_TRUE(made.ok()) << made.status().message();
+    ring = *made;
+    orchestrator =
+        std::make_unique<FrameChannel>(fds[0], ring, FrameRing::End::kOrchestrator);
+    worker = std::make_unique<FrameChannel>(fds[1], ring, FrameRing::End::kWorker);
+  }
+  std::shared_ptr<FrameRing> ring;
+  std::unique_ptr<FrameChannel> orchestrator;
+  std::unique_ptr<FrameChannel> worker;
+};
+
+TEST(FrameRingTest, TwoThreadStressStreamsWrapsAndParks) {
+  // An echo server on a second thread. Frame sizes cover the empty frame, a frame
+  // that ends exactly at the ring's end, frames several rings long and odd sizes
+  // whose bytes straddle the wrap; pauses far past the poll window make both
+  // ends park — the reader for data, the writer for space — and wake on a
+  // doorbell.
+  RingLink link;
+  const size_t header = MustEncode(FedFrame{}).size();
+  std::vector<size_t> sizes = {0, 1, kFrameRingBytes - header, kFrameRingBytes,
+                               3 * kFrameRingBytes + 17};
+  uint64_t mix = 0x9e3779b97f4a7c15ull;
+  for (int i = 0; i < 60; ++i) {
+    mix = mix * 6364136223846793005ull + 1442695040888963407ull;
+    sizes.push_back(static_cast<size_t>(mix >> 33) % (2 * kFrameRingBytes));
+  }
+  const auto pause_before = [](size_t i) { return i % 7 == 3; };
+  std::thread echo([&] {
+    for (size_t i = 0; i < sizes.size(); ++i) {
+      if (pause_before(i)) {
+        // The orchestrator's send fills the ring and parks for space.
+        std::this_thread::sleep_for(std::chrono::microseconds(kPastTheSpin / 4));
+      }
+      auto request = link.worker->Recv();
+      ASSERT_TRUE(request.ok()) << request.status().message();
+      FedFrame reply;
+      reply.type = FedFrameType::kAck;
+      reply.payload = std::move(request->payload);
+      if (i % 5 == 1) {
+        // The orchestrator parks for the reply.
+        std::this_thread::sleep_for(std::chrono::microseconds(kPastTheSpin / 4));
+      }
+      ASSERT_TRUE(link.worker->Send(reply).ok());
+    }
+  });
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    SCOPED_TRACE(i);
+    FedFrame frame = PatternFrame(sizes[i]);
+    for (size_t k = 0; k < frame.payload.size(); k += 97) {
+      frame.payload[k] ^= static_cast<uint8_t>(i);
+    }
+    auto reply = link.orchestrator->Call(frame);
+    ASSERT_TRUE(reply.ok()) << reply.status().message();
+    EXPECT_EQ(reply->type, FedFrameType::kAck);
+    EXPECT_TRUE(reply->payload == frame.payload);
+  }
+  echo.join();
+}
+
+// Forks a peer that runs `body` on the worker end of a fresh ring link and exits
+// with its result; the parent keeps the orchestrator end. Everything the child
+// touches is built before the fork.
+struct ForkedPeer {
+  pid_t pid = -1;
+  std::unique_ptr<FrameChannel> channel;
+
+  // The child's exit code, or -1 if it did not exit normally.
+  int Wait() {
+    int status = 0;
+    if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) {
+      return -1;
+    }
+    return WEXITSTATUS(status);
+  }
+};
+
+template <typename Body>
+ForkedPeer ForkPeer(Body body) {
+  int fds[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  auto ring = FrameRing::Create();
+  EXPECT_TRUE(ring.ok());
+  ForkedPeer peer;
+  peer.pid = ::fork();
+  if (peer.pid == 0) {
+    ::close(fds[0]);
+    FrameChannel channel(fds[1], *ring, FrameRing::End::kWorker);
+    ::_exit(body(channel));
+  }
+  ::close(fds[1]);
+  peer.channel = std::make_unique<FrameChannel>(fds[0], std::move(*ring),
+                                                FrameRing::End::kOrchestrator);
+  return peer;
+}
+
+TEST(FrameRingTest, ForkedPeerDeathBetweenFramesIsUnavailable) {
+  // The peer's last frame, published before it exits, still arrives; then the
+  // socket's EOF is a clean close.
+  const FedFrame frame = PatternFrame(1000);
+  ForkedPeer peer = ForkPeer([&frame](FrameChannel& channel) {
+    return channel.Send(frame).ok() ? 0 : 1;
+  });
+  EXPECT_EQ(peer.Wait(), 0);
+  auto received = peer.channel->Recv();
+  ASSERT_TRUE(received.ok()) << received.status().message();
+  EXPECT_EQ(received->payload, frame.payload);
+  auto after = peer.channel->Recv();
+  ASSERT_FALSE(after.ok());
+  EXPECT_EQ(after.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(after.status().message(), "fed_wire: peer closed the channel");
+}
+
+TEST(FrameRingTest, ForkedPeerDeathMidFrameIsDataLoss) {
+  // The peer fills the ring with the start of a frame twice its size, then gives
+  // up (its send deadline expires, nobody reads) and exits: the reader gets the
+  // published part, then EOF inside the frame.
+  const FedFrame frame = PatternFrame(2 * kFrameRingBytes);
+  ForkedPeer peer = ForkPeer([&frame](FrameChannel& channel) {
+    channel.SetDeadline(Millis(20));
+    const Status sent = channel.Send(frame);
+    return sent.code() == StatusCode::kDeadlineExceeded ? 0 : 1;
+  });
+  EXPECT_EQ(peer.Wait(), 0);
+  auto received = peer.channel->Recv();
+  ASSERT_FALSE(received.ok());
+  EXPECT_EQ(received.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(received.status().message(), "fed_wire: mid-frame EOF");
+}
+
+TEST(FrameRingTest, ForkedPeerLateFrameArrivesThroughThePark) {
+  const FedFrame frame = PatternFrame(4096);
+  ForkedPeer peer = ForkPeer([&frame](FrameChannel& channel) {
+    std::this_thread::sleep_for(std::chrono::microseconds(kPastTheSpin));
+    return channel.Send(frame).ok() ? 0 : 1;
+  });
+  const auto start = std::chrono::steady_clock::now();
+  auto received = peer.channel->Recv();
+  const Duration waited = ElapsedSince(start);
+  EXPECT_EQ(peer.Wait(), 0);
+  ASSERT_TRUE(received.ok()) << received.status().message();
+  EXPECT_EQ(received->payload, frame.payload);
+  EXPECT_GE(waited, kPastTheSpin / 2);
+}
+
+// The peer-written words of a ring link, through a second mapping of its memfd:
+// what a corrupt or hostile peer process could write.
+class RingTamper {
+ public:
+  explicit RingTamper(const FrameRing& ring) {
+    struct stat st;
+    EXPECT_EQ(::fstat(ring.fd(), &st), 0);
+    bytes_ = static_cast<size_t>(st.st_size);
+    void* base =
+        ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE, MAP_SHARED, ring.fd(), 0);
+    EXPECT_NE(base, MAP_FAILED);
+    base_ = static_cast<uint8_t*>(base);
+  }
+  ~RingTamper() { ::munmap(base_, bytes_); }
+  RingTamper(const RingTamper&) = delete;
+  RingTamper& operator=(const RingTamper&) = delete;
+
+  // Direction 0 is orchestrator -> worker, 1 the reverse (layout in fed_wire.h).
+  uint8_t* half(int direction) const { return base_ + direction * (bytes_ / 2); }
+  void SetHead(int direction, uint64_t v) { std::memcpy(half(direction), &v, 8); }
+  void SetTail(int direction, uint64_t v) { std::memcpy(half(direction) + 64, &v, 8); }
+  uint8_t* data(int direction) const { return half(direction) + 256; }
+
+ private:
+  uint8_t* base_ = nullptr;
+  size_t bytes_ = 0;
+};
+
+TEST(FrameRingTest, OutOfRangePeerIndicesAndLengthsAreTypedErrors) {
+  const FedFrame frame = PatternFrame(100);
+  const uint64_t frame_bytes = MustEncode(frame).size();
+  // A head more than a ring ahead of the reader's tail.
+  {
+    RingLink link;
+    RingTamper tamper(*link.ring);
+    ASSERT_TRUE(link.orchestrator->Send(frame).ok());
+    tamper.SetHead(0, kFrameRingBytes + 1);
+    auto received = link.worker->Recv();
+    ASSERT_FALSE(received.ok());
+    EXPECT_EQ(received.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(received.status().message(), "fed_wire: ring index out of range");
+  }
+  // A head moved behind what the reader already consumed.
+  {
+    RingLink link;
+    RingTamper tamper(*link.ring);
+    ASSERT_TRUE(link.orchestrator->Send(frame).ok());
+    ASSERT_TRUE(link.worker->Recv().ok());
+    tamper.SetHead(0, frame_bytes - 1);
+    auto received = link.worker->Recv();
+    ASSERT_FALSE(received.ok());
+    EXPECT_EQ(received.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(received.status().message(), "fed_wire: ring index out of range");
+  }
+  // A tail ahead of what the writer ever wrote.
+  {
+    RingLink link;
+    RingTamper tamper(*link.ring);
+    ASSERT_TRUE(link.worker->Send(frame).ok());
+    tamper.SetTail(1, frame_bytes + 1);
+    const Status sent = link.worker->Send(frame);
+    EXPECT_EQ(sent.code(), StatusCode::kDataLoss);
+    EXPECT_EQ(sent.message(), "fed_wire: ring index out of range");
+  }
+  // A frame whose length prefix is past the payload cap.
+  {
+    RingLink link;
+    RingTamper tamper(*link.ring);
+    std::vector<uint8_t> bytes = MustEncode(PatternFrame(0));
+    const uint32_t huge = kMaxFedFramePayload + 1;
+    std::memcpy(bytes.data() + bytes.size() - 4, &huge, 4);  // little-endian host
+    std::memcpy(tamper.data(0), bytes.data(), bytes.size());
+    tamper.SetHead(0, bytes.size());
+    auto received = link.worker->Recv();
+    ASSERT_FALSE(received.ok());
+    EXPECT_EQ(received.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(received.status().message(), "fed_wire: oversized frame length prefix");
+  }
+}
+
+TEST(FrameRingTest, MapRefusesAMemfdOfTheWrongSize) {
+  const int fd = ::memfd_create("presto_fed_ring_test", MFD_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::ftruncate(fd, 4096), 0);
+  auto mapped = FrameRing::Map(fd);  // takes the fd either way
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), StatusCode::kFailedPrecondition);
 }
 
 // ---------- hello handshake ----------

@@ -227,6 +227,44 @@ TEST_P(PageCodecPropertyTest, RandomBatchesRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PageCodecPropertyTest, ::testing::Range<uint64_t>(1, 9));
 
+// The textbook Fletcher-16, reduced mod 255 after every byte: the oracle for the
+// block-reduced Fletcher16.
+uint16_t Fletcher16PerByte(span<const uint8_t> data) {
+  uint32_t a = 0;
+  uint32_t b = 0;
+  for (uint8_t byte : data) {
+    a = (a + byte) % 255;
+    b = (b + a) % 255;
+  }
+  return static_cast<uint16_t>((b << 8) | a);
+}
+
+TEST(PageCodecTest, Fletcher16MatchesThePerByteReference) {
+  // The largest record area a page header can describe (`used` is a u16).
+  constexpr size_t kMaxPage = 65535;
+  std::vector<std::vector<uint8_t>> inputs;
+  inputs.emplace_back();  // empty
+  // All-0xFF inputs drive both sums fastest, so they sit at the block bound.
+  for (const size_t n : {size_t{1}, size_t{255}, size_t{5801}, size_t{5802}, size_t{5803},
+                         size_t{2 * 5802 + 1}, kMaxPage}) {
+    inputs.emplace_back(n, 0xFF);
+  }
+  Pcg32 rng(17);
+  for (int i = 0; i < 64; ++i) {
+    const size_t n = i == 0 ? kMaxPage : static_cast<size_t>(rng.UniformInt(1, 4096));
+    std::vector<uint8_t> page(n);
+    for (uint8_t& byte : page) {
+      byte = static_cast<uint8_t>(rng.NextU32());
+    }
+    inputs.push_back(std::move(page));
+  }
+  for (const std::vector<uint8_t>& input : inputs) {
+    SCOPED_TRACE(input.size());
+    const span<const uint8_t> bytes(input);
+    EXPECT_EQ(Fletcher16(bytes), Fletcher16PerByte(bytes));
+  }
+}
+
 // ---------- ArchiveStore ----------
 
 ArchiveParams TestArchiveParams() {
@@ -398,6 +436,32 @@ TEST(ArchiveStoreTest, FullWithoutAgingRejects) {
   EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
   EXPECT_GT(appended, 1000);
   EXPECT_GT(store.stats().appends_rejected, 0u);
+}
+
+TEST(ArchiveStoreTest, WedgedStoreRefusesAppendsWithoutReadingPages) {
+  // A summarizer that keeps every sample makes an aging pass need as many blocks
+  // as it frees, so appends eat the reserve and the store wedges: from then on
+  // every append is refused. A refusal must not decode the segments it would
+  // have merged.
+  FlashDevice dev(SmallFlash(), nullptr);
+  ArchiveStore store(&dev, TestArchiveParams());
+  store.SetSummarizer([](const std::vector<Sample>& samples, int) { return samples; });
+  Status status = OkStatus();
+  int next = 0;
+  while (status.ok() && next < 20000) {
+    status = store.Append(Sample{next * Seconds(31), 20.0});
+    ++next;
+  }
+  ASSERT_EQ(status.code(), StatusCode::kResourceExhausted) << status.message();
+  for (int k = 0; k < 3; ++k) {
+    const uint64_t reads = dev.stats().page_reads;
+    const uint64_t rejected = store.stats().appends_rejected;
+    const Status again = store.Append(Sample{(next + k) * Seconds(31), 20.0});
+    EXPECT_EQ(again.code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(again.message(), "no reserve block for aging");
+    EXPECT_EQ(dev.stats().page_reads, reads);
+    EXPECT_EQ(store.stats().appends_rejected, rejected + 1);
+  }
 }
 
 TEST(ArchiveStoreTest, EmptyQueriesAndRanges) {

@@ -2,10 +2,14 @@
 //
 // Two bootstrap modes share one worker loop:
 //
-//   presto_cell <socket-fd>          fork mode. A Federation with
+//   presto_cell <socket-fd> <ring-fd>
+//                                    fork mode. A Federation with
 //                                    cell_processes > 1 forks one per process
-//                                    slot, passing its end of a socketpair as
-//                                    argv[1]. Never run by hand.
+//                                    slot, passing its end of a socketpair
+//                                    (doorbells and death) and the memfd of the
+//                                    shared frame rings (the bytes; see
+//                                    FrameRing in src/net/fed_wire.h). Never
+//                                    run by hand.
 //
 //   presto_cell --listen <port>      socket mode. Binds 0.0.0.0:<port> (0 picks
 //                [--once]            an ephemeral port), announces
@@ -21,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "src/core/cell_worker.h"
 #include "src/net/fed_wire.h"
@@ -29,7 +34,7 @@ namespace {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: presto_cell <socket-fd>\n"
+               "usage: presto_cell <socket-fd> <ring-fd>\n"
                "       presto_cell --listen <port> [--once]\n"
                "(fd mode is spawned by a presto Federation; --listen hosts\n"
                " cells for a FederationConfig::cell_endpoints orchestrator)\n");
@@ -57,15 +62,23 @@ int main(int argc, char** argv) {
     return presto::RunCellWorkerListenLoop(static_cast<uint16_t>(port),
                                            presto::Seconds(5), once);
   }
-  if (argc != 2) {
+  if (argc != 3) {
     return Usage();
   }
   const int fd = std::atoi(argv[1]);
-  if (fd <= 2) {  // refuse stdio and garbage ("0" from non-numeric input)
-    std::fprintf(stderr, "presto_cell: bad socket fd '%s'\n", argv[1]);
+  const int ring_fd = std::atoi(argv[2]);
+  // Refuse stdio and garbage ("0" from non-numeric input).
+  if (fd <= 2 || ring_fd <= 2 || ring_fd == fd) {
+    std::fprintf(stderr, "presto_cell: bad socket or ring fd '%s' '%s'\n", argv[1],
+                 argv[2]);
     return 2;
   }
-  presto::FrameChannel channel(fd);
+  auto ring = presto::FrameRing::Map(ring_fd);
+  if (!ring.ok()) {
+    std::fprintf(stderr, "presto_cell: %s\n", ring.status().message().c_str());
+    return 1;
+  }
+  presto::FrameChannel channel(fd, std::move(*ring), presto::FrameRing::End::kWorker);
   presto::CellWorker worker(&channel);
   return worker.Serve();
 }
