@@ -129,17 +129,28 @@ void BM_SummaryCacheRange(benchmark::State& state) {
 }
 BENCHMARK(BM_SummaryCacheRange);
 
+// Counts the typed events dispatched to it.
+class CountingSink : public EventSink {
+ public:
+  void OnSimEvent(EventKind kind, EventPayload& payload) override {
+    (void)kind;
+    (void)payload;
+    ++fired;
+  }
+  int fired = 0;
+};
+
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     Simulator sim;
-    int fired = 0;
+    CountingSink sink;
     state.ResumeTiming();
     for (int i = 0; i < 10000; ++i) {
-      sim.ScheduleAt(i, [&fired] { ++fired; });
+      sim.ScheduleEventAt(i, EventKind::kTimer, &sink, EventPayload{});
     }
     sim.RunAll();
-    benchmark::DoNotOptimize(fired);
+    benchmark::DoNotOptimize(sink.fired);
   }
   state.SetItemsProcessed(state.iterations() * 10000);
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "src/util/assert.h"
 #include "src/util/stats.h"
@@ -42,6 +44,36 @@ DeploymentConfig MakeDeploymentConfig(ArchitectureKind kind,
   return d;
 }
 
+struct Outcome {
+  bool past = false;
+  int global_sensor = 0;
+  QuerySpec spec;
+  UnifiedQueryResult result;
+};
+
+// Issues the precomputed query stream: one typed control-lane event per query
+// (payload.a = its outcome slot). Issue is pinned to the control lane: UnifiedStore
+// routing walks cross-shard state (index, chains, proxy registries), which only the
+// barrier-serial context may touch. QueryAsync completes on the control lane too,
+// into the query's own slot.
+class QueryIssuer : public EventSink {
+ public:
+  QueryIssuer(Deployment* deployment, std::vector<Outcome>* outcomes)
+      : deployment_(deployment), outcomes_(outcomes) {}
+
+  void OnSimEvent(EventKind kind, EventPayload& payload) override {
+    PRESTO_CHECK(kind == EventKind::kQuery);
+    Outcome* outcome = &(*outcomes_)[static_cast<size_t>(payload.a)];
+    deployment_->QueryAsync(outcome->spec, [outcome](const UnifiedQueryResult& r) {
+      outcome->result = r;
+    });
+  }
+
+ private:
+  Deployment* deployment_;
+  std::vector<Outcome>* outcomes_;
+};
+
 }  // namespace
 
 const char* ArchitectureName(ArchitectureKind kind) {
@@ -72,18 +104,13 @@ ArchitectureMetrics RunArchitectureBench(ArchitectureKind kind,
   const std::vector<QueryRequest> requests =
       GenerateQueries(qw, TimeInterval{config.warmup, query_end});
 
-  struct Outcome {
-    bool past = false;
-    UnifiedQueryResult result;
-    int global_sensor = 0;
-  };
   std::vector<Outcome> outcomes(requests.size());
-
+  QueryIssuer issuer(&deployment, &outcomes);
   for (size_t i = 0; i < requests.size(); ++i) {
     const QueryRequest& request = requests[i];
     const int proxy_index = request.sensor / config.sensors_per_proxy;
     const int sensor_index = request.sensor % config.sensors_per_proxy;
-    QuerySpec spec;
+    QuerySpec& spec = outcomes[i].spec;
     spec.sensor_id = Deployment::SensorId(proxy_index, sensor_index);
     spec.tolerance = request.tolerance;
     spec.latency_bound = request.latency_bound;
@@ -94,19 +121,10 @@ ArchitectureMetrics RunArchitectureBench(ArchitectureKind kind,
     }
     outcomes[i].past = request.past;
     outcomes[i].global_sensor = request.sensor;
-    // Query issue is pinned to the control lane: UnifiedStore routing walks
-    // cross-shard state (index, chains, proxy registries), which only the
-    // barrier-serial context may touch. Completions run in the serving proxy's
-    // lane; each writes only its own outcome slot, so they are race-free at any
-    // sim_threads.
-    deployment.sim().ScheduleAt(
-        request.issue_at,
-        [&deployment, &outcomes, i, spec] {
-          deployment.store().Query(spec, [&outcomes, i](const UnifiedQueryResult& r) {
-            outcomes[i].result = r;
-          });
-        },
-        Simulator::kLaneControl);
+    EventPayload issue;
+    issue.a = i;
+    deployment.sim().ScheduleEventAt(request.issue_at, EventKind::kQuery, &issuer,
+                                     std::move(issue), Simulator::kLaneControl);
   }
   // Slack so trailing pulls can finish.
   deployment.RunUntil(query_end + Hours(1));

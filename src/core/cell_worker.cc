@@ -16,6 +16,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "src/util/assert.h"
 #include "src/util/ckpt.h"
 
 namespace presto {
@@ -331,6 +332,7 @@ Status CellHost::PostStep(SimTime barrier, SimTime end, std::vector<FedMail> mai
 Status CellHost::FinishStep(CellOutput* out) {
   for (Hosted& hosted : hosted_) {
     hosted.deployment->RunUntil(step_end_);
+    PRESTO_DCHECK(hosted.router->DriverAccountingHolds());
   }
   TakeOutput(out);
   return OkStatus();

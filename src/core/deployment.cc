@@ -394,6 +394,9 @@ void Deployment::OnSimEvent(EventKind kind, EventPayload& payload) {
                          "federation-tagged completion without a client");
         federation_client_->OnDeploymentQueryDone(done.tag, done.result);
         break;
+      case ExternalQuery::Origin::kWait:
+        PRESTO_CHECK_MSG(false, "QueryAndWait entries complete inline");
+        break;
     }
     return;
   }
@@ -775,10 +778,21 @@ void Deployment::QueryAsyncInternal(const QuerySpec& spec, ExternalQuery entry) 
 }
 
 void Deployment::OnStoreQueryDone(uint64_t token, const UnifiedQueryResult& result) {
-  // Park the result in the entry and bounce a typed event to the control lane,
-  // where OnSimEvent completes it.
   ExternalQuery* pending = FindExternal(token);
   PRESTO_CHECK(pending != nullptr);
+  if (pending->origin == ExternalQuery::Origin::kWait) {
+    // QueryAndWait polls the entry between steps; one that timed out is dropped.
+    if (pending->tag == ExternalQuery::kWaitAbandoned) {
+      std::lock_guard<std::mutex> lock(external_m_);
+      external_.erase(token);
+    } else {
+      pending->result = result;
+      pending->tag = ExternalQuery::kWaitDone;
+    }
+    return;
+  }
+  // Park the result in the entry and bounce a typed event to the control lane,
+  // where OnSimEvent completes it.
   pending->result = result;
   EventPayload done;
   done.a = token;
@@ -793,12 +807,10 @@ QueryDriver& Deployment::AttachQueryDriver(const QueryDriverParams& params) {
   }
   PRESTO_CHECK_MSG(p.mix.num_sensors <= total_sensors(),
                    "driver namespace exceeds the sensor population");
-  // Completion routes by driver index, not the CompletionFn closure, so queries in
-  // flight serialize into a checkpoint and complete after restore.
+  // Completion routes by driver index, so queries in flight serialize into a
+  // checkpoint and complete after restore.
   const uint64_t driver_index = drivers_.size();
-  auto issue = [this, driver_index](const QueryRequest& request,
-                                    QueryDriver::CompletionFn done) {
-    (void)done;  // recorded via RecordOutcome when the tagged completion lands
+  auto issue = [this, driver_index](const QueryRequest& request) {
     QuerySpec spec;
     spec.sensor_id = GlobalSensorId(request.sensor);
     spec.tolerance = request.tolerance;
@@ -818,31 +830,52 @@ QueryDriver& Deployment::AttachQueryDriver(const QueryDriverParams& params) {
 }
 
 UnifiedQueryResult Deployment::QueryAndWait(const QuerySpec& spec, Duration max_wait) {
-  // Shared (not stack-referencing) wait state: on a timeout the store still holds
-  // the completion callback, and a late completion (e.g. a pull outliving
-  // max_wait) must write into state that is still alive, not a popped stack.
-  struct WaitState {
-    bool done = false;
-    UnifiedQueryResult result;
-  };
-  auto state = std::make_shared<WaitState>();
-  store_->Query(spec, [state](const UnifiedQueryResult& r) {
-    state->result = r;
-    state->done = true;
-  });
+  const uint64_t token = next_wait_token_++;
+  ExternalQuery* wait;
+  {
+    std::lock_guard<std::mutex> lock(external_m_);
+    ExternalQuery entry;
+    entry.origin = ExternalQuery::Origin::kWait;
+    entry.tag = ExternalQuery::kWaiting;
+    wait = &external_.emplace(token, std::move(entry)).first->second;
+  }
+  // Map nodes are stable, and between steps no lane runs: `wait` is safe to poll.
+  store_->Query(spec, token);
   const SimTime deadline = sim_.Now() + max_wait;
-  while (!state->done && sim_.NextEventTime() >= 0 &&
+  while (wait->tag != ExternalQuery::kWaitDone && sim_.NextEventTime() >= 0 &&
          sim_.NextEventTime() <= deadline) {
     sim_.Step();
   }
-  if (!state->done) {
+  if (wait->tag != ExternalQuery::kWaitDone) {
+    // The store still holds the query (e.g. a pull outliving max_wait); its late
+    // completion erases the entry.
+    wait->tag = ExternalQuery::kWaitAbandoned;
     UnifiedQueryResult result;
     result.answer.status = DeadlineExceededError("query did not complete in max_wait");
     result.issued_at = sim_.Now();
     result.completed_at = sim_.Now();
     return result;
   }
-  return state->result;
+  UnifiedQueryResult result = std::move(wait->result);
+  std::lock_guard<std::mutex> lock(external_m_);
+  external_.erase(token);
+  return result;
+}
+
+void Deployment::RunUntil(SimTime t) {
+  sim_.RunUntil(t);
+  PRESTO_DCHECK(DriverAccountingHolds());
+}
+
+bool Deployment::DriverAccountingHolds() const {
+  // Control context between runs: no lane touches external_.
+  std::vector<uint64_t> in_flight(drivers_.size(), 0);
+  for (const auto& [id, entry] : external_) {
+    if (entry.origin == ExternalQuery::Origin::kDriver) {
+      ++in_flight[static_cast<size_t>(entry.tag)];
+    }
+  }
+  return QueryDriver::Balanced(drivers_, in_flight);
 }
 
 }  // namespace presto
@@ -891,9 +924,10 @@ Status Deployment::SaveCheckpoint(Checkpoint* out, const std::string& prefix) co
     CkptWrite(w, next_external_id_);
     w.WriteVarU64(external_.size());
     for (const auto& [id, entry] : external_) {
-      if (entry.origin == ExternalQuery::Origin::kClosure) {
+      if (entry.origin == ExternalQuery::Origin::kClosure ||
+          entry.origin == ExternalQuery::Origin::kWait) {
         return FailedPreconditionError(
-            "deployment checkpoint: closure-form external query in flight");
+            "deployment checkpoint: QueryAsync/QueryAndWait query in flight");
       }
       CkptWrite(w, id);
       CkptWrite(w, entry.origin);
@@ -992,12 +1026,15 @@ Status Deployment::LoadCheckpoint(const Checkpoint& ckpt, const std::string& pre
       CKPT_READ(r, id);
       ExternalQuery entry;
       CKPT_READ(r, entry.origin);
-      if (entry.origin == ExternalQuery::Origin::kClosure ||
-          static_cast<uint8_t>(entry.origin) >
-              static_cast<uint8_t>(ExternalQuery::Origin::kFederation)) {
+      if (entry.origin != ExternalQuery::Origin::kDriver &&
+          entry.origin != ExternalQuery::Origin::kFederation) {
         return DataLossError("deploy restore: bad external query origin");
       }
       CKPT_READ(r, entry.tag);
+      if (entry.origin == ExternalQuery::Origin::kDriver &&
+          entry.tag >= drivers_.size()) {
+        return DataLossError("deploy restore: external query names no driver");
+      }
       CKPT_READ(r, entry.past);
       CKPT_READ(r, entry.result);
       external_.emplace(id, std::move(entry));

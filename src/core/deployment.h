@@ -240,7 +240,10 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   // Mean sensor energy in joules (settles idle energy first).
   double MeanSensorEnergy();
 
-  // Issues a query and runs the simulator until it completes (or `max_wait` passes).
+  // Issues a query and steps the simulator until it completes (or `max_wait`
+  // passes: DeadlineExceeded). The completion lands inline, with no control-lane
+  // event, so a probe adds nothing to the event stream but the store's own stages.
+  // A timed-out query stays in flight, and blocks SaveCheckpoint, until it lands.
   UnifiedQueryResult QueryAndWait(const QuerySpec& spec, Duration max_wait = Minutes(30));
 
   // External query entry without a host-loop round-trip: routing runs now (control
@@ -269,8 +272,9 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   // the entire workload. Caller starts it: AttachQueryDriver(p).Start(duration).
   QueryDriver& AttachQueryDriver(const QueryDriverParams& params);
 
-  // Runs the simulator forward to `t` (no-op if already past).
-  void RunUntil(SimTime t) { sim_.RunUntil(t); }
+  // Runs the simulator forward to `t` (no-op if already past). Debug builds then
+  // assert every attached driver's accounting: issued = completed + in flight.
+  void RunUntil(SimTime t);
 
   // Topology mutations (promotion, hand-back, migration) arrive as typed kMutation
   // events on the control lane: they touch every layer, so they only ever execute at
@@ -286,7 +290,7 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   // "deploy", one "proxy/<p>" per proxy, "sensors", "drivers", and "sim" — composed
   // here so section boundaries match subsystem boundaries and a diff names the first
   // divergent layer. Call at a barrier / between RunUntil calls only; fails (writing
-  // nothing partial) while a closure-form query is in flight. `prefix` namespaces
+  // nothing partial) while a QueryAsync or QueryAndWait query is in flight. `prefix` namespaces
   // the section names ("cell3/sim") for multi-deployment containers.
   Status SaveCheckpoint(Checkpoint* out, const std::string& prefix = "") const;
 
@@ -368,14 +372,16 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   // In-flight QueryAsync queries. The map is mutex-guarded because store
   // completions run in serving-proxy lanes (concurrently for different proxies);
   // each entry is only ever touched by its own query's events — the UnifiedStore
-  // pattern. Every entry carries a serializable origin tag except kClosure (ad-hoc
-  // callers), which blocks SaveCheckpoint while in flight.
+  // pattern. kDriver and kFederation entries serialize; kClosure and kWait entries
+  // (host-side callers) block SaveCheckpoint while in flight.
   struct ExternalQuery {
     enum class Origin : uint8_t {
-      kClosure = 0,     // on_done closure (probes, tests) — not checkpointable
+      kClosure = 0,     // QueryAsync on_done closure — not checkpointable
       kDriver = 1,      // attached QueryDriver: tag = driver index, past = class
       kFederation = 2,  // federation glue: tag = federation qid
+      kWait = 3,        // QueryAndWait: tag = WaitState — not checkpointable
     };
+    enum WaitState : uint64_t { kWaiting = 0, kWaitDone = 1, kWaitAbandoned = 2 };
     Origin origin = Origin::kClosure;
     uint64_t tag = 0;
     bool past = false;  // kDriver: the request's PAST/NOW class
@@ -384,9 +390,13 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   };
   void QueryAsyncInternal(const QuerySpec& spec, ExternalQuery entry);
   ExternalQuery* FindExternal(uint64_t id);
+  bool DriverAccountingHolds() const;
   std::mutex external_m_;
   std::map<uint64_t, ExternalQuery> external_;
   uint64_t next_external_id_ = 1;
+  // kWait entries key on their own tokens (top bit set), so host probes leave
+  // next_external_id_, and with it the checkpoint bytes, untouched.
+  uint64_t next_wait_token_ = uint64_t{1} << 63;
   FederationQueryClient* federation_client_ = nullptr;
   // Declared after sim_ so drivers (which hold pending arrival events) die first.
   std::vector<std::unique_ptr<QueryDriver>> drivers_;

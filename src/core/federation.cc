@@ -371,13 +371,10 @@ int FedCell::AttachDriver(const QueryDriverParams& params) {
   }
   PRESTO_CHECK_MSG(p.mix.num_sensors <= directory_.total_sensors(),
                    "driver namespace exceeds the federation population");
-  // Tagged (slot) issue path: the pending entry carries this driver's slot
-  // instead of capturing the completion closure, so in-flight driver queries
-  // survive a checkpoint. Complete records the outcome directly.
+  // The pending entry carries this driver's slot, so in-flight driver queries
+  // survive a checkpoint. Complete records the outcome through the slot.
   const uint64_t slot = drivers_.size();
-  auto issue = [this, slot](const QueryRequest& request,
-                            QueryDriver::CompletionFn done) {
-    (void)done;  // completion flows through the driver-slot tag, not the closure
+  auto issue = [this, slot](const QueryRequest& request) {
     FederationQuerySpec fspec;
     fspec.fed_sensor = request.sensor;
     fspec.tolerance = request.tolerance;
@@ -446,6 +443,16 @@ std::vector<FedMail> FedCell::TakeOutbox() {
 
 std::vector<FedCell::HostDone> FedCell::TakeHostDone() {
   return std::exchange(host_done_, {});
+}
+
+bool FedCell::DriverAccountingHolds() const {
+  std::vector<uint64_t> in_flight(drivers_.size(), 0);
+  for (const auto& [qid, q] : pending_) {
+    if (q.origin == Origin::kDriver) {
+      ++in_flight[static_cast<size_t>(q.driver_slot)];
+    }
+  }
+  return QueryDriver::Balanced(drivers_, in_flight);
 }
 
 FederationTrunkTotals FedCell::TrunkTotals() const {

@@ -298,6 +298,9 @@ class FedCell : public EventSink, public FederationQueryClient {
 
   const Counters& counters() const { return counters_; }
   FederationTrunkTotals TrunkTotals() const;
+  // Per attached driver: issued = completed (failures included) + kDriver entries
+  // still pending here. Host context between steps.
+  bool DriverAccountingHolds() const;
 
   void OnSimEvent(EventKind kind, EventPayload& payload) override;
   void OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,

@@ -39,34 +39,17 @@ ProxyNode* UnifiedStore::FindProxy(NodeId proxy_id) const {
   return it == proxies_.end() ? nullptr : it->second;
 }
 
-void UnifiedStore::Query(const QuerySpec& spec,
-                         std::function<void(const UnifiedQueryResult&)> callback) {
-  PendingQuery pending;
-  pending.spec = spec;
-  pending.callback = std::move(callback);
-  QueryInternal(spec, std::move(pending));
-}
-
 void UnifiedStore::Query(const QuerySpec& spec, uint64_t token) {
-  PRESTO_CHECK_MSG(client_ != nullptr, "token-form store query without a client");
-  PendingQuery pending;
-  pending.spec = spec;
-  pending.has_token = true;
-  pending.token = token;
-  QueryInternal(spec, std::move(pending));
-}
-
-void UnifiedStore::QueryInternal(const QuerySpec& spec, PendingQuery pending) {
+  PRESTO_CHECK_MSG(client_ != nullptr, "store query without a client");
   ++stats_.queries;
   const SimTime issued_at = sim_->Now();
+  PendingQuery pending;
+  pending.spec = spec;
+  pending.token = token;
 
   const auto complete_now = [this](PendingQuery& p) {
     p.result.completed_at = sim_->Now();
-    if (p.has_token) {
-      client_->OnStoreQueryDone(p.token, p.result);
-    } else {
-      p.callback(p.result);
-    }
+    client_->OnStoreQueryDone(p.token, p.result);
   };
 
   // Resolve the owner through the order-preserving index.
@@ -191,12 +174,7 @@ void UnifiedStore::OnSimEvent(EventKind kind, EventPayload& payload) {
     pending_.erase(it);
   }
   done.result.completed_at = sim_->Now();
-  if (done.has_token) {
-    PRESTO_CHECK_MSG(client_ != nullptr, "token-form store query without a client");
-    client_->OnStoreQueryDone(done.token, done.result);
-  } else {
-    done.callback(done.result);
-  }
+  client_->OnStoreQueryDone(done.token, done.result);
 }
 
 Status UnifiedStore::SaveState(ByteWriter& w) const {
@@ -213,10 +191,6 @@ Status UnifiedStore::SaveState(ByteWriter& w) const {
   CkptWrite(w, next_query_id_);
   w.WriteVarU64(pending_.size());
   for (const auto& [id, pending] : pending_) {
-    if (!pending.has_token) {
-      return FailedPreconditionError(
-          "store checkpoint: closure-form query pending (use the token query API)");
-    }
     CkptWrite(w, id);
     CkptWrite(w, pending.spec);
     CkptWrite(w, pending.result);
@@ -248,7 +222,6 @@ Status UnifiedStore::LoadState(ByteReader& r) {
     uint64_t id = 0;
     CKPT_READ(r, id);
     PendingQuery pending;
-    pending.has_token = true;
     CKPT_READ(r, pending.spec);
     CKPT_READ(r, pending.result);
     CKPT_READ(r, pending.token);

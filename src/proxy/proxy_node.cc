@@ -459,9 +459,6 @@ void ProxyNode::Answer(const QueryAnswer& answer, const QueryOrigin& origin,
   switch (origin.kind) {
     case QueryOrigin::Kind::kNone:
       break;  // backfill repair: the pulled data landing in the cache is the answer
-    case QueryOrigin::Kind::kClosure:
-      origin.closure(answer);
-      break;
     case QueryOrigin::Kind::kToken:
       PRESTO_CHECK_MSG(pull_client_ != nullptr, "token query without a pull client");
       pull_client_->OnPullDone(origin.token, answer);
@@ -470,29 +467,8 @@ void ProxyNode::Answer(const QueryAnswer& answer, const QueryOrigin& origin,
 }
 
 void ProxyNode::QueryNow(NodeId sensor_id, double tolerance, Duration latency_bound,
-                         QueryCallback callback) {
-  QueryNowInternal(sensor_id, tolerance, latency_bound,
-                   QueryOrigin::Closure(std::move(callback)));
-}
-
-void ProxyNode::QueryNow(NodeId sensor_id, double tolerance, Duration latency_bound,
                          uint64_t token) {
-  QueryNowInternal(sensor_id, tolerance, latency_bound, QueryOrigin::Token(token));
-}
-
-void ProxyNode::QueryPast(NodeId sensor_id, TimeInterval range, double tolerance,
-                          QueryCallback callback) {
-  QueryPastInternal(sensor_id, range, tolerance,
-                    QueryOrigin::Closure(std::move(callback)));
-}
-
-void ProxyNode::QueryPast(NodeId sensor_id, TimeInterval range, double tolerance,
-                          uint64_t token) {
-  QueryPastInternal(sensor_id, range, tolerance, QueryOrigin::Token(token));
-}
-
-void ProxyNode::QueryNowInternal(NodeId sensor_id, double tolerance,
-                                 Duration latency_bound, QueryOrigin origin) {
+  const QueryOrigin origin = QueryOrigin::Token(token);
   ++stats_.queries;
   const SimTime now = sim_->Now();
   auto it = sensors_.find(sensor_id);
@@ -571,12 +547,12 @@ void ProxyNode::QueryNowInternal(NodeId sensor_id, double tolerance,
   }
   // A replica cannot pull: the sensor reports to its (down) owner. Serve degraded.
   if (sensor.is_replica) {
-    AnswerDegradedNow(sensor, now, std::move(origin));
+    AnswerDegradedNow(sensor, now, origin);
     return;
   }
   // 3) Cache-miss-triggered pull of the freshest archive data.
   const TimeInterval range{now - 2 * sensor.sensing_period, now + sensor.sensing_period};
-  IssuePull(sensor, range, tolerance, /*is_now=*/true, now, std::move(origin));
+  IssuePull(sensor, range, tolerance, /*is_now=*/true, now, origin);
 }
 
 void ProxyNode::AnswerDegradedNow(SensorState& sensor, SimTime now,
@@ -611,8 +587,9 @@ void ProxyNode::AnswerDegradedNow(SensorState& sensor, SimTime now,
   Answer(answer, origin, /*is_now=*/true);
 }
 
-void ProxyNode::QueryPastInternal(NodeId sensor_id, TimeInterval range,
-                                  double tolerance, QueryOrigin origin) {
+void ProxyNode::QueryPast(NodeId sensor_id, TimeInterval range, double tolerance,
+                          uint64_t token) {
+  const QueryOrigin origin = QueryOrigin::Token(token);
   ++stats_.queries;
   const SimTime now = sim_->Now();
   auto it = sensors_.find(sensor_id);
@@ -700,11 +677,11 @@ void ProxyNode::QueryPastInternal(NodeId sensor_id, TimeInterval range,
     }
   }
   if (sensor.is_replica) {
-    AnswerDegradedPast(sensor, range, now, std::move(origin));
+    AnswerDegradedPast(sensor, range, now, origin);
     return;
   }
   // 3) Pull the range from the sensor's archive.
-  IssuePull(sensor, range, tolerance, /*is_now=*/false, now, std::move(origin));
+  IssuePull(sensor, range, tolerance, /*is_now=*/false, now, origin);
 }
 
 void ProxyNode::AnswerDegradedPast(SensorState& sensor, TimeInterval range,
@@ -734,7 +711,7 @@ void ProxyNode::IssuePull(SensorState& sensor, TimeInterval range, double tolera
     if (pull.sensor_id == sensor.id && pull.range.start <= range.start &&
         range.end <= pull.range.end) {
       ++stats_.coalesced_pulls;
-      pull.riders.push_back(PullRider{is_now, range, issued_at, std::move(origin)});
+      pull.riders.push_back(PullRider{is_now, range, issued_at, origin});
       return;
     }
   }
@@ -757,7 +734,7 @@ void ProxyNode::IssuePull(SensorState& sensor, TimeInterval range, double tolera
   pull.tolerance = tolerance;
   pull.issued_at = issued_at;
   pull.request_bytes = encoded.size();
-  pull.origin = std::move(origin);
+  pull.origin = origin;
   EventPayload timeout;
   timeout.a = id;
   // Pinned to this proxy's own lane: a pull may be issued from the control lane
@@ -1000,14 +977,9 @@ void ProxyNode::OnEventRestored(SimTime t, EventKind kind, const EventPayload& p
 }
 
 Status ProxyNode::SaveState(ByteWriter& w) const {
-  const auto save_origin = [&w](const QueryOrigin& o) -> Status {
-    if (o.kind == QueryOrigin::Kind::kClosure) {
-      return FailedPreconditionError(
-          "proxy checkpoint: closure-form pull pending (use the token query API)");
-    }
+  const auto save_origin = [&w](const QueryOrigin& o) {
     CkptWrite(w, o.kind);
     CkptWrite(w, o.token);
-    return OkStatus();
   };
   CkptWrite(w, lane_);
   maintenance_timer_.SaveState(w);
@@ -1037,13 +1009,13 @@ Status ProxyNode::SaveState(ByteWriter& w) const {
     CkptWrite(w, pull.tolerance);
     CkptWrite(w, pull.issued_at);
     CkptWrite(w, pull.request_bytes);
-    PRESTO_RETURN_IF_ERROR(save_origin(pull.origin));
+    save_origin(pull.origin);
     w.WriteVarU64(pull.riders.size());
     for (const PullRider& rider : pull.riders) {
       CkptWrite(w, rider.is_now);
       CkptWrite(w, rider.range);
       CkptWrite(w, rider.issued_at);
-      PRESTO_RETURN_IF_ERROR(save_origin(rider.origin));
+      save_origin(rider.origin);
     }
   }
   w.WriteVarU64(backfill_queue_.size());
@@ -1077,11 +1049,15 @@ Status ProxyNode::SaveState(ByteWriter& w) const {
 
 Status ProxyNode::LoadState(ByteReader& r) {
   const auto read_origin = [&r](QueryOrigin& o) -> Status {
-    CKPT_READ(r, o.kind);
-    CKPT_READ(r, o.token);
-    if (o.kind == QueryOrigin::Kind::kClosure) {
-      return DataLossError("proxy restore: closure origin in checkpoint");
+    uint64_t kind = 0;
+    CKPT_READ(r, kind);
+    if (kind != static_cast<uint64_t>(QueryOrigin::Kind::kNone) &&
+        kind != static_cast<uint64_t>(QueryOrigin::Kind::kToken)) {
+      return DataLossError("proxy restore: query origin " + std::to_string(kind) +
+                           " out of range");
     }
+    o.kind = static_cast<QueryOrigin::Kind>(kind);
+    CKPT_READ(r, o.token);
     return OkStatus();
   };
   CKPT_READ(r, lane_);

@@ -20,7 +20,6 @@
 #define SRC_PROXY_PROXY_NODE_H_
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -71,11 +70,9 @@ struct QueryAnswer {
 void CkptWrite(ByteWriter& w, const QueryAnswer& answer);
 Status CkptRead(ByteReader& r, QueryAnswer& answer);
 
-using QueryCallback = std::function<void(const QueryAnswer&)>;
-
-// Serializable completion target for the token-based query API: the client gets the
-// token it passed to QueryNow/QueryPast back with the answer. Implemented by the
-// unified store; tokens (unlike closures) survive a checkpoint.
+// Completion target of the query API: the client gets the token it passed to
+// QueryNow/QueryPast back with the answer. Implemented by the unified store; tokens
+// survive a checkpoint.
 class PullClient {
  public:
   virtual ~PullClient() = default;
@@ -182,14 +179,10 @@ class ProxyNode : public NetNode, public EventSink {
   // Starts maintenance (model management, matcher) — call once after wiring.
   void Start();
 
-  // --- query API (invoked by the unified store / examples / benches) ---
-  // Closure form: convenient for tests and benches, but a pull pending on a closure
-  // cannot be checkpointed. The token form routes the answer to the registered
-  // PullClient and is fully serializable.
-  void QueryNow(NodeId sensor_id, double tolerance, Duration latency_bound,
-                QueryCallback callback);
-  void QueryPast(NodeId sensor_id, TimeInterval range, double tolerance,
-                 QueryCallback callback);
+  // --- query API (invoked by the unified store) ---
+  // The answer goes to the registered PullClient with `token`, possibly
+  // synchronously (cache hits, model answers, failures); a pending pull is fully
+  // serializable.
   void QueryNow(NodeId sensor_id, double tolerance, Duration latency_bound,
                 uint64_t token);
   void QueryPast(NodeId sensor_id, TimeInterval range, double tolerance,
@@ -204,9 +197,9 @@ class ProxyNode : public NetNode, public EventSink {
                        const EventHandle& handle, int lane) override;
 
   // Checkpoint codec: per-sensor state (cache, engine, sync, matcher), pending pulls
-  // (token/no-op origins only — closure-form pulls fail the save), backfill queue,
-  // timers and stats. LoadState expects a freshly constructed proxy with the same
-  // config; pull-timeout handles are re-captured via OnEventRestored.
+  // with their token/no-op origins, backfill queue, timers and stats. LoadState
+  // expects a freshly constructed proxy with the same config; pull-timeout handles
+  // are re-captured via OnEventRestored.
   Status SaveState(ByteWriter& w) const;
   Status LoadState(ByteReader& r);
 
@@ -255,21 +248,14 @@ class ProxyNode : public NetNode, public EventSink {
           matcher(matcher_params) {}
   };
 
-  // Where a query's answer goes. kNone (backfill pulls: answer discarded) and kToken
-  // are serializable; kClosure is the legacy convenience form and blocks checkpointing
-  // while pending.
+  // Where a query's answer goes: nowhere (backfill pulls: the pulled data landing
+  // in the cache is the answer) or the pull client, with a token. Kind values are
+  // checkpoint bytes; 1 is unused.
   struct QueryOrigin {
-    enum class Kind : uint8_t { kNone = 0, kClosure = 1, kToken = 2 };
+    enum class Kind : uint8_t { kNone = 0, kToken = 2 };
     Kind kind = Kind::kNone;
     uint64_t token = 0;
-    QueryCallback closure;
 
-    static QueryOrigin Closure(QueryCallback cb) {
-      QueryOrigin o;
-      o.kind = Kind::kClosure;
-      o.closure = std::move(cb);
-      return o;
-    }
     static QueryOrigin Token(uint64_t token) {
       QueryOrigin o;
       o.kind = Kind::kToken;
@@ -326,11 +312,6 @@ class ProxyNode : public NetNode, public EventSink {
   void HandleReplicaUpdate(const Message& message);
   void HandleReplicaModel(const Message& message);
   void HandleStateSnapshot(const Message& message);
-
-  void QueryNowInternal(NodeId sensor_id, double tolerance, Duration latency_bound,
-                        QueryOrigin origin);
-  void QueryPastInternal(NodeId sensor_id, TimeInterval range, double tolerance,
-                         QueryOrigin origin);
 
   void MaybeSendModel(SensorState& sensor);
   void RunMaintenance();

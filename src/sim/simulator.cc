@@ -87,9 +87,8 @@ size_t Simulator::RebindMatchingEvents(
     const EventKind kind = event.kind;
     EventSink* sink = event.sink;
     EventPayload payload = std::move(event.payload);
-    std::function<void()> fn = std::move(event.fn);
     ReleaseSlot(src, entry.slot);  // bumps gen: stale handles become no-ops
-    Enqueue(dst, entry.time, kind, sink, std::move(payload), std::move(fn));
+    Enqueue(dst, entry.time, kind, sink, std::move(payload));
     ++moved;
   }
   for (const QueueEntry& entry : keep) {
@@ -154,34 +153,22 @@ int Simulator::ResolveLane(int lane) const {
   return lane;
 }
 
-EventHandle Simulator::ScheduleAt(SimTime t, std::function<void()> fn, int lane) {
-  PRESTO_CHECK_MSG(t >= Now(), "cannot schedule into the past");
-  return Push(ResolveLane(lane), t, EventKind::kCallback, nullptr, EventPayload{},
-              std::move(fn));
-}
-
-EventHandle Simulator::ScheduleIn(Duration delay, std::function<void()> fn, int lane) {
-  PRESTO_CHECK_MSG(delay >= 0, "negative delay");
-  return ScheduleAt(Now() + delay, std::move(fn), lane);
-}
-
 EventHandle Simulator::ScheduleEventAt(SimTime t, EventKind kind, EventSink* sink,
                                        EventPayload payload, int lane) {
   PRESTO_CHECK_MSG(t >= Now(), "cannot schedule into the past");
-  PRESTO_CHECK(sink != nullptr && kind != EventKind::kCallback);
-  return Push(ResolveLane(lane), t, kind, sink, std::move(payload), nullptr);
+  PRESTO_CHECK(sink != nullptr);
+  return Push(ResolveLane(lane), t, kind, sink, std::move(payload));
 }
 
 EventHandle Simulator::Push(int internal_lane, SimTime t, EventKind kind,
-                            EventSink* sink, EventPayload&& payload,
-                            std::function<void()>&& fn) {
+                            EventSink* sink, EventPayload&& payload) {
   const int current = CurrentLane();
   if (current != kLaneControl && internal_lane != current) {
     // Cross-lane post from a running worker: mailbox, drained (single-writer FIFO,
     // deterministic source order) at the next barrier. Not cancellable.
     Lane& target = lanes_[static_cast<size_t>(internal_lane)];
     target.inbox[static_cast<size_t>(current)].push_back(
-        Mail{t, kind, sink, std::move(payload), std::move(fn)});
+        Mail{t, kind, sink, std::move(payload)});
     return EventHandle();
   }
   if (current == kLaneControl && internal_lane != ControlIndex() && t < global_now_) {
@@ -193,12 +180,12 @@ EventHandle Simulator::Push(int internal_lane, SimTime t, EventKind kind,
     t = global_now_;
   }
   Lane& lane = lanes_[static_cast<size_t>(internal_lane)];
-  const uint32_t slot = Enqueue(lane, t, kind, sink, std::move(payload), std::move(fn));
+  const uint32_t slot = Enqueue(lane, t, kind, sink, std::move(payload));
   return EventHandle(this, internal_lane, slot, lane.pool[slot].gen);
 }
 
 uint32_t Simulator::Enqueue(Lane& lane, SimTime t, EventKind kind, EventSink* sink,
-                            EventPayload&& payload, std::function<void()>&& fn) {
+                            EventPayload&& payload) {
   uint32_t slot;
   if (!lane.free_slots.empty()) {
     slot = lane.free_slots.back();
@@ -211,7 +198,6 @@ uint32_t Simulator::Enqueue(Lane& lane, SimTime t, EventKind kind, EventSink* si
   event.kind = kind;
   event.sink = sink;
   event.payload = std::move(payload);
-  event.fn = std::move(fn);
   lane.queue.push(QueueEntry{t, lane.next_seq++, slot, event.gen});
   return slot;
 }
@@ -228,7 +214,6 @@ void Simulator::ReleaseSlot(Lane& lane, uint32_t slot) {
   Event& event = lane.pool[slot];
   ++event.gen;  // invalidates queue entries and handles of the old generation
   event.sink = nullptr;
-  event.fn = nullptr;
   // Release the payload buffer: the next occupant move-assigns its own vector over
   // this one, so retained capacity would only pin the last frame's allocation.
   event.payload.bytes = std::vector<uint8_t>();
@@ -253,13 +238,8 @@ bool Simulator::ExecuteOne(Lane& lane) {
   const EventKind kind = event.kind;
   EventSink* sink = event.sink;
   EventPayload payload = std::move(event.payload);
-  std::function<void()> fn = std::move(event.fn);
   ReleaseSlot(lane, entry.slot);
-  if (kind == EventKind::kCallback) {
-    fn();
-  } else {
-    sink->OnSimEvent(kind, payload);
-  }
+  sink->OnSimEvent(kind, payload);
   return true;
 }
 
@@ -290,7 +270,7 @@ void Simulator::RunEpoch(SimTime end, bool inclusive) {
     for (std::vector<Mail>& box : target.inbox) {
       for (Mail& mail : box) {
         Enqueue(target, std::max(mail.time, start), mail.kind, mail.sink,
-                std::move(mail.payload), std::move(mail.fn));
+                std::move(mail.payload));
         ++drained;
       }
       box.clear();
@@ -452,6 +432,20 @@ void WritePayload(ByteWriter& w, const EventPayload& p) {
   CkptWrite(w, p.bytes);
 }
 
+// Event kinds are a closed set: a record naming any other kind (a corrupt file, or a
+// peer's bytes) is rejected here instead of aborting in a sink at dispatch.
+Status ReadKind(ByteReader& r, EventKind& kind) {
+  uint64_t raw = 0;
+  CKPT_READ(r, raw);
+  if (raw < static_cast<uint64_t>(EventKind::kTimer) ||
+      raw > static_cast<uint64_t>(EventKind::kMutation)) {
+    return DataLossError("restore: event kind " + std::to_string(raw) +
+                         " out of range");
+  }
+  kind = static_cast<EventKind>(raw);
+  return OkStatus();
+}
+
 Status ReadPayload(ByteReader& r, EventPayload& p) {
   CKPT_READ(r, p.a);
   CKPT_READ(r, p.b);
@@ -494,11 +488,6 @@ Status Simulator::SaveState(ByteWriter& w) const {
     CkptWrite(w, static_cast<uint64_t>(live.size()));
     for (const QueueEntry& entry : live) {
       const Event& event = lane.pool[entry.slot];
-      if (event.kind == EventKind::kCallback) {
-        return FailedPreconditionError(
-            "checkpoint: pending kCallback closure in lane " + std::to_string(li) +
-            " at t=" + std::to_string(entry.time) + " (typed events only)");
-      }
       auto sid = sink_ids_.find(event.sink);
       if (sid == sink_ids_.end()) {
         return FailedPreconditionError("checkpoint: unregistered sink in lane " +
@@ -514,11 +503,6 @@ Status Simulator::SaveState(ByteWriter& w) const {
     for (const std::vector<Mail>& box : lane.inbox) {
       CkptWrite(w, static_cast<uint64_t>(box.size()));
       for (const Mail& mail : box) {
-        if (mail.kind == EventKind::kCallback) {
-          return FailedPreconditionError(
-              "checkpoint: pending kCallback closure in a mailbox of lane " +
-              std::to_string(li));
-        }
         auto sid = sink_ids_.find(mail.sink);
         if (sid == sink_ids_.end()) {
           return FailedPreconditionError(
@@ -593,13 +577,13 @@ Status Simulator::LoadState(ByteReader& r) {
     for (uint64_t i = 0; i < pending; ++i) {
       SimTime time = 0;
       uint64_t seq = 0;
-      EventKind kind = EventKind::kCallback;
+      EventKind kind = EventKind::kTimer;
       uint64_t sink_id = 0;
       CKPT_READ(r, time);
       CKPT_READ(r, seq);
-      CKPT_READ(r, kind);
+      PRESTO_RETURN_IF_ERROR(ReadKind(r, kind));
       CKPT_READ(r, sink_id);
-      if (kind == EventKind::kCallback || sink_id >= sinks_.size()) {
+      if (sink_id >= sinks_.size()) {
         return DataLossError("restore: invalid event record in lane " +
                              std::to_string(li));
       }
@@ -628,9 +612,9 @@ Status Simulator::LoadState(ByteReader& r) {
         Mail mail{};
         uint64_t sink_id = 0;
         CKPT_READ(r, mail.time);
-        CKPT_READ(r, mail.kind);
+        PRESTO_RETURN_IF_ERROR(ReadKind(r, mail.kind));
         CKPT_READ(r, sink_id);
-        if (mail.kind == EventKind::kCallback || sink_id >= sinks_.size()) {
+        if (sink_id >= sinks_.size()) {
           return DataLossError("restore: invalid mailbox record in lane " +
                                std::to_string(li));
         }

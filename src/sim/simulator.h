@@ -27,10 +27,10 @@
 // (epoch start, mail count) of every draining barrier. threads=1 and threads=N
 // produce identical fingerprints. All randomness is injected via seeded Pcg32 streams.
 //
-// Events are a typed, pool-allocated union instead of heap-allocated std::function
-// closures: timer fires, radio frame deliveries, batch flushes, query stages, and
-// topology mutations dispatch through an EventSink with a small POD payload (bulk
-// frame bytes ride in the event itself), so typed events allocate no closure state.
+// Events are typed only: timer fires, radio frame deliveries, batch flushes, query
+// stages, and topology mutations dispatch through an EventSink with a small POD
+// payload (bulk frame bytes ride in the event itself), so a pooled event slot holds no
+// closure state and every pending event can be checkpointed.
 // Cancellation is generation-based: a handle names (lane, slot, generation) and a
 // stale generation makes both Cancel() and queue pops no-ops.
 
@@ -55,10 +55,9 @@ class ByteWriter;
 class EventHandle;
 class Simulator;
 
-// Typed event classes. kCallback is the escape hatch (tests, benches, one-off
-// orchestration); the named kinds dispatch through EventSink without allocating.
+// Typed event classes; every event dispatches through its EventSink. Value 0 is
+// unused, and checkpoint restore rejects kinds outside [kTimer, kMutation].
 enum class EventKind : uint8_t {
-  kCallback = 0,   // std::function<void()>
   kTimer = 1,      // PeriodicTimer fire
   kFrame = 2,      // Network frame delivery (message payload rides in the event)
   kBatchFlush = 3, // Network per-link coalescing flush
@@ -179,16 +178,10 @@ class Simulator {
   // global barrier clock otherwise.
   SimTime Now() const;
 
-  // Schedules `fn` at absolute time `t` (must be >= Now()) in `lane` (default: the
-  // scheduling context's lane). Returns a cancellable handle, except for cross-lane
-  // posts from a running lane (mailbox; invalid handle).
-  EventHandle ScheduleAt(SimTime t, std::function<void()> fn, int lane = kLaneCurrent);
-
-  // Schedules `fn` after `delay` (must be >= 0).
-  EventHandle ScheduleIn(Duration delay, std::function<void()> fn,
-                         int lane = kLaneCurrent);
-
-  // Schedules a typed event dispatched as sink->OnSimEvent(kind, payload).
+  // Schedules a typed event dispatched as sink->OnSimEvent(kind, payload) at
+  // absolute time `t` (must be >= Now()) in `lane` (default: the scheduling
+  // context's lane). Returns a cancellable handle, except for cross-lane posts from
+  // a running lane (mailbox; invalid handle).
   EventHandle ScheduleEventAt(SimTime t, EventKind kind, EventSink* sink,
                               EventPayload payload, int lane = kLaneCurrent);
 
@@ -241,8 +234,7 @@ class Simulator {
   // counters and fingerprints, every pending queue event (original (time, seq) —
   // tie-break order is part of the replay contract) and undrained mailbox entry.
   // Control context only (between runs or at a barrier). Fails without side effects
-  // if any pending event is a kCallback closure (closures cannot be serialized;
-  // typed events only) or references an unregistered sink.
+  // if any pending event references an unregistered sink.
   Status SaveState(ByteWriter& w) const;
 
   // Restores state saved by SaveState into a freshly constructed, identically
@@ -269,11 +261,10 @@ class Simulator {
     }
   };
   struct Event {
-    EventKind kind = EventKind::kCallback;
+    EventKind kind = EventKind::kTimer;
     uint32_t gen = 0;
     EventSink* sink = nullptr;
     EventPayload payload;
-    std::function<void()> fn;
   };
   // A cross-lane schedule awaiting the next barrier. Lives in the *target* lane's
   // per-source FIFO, written only by the source lane's worker.
@@ -282,7 +273,6 @@ class Simulator {
     EventKind kind;
     EventSink* sink;
     EventPayload payload;
-    std::function<void()> fn;
   };
   struct Lane {
     SimTime now = 0;
@@ -300,9 +290,9 @@ class Simulator {
   int ControlIndex() const { return static_cast<int>(lanes_.size()) - 1; }
   int ResolveLane(int lane) const;
   EventHandle Push(int internal_lane, SimTime t, EventKind kind, EventSink* sink,
-                   EventPayload&& payload, std::function<void()>&& fn);
+                   EventPayload&& payload);
   uint32_t Enqueue(Lane& lane, SimTime t, EventKind kind, EventSink* sink,
-                   EventPayload&& payload, std::function<void()>&& fn);
+                   EventPayload&& payload);
   void CancelEvent(int internal_lane, uint32_t slot, uint32_t gen);
   void ReleaseSlot(Lane& lane, uint32_t slot);
   // Executes queued events of `lane` with time < end (<= end when `inclusive`).

@@ -122,7 +122,7 @@ void QueryDriver::OnSimEvent(EventKind kind, EventPayload& payload) {
   }
   QueryRequest request = DrawQueryRequest(rng_, params_.mix, sim_->Now());
   ++stats_.issued;
-  issue_fn_(request, [this](const QueryOutcome& outcome) { Record(outcome); });
+  issue_fn_(request);
   // Open loop: the next arrival rides the clock, not this query's completion.
   next_at_ = std::max(next_at_ + NextGap(), sim_->Now());
   if (until_ >= 0 && next_at_ >= until_) {
@@ -193,7 +193,18 @@ Status QueryDriver::LoadState(ByteReader& r) {
   return OkStatus();
 }
 
-void QueryDriver::Record(const QueryOutcome& outcome) {
+bool QueryDriver::Balanced(const std::vector<std::unique_ptr<QueryDriver>>& drivers,
+                           const std::vector<uint64_t>& in_flight) {
+  for (size_t d = 0; d < drivers.size(); ++d) {
+    const QueryDriverStats& stats = drivers[d]->stats();
+    if (stats.issued != stats.completed + in_flight[d]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void QueryDriver::RecordOutcome(const QueryOutcome& outcome) {
   ++stats_.completed;
   if (!outcome.ok) {
     ++stats_.failed;

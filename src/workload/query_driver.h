@@ -11,9 +11,9 @@
 // Layering: the driver knows simulators and QueryRequests, not proxies or stores.
 // The binding to a concrete query path is the IssueFn — Deployment::AttachQueryDriver
 // issues into its unified store, FedCell::AttachDriver into the cross-cell
-// router. The glue must invoke the completion callback from control context (both
-// bindings marshal completions onto the control lane), so recording is serial and
-// needs no locks.
+// router. The glue tags each in-flight query with its driver and reports the
+// outcome through RecordOutcome from control context (both bindings marshal
+// completions onto the control lane), so recording is serial and needs no locks.
 //
 // Determinism: arrivals draw from a seeded Pcg32 stream and execute as simulator
 // events, so issue times, targets, and the recorded outcomes are part of the replay
@@ -27,7 +27,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
@@ -130,10 +132,9 @@ Status CkptRead(ByteReader& r, QueryDriverStats& v);
 
 class QueryDriver : public EventSink {
  public:
-  using CompletionFn = std::function<void(const QueryOutcome&)>;
-  // Issues one request into the system under test. `done` must be invoked from
-  // control context exactly once when the query completes (or fails).
-  using IssueFn = std::function<void(const QueryRequest& request, CompletionFn done)>;
+  // Issues one request into the system under test. The glue must call
+  // RecordOutcome exactly once when the query completes (or fails).
+  using IssueFn = std::function<void(const QueryRequest& request)>;
 
   // `sim` must outlive the driver. The driver must outlive every in-flight query
   // (its owner destroys it before the simulator).
@@ -154,11 +155,13 @@ class QueryDriver : public EventSink {
   const QueryDriverParams& params() const { return params_; }
   const QueryDriverStats& stats() const { return stats_; }
 
-  // Records a completed outcome directly — the token-form completion path, used by
-  // glue that tags in-flight queries with a driver index instead of capturing the
-  // CompletionFn closure (closures cannot survive a checkpoint). Control context
-  // only, like CompletionFn.
-  void RecordOutcome(const QueryOutcome& outcome) { Record(outcome); }
+  // Records one completed (or failed) query. Control context only.
+  void RecordOutcome(const QueryOutcome& outcome);
+
+  // The accounting identity of every driver d: issued = completed + in_flight[d]
+  // (`completed` counts failures too). Owners tally their own in-flight entries.
+  static bool Balanced(const std::vector<std::unique_ptr<QueryDriver>>& drivers,
+                       const std::vector<uint64_t>& in_flight);
 
   void OnSimEvent(EventKind kind, EventPayload& payload) override;  // arrivals
   void OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
@@ -172,7 +175,6 @@ class QueryDriver : public EventSink {
 
  private:
   Duration NextGap();
-  void Record(const QueryOutcome& outcome);
 
   Simulator* sim_;
   QueryDriverParams params_;

@@ -127,6 +127,50 @@ TEST(DeploymentCheckpointTest, RoundTripMatchesUninterruptedRunAtAnyThreadCount)
   }
 }
 
+// Every query pulls from a sensor behind a long LPL preamble, so driver queries
+// stay in flight for seconds.
+DeploymentConfig SlowPullConfig() {
+  DeploymentConfig config = CkptDeploymentConfig(1);
+  config.proxy_mode = ProxyMode::kAlwaysPull;
+  config.sensor_radio.lpl_interval = Seconds(8);
+  return config;
+}
+
+// Checkpoint of a deployment with two drivers attached, only driver `active`
+// started, taken while some of its queries are in flight.
+Checkpoint CheckpointWithDriverQueriesInFlight(int active) {
+  Deployment deployment(SlowPullConfig());
+  deployment.Start();
+  deployment.RunUntil(Hours(1));
+  QueryDriver& first = deployment.AttachQueryDriver(CkptDriverParams());
+  QueryDriver& second = deployment.AttachQueryDriver(CkptDriverParams());
+  (active == 0 ? first : second).Start(Minutes(25));
+  deployment.RunUntil(Hours(1) + Minutes(5));
+  Checkpoint ckpt;
+  EXPECT_TRUE(deployment.SaveCheckpoint(&ckpt).ok());
+  return ckpt;
+}
+
+TEST(DeploymentCheckpointTest, RestoreRejectsAnInFlightQueryNamingNoDriver) {
+  const Checkpoint by_first = CheckpointWithDriverQueriesInFlight(0);
+  Checkpoint by_second = CheckpointWithDriverQueriesInFlight(1);
+  // The two "deploy" sections differ only in the in-flight entries' driver index.
+  std::vector<uint8_t> deploy = *by_second.Find("deploy");
+  const std::vector<uint8_t>& other = *by_first.Find("deploy");
+  ASSERT_EQ(deploy.size(), other.size());
+  const auto at = std::mismatch(deploy.begin(), deploy.end(), other.begin()).first;
+  ASSERT_NE(at, deploy.end()) << "no driver query in flight at the checkpoint";
+  ASSERT_EQ(*at, 1);
+  *at = 2;  // two drivers are attached: index 2 names none
+  by_second.Add("deploy", deploy);
+  Deployment restored(SlowPullConfig());
+  restored.Start();
+  restored.AttachQueryDriver(CkptDriverParams());
+  restored.AttachQueryDriver(CkptDriverParams());
+  const Status status = restored.LoadCheckpoint(by_second);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+}
+
 // A checkpoint taken between KillProxy and its promotion event must carry the
 // pending promotion (timer in the simulator section, re-captured on restore), and
 // one taken mid-backfill must carry the queued paced archive pulls — the restored

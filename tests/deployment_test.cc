@@ -778,10 +778,13 @@ TEST(BatchingTest, ConcurrentQueriesShareOnePull) {
   deployment.Start();
   deployment.RunUntil(Hours(3));
 
-  const NodeId sensor = Deployment::SensorId(0, 0);
+  // Issued together, the three queries reach the proxy at the same instant.
+  QuerySpec spec = NowSpec(Deployment::SensorId(0, 0), 1.0);
+  spec.latency_bound = Seconds(30);
   int answered = 0;
   QueryAnswer first_answer;
-  auto on_answer = [&](const QueryAnswer& answer) {
+  auto on_done = [&](const UnifiedQueryResult& result) {
+    const QueryAnswer& answer = result.answer;
     ++answered;
     if (answered == 1) {
       first_answer = answer;
@@ -789,9 +792,9 @@ TEST(BatchingTest, ConcurrentQueriesShareOnePull) {
       EXPECT_EQ(answer.value, first_answer.value) << "riders must see the pulled data";
     }
   };
-  deployment.proxy(0).QueryNow(sensor, 1.0, Seconds(30), on_answer);
-  deployment.proxy(0).QueryNow(sensor, 1.0, Seconds(30), on_answer);
-  deployment.proxy(0).QueryNow(sensor, 1.0, Seconds(30), on_answer);
+  deployment.QueryAsync(spec, on_done);
+  deployment.QueryAsync(spec, on_done);
+  deployment.QueryAsync(spec, on_done);
   deployment.RunUntil(deployment.sim().Now() + Minutes(15));
 
   EXPECT_EQ(answered, 3);
@@ -1084,20 +1087,26 @@ TEST(LookaheadTest, OneProxyControlIssuedQueryCompletesAtItsTrueTime) {
   deployment.Start();
   deployment.RunUntil(Hours(2));
 
+  // Issues one query through QueryAsync when its control-lane event fires.
+  struct Issuer : EventSink {
+    Deployment* deployment = nullptr;
+    UnifiedQueryResult result;
+    bool done = false;
+    void OnSimEvent(EventKind, EventPayload&) override {
+      deployment->QueryAsync(NowSpec(deployment->GlobalSensorId(0), 1.0),
+                             [this](const UnifiedQueryResult& r) {
+                               result = r;
+                               done = true;
+                             });
+    }
+  } issuer;
+  issuer.deployment = &deployment;
   const SimTime issue_at = deployment.sim().Now() + Millis(123);
-  UnifiedQueryResult result;
-  bool done = false;
-  deployment.sim().ScheduleAt(
-      issue_at,
-      [&] {
-        deployment.store().Query(NowSpec(deployment.GlobalSensorId(0), 1.0),
-                                 [&](const UnifiedQueryResult& r) {
-                                   result = r;
-                                   done = true;
-                                 });
-      },
-      Simulator::kLaneControl);
+  deployment.sim().ScheduleEventAt(issue_at, EventKind::kQuery, &issuer, EventPayload{},
+                                   Simulator::kLaneControl);
   deployment.RunUntil(issue_at + Seconds(10));
+  const bool done = issuer.done;
+  const UnifiedQueryResult& result = issuer.result;
   ASSERT_TRUE(done);
   ASSERT_TRUE(result.answer.status.ok());
   EXPECT_EQ(result.answer.source, AnswerSource::kCacheHit)
@@ -1242,6 +1251,44 @@ TEST(ExternalQueryTest, QueryAsyncCompletesOnControlContextWithoutHostStepping) 
   deployment.RunUntil(deployment.sim().Now() + Minutes(5));
   EXPECT_EQ(completed, deployment.total_sensors());
   EXPECT_EQ(ok, deployment.total_sensors());
+}
+
+TEST(ExternalQueryTest, TimedOutQueryAndWaitBlocksCheckpointsUntilItsPullLands) {
+  DeploymentConfig config;
+  config.num_proxies = 1;
+  config.sensors_per_proxy = 1;
+  config.proxy_mode = ProxyMode::kAlwaysPull;  // every query needs the sensor
+  config.sensor_radio.lpl_interval = Seconds(8);  // a pull waits out a long preamble
+  config.seed = 371;
+  Deployment deployment(config);
+  deployment.Start();
+  deployment.RunUntil(Hours(1));
+
+  const UnifiedQueryResult late =
+      deployment.QueryAndWait(NowSpec(deployment.GlobalSensorId(0), 1.0), Millis(100));
+  EXPECT_EQ(late.answer.status.code(), StatusCode::kDeadlineExceeded);
+  Checkpoint refused;
+  EXPECT_EQ(deployment.SaveCheckpoint(&refused).code(), StatusCode::kFailedPrecondition)
+      << "the abandoned query's pull is still in flight";
+  EXPECT_TRUE(refused.sections().empty()) << "a refused save writes nothing";
+
+  // The late completion lands and drops the abandoned entry.
+  deployment.RunUntil(deployment.sim().Now() + Minutes(15));
+  EXPECT_EQ(deployment.proxy(0).stats().pulls, 1u);
+  Checkpoint ckpt;
+  ASSERT_TRUE(deployment.SaveCheckpoint(&ckpt).ok());
+  Deployment restored(config);
+  restored.Start();
+  ASSERT_TRUE(restored.LoadCheckpoint(ckpt).ok());
+  const SimTime end = deployment.sim().Now() + Minutes(5);
+  deployment.RunUntil(end);
+  restored.RunUntil(end);
+  EXPECT_EQ(restored.sim().fingerprint(), deployment.sim().fingerprint());
+  const UnifiedQueryResult answered =
+      restored.QueryAndWait(NowSpec(restored.GlobalSensorId(0), 1.0));
+  EXPECT_TRUE(answered.answer.status.ok()) << answered.answer.status.ToString();
+  Checkpoint after;
+  EXPECT_TRUE(restored.SaveCheckpoint(&after).ok()) << "an answered wait leaves nothing";
 }
 
 TEST(ExternalQueryTest, AttachedDriverCarriesAWorkloadInOneRunUntil) {

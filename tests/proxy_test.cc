@@ -26,11 +26,21 @@ double Diurnal(SimTime t) {
                                static_cast<double>(kDay));
 }
 
+// Records every answer a proxy hands back, keyed by query token.
+struct RecordingClient : PullClient {
+  std::map<uint64_t, QueryAnswer> answers;
+  void OnPullDone(uint64_t token, const QueryAnswer& answer) override {
+    answers[token] = answer;
+  }
+};
+
 struct Rig {
   Simulator sim;
   std::unique_ptr<Network> net;
   std::unique_ptr<ProxyNode> proxy;
   std::unique_ptr<SensorNode> sensor;
+  RecordingClient client;
+  uint64_t next_token = 1;
 
   explicit Rig(ProxyMode mode = ProxyMode::kPresto,
                PushPolicy policy = PushPolicy::kModelDriven,
@@ -44,6 +54,7 @@ struct Rig {
     pc.manage_models = mode == ProxyMode::kPresto;
     pc.enable_matcher = false;
     proxy = std::make_unique<ProxyNode>(&sim, net.get(), pc);
+    proxy->SetPullClient(&client);
 
     SensorNodeConfig sc;
     sc.id = 100;
@@ -61,27 +72,22 @@ struct Rig {
   }
 
   QueryAnswer Now(double tolerance, Duration latency_bound = Minutes(5)) {
-    QueryAnswer out;
-    bool done = false;
-    proxy->QueryNow(100, tolerance, latency_bound, [&](const QueryAnswer& a) {
-      out = a;
-      done = true;
-    });
-    while (!done && sim.Step()) {
-    }
-    return out;
+    const uint64_t token = next_token++;
+    proxy->QueryNow(100, tolerance, latency_bound, token);
+    return Await(token);
   }
 
   QueryAnswer Past(TimeInterval range, double tolerance) {
-    QueryAnswer out;
-    bool done = false;
-    proxy->QueryPast(100, range, tolerance, [&](const QueryAnswer& a) {
-      out = a;
-      done = true;
-    });
-    while (!done && sim.Step()) {
+    const uint64_t token = next_token++;
+    proxy->QueryPast(100, range, tolerance, token);
+    return Await(token);
+  }
+
+  // Steps until the answer for `token` lands (or the queue drains).
+  QueryAnswer Await(uint64_t token) {
+    while (client.answers.count(token) == 0 && sim.Step()) {
     }
-    return out;
+    return client.answers[token];
   }
 };
 
@@ -583,13 +589,42 @@ TEST(ProxyNodeTest, AlwaysPullModeAlwaysAsksSensor) {
 
 TEST(ProxyNodeTest, UnknownSensorFailsCleanly) {
   Rig rig;
-  bool done = false;
-  rig.proxy->QueryNow(999, 1.0, Seconds(10), [&](const QueryAnswer& a) {
-    EXPECT_FALSE(a.status.ok());
-    EXPECT_EQ(a.status.code(), StatusCode::kNotFound);
-    done = true;
-  });
-  EXPECT_TRUE(done);  // fails synchronously
+  rig.proxy->QueryNow(999, 1.0, Seconds(10), /*token=*/7);
+  ASSERT_EQ(rig.client.answers.count(7), 1u);  // fails synchronously
+  const QueryAnswer& a = rig.client.answers[7];
+  EXPECT_FALSE(a.status.ok());
+  EXPECT_EQ(a.status.code(), StatusCode::kNotFound);
+}
+
+TEST(ProxyNodeTest, RestoreRejectsOutOfRangeQueryOrigin) {
+  Rig rig(ProxyMode::kAlwaysPull, PushPolicy::kNone);
+  rig.sim.RunUntil(Hours(2));
+  constexpr uint64_t kToken = 0x5a5a5a;
+  rig.proxy->QueryNow(100, 2.0, Minutes(5), kToken);
+  ASSERT_EQ(rig.client.answers.count(kToken), 0u) << "the pull must still be pending";
+  ByteWriter w;
+  ASSERT_TRUE(rig.proxy->SaveState(w).ok());
+  std::vector<uint8_t> bytes = w.TakeBuffer();
+  // The pending pull's origin is (kind kToken = 2, varint token).
+  ByteWriter origin;
+  origin.WriteVarU64(2);
+  origin.WriteVarU64(kToken);
+  const std::vector<uint8_t> needle = origin.TakeBuffer();
+  const auto at = std::search(bytes.begin(), bytes.end(), needle.begin(), needle.end());
+  ASSERT_NE(at, bytes.end());
+  ASSERT_EQ(std::search(at + 1, bytes.end(), needle.begin(), needle.end()), bytes.end());
+  const auto load = [&bytes] {
+    Rig fresh(ProxyMode::kAlwaysPull, PushPolicy::kNone);
+    ByteReader r{span<const uint8_t>(bytes)};
+    return fresh.proxy->LoadState(r);
+  };
+  ASSERT_TRUE(load().ok()) << "the unplanted bytes restore";
+  for (const uint8_t kind : {1, 3, 127}) {  // 1: the retired closure origin
+    *at = kind;
+    const Status planted = load();
+    EXPECT_EQ(planted.code(), StatusCode::kDataLoss)
+        << "origin " << int{kind} << ": " << planted.ToString();
+  }
 }
 
 TEST(ProxyNodeTest, MatcherRetunesDutyCycleFromLatencyNeeds) {
@@ -600,6 +635,8 @@ TEST(ProxyNodeTest, MatcherRetunesDutyCycleFromLatencyNeeds) {
   pc.enable_matcher = true;
   pc.manage_models = false;
   ProxyNode proxy(&sim, &net, pc);
+  RecordingClient client;
+  proxy.SetPullClient(&client);
 
   SensorNodeConfig sc;
   sc.id = 100;
@@ -614,7 +651,7 @@ TEST(ProxyNodeTest, MatcherRetunesDutyCycleFromLatencyNeeds) {
   const Duration before = net.LplInterval(100);
   // A stream of latency-critical queries (1 s bound).
   for (int i = 0; i < 5; ++i) {
-    proxy.QueryNow(100, 2.0, Seconds(1), [](const QueryAnswer&) {});
+    proxy.QueryNow(100, 2.0, Seconds(1), /*token=*/static_cast<uint64_t>(i));
   }
   sim.RunUntil(Minutes(3));  // let maintenance run and the config propagate
   const Duration after = net.LplInterval(100);

@@ -7,23 +7,75 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <deque>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"
 #include "src/sim/timer.h"
+#include "src/util/bytes.h"
 
 namespace presto {
 namespace {
 
+// Test-local typed sink: each event runs the closure registered for it (payload.a
+// indexes the table). Lanes schedule concurrently, so registration is locked; a
+// deque keeps registered closures in place while the table grows.
+class Actions : public EventSink {
+ public:
+  explicit Actions(Simulator* sim) : sim_(sim) {}
+
+  EventHandle At(SimTime t, std::function<void()> fn,
+                 int lane = Simulator::kLaneCurrent) {
+    EventPayload payload;
+    {
+      std::lock_guard<std::mutex> lock(m_);
+      payload.a = fns_.size();
+      fns_.push_back(std::move(fn));
+    }
+    return sim_->ScheduleEventAt(t, EventKind::kTimer, this, std::move(payload), lane);
+  }
+
+  EventHandle In(Duration delay, std::function<void()> fn,
+                 int lane = Simulator::kLaneCurrent) {
+    return At(sim_->Now() + delay, std::move(fn), lane);
+  }
+
+  void OnSimEvent(EventKind kind, EventPayload& payload) override {
+    (void)kind;
+    std::function<void()>* fn;
+    {
+      std::lock_guard<std::mutex> lock(m_);
+      fn = &fns_[static_cast<size_t>(payload.a)];
+    }
+    (*fn)();
+  }
+
+  // Re-bind predicate selecting this sink's events.
+  std::function<bool(EventKind, const EventSink*, const EventPayload&)> Mine() const {
+    return [this](EventKind, const EventSink* sink, const EventPayload&) {
+      return sink == this;
+    };
+  }
+
+ private:
+  Simulator* sim_;
+  std::mutex m_;
+  std::deque<std::function<void()>> fns_;
+};
+
 TEST(SimulatorTest, ExecutesInTimeOrder) {
   Simulator sim;
+  Actions act(&sim);
   std::vector<int> order;
-  sim.ScheduleAt(Seconds(3), [&] { order.push_back(3); });
-  sim.ScheduleAt(Seconds(1), [&] { order.push_back(1); });
-  sim.ScheduleAt(Seconds(2), [&] { order.push_back(2); });
+  act.At(Seconds(3), [&] { order.push_back(3); });
+  act.At(Seconds(1), [&] { order.push_back(1); });
+  act.At(Seconds(2), [&] { order.push_back(2); });
   sim.RunAll();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.Now(), Seconds(3));
@@ -32,9 +84,10 @@ TEST(SimulatorTest, ExecutesInTimeOrder) {
 
 TEST(SimulatorTest, SameTimeIsFifo) {
   Simulator sim;
+  Actions act(&sim);
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    sim.ScheduleAt(Seconds(1), [&order, i] { order.push_back(i); });
+    act.At(Seconds(1), [&order, i] { order.push_back(i); });
   }
   sim.RunAll();
   for (int i = 0; i < 10; ++i) {
@@ -44,8 +97,9 @@ TEST(SimulatorTest, SameTimeIsFifo) {
 
 TEST(SimulatorTest, CancelPreventsExecution) {
   Simulator sim;
+  Actions act(&sim);
   bool fired = false;
-  EventHandle handle = sim.ScheduleIn(Seconds(1), [&] { fired = true; });
+  EventHandle handle = act.In(Seconds(1), [&] { fired = true; });
   handle.Cancel();
   sim.RunAll();
   EXPECT_FALSE(fired);
@@ -54,8 +108,9 @@ TEST(SimulatorTest, CancelPreventsExecution) {
 
 TEST(SimulatorTest, RunUntilAdvancesClockWithoutOvershooting) {
   Simulator sim;
+  Actions act(&sim);
   bool late_fired = false;
-  sim.ScheduleAt(Seconds(10), [&] { late_fired = true; });
+  act.At(Seconds(10), [&] { late_fired = true; });
   sim.RunUntil(Seconds(5));
   EXPECT_EQ(sim.Now(), Seconds(5));
   EXPECT_FALSE(late_fired);
@@ -66,13 +121,14 @@ TEST(SimulatorTest, RunUntilAdvancesClockWithoutOvershooting) {
 
 TEST(SimulatorTest, EventsCanScheduleEvents) {
   Simulator sim;
+  Actions act(&sim);
   int depth = 0;
   std::function<void()> recurse = [&] {
     if (++depth < 5) {
-      sim.ScheduleIn(Seconds(1), recurse);
+      act.In(Seconds(1), recurse);
     }
   };
-  sim.ScheduleIn(Seconds(1), recurse);
+  act.In(Seconds(1), recurse);
   sim.RunAll();
   EXPECT_EQ(depth, 5);
   EXPECT_EQ(sim.Now(), Seconds(5));
@@ -80,8 +136,9 @@ TEST(SimulatorTest, EventsCanScheduleEvents) {
 
 TEST(SimulatorTest, NextEventTime) {
   Simulator sim;
+  Actions act(&sim);
   EXPECT_EQ(sim.NextEventTime(), -1);
-  sim.ScheduleAt(Seconds(4), [] {});
+  act.At(Seconds(4), [] {});
   EXPECT_EQ(sim.NextEventTime(), Seconds(4));
 }
 
@@ -143,8 +200,9 @@ TEST(PeriodicTimerTest, RestartReschedules) {
 TEST(SimulatorTest, FingerprintIsScheduleSensitive) {
   auto run = [](bool swap) {
     Simulator sim;
-    sim.ScheduleAt(Seconds(swap ? 2 : 1), [] {});
-    sim.ScheduleAt(Seconds(swap ? 1 : 2), [] {});
+    Actions act(&sim);
+    act.At(Seconds(swap ? 2 : 1), [] {});
+    act.At(Seconds(swap ? 1 : 2), [] {});
     sim.RunAll();
     return sim.fingerprint();
   };
@@ -164,23 +222,24 @@ struct LaneCell {
 uint64_t RunLaneWorkload(int threads, uint64_t* executed = nullptr) {
   constexpr int kLanes = 4;
   Simulator sim(kLanes, threads, Millis(100));
+  Actions act(&sim);
   auto cells = std::make_shared<std::array<LaneCell, kLanes>>();
-  std::function<void(int)> tick = [&sim, cells, &tick](int lane) {
+  std::function<void(int)> tick = [&sim, &act, cells, &tick](int lane) {
     LaneCell& cell = (*cells)[static_cast<size_t>(lane)];
     ++cell.count;
     if (cell.count % 3 == 0) {
       // Cross-lane post: lands via the mailbox, executes in the target's lane.
       const int target = (lane + 1) % kLanes;
-      sim.ScheduleIn(Millis(7),
-                     [cells, target] { ++(*cells)[static_cast<size_t>(target)].count; },
-                     target);
+      act.In(Millis(7),
+             [cells, target] { ++(*cells)[static_cast<size_t>(target)].count; },
+             target);
     }
     if (sim.Now() < Seconds(30)) {
-      sim.ScheduleIn(Millis(11 + lane), [&tick, lane] { tick(lane); });
+      act.In(Millis(11 + lane), [&tick, lane] { tick(lane); });
     }
   };
   for (int lane = 0; lane < kLanes; ++lane) {
-    sim.ScheduleAt(Millis(1 + lane), [&tick, lane] { tick(lane); }, lane);
+    act.At(Millis(1 + lane), [&tick, lane] { tick(lane); }, lane);
   }
   sim.RunUntil(Seconds(31));
   if (executed != nullptr) {
@@ -208,9 +267,10 @@ TEST(LaneEngineTest, FingerprintIdenticalAcrossWorkerCounts) {
 
 TEST(LaneEngineTest, CrossLaneCancellation) {
   Simulator sim(4, 2, Millis(100));
+  Actions act(&sim);
   bool fired = false;
   // Scheduled from control into lane 2, cancelled from control before it fires.
-  EventHandle handle = sim.ScheduleAt(Seconds(1), [&] { fired = true; }, 2);
+  EventHandle handle = act.At(Seconds(1), [&] { fired = true; }, 2);
   ASSERT_TRUE(handle.valid());
   handle.Cancel();
   sim.RunUntil(Seconds(2));
@@ -220,19 +280,20 @@ TEST(LaneEngineTest, CrossLaneCancellation) {
 
 TEST(LaneEngineTest, CancellationIsGenerationScoped) {
   Simulator sim(2, 1, Millis(100));
+  Actions act(&sim);
   bool a_fired = false;
   bool b_fired = false;
-  EventHandle a = sim.ScheduleAt(Seconds(1), [&] { a_fired = true; }, 0);
+  EventHandle a = act.At(Seconds(1), [&] { a_fired = true; }, 0);
   a.Cancel();  // releases the slot
   // B reuses A's slot under a fresh generation.
-  EventHandle b = sim.ScheduleAt(Seconds(1), [&] { b_fired = true; }, 0);
+  EventHandle b = act.At(Seconds(1), [&] { b_fired = true; }, 0);
   a.Cancel();  // stale generation: must NOT cancel B
   sim.RunUntil(Seconds(2));
   EXPECT_FALSE(a_fired);
   EXPECT_TRUE(b_fired);
   b.Cancel();  // cancel-after-fire is a no-op
   bool c_fired = false;
-  sim.ScheduleAt(Seconds(3), [&] { c_fired = true; }, 0);
+  act.At(Seconds(3), [&] { c_fired = true; }, 0);
   sim.RunUntil(Seconds(3));
   EXPECT_TRUE(c_fired);
 }
@@ -241,16 +302,16 @@ TEST(LaneEngineTest, MailboxOrderingAtBarriers) {
   // Lane 2 posts first in real order, lane 0 second — the barrier drains mailboxes
   // in source-lane order, so lane 0's mail arrives first, all clamped to the barrier.
   Simulator sim(3, 3, Millis(100));
+  Actions act(&sim);
   auto log = std::make_shared<std::vector<std::pair<std::string, SimTime>>>();
-  auto post = [&sim, log](const char* tag) {
-    sim.ScheduleIn(Millis(1), [log, tag, &sim] { log->emplace_back(tag, sim.Now()); },
-                   1);
+  auto post = [&sim, &act, log](const char* tag) {
+    act.In(Millis(1), [log, tag, &sim] { log->emplace_back(tag, sim.Now()); }, 1);
   };
-  sim.ScheduleAt(Millis(5), [&] {
+  act.At(Millis(5), [&] {
     post("two-a");
     post("two-b");
   }, 2);
-  sim.ScheduleAt(Millis(9), [&] { post("zero"); }, 0);
+  act.At(Millis(9), [&] { post("zero"); }, 0);
   sim.RunUntil(Seconds(1));
   ASSERT_EQ(log->size(), 3u);
   EXPECT_EQ((*log)[0].first, "zero");
@@ -264,13 +325,14 @@ TEST(LaneEngineTest, MailboxOrderingAtBarriers) {
 
 TEST(LaneEngineTest, EventPoolSlotsAreReused) {
   Simulator sim;  // no worker lanes: the control lane uses the same pool machinery
+  Actions act(&sim);
   int remaining = 2000;
   std::function<void()> chain = [&] {
     if (--remaining > 0) {
-      sim.ScheduleIn(Millis(1), chain);
+      act.In(Millis(1), chain);
     }
   };
-  sim.ScheduleIn(Millis(1), chain);
+  act.In(Millis(1), chain);
   sim.RunAll();
   EXPECT_EQ(remaining, 0);
   // A chain keeps at most a couple of live events; the pool must not grow per event.
@@ -280,12 +342,13 @@ TEST(LaneEngineTest, EventPoolSlotsAreReused) {
 TEST(LaneEngineTest, WorkerLaneKeepsTimeOrderAndFifoTies) {
   // The bare-simulator ordering and tie-break cases, inside a worker lane.
   Simulator sim(2, 2, Millis(100));
+  Actions act(&sim);
   auto order = std::make_shared<std::vector<int>>();
-  sim.ScheduleAt(Millis(350), [order] { order->push_back(100); }, 1);
+  act.At(Millis(350), [order] { order->push_back(100); }, 1);
   for (int i = 0; i < 5; ++i) {
-    sim.ScheduleAt(Millis(120), [order, i] { order->push_back(i); }, 1);
+    act.At(Millis(120), [order, i] { order->push_back(i); }, 1);
   }
-  sim.ScheduleAt(Millis(50), [order] { order->push_back(-1); }, 1);
+  act.At(Millis(50), [order] { order->push_back(-1); }, 1);
   sim.RunAll();
   EXPECT_EQ(*order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 100}));
   EXPECT_EQ(sim.Now(), Millis(400)) << "a lane run ends on the barrier grid";
@@ -297,9 +360,10 @@ TEST(LaneEngineTest, LookaheadKeepsControlIssuedDeliveriesExact) {
   // delivery delay (the lookahead) keeps the barrier within reach: no clamp.
   auto deliver = [](Duration epoch) {
     Simulator sim(1, 1, epoch);
+    Actions act(&sim);
     auto seen = std::make_shared<SimTime>(-1);
-    sim.ScheduleAt(Millis(123), [&sim, seen] {
-      sim.ScheduleIn(Millis(2), [&sim, seen] { *seen = sim.Now(); }, 0);
+    act.At(Millis(123), [&sim, &act, seen] {
+      act.In(Millis(2), [&sim, seen] { *seen = sim.Now(); }, 0);
     }, Simulator::kLaneControl);
     sim.RunUntil(Seconds(5));
     return *seen;
@@ -310,15 +374,16 @@ TEST(LaneEngineTest, LookaheadKeepsControlIssuedDeliveriesExact) {
 
 TEST(LaneEngineTest, SetEpochReanchorsTheGrid) {
   Simulator sim(2, 2, Millis(100));
+  Actions act(&sim);
   EXPECT_EQ(sim.epoch(), Millis(100));
   sim.SetEpoch(Millis(30));
   EXPECT_EQ(sim.epoch(), Millis(30));
   // Cross-lane mail now clamps to the finer grid: posted at 6 ms, delivered at the
   // 30 ms barrier instead of 100 ms.
   auto log = std::make_shared<std::vector<SimTime>>();
-  auto post = [&sim, log](SimTime at) {
-    sim.ScheduleAt(at, [&sim, log] {
-      sim.ScheduleIn(Millis(1), [log, &sim] { log->push_back(sim.Now()); }, 1);
+  auto post = [&sim, &act, log](SimTime at) {
+    act.At(at, [&sim, &act, log] {
+      act.In(Millis(1), [log, &sim] { log->push_back(sim.Now()); }, 1);
     }, 0);
   };
   post(Millis(5));
@@ -351,20 +416,17 @@ TEST(LaneEngineTest, TimersFireInBoundLanes) {
 
 // ---------- barrier-time lane re-binding ----------
 
-bool MatchCallbacks(EventKind kind, const EventSink*, const EventPayload&) {
-  return kind == EventKind::kCallback;
-}
-
 TEST(LaneRebindTest, PendingEventsHandOffPreservingDeliveryTimes) {
   Simulator sim(2, 2, Millis(100));
+  Actions act(&sim);
   auto fires = std::make_shared<std::vector<std::pair<int, SimTime>>>();
   for (int i = 1; i <= 3; ++i) {
-    sim.ScheduleAt(Millis(250 * i), [&sim, fires] {
+    act.At(Millis(250 * i), [&sim, fires] {
       fires->emplace_back(sim.CurrentLane(), sim.Now());
     }, 0);
   }
   sim.RunUntil(Millis(100));  // a barrier; nothing has fired yet
-  EXPECT_EQ(sim.RebindMatchingEvents(0, 1, MatchCallbacks), 3u);
+  EXPECT_EQ(sim.RebindMatchingEvents(0, 1, act.Mine()), 3u);
   sim.RunUntil(Seconds(1));
   ASSERT_EQ(fires->size(), 3u);
   for (int i = 0; i < 3; ++i) {
@@ -377,15 +439,16 @@ TEST(LaneRebindTest, PendingEventsHandOffPreservingDeliveryTimes) {
 
 TEST(LaneRebindTest, UndrainedMailFollowsTheRebind) {
   Simulator sim(2, 2, Millis(100));
+  Actions act(&sim);
   auto lanes_seen = std::make_shared<std::vector<int>>();
   // A lane-1 event posts cross-lane work at lane 0 mid-epoch; that mail waits in
   // lane 0's inbox for the next opening barrier — exactly when a re-bind happens.
-  sim.ScheduleAt(Millis(5), [&sim, lanes_seen] {
-    sim.ScheduleIn(Millis(1),
-                   [lanes_seen, &sim] { lanes_seen->push_back(sim.CurrentLane()); }, 0);
+  act.At(Millis(5), [&sim, &act, lanes_seen] {
+    act.In(Millis(1),
+           [lanes_seen, &sim] { lanes_seen->push_back(sim.CurrentLane()); }, 0);
   }, 1);
   sim.RunUntil(Millis(100));
-  EXPECT_EQ(sim.RebindMatchingEvents(0, 1, MatchCallbacks), 1u);
+  EXPECT_EQ(sim.RebindMatchingEvents(0, 1, act.Mine()), 1u);
   sim.RunUntil(Millis(300));
   ASSERT_EQ(lanes_seen->size(), 1u);
   EXPECT_EQ((*lanes_seen)[0], 1) << "undrained mail must deliver into the new lane";
@@ -393,14 +456,15 @@ TEST(LaneRebindTest, UndrainedMailFollowsTheRebind) {
 
 TEST(LaneRebindTest, StaleHandlesAfterRebindAreNoOps) {
   Simulator sim(2, 1, Millis(100));
+  Actions act(&sim);
   bool moved_fired = false;
   bool other_fired = false;
-  EventHandle handle = sim.ScheduleAt(Seconds(1), [&] { moved_fired = true; }, 0);
+  EventHandle handle = act.At(Seconds(1), [&] { moved_fired = true; }, 0);
   sim.RunUntil(Millis(100));
-  EXPECT_EQ(sim.RebindMatchingEvents(0, 1, MatchCallbacks), 1u);
+  EXPECT_EQ(sim.RebindMatchingEvents(0, 1, act.Mine()), 1u);
   // The move released the source slot under a fresh generation; a later event may
   // reuse it.
-  sim.ScheduleAt(Seconds(2), [&] { other_fired = true; }, 0);
+  act.At(Seconds(2), [&] { other_fired = true; }, 0);
   // The pre-move handle is stale: cancelling through it must affect neither the
   // moved event nor the slot's new occupant (generation-scoped, same as after any
   // cancel/reuse cycle).
@@ -437,25 +501,26 @@ uint64_t RunRebindWorkload(int threads, uint64_t* executed = nullptr,
                            bool with_rebinds = true) {
   constexpr int kLanes = 4;
   Simulator sim(kLanes, threads, Millis(100));
+  Actions act(&sim);
   auto cells = std::make_shared<std::array<LaneCell, kLanes>>();
-  std::function<void(int)> tick = [&sim, cells, &tick](int chain) {
+  std::function<void(int)> tick = [&sim, &act, cells, &tick](int chain) {
     LaneCell& cell = (*cells)[static_cast<size_t>(chain)];
     ++cell.count;
     if (cell.count % 3 == 0) {
-      sim.ScheduleIn(Millis(7), [] {}, (chain + 1) % kLanes);
+      act.In(Millis(7), [] {}, (chain + 1) % kLanes);
     }
     if (sim.Now() < Seconds(30)) {
       // Current-lane reschedule: after a re-bind the chain keeps running wherever
       // it was moved to.
-      sim.ScheduleIn(Millis(11 + chain), [&tick, chain] { tick(chain); });
+      act.In(Millis(11 + chain), [&tick, chain] { tick(chain); });
     }
   };
   for (int chain = 0; chain < kLanes; ++chain) {
-    sim.ScheduleAt(Millis(1 + chain), [&tick, chain] { tick(chain); }, chain);
+    act.At(Millis(1 + chain), [&tick, chain] { tick(chain); }, chain);
   }
   for (int k = 0; with_rebinds && k < 5; ++k) {
-    sim.ScheduleAt(Seconds(5 * (k + 1)), [&sim, k] {
-      sim.RebindMatchingEvents(k % kLanes, (k + 1) % kLanes, MatchCallbacks);
+    act.At(Seconds(5 * (k + 1)), [&sim, &act, k] {
+      sim.RebindMatchingEvents(k % kLanes, (k + 1) % kLanes, act.Mine());
     }, Simulator::kLaneControl);
   }
   sim.RunUntil(Seconds(31));
@@ -482,6 +547,74 @@ TEST(LaneRebindTest, FingerprintIdenticalAcrossWorkerCountsWithRebinds) {
   // Re-binds are part of the replay contract: the same workload *without* them
   // must not collide with the re-bound fingerprint.
   EXPECT_NE(fp1, RunRebindWorkload(1, nullptr, /*with_rebinds=*/false));
+}
+
+// ---------- checkpoint restore ----------
+
+// Restore-test sink: an event with payload.b != 0 posts one event of kind payload.b
+// into lane 1 (cross-lane from lane 0: mailbox).
+class PostingSink : public EventSink {
+ public:
+  explicit PostingSink(Simulator* sim) : sim_(sim) { sim_->RegisterSink(this); }
+  void OnSimEvent(EventKind kind, EventPayload& payload) override {
+    (void)kind;
+    if (payload.b != 0) {
+      sim_->ScheduleEventAt(sim_->Now() + Millis(1), static_cast<EventKind>(payload.b),
+                            this, EventPayload{}, 1);
+    }
+  }
+
+ private:
+  Simulator* sim_;
+};
+
+// Saved state holding exactly one event of `kind`: queued in lane 0, or (`mailed`)
+// waiting in lane 1's mailbox for the next barrier.
+std::vector<uint8_t> SavedWithOneEvent(EventKind kind, bool mailed) {
+  Simulator sim(2, 1, Millis(100));
+  PostingSink sink(&sim);
+  EventPayload payload;
+  payload.b = mailed ? static_cast<uint64_t>(kind) : 0;
+  sim.ScheduleEventAt(Millis(5), mailed ? EventKind::kTimer : kind, &sink,
+                      std::move(payload), 0);
+  if (mailed) {
+    sim.RunUntil(Millis(10));
+  }
+  EXPECT_EQ(sim.events_pending(), 1u);
+  ByteWriter w;
+  EXPECT_TRUE(sim.SaveState(w).ok());
+  return w.TakeBuffer();
+}
+
+Status RestoreInto(const std::vector<uint8_t>& bytes) {
+  Simulator sim(2, 1, Millis(100));
+  PostingSink sink(&sim);
+  ByteReader r{span<const uint8_t>(bytes)};
+  return sim.LoadState(r);
+}
+
+TEST(SimulatorCheckpointTest, RestoreRejectsOutOfRangeEventKinds) {
+  for (const bool mailed : {false, true}) {
+    std::vector<uint8_t> bytes = SavedWithOneEvent(EventKind::kTimer, mailed);
+    const std::vector<uint8_t> other = SavedWithOneEvent(EventKind::kFrame, mailed);
+    ASSERT_EQ(bytes.size(), other.size());
+    // The kind is the only byte the two saves differ in.
+    std::vector<size_t> diff;
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      if (bytes[i] != other[i]) {
+        diff.push_back(i);
+      }
+    }
+    ASSERT_EQ(diff.size(), 1u);
+    ASSERT_TRUE(RestoreInto(bytes).ok());
+    for (const uint8_t kind : {0, 6, 127}) {
+      bytes[diff[0]] = kind;
+      const Status status = RestoreInto(bytes);
+      EXPECT_EQ(status.code(), StatusCode::kDataLoss)
+          << "kind " << int{kind} << (mailed ? " in a mailbox: " : " in a queue: ")
+          << status.ToString();
+    }
+  }
 }
 
 // Back-to-back runs hand off while the helpers poll; gaps longer than the poll
