@@ -1,13 +1,17 @@
-// Microbench M4 — core data-structure throughput: skip-graph ops, summary-cache ops,
-// and the event queue that everything runs on.
+// Microbench M4 — core data-structure throughput: skip-graph ops, unified-store
+// routing, summary-cache ops, and the event queue that everything runs on.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "src/core/unified_store.h"
 #include "src/index/skip_graph.h"
+#include "src/net/network.h"
+#include "src/proxy/proxy_node.h"
 #include "src/proxy/summary_cache.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
@@ -41,6 +45,54 @@ void BM_SkipGraphSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_SkipGraphSearch)->Arg(256)->Arg(4096)->Arg(65536);
 
+// One routed NOW query through the unified store: resolve the owner of a random
+// sensor among 8 proxies x 64 sensors (the skip graph holds 512 keys), then run the
+// execute and return stages. The proxies are cache-only and hold nothing, so each
+// answers at once without the radio: the row is routing plus two typed events.
+class RouteSink : public UnifiedStore::Client {
+ public:
+  void OnStoreQueryDone(uint64_t token, UnifiedQueryResult&& result) override {
+    (void)token;
+    hops += result.index_hops;
+  }
+  int64_t hops = 0;
+};
+
+void BM_UnifiedStoreRoute(benchmark::State& state) {
+  Simulator sim;
+  Network net(&sim, NetworkParams{}, 1);
+  std::vector<std::unique_ptr<ProxyNode>> proxies;
+  std::vector<NodeId> sensors;
+  UnifiedStore store(&sim, &net, 2);
+  RouteSink sink;
+  for (NodeId p = 1; p <= 8; ++p) {
+    ProxyNodeConfig pc;
+    pc.id = p * 1000;
+    pc.mode = ProxyMode::kCacheOnly;
+    pc.manage_models = false;
+    pc.enable_matcher = false;
+    proxies.push_back(std::make_unique<ProxyNode>(&sim, &net, pc));
+    for (NodeId s = 0; s < 64; ++s) {
+      proxies.back()->RegisterSensor(pc.id + s, Seconds(31));
+      sensors.push_back(pc.id + s);
+    }
+    store.AddProxy(proxies.back().get());
+  }
+  store.SetClient(&sink);
+  Pcg32 rng(4);
+  uint64_t token = 0;
+  for (auto _ : state) {
+    QuerySpec spec;
+    spec.sensor_id =
+        sensors[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(511)))];
+    store.Query(spec, ++token);
+    sim.RunAll();
+  }
+  benchmark::DoNotOptimize(sink.hops);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_UnifiedStoreRoute);
+
 void BM_SummaryCacheInsert(benchmark::State& state) {
   SummaryCache cache(1 << 20);
   SimTime t = 0;
@@ -65,6 +117,68 @@ void BM_SummaryCacheNearest(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SummaryCacheNearest);
+
+// The read path's series: ~420 entries one 31 s sensing period apart, each stamp
+// jittered by up to 3 s and one slot in ten missing (model-driven suppression).
+SummaryCache JitteredSeries() {
+  SummaryCache cache(1 << 20);
+  Pcg32 rng(9);
+  for (int64_t i = 0; i < 466; ++i) {
+    if (rng.UniformInt(0, 9) != 0) {
+      cache.Insert(i * Seconds(31) + rng.UniformInt(0, Seconds(3)), 20.0,
+                   CacheSource::kPushed);
+    }
+  }
+  return cache;
+}
+
+// One lower-bound search on the jittered series: the interpolation-seeded search
+// behind Insert, Nearest and View.
+void BM_SummaryCacheNearest420(benchmark::State& state) {
+  const SummaryCache cache = JitteredSeries();
+  Pcg32 rng(10);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.Nearest(rng.UniformInt(0, 466 * Seconds(31)),
+                                           Seconds(15)));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SummaryCacheNearest420);
+
+// An extrapolated past query's cache reads on the jittered series: the coverage of a
+// 28-period range, then the nearest entry to each period's instant. Probes: one
+// Nearest search per period, as the proxy did before the walk. Walk: one View, then
+// WalkNearest resuming where the previous probe stopped, as the proxy does now.
+void BM_SummaryCachePastProbes(benchmark::State& state) {
+  const SummaryCache cache = JitteredSeries();
+  Pcg32 rng(11);
+  for (auto _ : state) {
+    const SimTime start = rng.UniformInt(0, 430 * Seconds(31));
+    const TimeInterval range{start, start + 28 * Seconds(31)};
+    benchmark::DoNotOptimize(cache.CoverageFraction(range, Seconds(31)));
+    for (SimTime t = range.start; t < range.end; t += Seconds(31)) {
+      benchmark::DoNotOptimize(cache.Nearest(t, Seconds(15)));
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SummaryCachePastProbes);
+
+void BM_SummaryCachePastWalk(benchmark::State& state) {
+  const SummaryCache cache = JitteredSeries();
+  Pcg32 rng(11);
+  for (auto _ : state) {
+    const SimTime start = rng.UniformInt(0, 430 * Seconds(31));
+    const TimeInterval range{start, start + 28 * Seconds(31)};
+    SummaryCache::Window window = cache.View(range);
+    benchmark::DoNotOptimize(window.CoverageFraction(Seconds(31)));
+    for (SimTime t = range.start; t < range.end; t += Seconds(31)) {
+      benchmark::DoNotOptimize(window.WalkNearest(t, Seconds(15)));
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SummaryCachePastWalk);
 
 void BM_SummaryCacheCoverage(benchmark::State& state) {
   SummaryCache cache(1 << 20);

@@ -370,14 +370,13 @@ void Deployment::OnSimEvent(EventKind kind, EventPayload& payload) {
   if (kind == EventKind::kQuery) {
     // A QueryAsync completion marshalled onto the control lane: pop the entry and
     // complete it in control context, dispatched on the entry's origin tag.
-    ExternalQuery done;
+    std::optional<ExternalQuery> taken;
     {
       std::lock_guard<std::mutex> lock(external_m_);
-      auto it = external_.find(payload.a);
-      PRESTO_CHECK(it != external_.end());
-      done = std::move(it->second);
-      external_.erase(it);
+      taken = external_.Take(payload.a);
     }
+    PRESTO_CHECK(taken.has_value());
+    ExternalQuery& done = *taken;
     switch (done.origin) {
       case ExternalQuery::Origin::kClosure:
         done.on_done(done.result);
@@ -392,7 +391,7 @@ void Deployment::OnSimEvent(EventKind kind, EventPayload& payload) {
       case ExternalQuery::Origin::kFederation:
         PRESTO_CHECK_MSG(federation_client_ != nullptr,
                          "federation-tagged completion without a client");
-        federation_client_->OnDeploymentQueryDone(done.tag, done.result);
+        federation_client_->OnDeploymentQueryDone(done.tag, std::move(done.result));
         break;
       case ExternalQuery::Origin::kWait:
         PRESTO_CHECK_MSG(false, "QueryAndWait entries complete inline");
@@ -743,8 +742,7 @@ double Deployment::MeanSensorEnergy() {
 
 Deployment::ExternalQuery* Deployment::FindExternal(uint64_t id) {
   std::lock_guard<std::mutex> lock(external_m_);
-  auto it = external_.find(id);
-  return it == external_.end() ? nullptr : &it->second;
+  return external_.Find(id);
 }
 
 void Deployment::QueryAsync(const QuerySpec& spec,
@@ -770,30 +768,30 @@ void Deployment::QueryAsyncInternal(const QuerySpec& spec, ExternalQuery entry) 
   {
     std::lock_guard<std::mutex> lock(external_m_);
     id = next_external_id_++;
-    external_.emplace(id, std::move(entry));
+    external_.Insert(id, std::move(entry));
   }
   // The store completes through OnStoreQueryDone (token = the entry id), from the
   // serving proxy's lane or inline on routing errors.
   store_->Query(spec, id);
 }
 
-void Deployment::OnStoreQueryDone(uint64_t token, const UnifiedQueryResult& result) {
+void Deployment::OnStoreQueryDone(uint64_t token, UnifiedQueryResult&& result) {
   ExternalQuery* pending = FindExternal(token);
   PRESTO_CHECK(pending != nullptr);
   if (pending->origin == ExternalQuery::Origin::kWait) {
     // QueryAndWait polls the entry between steps; one that timed out is dropped.
     if (pending->tag == ExternalQuery::kWaitAbandoned) {
       std::lock_guard<std::mutex> lock(external_m_);
-      external_.erase(token);
+      external_.Erase(token);
     } else {
-      pending->result = result;
+      pending->result = std::move(result);
       pending->tag = ExternalQuery::kWaitDone;
     }
     return;
   }
   // Park the result in the entry and bounce a typed event to the control lane,
   // where OnSimEvent completes it.
-  pending->result = result;
+  pending->result = std::move(result);
   EventPayload done;
   done.a = token;
   sim_.ScheduleEventAt(sim_.Now(), EventKind::kQuery, this, std::move(done),
@@ -837,9 +835,10 @@ UnifiedQueryResult Deployment::QueryAndWait(const QuerySpec& spec, Duration max_
     ExternalQuery entry;
     entry.origin = ExternalQuery::Origin::kWait;
     entry.tag = ExternalQuery::kWaiting;
-    wait = &external_.emplace(token, std::move(entry)).first->second;
+    wait = &external_.Insert(token, std::move(entry));
   }
-  // Map nodes are stable, and between steps no lane runs: `wait` is safe to poll.
+  // The entry's slot never moves, and between steps no lane runs: `wait` is safe to
+  // poll.
   store_->Query(spec, token);
   const SimTime deadline = sim_.Now() + max_wait;
   while (wait->tag != ExternalQuery::kWaitDone && sim_.NextEventTime() >= 0 &&
@@ -858,7 +857,7 @@ UnifiedQueryResult Deployment::QueryAndWait(const QuerySpec& spec, Duration max_
   }
   UnifiedQueryResult result = std::move(wait->result);
   std::lock_guard<std::mutex> lock(external_m_);
-  external_.erase(token);
+  external_.Erase(token);
   return result;
 }
 
@@ -870,9 +869,9 @@ void Deployment::RunUntil(SimTime t) {
 bool Deployment::DriverAccountingHolds() const {
   // Control context between runs: no lane touches external_.
   std::vector<uint64_t> in_flight(drivers_.size(), 0);
-  for (const auto& [id, entry] : external_) {
-    if (entry.origin == ExternalQuery::Origin::kDriver) {
-      ++in_flight[static_cast<size_t>(entry.tag)];
+  for (const auto& [id, entry] : external_.Sorted()) {
+    if (entry->origin == ExternalQuery::Origin::kDriver) {
+      ++in_flight[static_cast<size_t>(entry->tag)];
     }
   }
   return QueryDriver::Balanced(drivers_, in_flight);
@@ -923,17 +922,17 @@ Status Deployment::SaveCheckpoint(Checkpoint* out, const std::string& prefix) co
     rebalance_timer_->SaveState(w);
     CkptWrite(w, next_external_id_);
     w.WriteVarU64(external_.size());
-    for (const auto& [id, entry] : external_) {
-      if (entry.origin == ExternalQuery::Origin::kClosure ||
-          entry.origin == ExternalQuery::Origin::kWait) {
+    for (const auto& [id, entry] : external_.Sorted()) {
+      if (entry->origin == ExternalQuery::Origin::kClosure ||
+          entry->origin == ExternalQuery::Origin::kWait) {
         return FailedPreconditionError(
             "deployment checkpoint: QueryAsync/QueryAndWait query in flight");
       }
       CkptWrite(w, id);
-      CkptWrite(w, entry.origin);
-      CkptWrite(w, entry.tag);
-      CkptWrite(w, entry.past);
-      CkptWrite(w, entry.result);
+      CkptWrite(w, entry->origin);
+      CkptWrite(w, entry->tag);
+      CkptWrite(w, entry->past);
+      CkptWrite(w, entry->result);
     }
     return OkStatus();
   }));
@@ -1020,7 +1019,7 @@ Status Deployment::LoadCheckpoint(const Checkpoint& ckpt, const std::string& pre
     if (*count > r.remaining()) {
       return DataLossError("deploy restore: external count exceeds section bytes");
     }
-    external_.clear();
+    external_.Clear();
     for (uint64_t i = 0; i < *count; ++i) {
       uint64_t id = 0;
       CKPT_READ(r, id);
@@ -1037,7 +1036,11 @@ Status Deployment::LoadCheckpoint(const Checkpoint& ckpt, const std::string& pre
       }
       CKPT_READ(r, entry.past);
       CKPT_READ(r, entry.result);
-      external_.emplace(id, std::move(entry));
+      if (external_.Find(id) != nullptr) {
+        return DataLossError("deploy restore: duplicate external query " +
+                             std::to_string(id));
+      }
+      external_.Insert(id, std::move(entry));
     }
     // Stale pre-restore promotion handles: drop (never cancel) — the simulator
     // section re-announces the live ones below.

@@ -32,7 +32,6 @@
 #define SRC_CORE_DEPLOYMENT_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -46,6 +45,7 @@
 #include "src/sim/simulator.h"
 #include "src/sim/timer.h"
 #include "src/util/ckpt.h"
+#include "src/util/id_map.h"
 #include "src/workload/query_driver.h"
 #include "src/workload/temperature.h"
 
@@ -57,7 +57,7 @@ namespace presto {
 class FederationQueryClient {
  public:
   virtual ~FederationQueryClient() = default;
-  virtual void OnDeploymentQueryDone(uint64_t qid, const UnifiedQueryResult& result) = 0;
+  virtual void OnDeploymentQueryDone(uint64_t qid, UnifiedQueryResult&& result) = 0;
 };
 
 // Deployment-level network defaults. The link-coalescing epoch ships non-zero here
@@ -264,7 +264,7 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   }
 
   // UnifiedStore::Client: store completions come back keyed by external-query id.
-  void OnStoreQueryDone(uint64_t token, const UnifiedQueryResult& result) override;
+  void OnStoreQueryDone(uint64_t token, UnifiedQueryResult&& result) override;
 
   // Attaches an open-loop in-sim query driver targeting this deployment's sensors
   // (QueryRequest.sensor = global index; mix.num_sensors <= 0 defaults to the whole
@@ -369,11 +369,12 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   ShardMgmtStats shard_stats_;
 
   // --- external query entry ---
-  // In-flight QueryAsync queries. The map is mutex-guarded because store
+  // In-flight QueryAsync queries. The table is mutex-guarded because store
   // completions run in serving-proxy lanes (concurrently for different proxies);
-  // each entry is only ever touched by its own query's events — the UnifiedStore
-  // pattern. kDriver and kFederation entries serialize; kClosure and kWait entries
-  // (host-side callers) block SaveCheckpoint while in flight.
+  // each entry is only ever touched by its own query's events, and its slot never
+  // moves while it is in flight — the UnifiedStore pattern. kDriver and kFederation
+  // entries serialize; kClosure and kWait entries (host-side callers) block
+  // SaveCheckpoint while in flight.
   struct ExternalQuery {
     enum class Origin : uint8_t {
       kClosure = 0,     // QueryAsync on_done closure — not checkpointable
@@ -392,7 +393,7 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   ExternalQuery* FindExternal(uint64_t id);
   bool DriverAccountingHolds() const;
   std::mutex external_m_;
-  std::map<uint64_t, ExternalQuery> external_;
+  StableIdMap<ExternalQuery> external_;
   uint64_t next_external_id_ = 1;
   // kWait entries key on their own tokens (top bit set), so host probes leave
   // next_external_id_, and with it the checkpoint bytes, untouched.

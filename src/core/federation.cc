@@ -297,7 +297,7 @@ void FedCell::OnSimEvent(EventKind kind, EventPayload& payload) {
       const Status s = CkptRead(r, result);
       PRESTO_CHECK_MSG(s.ok() && r.remaining() == 0,
                        "federation: bad complete mail body");
-      FinalizeEntry(payload.b, result);
+      FinalizeEntry(payload.b, std::move(result));
       return;
     }
     default:
@@ -305,7 +305,7 @@ void FedCell::OnSimEvent(EventKind kind, EventPayload& payload) {
   }
 }
 
-void FedCell::OnDeploymentQueryDone(uint64_t qid, const UnifiedQueryResult& result) {
+void FedCell::OnDeploymentQueryDone(uint64_t qid, UnifiedQueryResult&& result) {
   // Runs on this cell's control lane (QueryAsync marshals completions there).
   const int origin = OriginOf(qid);
   if (origin == index_) {
@@ -313,7 +313,7 @@ void FedCell::OnDeploymentQueryDone(uint64_t qid, const UnifiedQueryResult& resu
       ++counters_.orphans;  // completed after a kill sweep already failed it
       return;
     }
-    FinalizeEntry(qid, result);
+    FinalizeEntry(qid, std::move(result));
     return;
   }
   // Cross-cell: the answer rides the target->origin trunk home as FedMail (PAST
@@ -329,13 +329,13 @@ void FedCell::OnDeploymentQueryDone(uint64_t qid, const UnifiedQueryResult& resu
       FedMail{index_, origin, at, kFedOpComplete, qid, body.TakeBuffer()});
 }
 
-void FedCell::FinalizeEntry(uint64_t qid, const UnifiedQueryResult& result) {
+void FedCell::FinalizeEntry(uint64_t qid, UnifiedQueryResult&& result) {
   auto it = pending_.find(qid);
   PRESTO_CHECK(it != pending_.end());
   Pending q = std::move(it->second);
   by_target_[static_cast<size_t>(q.result.target_cell)].erase(qid);
   pending_.erase(it);
-  q.result.cell = result;
+  q.result.cell = std::move(result);
   Complete(std::move(q));
 }
 

@@ -312,7 +312,7 @@ class FedCell : public EventSink, public FederationQueryClient {
   // FederationQueryClient: a tagged deployment query completed at this cell (runs
   // on this cell's control lane). Local queries finalize here; cross-cell answers
   // ride the trunk home as FedMail.
-  void OnDeploymentQueryDone(uint64_t qid, const UnifiedQueryResult& result) override;
+  void OnDeploymentQueryDone(uint64_t qid, UnifiedQueryResult&& result) override;
 
   // Checkpoint codec for the "cell<i>/fed" section: counters, outgoing trunk row,
   // pending table (ascending qid; driver-form only — host-probe entries cannot
@@ -327,7 +327,7 @@ class FedCell : public EventSink, public FederationQueryClient {
     return static_cast<int>(qid % static_cast<uint64_t>(config_->num_cells));
   }
   void ExecuteLocal(uint64_t qid);
-  void FinalizeEntry(uint64_t qid, const UnifiedQueryResult& result);
+  void FinalizeEntry(uint64_t qid, UnifiedQueryResult&& result);
   // Stamps completed_at, counts a failure, and dispatches to the completion
   // target. `q` is already detached from the pending table (or never entered it —
   // the fail-fast path).

@@ -1,5 +1,8 @@
 #include "src/core/unified_store.h"
 
+#include <limits>
+#include <map>
+
 #include "src/core/types.h"
 #include "src/util/assert.h"
 #include "src/util/ckpt.h"
@@ -22,6 +25,7 @@ void UnifiedStore::AddProxy(ProxyNode* proxy) {
   for (NodeId sensor : proxy->sensors()) {
     index_.Insert(sensor, proxy->config().id);
   }
+  RebuildRoutes();
 }
 
 void UnifiedStore::SetSensorChain(NodeId sensor_id, std::vector<NodeId> chain) {
@@ -31,12 +35,26 @@ void UnifiedStore::SetSensorChain(NodeId sensor_id, std::vector<NodeId> chain) {
 void UnifiedStore::ReassignSensor(NodeId sensor_id, NodeId new_proxy) {
   PRESTO_CHECK_MSG(FindProxy(new_proxy) != nullptr, "reassigning to an unknown proxy");
   index_.Insert(sensor_id, new_proxy);  // overwrites the previous registration
+  if (Route* route = routes_.Find(sensor_id)) {
+    route->owner = new_proxy;  // same keys, same links: every hop count stands
+  } else {
+    RebuildRoutes();  // a new key re-links its neighbours
+  }
   ++stats_.reassignments;
 }
 
+void UnifiedStore::RebuildRoutes() {
+  routes_.Clear();
+  for (const auto& [sensor, owner] :
+       index_.RangeQuery(0, std::numeric_limits<uint64_t>::max(), nullptr)) {
+    routes_.Emplace(sensor,
+                    Route{static_cast<NodeId>(owner), index_.Search(sensor).hops});
+  }
+}
+
 ProxyNode* UnifiedStore::FindProxy(NodeId proxy_id) const {
-  auto it = proxies_.find(proxy_id);
-  return it == proxies_.end() ? nullptr : it->second;
+  ProxyNode* const* proxy = proxies_.Find(proxy_id);
+  return proxy == nullptr ? nullptr : *proxy;
 }
 
 void UnifiedStore::Query(const QuerySpec& spec, uint64_t token) {
@@ -49,24 +67,26 @@ void UnifiedStore::Query(const QuerySpec& spec, uint64_t token) {
 
   const auto complete_now = [this](PendingQuery& p) {
     p.result.completed_at = sim_->Now();
-    client_->OnStoreQueryDone(p.token, p.result);
+    client_->OnStoreQueryDone(p.token, std::move(p.result));
   };
 
-  // Resolve the owner through the order-preserving index.
-  SkipGraph::SearchStats search = index_.Search(spec.sensor_id);
-  stats_.total_index_hops += search.hops;
+  // Resolve the owner through the order-preserving index: its route-table entry, or
+  // for a sensor the index lacks, the failed search's hops.
+  const Route* route = routes_.Find(spec.sensor_id);
+  const int hops = route != nullptr ? route->hops : index_.Search(spec.sensor_id).hops;
+  stats_.total_index_hops += hops;
 
   pending.result.issued_at = issued_at;
-  pending.result.index_hops = search.hops;
+  pending.result.index_hops = hops;
 
-  if (!search.found) {
+  if (route == nullptr) {
     ++stats_.unroutable;
     pending.result.answer.status = NotFoundError("sensor not in the distributed index");
     complete_now(pending);
     return;
   }
 
-  NodeId proxy_id = static_cast<NodeId>(search.value);
+  NodeId proxy_id = route->owner;
   bool used_replica = false;
   if (net_->IsNodeDown(proxy_id)) {
     // Walk the sensor's own holder chain to the first live proxy with its state. The
@@ -74,9 +94,8 @@ void UnifiedStore::Query(const QuerySpec& spec, uint64_t token) {
     // promotions: killing an acting owner falls through to the next holder even
     // before that proxy's own promotion event fires.
     NodeId fallback = 0;
-    auto chain = chain_of_.find(spec.sensor_id);
-    if (chain != chain_of_.end()) {
-      for (NodeId candidate : chain->second) {
+    if (const std::vector<NodeId>* chain = chain_of_.Find(spec.sensor_id)) {
+      for (NodeId candidate : *chain) {
         if (candidate == proxy_id || net_->IsNodeDown(candidate)) {
           continue;
         }
@@ -112,13 +131,13 @@ void UnifiedStore::Query(const QuerySpec& spec, uint64_t token) {
 
   // Forwarding the query across `hops` proxies costs wired latency each way. The
   // execute + complete stages run as typed events in the serving proxy's lane.
-  pending.route_delay = per_hop_latency_ * (search.hops + 1);
+  pending.route_delay = per_hop_latency_ * (hops + 1);
   const Duration route_delay = pending.route_delay;
   uint64_t id;
   {
     std::lock_guard<std::mutex> lock(pending_m_);
     id = next_query_id_++;
-    pending_.emplace(id, std::move(pending));
+    pending_.Insert(id, std::move(pending));
   }
   EventPayload payload;
   payload.a = id;
@@ -129,16 +148,15 @@ void UnifiedStore::Query(const QuerySpec& spec, uint64_t token) {
 
 UnifiedStore::PendingQuery* UnifiedStore::FindPending(uint64_t id) {
   std::lock_guard<std::mutex> lock(pending_m_);
-  auto it = pending_.find(id);
-  return it == pending_.end() ? nullptr : &it->second;
+  return pending_.Find(id);
 }
 
-void UnifiedStore::OnPullDone(uint64_t token, const QueryAnswer& answer) {
+void UnifiedStore::OnPullDone(uint64_t token, QueryAnswer&& answer) {
   // Proxy-level completion, running in the serving proxy's lane; the token is the
   // store query id. Record the answer and schedule the return hop.
   PendingQuery* done = FindPending(token);
   PRESTO_CHECK(done != nullptr);
-  done->result.answer = answer;
+  done->result.answer = std::move(answer);
   EventPayload complete;
   complete.a = token;
   complete.b = 1;  // stage: return hop + completion
@@ -151,7 +169,7 @@ void UnifiedStore::OnSimEvent(EventKind kind, EventPayload& payload) {
   const uint64_t id = payload.a;
   if (payload.b == 0) {
     // Execute stage, running in the serving proxy's lane. The entry outlives the
-    // lock: map nodes are stable and only this query's events touch it. The proxy
+    // lock: its slot never moves and only this query's events touch it. The proxy
     // answers through OnPullDone (possibly synchronously, on a cache hit).
     PendingQuery* pending = FindPending(id);
     PRESTO_CHECK(pending != nullptr);
@@ -165,23 +183,27 @@ void UnifiedStore::OnSimEvent(EventKind kind, EventPayload& payload) {
     }
     return;
   }
-  PendingQuery done;
+  std::optional<PendingQuery> done;
   {
     std::lock_guard<std::mutex> lock(pending_m_);
-    auto it = pending_.find(id);
-    PRESTO_CHECK(it != pending_.end());
-    done = std::move(it->second);
-    pending_.erase(it);
+    done = pending_.Take(id);
   }
-  done.result.completed_at = sim_->Now();
-  client_->OnStoreQueryDone(done.token, done.result);
+  PRESTO_CHECK(done.has_value());
+  done->result.completed_at = sim_->Now();
+  client_->OnStoreQueryDone(done->token, std::move(done->result));
 }
 
 Status UnifiedStore::SaveState(ByteWriter& w) const {
-  // Runs from control context at a barrier: no lane is executing, so the pending map
-  // is stable without the mutex.
+  // Runs from control context at a barrier: no lane is executing, so the pending
+  // table is stable without the mutex. Tables write the bytes of the std::maps they
+  // replaced: a count, then the entries in ascending id order.
   index_.SaveState(w);
-  CkptWrite(w, chain_of_);
+  const std::vector<uint64_t> chained = chain_of_.SortedKeys();
+  w.WriteVarU64(chained.size());
+  for (const uint64_t sensor : chained) {
+    CkptWrite(w, static_cast<NodeId>(sensor));
+    CkptWrite(w, *chain_of_.Find(sensor));
+  }
   CkptWrite(w, stats_.queries);
   CkptWrite(w, stats_.routed);
   CkptWrite(w, stats_.failovers);
@@ -190,19 +212,25 @@ Status UnifiedStore::SaveState(ByteWriter& w) const {
   CkptWrite(w, stats_.reassignments);
   CkptWrite(w, next_query_id_);
   w.WriteVarU64(pending_.size());
-  for (const auto& [id, pending] : pending_) {
+  for (const auto& [id, pending] : pending_.Sorted()) {
     CkptWrite(w, id);
-    CkptWrite(w, pending.spec);
-    CkptWrite(w, pending.result);
-    CkptWrite(w, pending.token);
-    CkptWrite(w, pending.route_delay);
+    CkptWrite(w, pending->spec);
+    CkptWrite(w, pending->result);
+    CkptWrite(w, pending->token);
+    CkptWrite(w, pending->route_delay);
   }
   return OkStatus();
 }
 
 Status UnifiedStore::LoadState(ByteReader& r) {
   PRESTO_RETURN_IF_ERROR(index_.LoadState(r));
-  CKPT_READ(r, chain_of_);
+  RebuildRoutes();
+  std::map<NodeId, std::vector<NodeId>> chains;
+  CKPT_READ(r, chains);
+  chain_of_.Clear();
+  for (auto& [sensor, chain] : chains) {
+    chain_of_.Emplace(sensor, std::move(chain));
+  }
   CKPT_READ(r, stats_.queries);
   CKPT_READ(r, stats_.routed);
   CKPT_READ(r, stats_.failovers);
@@ -217,7 +245,7 @@ Status UnifiedStore::LoadState(ByteReader& r) {
   if (*count > r.remaining()) {
     return DataLossError("store restore: pending count exceeds section bytes");
   }
-  pending_.clear();
+  pending_.Clear();
   for (uint64_t i = 0; i < *count; ++i) {
     uint64_t id = 0;
     CKPT_READ(r, id);
@@ -226,7 +254,11 @@ Status UnifiedStore::LoadState(ByteReader& r) {
     CKPT_READ(r, pending.result);
     CKPT_READ(r, pending.token);
     CKPT_READ(r, pending.route_delay);
-    pending_.emplace(id, std::move(pending));
+    if (pending_.Find(id) != nullptr) {
+      return DataLossError("store restore: duplicate pending query " +
+                           std::to_string(id));
+    }
+    pending_.Insert(id, std::move(pending));
   }
   return OkStatus();
 }

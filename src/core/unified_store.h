@@ -10,11 +10,19 @@
 // owner therefore falls through to the next live holder immediately — there is no
 // window in which a shard is unroutable while waiting for the dead proxy's own
 // promotion event.
+//
+// Read path: a query pays no index walk. The skip graph's answer for every indexed
+// sensor — owner and hop count — sits in a flat route table, rebuilt from
+// SkipGraph::Search whenever the index's structure changes (a new key, LoadState)
+// and patched in place when ReassignSensor overwrites an owner (the structure, and
+// so every hop count, is unchanged). The hops a query is charged are the skip
+// graph's exactly; only a sensor the index lacks still walks the graph, to charge
+// the hops its failed search costs. Proxies, holder chains and in-flight queries are
+// id-indexed flat tables too (src/util/id_map.h).
 
 #ifndef SRC_CORE_UNIFIED_STORE_H_
 #define SRC_CORE_UNIFIED_STORE_H_
 
-#include <map>
 #include <mutex>
 #include <vector>
 
@@ -23,6 +31,7 @@
 #include "src/net/network.h"
 #include "src/proxy/proxy_node.h"
 #include "src/sim/simulator.h"
+#include "src/util/id_map.h"
 
 namespace presto {
 
@@ -51,7 +60,8 @@ class UnifiedStore : public EventSink, public PullClient {
   class Client {
    public:
     virtual ~Client() = default;
-    virtual void OnStoreQueryDone(uint64_t token, const UnifiedQueryResult& result) = 0;
+    // The result is the client's to keep: it is moved, never copied, out of the store.
+    virtual void OnStoreQueryDone(uint64_t token, UnifiedQueryResult&& result) = 0;
   };
 
   // Per-hop latency models proxy-to-proxy forwarding on the wired tier while resolving
@@ -85,7 +95,7 @@ class UnifiedStore : public EventSink, public PullClient {
   void OnSimEvent(EventKind kind, EventPayload& payload) override;
 
   // PullClient: proxy-level answers come back keyed by store query id.
-  void OnPullDone(uint64_t token, const QueryAnswer& answer) override;
+  void OnPullDone(uint64_t token, QueryAnswer&& answer) override;
 
   // Checkpoint codec: the distributed index (exact, including its RNG), holder
   // chains, stats, and pending queries. Restore assumes an identically
@@ -97,8 +107,9 @@ class UnifiedStore : public EventSink, public PullClient {
   // One routed query in flight: spec + provenance-annotated result under
   // construction, plus the client's token. Stage 0 (kQuery, b=0) executes the
   // query on the serving proxy; stage 1 (b=1) models the return hop and completes.
-  // Entries for different proxies complete concurrently, so the map itself is
-  // mutex-guarded; each entry is only ever touched by its own lane.
+  // Entries for different proxies complete concurrently, so the table itself is
+  // mutex-guarded; each entry is only ever touched by its own lane, and its slot
+  // never moves while it is in flight.
   struct PendingQuery {
     QuerySpec spec;
     UnifiedQueryResult result;
@@ -106,19 +117,28 @@ class UnifiedStore : public EventSink, public PullClient {
     Duration route_delay = 0;
   };
 
+  // The skip graph's Search result for one indexed sensor.
+  struct Route {
+    NodeId owner = 0;
+    int hops = 0;
+  };
+
   ProxyNode* FindProxy(NodeId proxy_id) const;
   PendingQuery* FindPending(uint64_t id);
+  // Re-derives every route from the index (its structure changed).
+  void RebuildRoutes();
 
   Simulator* sim_;
   Network* net_;
   Duration per_hop_latency_;
   SkipGraph index_;  // sensor id -> owning proxy id
-  std::map<NodeId, ProxyNode*> proxies_;
-  std::map<NodeId, std::vector<NodeId>> chain_of_;  // sensor -> ordered holder chain
+  IdMap<Route> routes_;  // exactly the index's keys
+  IdMap<ProxyNode*> proxies_;
+  IdMap<std::vector<NodeId>> chain_of_;  // sensor -> ordered holder chain
   Client* client_ = nullptr;
   UnifiedStoreStats stats_;
   std::mutex pending_m_;
-  std::map<uint64_t, PendingQuery> pending_;
+  StableIdMap<PendingQuery> pending_;
   uint64_t next_query_id_ = 1;
 };
 

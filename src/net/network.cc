@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <utility>
 
 #include "src/util/assert.h"
@@ -12,8 +13,34 @@
 namespace presto {
 namespace {
 
-std::pair<NodeId, NodeId> OrderedPair(NodeId a, NodeId b) {
-  return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
+// Link-table key of an unordered node pair: smaller id high, so ascending keys walk
+// the pairs in the order a std::map of ordered pairs does.
+uint64_t LinkKey(NodeId a, NodeId b) {
+  const NodeId lo = std::min(a, b);
+  const NodeId hi = std::max(a, b);
+  return (static_cast<uint64_t>(lo) << 32) | hi;
+}
+
+// The std::map a link table checkpoints as, and back.
+template <typename V>
+std::map<std::pair<NodeId, NodeId>, V> LinkMap(const IdMap<V>& table) {
+  std::map<std::pair<NodeId, NodeId>, V> out;
+  for (const uint64_t key : table.SortedKeys()) {
+    out.emplace(std::make_pair(static_cast<NodeId>(key >> 32), static_cast<NodeId>(key)),
+                *table.Find(key));
+  }
+  return out;
+}
+
+template <typename V>
+Status ReadLinkTable(ByteReader& r, IdMap<V>& table) {
+  std::map<std::pair<NodeId, NodeId>, V> links;
+  CKPT_READ(r, links);
+  table.Clear();
+  for (const auto& [pair, value] : links) {
+    table[LinkKey(pair.first, pair.second)] = value;
+  }
+  return OkStatus();
 }
 
 uint64_t PackIds(NodeId src, NodeId dst) {
@@ -60,14 +87,14 @@ Network::LaneCtx& Network::Ctx() {
 void Network::AttachNode(NodeId id, NetNode* node, const NodeRadioConfig& config,
                          EnergyMeter* meter) {
   PRESTO_CHECK(node != nullptr);
-  PRESTO_CHECK_MSG(nodes_.find(id) == nodes_.end(), "duplicate node id");
   NodeState state;
   state.handler = node;
   state.config = config;
   state.meter = meter;
   state.idle_checkpoint = sim_->Now();
   state.listen_charged_until = sim_->Now();
-  nodes_.emplace(id, std::move(state));
+  const bool attached = nodes_.Emplace(id, std::move(state)).second;
+  PRESTO_CHECK_MSG(attached, "duplicate node id");
 }
 
 void Network::SetNodeLane(NodeId id, int lane) {
@@ -127,7 +154,7 @@ void Network::RebindNodeLane(NodeId id, int new_lane) {
 }
 
 void Network::ConnectWired(NodeId a, NodeId b, Duration latency) {
-  wired_[OrderedPair(a, b)] = latency >= 0 ? latency : params_.wired_latency;
+  wired_[LinkKey(a, b)] = latency >= 0 ? latency : params_.wired_latency;
   min_wired_dirty_ = true;
 }
 
@@ -136,16 +163,17 @@ Duration Network::MinCrossLaneWiredLatency() const {
     return min_cross_lane_wired_;
   }
   Duration best = -1;
-  for (const auto& [pair, latency] : wired_) {
-    const auto a = nodes_.find(pair.first);
-    const auto b = nodes_.find(pair.second);
-    if (a == nodes_.end() || b == nodes_.end()) {
+  for (const uint64_t link : wired_.SortedKeys()) {
+    const Duration latency = *wired_.Find(link);
+    const NodeState* a = nodes_.Find(link >> 32);
+    const NodeState* b = nodes_.Find(link & 0xffffffff);
+    if (a == nullptr || b == nullptr) {
       continue;  // link declared before both endpoints attached
     }
-    if (a->second.down || b->second.down) {
+    if (a->down || b->down) {
       continue;
     }
-    if (a->second.lane == b->second.lane) {
+    if (a->lane == b->lane) {
       continue;
     }
     if (best < 0 || latency < best) {
@@ -159,7 +187,7 @@ Duration Network::MinCrossLaneWiredLatency() const {
 
 void Network::SetLinkLoss(NodeId a, NodeId b, double per_frame_loss) {
   PRESTO_CHECK(per_frame_loss >= 0.0 && per_frame_loss < 1.0);
-  link_loss_[OrderedPair(a, b)] = per_frame_loss;
+  link_loss_[LinkKey(a, b)] = per_frame_loss;
 }
 
 void Network::SetNodeDown(NodeId id, bool down) {
@@ -204,20 +232,20 @@ void Network::SetLplInterval(NodeId id, Duration interval) {
 Duration Network::LplInterval(NodeId id) const { return GetNode(id).config.lpl_interval; }
 
 Network::NodeState& Network::GetNode(NodeId id) {
-  auto it = nodes_.find(id);
-  PRESTO_CHECK_MSG(it != nodes_.end(), "unknown node id");
-  return it->second;
+  NodeState* node = nodes_.Find(id);
+  PRESTO_CHECK_MSG(node != nullptr, "unknown node id");
+  return *node;
 }
 
 const Network::NodeState& Network::GetNode(NodeId id) const {
-  auto it = nodes_.find(id);
-  PRESTO_CHECK_MSG(it != nodes_.end(), "unknown node id");
-  return it->second;
+  const NodeState* node = nodes_.Find(id);
+  PRESTO_CHECK_MSG(node != nullptr, "unknown node id");
+  return *node;
 }
 
 double Network::LinkLoss(NodeId a, NodeId b) const {
-  auto it = link_loss_.find(OrderedPair(a, b));
-  return it != link_loss_.end() ? it->second : params_.default_frame_loss;
+  const double* loss = link_loss_.Find(LinkKey(a, b));
+  return loss != nullptr ? *loss : params_.default_frame_loss;
 }
 
 const NetStats& Network::stats() const {
@@ -437,9 +465,8 @@ void Network::Send(NodeId src_id, NodeId dst_id, uint16_t type,
     return;
   }
 
-  const auto wired_it = wired_.find(OrderedPair(src_id, dst_id));
-  if (wired_it != wired_.end()) {
-    SendWired(src, dst, std::move(message), wired_it->second);
+  if (const Duration* wired = wired_.Find(LinkKey(src_id, dst_id))) {
+    SendWired(src, dst, std::move(message), *wired);
     return;
   }
 
@@ -632,8 +659,9 @@ Status ReadNetStats(ByteReader& r, NetStats& s) {
 
 Status Network::SaveState(ByteWriter& w) const {
   CkptWrite(w, static_cast<uint64_t>(nodes_.size()));
-  for (const auto& [id, node] : nodes_) {
-    CkptWrite(w, id);
+  for (const uint64_t id : nodes_.SortedKeys()) {
+    const NodeState& node = *nodes_.Find(id);
+    CkptWrite(w, static_cast<NodeId>(id));
     CkptWrite(w, node.config.powered);
     CkptWrite(w, node.config.lpl_interval);
     CkptWrite(w, node.config.post_burst_listen);
@@ -645,8 +673,8 @@ Status Network::SaveState(ByteWriter& w) const {
     CkptWrite(w, node.idle_checkpoint);
     WriteNodeNetStats(w, node.stats);
   }
-  CkptWrite(w, link_loss_);
-  CkptWrite(w, wired_);
+  CkptWrite(w, LinkMap(link_loss_));
+  CkptWrite(w, LinkMap(wired_));
   CkptWrite(w, static_cast<uint64_t>(ctx_.size()));
   for (const LaneCtx& ctx : ctx_) {
     CkptWrite(w, ctx.rng);
@@ -672,7 +700,8 @@ Status Network::LoadState(ByteReader& r) {
   if (node_count != nodes_.size()) {
     return FailedPreconditionError("net restore: node table mismatch");
   }
-  for (auto& [id, node] : nodes_) {
+  for (const uint64_t id : nodes_.SortedKeys()) {
+    NodeState& node = *nodes_.Find(id);
     NodeId saved_id = 0;
     CKPT_READ(r, saved_id);
     if (saved_id != id) {
@@ -689,8 +718,8 @@ Status Network::LoadState(ByteReader& r) {
     CKPT_READ(r, node.idle_checkpoint);
     PRESTO_RETURN_IF_ERROR(ReadNodeNetStats(r, node.stats));
   }
-  CKPT_READ(r, link_loss_);
-  CKPT_READ(r, wired_);
+  PRESTO_RETURN_IF_ERROR(ReadLinkTable(r, link_loss_));
+  PRESTO_RETURN_IF_ERROR(ReadLinkTable(r, wired_));
   uint64_t ctx_count = 0;
   CKPT_READ(r, ctx_count);
   if (ctx_count != ctx_.size()) {
@@ -743,9 +772,8 @@ void Network::OnEventRestored(SimTime t, EventKind kind, const EventPayload& pay
 }
 
 void Network::SettleIdleEnergy() {
-  for (auto& [id, node] : nodes_) {
-    (void)id;
-    ChargeIdle(node);
+  for (const uint64_t id : nodes_.SortedKeys()) {
+    ChargeIdle(*nodes_.Find(id));
   }
 }
 

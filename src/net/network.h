@@ -33,6 +33,13 @@
 // aggregate stats, and per-link coalescing state are all per-lane (independent seeded
 // streams), so lane execution shares no mutable state and replays are bit-identical
 // regardless of worker count.
+//
+// Lookups: the node, wired-link and link-loss tables are id-indexed flat hash tables
+// (src/util/id_map.h, memory O(entries)), so a send costs O(1) table probes, not
+// four tree walks. They change only in AttachNode, ConnectWired, SetLinkLoss and
+// LoadState, all control context; lanes only read them (a node's own fields are
+// written by the lane that owns it). Checkpoints and idle settlement walk nodes in
+// ascending id order.
 
 #ifndef SRC_NET_NETWORK_H_
 #define SRC_NET_NETWORK_H_
@@ -44,6 +51,7 @@
 #include "src/net/energy.h"
 #include "src/net/radio.h"
 #include "src/sim/simulator.h"
+#include "src/util/id_map.h"
 #include "src/util/rng.h"
 
 namespace presto {
@@ -266,9 +274,10 @@ class Network : public EventSink {
   Simulator* sim_;
   NetworkParams params_;
   std::vector<LaneCtx> ctx_;  // [0] control, [1 + lane] per worker lane
-  std::map<NodeId, NodeState> nodes_;
-  std::map<std::pair<NodeId, NodeId>, double> link_loss_;
-  std::map<std::pair<NodeId, NodeId>, Duration> wired_;  // pair -> propagation latency
+  IdMap<NodeState> nodes_;
+  // Keyed by LinkKey(a, b): the unordered pair, smaller id in the high half.
+  IdMap<double> link_loss_;
+  IdMap<Duration> wired_;  // propagation latency
   mutable Duration min_cross_lane_wired_ = -1;
   mutable bool min_wired_dirty_ = true;
   mutable NetStats stats_agg_;  // materialized by stats()

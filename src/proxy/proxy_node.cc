@@ -36,20 +36,32 @@ ProxyNode::ProxyNode(Simulator* sim, Network* net, const ProxyNodeConfig& config
   net_->AttachNode(config_.id, this, radio, /*meter=*/nullptr);
 }
 
+bool ProxyNode::AddSensorState(std::unique_ptr<SensorState> state) {
+  if (!sensor_index_.Emplace(state->id, state.get()).second) {
+    return false;
+  }
+  const auto at = std::lower_bound(
+      sensors_.begin(), sensors_.end(), state->id,
+      [](const std::unique_ptr<SensorState>& s, NodeId id) { return s->id < id; });
+  sensors_.insert(at, std::move(state));
+  return true;
+}
+
 void ProxyNode::RegisterSensor(NodeId sensor_id, Duration sensing_period, bool replica) {
-  PRESTO_CHECK_MSG(sensors_.find(sensor_id) == sensors_.end(),
-                   "sensor already registered");
   auto state = std::make_unique<SensorState>(sensor_id, sensing_period, config_.engine,
                                              config_.matcher);
   state->is_replica = replica;
-  sensors_.emplace(sensor_id, std::move(state));
+  const bool added = AddSensorState(std::move(state));
+  PRESTO_CHECK_MSG(added, "sensor already registered");
 }
 
 void ProxyNode::UnregisterSensor(NodeId sensor_id) {
-  auto it = sensors_.find(sensor_id);
-  PRESTO_CHECK_MSG(it != sensors_.end(), "unregistering unknown sensor");
+  PRESTO_CHECK_MSG(FindSensor(sensor_id) != nullptr, "unregistering unknown sensor");
   AbortPullsFor(sensor_id, UnavailableError("sensor migrated away from this proxy"));
-  sensors_.erase(it);
+  sensor_index_.Erase(sensor_id);
+  sensors_.erase(std::find_if(
+      sensors_.begin(), sensors_.end(),
+      [sensor_id](const std::unique_ptr<SensorState>& s) { return s->id == sensor_id; }));
 }
 
 void ProxyNode::PromoteSensor(NodeId sensor_id) {
@@ -176,13 +188,13 @@ void ProxyNode::DrainBackfillQueue() {
   while (!backfill_queue_.empty()) {
     const BackfillRequest req = backfill_queue_.front();
     backfill_queue_.pop_front();
-    auto it = sensors_.find(req.sensor_id);
-    if (it == sensors_.end() || it->second->is_replica) {
+    SensorState* sensor = FindSensor(req.sensor_id);
+    if (sensor == nullptr || sensor->is_replica) {
       continue;  // handed back or migrated away while queued — nothing to repair
     }
     // Re-scan at drain time: live pushes or a snapshot may have closed the holes
     // while this entry waited, in which case no radio time is spent on it.
-    if (!TryBackfillPull(*it->second, req.horizon)) {
+    if (!TryBackfillPull(*sensor, req.horizon)) {
       continue;
     }
     break;  // one radio transaction per spacing tick
@@ -203,8 +215,7 @@ uint64_t ProxyNode::SensorWindowLoad(NodeId sensor_id) const {
 }
 
 void ProxyNode::ResetLoadWindow() {
-  for (auto& [id, sensor] : sensors_) {
-    (void)id;
+  for (auto& sensor : sensors_) {
     sensor->window_queries = 0;
     sensor->window_pushes = 0;
   }
@@ -228,9 +239,9 @@ void ProxyNode::Start() { maintenance_timer_.Start(config_.maintenance_period); 
 std::vector<NodeId> ProxyNode::sensors() const {
   std::vector<NodeId> out;
   out.reserve(sensors_.size());
-  for (const auto& [id, state] : sensors_) {
+  for (const auto& state : sensors_) {
     if (!state->is_replica) {
-      out.push_back(id);
+      out.push_back(state->id);
     }
   }
   return out;
@@ -238,23 +249,23 @@ std::vector<NodeId> ProxyNode::sensors() const {
 
 std::vector<NodeId> ProxyNode::replica_sensors() const {
   std::vector<NodeId> out;
-  for (const auto& [id, state] : sensors_) {
+  for (const auto& state : sensors_) {
     if (state->is_replica) {
-      out.push_back(id);
+      out.push_back(state->id);
     }
   }
   return out;
 }
 
 ProxyNode::SensorState& ProxyNode::GetSensor(NodeId sensor_id) {
-  auto it = sensors_.find(sensor_id);
-  PRESTO_CHECK_MSG(it != sensors_.end(), "unknown sensor");
-  return *it->second;
+  SensorState* sensor = FindSensor(sensor_id);
+  PRESTO_CHECK_MSG(sensor != nullptr, "unknown sensor");
+  return *sensor;
 }
 
-const ProxyNode::SensorState* ProxyNode::FindSensor(NodeId sensor_id) const {
-  auto it = sensors_.find(sensor_id);
-  return it == sensors_.end() ? nullptr : it->second.get();
+ProxyNode::SensorState* ProxyNode::FindSensor(NodeId sensor_id) const {
+  SensorState* const* sensor = sensor_index_.Find(sensor_id);
+  return sensor == nullptr ? nullptr : *sensor;
 }
 
 const SummaryCache* ProxyNode::cache(NodeId sensor_id) const {
@@ -330,12 +341,12 @@ void ProxyNode::HandleDataPush(const Message& message) {
     PLOG_WARN("proxy %u: bad push from %u", config_.id, message.src);
     return;
   }
-  auto it = sensors_.find(message.src);
-  if (it == sensors_.end()) {
+  SensorState* pushed_by = FindSensor(message.src);
+  if (pushed_by == nullptr) {
     PLOG_WARN("proxy %u: push from unregistered sensor %u", config_.id, message.src);
     return;
   }
-  SensorState& sensor = *it->second;
+  SensorState& sensor = *pushed_by;
 
   // Every push doubles as a time-sync beacon: the sensor stamped its local clock when
   // it handed the message to the radio, and message.sent_at is that same instant on
@@ -412,8 +423,7 @@ void ProxyNode::MaybeSendModel(SensorState& sensor) {
 
 void ProxyNode::RunMaintenance() {
   const SimTime now = sim_->Now();
-  for (auto& [id, sensor] : sensors_) {
-    (void)id;
+  for (auto& sensor : sensors_) {
     if (sensor->is_replica) {
       continue;  // the owner manages models and configuration for its sensors
     }
@@ -436,8 +446,7 @@ void ProxyNode::RunMaintenance() {
 
 // ---------- queries ----------
 
-void ProxyNode::Answer(const QueryAnswer& answer, const QueryOrigin& origin,
-                       bool is_now) {
+void ProxyNode::Answer(QueryAnswer answer, const QueryOrigin& origin, bool is_now) {
   if (answer.status.ok()) {
     switch (answer.source) {
       case AnswerSource::kCacheHit:
@@ -461,7 +470,7 @@ void ProxyNode::Answer(const QueryAnswer& answer, const QueryOrigin& origin,
       break;  // backfill repair: the pulled data landing in the cache is the answer
     case QueryOrigin::Kind::kToken:
       PRESTO_CHECK_MSG(pull_client_ != nullptr, "token query without a pull client");
-      pull_client_->OnPullDone(origin.token, answer);
+      pull_client_->OnPullDone(origin.token, std::move(answer));
       break;
   }
 }
@@ -471,16 +480,16 @@ void ProxyNode::QueryNow(NodeId sensor_id, double tolerance, Duration latency_bo
   const QueryOrigin origin = QueryOrigin::Token(token);
   ++stats_.queries;
   const SimTime now = sim_->Now();
-  auto it = sensors_.find(sensor_id);
-  if (it == sensors_.end()) {
+  SensorState* queried = FindSensor(sensor_id);
+  if (queried == nullptr) {
     QueryAnswer answer;
     answer.status = NotFoundError("proxy does not manage this sensor");
     answer.issued_at = now;
     answer.completed_at = now;
-    Answer(answer, origin, /*is_now=*/true);
+    Answer(std::move(answer), origin, /*is_now=*/true);
     return;
   }
-  SensorState& sensor = *it->second;
+  SensorState& sensor = *queried;
   sensor.matcher.NoteQuery(latency_bound, tolerance);
   ++sensor.window_queries;
   if (sensor.is_replica) {
@@ -501,7 +510,7 @@ void ProxyNode::QueryNow(NodeId sensor_id, double tolerance, Duration latency_bo
       answer.error_estimate = 0.0;
       answer.issued_at = now;
       answer.completed_at = now;
-      Answer(answer, origin, /*is_now=*/true);
+      Answer(std::move(answer), origin, /*is_now=*/true);
       return;
     }
     // 2) Model extrapolation. With model-driven push the sensor guarantees that any
@@ -521,7 +530,7 @@ void ProxyNode::QueryNow(NodeId sensor_id, double tolerance, Duration latency_bo
           answer.error_estimate = bound;
           answer.issued_at = now;
           answer.completed_at = now;
-          Answer(answer, origin, /*is_now=*/true);
+          Answer(std::move(answer), origin, /*is_now=*/true);
           return;
         }
       }
@@ -541,7 +550,7 @@ void ProxyNode::QueryNow(NodeId sensor_id, double tolerance, Duration latency_bo
       } else {
         answer.status = NotFoundError("nothing cached yet");
       }
-      Answer(answer, origin, /*is_now=*/true);
+      Answer(std::move(answer), origin, /*is_now=*/true);
       return;
     }
   }
@@ -568,7 +577,7 @@ void ProxyNode::AnswerDegradedNow(SensorState& sensor, SimTime now,
       answer.samples = {Sample{now, prediction->value}};
       answer.value = prediction->value;
       answer.error_estimate = std::max(config_.default_tolerance, prediction->stddev);
-      Answer(answer, origin, /*is_now=*/true);
+      Answer(std::move(answer), origin, /*is_now=*/true);
       return;
     }
   }
@@ -580,11 +589,11 @@ void ProxyNode::AnswerDegradedNow(SensorState& sensor, SimTime now,
     answer.value = latest->second.value;
     answer.error_estimate =
         ToSeconds(now - latest->first) / ToSeconds(sensor.sensing_period);
-    Answer(answer, origin, /*is_now=*/true);
+    Answer(std::move(answer), origin, /*is_now=*/true);
     return;
   }
   answer.status = UnavailableError("replica holds no state for this sensor yet");
-  Answer(answer, origin, /*is_now=*/true);
+  Answer(std::move(answer), origin, /*is_now=*/true);
 }
 
 void ProxyNode::QueryPast(NodeId sensor_id, TimeInterval range, double tolerance,
@@ -592,37 +601,40 @@ void ProxyNode::QueryPast(NodeId sensor_id, TimeInterval range, double tolerance
   const QueryOrigin origin = QueryOrigin::Token(token);
   ++stats_.queries;
   const SimTime now = sim_->Now();
-  auto it = sensors_.find(sensor_id);
-  if (it == sensors_.end()) {
+  SensorState* queried = FindSensor(sensor_id);
+  if (queried == nullptr) {
     QueryAnswer answer;
     answer.status = NotFoundError("proxy does not manage this sensor");
     answer.issued_at = now;
     answer.completed_at = now;
-    Answer(answer, origin, /*is_now=*/false);
+    Answer(std::move(answer), origin, /*is_now=*/false);
     return;
   }
-  SensorState& sensor = *it->second;
+  SensorState& sensor = *queried;
   sensor.matcher.NoteQuery(config_.pull_timeout, tolerance);
   ++sensor.window_queries;
   if (sensor.is_replica) {
     ++stats_.degraded_answers;
   }
 
+  // One search locates the range; coverage, the cached samples and the per-period
+  // walk below all read this window (nothing below mutates the cache).
+  SummaryCache::Window window = sensor.cache.View(range);
   if (config_.mode != ProxyMode::kAlwaysPull) {
-    const double coverage = sensor.cache.CoverageFraction(range, sensor.sensing_period);
+    const double coverage = window.CoverageFraction(sensor.sensing_period);
     // 1) The cache alone covers the range densely enough.
     if (coverage >= config_.past_coverage_threshold) {
       QueryAnswer answer;
       answer.status = OkStatus();
       answer.source = AnswerSource::kCacheHit;
-      answer.samples = sensor.cache.Range(range);
+      answer.samples = window.Samples();
       if (!answer.samples.empty()) {
         answer.value = answer.samples.back().value;
       }
       answer.error_estimate = 0.0;
       answer.issued_at = now;
       answer.completed_at = now;
-      Answer(answer, origin, /*is_now=*/false);
+      Answer(std::move(answer), origin, /*is_now=*/false);
       return;
     }
     // 2) Fill the gaps by extrapolation if the model's uncertainty fits the tolerance.
@@ -631,7 +643,7 @@ void ProxyNode::QueryPast(NodeId sensor_id, TimeInterval range, double tolerance
       double worst = 0.0;
       bool extrapolation_ok = true;
       for (SimTime t = range.start; t < range.end; t += sensor.sensing_period) {
-        auto cached = sensor.cache.Nearest(t, sensor.sensing_period / 2);
+        auto cached = window.WalkNearest(t, sensor.sensing_period / 2);
         if (cached.has_value()) {
           merged.push_back(Sample{t, cached->second.value});
           continue;
@@ -655,7 +667,7 @@ void ProxyNode::QueryPast(NodeId sensor_id, TimeInterval range, double tolerance
         answer.error_estimate = worst;
         answer.issued_at = now;
         answer.completed_at = now;
-        Answer(answer, origin, /*is_now=*/false);
+        Answer(std::move(answer), origin, /*is_now=*/false);
         return;
       }
     }
@@ -663,7 +675,7 @@ void ProxyNode::QueryPast(NodeId sensor_id, TimeInterval range, double tolerance
       QueryAnswer answer;
       answer.issued_at = now;
       answer.completed_at = now;
-      answer.samples = sensor.cache.Range(range);
+      answer.samples = window.Samples();
       if (answer.samples.empty()) {
         answer.status = NotFoundError("range not cached and this proxy cannot pull");
       } else {
@@ -672,34 +684,34 @@ void ProxyNode::QueryPast(NodeId sensor_id, TimeInterval range, double tolerance
         answer.value = answer.samples.back().value;
         answer.error_estimate = 1.0 - coverage;
       }
-      Answer(answer, origin, /*is_now=*/false);
+      Answer(std::move(answer), origin, /*is_now=*/false);
       return;
     }
   }
   if (sensor.is_replica) {
-    AnswerDegradedPast(sensor, range, now, origin);
+    AnswerDegradedPast(sensor, window, now, origin);
     return;
   }
   // 3) Pull the range from the sensor's archive.
   IssuePull(sensor, range, tolerance, /*is_now=*/false, now, origin);
 }
 
-void ProxyNode::AnswerDegradedPast(SensorState& sensor, TimeInterval range,
-                                   SimTime now, QueryOrigin origin) {
+void ProxyNode::AnswerDegradedPast(const SensorState& sensor,
+                                   const SummaryCache::Window& window, SimTime now,
+                                   QueryOrigin origin) {
   QueryAnswer answer;
   answer.issued_at = now;
   answer.completed_at = now;
-  answer.samples = sensor.cache.Range(range);
+  answer.samples = window.Samples();
   if (answer.samples.empty()) {
     answer.status = UnavailableError("replica has no replicated data in range");
   } else {
     answer.status = OkStatus();
     answer.source = AnswerSource::kCacheHit;
     answer.value = answer.samples.back().value;
-    answer.error_estimate =
-        1.0 - sensor.cache.CoverageFraction(range, sensor.sensing_period);
+    answer.error_estimate = 1.0 - window.CoverageFraction(sensor.sensing_period);
   }
-  Answer(answer, origin, /*is_now=*/false);
+  Answer(std::move(answer), origin, /*is_now=*/false);
 }
 
 void ProxyNode::IssuePull(SensorState& sensor, TimeInterval range, double tolerance,
@@ -780,7 +792,7 @@ void ProxyNode::FailPull(const PendingPull& pull, const Status& status) {
   for (const PullRider& rider : pull.riders) {
     QueryAnswer rider_answer = answer;
     rider_answer.issued_at = rider.issued_at;
-    Answer(rider_answer, rider.origin, rider.is_now);
+    Answer(std::move(rider_answer), rider.origin, rider.is_now);
   }
 }
 
@@ -814,7 +826,7 @@ void ProxyNode::CompletePullQuery(bool is_now, TimeInterval range, SimTime issue
       answer.error_estimate = 0.0;
     }
   }
-  Answer(answer, origin, is_now);
+  Answer(std::move(answer), origin, is_now);
 }
 
 void ProxyNode::HandleArchiveReply(const Message& message) {
@@ -831,9 +843,7 @@ void ProxyNode::HandleArchiveReply(const Message& message) {
   pending_pulls_.erase(pending);
   pull.timeout.Cancel();
 
-  auto it = sensors_.find(pull.sensor_id);
-  PRESTO_CHECK(it != sensors_.end());
-  SensorState& sensor = *it->second;
+  SensorState& sensor = GetSensor(pull.sensor_id);
   sensor.sync.AddBeacon(msg->local_send_time, message.sent_at);
 
   if (msg->status_code != static_cast<uint8_t>(StatusCode::kOk)) {
@@ -894,8 +904,8 @@ void ProxyNode::HandleReplicaUpdate(const Message& message) {
   if (!msg.ok()) {
     return;
   }
-  auto it = sensors_.find(msg->sensor_id);
-  if (it == sensors_.end()) {
+  SensorState* sensor = FindSensor(msg->sensor_id);
+  if (sensor == nullptr) {
     return;  // builder registers replicated sensors on both proxies
   }
   auto batch = DecodeBatch(msg->batch);
@@ -903,7 +913,7 @@ void ProxyNode::HandleReplicaUpdate(const Message& message) {
     return;
   }
   for (const Sample& s : batch->samples) {
-    it->second->cache.Insert(s.t, s.value, CacheSource::kPushed, sim_->Now());
+    sensor->cache.Insert(s.t, s.value, CacheSource::kPushed, sim_->Now());
   }
 }
 
@@ -912,11 +922,11 @@ void ProxyNode::HandleReplicaModel(const Message& message) {
   if (!msg.ok()) {
     return;
   }
-  auto it = sensors_.find(msg->sensor_id);
-  if (it == sensors_.end()) {
+  SensorState* sensor = FindSensor(msg->sensor_id);
+  if (sensor == nullptr) {
     return;
   }
-  const Status installed = it->second->engine.InstallSerialized(msg->model_params);
+  const Status installed = sensor->engine.InstallSerialized(msg->model_params);
   if (!installed.ok()) {
     PLOG_WARN("proxy %u: replica model install failed: %s", config_.id,
               installed.ToString().c_str());
@@ -944,11 +954,11 @@ void ProxyNode::HandleStateSnapshot(const Message& message) {
               parsed.ToString().c_str());
     return;
   }
-  auto it = sensors_.find(sensor_id);
-  if (it == sensors_.end()) {
+  SensorState* target = FindSensor(sensor_id);
+  if (target == nullptr) {
     return;  // shard moved on while the snapshot was in flight
   }
-  SensorState& sensor = *it->second;
+  SensorState& sensor = *target;
   for (const Sample& s : samples) {
     sensor.cache.Insert(s.t, s.value, CacheSource::kPushed, sim_->Now());
   }
@@ -984,8 +994,8 @@ Status ProxyNode::SaveState(ByteWriter& w) const {
   CkptWrite(w, lane_);
   maintenance_timer_.SaveState(w);
   w.WriteVarU64(sensors_.size());
-  for (const auto& [id, sensor] : sensors_) {
-    CkptWrite(w, id);
+  for (const auto& sensor : sensors_) {
+    CkptWrite(w, sensor->id);
     CkptWrite(w, sensor->is_replica);
     CkptWrite(w, sensor->sensing_period);
     sensor->cache.SaveState(w);
@@ -1070,6 +1080,7 @@ Status ProxyNode::LoadState(ByteReader& r) {
     return DataLossError("proxy restore: sensor count exceeds section bytes");
   }
   sensors_.clear();
+  sensor_index_.Clear();
   for (uint64_t i = 0; i < *sensor_count; ++i) {
     NodeId id = 0;
     CKPT_READ(r, id);
@@ -1087,7 +1098,9 @@ Status ProxyNode::LoadState(ByteReader& r) {
     CKPT_READ(r, sensor->replica_targets);
     CKPT_READ(r, sensor->window_queries);
     CKPT_READ(r, sensor->window_pushes);
-    sensors_.emplace(id, std::move(sensor));
+    if (!AddSensorState(std::move(sensor))) {
+      return DataLossError("proxy restore: duplicate sensor " + std::to_string(id));
+    }
   }
   auto pull_count = r.ReadVarU64();
   if (!pull_count.ok()) {

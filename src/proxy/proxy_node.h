@@ -31,6 +31,7 @@
 #include "src/proxy/summary_cache.h"
 #include "src/sensor/protocol.h"
 #include "src/sim/timer.h"
+#include "src/util/id_map.h"
 #include "src/util/stats.h"
 
 namespace presto {
@@ -71,12 +72,13 @@ void CkptWrite(ByteWriter& w, const QueryAnswer& answer);
 Status CkptRead(ByteReader& r, QueryAnswer& answer);
 
 // Completion target of the query API: the client gets the token it passed to
-// QueryNow/QueryPast back with the answer. Implemented by the unified store; tokens
-// survive a checkpoint.
+// QueryNow/QueryPast back with the answer, which it may keep (the answer is moved,
+// never copied, on its way out). Implemented by the unified store; tokens survive a
+// checkpoint.
 class PullClient {
  public:
   virtual ~PullClient() = default;
-  virtual void OnPullDone(uint64_t token, const QueryAnswer& answer) = 0;
+  virtual void OnPullDone(uint64_t token, QueryAnswer&& answer) = 0;
 };
 
 struct ProxyNodeConfig {
@@ -211,7 +213,7 @@ class ProxyNode : public NetNode, public EventSink {
   std::vector<NodeId> sensors() const;
   // Sensors this proxy holds only standby (replica) state for.
   std::vector<NodeId> replica_sensors() const;
-  bool ManagesSensor(NodeId sensor_id) const { return sensors_.count(sensor_id) > 0; }
+  bool ManagesSensor(NodeId sensor_id) const { return FindSensor(sensor_id) != nullptr; }
   // True when this proxy holds only standby (replica) state for the sensor.
   bool IsReplicaFor(NodeId sensor_id) const;
   // Queries + pushes seen for this sensor since the last ResetLoadWindow() — the
@@ -294,7 +296,9 @@ class ProxyNode : public NetNode, public EventSink {
   };
 
   SensorState& GetSensor(NodeId sensor_id);
-  const SensorState* FindSensor(NodeId sensor_id) const;
+  SensorState* FindSensor(NodeId sensor_id) const;
+  // Adds a sensor state to both tables; false when the id is already registered.
+  bool AddSensorState(std::unique_ptr<SensorState> state);
 
   // Scans `sensor`'s cache for holes and issues the spanning archive pull if any
   // remain; returns whether a pull (a radio transaction) was actually issued.
@@ -319,8 +323,9 @@ class ProxyNode : public NetNode, public EventSink {
   // cache/extrapolation only, never a pull (the owner is down; paper §5's degraded
   // service). The error estimate is honest rather than tolerance-gated.
   void AnswerDegradedNow(SensorState& sensor, SimTime now, QueryOrigin origin);
-  void AnswerDegradedPast(SensorState& sensor, TimeInterval range, SimTime now,
-                          QueryOrigin origin);
+  // `window` is the cache's view of the queried range.
+  void AnswerDegradedPast(const SensorState& sensor, const SummaryCache::Window& window,
+                          SimTime now, QueryOrigin origin);
   void IssuePull(SensorState& sensor, TimeInterval range, double tolerance, bool is_now,
                  SimTime issued_at, QueryOrigin origin);
   // Answers one query (the pull's originator or a rider) from freshly pulled data.
@@ -330,7 +335,7 @@ class ProxyNode : public NetNode, public EventSink {
                          const std::vector<Sample>& pulled, double energy_j);
   // Fails the pull's originator and every rider with `status`.
   void FailPull(const PendingPull& pull, const Status& status);
-  void Answer(const QueryAnswer& answer, const QueryOrigin& origin, bool is_now);
+  void Answer(QueryAnswer answer, const QueryOrigin& origin, bool is_now);
   void Replicate(SensorState& sensor, const std::vector<Sample>& reference_samples);
   // Fails and removes every pending pull addressed to `sensor_id`.
   void AbortPullsFor(NodeId sensor_id, const Status& status);
@@ -345,7 +350,12 @@ class ProxyNode : public NetNode, public EventSink {
   PullClient* pull_client_ = nullptr;
   int lane_ = Simulator::kLaneCurrent;  // set by BindLane (deployments)
   PeriodicTimer maintenance_timer_;
-  std::map<NodeId, std::unique_ptr<SensorState>> sensors_;
+  // Sensor states in ascending id order (maintenance, checkpoints and sensors() walk
+  // it), and an id index over them for the per-message and per-query lookups. Both
+  // change only in RegisterSensor, UnregisterSensor and LoadState, all in control
+  // context; lanes only read the index.
+  std::vector<std::unique_ptr<SensorState>> sensors_;
+  IdMap<SensorState*> sensor_index_;
   std::map<uint32_t, PendingPull> pending_pulls_;
   std::deque<BackfillRequest> backfill_queue_;
   bool backfill_drain_pending_ = false;

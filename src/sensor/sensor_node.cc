@@ -360,11 +360,19 @@ Status SensorNode::LoadState(ByteReader& r) {
   CKPT_READ(r, config_.proxy_id);
   CKPT_READ(r, config_.sensing_period);
   CKPT_READ(r, config_.policy);
+  if (static_cast<uint8_t>(config_.policy) >
+      static_cast<uint8_t>(PushPolicy::kEverySample)) {
+    return DataLossError("sensor restore: push policy out of range");
+  }
   CKPT_READ(r, config_.value_delta);
   CKPT_READ(r, config_.model_tolerance);
   CKPT_READ(r, config_.batch_interval);
   CKPT_READ(r, config_.compress);
   CKPT_READ(r, config_.codec.kind);
+  if (static_cast<uint8_t>(config_.codec.kind) >
+      static_cast<uint8_t>(WaveletKind::kDaubechies4)) {
+    return DataLossError("sensor restore: wavelet kind out of range");
+  }
   CKPT_READ(r, config_.codec.levels);
   CKPT_READ(r, config_.codec.quant_step);
   CKPT_READ(r, config_.codec.denoise);

@@ -69,6 +69,8 @@ template <typename T,
 void CkptWrite(ByteWriter& w, T v) {
   w.WriteVarU64(static_cast<uint64_t>(v));
 }
+// Integer and enum reads refuse a varint the field's type cannot hold: it is data
+// loss, never a silently wrapped value (varint 257 must not restore a uint8_t as 1).
 template <typename T,
           std::enable_if_t<std::is_integral_v<T> && !std::is_same_v<T, bool> &&
                                std::is_unsigned_v<T>,
@@ -77,6 +79,9 @@ Status CkptRead(ByteReader& r, T& v) {
   auto raw = r.ReadVarU64();
   if (!raw.ok()) {
     return raw.status();
+  }
+  if (static_cast<uint64_t>(static_cast<T>(*raw)) != *raw) {
+    return DataLossError("ckpt: value " + std::to_string(*raw) + " overflows its field");
   }
   v = static_cast<T>(*raw);
   return OkStatus();
@@ -94,6 +99,9 @@ Status CkptRead(ByteReader& r, T& v) {
   if (!raw.ok()) {
     return raw.status();
   }
+  if (static_cast<int64_t>(static_cast<T>(*raw)) != *raw) {
+    return DataLossError("ckpt: value " + std::to_string(*raw) + " overflows its field");
+  }
   v = static_cast<T>(*raw);
   return OkStatus();
 }
@@ -102,13 +110,19 @@ template <typename E, std::enable_if_t<std::is_enum_v<E>, int> = 0>
 void CkptWrite(ByteWriter& w, E v) {
   w.WriteVarU64(static_cast<uint64_t>(static_cast<std::underlying_type_t<E>>(v)));
 }
+// An enum reads as its underlying type, under the same overflow rule; whether a
+// value that fits names an enumerator is the caller's check.
 template <typename E, std::enable_if_t<std::is_enum_v<E>, int> = 0>
 Status CkptRead(ByteReader& r, E& v) {
+  using U = std::underlying_type_t<E>;
   auto raw = r.ReadVarU64();
   if (!raw.ok()) {
     return raw.status();
   }
-  v = static_cast<E>(static_cast<std::underlying_type_t<E>>(*raw));
+  if (static_cast<uint64_t>(static_cast<U>(*raw)) != *raw) {
+    return DataLossError("ckpt: value " + std::to_string(*raw) + " overflows its field");
+  }
+  v = static_cast<E>(static_cast<U>(*raw));
   return OkStatus();
 }
 

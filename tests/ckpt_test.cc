@@ -17,6 +17,7 @@
 
 #include "src/core/deployment.h"
 #include "src/core/federation.h"
+#include "src/sensor/sensor_node.h"
 #include "src/util/ckpt.h"
 #include "src/workload/query_driver.h"
 
@@ -539,6 +540,105 @@ TEST(FederationCheckpointTest, RoundTripCarriesInFlightCrossCellQueries) {
     EXPECT_EQ(merged.Hash(), hist_cont);
     EXPECT_EQ(fed.stats().forwarded, forwarded_cont);
   }
+}
+
+// ---------- enum range checks ----------
+
+// The generic integer and enum codecs refuse a varint the field's type cannot hold
+// instead of wrapping it: 257 would otherwise restore a uint8_t enum as 1, a valid
+// value that passes every later range check.
+TEST(CkptEnumTest, OverflowingEnumVarintIsDataLoss) {
+  ByteWriter w;
+  w.WriteVarU64(257);
+  AnswerSource source = AnswerSource::kFailed;
+  ByteReader r{span<const uint8_t>(w.buffer())};
+  EXPECT_EQ(CkptRead(r, source).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(source, AnswerSource::kFailed) << "a refused read leaves the value alone";
+  // Integer fields follow the same rule (a queued network message's uint16_t type,
+  // an int lane).
+  ByteWriter wide;
+  wide.WriteVarU64(70000);
+  wide.WriteVarI64(int64_t{1} << 40);
+  ByteReader narrow{span<const uint8_t>(wide.buffer())};
+  uint16_t type = 0;
+  EXPECT_EQ(CkptRead(narrow, type).code(), StatusCode::kDataLoss);
+  int lane = 0;
+  EXPECT_EQ(CkptRead(narrow, lane).code(), StatusCode::kDataLoss);
+
+  // The same planted tag inside a QueryAnswer body (and so inside a pending store
+  // query, a parked deployment result or trunk mail) fails the whole decode.
+  QueryAnswer answer;
+  answer.status = OkStatus();
+  answer.source = AnswerSource::kExtrapolated;
+  answer.samples = {Sample{Seconds(31), 20.5}};
+  ByteWriter good;
+  CkptWrite(good, answer);
+  ByteWriter planted;
+  CkptWrite(planted, answer.status);
+  planted.WriteVarU64(257);
+  const size_t header = planted.buffer().size();
+  std::vector<uint8_t> bytes = planted.TakeBuffer();
+  // The original body carries the source in one byte right after the status.
+  bytes.insert(bytes.end(), good.buffer().begin() + static_cast<ptrdiff_t>(header - 1),
+               good.buffer().end());
+  QueryAnswer decoded;
+  ByteReader body{span<const uint8_t>(bytes)};
+  EXPECT_EQ(CkptRead(body, decoded).code(), StatusCode::kDataLoss);
+  ByteReader intact{span<const uint8_t>(good.buffer())};
+  ASSERT_TRUE(CkptRead(intact, decoded).ok());
+  EXPECT_EQ(decoded.source, AnswerSource::kExtrapolated);
+}
+
+// A sensor section's push policy and wavelet kind: an overflowing varint and an
+// in-range byte naming no enumerator both restore to DataLoss.
+TEST(CkptEnumTest, SensorSectionRejectsBadPolicyAndCodecKind) {
+  Simulator sim;
+  Network net(&sim, NetworkParams{}, 1);
+  SensorNodeConfig config;
+  config.id = 100;
+  config.proxy_id = 1;
+  SensorNode sensor(&sim, &net, config, [](SimTime) { return 20.0; });
+  ByteWriter w;
+  sensor.SaveState(w);
+  const std::vector<uint8_t> blob = w.TakeBuffer();
+  // Field offsets: proxy id, sensing period, then the policy; value_delta,
+  // model_tolerance, batch_interval and compress sit between it and the kind.
+  ByteReader r{span<const uint8_t>(blob)};
+  NodeId proxy_id = 0;
+  Duration period = 0;
+  ASSERT_TRUE(CkptRead(r, proxy_id).ok());
+  ASSERT_TRUE(CkptRead(r, period).ok());
+  const size_t policy_at = blob.size() - r.remaining();
+  PushPolicy policy{};
+  double value_delta = 0.0;
+  double tolerance = 0.0;
+  Duration batch_interval = 0;
+  bool compress = false;
+  ASSERT_TRUE(CkptRead(r, policy).ok());
+  ASSERT_TRUE(CkptRead(r, value_delta).ok());
+  ASSERT_TRUE(CkptRead(r, tolerance).ok());
+  ASSERT_TRUE(CkptRead(r, batch_interval).ok());
+  ASSERT_TRUE(CkptRead(r, compress).ok());
+  const size_t kind_at = blob.size() - r.remaining();
+  ASSERT_EQ(blob[policy_at], static_cast<uint8_t>(config.policy));
+  ASSERT_EQ(blob[kind_at], static_cast<uint8_t>(config.codec.kind));
+
+  const auto load = [&](size_t at, std::vector<uint8_t> tag) {
+    std::vector<uint8_t> bytes = blob;
+    bytes.erase(bytes.begin() + static_cast<ptrdiff_t>(at));
+    bytes.insert(bytes.begin() + static_cast<ptrdiff_t>(at), tag.begin(), tag.end());
+    Simulator fresh_sim;
+    Network fresh_net(&fresh_sim, NetworkParams{}, 1);
+    SensorNode fresh(&fresh_sim, &fresh_net, config, [](SimTime) { return 20.0; });
+    ByteReader reader{span<const uint8_t>(bytes)};
+    return fresh.LoadState(reader);
+  };
+  ASSERT_TRUE(load(policy_at, {blob[policy_at]}).ok()) << "the unplanted bytes restore";
+  const std::vector<uint8_t> varint_257 = {0x81, 0x02};
+  EXPECT_EQ(load(policy_at, varint_257).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(load(policy_at, {5}).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(load(kind_at, varint_257).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(load(kind_at, {2}).code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

@@ -5,9 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <memory>
+#include <vector>
 
 #include "src/core/architectures.h"
 #include "src/core/deployment.h"
+#include "src/core/unified_store.h"
+#include "src/index/skip_graph.h"
+#include "src/util/ckpt.h"
 
 namespace presto {
 namespace {
@@ -58,6 +64,111 @@ TEST(DeploymentTest, UnifiedStoreRoutesToEverySensor) {
     }
   }
   EXPECT_EQ(deployment.store().stats().unroutable, 0u);
+}
+
+// A bare store over three cache-only proxies (answers complete at the execute stage,
+// no radio), recording every completion.
+struct StoreRig : UnifiedStore::Client {
+  static constexpr uint64_t kIndexSeed = 0x5eed;
+  Simulator sim;
+  Network net{&sim, NetworkParams{}, 3};
+  std::vector<std::unique_ptr<ProxyNode>> proxies;
+  UnifiedStore store{&sim, &net, kIndexSeed};
+  std::map<uint64_t, UnifiedQueryResult> results;
+  uint64_t next_token = 1;
+
+  StoreRig() {
+    for (const NodeId id : {NodeId{1000}, NodeId{2000}, NodeId{3000}}) {
+      ProxyNodeConfig pc;
+      pc.id = id;
+      pc.mode = ProxyMode::kCacheOnly;
+      pc.manage_models = false;
+      pc.enable_matcher = false;
+      proxies.push_back(std::make_unique<ProxyNode>(&sim, &net, pc));
+      for (NodeId s = 1; s <= 40; ++s) {
+        proxies.back()->RegisterSensor(id + 3 * s, Seconds(31));
+      }
+    }
+    for (auto& proxy : proxies) {
+      store.AddProxy(proxy.get());
+    }
+    store.SetClient(this);
+  }
+
+  void OnStoreQueryDone(uint64_t token, UnifiedQueryResult&& result) override {
+    results[token] = std::move(result);
+  }
+
+  UnifiedQueryResult Route(NodeId sensor) {
+    QuerySpec spec;
+    spec.sensor_id = sensor;
+    const uint64_t token = next_token++;
+    store.Query(spec, token);
+    sim.RunAll();
+    return results.at(token);
+  }
+};
+
+// The route table must answer exactly what SkipGraph::Search answers — owner and hop
+// count — for every key, after the initial AddProxy calls, an owner overwrite, a new
+// key that re-links its neighbours, and a checkpoint restore. The reference graph
+// replays the store's index inserts with its seed. (The store never erases index
+// keys, so there is no erase path to keep in step.)
+TEST(UnifiedStoreTest, RouteTableMatchesSkipGraphSearch) {
+  StoreRig rig;
+  SkipGraph reference(StoreRig::kIndexSeed);
+  std::vector<NodeId> keys;
+  for (const auto& proxy : rig.proxies) {
+    for (const NodeId sensor : proxy->sensors()) {
+      reference.Insert(sensor, proxy->config().id);
+      keys.push_back(sensor);
+    }
+  }
+  const auto check = [&](StoreRig& store_rig, const char* stage) {
+    SCOPED_TRACE(stage);
+    for (const NodeId key : keys) {
+      const SkipGraph::SearchStats want = reference.Search(key);
+      const UnifiedQueryResult got = store_rig.Route(key);
+      EXPECT_EQ(got.index_hops, want.hops) << key;
+      EXPECT_EQ(got.served_by, static_cast<NodeId>(want.value)) << key;
+      EXPECT_EQ(got.answer.status.code(), StatusCode::kNotFound) << "nothing cached";
+    }
+    // A sensor the index lacks is charged its failed search's hops.
+    for (const NodeId unknown : {NodeId{1}, NodeId{2500}, NodeId{99999}}) {
+      const UnifiedQueryResult got = store_rig.Route(unknown);
+      EXPECT_EQ(got.index_hops, reference.Search(unknown).hops) << unknown;
+      EXPECT_EQ(got.answer.status.message(), "sensor not in the distributed index");
+    }
+  };
+  check(rig, "built");
+  EXPECT_EQ(rig.store.IndexSize(), 120);
+
+  // Overwrite: sensor 1003 fails over to a replica registration on proxy 2000.
+  rig.proxies[1]->RegisterSensor(1003, Seconds(31), /*replica=*/true);
+  rig.store.ReassignSensor(1003, 2000);
+  reference.Insert(1003, 2000);
+  check(rig, "overwrite");
+
+  // A new key between existing ones re-links the graph around it.
+  rig.proxies[2]->RegisterSensor(2050, Seconds(31));
+  rig.store.ReassignSensor(2050, 3000);
+  reference.Insert(2050, 3000);
+  keys.push_back(2050);
+  check(rig, "new key");
+  EXPECT_EQ(rig.store.IndexSize(), 121);
+
+  // Restore into an identically built store.
+  ByteWriter w;
+  ASSERT_TRUE(rig.store.SaveState(w).ok());
+  StoreRig restored;
+  restored.proxies[1]->RegisterSensor(1003, Seconds(31), /*replica=*/true);
+  restored.proxies[2]->RegisterSensor(2050, Seconds(31));
+  ByteReader r{span<const uint8_t>(w.buffer())};
+  ASSERT_TRUE(restored.store.LoadState(r).ok());
+  EXPECT_EQ(restored.store.stats().total_index_hops, rig.store.stats().total_index_hops);
+  check(restored, "restored");
+  check(rig, "original, after the save");
+  EXPECT_EQ(restored.store.stats().total_index_hops, rig.store.stats().total_index_hops);
 }
 
 TEST(DeploymentTest, UnknownSensorIsUnroutable) {

@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/net/cell_link.h"
 #include "src/net/network.h"
 #include "src/sim/simulator.h"
+#include "src/util/bytes.h"
 
 namespace presto {
 namespace {
@@ -240,6 +242,66 @@ TEST(NetworkTest, NodeDownAbandonsItsPendingBatches) {
   h.sim.RunAll();
   EXPECT_EQ(h.proxy.messages.size(), 2u);
   EXPECT_EQ(h.net->stats().batch_flushes, 1u);
+}
+
+TEST(NetworkDeathTest, UnknownNodeIdsCheckFail) {
+  Harness h;
+  EXPECT_DEATH(h.net->NodeLane(77), "unknown node id");
+  EXPECT_DEATH(h.net->IsNodeDown(77), "unknown node id");
+  EXPECT_DEATH(h.net->Send(1, 77, 1, {1}), "unknown node id");
+  EXPECT_DEATH(h.net->Send(77, 1, 1, {1}), "unknown node id");
+  Recorder late;
+  EXPECT_DEATH(h.net->AttachNode(2, &late, NodeRadioConfig{}, nullptr),
+               "duplicate node id");
+}
+
+// Many nodes and links in the id-indexed tables: every send finds its endpoints, its
+// wired link and its loss override, and a checkpoint writes them in ascending order
+// whatever order they were declared in (a restore into an identically built network
+// reproduces the bytes).
+TEST(NetworkTest, IdTablesRoundTripThroughACheckpoint) {
+  const auto build = [](Simulator* sim, std::vector<Recorder>* nodes) {
+    auto net = std::make_unique<Network>(sim, NetworkParams{}, /*seed=*/5);
+    NodeRadioConfig powered;
+    powered.powered = true;
+    for (size_t i = 0; i < nodes->size(); ++i) {
+      // Declared in descending id order, spread over the id space.
+      const NodeId id = static_cast<NodeId>((nodes->size() - i) * 7919);
+      net->AttachNode(id, &(*nodes)[i], powered, nullptr);
+    }
+    for (NodeId a = 1; a < 10; ++a) {
+      net->ConnectWired(a * 7919, (a + 20) * 7919, Millis(a));
+      net->SetLinkLoss((a + 30) * 7919, a * 7919, 0.25);
+    }
+    return net;
+  };
+  Simulator sim;
+  std::vector<Recorder> nodes(64);
+  std::unique_ptr<Network> net = build(&sim, &nodes);
+  for (NodeId a = 1; a < 10; ++a) {
+    net->Send((a + 20) * 7919, a * 7919, 1, {1, 2, 3});  // wired, latency a ms
+  }
+  sim.RunAll();
+  EXPECT_EQ(net->stats().wired_messages, 9u);
+  for (NodeId a = 1; a < 10; ++a) {
+    const Recorder& receiver = nodes[nodes.size() - a];
+    ASSERT_EQ(receiver.messages.size(), 1u) << a;
+    const Duration serialization = static_cast<Duration>(
+        3 * 8.0 / NetworkParams{}.wired_bit_rate_bps * static_cast<double>(kSecond));
+    EXPECT_EQ(receiver.messages[0].delivered_at - receiver.messages[0].sent_at,
+              Millis(a) + serialization);
+  }
+  ByteWriter w;
+  ASSERT_TRUE(net->SaveState(w).ok());
+  const std::vector<uint8_t> bytes = w.TakeBuffer();
+  Simulator sim2;
+  std::vector<Recorder> nodes2(64);
+  std::unique_ptr<Network> restored = build(&sim2, &nodes2);
+  ByteReader r{span<const uint8_t>(bytes)};
+  ASSERT_TRUE(restored->LoadState(r).ok());
+  ByteWriter again;
+  ASSERT_TRUE(restored->SaveState(again).ok());
+  EXPECT_EQ(again.buffer(), bytes);
 }
 
 TEST(NetworkTest, PerLinkLossOverride) {

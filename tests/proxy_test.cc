@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <iterator>
 #include <map>
+#include <string>
 
 #include "src/net/network.h"
 #include "src/proxy/proxy_node.h"
@@ -29,8 +31,8 @@ double Diurnal(SimTime t) {
 // Records every answer a proxy hands back, keyed by query token.
 struct RecordingClient : PullClient {
   std::map<uint64_t, QueryAnswer> answers;
-  void OnPullDone(uint64_t token, const QueryAnswer& answer) override {
-    answers[token] = answer;
+  void OnPullDone(uint64_t token, QueryAnswer&& answer) override {
+    answers[token] = std::move(answer);
   }
 };
 
@@ -463,6 +465,129 @@ TEST(SummaryCacheTest, LoadStateRejectsMalformedBytes) {
   }
 }
 
+// The interpolation-seeded search and the forward Nearest walk, on the series shapes
+// that stress a guess: near-periodic with jitter and holes, a sparse push series
+// densely refilled out of order (BM_SummaryCacheFillHoles' shape), large gaps that
+// skew the time-to-position map, one entry, and a head past evicted slots. The
+// search must land where std::lower_bound does (seen through a window's size and its
+// entries), and every walk probe must equal the per-probe Nearest of the map oracle.
+TEST(SummaryCacheTest, SeededSearchAndWalkMatchTheReference) {
+  constexpr Duration kPeriod = Seconds(31);
+  struct Shape {
+    const char* name;
+    size_t cap;
+    std::function<void(Pcg32&, const std::function<void(SimTime, CacheSource)>&)> fill;
+  };
+  const std::vector<Shape> shapes = {
+      {"jittered", 1 << 20,
+       [](Pcg32& rng, const std::function<void(SimTime, CacheSource)>& insert) {
+         for (int64_t i = 0; i < 420; ++i) {
+           if (rng.UniformInt(0, 9) != 0) {
+             insert(i * kPeriod + rng.UniformInt(-Seconds(3), Seconds(3)),
+                    CacheSource::kPushed);
+           }
+         }
+       }},
+      {"refilled", 1 << 20,
+       [](Pcg32& rng, const std::function<void(SimTime, CacheSource)>& insert) {
+         constexpr int64_t kSlots = Hours(36) / kPeriod;
+         constexpr int64_t kWindow = Hours(3) / kPeriod;
+         for (int64_t slot = 0; slot < kSlots; slot += 50) {
+           insert(slot * kPeriod, CacheSource::kPushed);
+         }
+         std::vector<int64_t> windows;
+         for (int64_t first = 0; first < kSlots; first += kWindow) {
+           windows.push_back(first);
+         }
+         for (size_t i = windows.size() - 1; i > 0; --i) {
+           std::swap(windows[i], windows[static_cast<size_t>(
+                                     rng.UniformInt(0, static_cast<int64_t>(i)))]);
+         }
+         for (const int64_t first : windows) {
+           for (int64_t slot = first; slot < std::min(first + kWindow, kSlots); ++slot) {
+             insert(slot * kPeriod, CacheSource::kPulled);
+           }
+         }
+       }},
+      {"gaps", 1 << 20,
+       [](Pcg32& rng, const std::function<void(SimTime, CacheSource)>& insert) {
+         SimTime t = 0;
+         for (int i = 0; i < 400; ++i) {
+           t += rng.UniformInt(0, 19) == 0 ? rng.UniformInt(Hours(1), Days(3)) : kPeriod;
+           insert(t, CacheSource::kPushed);
+         }
+       }},
+      {"single", 1 << 20,
+       [](Pcg32&, const std::function<void(SimTime, CacheSource)>& insert) {
+         insert(Hours(5), CacheSource::kPushed);
+       }},
+      {"evicted_head", 300,
+       [](Pcg32& rng, const std::function<void(SimTime, CacheSource)>& insert) {
+         for (int64_t i = 0; i < 1000; ++i) {
+           insert(i * kPeriod + rng.UniformInt(0, Seconds(5)), CacheSource::kPushed);
+         }
+       }},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    SummaryCache cache(shape.cap);
+    MapCache oracle(shape.cap);
+    Pcg32 rng(0xfeed);
+    shape.fill(rng, [&](SimTime t, CacheSource source) {
+      cache.Insert(t, 20.0 + static_cast<double>(t % 97), source, t);
+      oracle.Insert(t, 20.0 + static_cast<double>(t % 97), source, t);
+    });
+    if (std::string(shape.name) == "evicted_head") {
+      const SimTime cut = std::next(oracle.entries().begin(), 40)->first;
+      cache.EvictBefore(cut);
+      oracle.EvictBefore(cut);
+    }
+    ASSERT_EQ(Saved(cache), [&] {
+      ByteWriter w;
+      oracle.SaveState(w);
+      return w.TakeBuffer();
+    }());
+    std::vector<SimTime> keys;
+    for (const auto& [t, v] : oracle.entries()) {
+      keys.push_back(t);
+    }
+    const SimTime lo = keys.front() - Hours(1);
+    const SimTime hi = keys.back() + Hours(1);
+    std::vector<SimTime> probes;
+    for (const SimTime t : keys) {
+      probes.insert(probes.end(), {t - 1, t, t + 1});
+    }
+    for (int i = 0; i < 2000; ++i) {
+      probes.push_back(rng.UniformInt(lo, hi));
+    }
+    for (const SimTime t : probes) {
+      const size_t at = static_cast<size_t>(
+          std::lower_bound(keys.begin(), keys.end(), t) - keys.begin());
+      ASSERT_EQ(cache.View(TimeInterval{t, hi + 1}).size(), keys.size() - at) << t;
+      const TimeInterval range{t, t + rng.UniformInt(-kPeriod, Hours(2))};
+      ExpectSameRange(cache.RangeEntries(range), oracle.RangeEntries(range));
+      ASSERT_EQ(cache.View(range).size(), oracle.RangeEntries(range).size());
+    }
+    // Past-query walks: one probe per period (or a coarser or finer stride) from a
+    // random start, each against an independent per-probe search.
+    for (int walk = 0; walk < 300; ++walk) {
+      const SimTime start = rng.UniformInt(lo, hi);
+      const TimeInterval range{start, start + rng.UniformInt(0, Hours(4))};
+      const Duration stride = rng.UniformInt(1, 3) * kPeriod / 2;
+      const Duration gap = rng.UniformInt(0, kPeriod);
+      SummaryCache::Window window = cache.View(range);
+      for (SimTime t = range.start; t < range.end; t += stride) {
+        const auto walked = window.WalkNearest(t, gap);
+        ExpectSameEntry(walked, oracle.Nearest(t, gap));
+        ExpectSameEntry(walked, cache.Nearest(t, gap));
+      }
+      if (HasFailure()) {
+        return;
+      }
+    }
+  }
+}
+
 // ---------- proxy behaviour ----------
 
 TEST(ProxyNodeTest, PushesPopulateCacheAndFitModel) {
@@ -594,6 +719,33 @@ TEST(ProxyNodeTest, UnknownSensorFailsCleanly) {
   const QueryAnswer& a = rig.client.answers[7];
   EXPECT_FALSE(a.status.ok());
   EXPECT_EQ(a.status.code(), StatusCode::kNotFound);
+  rig.proxy->QueryPast(999, TimeInterval{0, Hours(1)}, 1.0, /*token=*/8);
+  ASSERT_EQ(rig.client.answers.count(8), 1u);
+  EXPECT_EQ(rig.client.answers[8].status.code(), StatusCode::kNotFound);
+  // The read-only lookups answer "absent", as they did over the old map.
+  EXPECT_FALSE(rig.proxy->ManagesSensor(999));
+  EXPECT_FALSE(rig.proxy->IsReplicaFor(999));
+  EXPECT_EQ(rig.proxy->SensorWindowLoad(999), 0u);
+  EXPECT_EQ(rig.proxy->cache(999), nullptr);
+  EXPECT_EQ(rig.proxy->engine(999), nullptr);
+  EXPECT_EQ(rig.proxy->SyncResidualRms(999).status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(rig.proxy->CachedRange(999, TimeInterval{0, Hours(1)}).empty());
+  // An unregistered sensor leaves every lookup, and registering it again works.
+  rig.proxy->RegisterSensor(555, Seconds(31), /*replica=*/true);
+  EXPECT_TRUE(rig.proxy->IsReplicaFor(555));
+  rig.proxy->UnregisterSensor(555);
+  EXPECT_FALSE(rig.proxy->ManagesSensor(555));
+  EXPECT_EQ(rig.proxy->cache(555), nullptr);
+  rig.proxy->RegisterSensor(555, Seconds(31));
+  EXPECT_EQ(rig.proxy->sensors(), (std::vector<NodeId>{100, 555}));
+}
+
+TEST(ProxyNodeDeathTest, UnknownSensorMutationsCheckFail) {
+  Rig rig;
+  EXPECT_DEATH(rig.proxy->PromoteSensor(999), "unknown sensor");
+  EXPECT_DEATH(rig.proxy->SetReplicaTargets(999, {}), "unknown sensor");
+  EXPECT_DEATH(rig.proxy->UnregisterSensor(999), "unregistering unknown sensor");
+  EXPECT_DEATH(rig.proxy->RegisterSensor(100, Seconds(31)), "sensor already registered");
 }
 
 TEST(ProxyNodeTest, RestoreRejectsOutOfRangeQueryOrigin) {

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <memory>
 #include <vector>
 
 #include "src/util/bitpack.h"
 #include "src/util/bytes.h"
+#include "src/util/id_map.h"
 #include "src/util/result.h"
 #include "src/util/ring_buffer.h"
 #include "src/util/rng.h"
@@ -422,6 +425,104 @@ TEST(TextTableTest, AlignedOutputAndCsv) {
   EXPECT_NE(s.find("name"), std::string::npos);
   EXPECT_NE(s.find("long-name"), std::string::npos);
   EXPECT_EQ(t.ToCsv(), "name,value\na,1.5\nlong-name,42\n");
+}
+
+// ---------- IdMap / StableIdMap ----------
+
+// Random inserts, overwrites and erases against std::map, over clustered keys (probe
+// runs collide and wrap) and keys spread over all 64 bits (the multiply-shift hash
+// must not lean on low bits). Every key's presence and value must agree after every
+// operation, and SortedKeys must list the map's keys.
+TEST(IdMapTest, MatchesStdMapUnderRandomOps) {
+  for (const bool spread : {false, true}) {
+    SCOPED_TRACE(spread);
+    IdMap<int> table;
+    std::map<uint64_t, int> oracle;
+    Pcg32 rng(spread ? 0x1d : 0x2e);
+    std::vector<uint64_t> universe;
+    for (int i = 0; i < 300; ++i) {
+      universe.push_back(spread ? rng.NextU64()
+                                : 1000 + static_cast<uint64_t>(i % 150) * 64);
+    }
+    for (int op = 0; op < 20000; ++op) {
+      const uint64_t key = universe[static_cast<size_t>(rng.UniformInt(0, 299))];
+      const int value = static_cast<int>(rng.UniformInt(0, 1 << 20));
+      switch (rng.UniformInt(0, 3)) {
+        case 0: {
+          const auto [stored, inserted] = table.Emplace(key, value);
+          const bool want = oracle.emplace(key, value).second;
+          ASSERT_EQ(inserted, want);
+          EXPECT_EQ(*stored, oracle.at(key));
+          break;
+        }
+        case 1:
+          table[key] = value;
+          oracle[key] = value;
+          break;
+        default:
+          ASSERT_EQ(table.Erase(key), oracle.erase(key) == 1);
+          break;
+      }
+      ASSERT_EQ(table.size(), oracle.size());
+      if (op % 97 == 0) {
+        for (const uint64_t probe : universe) {
+          const int* got = table.Find(probe);
+          const auto want = oracle.find(probe);
+          ASSERT_EQ(got != nullptr, want != oracle.end()) << probe;
+          if (got != nullptr) {
+            EXPECT_EQ(*got, want->second);
+          }
+        }
+        std::vector<uint64_t> keys;
+        for (const auto& [k, v] : oracle) {
+          keys.push_back(k);
+        }
+        ASSERT_EQ(table.SortedKeys(), keys);
+      }
+    }
+    table.Clear();
+    EXPECT_TRUE(table.empty());
+    EXPECT_EQ(table.Find(universe[0]), nullptr);
+    EXPECT_FALSE(table.Erase(universe[0]));
+  }
+}
+
+TEST(IdMapTest, ReleasesErasedValues) {
+  IdMap<std::shared_ptr<int>> table;
+  auto owned = std::make_shared<int>(7);
+  table[5] = owned;
+  EXPECT_EQ(owned.use_count(), 2);
+  EXPECT_TRUE(table.Erase(5));
+  EXPECT_EQ(owned.use_count(), 1);
+}
+
+// Entries keep their address while others come and go, and slots are recycled.
+TEST(StableIdMapTest, SlotsNeverMoveAndAreRecycled) {
+  StableIdMap<std::vector<int>> table;
+  std::vector<int>& first = table.Insert(1, {1});
+  for (uint64_t id = 2; id < 2000; ++id) {
+    table.Insert(id, {static_cast<int>(id)});
+    if (id % 3 == 0) {
+      ASSERT_TRUE(table.Erase(id - 1));
+    }
+  }
+  EXPECT_EQ(table.Find(1), &first);
+  EXPECT_EQ(first, std::vector<int>{1});
+  EXPECT_EQ(table.Find(2), nullptr);
+  const std::optional<std::vector<int>> taken = table.Take(1);
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_EQ(*taken, std::vector<int>{1});
+  EXPECT_FALSE(table.Take(1).has_value());
+  // The freed slot is the next one handed out, and it starts from the new value.
+  EXPECT_EQ(&table.Insert(5000, {9}), &first);
+  EXPECT_EQ(first, std::vector<int>{9});
+  uint64_t previous = 0;
+  for (const auto& [id, entry] : table.Sorted()) {
+    EXPECT_GT(id, previous);
+    EXPECT_EQ(entry, table.Find(id));
+    previous = id;
+  }
+  EXPECT_EQ(table.Sorted().size(), table.size());
 }
 
 }  // namespace
