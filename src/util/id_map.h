@@ -40,7 +40,6 @@ class IdMap {
   using Key = uint64_t;
 
   size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
 
   V* Find(Key key) {
     return const_cast<V*>(static_cast<const IdMap&>(*this).Find(key));

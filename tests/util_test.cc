@@ -481,7 +481,7 @@ TEST(IdMapTest, MatchesStdMapUnderRandomOps) {
       }
     }
     table.Clear();
-    EXPECT_TRUE(table.empty());
+    EXPECT_EQ(table.size(), 0u);
     EXPECT_EQ(table.Find(universe[0]), nullptr);
     EXPECT_FALSE(table.Erase(universe[0]));
   }
