@@ -165,9 +165,9 @@ struct BenchSocketWorkers {
     }
   }
   void Fill(FederationConfig& config) const {
-    config.num_endpoints = static_cast<int>(workers.size());
-    for (size_t i = 0; i < workers.size(); ++i) {
-      config.cell_endpoints[i] = MakeFedEndpoint("127.0.0.1", workers[i].port);
+    config.cell_endpoints.clear();
+    for (const SpawnedCellWorker& worker : workers) {
+      config.cell_endpoints.push_back({"127.0.0.1", worker.port});
     }
   }
 };

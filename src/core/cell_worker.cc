@@ -10,10 +10,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iterator>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "src/util/assert.h"
@@ -29,27 +27,6 @@ int TotalSensors(const FederationConfig& config) {
 
 std::string CellPrefix(int cell_index) {
   return "cell" + std::to_string(cell_index) + "/";
-}
-
-// FederationConfig and QueryDriverParams cross the seam as length-prefixed raw
-// struct bytes; both ends go through this pair.
-template <typename T>
-void WriteRaw(ByteWriter& w, const T& v) {
-  static_assert(std::is_trivially_copyable<T>::value, "rides the wire as raw bytes");
-  w.WriteBytes(span<const uint8_t>(reinterpret_cast<const uint8_t*>(&v), sizeof(T)));
-}
-
-template <typename T>
-Status ReadRaw(ByteReader& r, T* v) {
-  auto raw = r.ReadBytes();
-  if (!raw.ok()) {
-    return raw.status();
-  }
-  if (raw->size() != sizeof(T)) {
-    return DataLossError("cell_worker: raw struct size mismatch");
-  }
-  std::memcpy(static_cast<void*>(v), raw->data(), sizeof(T));
-  return OkStatus();
 }
 
 // The op's payload fields in wire order — one list for both codec directions, so
@@ -116,6 +93,57 @@ Status DecodeCellControl(FedFrameType type, span<const uint8_t> payload,
   PRESTO_RETURN_IF_ERROR(s);
   if (r.remaining() != 0) {
     return DataLossError("cell_worker: control op trailing bytes");
+  }
+  return OkStatus();
+}
+
+// ---------------------------------------------------------------------------
+// Bootstrap and attach-driver codecs.
+// ---------------------------------------------------------------------------
+
+std::vector<uint8_t> EncodeBootstrap(const FederationConfig& config, int worker_index,
+                                     int num_workers) {
+  ByteWriter w;
+  CkptWrite(w, config);
+  CkptWrite(w, worker_index);
+  CkptWrite(w, num_workers);
+  return w.TakeBuffer();
+}
+
+Status DecodeBootstrap(span<const uint8_t> payload, FederationConfig* config,
+                       int* worker_index, int* num_workers) {
+  ByteReader r{payload};
+  *config = FederationConfig{};
+  CKPT_READ(r, *config);
+  CKPT_READ(r, *worker_index);
+  CKPT_READ(r, *num_workers);
+  if (r.remaining() != 0) {
+    return DataLossError("cell_worker: bootstrap trailing bytes");
+  }
+  if (*num_workers < 1 || *worker_index < 0 || *worker_index >= *num_workers ||
+      config->num_cells < 1 || config->cell.num_proxies < 1 ||
+      config->cell.sensors_per_proxy < 1 || config->epoch <= 0) {
+    return InvalidArgumentError("cell_worker: bad bootstrap parameters");
+  }
+  return OkStatus();
+}
+
+std::vector<uint8_t> EncodeAttachDriver(int origin_cell,
+                                        const QueryDriverParams& params) {
+  ByteWriter w;
+  CkptWrite(w, origin_cell);
+  CkptWrite(w, params);
+  return w.TakeBuffer();
+}
+
+Status DecodeAttachDriver(span<const uint8_t> payload, int* origin_cell,
+                          QueryDriverParams* params) {
+  ByteReader r{payload};
+  *params = QueryDriverParams{};
+  CKPT_READ(r, *origin_cell);
+  CKPT_READ(r, *params);
+  if (r.remaining() != 0) {
+    return DataLossError("cell_worker: attach-driver trailing bytes");
   }
   return OkStatus();
 }
@@ -467,11 +495,8 @@ Status FrameTransport::DecodeOutput(const std::vector<uint8_t>& payload,
 
 Status FrameTransport::Bootstrap(const FederationConfig& config, int worker_index,
                                  int num_workers) {
-  ByteWriter payload;
-  WriteRaw(payload, config);
-  CkptWrite(payload, worker_index);
-  CkptWrite(payload, num_workers);
-  auto reply = Call(FedFrameType::kBootstrap, payload.TakeBuffer());
+  auto reply =
+      Call(FedFrameType::kBootstrap, EncodeBootstrap(config, worker_index, num_workers));
   if (!reply.ok()) {
     return reply.status();
   }
@@ -483,10 +508,8 @@ Status FrameTransport::Bootstrap(const FederationConfig& config, int worker_inde
 
 Result<int> FrameTransport::AttachDriver(int origin_cell,
                                          const QueryDriverParams& params) {
-  ByteWriter w;
-  CkptWrite(w, origin_cell);
-  WriteRaw(w, params);
-  auto reply = Call(FedFrameType::kAttachDriver, w.TakeBuffer());
+  auto reply =
+      Call(FedFrameType::kAttachDriver, EncodeAttachDriver(origin_cell, params));
   if (!reply.ok()) {
     return reply.status();
   }
@@ -631,10 +654,10 @@ Result<std::unique_ptr<FrameTransport>> ConnectCellWorker(const FedEndpoint& end
                                                           const FederationConfig& config,
                                                           int worker_index,
                                                           int num_workers) {
-  if (endpoint.host[0] == '\0' || endpoint.port == 0) {
+  if (endpoint.host.empty() || endpoint.port == 0) {
     return InvalidArgumentError("federation: empty cell endpoint");
   }
-  auto fd = TcpConnect(endpoint.host, endpoint.port, deadline);
+  auto fd = TcpConnect(endpoint.host.c_str(), endpoint.port, deadline);
   if (!fd.ok()) {
     return fd.status();
   }
@@ -699,12 +722,8 @@ Status CellWorker::Dispatch(FedFrame& request, FedFrame* reply) {
   switch (request.type) {
     case FedFrameType::kAttachDriver: {
       int origin = 0;
-      QueryDriverParams params{};
-      CKPT_READ(r, origin);
-      PRESTO_RETURN_IF_ERROR(ReadRaw(r, &params));
-      if (r.remaining() != 0) {
-        return DataLossError("cell_worker: attach-driver trailing bytes");
-      }
+      QueryDriverParams params;
+      PRESTO_RETURN_IF_ERROR(DecodeAttachDriver(payload, &origin, &params));
       auto slot = host_->AttachDriver(origin, params);
       if (!slot.ok()) {
         return slot.status();
@@ -776,20 +795,10 @@ Status CellWorker::Bootstrap(span<const uint8_t> payload) {
   if (host_ != nullptr) {
     return FailedPreconditionError("cell_worker: already bootstrapped");
   }
-  ByteReader r{payload};
-  FederationConfig config{};
+  FederationConfig config;
   int worker_index = 0, num_workers = 1;
-  PRESTO_RETURN_IF_ERROR(ReadRaw(r, &config));
-  CKPT_READ(r, worker_index);
-  CKPT_READ(r, num_workers);
-  if (r.remaining() != 0) {
-    return DataLossError("cell_worker: bootstrap trailing bytes");
-  }
-  if (num_workers < 1 || worker_index < 0 || worker_index >= num_workers ||
-      config.num_cells < 1 || config.cell.num_proxies < 1 ||
-      config.cell.sensors_per_proxy < 1 || config.epoch <= 0) {
-    return InvalidArgumentError("cell_worker: bad bootstrap parameters");
-  }
+  PRESTO_RETURN_IF_ERROR(
+      DecodeBootstrap(payload, &config, &worker_index, &num_workers));
   host_ = std::make_unique<CellHost>(config, worker_index, num_workers);
   return OkStatus();
 }

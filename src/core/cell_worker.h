@@ -59,6 +59,21 @@ std::vector<uint8_t> EncodeCellControl(const CellControl& op);
 Status DecodeCellControl(FedFrameType type, span<const uint8_t> payload,
                          CellControl* op);
 
+// The kBootstrap payload: the config fields a worker builds its cells from
+// (FederationConfig's field list), then the worker's slot.
+std::vector<uint8_t> EncodeBootstrap(const FederationConfig& config, int worker_index,
+                                     int num_workers);
+// Its inverse: every field range-checked by the generic codecs (bools 0/1, enums
+// naming an enumerator), the slot and the cell shape validated, trailing bytes
+// refused.
+Status DecodeBootstrap(span<const uint8_t> payload, FederationConfig* config,
+                       int* worker_index, int* num_workers);
+
+// The kAttachDriver payload: origin cell, then QueryDriverParams' field list.
+std::vector<uint8_t> EncodeAttachDriver(int origin_cell, const QueryDriverParams& params);
+Status DecodeAttachDriver(span<const uint8_t> payload, int* origin_cell,
+                          QueryDriverParams* params);
+
 // The cell a checkpoint section belongs to: i for "cell<i>/...", else -1 (the
 // orchestrator's "fed" section, or any other name).
 int CheckpointSectionCell(const std::string& name);
@@ -215,7 +230,7 @@ class FrameTransport final : public CellTransport {
 
 // The bootstrapped wire worker `worker_index` of `num_workers`, built from the
 // resolved `config`. Fork mode execs a presto_cell over a fresh FrameRing
-// mapping and socketpair; socket mode (config.num_endpoints > 0 on the
+// mapping and socketpair; socket mode (non-empty config.cell_endpoints on the
 // orchestrator) dials a `presto_cell --listen` endpoint, runs the hello
 // handshake, and bounds every frame by `deadline`.
 Result<std::unique_ptr<FrameTransport>> SpawnCellWorker(const FederationConfig& config,

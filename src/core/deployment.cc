@@ -910,17 +910,7 @@ Status Deployment::SaveCheckpoint(Checkpoint* out, const std::string& prefix) co
     return OkStatus();
   }));
   PRESTO_RETURN_IF_ERROR(add("deploy", [&](ByteWriter& w) -> Status {
-    CkptWrite(w, proxy_down_);
-    CkptWrite(w, promotion_pending_);
-    CkptWrite(w, sensor_chain_);
-    CkptWrite(w, sensor_load_ema_);
-    CkptWrite(w, shard_stats_.promotions);
-    CkptWrite(w, shard_stats_.handbacks);
-    CkptWrite(w, shard_stats_.migrations);
-    CkptWrite(w, shard_stats_.rebalance_sweeps);
-    CkptWrite(w, shard_stats_.last_promotion_at);
-    rebalance_timer_->SaveState(w);
-    CkptWrite(w, next_external_id_);
+    DeployFields(*this, CkptWriter(w));
     w.WriteVarU64(external_.size());
     for (const auto& [id, entry] : external_.Sorted()) {
       if (entry->origin == ExternalQuery::Origin::kClosure ||
@@ -929,10 +919,7 @@ Status Deployment::SaveCheckpoint(Checkpoint* out, const std::string& prefix) co
             "deployment checkpoint: QueryAsync/QueryAndWait query in flight");
       }
       CkptWrite(w, id);
-      CkptWrite(w, entry->origin);
-      CkptWrite(w, entry->tag);
-      CkptWrite(w, entry->past);
-      CkptWrite(w, entry->result);
+      CkptWrite(w, *entry);
     }
     return OkStatus();
   }));
@@ -995,47 +982,28 @@ Status Deployment::LoadCheckpoint(const Checkpoint& ckpt, const std::string& pre
   PRESTO_RETURN_IF_ERROR(
       load("shard_map", [&](ByteReader& r) { return shard_map_->LoadState(r); }));
   PRESTO_RETURN_IF_ERROR(load("deploy", [&](ByteReader& r) -> Status {
-    CKPT_READ(r, proxy_down_);
-    CKPT_READ(r, promotion_pending_);
-    CKPT_READ(r, sensor_chain_);
-    CKPT_READ(r, sensor_load_ema_);
+    CkptReader in(r);
+    DeployFields(*this, in);
+    PRESTO_RETURN_IF_ERROR(in.status());
     if (proxy_down_.size() != static_cast<size_t>(config_.num_proxies) ||
         promotion_pending_.size() != proxy_down_.size() ||
         sensor_chain_.size() != static_cast<size_t>(total_sensors()) ||
         sensor_load_ema_.size() != sensor_chain_.size()) {
       return DataLossError("deploy restore: table size mismatch");
     }
-    CKPT_READ(r, shard_stats_.promotions);
-    CKPT_READ(r, shard_stats_.handbacks);
-    CKPT_READ(r, shard_stats_.migrations);
-    CKPT_READ(r, shard_stats_.rebalance_sweeps);
-    CKPT_READ(r, shard_stats_.last_promotion_at);
-    PRESTO_RETURN_IF_ERROR(rebalance_timer_->LoadState(r));
-    CKPT_READ(r, next_external_id_);
-    auto count = r.ReadVarU64();
-    if (!count.ok()) {
-      return count.status();
-    }
-    if (*count > r.remaining()) {
-      return DataLossError("deploy restore: external count exceeds section bytes");
-    }
+    // The bytes the save writes: a count, then (id, entry) pairs.
+    std::vector<std::pair<uint64_t, ExternalQuery>> entries;
+    CKPT_READ(r, entries);
     external_.Clear();
-    for (uint64_t i = 0; i < *count; ++i) {
-      uint64_t id = 0;
-      CKPT_READ(r, id);
-      ExternalQuery entry;
-      CKPT_READ(r, entry.origin);
+    for (auto& [id, entry] : entries) {
       if (entry.origin != ExternalQuery::Origin::kDriver &&
           entry.origin != ExternalQuery::Origin::kFederation) {
         return DataLossError("deploy restore: bad external query origin");
       }
-      CKPT_READ(r, entry.tag);
       if (entry.origin == ExternalQuery::Origin::kDriver &&
           entry.tag >= drivers_.size()) {
         return DataLossError("deploy restore: external query names no driver");
       }
-      CKPT_READ(r, entry.past);
-      CKPT_READ(r, entry.result);
       if (external_.Find(id) != nullptr) {
         return DataLossError("deploy restore: duplicate external query " +
                              std::to_string(id));

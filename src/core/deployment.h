@@ -161,6 +161,50 @@ struct DeploymentConfig {
   uint64_t seed = 42;
 };
 
+template <class S, class F, CkptSelf<S, DeploymentConfig> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.num_proxies);
+  f(v.sensors_per_proxy);
+  f(v.shard_policy);
+  f(v.sensing_period);
+  f(v.policy);
+  f(v.model_tolerance);
+  f(v.value_delta);
+  f(v.batch_interval);
+  f(v.compress);
+  f(v.codec);
+  f(v.flash);
+  f(v.archive);
+  f(v.model_config);
+  f(v.sensor_radio);
+  f(v.max_drift_ppm);
+  f(v.max_clock_offset);
+  f(v.proxy_mode);
+  f(v.engine);
+  f(v.matcher);
+  f(v.manage_models);
+  f(v.enable_matcher);
+  f(v.enable_replication);
+  f(v.replication_factor);
+  f(v.promotion_delay);
+  f(v.handoff_history);
+  f(v.promotion_backfill);
+  f(v.pull_timeout);
+  f(v.lane_engine);
+  f(v.sim_threads);
+  f(v.enable_rebalancing);
+  f(v.rebalance_period);
+  f(v.rebalance_max_ratio);
+  f(v.rebalance_max_moves);
+  f(v.rebalance_ema_alpha);
+  f(v.rebalance_sticky);
+  f(v.rebalance_min_load);
+  f(v.field);
+  f(v.spatial_correlation);
+  f(v.net);
+  f(v.seed);
+}
+
 class Deployment : public EventSink, public UnifiedStore::Client {
  public:
   // Reads the world for one sensor; the default reads the temperature field.
@@ -224,6 +268,15 @@ class Deployment : public EventSink, public UnifiedStore::Client {
     uint64_t migrations = 0;       // live migrations executed (manual + rebalancer)
     uint64_t rebalance_sweeps = 0;
     SimTime last_promotion_at = -1;  // recovery-time reporting
+
+    template <class S, class F, CkptSelf<S, ShardMgmtStats> = 0>
+    friend void CkptFields(S& v, F&& f) {
+      f(v.promotions);
+      f(v.handbacks);
+      f(v.migrations);
+      f(v.rebalance_sweeps);
+      f(v.last_promotion_at);
+    }
   };
   const ShardMgmtStats& shard_stats() const { return shard_stats_; }
 
@@ -382,14 +435,34 @@ class Deployment : public EventSink, public UnifiedStore::Client {
       kFederation = 2,  // federation glue: tag = federation qid
       kWait = 3,        // QueryAndWait: tag = WaitState — not checkpointable
     };
+    friend constexpr bool CkptEnumValid(Origin v) { return v <= Origin::kWait; }
     enum WaitState : uint64_t { kWaiting = 0, kWaitDone = 1, kWaitAbandoned = 2 };
     Origin origin = Origin::kClosure;
     uint64_t tag = 0;
     bool past = false;  // kDriver: the request's PAST/NOW class
     UnifiedQueryResult result;
     std::function<void(const UnifiedQueryResult&)> on_done;
+
+    template <class S, class F, CkptSelf<S, ExternalQuery> = 0>
+    friend void CkptFields(S& v, F&& f) {
+      f(v.origin);
+      f(v.tag);
+      f(v.past);
+      f(v.result);
+    }
   };
   void QueryAsyncInternal(const QuerySpec& spec, ExternalQuery entry);
+  // The "deploy" section's fields before its external-query table.
+  template <class Self, class F>
+  static void DeployFields(Self& self, F&& f) {
+    f(self.proxy_down_);
+    f(self.promotion_pending_);
+    f(self.sensor_chain_);
+    f(self.sensor_load_ema_);
+    f(self.shard_stats_);
+    f(*self.rebalance_timer_);
+    f(self.next_external_id_);
+  }
   ExternalQuery* FindExternal(uint64_t id);
   bool DriverAccountingHolds() const;
   std::mutex external_m_;

@@ -1,7 +1,6 @@
 #include "src/core/federation.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -22,15 +21,6 @@ constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ull;
 constexpr uint64_t kWorkerDeathMark = 0xdeadc377ull;
 
 }  // namespace
-
-FedEndpoint MakeFedEndpoint(const char* host, uint16_t port) {
-  FedEndpoint out;
-  PRESTO_CHECK_MSG(std::strlen(host) < sizeof(out.host),
-                   "endpoint host string too long");
-  std::strncpy(out.host, host, sizeof(out.host) - 1);
-  out.port = port;
-  return out;
-}
 
 CellDirectory::CellDirectory(int num_cells, int sensors_per_cell)
     : cell_count_(num_cells), sensors_per_cell_(sensors_per_cell) {
@@ -58,102 +48,12 @@ int CellDirectory::FedIndexOf(int cell, int local) const {
 // Seam codecs.
 // ---------------------------------------------------------------------------
 
-void CkptWrite(ByteWriter& w, const FederationQuerySpec& v) {
-  CkptWrite(w, v.type);
-  CkptWrite(w, v.fed_sensor);
-  CkptWrite(w, v.range);
-  CkptWrite(w, v.tolerance);
-  CkptWrite(w, v.latency_bound);
-}
-
-Status CkptRead(ByteReader& r, FederationQuerySpec& v) {
-  CKPT_READ(r, v.type);
-  if (static_cast<uint8_t>(v.type) > static_cast<uint8_t>(QueryType::kPast)) {
-    return DataLossError("federation query spec: type out of range");
-  }
-  CKPT_READ(r, v.fed_sensor);
-  CKPT_READ(r, v.range);
-  CKPT_READ(r, v.tolerance);
-  CKPT_READ(r, v.latency_bound);
-  return OkStatus();
-}
-
-void CkptWrite(ByteWriter& w, const FederationQueryResult& v) {
-  CkptWrite(w, v.cell);
-  CkptWrite(w, v.origin_cell);
-  CkptWrite(w, v.target_cell);
-  CkptWrite(w, v.cross_cell);
-  CkptWrite(w, v.issued_at);
-  CkptWrite(w, v.completed_at);
-}
-
-Status CkptRead(ByteReader& r, FederationQueryResult& v) {
-  CKPT_READ(r, v.cell);
-  CKPT_READ(r, v.origin_cell);
-  CKPT_READ(r, v.target_cell);
-  CKPT_READ(r, v.cross_cell);
-  CKPT_READ(r, v.issued_at);
-  CKPT_READ(r, v.completed_at);
-  return OkStatus();
-}
-
-void CkptWrite(ByteWriter& w, const FederationTrunkTotals& v) {
-  CkptWrite(w, v.messages);
-  CkptWrite(w, v.bytes);
-}
-
-Status CkptRead(ByteReader& r, FederationTrunkTotals& v) {
-  CKPT_READ(r, v.messages);
-  CKPT_READ(r, v.bytes);
-  return OkStatus();
-}
-
-void CkptWrite(ByteWriter& w, const FedCell::Counters& v) {
-  CkptWrite(w, v.next_qid);
-  CkptWrite(w, v.queries);
-  CkptWrite(w, v.local);
-  CkptWrite(w, v.forwarded);
-  CkptWrite(w, v.failed);
-  CkptWrite(w, v.orphans);
-}
-
-Status CkptRead(ByteReader& r, FedCell::Counters& v) {
-  CKPT_READ(r, v.next_qid);
-  CKPT_READ(r, v.queries);
-  CKPT_READ(r, v.local);
-  CKPT_READ(r, v.forwarded);
-  CKPT_READ(r, v.failed);
-  CKPT_READ(r, v.orphans);
-  return OkStatus();
-}
-
-void CkptWrite(ByteWriter& w, const FedCellSnapshot& v) {
-  CkptWrite(w, v.sim_fingerprint);
-  CkptWrite(w, v.events);
-  CkptWrite(w, v.counters);
-  CkptWrite(w, v.trunks);
-  CkptWrite(w, v.drivers);
-}
-
-Status CkptRead(ByteReader& r, FedCellSnapshot& v) {
-  CKPT_READ(r, v.sim_fingerprint);
-  CKPT_READ(r, v.events);
-  CKPT_READ(r, v.counters);
-  CKPT_READ(r, v.trunks);
-  CKPT_READ(r, v.drivers);
-  return OkStatus();
-}
-
 std::vector<uint8_t> EncodeFedControlReply(
     const std::vector<FedMail>& mail,
     const std::vector<FedCell::HostDone>& host_done) {
   ByteWriter w;
   CkptWrite(w, mail);
-  w.WriteVarU64(host_done.size());
-  for (const FedCell::HostDone& d : host_done) {
-    CkptWrite(w, d.token);
-    CkptWrite(w, d.result);
-  }
+  CkptWrite(w, host_done);
   return w.TakeBuffer();
 }
 
@@ -161,20 +61,7 @@ Status DecodeFedControlReply(span<const uint8_t> payload, std::vector<FedMail>* 
                              std::vector<FedCell::HostDone>* host_done) {
   ByteReader r{payload};
   CKPT_READ(r, *mail);
-  auto count = r.ReadVarU64();
-  if (!count.ok()) {
-    return count.status();
-  }
-  if (*count > r.remaining()) {
-    return DataLossError("fed control reply: count exceeds payload bytes");
-  }
-  host_done->clear();
-  for (uint64_t i = 0; i < *count; ++i) {
-    FedCell::HostDone d;
-    CKPT_READ(r, d.token);
-    CKPT_READ(r, d.result);
-    host_done->push_back(std::move(d));
-  }
+  CKPT_READ(r, *host_done);
   if (r.remaining() != 0) {
     return DataLossError("fed control reply: trailing bytes");
   }
@@ -489,10 +376,7 @@ Status FedCell::SaveState(ByteWriter& w) const {
           "federation checkpoint: host probe in flight (QueryAndWait)");
     }
     CkptWrite(w, qid);
-    CkptWrite(w, q.spec);
-    CkptWrite(w, q.result);
-    CkptWrite(w, q.driver_slot);
-    CkptWrite(w, q.past);
+    CkptWrite(w, q);
   }
   w.WriteVarU64(drivers_.size());
   for (const auto& driver : drivers_) {
@@ -512,22 +396,11 @@ Status FedCell::LoadState(ByteReader& r) {
   for (auto& targets : by_target_) {
     targets.clear();
   }
-  auto count = r.ReadVarU64();
-  if (!count.ok()) {
-    return count.status();
-  }
-  if (*count > r.remaining()) {
-    return DataLossError("federation restore: pending count exceeds section bytes");
-  }
-  for (uint64_t i = 0; i < *count; ++i) {
-    uint64_t qid = 0;
-    CKPT_READ(r, qid);
-    Pending q;
-    q.origin = Origin::kDriver;  // the only origin that can cross a checkpoint
-    CKPT_READ(r, q.spec);
-    CKPT_READ(r, q.result);
-    CKPT_READ(r, q.driver_slot);
-    CKPT_READ(r, q.past);
+  // The bytes SaveState writes: a count, then (qid, entry) pairs. Every entry
+  // reads as kDriver, the only origin that can cross a checkpoint.
+  std::vector<std::pair<uint64_t, Pending>> pending;
+  CKPT_READ(r, pending);
+  for (auto& [qid, q] : pending) {
     if (OriginOf(qid) != index_ || q.result.origin_cell != index_) {
       return DataLossError("federation restore: pending query origin mismatch");
     }
@@ -570,10 +443,8 @@ Federation::Federation(const FederationConfig& config)
       std::max(1, std::min(config_.cell_processes, config_.num_cells));
   PRESTO_CHECK_MSG(cell_threads_ == 1 || cell_processes_ == 1,
                    "cell_processes and cell_threads are mutually exclusive");
-  socket_mode_ = config_.num_endpoints > 0;
+  socket_mode_ = !config_.cell_endpoints.empty();
   if (socket_mode_) {
-    PRESTO_CHECK_MSG(config_.num_endpoints <= kMaxFedEndpoints,
-                     "num_endpoints exceeds kMaxFedEndpoints");
     PRESTO_CHECK_MSG(config_.cell_threads == 1 && config_.cell_processes == 1,
                      "cell_endpoints is mutually exclusive with cell_threads / "
                      "cell_processes");
@@ -581,7 +452,8 @@ Federation::Federation(const FederationConfig& config)
                      "frame_deadline must be positive in socket mode");
     // Endpoints play the worker-process role: cell c -> endpoint c % N, the
     // exact placement rule fork mode uses, so observables cannot drift.
-    cell_processes_ = std::min(config_.num_endpoints, config_.num_cells);
+    cell_processes_ =
+        std::min(static_cast<int>(config_.cell_endpoints.size()), config_.num_cells);
   }
   const size_t num_cells = static_cast<size_t>(config_.num_cells);
   cell_down_.assign(num_cells, 0);
@@ -598,9 +470,9 @@ Federation::Federation(const FederationConfig& config)
     Worker& worker = workers_[static_cast<size_t>(w)];
     if (process_mode()) {
       auto transport = socket_mode_ ? ConnectCellWorker(config_.cell_endpoints[w],
-                                                        config_.frame_deadline,
-                                                        WorkerConfig(), w, n)
-                                    : SpawnCellWorker(WorkerConfig(), w, n);
+                                                        config_.frame_deadline, config_,
+                                                        w, n)
+                                    : SpawnCellWorker(config_, w, n);
       PRESTO_CHECK_MSG(transport.ok(),
                        "failed to start a presto_cell worker (fork mode: is the "
                        "presto_cell binary next to this executable? set "
@@ -608,7 +480,7 @@ Federation::Federation(const FederationConfig& config)
                        "cell_endpoints[w]?)");
       worker.transport = std::move(*transport);
     } else {
-      worker.transport = std::make_unique<CellHost>(WorkerConfig(), w, n);
+      worker.transport = std::make_unique<CellHost>(config_, w, n);
     }
     worker.alive = true;
   }
@@ -619,23 +491,6 @@ Federation::~Federation() {
   for (Worker& worker : workers_) {
     worker.transport->Close(/*graceful=*/worker.alive);
   }
-}
-
-FederationConfig Federation::WorkerConfig() const {
-  // Workers construct their cells from the orchestrator's config with the
-  // parallelism fields neutralized (the orchestrator owns the parallelism),
-  // num_cells kept — every worker owns a full routing view. The
-  // endpoint map is neutralized too: the transport that delivers this config is
-  // not part of the simulated world, so every mode builds from identical bytes.
-  FederationConfig wire = config_;
-  wire.cell_threads = 1;
-  wire.cell_processes = 1;
-  wire.num_endpoints = 0;
-  // memset (not per-element assignment) so padding bytes zero too: the struct
-  // ships as raw bytes and every worker must receive identical payloads.
-  std::memset(static_cast<void*>(wire.cell_endpoints), 0,
-              sizeof(wire.cell_endpoints));
-  return wire;
 }
 
 void Federation::Start() { Broadcast(CellControl{FedFrameType::kStart}); }
@@ -1079,11 +934,7 @@ Status Federation::SaveCheckpoint(Checkpoint* out) const {
   // barrier and orphan counters, cell-down flags, and the undrained FedMail
   // (per-source FIFO, flattened source-ascending).
   ByteWriter w;
-  CkptWrite(w, now_);
-  CkptWrite(w, barrier_hash_);
-  CkptWrite(w, barriers_);
-  CkptWrite(w, mail_drained_);
-  CkptWrite(w, orphans_);
+  OrchestratorFields(*this, CkptWriter(w));
   WriteCellBitmap(w, cell_down_);
   std::vector<FedMail> mail;
   for (const std::vector<FedMail>& box : route_) {
@@ -1100,11 +951,9 @@ Status Federation::LoadCheckpoint(const Checkpoint& ckpt) {
     return NotFoundError("checkpoint missing section fed");
   }
   ByteReader r{span<const uint8_t>(*payload)};
-  CKPT_READ(r, now_);
-  CKPT_READ(r, barrier_hash_);
-  CKPT_READ(r, barriers_);
-  CKPT_READ(r, mail_drained_);
-  CKPT_READ(r, orphans_);
+  CkptReader in(r);
+  OrchestratorFields(*this, in);
+  PRESTO_RETURN_IF_ERROR(in.status());
   PRESTO_RETURN_IF_ERROR(
       ReadCellBitmap(r, static_cast<size_t>(config_.num_cells), &cell_down_));
   std::vector<FedMail> mail;
@@ -1198,8 +1047,8 @@ Status Federation::MigrateWorkerEndpoint(int w, const FedEndpoint& endpoint) {
   // Decommission the old endpoint (best effort: the peer may already be gone),
   // then stand the worker up again over the new fd.
   worker.transport->Close(/*graceful=*/true);
-  auto transport = ConnectCellWorker(endpoint, config_.frame_deadline, WorkerConfig(),
-                                     w, num_workers());
+  auto transport =
+      ConnectCellWorker(endpoint, config_.frame_deadline, config_, w, num_workers());
   Status s = transport.status();
   if (s.ok()) {
     worker.transport = std::move(*transport);

@@ -68,6 +68,7 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -113,14 +114,11 @@ class CellDirectory {
   int sensors_per_cell_;
 };
 
-// One socket-transport worker endpoint (numeric IPv4 + port). Plain char array
-// so FederationConfig stays trivially copyable — the kBootstrap frame memcpys it.
-inline constexpr int kMaxFedEndpoints = 64;
+// One socket-transport worker endpoint (numeric IPv4 + port).
 struct FedEndpoint {
-  char host[46] = {};
+  std::string host;
   uint16_t port = 0;
 };
-FedEndpoint MakeFedEndpoint(const char* host, uint16_t port);
 
 struct FederationConfig {
   int num_cells = 2;
@@ -147,17 +145,15 @@ struct FederationConfig {
   // step cells concurrently. Observables (fingerprint, histograms, stats,
   // checkpoint bytes) are bit-identical to in-process runs.
   int cell_processes = 1;
-  // TCP socket transport (num_endpoints > 0): instead of forking, the federation
-  // connects to `num_endpoints` already-listening `presto_cell --listen` workers
-  // (cell_endpoints[0..num_endpoints)), places cell c on endpoint
-  // c % num_endpoints — the same placement rule fork mode uses — and speaks the
-  // same fed_wire frames over TCP after a versioned hello handshake. Mutually
-  // exclusive with cell_threads / cell_processes > 1. Observables (fingerprint,
-  // histograms, stats, checkpoint bytes) stay bit-identical to every other mode;
-  // a dead TCP peer surfaces as the same contained cell failure as a SIGKILLed
-  // fork worker.
-  FedEndpoint cell_endpoints[kMaxFedEndpoints] = {};
-  int num_endpoints = 0;
+  // TCP socket transport (non-empty cell_endpoints): instead of forking, the
+  // federation connects to one already-listening `presto_cell --listen` worker per
+  // endpoint, places cell c on endpoint c % cell_endpoints.size() — the same
+  // placement rule fork mode uses — and speaks the same fed_wire frames over TCP
+  // after a versioned hello handshake. Mutually exclusive with cell_threads /
+  // cell_processes > 1. Observables (fingerprint, histograms, stats, checkpoint
+  // bytes) stay bit-identical to every other mode; a dead TCP peer surfaces as
+  // the same contained cell failure as a SIGKILLed fork worker.
+  std::vector<FedEndpoint> cell_endpoints;
   // Per-frame wall-clock deadline on socket channels (connect, handshake, and
   // every frame read/write). A worker that stops responding — SIGSTOP, network
   // black hole — degrades into a contained cell failure within this bound
@@ -173,6 +169,22 @@ struct FederationConfig {
   uint32_t response_sample_bytes = 16;
   uint64_t seed = 42;
 };
+
+// The kBootstrap payload: the fields a worker builds its cells from. The
+// parallelism, endpoint and deadline fields belong to the orchestrator (the
+// transport that delivers this list is not part of the simulated world), so
+// every mode builds its cells from identical bytes.
+template <class S, class F, CkptSelf<S, FederationConfig> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.num_cells);
+  f(v.cell);
+  f(v.epoch);
+  f(v.link);
+  f(v.query_bytes);
+  f(v.response_base_bytes);
+  f(v.response_sample_bytes);
+  f(v.seed);
+}
 
 // A query against the federation's global namespace, entering at some origin cell.
 struct FederationQuerySpec {
@@ -194,12 +206,26 @@ struct FederationQueryResult {
   Duration Latency() const { return completed_at - issued_at; }
 };
 
-// Wire/checkpoint codecs: specs ride kInject frames, results ride host_done folds
-// and in-flight pending entries.
-void CkptWrite(ByteWriter& w, const FederationQuerySpec& v);
-Status CkptRead(ByteReader& r, FederationQuerySpec& v);
-void CkptWrite(ByteWriter& w, const FederationQueryResult& v);
-Status CkptRead(ByteReader& r, FederationQueryResult& v);
+// Field lists: specs ride kInject frames, results ride host_done folds and
+// in-flight pending entries.
+template <class S, class F, CkptSelf<S, FederationQuerySpec> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.type);
+  f(v.fed_sensor);
+  f(v.range);
+  f(v.tolerance);
+  f(v.latency_bound);
+}
+
+template <class S, class F, CkptSelf<S, FederationQueryResult> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.cell);
+  f(v.origin_cell);
+  f(v.target_cell);
+  f(v.cross_cell);
+  f(v.issued_at);
+  f(v.completed_at);
+}
 
 struct FederationStats {
   uint64_t queries = 0;
@@ -221,8 +247,11 @@ struct FederationTrunkTotals {
   uint64_t bytes = 0;
 };
 
-void CkptWrite(ByteWriter& w, const FederationTrunkTotals& v);
-Status CkptRead(ByteReader& r, FederationTrunkTotals& v);
+template <class S, class F, CkptSelf<S, FederationTrunkTotals> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.messages);
+  f(v.bytes);
+}
 
 // The per-cell half of the federation router (see file header). One FedCell per
 // cell, living in the CellHost that owns its Deployment. All methods run on the
@@ -242,11 +271,27 @@ class FedCell : public EventSink, public FederationQueryClient {
     uint64_t driver_slot = 0;  // kDriver: index into this cell's drivers
     bool past = false;         // kDriver: query class for the recorded outcome
     uint64_t host_token = 0;   // kHost: orchestrator-side correlation token
+
+    // Only kDriver entries cross a checkpoint, so the origin and the host token
+    // are not listed.
+    template <class S, class F, CkptSelf<S, Pending> = 0>
+    friend void CkptFields(S& v, F&& f) {
+      f(v.spec);
+      f(v.result);
+      f(v.driver_slot);
+      f(v.past);
+    }
   };
 
   struct HostDone {
     uint64_t token = 0;
     FederationQueryResult result;
+
+    template <class S, class F, CkptSelf<S, HostDone> = 0>
+    friend void CkptFields(S& v, F&& f) {
+      f(v.token);
+      f(v.result);
+    }
   };
 
   // Per-origin-cell bookkeeping, written only from this cell's serial control lane
@@ -258,6 +303,16 @@ class FedCell : public EventSink, public FederationQueryClient {
     uint64_t forwarded = 0;
     uint64_t failed = 0;
     uint64_t orphans = 0;
+
+    template <class S, class F, CkptSelf<S, Counters> = 0>
+    friend void CkptFields(S& v, F&& f) {
+      f(v.next_qid);
+      f(v.queries);
+      f(v.local);
+      f(v.forwarded);
+      f(v.failed);
+      f(v.orphans);
+    }
   };
 
   // Registers as a sink on (and federation client of) `cell`'s simulator — call
@@ -353,8 +408,6 @@ class FedCell : public EventSink, public FederationQueryClient {
   std::vector<std::unique_ptr<QueryDriver>> drivers_;
 };
 
-void CkptWrite(ByteWriter& w, const FedCell::Counters& v);
-Status CkptRead(ByteReader& r, FedCell::Counters& v);
 
 // One cell's folded telemetry, marshalled over kSnapshot frames: everything the
 // orchestrator's read-side facade (stats / fingerprint / EventsExecuted /
@@ -367,8 +420,14 @@ struct FedCellSnapshot {
   std::vector<QueryDriverStats> drivers;
 };
 
-void CkptWrite(ByteWriter& w, const FedCellSnapshot& v);
-Status CkptRead(ByteReader& r, FedCellSnapshot& v);
+template <class S, class F, CkptSelf<S, FedCellSnapshot> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.sim_fingerprint);
+  f(v.events);
+  f(v.counters);
+  f(v.trunks);
+  f(v.drivers);
+}
 
 // What a worker op (or epoch) hands back: the FedMail its cells generated plus
 // any host-probe completions. Over the wire this is the control-reply payload:
@@ -514,9 +573,6 @@ class Federation {
   };
 
   int WorkerOf(int cell_index) const { return cell_index % num_workers(); }
-  // The config every worker builds its cells from: parallelism and endpoint
-  // fields neutralized.
-  FederationConfig WorkerConfig() const;
   // Re-attaches every driver whose origin cell worker w hosts (migration replay;
   // slots must match the original attachment order).
   Status ReplayDriverAttachments(int w);
@@ -538,6 +594,16 @@ class Federation {
   void MarkWorkerDead(int w);
   void FlushDeadCellKills();
   void RefreshSnapshots() const;
+  // The "fed" section's scalars, in wire order (the cell-down bitmap and the
+  // undrained mail follow them).
+  template <class Self, class F>
+  static void OrchestratorFields(Self& self, F&& f) {
+    f(self.now_);
+    f(self.barrier_hash_);
+    f(self.barriers_);
+    f(self.mail_drained_);
+    f(self.orphans_);
+  }
 
   FederationConfig config_;
   CellDirectory directory_;

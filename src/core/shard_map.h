@@ -42,6 +42,7 @@ enum class ShardPolicy : uint8_t {
   kGeographic = 0,  // contiguous index blocks (spatially local shards)
   kHash = 1,        // hashed spread (load-balanced shards)
 };
+constexpr bool CkptEnumValid(ShardPolicy v) { return v <= ShardPolicy::kHash; }
 
 const char* ShardPolicyName(ShardPolicy policy);
 

@@ -15,6 +15,7 @@ enum class QueryType : uint8_t {
   kNow = 0,   // current value of a sensor
   kPast = 1,  // archival range query
 };
+constexpr bool CkptEnumValid(QueryType v) { return v <= QueryType::kPast; }
 
 struct QuerySpec {
   QueryType type = QueryType::kNow;
@@ -36,42 +37,24 @@ struct UnifiedQueryResult {
   Duration Latency() const { return completed_at - issued_at; }
 };
 
-// Checkpoint codecs: specs and results ride inside pending-query sections.
-inline void CkptWrite(ByteWriter& w, const QuerySpec& spec) {
-  CkptWrite(w, spec.type);
-  CkptWrite(w, spec.sensor_id);
-  CkptWrite(w, spec.range);
-  CkptWrite(w, spec.tolerance);
-  CkptWrite(w, spec.latency_bound);
-}
-inline Status CkptRead(ByteReader& r, QuerySpec& spec) {
-  CKPT_READ(r, spec.type);
-  if (static_cast<uint8_t>(spec.type) > static_cast<uint8_t>(QueryType::kPast)) {
-    return DataLossError("query spec restore: type out of range");
-  }
-  CKPT_READ(r, spec.sensor_id);
-  CKPT_READ(r, spec.range);
-  CKPT_READ(r, spec.tolerance);
-  CKPT_READ(r, spec.latency_bound);
-  return OkStatus();
+// Field lists: specs and results ride inside pending-query sections and trunk mail.
+template <class S, class F, CkptSelf<S, QuerySpec> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.type);
+  f(v.sensor_id);
+  f(v.range);
+  f(v.tolerance);
+  f(v.latency_bound);
 }
 
-inline void CkptWrite(ByteWriter& w, const UnifiedQueryResult& result) {
-  CkptWrite(w, result.answer);
-  CkptWrite(w, result.served_by);
-  CkptWrite(w, result.index_hops);
-  CkptWrite(w, result.used_replica);
-  CkptWrite(w, result.issued_at);
-  CkptWrite(w, result.completed_at);
-}
-inline Status CkptRead(ByteReader& r, UnifiedQueryResult& result) {
-  CKPT_READ(r, result.answer);
-  CKPT_READ(r, result.served_by);
-  CKPT_READ(r, result.index_hops);
-  CKPT_READ(r, result.used_replica);
-  CKPT_READ(r, result.issued_at);
-  CKPT_READ(r, result.completed_at);
-  return OkStatus();
+template <class S, class F, CkptSelf<S, UnifiedQueryResult> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.answer);
+  f(v.served_by);
+  f(v.index_hops);
+  f(v.used_replica);
+  f(v.issued_at);
+  f(v.completed_at);
 }
 
 // QueryOutcome view of a store result — the driver-glue half both Deployment and

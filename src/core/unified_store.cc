@@ -204,20 +204,12 @@ Status UnifiedStore::SaveState(ByteWriter& w) const {
     CkptWrite(w, static_cast<NodeId>(sensor));
     CkptWrite(w, *chain_of_.Find(sensor));
   }
-  CkptWrite(w, stats_.queries);
-  CkptWrite(w, stats_.routed);
-  CkptWrite(w, stats_.failovers);
-  CkptWrite(w, stats_.unroutable);
-  CkptWrite(w, stats_.total_index_hops);
-  CkptWrite(w, stats_.reassignments);
+  CkptWrite(w, stats_);
   CkptWrite(w, next_query_id_);
   w.WriteVarU64(pending_.size());
   for (const auto& [id, pending] : pending_.Sorted()) {
     CkptWrite(w, id);
-    CkptWrite(w, pending->spec);
-    CkptWrite(w, pending->result);
-    CkptWrite(w, pending->token);
-    CkptWrite(w, pending->route_delay);
+    CkptWrite(w, *pending);
   }
   return OkStatus();
 }
@@ -231,34 +223,18 @@ Status UnifiedStore::LoadState(ByteReader& r) {
   for (auto& [sensor, chain] : chains) {
     chain_of_.Emplace(sensor, std::move(chain));
   }
-  CKPT_READ(r, stats_.queries);
-  CKPT_READ(r, stats_.routed);
-  CKPT_READ(r, stats_.failovers);
-  CKPT_READ(r, stats_.unroutable);
-  CKPT_READ(r, stats_.total_index_hops);
-  CKPT_READ(r, stats_.reassignments);
+  CKPT_READ(r, stats_);
   CKPT_READ(r, next_query_id_);
-  auto count = r.ReadVarU64();
-  if (!count.ok()) {
-    return count.status();
-  }
-  if (*count > r.remaining()) {
-    return DataLossError("store restore: pending count exceeds section bytes");
-  }
+  // The bytes SaveState writes: a count, then (id, query) pairs.
+  std::vector<std::pair<uint64_t, PendingQuery>> pending;
+  CKPT_READ(r, pending);
   pending_.Clear();
-  for (uint64_t i = 0; i < *count; ++i) {
-    uint64_t id = 0;
-    CKPT_READ(r, id);
-    PendingQuery pending;
-    CKPT_READ(r, pending.spec);
-    CKPT_READ(r, pending.result);
-    CKPT_READ(r, pending.token);
-    CKPT_READ(r, pending.route_delay);
+  for (auto& [id, query] : pending) {
     if (pending_.Find(id) != nullptr) {
       return DataLossError("store restore: duplicate pending query " +
                            std::to_string(id));
     }
-    pending_.Insert(id, std::move(pending));
+    pending_.Insert(id, std::move(query));
   }
   return OkStatus();
 }

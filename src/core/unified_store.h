@@ -44,6 +44,16 @@ struct UnifiedStoreStats {
   uint64_t reassignments = 0;  // index re-points (promotion / migration / hand-back)
 };
 
+template <class S, class F, CkptSelf<S, UnifiedStoreStats> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.queries);
+  f(v.routed);
+  f(v.failovers);
+  f(v.unroutable);
+  f(v.total_index_hops);
+  f(v.reassignments);
+}
+
 // Routing (index search, chain walk, stats) runs in the calling context — queries are
 // issued from control context (between epochs / at barriers). Query
 // *execution* is a pair of typed kQuery events pinned to the serving proxy's lane, so
@@ -115,6 +125,14 @@ class UnifiedStore : public EventSink, public PullClient {
     UnifiedQueryResult result;
     uint64_t token = 0;
     Duration route_delay = 0;
+
+    template <class S, class F, CkptSelf<S, PendingQuery> = 0>
+    friend void CkptFields(S& v, F&& f) {
+      f(v.spec);
+      f(v.result);
+      f(v.token);
+      f(v.route_delay);
+    }
   };
 
   // The skip graph's Search result for one indexed sensor.

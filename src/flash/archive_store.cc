@@ -448,73 +448,12 @@ Status ArchiveStore::Mount() {
 
 namespace presto {
 
-void ArchiveStore::SaveState(ByteWriter& w) const {
-  CkptWrite(w, stats_.records_appended);
-  CkptWrite(w, stats_.records_read);
-  CkptWrite(w, stats_.aging_passes);
-  CkptWrite(w, stats_.records_aged);
-  CkptWrite(w, stats_.pages_skipped);
-  CkptWrite(w, stats_.appends_rejected);
-  const auto write_segment = [&w](const Segment& seg) {
-    CkptWrite(w, seg.block);
-    CkptWrite(w, seg.first_ts);
-    CkptWrite(w, seg.last_ts);
-    CkptWrite(w, seg.resolution);
-    CkptWrite(w, seg.pages_used);
-    CkptWrite(w, seg.page_first_ts);
-  };
-  w.WriteVarU64(segments_.size());
-  for (const Segment& seg : segments_) {
-    write_segment(seg);
-  }
-  CkptWrite(w, free_blocks_);
-  CkptWrite(w, next_seq_);
-  CkptWrite(w, open_);
-  write_segment(open_segment_);
-  CkptWrite(w, next_page_in_block_);
-  page_builder_.SaveCkpt(w);
-  CkptWrite(w, last_append_ts_);
-  CkptWrite(w, has_last_append_);
-}
+void ArchiveStore::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
 Status ArchiveStore::LoadState(ByteReader& r) {
-  CKPT_READ(r, stats_.records_appended);
-  CKPT_READ(r, stats_.records_read);
-  CKPT_READ(r, stats_.aging_passes);
-  CKPT_READ(r, stats_.records_aged);
-  CKPT_READ(r, stats_.pages_skipped);
-  CKPT_READ(r, stats_.appends_rejected);
-  const auto read_segment = [&r](Segment& seg) -> Status {
-    CKPT_READ(r, seg.block);
-    CKPT_READ(r, seg.first_ts);
-    CKPT_READ(r, seg.last_ts);
-    CKPT_READ(r, seg.resolution);
-    CKPT_READ(r, seg.pages_used);
-    CKPT_READ(r, seg.page_first_ts);
-    return OkStatus();
-  };
-  auto segment_count = r.ReadVarU64();
-  if (!segment_count.ok()) {
-    return segment_count.status();
-  }
-  if (*segment_count > r.remaining()) {
-    return DataLossError("archive restore: segment count exceeds section bytes");
-  }
-  segments_.clear();
-  for (uint64_t i = 0; i < *segment_count; ++i) {
-    Segment seg;
-    PRESTO_RETURN_IF_ERROR(read_segment(seg));
-    segments_.push_back(std::move(seg));
-  }
-  CKPT_READ(r, free_blocks_);
-  CKPT_READ(r, next_seq_);
-  CKPT_READ(r, open_);
-  PRESTO_RETURN_IF_ERROR(read_segment(open_segment_));
-  CKPT_READ(r, next_page_in_block_);
-  PRESTO_RETURN_IF_ERROR(page_builder_.LoadCkpt(r));
-  CKPT_READ(r, last_append_ts_);
-  CKPT_READ(r, has_last_append_);
-  return OkStatus();
+  CkptReader in(r);
+  StateFields(*this, in);
+  return in.status();
 }
 
 }  // namespace presto

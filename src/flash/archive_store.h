@@ -23,6 +23,7 @@
 
 #include "src/flash/flash_device.h"
 #include "src/flash/page_codec.h"
+#include "src/util/ckpt.h"
 #include "src/util/result.h"
 #include "src/util/sample.h"
 
@@ -42,6 +43,15 @@ struct ArchiveParams {
   int aging_factor = 4;        // resolution coarsening per pass
 };
 
+template <class S, class F, CkptSelf<S, ArchiveParams> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.nominal_sample_period);
+  f(v.aging_enabled);
+  f(v.reserve_blocks);
+  f(v.aging_merge_blocks);
+  f(v.aging_factor);
+}
+
 struct ArchiveStats {
   uint64_t records_appended = 0;
   uint64_t records_read = 0;
@@ -50,6 +60,16 @@ struct ArchiveStats {
   uint64_t pages_skipped = 0;   // corrupt pages ignored during reads/mount
   uint64_t appends_rejected = 0;
 };
+
+template <class S, class F, CkptSelf<S, ArchiveStats> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.records_appended);
+  f(v.records_read);
+  f(v.aging_passes);
+  f(v.records_aged);
+  f(v.pages_skipped);
+  f(v.appends_rejected);
+}
 
 class ArchiveStore {
  public:
@@ -97,7 +117,31 @@ class ArchiveStore {
     Duration resolution = 0;
     int pages_used = 0;
     std::vector<SimTime> page_first_ts;  // time index: first record per written page
+
+    template <class S, class F, CkptSelf<S, Segment> = 0>
+    friend void CkptFields(S& v, F&& f) {
+      f(v.block);
+      f(v.first_ts);
+      f(v.last_ts);
+      f(v.resolution);
+      f(v.pages_used);
+      f(v.page_first_ts);
+    }
   };
+
+  template <class Self, class F>
+  static void StateFields(Self& self, F&& f) {
+    f(self.stats_);
+    f(self.segments_);
+    f(self.free_blocks_);
+    f(self.next_seq_);
+    f(self.open_);
+    f(self.open_segment_);
+    f(self.next_page_in_block_);
+    f(self.page_builder_);
+    f(self.last_append_ts_);
+    f(self.has_last_append_);
+  }
 
   int PagesPerBlock() const { return device_->params().pages_per_block; }
   int PageOf(const Segment& seg, int page_in_block) const {

@@ -116,10 +116,7 @@ void FlashDevice::SaveState(ByteWriter& w) const {
     w.WriteBytes(span<const uint8_t>(data_.data() + p * page_size, page_size));
   }
   CkptWrite(w, wear_);
-  CkptWrite(w, stats_.page_reads);
-  CkptWrite(w, stats_.page_writes);
-  CkptWrite(w, stats_.block_erases);
-  CkptWrite(w, stats_.busy_time);
+  CkptWrite(w, stats_);
 }
 
 Status FlashDevice::LoadState(ByteReader& r) {
@@ -157,10 +154,7 @@ Status FlashDevice::LoadState(ByteReader& r) {
   if (wear_.size() != static_cast<size_t>(params_.num_blocks)) {
     return DataLossError("flash restore: wear table size mismatch");
   }
-  CKPT_READ(r, stats_.page_reads);
-  CKPT_READ(r, stats_.page_writes);
-  CKPT_READ(r, stats_.block_erases);
-  CKPT_READ(r, stats_.busy_time);
+  CKPT_READ(r, stats_);
   return OkStatus();
 }
 

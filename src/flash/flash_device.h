@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/net/energy.h"
+#include "src/util/ckpt.h"
 #include "src/util/result.h"
 #include "src/util/sim_time.h"
 #include "src/util/span.h"
@@ -41,12 +42,33 @@ struct FlashParams {
   }
 };
 
+template <class S, class F, CkptSelf<S, FlashParams> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.page_size_bytes);
+  f(v.pages_per_block);
+  f(v.num_blocks);
+  f(v.read_page_latency);
+  f(v.write_page_latency);
+  f(v.erase_block_latency);
+  f(v.read_page_energy_j);
+  f(v.write_page_energy_j);
+  f(v.erase_block_energy_j);
+}
+
 struct FlashStats {
   uint64_t page_reads = 0;
   uint64_t page_writes = 0;
   uint64_t block_erases = 0;
   Duration busy_time = 0;  // cumulative device-busy time
 };
+
+template <class S, class F, CkptSelf<S, FlashStats> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.page_reads);
+  f(v.page_writes);
+  f(v.block_erases);
+  f(v.busy_time);
+}
 
 class FlashDevice {
  public:

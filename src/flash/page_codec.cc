@@ -162,18 +162,12 @@ Result<DecodedPage> DecodePage(span<const uint8_t> page) {
 
 namespace presto {
 
-void PageBuilder::SaveCkpt(ByteWriter& w) const {
-  CkptWrite(w, records_);
-  CkptWrite(w, count_);
-  CkptWrite(w, first_ts_);
-  CkptWrite(w, last_ts_);
-}
+void PageBuilder::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
-Status PageBuilder::LoadCkpt(ByteReader& r) {
-  CKPT_READ(r, records_);
-  CKPT_READ(r, count_);
-  CKPT_READ(r, first_ts_);
-  CKPT_READ(r, last_ts_);
+Status PageBuilder::LoadState(ByteReader& r) {
+  CkptReader in(r);
+  StateFields(*this, in);
+  PRESTO_RETURN_IF_ERROR(in.status());
   if (records_.size() > static_cast<size_t>(page_size_)) {
     return DataLossError("page builder restore: records exceed page size");
   }

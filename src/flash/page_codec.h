@@ -61,10 +61,18 @@ class PageBuilder {
 
   // Checkpoint codec for the partially filled RAM page (page_size_ is construction
   // config and not serialized).
-  void SaveCkpt(ByteWriter& w) const;
-  Status LoadCkpt(ByteReader& r);
+  void SaveState(ByteWriter& w) const;
+  Status LoadState(ByteReader& r);
 
  private:
+  template <class Self, class F>
+  static void StateFields(Self& self, F&& f) {
+    f(self.records_);
+    f(self.count_);
+    f(self.first_ts_);
+    f(self.last_ts_);
+  }
+
   // Millisecond delta of a record at `t` from the previous one (0 for the first).
   uint64_t DeltaMsOf(SimTime t) const;
 

@@ -105,28 +105,22 @@ Result<double> RegressionTimeSync::ResidualRms() const {
 
 namespace presto {
 
-void DriftingClock::SaveState(ByteWriter& w) const { CkptWrite(w, rng_); }
+void DriftingClock::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
 Status DriftingClock::LoadState(ByteReader& r) {
-  CKPT_READ(r, rng_);
-  return OkStatus();
+  CkptReader in(r);
+  StateFields(*this, in);
+  return in.status();
 }
 
 void RegressionTimeSync::SaveState(ByteWriter& w) const {
-  CkptWrite(w, locals_);
-  CkptWrite(w, references_);
-  CkptWrite(w, fit_valid_);
-  CkptWrite(w, intercept_);
-  CkptWrite(w, slope_);
+  StateFields(*this, CkptWriter(w));
 }
 
 Status RegressionTimeSync::LoadState(ByteReader& r) {
-  CKPT_READ(r, locals_);
-  CKPT_READ(r, references_);
-  CKPT_READ(r, fit_valid_);
-  CKPT_READ(r, intercept_);
-  CKPT_READ(r, slope_);
-  return OkStatus();
+  CkptReader in(r);
+  StateFields(*this, in);
+  return in.status();
 }
 
 }  // namespace presto

@@ -41,6 +41,11 @@ class DriftingClock {
   Status LoadState(ByteReader& r);
 
  private:
+  template <class Self, class F>
+  static void StateFields(Self& self, F&& f) {
+    f(self.rng_);
+  }
+
   Duration offset_;
   double drift_ppm_;
   Duration jitter_std_;
@@ -77,6 +82,15 @@ class RegressionTimeSync {
   Status LoadState(ByteReader& r);
 
  private:
+  template <class Self, class F>
+  static void StateFields(Self& self, F&& f) {
+    f(self.locals_);
+    f(self.references_);
+    f(self.fit_valid_);
+    f(self.intercept_);
+    f(self.slope_);
+  }
+
   Status Refit();
 
   size_t window_;

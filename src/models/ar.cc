@@ -352,27 +352,13 @@ int64_t SeasonalArModel::FitCostOps(size_t history_len) const {
   return static_cast<int64_t>(history_len) * (p + 6) + p * p * p;
 }
 
-void ArCore::SaveCkpt(ByteWriter& w) const {
-  CkptWrite(w, sample_period);
-  CkptWrite(w, max_forecast_steps);
-  CkptWrite(w, phi);
-  CkptWrite(w, mean);
-  CkptWrite(w, innovation_std);
-  CkptWrite(w, marginal_std);
-  CkptWrite(w, state);
-  CkptWrite(w, state_time);
-}
+void ArCore::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
-Status ArCore::LoadCkpt(ByteReader& r) {
+Status ArCore::LoadState(ByteReader& r) {
   ResetCaches();
-  CKPT_READ(r, sample_period);
-  CKPT_READ(r, max_forecast_steps);
-  CKPT_READ(r, phi);
-  CKPT_READ(r, mean);
-  CKPT_READ(r, innovation_std);
-  CKPT_READ(r, marginal_std);
-  CKPT_READ(r, state);
-  CKPT_READ(r, state_time);
+  CkptReader in(r);
+  StateFields(*this, in);
+  PRESTO_RETURN_IF_ERROR(in.status());
   if (sample_period <= 0) {
     return DataLossError("AR restore: sample period not positive");
   }
@@ -391,26 +377,22 @@ Status ArCore::LoadCkpt(ByteReader& r) {
   return OkStatus();
 }
 
-void ArModel::SaveState(ByteWriter& w) const {
-  CkptWrite(w, fitted_);
-  core_.SaveCkpt(w);
-}
+void ArModel::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
 Status ArModel::LoadState(ByteReader& r) {
-  CKPT_READ(r, fitted_);
-  return core_.LoadCkpt(r);
+  CkptReader in(r);
+  StateFields(*this, in);
+  return in.status();
 }
 
 void SeasonalArModel::SaveState(ByteWriter& w) const {
-  CkptWrite(w, fitted_);
-  bins_.SaveCkpt(w);
-  core_.SaveCkpt(w);
+  StateFields(*this, CkptWriter(w));
 }
 
 Status SeasonalArModel::LoadState(ByteReader& r) {
-  CKPT_READ(r, fitted_);
-  PRESTO_RETURN_IF_ERROR(bins_.LoadCkpt(r));
-  return core_.LoadCkpt(r);
+  CkptReader in(r);
+  StateFields(*this, in);
+  return in.status();
 }
 
 }  // namespace presto

@@ -55,14 +55,26 @@ struct ArCore {
   Status DeserializeFrom(ByteReader* r);
 
   // Full-precision checkpoint codec (the wire form above rounds through f32). Only
-  // fitted models are checkpointed, so LoadCkpt refuses, as DataLoss, any state a
+  // fitted models are checkpointed, so LoadState refuses, as DataLoss, any state a
   // forecast cannot run on: sample_period <= 0, an order outside [1, 64], a state
   // window that is not p values, max_forecast_steps outside [1, 65536], or a
   // negative state_time.
-  void SaveCkpt(ByteWriter& w) const;
-  Status LoadCkpt(ByteReader& r);
+  void SaveState(ByteWriter& w) const;
+  Status LoadState(ByteReader& r);
 
  private:
+  template <class Self, class F>
+  static void StateFields(Self& self, F&& f) {
+    f(self.sample_period);
+    f(self.max_forecast_steps);
+    f(self.phi);
+    f(self.mean);
+    f(self.innovation_std);
+    f(self.marginal_std);
+    f(self.state);
+    f(self.state_time);
+  }
+
   // The forecast cursor: buf[end - p, end) is `state` rolled `steps` grid steps past
   // `base` (steps < 0: none). Never serialized or copied.
   struct Cursor {
@@ -109,7 +121,7 @@ struct ArCore {
   double StepOnce(const double* newest_end) const;
   // Rolls the cursor to k >= 1 steps past state_time; returns one past its newest value.
   const double* RollTo(int64_t k) const;
-  // Drops both caches: Fit, DeserializeFrom and LoadCkpt replace what they derive from.
+  // Drops both caches: Fit, DeserializeFrom and LoadState replace what they derive from.
   void ResetCaches();
 
   mutable Cursor cursor_;
@@ -136,6 +148,12 @@ class ArModel : public PredictiveModel {
   Status LoadState(ByteReader& r) override;
 
  private:
+  template <class Self, class F>
+  static void StateFields(Self& self, F&& f) {
+    f(self.fitted_);
+    f(self.core_);
+  }
+
   ModelConfig config_;
   ArCore core_;
   bool fitted_ = false;
@@ -161,6 +179,13 @@ class SeasonalArModel : public PredictiveModel {
   Status LoadState(ByteReader& r) override;
 
  private:
+  template <class Self, class F>
+  static void StateFields(Self& self, F&& f) {
+    f(self.fitted_);
+    f(self.bins_);
+    f(self.core_);
+  }
+
   ModelConfig config_;
   SeasonalBins bins_;
   ArCore core_;  // runs on residuals (value - seasonal)

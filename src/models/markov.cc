@@ -325,26 +325,12 @@ int64_t MarkovModel::FitCostOps(size_t history_len) const {
   return static_cast<int64_t>(history_len) * k + k * k * k * kMaxPowerBits;
 }
 
-void MarkovModel::SaveState(ByteWriter& w) const {
-  CkptWrite(w, fitted_);
-  CkptWrite(w, anchored_);
-  CkptWrite(w, centers_);
-  CkptWrite(w, trans_);
-  CkptWrite(w, marginal_);
-  CkptWrite(w, bin_half_width_);
-  CkptWrite(w, anchor_state_);
-  CkptWrite(w, anchor_time_);
-}
+void MarkovModel::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
 Status MarkovModel::LoadState(ByteReader& r) {
-  CKPT_READ(r, fitted_);
-  CKPT_READ(r, anchored_);
-  CKPT_READ(r, centers_);
-  CKPT_READ(r, trans_);
-  CKPT_READ(r, marginal_);
-  CKPT_READ(r, bin_half_width_);
-  CKPT_READ(r, anchor_state_);
-  CKPT_READ(r, anchor_time_);
+  CkptReader in(r);
+  StateFields(*this, in);
+  PRESTO_RETURN_IF_ERROR(in.status());
   // The binary-power cache is a pure function of the transition matrix; rebuild it
   // rather than shipping O(states^2 log horizon) doubles in every checkpoint.
   if (fitted_) {

@@ -31,6 +31,18 @@ class MarkovModel : public PredictiveModel {
   int num_states() const { return static_cast<int>(centers_.size()); }
 
  private:
+  template <class Self, class F>
+  static void StateFields(Self& self, F&& f) {
+    f(self.fitted_);
+    f(self.anchored_);
+    f(self.centers_);
+    f(self.trans_);
+    f(self.marginal_);
+    f(self.bin_half_width_);
+    f(self.anchor_state_);
+    f(self.anchor_time_);
+  }
+
   int StateOf(double value) const;
   // Distribution after k steps from `start`, via cached binary powers of P.
   std::vector<double> Evolve(int start, int64_t k) const;

@@ -19,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/util/ckpt.h"
 #include "src/util/result.h"
 #include "src/util/sample.h"
 #include "src/util/span.h"
@@ -42,6 +43,9 @@ enum class ModelType : uint8_t {
   kSeasonalAr = 4,  // seasonal bins + AR(p) on the residual (SARIMA-lite)
   kMarkov = 5,      // discretized-value Markov chain (activity-style data)
 };
+constexpr bool CkptEnumValid(ModelType v) {
+  return v >= ModelType::kLastValue && v <= ModelType::kMarkov;
+}
 
 const char* ModelTypeName(ModelType type);
 
@@ -60,6 +64,16 @@ struct ModelConfig {
   int markov_states = 8;
   int max_forecast_steps = 4096;          // psi-weight horizon for AR variance
 };
+
+template <class S, class F, CkptSelf<S, ModelConfig> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.sample_period);
+  f(v.seasonal_period);
+  f(v.seasonal_bins);
+  f(v.ar_order);
+  f(v.markov_states);
+  f(v.max_forecast_steps);
+}
 
 class PredictiveModel {
  public:
@@ -118,6 +132,31 @@ void SaveModelState(ByteWriter& w, const PredictiveModel* model);
 // otherwise a freshly created model of the tagged type with LoadState applied.
 Result<std::unique_ptr<PredictiveModel>> LoadModelState(ByteReader& r,
                                                         const ModelConfig& config);
+
+// A model slot as one field of a list: `f(CkptModel(self.model_, config))` writes
+// SaveModelState's bytes and reads them back into the slot under `config`.
+template <class Ptr>
+struct CkptModelSlot {
+  Ptr& model;
+  const ModelConfig& config;
+};
+template <class Ptr>
+CkptModelSlot<Ptr> CkptModel(Ptr& model, const ModelConfig& config) {
+  return {model, config};
+}
+inline void CkptWrite(ByteWriter& w,
+                      const CkptModelSlot<const std::unique_ptr<PredictiveModel>>& v) {
+  SaveModelState(w, v.model.get());
+}
+inline Status CkptRead(ByteReader& r,
+                       const CkptModelSlot<std::unique_ptr<PredictiveModel>>& v) {
+  auto model = LoadModelState(r, v.config);
+  if (!model.ok()) {
+    return model.status();
+  }
+  v.model = std::move(*model);
+  return OkStatus();
+}
 
 }  // namespace presto
 

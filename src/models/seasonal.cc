@@ -245,16 +245,12 @@ void LastValueModel::OnAnchor(const Sample& sample) {
   anchored_ = true;
 }
 
-void SeasonalBins::SaveCkpt(ByteWriter& w) const {
-  CkptWrite(w, period);
-  CkptWrite(w, means);
-  CkptWrite(w, stddevs);
-}
+void SeasonalBins::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
-Status SeasonalBins::LoadCkpt(ByteReader& r) {
-  CKPT_READ(r, period);
-  CKPT_READ(r, means);
-  CKPT_READ(r, stddevs);
+Status SeasonalBins::LoadState(ByteReader& r) {
+  CkptReader in(r);
+  StateFields(*this, in);
+  PRESTO_RETURN_IF_ERROR(in.status());
   if (period <= 0) {
     return DataLossError("seasonal restore: period not positive");
   }
@@ -267,33 +263,20 @@ Status SeasonalBins::LoadCkpt(ByteReader& r) {
   return OkStatus();
 }
 
-void SeasonalModel::SaveState(ByteWriter& w) const {
-  CkptWrite(w, fitted_);
-  bins_.SaveCkpt(w);
-}
+void SeasonalModel::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
 Status SeasonalModel::LoadState(ByteReader& r) {
-  CKPT_READ(r, fitted_);
-  return bins_.LoadCkpt(r);
+  CkptReader in(r);
+  StateFields(*this, in);
+  return in.status();
 }
 
-void LastValueModel::SaveState(ByteWriter& w) const {
-  CkptWrite(w, fitted_);
-  CkptWrite(w, anchored_);
-  CkptWrite(w, mean_);
-  CkptWrite(w, marginal_stddev_);
-  CkptWrite(w, step_stddev_);
-  CkptWrite(w, anchor_);
-}
+void LastValueModel::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
 Status LastValueModel::LoadState(ByteReader& r) {
-  CKPT_READ(r, fitted_);
-  CKPT_READ(r, anchored_);
-  CKPT_READ(r, mean_);
-  CKPT_READ(r, marginal_stddev_);
-  CKPT_READ(r, step_stddev_);
-  CKPT_READ(r, anchor_);
-  return OkStatus();
+  CkptReader in(r);
+  StateFields(*this, in);
+  return in.status();
 }
 
 }  // namespace presto

@@ -30,10 +30,17 @@ struct SeasonalBins {
   Status DeserializeFrom(ByteReader* r);
 
   // Full-precision checkpoint codec (the wire form above rounds through f32). Only
-  // fitted bins are checkpointed, so LoadCkpt refuses, as DataLoss, a period <= 0,
+  // fitted bins are checkpointed, so LoadState refuses, as DataLoss, a period <= 0,
   // no bins, mismatched mean/stddev counts, or more bins than the period has ticks.
-  void SaveCkpt(ByteWriter& w) const;
-  Status LoadCkpt(ByteReader& r);
+  void SaveState(ByteWriter& w) const;
+  Status LoadState(ByteReader& r);
+
+  template <class Self, class F>
+  static void StateFields(Self& self, F&& f) {
+    f(self.period);
+    f(self.means);
+    f(self.stddevs);
+  }
 };
 
 // Pure seasonal predictor: Predict(t) = bin mean. Stateless across anchors (an anchor
@@ -59,6 +66,12 @@ class SeasonalModel : public PredictiveModel {
   Status LoadState(ByteReader& r) override;
 
  private:
+  template <class Self, class F>
+  static void StateFields(Self& self, F&& f) {
+    f(self.fitted_);
+    f(self.bins_);
+  }
+
   ModelConfig config_;
   SeasonalBins bins_;
   bool fitted_ = false;
@@ -88,6 +101,16 @@ class LastValueModel : public PredictiveModel {
   Status LoadState(ByteReader& r) override;
 
  private:
+  template <class Self, class F>
+  static void StateFields(Self& self, F&& f) {
+    f(self.fitted_);
+    f(self.anchored_);
+    f(self.mean_);
+    f(self.marginal_stddev_);
+    f(self.step_stddev_);
+    f(self.anchor_);
+  }
+
   ModelConfig config_;
   double mean_ = 0.0;
   double marginal_stddev_ = 0.0;

@@ -30,21 +30,12 @@ SimTime CellLink::Deliver(SimTime send_time, size_t bytes) {
   return clear_at_ + params_.latency;
 }
 
-void CellLink::SaveState(ByteWriter& w) const {
-  CkptWrite(w, clear_at_);
-  CkptWrite(w, stats_.messages);
-  CkptWrite(w, stats_.bytes);
-  CkptWrite(w, stats_.queued);
-  CkptWrite(w, stats_.busy);
-}
+void CellLink::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
 Status CellLink::LoadState(ByteReader& r) {
-  CKPT_READ(r, clear_at_);
-  CKPT_READ(r, stats_.messages);
-  CKPT_READ(r, stats_.bytes);
-  CKPT_READ(r, stats_.queued);
-  CKPT_READ(r, stats_.busy);
-  return OkStatus();
+  CkptReader in(r);
+  StateFields(*this, in);
+  return in.status();
 }
 
 }  // namespace presto

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "src/util/ckpt.h"
 #include "src/util/result.h"
 #include "src/util/sim_time.h"
 
@@ -34,12 +35,26 @@ struct CellLinkParams {
   double bandwidth_bps = 1e8;      // trunk serialization rate
 };
 
+template <class S, class F, CkptSelf<S, CellLinkParams> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.latency);
+  f(v.bandwidth_bps);
+}
+
 struct CellLinkStats {
   uint64_t messages = 0;
   uint64_t bytes = 0;
   uint64_t queued = 0;   // messages that had to wait behind earlier traffic
   Duration busy = 0;     // total serialization time spent on the wire
 };
+
+template <class S, class F, CkptSelf<S, CellLinkStats> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.messages);
+  f(v.bytes);
+  f(v.queued);
+  f(v.busy);
+}
 
 class CellLink {
  public:
@@ -61,6 +76,12 @@ class CellLink {
   Status LoadState(ByteReader& r);
 
  private:
+  template <class Self, class F>
+  static void StateFields(Self& self, F&& f) {
+    f(self.clear_at_);
+    f(self.stats_);
+  }
+
   CellLinkParams params_;
   SimTime clear_at_ = 0;  // when the trunk finishes serializing queued traffic
   CellLinkStats stats_;

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "src/util/bytes.h"
+#include "src/util/ckpt.h"
 #include "src/util/result.h"
 
 namespace presto {
@@ -51,6 +52,12 @@ class EnergyMeter {
 
   void Reset() { totals_.fill(0.0); }
 
+  // Checkpoint field list: exact f64 per-component totals.
+  template <class S, class F, CkptSelf<S, EnergyMeter> = 0>
+  friend void CkptFields(S& v, F&& f) {
+    f(v.totals_);
+  }
+
  private:
   std::array<double, kNumEnergyComponents> totals_{};
 };
@@ -64,24 +71,6 @@ inline constexpr double kCpuJoulesPerOp = 1e-9;
 // Energy to acquire one sample from a low-power transducer (temperature/light class).
 inline constexpr double kSensingJoulesPerSample = 90e-6;
 
-// Checkpoint codec (ADL overloads picked up by the generic CkptWrite/CkptRead
-// container codecs). Exact f64 per-component totals.
-inline void CkptWrite(ByteWriter& w, const EnergyMeter& m) {
-  for (int c = 0; c < kNumEnergyComponents; ++c) {
-    w.WriteF64(m.Component(static_cast<EnergyComponent>(c)));
-  }
-}
-inline Status CkptRead(ByteReader& r, EnergyMeter& m) {
-  m.Reset();
-  for (int c = 0; c < kNumEnergyComponents; ++c) {
-    auto v = r.ReadF64();
-    if (!v.ok()) {
-      return v.status();
-    }
-    m.Charge(static_cast<EnergyComponent>(c), *v);
-  }
-  return OkStatus();
-}
 
 }  // namespace presto
 

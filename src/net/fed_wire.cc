@@ -205,29 +205,6 @@ Result<FedFrame> DecodeFedFrame(span<const uint8_t> data) {
   return frame;
 }
 
-void CkptWrite(ByteWriter& w, const FedMail& v) {
-  CkptWrite(w, v.source_cell);
-  CkptWrite(w, v.target_cell);
-  CkptWrite(w, v.time);
-  CkptWrite(w, v.op);
-  CkptWrite(w, v.qid);
-  w.WriteBytes(span<const uint8_t>(v.body));
-}
-
-Status CkptRead(ByteReader& r, FedMail& v) {
-  CKPT_READ(r, v.source_cell);
-  CKPT_READ(r, v.target_cell);
-  CKPT_READ(r, v.time);
-  CKPT_READ(r, v.op);
-  CKPT_READ(r, v.qid);
-  auto body = r.ReadBytes();
-  if (!body.ok()) {
-    return body.status();
-  }
-  v.body = std::move(*body);
-  return OkStatus();
-}
-
 void WriteCellBitmap(ByteWriter& w, const std::vector<uint8_t>& flags) {
   w.WriteVarU64(flags.size());
   BitWriter bits;

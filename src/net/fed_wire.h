@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "src/util/bytes.h"
+#include "src/util/ckpt.h"
 #include "src/util/result.h"
 #include "src/util/sim_time.h"
 #include "src/util/span.h"
@@ -46,8 +47,12 @@ namespace presto {
 // Version 2 added the kHello handshake frame (the TCP listen/connect bootstrap);
 // peers on either side of a skew reject each other with a typed error. Version 3:
 // the bootstrap's raw FederationConfig bytes dropped the lookahead, lane
-// re-binding and lane epoch-cap knobs.
-inline constexpr uint8_t kFedWireVersion = 3;
+// re-binding and lane epoch-cap knobs. Version 4: kBootstrap and kAttachDriver
+// carry their configs field by field (FederationConfig's and QueryDriverParams'
+// field lists, every bool and enum range-checked) instead of raw struct bytes,
+// and the bootstrap no longer carries the orchestrator-only parallelism,
+// endpoint and deadline fields.
+inline constexpr uint8_t kFedWireVersion = 4;
 
 // Hard cap on a single frame payload: far above any real checkpoint, far below
 // anything a corrupt length prefix could use to drive an allocation attack.
@@ -59,7 +64,7 @@ inline constexpr uint32_t kMaxFedFramePayload = 1u << 30;
 enum class FedFrameType : uint8_t {
   kError = 0,         // reply: Status (code + message)
   kAck = 1,           // reply: op-specific payload (possibly empty)
-  kBootstrap = 2,     // config blob + worker index/count: construct hosted cells
+  kBootstrap = 2,     // config fields + worker index/count: construct hosted cells
   kStart = 3,         // Start() every hosted cell
   kAttachDriver = 4,  // origin cell + driver params: attach, reply with slot
   kStartDriver = 5,   // cell + slot + duration: begin the arrival process
@@ -107,8 +112,15 @@ struct FedMail {
   std::vector<uint8_t> body;
 };
 
-void CkptWrite(ByteWriter& w, const FedMail& v);
-Status CkptRead(ByteReader& r, FedMail& v);
+template <class S, class F, CkptSelf<S, FedMail> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.source_cell);
+  f(v.target_cell);
+  f(v.time);
+  f(v.op);
+  f(v.qid);
+  f(v.body);
+}
 
 // Cell-down flags as a bit-packed map (BitWriter, one bit per cell), length
 // prefixed. Broadcast in kCkptLoad and folded into bootstrap-time restores.

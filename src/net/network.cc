@@ -603,97 +603,23 @@ void Network::Send(NodeId src_id, NodeId dst_id, uint16_t type,
                 /*charge=*/cross_lane && dst_metered, dst_listen_s, dst_tx_s);
 }
 
-namespace {
-
-void WriteNodeNetStats(ByteWriter& w, const NodeNetStats& s) {
-  CkptWrite(w, s.messages_sent);
-  CkptWrite(w, s.messages_received);
-  CkptWrite(w, s.messages_dropped);
-  CkptWrite(w, s.bursts);
-  CkptWrite(w, s.frames_sent);
-  CkptWrite(w, s.frame_retries);
-  CkptWrite(w, s.bytes_sent);
-  CkptWrite(w, s.cross_lane_sends);
-}
-
-Status ReadNodeNetStats(ByteReader& r, NodeNetStats& s) {
-  CKPT_READ(r, s.messages_sent);
-  CKPT_READ(r, s.messages_received);
-  CKPT_READ(r, s.messages_dropped);
-  CKPT_READ(r, s.bursts);
-  CKPT_READ(r, s.frames_sent);
-  CKPT_READ(r, s.frame_retries);
-  CKPT_READ(r, s.bytes_sent);
-  CKPT_READ(r, s.cross_lane_sends);
-  return OkStatus();
-}
-
-void WriteNetStats(ByteWriter& w, const NetStats& s) {
-  CkptWrite(w, s.messages_sent);
-  CkptWrite(w, s.messages_delivered);
-  CkptWrite(w, s.messages_dropped);
-  CkptWrite(w, s.frames_sent);
-  CkptWrite(w, s.frame_retries);
-  CkptWrite(w, s.wired_messages);
-  CkptWrite(w, s.batch_flushes);
-  CkptWrite(w, s.batched_messages);
-  CkptWrite(w, s.batches_abandoned);
-  CkptWrite(w, s.cross_lane_sends);
-}
-
-Status ReadNetStats(ByteReader& r, NetStats& s) {
-  CKPT_READ(r, s.messages_sent);
-  CKPT_READ(r, s.messages_delivered);
-  CKPT_READ(r, s.messages_dropped);
-  CKPT_READ(r, s.frames_sent);
-  CKPT_READ(r, s.frame_retries);
-  CKPT_READ(r, s.wired_messages);
-  CKPT_READ(r, s.batch_flushes);
-  CKPT_READ(r, s.batched_messages);
-  CKPT_READ(r, s.batches_abandoned);
-  CKPT_READ(r, s.cross_lane_sends);
-  return OkStatus();
-}
-
-}  // namespace
-
 Status Network::SaveState(ByteWriter& w) const {
   CkptWrite(w, static_cast<uint64_t>(nodes_.size()));
   for (const uint64_t id : nodes_.SortedKeys()) {
-    const NodeState& node = *nodes_.Find(id);
     CkptWrite(w, static_cast<NodeId>(id));
-    CkptWrite(w, node.config.powered);
-    CkptWrite(w, node.config.lpl_interval);
-    CkptWrite(w, node.config.post_burst_listen);
-    CkptWrite(w, node.down);
-    CkptWrite(w, node.lane);
-    CkptWrite(w, node.busy_until);
-    CkptWrite(w, node.listen_until);
-    CkptWrite(w, node.listen_charged_until);
-    CkptWrite(w, node.idle_checkpoint);
-    WriteNodeNetStats(w, node.stats);
+    CkptWrite(w, *nodes_.Find(id));
   }
   CkptWrite(w, LinkMap(link_loss_));
   CkptWrite(w, LinkMap(wired_));
   CkptWrite(w, static_cast<uint64_t>(ctx_.size()));
   for (const LaneCtx& ctx : ctx_) {
-    CkptWrite(w, ctx.rng);
-    WriteNetStats(w, ctx.stats);
-    CkptWrite(w, static_cast<uint64_t>(ctx.batches.size()));
-    for (const auto& [pair, batch] : ctx.batches) {
-      CkptWrite(w, pair);
-      CkptWrite(w, batch.flush_at);
-      CkptWrite(w, static_cast<uint64_t>(batch.queued.size()));
-      for (const QueuedMessage& queued : batch.queued) {
-        CkptWrite(w, queued.type);
-        CkptWrite(w, queued.payload);
-        CkptWrite(w, queued.enqueued_at);
-      }
-    }
+    CkptWrite(w, ctx);
   }
   return OkStatus();
 }
 
+// The node table and the lane contexts exist before a restore (wiring and lane
+// count are construction), so they read in place, checked against the saved ids.
 Status Network::LoadState(ByteReader& r) {
   uint64_t node_count = 0;
   CKPT_READ(r, node_count);
@@ -701,22 +627,12 @@ Status Network::LoadState(ByteReader& r) {
     return FailedPreconditionError("net restore: node table mismatch");
   }
   for (const uint64_t id : nodes_.SortedKeys()) {
-    NodeState& node = *nodes_.Find(id);
     NodeId saved_id = 0;
     CKPT_READ(r, saved_id);
     if (saved_id != id) {
       return FailedPreconditionError("net restore: node id mismatch");
     }
-    CKPT_READ(r, node.config.powered);
-    CKPT_READ(r, node.config.lpl_interval);
-    CKPT_READ(r, node.config.post_burst_listen);
-    CKPT_READ(r, node.down);
-    CKPT_READ(r, node.lane);
-    CKPT_READ(r, node.busy_until);
-    CKPT_READ(r, node.listen_until);
-    CKPT_READ(r, node.listen_charged_until);
-    CKPT_READ(r, node.idle_checkpoint);
-    PRESTO_RETURN_IF_ERROR(ReadNodeNetStats(r, node.stats));
+    CKPT_READ(r, *nodes_.Find(id));
   }
   PRESTO_RETURN_IF_ERROR(ReadLinkTable(r, link_loss_));
   PRESTO_RETURN_IF_ERROR(ReadLinkTable(r, wired_));
@@ -726,30 +642,7 @@ Status Network::LoadState(ByteReader& r) {
     return FailedPreconditionError("net restore: lane context count mismatch");
   }
   for (LaneCtx& ctx : ctx_) {
-    CKPT_READ(r, ctx.rng);
-    PRESTO_RETURN_IF_ERROR(ReadNetStats(r, ctx.stats));
-    ctx.batches.clear();
-    uint64_t batch_count = 0;
-    CKPT_READ(r, batch_count);
-    for (uint64_t i = 0; i < batch_count; ++i) {
-      std::pair<NodeId, NodeId> pair;
-      CKPT_READ(r, pair);
-      PendingBatch batch;
-      CKPT_READ(r, batch.flush_at);
-      uint64_t queued_count = 0;
-      CKPT_READ(r, queued_count);
-      for (uint64_t q = 0; q < queued_count; ++q) {
-        QueuedMessage queued;
-        CKPT_READ(r, queued.type);
-        CKPT_READ(r, queued.payload);
-        CKPT_READ(r, queued.enqueued_at);
-        batch.queued.push_back(std::move(queued));
-      }
-      // The flush handle is stale until the simulator restores the kBatchFlush
-      // event and OnEventRestored re-captures it.
-      batch.flush = EventHandle();
-      ctx.batches.emplace(pair, std::move(batch));
-    }
+    CKPT_READ(r, ctx);
   }
   min_wired_dirty_ = true;
   return OkStatus();

@@ -81,6 +81,13 @@ struct NodeRadioConfig {
   Duration post_burst_listen = Seconds(5);  // stay-awake window after sending a burst
 };
 
+template <class S, class F, CkptSelf<S, NodeRadioConfig> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.powered);
+  f(v.lpl_interval);
+  f(v.post_burst_listen);
+}
+
 struct NetworkParams {
   RadioParams radio = Cc1000Radio();
   int max_retries = 5;
@@ -94,6 +101,16 @@ struct NetworkParams {
   Duration batch_epoch = 0;
 };
 
+template <class S, class F, CkptSelf<S, NetworkParams> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.radio);
+  f(v.max_retries);
+  f(v.default_frame_loss);
+  f(v.wired_latency);
+  f(v.wired_bit_rate_bps);
+  f(v.batch_epoch);
+}
+
 struct NodeNetStats {
   uint64_t messages_sent = 0;
   uint64_t messages_received = 0;
@@ -104,6 +121,18 @@ struct NodeNetStats {
   uint64_t bytes_sent = 0;         // payload + per-frame overhead actually radiated
   uint64_t cross_lane_sends = 0;   // radio sends that crossed a lane boundary
 };
+
+template <class S, class F, CkptSelf<S, NodeNetStats> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.messages_sent);
+  f(v.messages_received);
+  f(v.messages_dropped);
+  f(v.bursts);
+  f(v.frames_sent);
+  f(v.frame_retries);
+  f(v.bytes_sent);
+  f(v.cross_lane_sends);
+}
 
 struct NetStats {
   uint64_t messages_sent = 0;
@@ -117,6 +146,20 @@ struct NetStats {
   uint64_t batches_abandoned = 0;  // pending batches dropped because an endpoint died
   uint64_t cross_lane_sends = 0;   // radio sends whose receiver lived in another lane
 };
+
+template <class S, class F, CkptSelf<S, NetStats> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.messages_sent);
+  f(v.messages_delivered);
+  f(v.messages_dropped);
+  f(v.frames_sent);
+  f(v.frame_retries);
+  f(v.wired_messages);
+  f(v.batch_flushes);
+  f(v.batched_messages);
+  f(v.batches_abandoned);
+  f(v.cross_lane_sends);
+}
 
 class Network : public EventSink {
  public:
@@ -230,6 +273,19 @@ class Network : public EventSink {
     SimTime listen_charged_until = 0; // listen energy already charged up to here
     SimTime idle_checkpoint = 0;      // idle energy settled up to here
     NodeNetStats stats;
+
+    // The handler and meter are wiring, not state.
+    template <class S, class F, CkptSelf<S, NodeState> = 0>
+    friend void CkptFields(S& v, F&& f) {
+      f(v.config);
+      f(v.down);
+      f(v.lane);
+      f(v.busy_until);
+      f(v.listen_until);
+      f(v.listen_charged_until);
+      f(v.idle_checkpoint);
+      f(v.stats);
+    }
   };
 
   // A sub-message waiting in a per-link coalescing queue. `enqueued_at` rides the
@@ -239,11 +295,26 @@ class Network : public EventSink {
     uint16_t type = 0;
     std::vector<uint8_t> payload;
     SimTime enqueued_at = 0;
+
+    template <class S, class F, CkptSelf<S, QueuedMessage> = 0>
+    friend void CkptFields(S& v, F&& f) {
+      f(v.type);
+      f(v.payload);
+      f(v.enqueued_at);
+    }
   };
   struct PendingBatch {
     std::vector<QueuedMessage> queued;
+    // Not saved: stale until the simulator restores the kBatchFlush event and
+    // OnEventRestored re-captures it.
     EventHandle flush;
     SimTime flush_at = 0;  // absolute flush time (preserved across lane re-binds)
+
+    template <class S, class F, CkptSelf<S, PendingBatch> = 0>
+    friend void CkptFields(S& v, F&& f) {
+      f(v.flush_at);
+      f(v.queued);
+    }
   };
   // Everything a concurrently executing lane mutates, sharded per lane so parallel
   // execution shares nothing: loss/rendezvous draws, aggregate counters, coalescing
@@ -253,6 +324,13 @@ class Network : public EventSink {
     NetStats stats;
     std::map<std::pair<NodeId, NodeId>, PendingBatch> batches;
     explicit LaneCtx(Pcg32 r) : rng(r) {}
+
+    template <class S, class F, CkptSelf<S, LaneCtx> = 0>
+    friend void CkptFields(S& v, F&& f) {
+      f(v.rng);
+      f(v.stats);
+      f(v.batches);
+    }
   };
 
   NodeState& GetNode(NodeId id);

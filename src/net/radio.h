@@ -10,6 +10,7 @@
 
 #include <cstdint>
 
+#include "src/util/ckpt.h"
 #include "src/util/sim_time.h"
 
 namespace presto {
@@ -47,6 +48,21 @@ struct RadioParams {
     return (payload_bytes + max_payload_bytes - 1) / max_payload_bytes;
   }
 };
+
+template <class S, class F, CkptSelf<S, RadioParams> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.bit_rate_bps);
+  f(v.tx_power_w);
+  f(v.listen_power_w);
+  f(v.sleep_power_w);
+  f(v.turnaround);
+  f(v.lpl_sample);
+  f(v.frame_header_bytes);
+  f(v.frame_crc_bytes);
+  f(v.max_payload_bytes);
+  f(v.ack_bytes);
+  f(v.short_preamble_bytes);
+}
 
 // CC1000-class radio on a Mica2-era mote (19.2 kbps effective Manchester-coded rate).
 RadioParams Cc1000Radio();

@@ -126,26 +126,13 @@ bool PredictionEngine::ShouldRefit(SimTime now) const {
 namespace presto {
 
 void PredictionEngine::SaveState(ByteWriter& w) const {
-  CkptWrite(w, history_);
-  SaveModelState(w, model_.get());
-  CkptWrite(w, last_fit_time_);
-  CkptWrite(w, fit_count_);
-  CkptWrite(w, recent_pushes_);
-  CkptWrite(w, push_window_);
+  StateFields(*this, CkptWriter(w));
 }
 
 Status PredictionEngine::LoadState(ByteReader& r) {
-  CKPT_READ(r, history_);
-  auto model = LoadModelState(r, params_.model_config);
-  if (!model.ok()) {
-    return model.status();
-  }
-  model_ = std::move(*model);
-  CKPT_READ(r, last_fit_time_);
-  CKPT_READ(r, fit_count_);
-  CKPT_READ(r, recent_pushes_);
-  CKPT_READ(r, push_window_);
-  return OkStatus();
+  CkptReader in(r);
+  StateFields(*this, in);
+  return in.status();
 }
 
 }  // namespace presto

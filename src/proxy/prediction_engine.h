@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/models/model.h"
+#include "src/util/ckpt.h"
 
 namespace presto {
 
@@ -28,6 +29,17 @@ struct PredictionEngineParams {
   // (model failure monitor).
   double refit_push_rate = 0.30;
 };
+
+template <class S, class F, CkptSelf<S, PredictionEngineParams> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.model_type);
+  f(v.model_config);
+  f(v.min_training_span);
+  f(v.min_training_samples);
+  f(v.max_history);
+  f(v.refit_interval);
+  f(v.refit_push_rate);
+}
 
 class PredictionEngine {
  public:
@@ -75,6 +87,16 @@ class PredictionEngine {
   Status LoadState(ByteReader& r);
 
  private:
+  template <class Self, class F>
+  static void StateFields(Self& self, F&& f) {
+    f(self.history_);
+    f(CkptModel(self.model_, self.params_.model_config));
+    f(self.last_fit_time_);
+    f(self.fit_count_);
+    f(self.recent_pushes_);
+    f(self.push_window_);
+  }
+
   // Resamples history onto the model's sampling grid (linear interpolation), because
   // bootstrap/value-driven training data is irregular.
   std::vector<Sample> ResampleHistory() const;

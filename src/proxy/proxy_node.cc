@@ -987,91 +987,30 @@ void ProxyNode::OnEventRestored(SimTime t, EventKind kind, const EventPayload& p
 }
 
 Status ProxyNode::SaveState(ByteWriter& w) const {
-  const auto save_origin = [&w](const QueryOrigin& o) {
-    CkptWrite(w, o.kind);
-    CkptWrite(w, o.token);
-  };
   CkptWrite(w, lane_);
-  maintenance_timer_.SaveState(w);
+  CkptWrite(w, maintenance_timer_);
   w.WriteVarU64(sensors_.size());
   for (const auto& sensor : sensors_) {
-    CkptWrite(w, sensor->id);
-    CkptWrite(w, sensor->is_replica);
-    CkptWrite(w, sensor->sensing_period);
-    sensor->cache.SaveState(w);
-    sensor->engine.SaveState(w);
-    sensor->sync.SaveState(w);
-    sensor->matcher.SaveState(w);
-    CkptWrite(w, sensor->model_sent);
-    CkptWrite(w, sensor->last_model_send);
-    CkptWrite(w, sensor->last_push);
-    CkptWrite(w, sensor->replica_targets);
-    CkptWrite(w, sensor->window_queries);
-    CkptWrite(w, sensor->window_pushes);
+    CkptWrite(w, *sensor);
   }
   w.WriteVarU64(pending_pulls_.size());
   for (const auto& [id, pull] : pending_pulls_) {
     (void)id;
-    CkptWrite(w, pull.id);
-    CkptWrite(w, pull.sensor_id);
-    CkptWrite(w, pull.is_now);
-    CkptWrite(w, pull.range);
-    CkptWrite(w, pull.tolerance);
-    CkptWrite(w, pull.issued_at);
-    CkptWrite(w, pull.request_bytes);
-    save_origin(pull.origin);
-    w.WriteVarU64(pull.riders.size());
-    for (const PullRider& rider : pull.riders) {
-      CkptWrite(w, rider.is_now);
-      CkptWrite(w, rider.range);
-      CkptWrite(w, rider.issued_at);
-      save_origin(rider.origin);
-    }
+    CkptWrite(w, pull);
   }
-  w.WriteVarU64(backfill_queue_.size());
-  for (const BackfillRequest& req : backfill_queue_) {
-    CkptWrite(w, req.sensor_id);
-    CkptWrite(w, req.horizon);
-  }
+  CkptWrite(w, backfill_queue_);
   CkptWrite(w, backfill_drain_pending_);
   CkptWrite(w, next_pull_id_);
-  CkptWrite(w, stats_.pushes_received);
-  CkptWrite(w, stats_.push_samples);
-  CkptWrite(w, stats_.queries);
-  CkptWrite(w, stats_.cache_hits);
-  CkptWrite(w, stats_.extrapolations);
-  CkptWrite(w, stats_.pulls);
-  CkptWrite(w, stats_.coalesced_pulls);
-  CkptWrite(w, stats_.pull_timeouts);
-  CkptWrite(w, stats_.failures);
-  CkptWrite(w, stats_.degraded_answers);
-  CkptWrite(w, stats_.model_sends);
-  CkptWrite(w, stats_.config_sends);
-  CkptWrite(w, stats_.replica_updates);
-  CkptWrite(w, stats_.promotions);
-  CkptWrite(w, stats_.demotions);
-  CkptWrite(w, stats_.snapshots_sent);
-  CkptWrite(w, stats_.backfill_pulls);
-  CkptWrite(w, stats_.now_latency_ms);
-  CkptWrite(w, stats_.past_latency_ms);
+  CkptWrite(w, stats_);
   return OkStatus();
 }
 
+// The sensor states are built from this proxy's config and indexed, and the pulls
+// keyed by id, so those two tables read element-wise; every record and the rest
+// read through the same lists SaveState writes.
 Status ProxyNode::LoadState(ByteReader& r) {
-  const auto read_origin = [&r](QueryOrigin& o) -> Status {
-    uint64_t kind = 0;
-    CKPT_READ(r, kind);
-    if (kind != static_cast<uint64_t>(QueryOrigin::Kind::kNone) &&
-        kind != static_cast<uint64_t>(QueryOrigin::Kind::kToken)) {
-      return DataLossError("proxy restore: query origin " + std::to_string(kind) +
-                           " out of range");
-    }
-    o.kind = static_cast<QueryOrigin::Kind>(kind);
-    CKPT_READ(r, o.token);
-    return OkStatus();
-  };
   CKPT_READ(r, lane_);
-  PRESTO_RETURN_IF_ERROR(maintenance_timer_.LoadState(r));
+  CKPT_READ(r, maintenance_timer_);
   auto sensor_count = r.ReadVarU64();
   if (!sensor_count.ok()) {
     return sensor_count.status();
@@ -1082,128 +1021,25 @@ Status ProxyNode::LoadState(ByteReader& r) {
   sensors_.clear();
   sensor_index_.Clear();
   for (uint64_t i = 0; i < *sensor_count; ++i) {
-    NodeId id = 0;
-    CKPT_READ(r, id);
     auto sensor =
-        std::make_unique<SensorState>(id, Seconds(31), config_.engine, config_.matcher);
-    CKPT_READ(r, sensor->is_replica);
-    CKPT_READ(r, sensor->sensing_period);
-    PRESTO_RETURN_IF_ERROR(sensor->cache.LoadState(r));
-    PRESTO_RETURN_IF_ERROR(sensor->engine.LoadState(r));
-    PRESTO_RETURN_IF_ERROR(sensor->sync.LoadState(r));
-    PRESTO_RETURN_IF_ERROR(sensor->matcher.LoadState(r));
-    CKPT_READ(r, sensor->model_sent);
-    CKPT_READ(r, sensor->last_model_send);
-    CKPT_READ(r, sensor->last_push);
-    CKPT_READ(r, sensor->replica_targets);
-    CKPT_READ(r, sensor->window_queries);
-    CKPT_READ(r, sensor->window_pushes);
+        std::make_unique<SensorState>(0, Seconds(31), config_.engine, config_.matcher);
+    CKPT_READ(r, *sensor);
+    const NodeId id = sensor->id;
     if (!AddSensorState(std::move(sensor))) {
       return DataLossError("proxy restore: duplicate sensor " + std::to_string(id));
     }
   }
-  auto pull_count = r.ReadVarU64();
-  if (!pull_count.ok()) {
-    return pull_count.status();
-  }
-  if (*pull_count > r.remaining()) {
-    return DataLossError("proxy restore: pull count exceeds section bytes");
-  }
+  std::vector<PendingPull> pulls;
+  CKPT_READ(r, pulls);
   pending_pulls_.clear();
-  for (uint64_t i = 0; i < *pull_count; ++i) {
-    PendingPull pull;
-    CKPT_READ(r, pull.id);
-    CKPT_READ(r, pull.sensor_id);
-    CKPT_READ(r, pull.is_now);
-    CKPT_READ(r, pull.range);
-    CKPT_READ(r, pull.tolerance);
-    CKPT_READ(r, pull.issued_at);
-    CKPT_READ(r, pull.request_bytes);
-    PRESTO_RETURN_IF_ERROR(read_origin(pull.origin));
-    auto rider_count = r.ReadVarU64();
-    if (!rider_count.ok()) {
-      return rider_count.status();
-    }
-    if (*rider_count > r.remaining()) {
-      return DataLossError("proxy restore: rider count exceeds section bytes");
-    }
-    for (uint64_t j = 0; j < *rider_count; ++j) {
-      PullRider rider;
-      CKPT_READ(r, rider.is_now);
-      CKPT_READ(r, rider.range);
-      CKPT_READ(r, rider.issued_at);
-      PRESTO_RETURN_IF_ERROR(read_origin(rider.origin));
-      pull.riders.push_back(std::move(rider));
-    }
-    pull.timeout = EventHandle();  // re-captured via OnEventRestored
+  for (PendingPull& pull : pulls) {
     const uint32_t id = pull.id;
     pending_pulls_.emplace(id, std::move(pull));
   }
-  auto backfill_count = r.ReadVarU64();
-  if (!backfill_count.ok()) {
-    return backfill_count.status();
-  }
-  if (*backfill_count > r.remaining()) {
-    return DataLossError("proxy restore: backfill count exceeds section bytes");
-  }
-  backfill_queue_.clear();
-  for (uint64_t i = 0; i < *backfill_count; ++i) {
-    BackfillRequest req;
-    CKPT_READ(r, req.sensor_id);
-    CKPT_READ(r, req.horizon);
-    backfill_queue_.push_back(req);
-  }
+  CKPT_READ(r, backfill_queue_);
   CKPT_READ(r, backfill_drain_pending_);
   CKPT_READ(r, next_pull_id_);
-  CKPT_READ(r, stats_.pushes_received);
-  CKPT_READ(r, stats_.push_samples);
-  CKPT_READ(r, stats_.queries);
-  CKPT_READ(r, stats_.cache_hits);
-  CKPT_READ(r, stats_.extrapolations);
-  CKPT_READ(r, stats_.pulls);
-  CKPT_READ(r, stats_.coalesced_pulls);
-  CKPT_READ(r, stats_.pull_timeouts);
-  CKPT_READ(r, stats_.failures);
-  CKPT_READ(r, stats_.degraded_answers);
-  CKPT_READ(r, stats_.model_sends);
-  CKPT_READ(r, stats_.config_sends);
-  CKPT_READ(r, stats_.replica_updates);
-  CKPT_READ(r, stats_.promotions);
-  CKPT_READ(r, stats_.demotions);
-  CKPT_READ(r, stats_.snapshots_sent);
-  CKPT_READ(r, stats_.backfill_pulls);
-  CKPT_READ(r, stats_.now_latency_ms);
-  CKPT_READ(r, stats_.past_latency_ms);
-  return OkStatus();
-}
-
-}  // namespace presto
-
-namespace presto {
-
-void CkptWrite(ByteWriter& w, const QueryAnswer& answer) {
-  CkptWrite(w, answer.status);
-  CkptWrite(w, answer.source);
-  CkptWrite(w, answer.samples);
-  CkptWrite(w, answer.value);
-  CkptWrite(w, answer.error_estimate);
-  CkptWrite(w, answer.energy_j);
-  CkptWrite(w, answer.issued_at);
-  CkptWrite(w, answer.completed_at);
-}
-
-Status CkptRead(ByteReader& r, QueryAnswer& answer) {
-  CKPT_READ(r, answer.status);
-  CKPT_READ(r, answer.source);
-  if (static_cast<uint8_t>(answer.source) > static_cast<uint8_t>(AnswerSource::kFailed)) {
-    return DataLossError("query answer restore: source out of range");
-  }
-  CKPT_READ(r, answer.samples);
-  CKPT_READ(r, answer.value);
-  CKPT_READ(r, answer.error_estimate);
-  CKPT_READ(r, answer.energy_j);
-  CKPT_READ(r, answer.issued_at);
-  CKPT_READ(r, answer.completed_at);
+  CKPT_READ(r, stats_);
   return OkStatus();
 }
 

@@ -31,6 +31,7 @@
 #include "src/proxy/summary_cache.h"
 #include "src/sensor/protocol.h"
 #include "src/sim/timer.h"
+#include "src/util/ckpt.h"
 #include "src/util/id_map.h"
 #include "src/util/stats.h"
 
@@ -41,6 +42,7 @@ enum class ProxyMode : uint8_t {
   kCacheOnly = 1,   // streaming architectures: proxy answers only from pushed data
   kAlwaysPull = 2,  // direct-query architectures: no cache use, always ask the sensor
 };
+constexpr bool CkptEnumValid(ProxyMode v) { return v <= ProxyMode::kAlwaysPull; }
 
 enum class AnswerSource : uint8_t {
   kCacheHit = 0,
@@ -48,6 +50,7 @@ enum class AnswerSource : uint8_t {
   kSensorPull = 2,
   kFailed = 3,
 };
+constexpr bool CkptEnumValid(AnswerSource v) { return v <= AnswerSource::kFailed; }
 
 const char* AnswerSourceName(AnswerSource source);
 
@@ -67,9 +70,18 @@ struct QueryAnswer {
   Duration Latency() const { return completed_at - issued_at; }
 };
 
-// Checkpoint codec for answers parked in pending store/federation queries.
-void CkptWrite(ByteWriter& w, const QueryAnswer& answer);
-Status CkptRead(ByteReader& r, QueryAnswer& answer);
+// Field list for answers parked in pending store/federation queries.
+template <class S, class F, CkptSelf<S, QueryAnswer> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.status);
+  f(v.source);
+  f(v.samples);
+  f(v.value);
+  f(v.error_estimate);
+  f(v.energy_j);
+  f(v.issued_at);
+  f(v.completed_at);
+}
 
 // Completion target of the query API: the client gets the token it passed to
 // QueryNow/QueryPast back with the answer, which it may keep (the answer is moved,
@@ -127,6 +139,29 @@ struct ProxyStats {
   SampleSet now_latency_ms;
   SampleSet past_latency_ms;
 };
+
+template <class S, class F, CkptSelf<S, ProxyStats> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.pushes_received);
+  f(v.push_samples);
+  f(v.queries);
+  f(v.cache_hits);
+  f(v.extrapolations);
+  f(v.pulls);
+  f(v.coalesced_pulls);
+  f(v.pull_timeouts);
+  f(v.failures);
+  f(v.degraded_answers);
+  f(v.model_sends);
+  f(v.config_sends);
+  f(v.replica_updates);
+  f(v.promotions);
+  f(v.demotions);
+  f(v.snapshots_sent);
+  f(v.backfill_pulls);
+  f(v.now_latency_ms);
+  f(v.past_latency_ms);
+}
 
 class ProxyNode : public NetNode, public EventSink {
  public:
@@ -248,6 +283,23 @@ class ProxyNode : public NetNode, public EventSink {
                 const MatcherParams& matcher_params)
         : id(sensor_id), sensing_period(period), engine(engine_params),
           matcher(matcher_params) {}
+
+    template <class S, class F, CkptSelf<S, SensorState> = 0>
+    friend void CkptFields(S& v, F&& f) {
+      f(v.id);
+      f(v.is_replica);
+      f(v.sensing_period);
+      f(v.cache);
+      f(v.engine);
+      f(v.sync);
+      f(v.matcher);
+      f(v.model_sent);
+      f(v.last_model_send);
+      f(v.last_push);
+      f(v.replica_targets);
+      f(v.window_queries);
+      f(v.window_pushes);
+    }
   };
 
   // Where a query's answer goes: nowhere (backfill pulls: the pulled data landing
@@ -255,8 +307,17 @@ class ProxyNode : public NetNode, public EventSink {
   // checkpoint bytes; 1 is unused.
   struct QueryOrigin {
     enum class Kind : uint8_t { kNone = 0, kToken = 2 };
+    friend constexpr bool CkptEnumValid(Kind v) {
+      return v == Kind::kNone || v == Kind::kToken;
+    }
     Kind kind = Kind::kNone;
     uint64_t token = 0;
+
+    template <class S, class F, CkptSelf<S, QueryOrigin> = 0>
+    friend void CkptFields(S& v, F&& f) {
+      f(v.kind);
+      f(v.token);
+    }
 
     static QueryOrigin Token(uint64_t token) {
       QueryOrigin o;
@@ -273,6 +334,14 @@ class ProxyNode : public NetNode, public EventSink {
     TimeInterval range{};
     SimTime issued_at = 0;
     QueryOrigin origin;
+
+    template <class S, class F, CkptSelf<S, PullRider> = 0>
+    friend void CkptFields(S& v, F&& f) {
+      f(v.is_now);
+      f(v.range);
+      f(v.issued_at);
+      f(v.origin);
+    }
   };
 
   struct PendingPull {
@@ -284,8 +353,21 @@ class ProxyNode : public NetNode, public EventSink {
     SimTime issued_at = 0;
     size_t request_bytes = 0;  // encoded ArchiveQueryMsg size, for energy attribution
     QueryOrigin origin;
-    EventHandle timeout;
+    EventHandle timeout;  // not saved: re-captured via OnEventRestored
     std::vector<PullRider> riders;
+
+    template <class S, class F, CkptSelf<S, PendingPull> = 0>
+    friend void CkptFields(S& v, F&& f) {
+      f(v.id);
+      f(v.sensor_id);
+      f(v.is_now);
+      f(v.range);
+      f(v.tolerance);
+      f(v.issued_at);
+      f(v.request_bytes);
+      f(v.origin);
+      f(v.riders);
+    }
   };
 
   // A deferred promotion-time repair: the hole scan re-runs at drain time, so a
@@ -293,6 +375,12 @@ class ProxyNode : public NetNode, public EventSink {
   struct BackfillRequest {
     NodeId sensor_id = 0;
     Duration horizon = 0;
+
+    template <class S, class F, CkptSelf<S, BackfillRequest> = 0>
+    friend void CkptFields(S& v, F&& f) {
+      f(v.sensor_id);
+      f(v.horizon);
+    }
   };
 
   SensorState& GetSensor(NodeId sensor_id);

@@ -73,22 +73,13 @@ std::optional<ConfigUpdateMsg> QuerySensorMatcher::Recommend(SimTime now) {
 namespace presto {
 
 void QuerySensorMatcher::SaveState(ByteWriter& w) const {
-  CkptWrite(w, profile_.queries);
-  CkptWrite(w, profile_.min_latency_bound);
-  CkptWrite(w, profile_.min_tolerance);
-  CkptWrite(w, profile_.window_start);
-  CkptWrite(w, applied_lpl_);
-  CkptWrite(w, applied_quant_);
+  StateFields(*this, CkptWriter(w));
 }
 
 Status QuerySensorMatcher::LoadState(ByteReader& r) {
-  CKPT_READ(r, profile_.queries);
-  CKPT_READ(r, profile_.min_latency_bound);
-  CKPT_READ(r, profile_.min_tolerance);
-  CKPT_READ(r, profile_.window_start);
-  CKPT_READ(r, applied_lpl_);
-  CKPT_READ(r, applied_quant_);
-  return OkStatus();
+  CkptReader in(r);
+  StateFields(*this, in);
+  return in.status();
 }
 
 }  // namespace presto

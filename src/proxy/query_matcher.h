@@ -10,6 +10,7 @@
 #include <optional>
 
 #include "src/sensor/protocol.h"
+#include "src/util/ckpt.h"
 #include "src/util/result.h"
 #include "src/util/sim_time.h"
 
@@ -28,6 +29,14 @@ struct QueryProfile {
   void Reset(SimTime now);
 };
 
+template <class S, class F, CkptSelf<S, QueryProfile> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.queries);
+  f(v.min_latency_bound);
+  f(v.min_tolerance);
+  f(v.window_start);
+}
+
 struct MatcherParams {
   // Duty cycle: the pull path costs roughly one LPL interval of rendezvous latency, so
   // keep the interval a quarter of the tightest latency bound, within sane limits.
@@ -43,6 +52,17 @@ struct MatcherParams {
   // (avoids chattering control traffic).
   double hysteresis = 0.25;
 };
+
+template <class S, class F, CkptSelf<S, MatcherParams> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.lpl_fraction_of_latency);
+  f(v.min_lpl);
+  f(v.max_lpl);
+  f(v.quant_fraction_of_tolerance);
+  f(v.min_quant);
+  f(v.max_quant);
+  f(v.hysteresis);
+}
 
 class QuerySensorMatcher {
  public:
@@ -63,6 +83,13 @@ class QuerySensorMatcher {
   Status LoadState(ByteReader& r);
 
  private:
+  template <class Self, class F>
+  static void StateFields(Self& self, F&& f) {
+    f(self.profile_);
+    f(self.applied_lpl_);
+    f(self.applied_quant_);
+  }
+
   MatcherParams params_;
   QueryProfile profile_;
   Duration applied_lpl_ = 0;   // 0 = never applied

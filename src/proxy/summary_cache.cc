@@ -191,70 +191,28 @@ void SummaryCache::EvictBefore(SimTime t) {
 
 namespace presto {
 
-void CkptWrite(ByteWriter& w, const CachedValue& v) {
-  w.WriteF64(v.value);
-  CkptWrite(w, v.source);
-  CkptWrite(w, v.inserted_at);
-}
-
-Status CkptRead(ByteReader& r, CachedValue& v) {
-  auto value = r.ReadF64();
-  if (!value.ok()) {
-    return value.status();
-  }
-  v.value = *value;
-  uint64_t source = 0;
-  CKPT_READ(r, source);
-  if (source > static_cast<uint64_t>(CacheSource::kPulled)) {
-    return DataLossError("ckpt: cache source out of range");
-  }
-  v.source = static_cast<CacheSource>(source);
-  CKPT_READ(r, v.inserted_at);
-  return OkStatus();
-}
-
-// The bytes CkptWrite(std::map<SimTime, CachedValue>) writes: a varint count, then the
-// (t, value) pairs in ascending t.
+// The bytes CkptWrite(std::vector<Slot>) writes for the live slots: a varint
+// count, then the (t, value) pairs in ascending t.
 void SummaryCache::SaveState(ByteWriter& w) const {
   w.WriteVarU64(size());
   for (Iter it = live_begin(); it != slots_.end(); ++it) {
-    CkptWrite(w, it->t);
-    CkptWrite(w, it->v);
+    CkptWrite(w, *it);
   }
-  CkptWrite(w, stats_.inserts);
-  CkptWrite(w, stats_.refinements);
-  CkptWrite(w, stats_.downgrades_rejected);
-  CkptWrite(w, stats_.evictions);
+  CkptWrite(w, stats_);
 }
 
 Status SummaryCache::LoadState(ByteReader& r) {
-  // An entry is at least a 1-byte t, an 8-byte value and 1-byte source and arrival.
-  constexpr uint64_t kMinEntryBytes = 11;
-  auto count = r.ReadVarU64();
-  if (!count.ok()) {
-    return count.status();
-  }
-  if (*count > r.remaining() / kMinEntryBytes) {
-    return DataLossError("ckpt: summary-cache length exceeds section bytes");
-  }
   std::vector<Slot> slots;
-  slots.reserve(static_cast<size_t>(*count));
-  for (uint64_t i = 0; i < *count; ++i) {
-    Slot slot;
-    CKPT_READ(r, slot.t);
-    CKPT_READ(r, slot.v);
-    if (!slots.empty() && slot.t <= slots.back().t) {
+  CKPT_READ(r, slots);
+  for (size_t i = 1; i < slots.size(); ++i) {
+    if (slots[i].t <= slots[i - 1].t) {
       return DataLossError("ckpt: summary-cache keys not strictly ascending");
     }
-    slots.push_back(slot);
   }
   slots_ = std::move(slots);
   head_ = 0;
   last_insert_ = 0;
-  CKPT_READ(r, stats_.inserts);
-  CKPT_READ(r, stats_.refinements);
-  CKPT_READ(r, stats_.downgrades_rejected);
-  CKPT_READ(r, stats_.evictions);
+  CKPT_READ(r, stats_);
   return OkStatus();
 }
 

@@ -47,13 +47,11 @@
 #include <utility>
 #include <vector>
 
+#include "src/util/ckpt.h"
 #include "src/util/result.h"
 #include "src/util/sample.h"
 
 namespace presto {
-
-class ByteReader;
-class ByteWriter;
 
 // Ascending authority: a kPulled record beats a kPushed one at the same instant, which
 // beats an extrapolation.
@@ -62,6 +60,7 @@ enum class CacheSource : uint8_t {
   kPushed = 1,
   kPulled = 2,
 };
+constexpr bool CkptEnumValid(CacheSource v) { return v <= CacheSource::kPulled; }
 
 const char* CacheSourceName(CacheSource source);
 
@@ -71,9 +70,12 @@ struct CachedValue {
   SimTime inserted_at = 0;  // when the proxy learned this value (arrival, not data time)
 };
 
-// Checkpoint codec for cache entries (ADL overloads used by the container codecs).
-void CkptWrite(ByteWriter& w, const CachedValue& v);
-Status CkptRead(ByteReader& r, CachedValue& v);
+template <class S, class F, CkptSelf<S, CachedValue> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.value);
+  f(v.source);
+  f(v.inserted_at);
+}
 
 struct CacheStats {
   uint64_t inserts = 0;
@@ -81,6 +83,14 @@ struct CacheStats {
   uint64_t downgrades_rejected = 0;  // lower-authority duplicate ignored
   uint64_t evictions = 0;
 };
+
+template <class S, class F, CkptSelf<S, CacheStats> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.inserts);
+  f(v.refinements);
+  f(v.downgrades_rejected);
+  f(v.evictions);
+}
 
 class SummaryCache {
  public:
@@ -106,6 +116,12 @@ class SummaryCache {
   struct Slot {
     SimTime t = 0;
     CachedValue v;
+
+    template <class S, class F, CkptSelf<S, Slot> = 0>
+    friend void CkptFields(S& s, F&& f) {
+      f(s.t);
+      f(s.v);
+    }
   };
   using Iter = std::vector<Slot>::const_iterator;
 

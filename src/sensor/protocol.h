@@ -57,6 +57,7 @@ enum class PushPolicy : uint8_t {
   kBatched = 3,      // push everything, batched every batch_interval
   kEverySample = 4,  // push every sample immediately (streaming architecture)
 };
+constexpr bool CkptEnumValid(PushPolicy v) { return v <= PushPolicy::kEverySample; }
 
 const char* PushPolicyName(PushPolicy policy);
 

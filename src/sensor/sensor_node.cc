@@ -316,96 +316,12 @@ void SensorNode::HandleArchiveQuery(const Message& message) {
 
 namespace presto {
 
-void SensorNode::SaveState(ByteWriter& w) const {
-  // Proxy-tunable config fields (everything ModelUpdate/ConfigUpdate/SetProxy touch).
-  CkptWrite(w, config_.proxy_id);
-  CkptWrite(w, config_.sensing_period);
-  CkptWrite(w, config_.policy);
-  CkptWrite(w, config_.value_delta);
-  CkptWrite(w, config_.model_tolerance);
-  CkptWrite(w, config_.batch_interval);
-  CkptWrite(w, config_.compress);
-  CkptWrite(w, config_.codec.kind);
-  CkptWrite(w, config_.codec.levels);
-  CkptWrite(w, config_.codec.quant_step);
-  CkptWrite(w, config_.codec.denoise);
-  CkptWrite(w, config_.codec.denoise_scale);
-
-  CkptWrite(w, meter_);
-  flash_.SaveState(w);
-  archive_.SaveState(w);
-  clock_.SaveState(w);
-  sensing_timer_.SaveState(w);
-  batch_timer_.SaveState(w);
-
-  SaveModelState(w, model_.get());
-  CkptWrite(w, model_seq_);
-  CkptWrite(w, has_pushed_value_);
-  CkptWrite(w, last_pushed_value_);
-  CkptWrite(w, batch_buffer_);
-
-  CkptWrite(w, stats_.samples);
-  CkptWrite(w, stats_.pushes);
-  CkptWrite(w, stats_.pushed_samples);
-  CkptWrite(w, stats_.suppressed);
-  CkptWrite(w, stats_.model_checks);
-  CkptWrite(w, stats_.model_updates);
-  CkptWrite(w, stats_.config_updates);
-  CkptWrite(w, stats_.archive_queries);
-  CkptWrite(w, stats_.compressed_bytes);
-  CkptWrite(w, stats_.uncompressed_bytes);
-}
+void SensorNode::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
 Status SensorNode::LoadState(ByteReader& r) {
-  CKPT_READ(r, config_.proxy_id);
-  CKPT_READ(r, config_.sensing_period);
-  CKPT_READ(r, config_.policy);
-  if (static_cast<uint8_t>(config_.policy) >
-      static_cast<uint8_t>(PushPolicy::kEverySample)) {
-    return DataLossError("sensor restore: push policy out of range");
-  }
-  CKPT_READ(r, config_.value_delta);
-  CKPT_READ(r, config_.model_tolerance);
-  CKPT_READ(r, config_.batch_interval);
-  CKPT_READ(r, config_.compress);
-  CKPT_READ(r, config_.codec.kind);
-  if (static_cast<uint8_t>(config_.codec.kind) >
-      static_cast<uint8_t>(WaveletKind::kDaubechies4)) {
-    return DataLossError("sensor restore: wavelet kind out of range");
-  }
-  CKPT_READ(r, config_.codec.levels);
-  CKPT_READ(r, config_.codec.quant_step);
-  CKPT_READ(r, config_.codec.denoise);
-  CKPT_READ(r, config_.codec.denoise_scale);
-
-  CKPT_READ(r, meter_);
-  PRESTO_RETURN_IF_ERROR(flash_.LoadState(r));
-  PRESTO_RETURN_IF_ERROR(archive_.LoadState(r));
-  PRESTO_RETURN_IF_ERROR(clock_.LoadState(r));
-  PRESTO_RETURN_IF_ERROR(sensing_timer_.LoadState(r));
-  PRESTO_RETURN_IF_ERROR(batch_timer_.LoadState(r));
-
-  auto model = LoadModelState(r, config_.model_config);
-  if (!model.ok()) {
-    return model.status();
-  }
-  model_ = std::move(*model);
-  CKPT_READ(r, model_seq_);
-  CKPT_READ(r, has_pushed_value_);
-  CKPT_READ(r, last_pushed_value_);
-  CKPT_READ(r, batch_buffer_);
-
-  CKPT_READ(r, stats_.samples);
-  CKPT_READ(r, stats_.pushes);
-  CKPT_READ(r, stats_.pushed_samples);
-  CKPT_READ(r, stats_.suppressed);
-  CKPT_READ(r, stats_.model_checks);
-  CKPT_READ(r, stats_.model_updates);
-  CKPT_READ(r, stats_.config_updates);
-  CKPT_READ(r, stats_.archive_queries);
-  CKPT_READ(r, stats_.compressed_bytes);
-  CKPT_READ(r, stats_.uncompressed_bytes);
-  return OkStatus();
+  CkptReader in(r);
+  StateFields(*this, in);
+  return in.status();
 }
 
 }  // namespace presto

@@ -106,6 +106,20 @@ class SensorNode : public NetNode {
     uint64_t archive_queries = 0;
     uint64_t compressed_bytes = 0; // payload bytes after compression
     uint64_t uncompressed_bytes = 0;  // what those payloads would cost raw
+
+    template <class S, class F, CkptSelf<S, Stats> = 0>
+    friend void CkptFields(S& v, F&& f) {
+      f(v.samples);
+      f(v.pushes);
+      f(v.pushed_samples);
+      f(v.suppressed);
+      f(v.model_checks);
+      f(v.model_updates);
+      f(v.config_updates);
+      f(v.archive_queries);
+      f(v.compressed_bytes);
+      f(v.uncompressed_bytes);
+    }
   };
 
   // Checkpoint codec: proxy-tunable config fields, flash + archive + clock, timers,
@@ -122,6 +136,32 @@ class SensorNode : public NetNode {
   DriftingClock& clock() { return clock_; }
 
  private:
+  // Proxy-tunable config fields first (everything ModelUpdate/ConfigUpdate/SetProxy
+  // touch).
+  template <class Self, class F>
+  static void StateFields(Self& self, F&& f) {
+    f(self.config_.proxy_id);
+    f(self.config_.sensing_period);
+    f(self.config_.policy);
+    f(self.config_.value_delta);
+    f(self.config_.model_tolerance);
+    f(self.config_.batch_interval);
+    f(self.config_.compress);
+    f(self.config_.codec);
+    f(self.meter_);
+    f(self.flash_);
+    f(self.archive_);
+    f(self.clock_);
+    f(self.sensing_timer_);
+    f(self.batch_timer_);
+    f(CkptModel(self.model_, self.config_.model_config));
+    f(self.model_seq_);
+    f(self.has_pushed_value_);
+    f(self.last_pushed_value_);
+    f(self.batch_buffer_);
+    f(self.stats_);
+  }
+
   void OnSensingTick();
   void FlushBatch();
   void PushSamples(PushReason reason, const std::vector<Sample>& local_samples);

@@ -420,45 +420,6 @@ uint64_t Simulator::RegisterSink(EventSink* sink) {
   return id;
 }
 
-namespace {
-
-void WritePayload(ByteWriter& w, const EventPayload& p) {
-  CkptWrite(w, p.a);
-  CkptWrite(w, p.b);
-  CkptWrite(w, p.c);
-  CkptWrite(w, p.d);
-  CkptWrite(w, p.e);
-  CkptWrite(w, p.f);
-  CkptWrite(w, p.bytes);
-}
-
-// Event kinds are a closed set: a record naming any other kind (a corrupt file, or a
-// peer's bytes) is rejected here instead of aborting in a sink at dispatch.
-Status ReadKind(ByteReader& r, EventKind& kind) {
-  uint64_t raw = 0;
-  CKPT_READ(r, raw);
-  if (raw < static_cast<uint64_t>(EventKind::kTimer) ||
-      raw > static_cast<uint64_t>(EventKind::kMutation)) {
-    return DataLossError("restore: event kind " + std::to_string(raw) +
-                         " out of range");
-  }
-  kind = static_cast<EventKind>(raw);
-  return OkStatus();
-}
-
-Status ReadPayload(ByteReader& r, EventPayload& p) {
-  CKPT_READ(r, p.a);
-  CKPT_READ(r, p.b);
-  CKPT_READ(r, p.c);
-  CKPT_READ(r, p.d);
-  CKPT_READ(r, p.e);
-  CKPT_READ(r, p.f);
-  CKPT_READ(r, p.bytes);
-  return OkStatus();
-}
-
-}  // namespace
-
 Status Simulator::SaveState(ByteWriter& w) const {
   PRESTO_CHECK_MSG(CurrentLane() == kLaneControl,
                    "checkpoint only from control context");
@@ -497,7 +458,7 @@ Status Simulator::SaveState(ByteWriter& w) const {
       CkptWrite(w, entry.seq);
       CkptWrite(w, event.kind);
       CkptWrite(w, sid->second);
-      WritePayload(w, event.payload);
+      CkptWrite(w, event.payload);
     }
     CkptWrite(w, static_cast<uint64_t>(lane.inbox.size()));
     for (const std::vector<Mail>& box : lane.inbox) {
@@ -511,7 +472,7 @@ Status Simulator::SaveState(ByteWriter& w) const {
         CkptWrite(w, mail.time);
         CkptWrite(w, mail.kind);
         CkptWrite(w, sid->second);
-        WritePayload(w, mail.payload);
+        CkptWrite(w, mail.payload);
       }
     }
   }
@@ -581,7 +542,9 @@ Status Simulator::LoadState(ByteReader& r) {
       uint64_t sink_id = 0;
       CKPT_READ(r, time);
       CKPT_READ(r, seq);
-      PRESTO_RETURN_IF_ERROR(ReadKind(r, kind));
+      // Event kinds are a closed set: a record naming any other kind (a corrupt
+      // file, or a peer's bytes) is refused here, not at dispatch in a sink.
+      CKPT_READ(r, kind);
       CKPT_READ(r, sink_id);
       if (sink_id >= sinks_.size()) {
         return DataLossError("restore: invalid event record in lane " +
@@ -592,7 +555,7 @@ Status Simulator::LoadState(ByteReader& r) {
       Event& event = lane.pool[slot];
       event.kind = kind;
       event.sink = sinks_[sink_id];
-      PRESTO_RETURN_IF_ERROR(ReadPayload(r, event.payload));
+      CKPT_READ(r, event.payload);
       // Original (time, seq): same-time tie-break order is part of the replay
       // contract, so events re-enter with the seqs they were scheduled under.
       lane.queue.push(QueueEntry{time, seq, slot, event.gen});
@@ -612,14 +575,14 @@ Status Simulator::LoadState(ByteReader& r) {
         Mail mail{};
         uint64_t sink_id = 0;
         CKPT_READ(r, mail.time);
-        PRESTO_RETURN_IF_ERROR(ReadKind(r, mail.kind));
+        CKPT_READ(r, mail.kind);
         CKPT_READ(r, sink_id);
         if (sink_id >= sinks_.size()) {
           return DataLossError("restore: invalid mailbox record in lane " +
                                std::to_string(li));
         }
         mail.sink = sinks_[sink_id];
-        PRESTO_RETURN_IF_ERROR(ReadPayload(r, mail.payload));
+        CKPT_READ(r, mail.payload);
         box.push_back(std::move(mail));
       }
     }

@@ -44,6 +44,7 @@
 #include <queue>
 #include <vector>
 
+#include "src/util/ckpt.h"
 #include "src/util/claim_pool.h"
 #include "src/util/result.h"
 #include "src/util/sim_time.h"
@@ -64,6 +65,9 @@ enum class EventKind : uint8_t {
   kQuery = 4,      // query routing/completion stages, pull timeouts
   kMutation = 5,   // deployment topology mutation (control lane only)
 };
+constexpr bool CkptEnumValid(EventKind v) {
+  return v >= EventKind::kTimer && v <= EventKind::kMutation;
+}
 
 // Small POD argument block for typed events. Meaning of a..f is sink-defined;
 // `bytes` carries bulk payloads (radio frames) and its capacity is pooled.
@@ -76,6 +80,17 @@ struct EventPayload {
   uint64_t f = 0;
   std::vector<uint8_t> bytes;
 };
+
+template <class S, class F, CkptSelf<S, EventPayload> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.a);
+  f(v.b);
+  f(v.c);
+  f(v.d);
+  f(v.e);
+  f(v.f);
+  f(v.bytes);
+}
 
 // Receiver of typed events. Implemented by Network, UnifiedStore, ProxyNode,
 // Deployment, and PeriodicTimer.

@@ -75,20 +75,13 @@ void PeriodicTimer::ScheduleNext(Duration delay) {
                                    EventPayload{}, lane_);
 }
 
-void PeriodicTimer::SaveState(ByteWriter& w) const {
-  CkptWrite(w, period_);
-  CkptWrite(w, next_fire_at_);
-  CkptWrite(w, lane_);
-  CkptWrite(w, running_);
-}
+void PeriodicTimer::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
 Status PeriodicTimer::LoadState(ByteReader& r) {
   pending_ = EventHandle();  // stale pre-restore handle: drop without cancelling
-  CKPT_READ(r, period_);
-  CKPT_READ(r, next_fire_at_);
-  CKPT_READ(r, lane_);
-  CKPT_READ(r, running_);
-  return OkStatus();
+  CkptReader in(r);
+  StateFields(*this, in);
+  return in.status();
 }
 
 void PeriodicTimer::OnEventRestored(SimTime t, EventKind kind,

@@ -61,6 +61,14 @@ class PeriodicTimer : public EventSink {
                        const EventHandle& handle, int lane) override;
 
  private:
+  template <class Self, class F>
+  static void StateFields(Self& self, F&& f) {
+    f(self.period_);
+    f(self.next_fire_at_);
+    f(self.lane_);
+    f(self.running_);
+  }
+
   void Fire();
   void ScheduleNext(Duration delay);
 

@@ -53,10 +53,14 @@ inline uint64_t CkptChecksum(span<const uint8_t> bytes) {
 // ---------------------------------------------------------------------------
 
 inline void CkptWrite(ByteWriter& w, bool v) { w.WriteU8(v ? 1 : 0); }
+// A bool is one byte, 0 or 1; any other byte is data loss.
 inline Status CkptRead(ByteReader& r, bool& v) {
   auto byte = r.ReadU8();
   if (!byte.ok()) {
     return byte.status();
+  }
+  if (*byte > 1) {
+    return DataLossError("ckpt: bool byte " + std::to_string(*byte) + " is not 0 or 1");
   }
   v = (*byte != 0);
   return OkStatus();
@@ -110,8 +114,9 @@ template <typename E, std::enable_if_t<std::is_enum_v<E>, int> = 0>
 void CkptWrite(ByteWriter& w, E v) {
   w.WriteVarU64(static_cast<uint64_t>(static_cast<std::underlying_type_t<E>>(v)));
 }
-// An enum reads as its underlying type, under the same overflow rule; whether a
-// value that fits names an enumerator is the caller's check.
+// An enum reads as its underlying type, under the same overflow rule, and must
+// then name an enumerator: every serialized enum declares, next to its
+// definition, `constexpr bool CkptEnumValid(E v)` (its range, found by ADL).
 template <typename E, std::enable_if_t<std::is_enum_v<E>, int> = 0>
 Status CkptRead(ByteReader& r, E& v) {
   using U = std::underlying_type_t<E>;
@@ -122,7 +127,11 @@ Status CkptRead(ByteReader& r, E& v) {
   if (static_cast<uint64_t>(static_cast<U>(*raw)) != *raw) {
     return DataLossError("ckpt: value " + std::to_string(*raw) + " overflows its field");
   }
-  v = static_cast<E>(static_cast<U>(*raw));
+  const E e = static_cast<E>(static_cast<U>(*raw));
+  if (!CkptEnumValid(e)) {
+    return DataLossError("ckpt: value " + std::to_string(*raw) + " names no enumerator");
+  }
+  v = e;
   return OkStatus();
 }
 
@@ -371,6 +380,81 @@ Status CkptRead(ByteReader& r, std::map<K, V>& v) {
     v.emplace(std::move(key), std::move(value));
   }
   return OkStatus();
+}
+
+// ---------------------------------------------------------------------------
+// Field lists. A serialized struct names its fields once, in wire order, and the
+// one list drives both directions:
+//
+//   template <class S, class F, CkptSelf<S, Foo> = 0>
+//   void CkptFields(S& v, F&& f) { f(v.a); f(v.b); }
+//
+// S deduces to `const Foo` when writing and to `Foo` when reading, and the
+// CkptWrite/CkptRead overloads below pick the list up (by ADL) for Foo and for
+// every container of Foo. A class's own state keeps its list in a private static
+// member templated on Self the same way, run by SaveState with a CkptWriter and by
+// LoadState with a CkptReader.
+// ---------------------------------------------------------------------------
+
+template <typename S, typename T>
+using CkptSelf = std::enable_if_t<std::is_same_v<std::remove_const_t<S>, T>, int>;
+
+// The write direction of a field list.
+class CkptWriter {
+ public:
+  explicit CkptWriter(ByteWriter& w) : w_(w) {}
+  template <typename T>
+  void operator()(const T& v) const {
+    CkptWrite(w_, v);
+  }
+
+ private:
+  ByteWriter& w_;
+};
+
+// The read direction: reads fields until the first failure, which status() keeps;
+// the fields after it are left alone.
+class CkptReader {
+ public:
+  explicit CkptReader(ByteReader& r) : r_(r) {}
+  // Forwarding, so a field may also be a read adapter built in the list. Out of
+  // line, so every list shares one body per field type instead of inlining the
+  // Status handling into each field of each list.
+  template <typename T>
+  [[gnu::noinline]] void operator()(T&& v) {
+    if (status_.ok()) {
+      status_ = CkptRead(r_, v);
+    }
+  }
+  const Status& status() const { return status_; }
+
+ private:
+  ByteReader& r_;
+  Status status_;
+};
+
+template <typename T>
+auto CkptWrite(ByteWriter& w, const T& v)
+    -> decltype(CkptFields(v, std::declval<CkptWriter&>())) {
+  CkptFields(v, CkptWriter(w));
+}
+template <typename T>
+auto CkptRead(ByteReader& r, T& v)
+    -> decltype(CkptFields(v, std::declval<CkptReader&>()), Status()) {
+  CkptReader in(r);
+  CkptFields(v, in);
+  return in.status();
+}
+
+// An object with its own SaveState/LoadState nests as one field.
+template <typename T>
+auto CkptWrite(ByteWriter& w, const T& v)
+    -> std::enable_if_t<std::is_void_v<decltype(v.SaveState(w))>> {
+  v.SaveState(w);
+}
+template <typename T>
+auto CkptRead(ByteReader& r, T& v) -> decltype(v.LoadState(r)) {
+  return v.LoadState(r);
 }
 
 // Propagates a failed CkptRead out of a Status-returning LoadState.

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/util/ckpt.h"
 #include "src/util/result.h"
 #include "src/util/sample.h"
 #include "src/util/span.h"
@@ -29,6 +30,15 @@ struct CodecParams {
   bool denoise = true;         // apply universal threshold before quantizing
   double denoise_scale = 1.0;  // multiplier on the universal threshold
 };
+
+template <class S, class F, CkptSelf<S, CodecParams> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.kind);
+  f(v.levels);
+  f(v.quant_step);
+  f(v.denoise);
+  f(v.denoise_scale);
+}
 
 struct DecodedBatch {
   BatchFormat format = BatchFormat::kRaw;

@@ -15,6 +15,7 @@ enum class WaveletKind : uint8_t {
   kHaar = 0,
   kDaubechies4 = 1,
 };
+constexpr bool CkptEnumValid(WaveletKind v) { return v <= WaveletKind::kDaubechies4; }
 
 // Pyramid DWT coefficients. Layout of `data` (padded length n = 2^k):
 //   [ approx(level L) | detail(level L) | detail(level L-1) | ... | detail(level 1) ]

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "src/util/ckpt.h"
 #include "src/util/rng.h"
 #include "src/util/sample.h"
 #include "src/util/sim_time.h"
@@ -38,6 +39,21 @@ struct QueryWorkloadParams {
   int num_sensors = 1;
   uint64_t seed = 23;
 };
+
+template <class S, class F, CkptSelf<S, QueryWorkloadParams> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.queries_per_hour);
+  f(v.past_fraction);
+  f(v.mean_past_age);
+  f(v.max_past_age);
+  f(v.past_window);
+  f(v.min_tolerance);
+  f(v.max_tolerance);
+  f(v.min_latency);
+  f(v.max_latency);
+  f(v.num_sensors);
+  f(v.seed);
+}
 
 // Draws one query's fields (target, NOW/PAST shape, tolerance, latency bound) for a
 // query issued at `t`. Shared by the batch generator below and the in-sim

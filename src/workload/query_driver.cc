@@ -143,54 +143,16 @@ void QueryDriver::OnEventRestored(SimTime t, EventKind kind, const EventPayload&
   }
 }
 
-void CkptWrite(ByteWriter& w, const QueryDriverStats& v) {
-  CkptWrite(w, v.issued);
-  CkptWrite(w, v.completed);
-  CkptWrite(w, v.failed);
-  CkptWrite(w, v.cross_cell);
-  CkptWrite(w, v.by_source);
-  CkptWrite(w, v.latency_ms);
-  v.latency.SaveState(w);
-  CkptWrite(w, v.energy_j);
-  CkptWrite(w, v.energy_now_j);
-  CkptWrite(w, v.energy_past_j);
-  CkptWrite(w, v.energized);
-  CkptWrite(w, v.energy_by_cell_j);
-}
-
-Status CkptRead(ByteReader& r, QueryDriverStats& v) {
-  CKPT_READ(r, v.issued);
-  CKPT_READ(r, v.completed);
-  CKPT_READ(r, v.failed);
-  CKPT_READ(r, v.cross_cell);
-  CKPT_READ(r, v.by_source);
-  CKPT_READ(r, v.latency_ms);
-  PRESTO_RETURN_IF_ERROR(v.latency.LoadState(r));
-  CKPT_READ(r, v.energy_j);
-  CKPT_READ(r, v.energy_now_j);
-  CKPT_READ(r, v.energy_past_j);
-  CKPT_READ(r, v.energized);
-  CKPT_READ(r, v.energy_by_cell_j);
-  return OkStatus();
-}
-
 Status QueryDriver::SaveState(ByteWriter& w) const {
-  CkptWrite(w, rng_);
-  CkptWrite(w, next_at_);
-  CkptWrite(w, until_);
-  CkptWrite(w, running_);
-  CkptWrite(w, stats_);
+  StateFields(*this, CkptWriter(w));
   return OkStatus();
 }
 
 Status QueryDriver::LoadState(ByteReader& r) {
   pending_ = EventHandle();  // re-captured via OnEventRestored
-  CKPT_READ(r, rng_);
-  CKPT_READ(r, next_at_);
-  CKPT_READ(r, until_);
-  CKPT_READ(r, running_);
-  CKPT_READ(r, stats_);
-  return OkStatus();
+  CkptReader in(r);
+  StateFields(*this, in);
+  return in.status();
 }
 
 bool QueryDriver::Balanced(const std::vector<std::unique_ptr<QueryDriver>>& drivers,

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "src/sim/simulator.h"
+#include "src/util/ckpt.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/workload/queries.h"
@@ -42,6 +43,7 @@ enum class ArrivalProcess : uint8_t {
   kPoisson = 0,    // exponential interarrivals at mix.queries_per_hour
   kFixedRate = 1,  // constant interarrival of 1 / mix.queries_per_hour
 };
+constexpr bool CkptEnumValid(ArrivalProcess v) { return v <= ArrivalProcess::kFixedRate; }
 
 struct QueryDriverParams {
   // Arrival rate (queries_per_hour), NOW/PAST mix, tolerance and latency-bound
@@ -49,6 +51,12 @@ struct QueryDriverParams {
   QueryWorkloadParams mix;
   ArrivalProcess arrivals = ArrivalProcess::kPoisson;
 };
+
+template <class S, class F, CkptSelf<S, QueryDriverParams> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.mix);
+  f(v.arrivals);
+}
 
 // What the glue reports back when a query finishes. Timestamps are simulator event
 // times (not wall clock), so latencies replay bit-identically.
@@ -124,11 +132,24 @@ struct QueryDriverStats {
   std::map<int, double> energy_by_cell_j;    // keyed by QueryOutcome::source_cell
 };
 
-// Stats codec: checkpoints embed it via QueryDriver::SaveState, and the federation
-// process seam marshals per-worker driver stats through it (kSnapshot frames) —
-// one field order for both, so the two paths cannot drift.
-void CkptWrite(ByteWriter& w, const QueryDriverStats& v);
-Status CkptRead(ByteReader& r, QueryDriverStats& v);
+// Stats field list: checkpoints embed it via QueryDriver::SaveState, and the
+// federation process seam marshals per-worker driver stats through it (kSnapshot
+// frames) — one field order for both, so the two paths cannot drift.
+template <class S, class F, CkptSelf<S, QueryDriverStats> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.issued);
+  f(v.completed);
+  f(v.failed);
+  f(v.cross_cell);
+  f(v.by_source);
+  f(v.latency_ms);
+  f(v.latency);
+  f(v.energy_j);
+  f(v.energy_now_j);
+  f(v.energy_past_j);
+  f(v.energized);
+  f(v.energy_by_cell_j);
+}
 
 class QueryDriver : public EventSink {
  public:
@@ -174,6 +195,15 @@ class QueryDriver : public EventSink {
   Status LoadState(ByteReader& r);
 
  private:
+  template <class Self, class F>
+  static void StateFields(Self& self, F&& f) {
+    f(self.rng_);
+    f(self.next_at_);
+    f(self.until_);
+    f(self.running_);
+    f(self.stats_);
+  }
+
   Duration NextGap();
 
   Simulator* sim_;

@@ -21,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/util/ckpt.h"
 #include "src/util/rng.h"
 #include "src/util/sample.h"
 #include "src/workload/signal.h"
@@ -42,6 +43,23 @@ struct TemperatureParams {
   Duration event_decay = Minutes(45);
   uint64_t seed = 1;
 };
+
+template <class S, class F, CkptSelf<S, TemperatureParams> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.mean_c);
+  f(v.diurnal_amplitude_c);
+  f(v.diurnal_peak);
+  f(v.seasonal_amplitude_c);
+  f(v.seasonal_period);
+  f(v.front_std_c);
+  f(v.front_timescale);
+  f(v.noise_std_c);
+  f(v.events_per_day);
+  f(v.event_magnitude_c);
+  f(v.event_rise);
+  f(v.event_decay);
+  f(v.seed);
+}
 
 // One transient anomaly: ramps up over `rise`, decays exponentially after the peak.
 struct TransientEvent {

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/cell_worker.h"
 #include "src/core/deployment.h"
 #include "src/core/federation.h"
 #include "src/sensor/sensor_node.h"
@@ -639,6 +640,416 @@ TEST(CkptEnumTest, SensorSectionRejectsBadPolicyAndCodecKind) {
   EXPECT_EQ(load(policy_at, {5}).code(), StatusCode::kDataLoss);
   EXPECT_EQ(load(kind_at, varint_257).code(), StatusCode::kDataLoss);
   EXPECT_EQ(load(kind_at, {2}).code(), StatusCode::kDataLoss);
+}
+
+// A value that fits the enum's type but names no enumerator (QueryType 9) is data
+// loss wherever an enum is read: in a pending cross-cell query of a federation
+// checkpoint section, and in the bootstrap frame a worker builds its cells from.
+TEST(CkptEnumTest, InTypeValueNamingNoEnumeratorIsDataLoss) {
+  QueryType type = QueryType::kNow;
+  const std::vector<uint8_t> nine = {9};
+  ByteReader r{span<const uint8_t>(nine)};
+  EXPECT_EQ(CkptRead(r, type).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(type, QueryType::kNow) << "a refused read leaves the value alone";
+
+  Checkpoint ckpt;
+  {
+    Federation fed(CkptFederationConfig());
+    fed.Start();
+    const std::vector<int> drivers = AttachFedDrivers(fed);
+    fed.RunUntil(Minutes(5));
+    for (const int d : drivers) {
+      fed.StartDriver(d, 0);
+    }
+    fed.RunUntil(Minutes(6));
+    ASSERT_TRUE(fed.SaveCheckpoint(&ckpt).ok());
+  }
+  // "cell<i>/fed": the counters, one trunk per other cell, the pending count, then
+  // each pending query's id and spec, whose first byte is its type.
+  std::string section;
+  size_t type_at = 0;
+  for (int c = 0; c < 2 && section.empty(); ++c) {
+    const std::string name = "cell" + std::to_string(c) + "/fed";
+    const std::vector<uint8_t>* payload = ckpt.Find(name);
+    ASSERT_NE(payload, nullptr);
+    ByteReader fields{span<const uint8_t>(*payload)};
+    FedCell::Counters counters;
+    SimTime clear_at = 0;
+    CellLinkStats link;
+    uint64_t pending = 0;
+    uint64_t qid = 0;
+    ASSERT_TRUE(CkptRead(fields, counters).ok());
+    ASSERT_TRUE(CkptRead(fields, clear_at).ok());
+    ASSERT_TRUE(CkptRead(fields, link).ok());
+    ASSERT_TRUE(CkptRead(fields, pending).ok());
+    if (pending > 0) {
+      ASSERT_TRUE(CkptRead(fields, qid).ok());
+      section = name;
+      type_at = payload->size() - fields.remaining();
+    }
+  }
+  ASSERT_FALSE(section.empty()) << "no cross-cell query in flight: the test is vacuous";
+  std::vector<uint8_t> planted = *ckpt.Find(section);
+  ASSERT_LE(planted[type_at], static_cast<uint8_t>(QueryType::kPast));
+  planted[type_at] = 9;
+  Checkpoint bad = ckpt;
+  bad.Add(section, planted);
+  {
+    Federation fed(CkptFederationConfig());
+    fed.Start();
+    AttachFedDrivers(fed);
+    EXPECT_EQ(fed.LoadCheckpoint(bad).code(), StatusCode::kDataLoss);
+  }
+  {
+    Federation fed(CkptFederationConfig());
+    fed.Start();
+    AttachFedDrivers(fed);
+    EXPECT_TRUE(fed.LoadCheckpoint(ckpt).ok()) << "the unplanted bytes restore";
+  }
+
+  // The bootstrap: num_cells, then the cell template's proxies and sensors per
+  // proxy, then its shard policy.
+  const std::vector<uint8_t> boot = EncodeBootstrap(CkptFederationConfig(), 0, 1);
+  ByteReader head{span<const uint8_t>(boot)};
+  int num_cells = 0;
+  int num_proxies = 0;
+  int sensors_per_proxy = 0;
+  ASSERT_TRUE(CkptRead(head, num_cells).ok());
+  ASSERT_TRUE(CkptRead(head, num_proxies).ok());
+  ASSERT_TRUE(CkptRead(head, sensors_per_proxy).ok());
+  const size_t policy_at = boot.size() - head.remaining();
+  ASSERT_EQ(boot[policy_at], static_cast<uint8_t>(ShardPolicy::kGeographic));
+  std::vector<uint8_t> bad_boot = boot;
+  bad_boot[policy_at] = 9;
+  FederationConfig config;
+  int worker_index = 0;
+  int num_workers = 0;
+  EXPECT_EQ(DecodeBootstrap(span<const uint8_t>(bad_boot), &config, &worker_index,
+                            &num_workers)
+                .code(),
+            StatusCode::kDataLoss);
+  EXPECT_TRUE(
+      DecodeBootstrap(span<const uint8_t>(boot), &config, &worker_index, &num_workers)
+          .ok());
+}
+
+// ---------- golden bytes ----------
+//
+// One fixed, hand-built instance of each serialized record and stats block,
+// encoded through its field list and compared with recorded checkpoint bytes. A
+// round trip cannot see two fields swapped in a list; these bytes can. No
+// simulation runs, so they do not depend on the compiler or the host.
+
+QueryAnswer GoldenAnswer() {
+  QueryAnswer v;
+  v.status = UnavailableError("owner down");
+  v.source = AnswerSource::kSensorPull;
+  v.samples = {Sample{Seconds(31), 20.5}, Sample{Seconds(62), -1.25}};
+  v.value = -1.25;
+  v.error_estimate = 0.125;
+  v.energy_j = 3.5e-4;
+  v.issued_at = Seconds(100);
+  v.completed_at = Seconds(103);
+  return v;
+}
+
+QuerySpec GoldenQuerySpec() {
+  QuerySpec v;
+  v.type = QueryType::kPast;
+  v.sensor_id = 2003;
+  v.range = TimeInterval{Hours(3), Hours(5)};
+  v.tolerance = 0.75;
+  v.latency_bound = Seconds(12);
+  return v;
+}
+
+FederationQuerySpec GoldenFederationQuerySpec() {
+  FederationQuerySpec v;
+  v.type = QueryType::kPast;
+  v.fed_sensor = 517;
+  v.range = TimeInterval{Hours(1), Hours(2)};
+  v.tolerance = 1.5;
+  v.latency_bound = Minutes(2);
+  return v;
+}
+
+UnifiedQueryResult GoldenUnifiedQueryResult() {
+  UnifiedQueryResult v;
+  v.answer = GoldenAnswer();
+  v.served_by = 2;
+  v.index_hops = 3;
+  v.used_replica = true;
+  v.issued_at = Seconds(99);
+  v.completed_at = Seconds(104);
+  return v;
+}
+
+QueryDriverStats GoldenDriverStats() {
+  QueryDriverStats v;
+  v.issued = 40;
+  v.completed = 38;
+  v.failed = 2;
+  v.cross_cell = 7;
+  v.by_source = {10, 20, 5, 3};
+  v.latency_ms.Add(12.5);
+  v.latency_ms.Add(250.0);
+  v.latency.Record(Millis(12));
+  v.latency.Record(Seconds(2));
+  v.energy_j = 0.5;
+  v.energy_now_j = 0.25;
+  v.energy_past_j = 0.25;
+  v.energized = 9;
+  v.energy_by_cell_j = {{0, 0.125}, {3, 0.375}};
+  return v;
+}
+
+FedMail GoldenFedMail() {
+  FedMail v;
+  v.source_cell = 1;
+  v.target_cell = 3;
+  v.time = Seconds(7);
+  v.op = kFedOpComplete;
+  v.qid = 12345;
+  v.body = {1, 2, 3, 250};
+  return v;
+}
+
+FedCell::Counters GoldenCounters() {
+  FedCell::Counters v;
+  v.next_qid = 44;
+  v.queries = 40;
+  v.local = 30;
+  v.forwarded = 10;
+  v.failed = 2;
+  v.orphans = 1;
+  return v;
+}
+
+FederationTrunkTotals GoldenTrunks() {
+  FederationTrunkTotals v;
+  v.messages = 11;
+  v.bytes = 2222;
+  return v;
+}
+
+FedCellSnapshot GoldenSnapshot() {
+  FedCellSnapshot v;
+  v.sim_fingerprint = 0xfeedface12345678ull;
+  v.events = 987654;
+  v.counters = GoldenCounters();
+  v.trunks = GoldenTrunks();
+  v.drivers = {GoldenDriverStats(), QueryDriverStats{}};
+  return v;
+}
+
+CachedValue GoldenCachedValue() {
+  CachedValue v;
+  v.value = 21.375;
+  v.source = CacheSource::kPulled;
+  v.inserted_at = Seconds(500);
+  return v;
+}
+
+ProxyStats GoldenProxyStats() {
+  ProxyStats v;
+  v.pushes_received = 1;
+  v.push_samples = 2;
+  v.queries = 3;
+  v.cache_hits = 4;
+  v.extrapolations = 5;
+  v.pulls = 6;
+  v.coalesced_pulls = 7;
+  v.pull_timeouts = 8;
+  v.failures = 9;
+  v.degraded_answers = 10;
+  v.model_sends = 11;
+  v.config_sends = 12;
+  v.replica_updates = 13;
+  v.promotions = 14;
+  v.demotions = 15;
+  v.snapshots_sent = 16;
+  v.backfill_pulls = 17;
+  v.now_latency_ms.Add(4.5);
+  v.past_latency_ms.Add(1200.0);
+  v.past_latency_ms.Add(800.25);
+  return v;
+}
+
+CacheStats GoldenCacheStats() {
+  CacheStats v;
+  v.inserts = 300;
+  v.refinements = 4;
+  v.downgrades_rejected = 5;
+  v.evictions = 6;
+  return v;
+}
+
+NetStats GoldenNetStats() {
+  NetStats v;
+  v.messages_sent = 101;
+  v.messages_delivered = 99;
+  v.messages_dropped = 2;
+  v.frames_sent = 150;
+  v.frame_retries = 7;
+  v.wired_messages = 30;
+  v.batch_flushes = 8;
+  v.batched_messages = 21;
+  v.batches_abandoned = 1;
+  v.cross_lane_sends = 13;
+  return v;
+}
+
+NodeNetStats GoldenNodeNetStats() {
+  NodeNetStats v;
+  v.messages_sent = 51;
+  v.messages_received = 49;
+  v.messages_dropped = 2;
+  v.bursts = 20;
+  v.frames_sent = 70;
+  v.frame_retries = 3;
+  v.bytes_sent = 4096;
+  v.cross_lane_sends = 5;
+  return v;
+}
+
+CellLinkStats GoldenCellLinkStats() {
+  CellLinkStats v;
+  v.messages = 12;
+  v.bytes = 3456;
+  v.queued = 2;
+  v.busy = Micros(789);
+  return v;
+}
+
+FlashStats GoldenFlashStats() {
+  FlashStats v;
+  v.page_reads = 64;
+  v.page_writes = 128;
+  v.block_erases = 3;
+  v.busy_time = Millis(17);
+  return v;
+}
+
+ArchiveStats GoldenArchiveStats() {
+  ArchiveStats v;
+  v.records_appended = 1000;
+  v.records_read = 200;
+  v.aging_passes = 2;
+  v.records_aged = 150;
+  v.pages_skipped = 1;
+  v.appends_rejected = 4;
+  return v;
+}
+
+UnifiedStoreStats GoldenStoreStats() {
+  UnifiedStoreStats v;
+  v.queries = 77;
+  v.routed = 70;
+  v.failovers = 5;
+  v.unroutable = 2;
+  v.total_index_hops = 140;
+  v.reassignments = 6;
+  return v;
+}
+
+SensorNode::Stats GoldenSensorStats() {
+  SensorNode::Stats v;
+  v.samples = 2800;
+  v.pushes = 40;
+  v.pushed_samples = 90;
+  v.suppressed = 2710;
+  v.model_checks = 2500;
+  v.model_updates = 3;
+  v.config_updates = 2;
+  v.archive_queries = 6;
+  v.compressed_bytes = 700;
+  v.uncompressed_bytes = 1440;
+  return v;
+}
+
+Deployment::ShardMgmtStats GoldenShardStats() {
+  Deployment::ShardMgmtStats v;
+  v.promotions = 3;
+  v.handbacks = 2;
+  v.migrations = 5;
+  v.rebalance_sweeps = 4;
+  v.last_promotion_at = Hours(6);
+  return v;
+}
+
+template <typename T>
+std::string Hex(const T& v) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  ByteWriter w;
+  CkptWrite(w, v);
+  std::string out;
+  for (const uint8_t b : w.buffer()) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+TEST(CkptGoldenTest, FieldListsWriteTheRecordedBytes) {
+  const std::vector<std::tuple<std::string, std::string, std::string>> cases = {
+      {"QuerySpec", Hex(GoldenQuerySpec()),
+       "01d30f80b0d7bb5080d0918e8601000000000000e83f80ecb80b"},
+      {"FederationQuerySpec", Hex(GoldenFederationQuerySpec()),
+       "018a0880909de91a80a0bad235000000000000f83f80b8b872"},
+      {"UnifiedQueryResult", Hex(GoldenUnifiedQueryResult()),
+       "040a6f776e657220646f776e02028097c81d000000000080344080ae903b00000000"
+       "0000f4bf000000000000f4bf000000000000c03fc7bab88d06f0363f8084af5f809f"
+       "9d6202060180fbb45e80a89763"},
+      {"QueryAnswer", Hex(GoldenAnswer()),
+       "040a6f776e657220646f776e02028097c81d000000000080344080ae903b00000000"
+       "0000f4bf000000000000f4bf000000000000c03fc7bab88d06f0363f8084af5f809f"
+       "9d62"},
+      {"QueryDriverStats", Hex(GoldenDriverStats()),
+       "282602070a1405030200000000000029400000000000406f40000000000000000000"
+       "00000000010000000000000100000000000000000000000000000000000000000000"
+       "000000e03f000000000000d03f000000000000d03f090200000000000000c03f0600"
+       "0000000000d83f"},
+      {"FedMail", Hex(GoldenFedMail()),
+       "020680bfd60602b96004010203fa"},
+      {"FedCellSnapshot", Hex(GoldenSnapshot()),
+       "f8acd191e1d9fef6fe0186a43c2c281e0a02010bae1102282602070a140503020000"
+       "0000000029400000000000406f400000000000000000000000000001000000000000"
+       "0100000000000000000000000000000000000000000000000000e03f000000000000"
+       "d03f000000000000d03f090200000000000000c03f06000000000000d83f00000000"
+       "00000000000000000000000000000000000000000000000000000000000000000000"
+       "00000000000000000000000000000000000000000000000000000000000000000000"
+       "000000"},
+      {"CachedValue", Hex(GoldenCachedValue()),
+       "0000000000603540028094ebdc03"},
+      {"FederationTrunkTotals", Hex(GoldenTrunks()),
+       "0bae11"},
+      {"FedCell::Counters", Hex(GoldenCounters()),
+       "2c281e0a0201"},
+      {"ProxyStats", Hex(GoldenProxyStats()),
+       "0102030405060708090a0b0c0d0e0f1011010000000000001240020000000000c092"
+       "400000000000028940"},
+      {"CacheStats", Hex(GoldenCacheStats()),
+       "ac02040506"},
+      {"NodeNetStats", Hex(GoldenNodeNetStats()),
+       "333102144603802005"},
+      {"NetStats", Hex(GoldenNetStats()),
+       "6563029601071e0815010d"},
+      {"CellLinkStats", Hex(GoldenCellLinkStats()),
+       "0c801b02aa0c"},
+      {"FlashStats", Hex(GoldenFlashStats()),
+       "40800103d08902"},
+      {"ArchiveStats", Hex(GoldenArchiveStats()),
+       "e807c8010296010104"},
+      {"UnifiedStoreStats", Hex(GoldenStoreStats()),
+       "4d4605028c0106"},
+      {"SensorNode::Stats", Hex(GoldenSensorStats()),
+       "f015285a9615c413030206bc05a00b"},
+      {"Deployment::ShardMgmtStats", Hex(GoldenShardStats()),
+       "0302050480e0aef7a001"},
+  };
+  for (const auto& [name, got, want] : cases) {
+    EXPECT_EQ(got, want) << name;
+  }
 }
 
 }  // namespace

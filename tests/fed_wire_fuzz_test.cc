@@ -8,7 +8,8 @@
 // assert that invariant across every decoder on the seam: DecodeFedFrame,
 // FrameChannel::Recv (over a real socketpair), DecodeFedHello, the FedMail and
 // cell-bitmap codecs, DecodeFedControlReply, DecodeCellControl (the control
-// ops' payloads), and DecodeCkptLoad (the restore handoff: blob span +
+// ops' payloads), DecodeBootstrap and DecodeAttachDriver (the field-wise config
+// payloads), and DecodeCkptLoad (the restore handoff: blob span +
 // Checkpoint::Decode + bitmap + trailing bytes). Seeds are fixed, so a failure
 // reproduces exactly; CI runs this under ASan/UBSan where "never crash" has
 // teeth.
@@ -21,6 +22,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/cell_worker.h"
@@ -409,6 +411,146 @@ TEST(FedWireFuzzTest, CkptLoadCodecRoundTripsAndSurvivesMutations) {
     EXPECT_EQ(down2, down);
   }
   EXPECT_GT(accepted, 0) << "some mutations (e.g. name bit flips) stay valid";
+}
+
+// Moves every leaf of a field list off its default: bools flip, numbers grow by a
+// distinct step, enums take another enumerator. Drives the same lists the codec
+// does, so a config built with it sets every field the wire carries.
+struct PerturbFields {
+  int step = 0;
+  void operator()(bool& v) { v = !v; }
+  template <typename T, std::enable_if_t<std::is_arithmetic_v<T>, int> = 0>
+  void operator()(T& v) {
+    v = static_cast<T>(v + static_cast<T>(++step));
+  }
+  template <typename E, std::enable_if_t<std::is_enum_v<E>, int> = 0>
+  void operator()(E& v) {
+    for (unsigned raw = 0; raw < 256; ++raw) {
+      const E e = static_cast<E>(raw);
+      if (e != v && CkptEnumValid(e)) {
+        v = e;
+        return;
+      }
+    }
+  }
+  template <typename T>
+  auto operator()(T& v) -> decltype(CkptFields(v, *this)) {
+    CkptFields(v, *this);
+  }
+};
+
+TEST(FedWireFuzzTest, BootstrapAndAttachCodecsRoundTripAndSurviveMutations) {
+  // The kBootstrap and kAttachDriver payloads: every carried field set off its
+  // default round-trips to the same bytes; bool and enum bytes out of range,
+  // trailing bytes, and arbitrary mutations decode to a typed Status, never a
+  // crash.
+  FederationConfig config;
+  PerturbFields perturb;
+  CkptFields(config, perturb);
+  const std::vector<uint8_t> boot = EncodeBootstrap(config, 2, 3);
+  ASSERT_NE(boot, EncodeBootstrap(FederationConfig{}, 2, 3));
+  FederationConfig decoded;
+  int worker_index = 0;
+  int num_workers = 0;
+  ASSERT_TRUE(
+      DecodeBootstrap(span<const uint8_t>(boot), &decoded, &worker_index, &num_workers)
+          .ok());
+  EXPECT_EQ(worker_index, 2);
+  EXPECT_EQ(num_workers, 3);
+  EXPECT_EQ(decoded.cell.rebalance_min_load, config.cell.rebalance_min_load);
+  EXPECT_EQ(decoded.cell.net.radio.short_preamble_bytes,
+            config.cell.net.radio.short_preamble_bytes);
+  EXPECT_EQ(EncodeBootstrap(decoded, worker_index, num_workers), boot);
+
+  QueryDriverParams params;
+  CkptFields(params, perturb);
+  const std::vector<uint8_t> attach = EncodeAttachDriver(5, params);
+  int origin = 0;
+  QueryDriverParams params_back;
+  ASSERT_TRUE(
+      DecodeAttachDriver(span<const uint8_t>(attach), &origin, &params_back).ok());
+  EXPECT_EQ(origin, 5);
+  EXPECT_EQ(params_back.arrivals, params.arrivals);
+  EXPECT_EQ(EncodeAttachDriver(origin, params_back), attach);
+
+  // A bool byte of 2: the cell template's `compress`, after the fields before it.
+  {
+    ByteReader r{span<const uint8_t>(boot)};
+    int ints[3] = {};
+    ShardPolicy shard = ShardPolicy::kGeographic;
+    Duration period = 0;
+    PushPolicy policy = PushPolicy::kNone;
+    double tolerance = 0.0;
+    double delta = 0.0;
+    Duration batch = 0;
+    for (int& v : ints) {
+      ASSERT_TRUE(CkptRead(r, v).ok());
+    }
+    ASSERT_TRUE(CkptRead(r, shard).ok());
+    ASSERT_TRUE(CkptRead(r, period).ok());
+    ASSERT_TRUE(CkptRead(r, policy).ok());
+    ASSERT_TRUE(CkptRead(r, tolerance).ok());
+    ASSERT_TRUE(CkptRead(r, delta).ok());
+    ASSERT_TRUE(CkptRead(r, batch).ok());
+    const size_t compress_at = boot.size() - r.remaining();
+    ASSERT_EQ(boot[compress_at], config.cell.compress ? 1 : 0);
+    std::vector<uint8_t> planted = boot;
+    planted[compress_at] = 2;
+    EXPECT_EQ(DecodeBootstrap(span<const uint8_t>(planted), &decoded, &worker_index,
+                              &num_workers)
+                  .code(),
+              StatusCode::kDataLoss);
+  }
+  // An enumerator out of range: the driver's arrival process is the last byte.
+  {
+    std::vector<uint8_t> planted = attach;
+    planted.back() = 9;
+    EXPECT_EQ(
+        DecodeAttachDriver(span<const uint8_t>(planted), &origin, &params_back).code(),
+        StatusCode::kDataLoss);
+  }
+  // Trailing bytes.
+  {
+    std::vector<uint8_t> trailing = boot;
+    trailing.push_back(0);
+    EXPECT_EQ(DecodeBootstrap(span<const uint8_t>(trailing), &decoded, &worker_index,
+                              &num_workers)
+                  .code(),
+              StatusCode::kDataLoss);
+    trailing = attach;
+    trailing.push_back(0);
+    EXPECT_EQ(
+        DecodeAttachDriver(span<const uint8_t>(trailing), &origin, &params_back).code(),
+        StatusCode::kDataLoss);
+  }
+
+  const std::vector<std::vector<uint8_t>> boots = {
+      boot, EncodeBootstrap(FederationConfig{}, 0, 1)};
+  const std::vector<std::vector<uint8_t>> attaches = {attach, EncodeAttachDriver(0, {})};
+  Pcg32 rng(6151);
+  int boot_accepted = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    const auto bytes = Mutate(rng, boots[rng.Below(boots.size())], 0);
+    if (!DecodeBootstrap(span<const uint8_t>(bytes), &decoded, &worker_index,
+                         &num_workers)
+             .ok()) {
+      continue;
+    }
+    ++boot_accepted;
+    // Whatever was accepted re-encodes to a payload that decodes the same way.
+    const std::vector<uint8_t> again =
+        EncodeBootstrap(decoded, worker_index, num_workers);
+    FederationConfig twice;
+    ASSERT_TRUE(DecodeBootstrap(span<const uint8_t>(again), &twice, &worker_index,
+                                &num_workers)
+                    .ok());
+    EXPECT_EQ(EncodeBootstrap(twice, worker_index, num_workers), again);
+  }
+  EXPECT_GT(boot_accepted, 0) << "some mutations (e.g. double bit flips) stay valid";
+  for (int iter = 0; iter < 20000; ++iter) {
+    const auto bytes = Mutate(rng, attaches[rng.Below(attaches.size())], 0);
+    (void)DecodeAttachDriver(span<const uint8_t>(bytes), &origin, &params_back);
+  }
 }
 
 }  // namespace

@@ -737,29 +737,32 @@ TEST(FedHelloTest, ClientAndServerAgree) {
   server.join();
 }
 
-TEST(FedHelloTest, FutureWorkerVersionIsATypedRefusal) {
-  // A worker whose *frames* are current but whose hello advertises a future
-  // protocol revision: the orchestrator must reject with kFailedPrecondition —
-  // a typed skew refusal, not a parse error and not a hang.
-  ChannelPair pair;
-  std::thread fake_worker([&] {
-    auto request = pair.b->Recv();
-    ASSERT_TRUE(request.ok());
-    FedHello reply;
-    reply.version = kFedWireVersion + 1;
-    reply.worker_index = 0;
-    reply.num_workers = 1;
-    FedFrame ack;
-    ack.type = FedFrameType::kAck;
-    ack.payload = EncodeFedHello(reply);
-    EXPECT_TRUE(pair.b->Send(ack).ok());
-  });
-  const Status st = FedHelloClient(*pair.a, 0, 1);
-  fake_worker.join();
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(st.message(),
-            "fed_wire: worker advertises an unsupported protocol version");
+TEST(FedHelloTest, SkewedWorkerVersionIsATypedRefusal) {
+  // A worker whose *frames* are current but whose hello advertises another
+  // protocol revision — a v3 worker that still expects raw-struct bootstrap
+  // bytes, or a future one: the orchestrator must reject with
+  // kFailedPrecondition — a typed skew refusal, not a parse error and not a hang.
+  for (const uint8_t version : {uint8_t{3}, static_cast<uint8_t>(kFedWireVersion + 1)}) {
+    ChannelPair pair;
+    std::thread fake_worker([&] {
+      auto request = pair.b->Recv();
+      ASSERT_TRUE(request.ok());
+      FedHello reply;
+      reply.version = version;
+      reply.worker_index = 0;
+      reply.num_workers = 1;
+      FedFrame ack;
+      ack.type = FedFrameType::kAck;
+      ack.payload = EncodeFedHello(reply);
+      EXPECT_TRUE(pair.b->Send(ack).ok());
+    });
+    const Status st = FedHelloClient(*pair.a, 0, 1);
+    fake_worker.join();
+    ASSERT_FALSE(st.ok()) << "version " << int{version};
+    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(st.message(),
+              "fed_wire: worker advertises an unsupported protocol version");
+  }
 }
 
 TEST(FedHelloTest, WrongAssignmentEchoIsATypedRefusal) {

@@ -455,10 +455,10 @@ struct ScopedSocketWorkers {
   ScopedSocketWorkers& operator=(const ScopedSocketWorkers&) = delete;
 
   void Fill(FederationConfig* config) const {
-    for (size_t i = 0; i < workers.size(); ++i) {
-      config->cell_endpoints[i] = MakeFedEndpoint("127.0.0.1", workers[i].port);
+    config->cell_endpoints.clear();
+    for (const SpawnedCellWorker& worker : workers) {
+      config->cell_endpoints.push_back({"127.0.0.1", worker.port});
     }
-    config->num_endpoints = static_cast<int>(workers.size());
   }
 };
 
@@ -1355,7 +1355,7 @@ TEST(FederationSocketModeTest, LiveMigrationToAFreshEndpointReplays) {
     if (migrate) {
       replacement = std::make_unique<ScopedSocketWorkers>(1);
       const Status moved = fed.MigrateWorkerEndpoint(
-          1, MakeFedEndpoint("127.0.0.1", replacement->workers[0].port));
+          1, FedEndpoint{"127.0.0.1", replacement->workers[0].port});
       EXPECT_TRUE(moved.ok()) << moved.message();
       EXPECT_TRUE(fed.worker_alive(1));
     }

@@ -335,10 +335,10 @@ ArCore CoreOf(const PredictiveModel& model) {
   EXPECT_TRUE(CkptRead(r, fitted).ok() && fitted);
   if (model.type() == ModelType::kSeasonalAr) {
     SeasonalBins bins;
-    EXPECT_TRUE(bins.LoadCkpt(r).ok());
+    EXPECT_TRUE(bins.LoadState(r).ok());
   }
   ArCore core;
-  EXPECT_TRUE(core.LoadCkpt(r).ok());
+  EXPECT_TRUE(core.LoadState(r).ok());
   return core;
 }
 

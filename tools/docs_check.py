@@ -18,6 +18,11 @@
    must actually conform to schema v1 — version match, required top-level keys,
    rows with unique keys, section names drawn from the declared key set, and
    fingerprints as "0x%016x" hex strings.
+6. Codec coverage: every field of the structs in CODEC_STRUCTS (the configs the
+   kBootstrap and kAttachDriver frames carry) must appear in that struct's field
+   list — the `CkptFields` template that drives both codec directions — or in
+   CODEC_EXCLUDED. A field added to a config without a list entry would silently
+   not reach a worker process.
 
 Exits non-zero with one line per problem.
 """
@@ -101,6 +106,66 @@ def check_knob_tables(problems):
             if row not in fields:
                 problems.append(
                     f"README.md: knob table row `{row}` names no field of {name} ({path})"
+                )
+
+
+# Structs whose field lists carry a config across the process seam: FederationConfig
+# and everything its bootstrap nests, and the attach-driver params.
+CODEC_STRUCTS = [
+    ("src/core/federation.h", "FederationConfig"),
+    ("src/core/deployment.h", "DeploymentConfig"),
+    ("src/wavelet/codec.h", "CodecParams"),
+    ("src/flash/flash_device.h", "FlashParams"),
+    ("src/flash/archive_store.h", "ArchiveParams"),
+    ("src/models/model.h", "ModelConfig"),
+    ("src/net/network.h", "NodeRadioConfig"),
+    ("src/net/network.h", "NetworkParams"),
+    ("src/net/radio.h", "RadioParams"),
+    ("src/proxy/prediction_engine.h", "PredictionEngineParams"),
+    ("src/proxy/query_matcher.h", "MatcherParams"),
+    ("src/workload/temperature.h", "TemperatureParams"),
+    ("src/net/cell_link.h", "CellLinkParams"),
+    ("src/workload/query_driver.h", "QueryDriverParams"),
+    ("src/workload/queries.h", "QueryWorkloadParams"),
+]
+
+# Fields deliberately left out of their struct's field list.
+CODEC_EXCLUDED = {
+    # The orchestrator's own parallelism, transport and frame deadline: the
+    # transport that delivers the bootstrap is not part of the simulated world,
+    # so workers build their cells from identical bytes in every mode.
+    ("FederationConfig", "cell_threads"),
+    ("FederationConfig", "cell_processes"),
+    ("FederationConfig", "cell_endpoints"),
+    ("FederationConfig", "frame_deadline"),
+}
+
+CODEC_LIST_RE = r"CkptSelf<S,\s*%s>\s*=\s*0>\s*(?:friend\s+)?void\s+CkptFields\(S&\s*(\w+),[^)]*\)\s*\{(.*?)\n\s*\}"
+
+
+def codec_list_fields(name):
+    """Fields named by `name`'s CkptFields list anywhere under src/, or None."""
+    for path in sorted(glob.glob(os.path.join(REPO, "src", "**", "*.h"), recursive=True)):
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        match = re.search(CODEC_LIST_RE % re.escape(name), text, re.DOTALL)
+        if match:
+            var, body = match.groups()
+            return re.findall(r"\bf\(%s\.(\w+)\)" % re.escape(var), body)
+    return None
+
+
+def check_codec_coverage(problems):
+    for path, name in CODEC_STRUCTS:
+        listed = codec_list_fields(name)
+        if listed is None:
+            problems.append(f"src/: no CkptFields list for {name} ({path})")
+            continue
+        for field in struct_fields(path, name):
+            if field not in listed and (name, field) not in CODEC_EXCLUDED:
+                problems.append(
+                    f"{path}: {name}::{field} missing from its CkptFields list "
+                    "(add it, or exclude it in tools/docs_check.py CODEC_EXCLUDED)"
                 )
 
 
@@ -274,13 +339,14 @@ def main():
     check_markdown_links(problems)
     check_benchmarks_doc(problems)
     check_bench_baselines(problems)
+    check_codec_coverage(problems)
     for p in problems:
         print(p)
     if problems:
         print(f"docs_check: {len(problems)} problem(s)")
         return 1
     print("docs_check: knob tables complete, markdown links resolve, "
-          "baselines validate")
+          "baselines validate, codec field lists complete")
     return 0
 
 

@@ -37,7 +37,8 @@ int Usage() {
                "usage: presto_cell <socket-fd> <ring-fd>\n"
                "       presto_cell --listen <port> [--once]\n"
                "(fd mode is spawned by a presto Federation; --listen hosts\n"
-               " cells for a FederationConfig::cell_endpoints orchestrator)\n");
+               " cells for an orchestrator that lists this worker's address\n"
+               " in FederationConfig::cell_endpoints)\n");
   return 2;
 }
 
