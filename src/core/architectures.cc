@@ -55,18 +55,21 @@ struct Outcome {
 // (payload.a = its outcome slot). Issue is pinned to the control lane: UnifiedStore
 // routing walks cross-shard state (index, chains, proxy registries), which only the
 // barrier-serial context may touch. QueryAsync completes on the control lane too,
-// into the query's own slot.
-class QueryIssuer : public EventSink {
+// tagged with the query's own slot.
+class QueryIssuer : public EventSink, public DeploymentQueryClient {
  public:
   QueryIssuer(Deployment* deployment, std::vector<Outcome>* outcomes)
-      : deployment_(deployment), outcomes_(outcomes) {}
+      : deployment_(deployment), outcomes_(outcomes) {
+    deployment_->SetQueryClient(this);
+  }
 
   void OnSimEvent(EventKind kind, EventPayload& payload) override {
     PRESTO_CHECK(kind == EventKind::kQuery);
-    Outcome* outcome = &(*outcomes_)[static_cast<size_t>(payload.a)];
-    deployment_->QueryAsync(outcome->spec, [outcome](const UnifiedQueryResult& r) {
-      outcome->result = r;
-    });
+    deployment_->QueryAsync((*outcomes_)[static_cast<size_t>(payload.a)].spec, payload.a);
+  }
+
+  void OnDeploymentQueryDone(uint64_t tag, UnifiedQueryResult&& result) override {
+    (*outcomes_)[static_cast<size_t>(tag)].result = std::move(result);
   }
 
  private:

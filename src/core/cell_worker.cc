@@ -73,7 +73,7 @@ bool ForEachControlField(Op& op, Field&& field) {
 
 std::vector<uint8_t> EncodeCellControl(const CellControl& op) {
   ByteWriter w;
-  ForEachControlField(op, [&w](const auto& f) { CkptWrite(w, f); });
+  ForEachControlField(op, CkptWriter(w));
   return w.TakeBuffer();
 }
 
@@ -82,15 +82,11 @@ Status DecodeCellControl(FedFrameType type, span<const uint8_t> payload,
   ByteReader r{payload};
   *op = CellControl{};
   op->type = type;
-  Status s = OkStatus();
-  if (!ForEachControlField(*op, [&](auto& f) {
-        if (s.ok()) {
-          s = CkptRead(r, f);
-        }
-      })) {
+  CkptReader in(r);
+  if (!ForEachControlField(*op, in)) {
     return InvalidArgumentError("cell_worker: unexpected frame type");
   }
-  PRESTO_RETURN_IF_ERROR(s);
+  PRESTO_RETURN_IF_ERROR(in.status());
   if (r.remaining() != 0) {
     return DataLossError("cell_worker: control op trailing bytes");
   }
@@ -120,12 +116,10 @@ Status DecodeBootstrap(span<const uint8_t> payload, FederationConfig* config,
   if (r.remaining() != 0) {
     return DataLossError("cell_worker: bootstrap trailing bytes");
   }
-  if (*num_workers < 1 || *worker_index < 0 || *worker_index >= *num_workers ||
-      config->num_cells < 1 || config->cell.num_proxies < 1 ||
-      config->cell.sensors_per_proxy < 1 || config->epoch <= 0) {
-    return InvalidArgumentError("cell_worker: bad bootstrap parameters");
+  if (*num_workers < 1 || *worker_index < 0 || *worker_index >= *num_workers) {
+    return InvalidArgumentError("cell_worker: bad bootstrap worker slot");
   }
-  return OkStatus();
+  return Validate(*config);
 }
 
 std::vector<uint8_t> EncodeAttachDriver(int origin_cell,
@@ -145,7 +139,7 @@ Status DecodeAttachDriver(span<const uint8_t> payload, int* origin_cell,
   if (r.remaining() != 0) {
     return DataLossError("cell_worker: attach-driver trailing bytes");
   }
-  return OkStatus();
+  return Validate(*params);
 }
 
 // ---------------------------------------------------------------------------

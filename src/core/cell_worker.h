@@ -64,12 +64,14 @@ Status DecodeCellControl(FedFrameType type, span<const uint8_t> payload,
 std::vector<uint8_t> EncodeBootstrap(const FederationConfig& config, int worker_index,
                                      int num_workers);
 // Its inverse: every field range-checked by the generic codecs (bools 0/1, enums
-// naming an enumerator), the slot and the cell shape validated, trailing bytes
-// refused.
+// naming an enumerator), trailing bytes refused, and the slot and
+// Validate(FederationConfig) checked — a config a worker would abort on is
+// InvalidArgument here.
 Status DecodeBootstrap(span<const uint8_t> payload, FederationConfig* config,
                        int* worker_index, int* num_workers);
 
-// The kAttachDriver payload: origin cell, then QueryDriverParams' field list.
+// The kAttachDriver payload: origin cell, then QueryDriverParams' field list. The
+// decoder checks Validate(QueryDriverParams) the same way.
 std::vector<uint8_t> EncodeAttachDriver(int origin_cell, const QueryDriverParams& params);
 Status DecodeAttachDriver(span<const uint8_t> payload, int* origin_cell,
                           QueryDriverParams* params);

@@ -4,6 +4,7 @@
 #include <memory>
 #include <utility>
 
+#include "src/flash/page_codec.h"
 #include "src/util/assert.h"
 #include "src/util/rng.h"
 
@@ -25,6 +26,35 @@ Deployment::Deployment(const DeploymentConfig& config)
   });
 }
 
+Status Validate(const DeploymentConfig& config) {
+  // The (proxy, sensor) naming grid packs ids as 1000*(proxy+1)+sensor, and the
+  // failover paths decode them through GlobalIndexOfId — a shard of 1000+ would
+  // silently alias into the next proxy's id range. Scale by adding proxies.
+  if (config.num_proxies < 1 || config.sensors_per_proxy < 1 ||
+      config.sensors_per_proxy >= 1000) {
+    return InvalidArgumentError(
+        "deployment: needs num_proxies >= 1 and 1 <= sensors_per_proxy <= 999 "
+        "(the naming grid's cap)");
+  }
+  if (config.replication_factor < 1) {
+    return InvalidArgumentError("deployment: replication_factor must be at least 1");
+  }
+  if (!config.lane_engine) {
+    return InvalidArgumentError(
+        "deployment: lane_engine must be true: the shard-lane engine is the only engine");
+  }
+  // Every sensor archive formats its flash pages with a header (PageBuilder).
+  if (config.flash.page_size_bytes <= kPageHeaderBytes + 16) {
+    return InvalidArgumentError(
+        "deployment: flash pages must hold a page header plus 16 record bytes");
+  }
+  PRESTO_RETURN_IF_ERROR(Validate(config.flash));
+  PRESTO_RETURN_IF_ERROR(Validate(config.archive));
+  PRESTO_RETURN_IF_ERROR(Validate(config.codec));
+  PRESTO_RETURN_IF_ERROR(Validate(config.engine));
+  return Validate(config.net);
+}
+
 Deployment::Deployment(const DeploymentConfig& config, MeasureFactory measure_factory)
     : config_(config),
       sim_(config.num_proxies, config.sim_threads) {
@@ -32,17 +62,8 @@ Deployment::Deployment(const DeploymentConfig& config, MeasureFactory measure_fa
 }
 
 void Deployment::Build(MeasureFactory measure_factory) {
-  PRESTO_CHECK(config_.num_proxies >= 1);
-  PRESTO_CHECK(config_.sensors_per_proxy >= 1);
-  // The (proxy, sensor) naming grid packs ids as 1000*(proxy+1)+sensor, and the
-  // failover paths decode them through GlobalIndexOfId — a shard of 1000+ would
-  // silently alias into the next proxy's id range. Scale by adding proxies.
-  PRESTO_CHECK_MSG(config_.sensors_per_proxy < 1000,
-                   "naming grid caps sensors_per_proxy at 999");
-  PRESTO_CHECK(config_.replication_factor >= 1);
+  PRESTO_CHECK_OK(Validate(config_));
   PRESTO_CHECK(measure_factory != nullptr);
-  PRESTO_CHECK_MSG(config_.lane_engine,
-                   "lane_engine must be true: the shard-lane engine is the only engine");
 
   // One simulator lane per proxy shard (sim_ is built with them). Sensors start on
   // their home shard's lane so radio neighbourhoods execute together; a long-lived
@@ -368,7 +389,7 @@ void Deployment::ReviveProxy(int proxy_index) {
 
 void Deployment::OnSimEvent(EventKind kind, EventPayload& payload) {
   if (kind == EventKind::kQuery) {
-    // A QueryAsync completion marshalled onto the control lane: pop the entry and
+    // An external query's completion marshalled onto the control lane: pop the entry and
     // complete it in control context, dispatched on the entry's origin tag.
     std::optional<ExternalQuery> taken;
     {
@@ -378,9 +399,6 @@ void Deployment::OnSimEvent(EventKind kind, EventPayload& payload) {
     PRESTO_CHECK(taken.has_value());
     ExternalQuery& done = *taken;
     switch (done.origin) {
-      case ExternalQuery::Origin::kClosure:
-        done.on_done(done.result);
-        break;
       case ExternalQuery::Origin::kDriver: {
         PRESTO_CHECK(done.tag < drivers_.size());
         QueryOutcome outcome = OutcomeFromResult(done.result);
@@ -388,10 +406,9 @@ void Deployment::OnSimEvent(EventKind kind, EventPayload& payload) {
         drivers_[static_cast<size_t>(done.tag)]->RecordOutcome(outcome);
         break;
       }
-      case ExternalQuery::Origin::kFederation:
-        PRESTO_CHECK_MSG(federation_client_ != nullptr,
-                         "federation-tagged completion without a client");
-        federation_client_->OnDeploymentQueryDone(done.tag, std::move(done.result));
+      case ExternalQuery::Origin::kClient:
+        PRESTO_CHECK_MSG(query_client_ != nullptr, "tagged completion without a client");
+        query_client_->OnDeploymentQueryDone(done.tag, std::move(done.result));
         break;
       case ExternalQuery::Origin::kWait:
         PRESTO_CHECK_MSG(false, "QueryAndWait entries complete inline");
@@ -745,21 +762,11 @@ Deployment::ExternalQuery* Deployment::FindExternal(uint64_t id) {
   return external_.Find(id);
 }
 
-void Deployment::QueryAsync(const QuerySpec& spec,
-                            std::function<void(const UnifiedQueryResult&)> on_done) {
-  PRESTO_CHECK(on_done != nullptr);
+void Deployment::QueryAsync(const QuerySpec& spec, uint64_t tag) {
+  PRESTO_CHECK_MSG(query_client_ != nullptr, "tagged query without a client");
   ExternalQuery entry;
-  entry.origin = ExternalQuery::Origin::kClosure;
-  entry.on_done = std::move(on_done);
-  QueryAsyncInternal(spec, std::move(entry));
-}
-
-void Deployment::QueryAsyncFederated(const QuerySpec& spec, uint64_t fed_qid) {
-  PRESTO_CHECK_MSG(federation_client_ != nullptr,
-                   "federation-tagged query without a client");
-  ExternalQuery entry;
-  entry.origin = ExternalQuery::Origin::kFederation;
-  entry.tag = fed_qid;
+  entry.origin = ExternalQuery::Origin::kClient;
+  entry.tag = tag;
   QueryAsyncInternal(spec, std::move(entry));
 }
 
@@ -913,10 +920,9 @@ Status Deployment::SaveCheckpoint(Checkpoint* out, const std::string& prefix) co
     DeployFields(*this, CkptWriter(w));
     w.WriteVarU64(external_.size());
     for (const auto& [id, entry] : external_.Sorted()) {
-      if (entry->origin == ExternalQuery::Origin::kClosure ||
-          entry->origin == ExternalQuery::Origin::kWait) {
+      if (entry->origin == ExternalQuery::Origin::kWait) {
         return FailedPreconditionError(
-            "deployment checkpoint: QueryAsync/QueryAndWait query in flight");
+            "deployment checkpoint: QueryAndWait query in flight");
       }
       CkptWrite(w, id);
       CkptWrite(w, *entry);
@@ -996,8 +1002,7 @@ Status Deployment::LoadCheckpoint(const Checkpoint& ckpt, const std::string& pre
     CKPT_READ(r, entries);
     external_.Clear();
     for (auto& [id, entry] : entries) {
-      if (entry.origin != ExternalQuery::Origin::kDriver &&
-          entry.origin != ExternalQuery::Origin::kFederation) {
+      if (entry.origin == ExternalQuery::Origin::kWait) {
         return DataLossError("deploy restore: bad external query origin");
       }
       if (entry.origin == ExternalQuery::Origin::kDriver &&

@@ -51,13 +51,15 @@
 
 namespace presto {
 
-// Serializable completion target for federation-tagged deployment queries: the
-// federation gets back the qid it tagged the query with. The deployment-level
-// analogue of PullClient / UnifiedStore::Client, one layer up.
-class FederationQueryClient {
+// The completion target of host-side deployment queries (Deployment::QueryAsync):
+// the client gets back the tag it issued the query with, so entries in flight are
+// plain data and survive a checkpoint. The deployment-level analogue of PullClient /
+// UnifiedStore::Client, one layer up; the federation's cells and Table 1's query
+// issuer implement it.
+class DeploymentQueryClient {
  public:
-  virtual ~FederationQueryClient() = default;
-  virtual void OnDeploymentQueryDone(uint64_t qid, UnifiedQueryResult&& result) = 0;
+  virtual ~DeploymentQueryClient() = default;
+  virtual void OnDeploymentQueryDone(uint64_t tag, UnifiedQueryResult&& result) = 0;
 };
 
 // Deployment-level network defaults. The link-coalescing epoch ships non-zero here
@@ -205,6 +207,10 @@ void CkptFields(S& v, F&& f) {
   f(v.seed);
 }
 
+// Deployment's construction rules, its subsystems' included (InvalidArgument when
+// broken). A bootstrap that passes builds its cells without aborting.
+Status Validate(const DeploymentConfig& config);
+
 class Deployment : public EventSink, public UnifiedStore::Client {
  public:
   // Reads the world for one sensor; the default reads the temperature field.
@@ -301,28 +307,21 @@ class Deployment : public EventSink, public UnifiedStore::Client {
 
   // External query entry without a host-loop round-trip: routing runs now (control
   // context only), execution rides the store's typed kQuery events in the serving
-  // proxy's lane, and `on_done` fires as a typed event on the *control lane* — so
-  // callers (federation routing, in-sim query drivers) never observe worker-lane
-  // context. The deployment must outlive the completion (it owns the simulator).
-  // Closure-form entries in flight block SaveCheckpoint.
-  void QueryAsync(const QuerySpec& spec,
-                  std::function<void(const UnifiedQueryResult&)> on_done);
-
-  // Federation-tagged entry: completion is delivered as
-  // federation_client->OnDeploymentQueryDone(fed_qid, result) — serializable, so
-  // cross-cell queries in flight survive a checkpoint.
-  void QueryAsyncFederated(const QuerySpec& spec, uint64_t fed_qid);
-  void SetFederationClient(FederationQueryClient* client) {
-    federation_client_ = client;
-  }
+  // proxy's lane, and the completion bounces back as a typed event to the *control
+  // lane*, where it is delivered as query_client->OnDeploymentQueryDone(tag, result)
+  // — so clients never observe worker-lane context, and queries in flight survive
+  // a checkpoint. Needs SetQueryClient first.
+  void QueryAsync(const QuerySpec& spec, uint64_t tag);
+  void SetQueryClient(DeploymentQueryClient* client) { query_client_ = client; }
 
   // UnifiedStore::Client: store completions come back keyed by external-query id.
   void OnStoreQueryDone(uint64_t token, UnifiedQueryResult&& result) override;
 
   // Attaches an open-loop in-sim query driver targeting this deployment's sensors
   // (QueryRequest.sensor = global index; mix.num_sensors <= 0 defaults to the whole
-  // population). The driver issues through QueryAsync, so a single RunUntil carries
-  // the entire workload. Caller starts it: AttachQueryDriver(p).Start(duration).
+  // population). The driver issues through the external-query table, so a single
+  // RunUntil carries the entire workload. Caller starts it:
+  // AttachQueryDriver(p).Start(duration).
   QueryDriver& AttachQueryDriver(const QueryDriverParams& params);
 
   // Runs the simulator forward to `t` (no-op if already past). Debug builds then
@@ -331,7 +330,7 @@ class Deployment : public EventSink, public UnifiedStore::Client {
 
   // Topology mutations (promotion, hand-back, migration) arrive as typed kMutation
   // events on the control lane: they touch every layer, so they only ever execute at
-  // epoch barriers. kQuery events are QueryAsync completions marshalled from the
+  // epoch barriers. kQuery events are external-query completions marshalled from the
   // serving proxy's lane back to control context.
   void OnSimEvent(EventKind kind, EventPayload& payload) override;
   void OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
@@ -343,7 +342,7 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   // "deploy", one "proxy/<p>" per proxy, "sensors", "drivers", and "sim" — composed
   // here so section boundaries match subsystem boundaries and a diff names the first
   // divergent layer. Call at a barrier / between RunUntil calls only; fails (writing
-  // nothing partial) while a QueryAsync or QueryAndWait query is in flight. `prefix` namespaces
+  // nothing partial) while a QueryAndWait query is in flight. `prefix` namespaces
   // the section names ("cell3/sim") for multi-deployment containers.
   Status SaveCheckpoint(Checkpoint* out, const std::string& prefix = "") const;
 
@@ -422,26 +421,26 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   ShardMgmtStats shard_stats_;
 
   // --- external query entry ---
-  // In-flight QueryAsync queries. The table is mutex-guarded because store
+  // In-flight external queries. The table is mutex-guarded because store
   // completions run in serving-proxy lanes (concurrently for different proxies);
   // each entry is only ever touched by its own query's events, and its slot never
-  // moves while it is in flight — the UnifiedStore pattern. kDriver and kFederation
-  // entries serialize; kClosure and kWait entries (host-side callers) block
-  // SaveCheckpoint while in flight.
+  // moves while it is in flight — the UnifiedStore pattern. kDriver and kClient
+  // entries serialize; kWait entries (host-side probes) block SaveCheckpoint while
+  // in flight.
   struct ExternalQuery {
     enum class Origin : uint8_t {
-      kClosure = 0,     // QueryAsync on_done closure — not checkpointable
-      kDriver = 1,      // attached QueryDriver: tag = driver index, past = class
-      kFederation = 2,  // federation glue: tag = federation qid
-      kWait = 3,        // QueryAndWait: tag = WaitState — not checkpointable
+      kDriver = 1,  // attached QueryDriver: tag = driver index, past = class
+      kClient = 2,  // QueryAsync: tag = the query client's own tag
+      kWait = 3,    // QueryAndWait: tag = WaitState — not checkpointable
     };
-    friend constexpr bool CkptEnumValid(Origin v) { return v <= Origin::kWait; }
+    friend constexpr bool CkptEnumValid(Origin v) {
+      return v >= Origin::kDriver && v <= Origin::kWait;
+    }
     enum WaitState : uint64_t { kWaiting = 0, kWaitDone = 1, kWaitAbandoned = 2 };
-    Origin origin = Origin::kClosure;
+    Origin origin = Origin::kDriver;
     uint64_t tag = 0;
     bool past = false;  // kDriver: the request's PAST/NOW class
     UnifiedQueryResult result;
-    std::function<void(const UnifiedQueryResult&)> on_done;
 
     template <class S, class F, CkptSelf<S, ExternalQuery> = 0>
     friend void CkptFields(S& v, F&& f) {
@@ -471,7 +470,7 @@ class Deployment : public EventSink, public UnifiedStore::Client {
   // kWait entries key on their own tokens (top bit set), so host probes leave
   // next_external_id_, and with it the checkpoint bytes, untouched.
   uint64_t next_wait_token_ = uint64_t{1} << 63;
-  FederationQueryClient* federation_client_ = nullptr;
+  DeploymentQueryClient* query_client_ = nullptr;
   // Declared after sim_ so drivers (which hold pending arrival events) die first.
   std::vector<std::unique_ptr<QueryDriver>> drivers_;
 };

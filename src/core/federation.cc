@@ -91,7 +91,7 @@ FedCell::FedCell(int index, const FederationConfig* config, Deployment* cell)
   // router is a sink on the cell simulator (mail-delivery events), so both
   // survive checkpoints. The caller constructs FedCells in cell-index order, so
   // sink ids match across modes.
-  cell_->SetFederationClient(this);
+  cell_->SetQueryClient(this);
   cell_->sim().RegisterSink(this);
 }
 
@@ -147,9 +147,9 @@ void FedCell::Issue(const FederationQuerySpec& spec, Pending q) {
 void FedCell::ExecuteLocal(uint64_t qid) {
   auto it = pending_.find(qid);
   PRESTO_CHECK(it != pending_.end());
-  // Copy: QueryAsyncFederated may complete synchronously and erase the entry.
+  // Copy: QueryAsync may complete synchronously and erase the entry.
   const QuerySpec spec = it->second.spec;
-  cell_->QueryAsyncFederated(spec, qid);
+  cell_->QueryAsync(spec, qid);
 }
 
 void FedCell::OnSimEvent(EventKind kind, EventPayload& payload) {
@@ -170,7 +170,7 @@ void FedCell::OnSimEvent(EventKind kind, EventPayload& payload) {
       // Tagged (not closure) form: the deployment carries the fed qid through its
       // own checkpointable pending table and calls OnDeploymentQueryDone when the
       // store answers.
-      cell_->QueryAsyncFederated(spec, payload.b);
+      cell_->QueryAsync(spec, payload.b);
       return;
     }
     case kFedOpComplete: {
@@ -432,12 +432,22 @@ Status FedCell::LoadState(ByteReader& r) {
 // Federation: construction and the shared barrier schedule.
 // ---------------------------------------------------------------------------
 
+Status Validate(const FederationConfig& config) {
+  if (config.num_cells < 1) {
+    return InvalidArgumentError("federation: num_cells must be at least 1");
+  }
+  if (config.epoch <= 0) {
+    return InvalidArgumentError("federation: epoch must be positive");
+  }
+  PRESTO_RETURN_IF_ERROR(Validate(config.cell));
+  return Validate(config.link);
+}
+
 Federation::Federation(const FederationConfig& config)
     : config_(config),
       directory_(config.num_cells,
                  config.cell.num_proxies * config.cell.sensors_per_proxy) {
-  PRESTO_CHECK(config_.num_cells >= 1);
-  PRESTO_CHECK_MSG(config_.epoch > 0, "federation epoch must be positive");
+  PRESTO_CHECK_OK(Validate(config_));
   cell_threads_ = std::max(1, std::min(config_.cell_threads, config_.num_cells));
   cell_processes_ =
       std::max(1, std::min(config_.cell_processes, config_.num_cells));

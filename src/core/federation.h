@@ -186,6 +186,10 @@ void CkptFields(S& v, F&& f) {
   f(v.seed);
 }
 
+// Federation's construction rules for the fields a bootstrap carries, the cell
+// template's included (InvalidArgument when broken).
+Status Validate(const FederationConfig& config);
+
 // A query against the federation's global namespace, entering at some origin cell.
 struct FederationQuerySpec {
   QueryType type = QueryType::kNow;
@@ -257,7 +261,7 @@ void CkptFields(S& v, F&& f) {
 // cell, living in the CellHost that owns its Deployment. All methods run on the
 // cell's serial control lane or in host control context between steps; nothing
 // here locks.
-class FedCell : public EventSink, public FederationQueryClient {
+class FedCell : public EventSink, public DeploymentQueryClient {
  public:
   // Completion target of a pending query: a serializable driver tag, or a
   // host-probe token (QueryAndWait — the result rides back to the orchestrator
@@ -364,7 +368,7 @@ class FedCell : public EventSink, public FederationQueryClient {
     (void)t, (void)kind, (void)payload, (void)handle, (void)lane;
   }
 
-  // FederationQueryClient: a tagged deployment query completed at this cell (runs
+  // DeploymentQueryClient: a tagged deployment query completed at this cell (runs
   // on this cell's control lane). Local queries finalize here; cross-cell answers
   // ride the trunk home as FedMail.
   void OnDeploymentQueryDone(uint64_t qid, UnifiedQueryResult&& result) override;

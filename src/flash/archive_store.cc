@@ -31,15 +31,24 @@ std::vector<Sample> MeanDecimate(const std::vector<Sample>& samples, int factor)
 
 }  // namespace
 
+Status Validate(const ArchiveParams& params) {
+  if (params.reserve_blocks < 1) {
+    return InvalidArgumentError("archive: reserve_blocks must be at least 1");
+  }
+  if (params.aging_merge_blocks < 2 || params.aging_factor < 2) {
+    return InvalidArgumentError(
+        "archive: aging_merge_blocks and aging_factor must be at least 2");
+  }
+  return OkStatus();
+}
+
 ArchiveStore::ArchiveStore(FlashDevice* device, const ArchiveParams& params)
     : device_(device),
       params_(params),
       summarizer_(MeanDecimate),
       page_builder_(device->params().page_size_bytes) {
   PRESTO_CHECK(device_ != nullptr);
-  PRESTO_CHECK(params_.reserve_blocks >= 1);
-  PRESTO_CHECK(params_.aging_merge_blocks >= 2);
-  PRESTO_CHECK(params_.aging_factor >= 2);
+  PRESTO_CHECK_OK(Validate(params_));
   free_blocks_.reserve(static_cast<size_t>(device_->params().num_blocks));
   for (int b = device_->params().num_blocks - 1; b >= 0; --b) {
     free_blocks_.push_back(b);

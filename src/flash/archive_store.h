@@ -52,6 +52,9 @@ void CkptFields(S& v, F&& f) {
   f(v.aging_factor);
 }
 
+// ArchiveStore's construction rules (InvalidArgument when broken).
+Status Validate(const ArchiveParams& params);
+
 struct ArchiveStats {
   uint64_t records_appended = 0;
   uint64_t records_read = 0;

@@ -7,11 +7,18 @@
 
 namespace presto {
 
+Status Validate(const FlashParams& params) {
+  if (params.page_size_bytes <= 0 || params.pages_per_block <= 0 ||
+      params.num_blocks <= 0) {
+    return InvalidArgumentError(
+        "flash: page_size_bytes, pages_per_block and num_blocks must be positive");
+  }
+  return OkStatus();
+}
+
 FlashDevice::FlashDevice(const FlashParams& params, EnergyMeter* meter)
     : params_(params), meter_(meter) {
-  PRESTO_CHECK(params_.page_size_bytes > 0);
-  PRESTO_CHECK(params_.pages_per_block > 0);
-  PRESTO_CHECK(params_.num_blocks > 0);
+  PRESTO_CHECK_OK(Validate(params_));
   data_.assign(static_cast<size_t>(params_.CapacityBytes()), 0xFF);
   written_.assign(static_cast<size_t>(params_.TotalPages()), false);
   wear_.assign(static_cast<size_t>(params_.num_blocks), 0);

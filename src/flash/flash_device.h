@@ -55,6 +55,11 @@ void CkptFields(S& v, F&& f) {
   f(v.erase_block_energy_j);
 }
 
+// FlashDevice's construction rules (InvalidArgument when broken). Each config a
+// worker builds from has one: its constructor aborts on a broken config, and the
+// bootstrap decoder reports the same rules as a refusal.
+Status Validate(const FlashParams& params);
+
 struct FlashStats {
   uint64_t page_reads = 0;
   uint64_t page_writes = 0;

@@ -80,12 +80,8 @@ void PageBuilder::Add(SimTime t, double value) {
 
 std::vector<uint8_t> PageBuilder::Seal(uint32_t seq, Duration resolution) {
   ByteWriter w;
-  w.WriteU16(kPageMagic);
-  w.WriteU32(seq);
-  w.WriteU16(static_cast<uint16_t>(records_.size()));
-  w.WriteU16(Fletcher16(records_));
-  w.WriteI64(first_ts_);
-  w.WriteI64(resolution);
+  CkptWrite(w, PageHeader{kPageMagic, seq, static_cast<uint16_t>(records_.size()),
+                          Fletcher16(records_), first_ts_, resolution});
   std::vector<uint8_t> page = w.TakeBuffer();
   PRESTO_CHECK(static_cast<int>(page.size()) == kPageHeaderBytes);
   page.insert(page.end(), records_.begin(), records_.end());
@@ -111,24 +107,14 @@ Result<DecodedPage> DecodePage(span<const uint8_t> page) {
   }
 
   ByteReader r(page);
-  auto magic = r.ReadU16();
-  if (!magic.ok() || *magic != kPageMagic) {
+  DecodedPage out;
+  const Status read = CkptRead(r, out.header);
+  if (out.header.magic != kPageMagic) {
     return DataLossError("bad page magic");
   }
-  DecodedPage out;
-  auto seq = r.ReadU32();
-  auto used = r.ReadU16();
-  auto checksum = r.ReadU16();
-  auto first_ts = r.ReadI64();
-  auto resolution = r.ReadI64();
-  if (!seq.ok() || !used.ok() || !checksum.ok() || !first_ts.ok() || !resolution.ok()) {
+  if (!read.ok()) {
     return DataLossError("truncated page header");
   }
-  out.header.seq = *seq;
-  out.header.used = *used;
-  out.header.checksum = *checksum;
-  out.header.first_ts = *first_ts;
-  out.header.resolution = *resolution;
 
   if (kPageHeaderBytes + out.header.used > static_cast<int>(page.size())) {
     return DataLossError("page used-length exceeds page size");

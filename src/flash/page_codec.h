@@ -15,25 +15,34 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/util/ckpt.h"
 #include "src/util/result.h"
 #include "src/util/sample.h"
 #include "src/util/span.h"
 
 namespace presto {
 
-class ByteReader;
-class ByteWriter;
-
 inline constexpr uint16_t kPageMagic = 0x5041;  // "PA"
 inline constexpr int kPageHeaderBytes = 2 + 4 + 2 + 2 + 8 + 8;
 
 struct PageHeader {
+  uint16_t magic = kPageMagic;
   uint32_t seq = 0;         // global page sequence, for mount-time ordering
   uint16_t used = 0;        // bytes of record data following the header
   uint16_t checksum = 0;    // Fletcher-16 over the record bytes
   SimTime first_ts = 0;     // timestamp of the first record
   Duration resolution = 0;  // nominal sample period of this data (grows as data ages)
 };
+
+template <class S, class F, CkptSelf<S, PageHeader> = 0>
+void CkptFields(S& v, F&& f) {
+  f(CkptFixed(v.magic));
+  f(CkptFixed(v.seq));
+  f(CkptFixed(v.used));
+  f(CkptFixed(v.checksum));
+  f(CkptFixed(v.first_ts));
+  f(CkptFixed(v.resolution));
+}
 
 // Fletcher-16 checksum used to detect torn page programs.
 uint16_t Fletcher16(span<const uint8_t> data);

@@ -7,9 +7,18 @@
 
 namespace presto {
 
+Status Validate(const CellLinkParams& params) {
+  if (params.latency < 0) {
+    return InvalidArgumentError("link: negative trunk latency");
+  }
+  if (!(params.bandwidth_bps > 0.0)) {
+    return InvalidArgumentError("link: trunk bandwidth must be positive");
+  }
+  return OkStatus();
+}
+
 CellLink::CellLink(const CellLinkParams& params) : params_(params) {
-  PRESTO_CHECK_MSG(params_.latency >= 0, "negative trunk latency");
-  PRESTO_CHECK_MSG(params_.bandwidth_bps > 0.0, "trunk bandwidth must be positive");
+  PRESTO_CHECK_OK(Validate(params_));
 }
 
 Duration CellLink::TransferTime(size_t bytes) const {

@@ -41,6 +41,9 @@ void CkptFields(S& v, F&& f) {
   f(v.bandwidth_bps);
 }
 
+// CellLink's construction rules (InvalidArgument when broken).
+Status Validate(const CellLinkParams& params);
+
 struct CellLinkStats {
   uint64_t messages = 0;
   uint64_t bytes = 0;

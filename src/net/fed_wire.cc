@@ -327,21 +327,13 @@ Result<int> TcpConnect(const char* host, uint16_t port, Duration deadline) {
 
 std::vector<uint8_t> EncodeFedHello(const FedHello& hello) {
   ByteWriter w;
-  w.WriteU8(hello.version);
-  CkptWrite(w, hello.worker_index);
-  CkptWrite(w, hello.num_workers);
+  CkptWrite(w, hello);
   return w.TakeBuffer();
 }
 
 Status DecodeFedHello(span<const uint8_t> payload, FedHello* hello) {
   ByteReader r(payload);
-  auto version = r.ReadU8();
-  if (!version.ok()) {
-    return version.status();
-  }
-  hello->version = *version;
-  CKPT_READ(r, hello->worker_index);
-  CKPT_READ(r, hello->num_workers);
+  CKPT_READ(r, *hello);
   if (!r.AtEnd()) {
     return DataLossError("fed_wire: trailing bytes after hello");
   }

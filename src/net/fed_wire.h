@@ -159,6 +159,14 @@ struct FedHello {
   int num_workers = 1;
 };
 
+// The version is one raw byte, readable whatever a later version appends.
+template <class S, class F, CkptSelf<S, FedHello> = 0>
+void CkptFields(S& v, F&& f) {
+  f(CkptFixed(v.version));
+  f(v.worker_index);
+  f(v.num_workers);
+}
+
 std::vector<uint8_t> EncodeFedHello(const FedHello& hello);
 Status DecodeFedHello(span<const uint8_t> payload, FedHello* hello);
 

@@ -63,12 +63,34 @@ double BitsDouble(uint64_t bits) {
 constexpr uint64_t kFrameDeliver = 1ull << 16;  // hand the message to the receiver
 constexpr uint64_t kFrameCharge = 1ull << 17;   // apply deferred receiver radio costs
 
+// One coalesced message of a kBatchFrameType frame; the frame's payload is a vector
+// of these (varint count, then each record).
+struct BatchEntry {
+  uint16_t type = 0;
+  Duration queue_delay = 0;  // how long it waited for the flush
+  std::vector<uint8_t> payload;
+
+  template <class S, class F, CkptSelf<S, BatchEntry> = 0>
+  friend void CkptFields(S& v, F&& f) {
+    f(CkptFixed(v.type));
+    f(CkptVarBits(v.queue_delay));
+    f(v.payload);
+  }
+};
+
 }  // namespace
+
+Status Validate(const NetworkParams& params) {
+  if (params.max_retries < 0) {
+    return InvalidArgumentError("net: max_retries must not be negative");
+  }
+  return OkStatus();
+}
 
 Network::Network(Simulator* sim, NetworkParams params, uint64_t seed)
     : sim_(sim), params_(params) {
   PRESTO_CHECK(sim_ != nullptr);
-  PRESTO_CHECK(params_.max_retries >= 0);
+  PRESTO_CHECK_OK(Validate(params_));
   // ctx_[0] serves the control lane; each worker lane draws from its own stream,
   // fixed by lane index (not worker count).
   ctx_.emplace_back(Pcg32(seed, /*stream=*/0x4e4554));
@@ -376,27 +398,20 @@ void Network::Deliver(NodeState& dst, const Message& message) {
     return;
   }
   ByteReader reader(message.payload);
-  auto count = reader.ReadVarU64();
-  if (!count.ok()) {
+  std::vector<BatchEntry> entries;
+  if (!CkptRead(reader, entries).ok() || !reader.AtEnd()) {
     PLOG_WARN("net: undecodable batch frame from %u", message.src);
     return;
   }
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto type = reader.ReadU16();
-    auto queue_delay = reader.ReadVarU64();
-    auto payload = reader.ReadBytes();
-    if (!type.ok() || !queue_delay.ok() || !payload.ok()) {
-      PLOG_WARN("net: truncated batch frame from %u", message.src);
-      return;
-    }
+  for (BatchEntry& entry : entries) {
     Message sub;
     sub.src = message.src;
     sub.dst = message.dst;
-    sub.type = *type;
-    sub.payload = std::move(*payload);
+    sub.type = entry.type;
+    sub.payload = std::move(entry.payload);
     // The sender handed this message over before the flush; surface that original
     // instant so receivers (e.g. time-sync beacons) don't see queue delay as latency.
-    sub.sent_at = message.sent_at - static_cast<Duration>(*queue_delay);
+    sub.sent_at = message.sent_at - entry.queue_delay;
     sub.delivered_at = message.delivered_at;
     dst.handler->OnMessage(sub);
   }
@@ -434,13 +449,14 @@ void Network::FlushBatch(NodeId src_id, NodeId dst_id) {
     Send(src_id, dst_id, queued[0].type, std::move(queued[0].payload));
     return;
   }
-  ByteWriter writer;
-  writer.WriteVarU64(queued.size());
+  std::vector<BatchEntry> entries;
+  entries.reserve(queued.size());
   for (QueuedMessage& sub : queued) {
-    writer.WriteU16(sub.type);
-    writer.WriteVarU64(static_cast<uint64_t>(sim_->Now() - sub.enqueued_at));
-    writer.WriteBytes(sub.payload);
+    entries.push_back(
+        BatchEntry{sub.type, sim_->Now() - sub.enqueued_at, std::move(sub.payload)});
   }
+  ByteWriter writer;
+  CkptWrite(writer, entries);
   ++ctx.stats.batch_flushes;
   ctx.stats.batched_messages += queued.size();
   Send(src_id, dst_id, kBatchFrameType, writer.TakeBuffer());

@@ -111,6 +111,9 @@ void CkptFields(S& v, F&& f) {
   f(v.batch_epoch);
 }
 
+// Network's construction rules (InvalidArgument when broken).
+Status Validate(const NetworkParams& params);
+
 struct NodeNetStats {
   uint64_t messages_sent = 0;
   uint64_t messages_received = 0;

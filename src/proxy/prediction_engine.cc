@@ -9,10 +9,19 @@
 
 namespace presto {
 
+Status Validate(const PredictionEngineParams& params) {
+  if (params.min_training_samples < 16) {
+    return InvalidArgumentError("engine: min_training_samples must be at least 16");
+  }
+  if (params.min_training_span <= 0) {
+    return InvalidArgumentError("engine: min_training_span must be positive");
+  }
+  return OkStatus();
+}
+
 PredictionEngine::PredictionEngine(const PredictionEngineParams& params)
     : params_(params) {
-  PRESTO_CHECK(params_.min_training_samples >= 16);
-  PRESTO_CHECK(params_.min_training_span > 0);
+  PRESTO_CHECK_OK(Validate(params_));
 }
 
 void PredictionEngine::ObserveTraining(const Sample& sample) {

@@ -41,6 +41,9 @@ void CkptFields(S& v, F&& f) {
   f(v.refit_push_rate);
 }
 
+// PredictionEngine's construction rules (InvalidArgument when broken).
+Status Validate(const PredictionEngineParams& params);
+
 class PredictionEngine {
  public:
   explicit PredictionEngine(const PredictionEngineParams& params);

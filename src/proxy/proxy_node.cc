@@ -336,7 +336,7 @@ void ProxyNode::OnMessage(const Message& message) {
 }
 
 void ProxyNode::HandleDataPush(const Message& message) {
-  auto msg = DataPushMsg::Decode(message.payload);
+  auto msg = DecodeMsg<DataPushMsg>(message.payload);
   if (!msg.ok()) {
     PLOG_WARN("proxy %u: bad push from %u", config_.id, message.src);
     return;
@@ -399,7 +399,7 @@ void ProxyNode::MaybeSendModel(SensorState& sensor) {
   msg.tolerance = config_.default_tolerance;
   msg.model_params = *params;
   net_->SendBatched(config_.id, sensor.id, static_cast<uint16_t>(MsgType::kModelUpdate),
-                    msg.Encode());
+                    EncodeMsg(msg));
   sensor.model_sent = true;
   sensor.last_model_send = sim_->Now();
   ++stats_.model_sends;
@@ -410,7 +410,7 @@ void ProxyNode::MaybeSendModel(SensorState& sensor) {
     rep.sensor_id = sensor.id;
     rep.tolerance = msg.tolerance;
     rep.model_params = msg.model_params;
-    const std::vector<uint8_t> encoded = rep.Encode();
+    const std::vector<uint8_t> encoded = EncodeMsg(rep);
     for (NodeId target : sensor.replica_targets) {
       net_->SendBatched(config_.id, target,
                         static_cast<uint16_t>(MsgType::kReplicaModel), encoded);
@@ -437,7 +437,7 @@ void ProxyNode::RunMaintenance() {
       if (update.has_value()) {
         net_->SendBatched(config_.id, sensor->id,
                           static_cast<uint16_t>(MsgType::kConfigUpdate),
-                          update->Encode());
+                          EncodeMsg(*update));
         ++stats_.config_sends;
       }
     }
@@ -736,7 +736,7 @@ void ProxyNode::IssuePull(SensorState& sensor, TimeInterval range, double tolera
   msg.local_end = local_end.ok() ? *local_end : range.end;
   msg.compress = true;
 
-  const std::vector<uint8_t> encoded = msg.Encode();
+  const std::vector<uint8_t> encoded = EncodeMsg(msg);
 
   PendingPull pull;
   pull.id = id;
@@ -830,7 +830,7 @@ void ProxyNode::CompletePullQuery(bool is_now, TimeInterval range, SimTime issue
 }
 
 void ProxyNode::HandleArchiveReply(const Message& message) {
-  auto msg = ArchiveReplyMsg::Decode(message.payload);
+  auto msg = DecodeMsg<ArchiveReplyMsg>(message.payload);
   if (!msg.ok()) {
     PLOG_WARN("proxy %u: bad archive reply", config_.id);
     return;
@@ -891,7 +891,7 @@ void ProxyNode::Replicate(SensorState& sensor,
   ReplicaUpdateMsg msg;
   msg.sensor_id = sensor.id;
   msg.batch = EncodeIrregularBatch(reference_samples);
-  const std::vector<uint8_t> encoded = msg.Encode();
+  const std::vector<uint8_t> encoded = EncodeMsg(msg);
   for (NodeId target : sensor.replica_targets) {
     net_->SendBatched(config_.id, target,
                       static_cast<uint16_t>(MsgType::kReplicaUpdate), encoded);
@@ -900,7 +900,7 @@ void ProxyNode::Replicate(SensorState& sensor,
 }
 
 void ProxyNode::HandleReplicaUpdate(const Message& message) {
-  auto msg = ReplicaUpdateMsg::Decode(message.payload);
+  auto msg = DecodeMsg<ReplicaUpdateMsg>(message.payload);
   if (!msg.ok()) {
     return;
   }
@@ -918,7 +918,7 @@ void ProxyNode::HandleReplicaUpdate(const Message& message) {
 }
 
 void ProxyNode::HandleReplicaModel(const Message& message) {
-  auto msg = ReplicaModelMsg::Decode(message.payload);
+  auto msg = DecodeMsg<ReplicaModelMsg>(message.payload);
   if (!msg.ok()) {
     return;
   }

@@ -9,8 +9,14 @@
 //                     ArchiveQuery  (cache-miss-triggered pull into the local archive)
 //   proxy  -> proxy : ReplicaUpdate / ReplicaModel (cache+model replication, §5)
 //
-// Encodings are explicit byte layouts (ByteWriter/Reader) because payload size is a
-// first-class cost in the energy model.
+// Encodings are explicit byte layouts because payload size is a first-class cost in
+// the energy model. Each message names its fields once, in wire order, in a
+// CkptFields list (src/util/ckpt.h) that drives both EncodeMsg and DecodeMsg:
+// fixed-width integers and f32 values ride the CkptFixed/CkptF32 adapters, duration
+// knobs CkptVarBits, and bools, enums (one byte: every enumerator is below 128) and
+// byte blobs (varint length + bytes) the generic codecs, whose reads refuse a bool
+// byte other than 0/1 and a tag that names no enumerator. The model parameter blobs
+// inside ModelUpdate/ReplicaModel are PredictiveModel::Serialize's own lossy codec.
 
 #ifndef SRC_SENSOR_PROTOCOL_H_
 #define SRC_SENSOR_PROTOCOL_H_
@@ -19,6 +25,7 @@
 #include <vector>
 
 #include "src/util/bytes.h"
+#include "src/util/ckpt.h"
 #include "src/util/result.h"
 #include "src/util/sim_time.h"
 #include "src/util/span.h"
@@ -47,6 +54,8 @@ enum class PushReason : uint8_t {
   kEverySample = 4,     // streaming baseline
 };
 
+constexpr bool CkptEnumValid(PushReason v) { return v <= PushReason::kEverySample; }
+
 const char* PushReasonName(PushReason reason);
 
 // Sensor push policies (which of the above a sensor emits).
@@ -66,19 +75,27 @@ struct DataPushMsg {
   SimTime local_send_time = 0;  // sensor clock at send; doubles as a sync beacon
   // Wavelet/raw batch blob (timestamps in sensor-local time).
   std::vector<uint8_t> batch;
-
-  std::vector<uint8_t> Encode() const;
-  static Result<DataPushMsg> Decode(span<const uint8_t> bytes);
 };
+
+template <class S, class F, CkptSelf<S, DataPushMsg> = 0>
+void CkptFields(S& v, F&& f) {
+  f(v.reason);
+  f(CkptFixed(v.local_send_time));
+  f(v.batch);
+}
 
 struct ModelUpdateMsg {
   uint32_t model_seq = 0;
   double tolerance = 0.5;            // push threshold the sensor applies
   std::vector<uint8_t> model_params; // PredictiveModel::Serialize output
-
-  std::vector<uint8_t> Encode() const;
-  static Result<ModelUpdateMsg> Decode(span<const uint8_t> bytes);
 };
+
+template <class S, class F, CkptSelf<S, ModelUpdateMsg> = 0>
+void CkptFields(S& v, F&& f) {
+  f(CkptFixed(v.model_seq));
+  f(CkptF32(v.tolerance));
+  f(v.model_params);
+}
 
 // Field mask bits for ConfigUpdateMsg.
 inline constexpr uint16_t kCfgSensingPeriod = 1 << 0;
@@ -97,10 +114,32 @@ struct ConfigUpdateMsg {
   bool compress = false;
   double quant_step = 0.02;
   Duration lpl_interval = 0;
-
-  std::vector<uint8_t> Encode() const;
-  static Result<ConfigUpdateMsg> Decode(span<const uint8_t> bytes);
 };
+
+// The mask is read first, so on decode it gates the reads that follow it.
+template <class S, class F, CkptSelf<S, ConfigUpdateMsg> = 0>
+void CkptFields(S& v, F&& f) {
+  f(CkptFixed(v.fields));
+  if (v.fields & kCfgSensingPeriod) {
+    f(CkptVarBits(v.sensing_period));
+  }
+  if (v.fields & kCfgBatchInterval) {
+    f(CkptVarBits(v.batch_interval));
+  }
+  if (v.fields & kCfgPolicy) {
+    f(v.policy);
+  }
+  if (v.fields & kCfgValueDelta) {
+    f(CkptF32(v.value_delta));
+  }
+  if (v.fields & kCfgCompression) {
+    f(v.compress);
+    f(CkptF32(v.quant_step));
+  }
+  if (v.fields & kCfgLplInterval) {
+    f(CkptVarBits(v.lpl_interval));
+  }
+}
 
 // Sensor-side aggregation (paper §3: "The operation can be transmitted as a parameter
 // to the sensor node, which uses the specified mode function on its local data before
@@ -112,6 +151,7 @@ enum class AggregateOp : uint8_t {
   kMean = 3,
   kCount = 4,
 };
+constexpr bool CkptEnumValid(AggregateOp v) { return v <= AggregateOp::kCount; }
 
 const char* AggregateOpName(AggregateOp op);
 
@@ -122,37 +162,76 @@ struct ArchiveQueryMsg {
   bool compress = true;
   uint32_t max_samples = 4096;
   AggregateOp aggregate = AggregateOp::kNone;
-
-  std::vector<uint8_t> Encode() const;
-  static Result<ArchiveQueryMsg> Decode(span<const uint8_t> bytes);
 };
+
+template <class S, class F, CkptSelf<S, ArchiveQueryMsg> = 0>
+void CkptFields(S& v, F&& f) {
+  f(CkptFixed(v.query_id));
+  f(CkptFixed(v.local_start));
+  f(CkptFixed(v.local_end));
+  f(v.compress);
+  f(CkptFixed(v.max_samples));
+  f(v.aggregate);
+}
 
 struct ArchiveReplyMsg {
   uint32_t query_id = 0;
   uint8_t status_code = 0;     // StatusCode as uint8
   SimTime local_send_time = 0; // sync beacon, like pushes
   std::vector<uint8_t> batch;  // empty on error
-
-  std::vector<uint8_t> Encode() const;
-  static Result<ArchiveReplyMsg> Decode(span<const uint8_t> bytes);
 };
+
+template <class S, class F, CkptSelf<S, ArchiveReplyMsg> = 0>
+void CkptFields(S& v, F&& f) {
+  f(CkptFixed(v.query_id));
+  f(CkptFixed(v.status_code));
+  f(CkptFixed(v.local_send_time));
+  f(v.batch);
+}
 
 struct ReplicaUpdateMsg {
   uint32_t sensor_id = 0;
   std::vector<uint8_t> batch;  // reference-timeline batch blob
-
-  std::vector<uint8_t> Encode() const;
-  static Result<ReplicaUpdateMsg> Decode(span<const uint8_t> bytes);
 };
+
+template <class S, class F, CkptSelf<S, ReplicaUpdateMsg> = 0>
+void CkptFields(S& v, F&& f) {
+  f(CkptFixed(v.sensor_id));
+  f(v.batch);
+}
 
 struct ReplicaModelMsg {
   uint32_t sensor_id = 0;
   double tolerance = 0.5;
   std::vector<uint8_t> model_params;
-
-  std::vector<uint8_t> Encode() const;
-  static Result<ReplicaModelMsg> Decode(span<const uint8_t> bytes);
 };
+
+template <class S, class F, CkptSelf<S, ReplicaModelMsg> = 0>
+void CkptFields(S& v, F&& f) {
+  f(CkptFixed(v.sensor_id));
+  f(CkptF32(v.tolerance));
+  f(v.model_params);
+}
+
+// A message's bytes: its field list, in order.
+template <class M>
+std::vector<uint8_t> EncodeMsg(const M& msg) {
+  ByteWriter w;
+  CkptWrite(w, msg);
+  return w.TakeBuffer();
+}
+
+// Parses a message; short, trailing or out-of-range bytes are an error, never UB.
+template <class M>
+Result<M> DecodeMsg(span<const uint8_t> bytes) {
+  ByteReader r(bytes);
+  M msg;
+  PRESTO_RETURN_IF_ERROR(CkptRead(r, msg));
+  if (!r.AtEnd()) {
+    return DataLossError("protocol: trailing bytes after message");
+  }
+  return msg;
+}
 
 }  // namespace presto
 

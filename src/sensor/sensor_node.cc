@@ -52,12 +52,9 @@ void SensorNode::OnSensingTick() {
   meter_.Charge(EnergyComponent::kSensing, kSensingJoulesPerSample);
 
   const Sample sample{local, value};
-  if (config_.archive_enabled) {
-    const Status st = archive_.Append(sample);
-    if (!st.ok()) {
-      PLOG_WARN("sensor %u: archive append failed: %s", config_.id,
-                st.ToString().c_str());
-    }
+  const Status st = archive_.Append(sample);
+  if (!st.ok()) {
+    PLOG_WARN("sensor %u: archive append failed: %s", config_.id, st.ToString().c_str());
   }
 
   switch (config_.policy) {
@@ -150,7 +147,7 @@ void SensorNode::PushSamples(PushReason reason,
   ++stats_.pushes;
   stats_.pushed_samples += local_samples.size();
   net_->SendBatched(config_.id, config_.proxy_id,
-                    static_cast<uint16_t>(MsgType::kDataPush), msg.Encode());
+                    static_cast<uint16_t>(MsgType::kDataPush), EncodeMsg(msg));
 }
 
 void SensorNode::OnMessage(const Message& message) {
@@ -171,7 +168,7 @@ void SensorNode::OnMessage(const Message& message) {
 }
 
 void SensorNode::HandleModelUpdate(const Message& message) {
-  auto msg = ModelUpdateMsg::Decode(message.payload);
+  auto msg = DecodeMsg<ModelUpdateMsg>(message.payload);
   if (!msg.ok()) {
     PLOG_WARN("sensor %u: bad model update", config_.id);
     return;
@@ -194,7 +191,7 @@ void SensorNode::HandleModelUpdate(const Message& message) {
 }
 
 void SensorNode::HandleConfigUpdate(const Message& message) {
-  auto msg = ConfigUpdateMsg::Decode(message.payload);
+  auto msg = DecodeMsg<ConfigUpdateMsg>(message.payload);
   if (!msg.ok()) {
     PLOG_WARN("sensor %u: bad config update", config_.id);
     return;
@@ -236,7 +233,7 @@ void SensorNode::HandleConfigUpdate(const Message& message) {
 }
 
 void SensorNode::HandleArchiveQuery(const Message& message) {
-  auto msg = ArchiveQueryMsg::Decode(message.payload);
+  auto msg = DecodeMsg<ArchiveQueryMsg>(message.payload);
   if (!msg.ok()) {
     PLOG_WARN("sensor %u: bad archive query", config_.id);
     return;
@@ -309,7 +306,7 @@ void SensorNode::HandleArchiveQuery(const Message& message) {
   // A blocked query is waiting on this reply: skip the link's coalescing window
   // (pushes and other bulk traffic still ride it).
   net_->Send(config_.id, config_.proxy_id,
-             static_cast<uint16_t>(MsgType::kArchiveReply), reply.Encode());
+             static_cast<uint16_t>(MsgType::kArchiveReply), EncodeMsg(reply));
 }
 
 }  // namespace presto

@@ -52,7 +52,6 @@ struct SensorNodeConfig {
   double drift_ppm = 0.0;
   Duration clock_jitter = Millis(2);
 
-  bool archive_enabled = true;
   FlashParams flash;
   ArchiveParams archive;
   ModelConfig model_config;

@@ -446,6 +446,82 @@ auto CkptRead(ByteReader& r, T& v)
   return in.status();
 }
 
+// ---------------------------------------------------------------------------
+// Field adapters. A field whose bytes are not its type's generic codec — the radio,
+// flash-page and handshake layouts — is wrapped where its list names it,
+// `f(CkptFixed(v.seq))`, and the one wrapper drives both directions:
+//   CkptFixed(x)    a fixed-width little-endian integer, ByteWriter::WriteU8..U64's
+//                   bytes (an int64_t is its two's-complement bits, as WriteI64);
+//   CkptF32(x)      a double carried as f32 (rounded on write, widened on read);
+//   CkptVarBits(x)  a 64-bit signed integer as the unsigned varint of its bits.
+// ---------------------------------------------------------------------------
+
+enum class CkptForm { kFixed, kF32, kVarBits };
+
+template <CkptForm kForm, typename T>
+struct CkptAs {
+  T& v;
+};
+template <typename T>
+CkptAs<CkptForm::kFixed, T> CkptFixed(T& v) {
+  return {v};
+}
+template <typename T>
+CkptAs<CkptForm::kF32, T> CkptF32(T& v) {
+  return {v};
+}
+template <typename T>
+CkptAs<CkptForm::kVarBits, T> CkptVarBits(T& v) {
+  return {v};
+}
+
+template <CkptForm kForm, typename T>
+void CkptWrite(ByteWriter& w, const CkptAs<kForm, const T>& a) {
+  if constexpr (kForm == CkptForm::kF32) {
+    static_assert(std::is_same_v<T, double>, "CkptF32 carries a double");
+    w.WriteF32(static_cast<float>(a.v));
+  } else {
+    static_assert(std::is_integral_v<T>, "fixed and bit forms carry integers");
+    using U = std::make_unsigned_t<T>;
+    const U bits = static_cast<U>(a.v);
+    if constexpr (kForm == CkptForm::kVarBits) {
+      static_assert(sizeof(T) == 8, "CkptVarBits carries 64-bit values");
+      w.WriteVarU64(bits);
+    } else if constexpr (sizeof(T) == 1) {
+      w.WriteU8(bits);
+    } else if constexpr (sizeof(T) == 2) {
+      w.WriteU16(bits);
+    } else if constexpr (sizeof(T) == 4) {
+      w.WriteU32(bits);
+    } else {
+      w.WriteU64(bits);
+    }
+  }
+}
+template <CkptForm kForm, typename T>
+Status CkptRead(ByteReader& r, const CkptAs<kForm, T>& a) {
+  auto raw = [&r] {
+    if constexpr (kForm == CkptForm::kF32) {
+      return r.ReadF32();
+    } else if constexpr (kForm == CkptForm::kVarBits) {
+      return r.ReadVarU64();
+    } else if constexpr (sizeof(T) == 1) {
+      return r.ReadU8();
+    } else if constexpr (sizeof(T) == 2) {
+      return r.ReadU16();
+    } else if constexpr (sizeof(T) == 4) {
+      return r.ReadU32();
+    } else {
+      return r.ReadU64();
+    }
+  }();
+  if (!raw.ok()) {
+    return raw.status();
+  }
+  a.v = static_cast<T>(*raw);
+  return OkStatus();
+}
+
 // An object with its own SaveState/LoadState nests as one field.
 template <typename T>
 auto CkptWrite(ByteWriter& w, const T& v)

@@ -123,4 +123,15 @@ class Result {
     }                                         \
   } while (0)
 
+// Aborts, naming the status message, when a config or invariant check fails: how a
+// constructor enforces the Validate(const T&) that a decoder reports as an error.
+#define PRESTO_CHECK_OK(expr)                                  \
+  do {                                                         \
+    const ::presto::Status status_macro_ = (expr);             \
+    if (!status_macro_.ok()) {                                 \
+      ::presto::CheckFailed(__FILE__, __LINE__, #expr,         \
+                            status_macro_.message().c_str());  \
+    }                                                          \
+  } while (0)
+
 #endif  // SRC_UTIL_RESULT_H_

@@ -64,13 +64,20 @@ std::vector<uint8_t> EncodeRawBatch(SimTime start, Duration period,
   return w.TakeBuffer();
 }
 
+Status Validate(const CodecParams& params) {
+  if (!(params.quant_step > 0.0)) {
+    return InvalidArgumentError("codec: quant_step must be positive");
+  }
+  return OkStatus();
+}
+
 Result<std::vector<uint8_t>> EncodeWaveletBatch(SimTime start, Duration period,
                                                 const std::vector<double>& values,
                                                 const CodecParams& params) {
   if (values.empty()) {
     return InvalidArgumentError("codec: empty batch");
   }
-  PRESTO_CHECK(params.quant_step > 0.0);
+  PRESTO_CHECK_OK(Validate(params));
   auto coeffs = ForwardDwt(values, params.kind, params.levels);
   if (!coeffs.ok()) {
     return coeffs.status();

@@ -40,6 +40,9 @@ void CkptFields(S& v, F&& f) {
   f(v.denoise_scale);
 }
 
+// The encoder's rules for its params (InvalidArgument when broken).
+Status Validate(const CodecParams& params);
+
 struct DecodedBatch {
   BatchFormat format = BatchFormat::kRaw;
   SimTime start = 0;

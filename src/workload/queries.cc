@@ -35,10 +35,19 @@ TimeInterval PastRangeOf(const QueryRequest& request, SimTime now) {
   return TimeInterval{start, std::min(now, start + request.window)};
 }
 
+Status Validate(const QueryWorkloadParams& params) {
+  if (params.num_sensors < 1) {
+    return InvalidArgumentError("queries: num_sensors must be at least 1");
+  }
+  if (!(params.queries_per_hour > 0.0)) {
+    return InvalidArgumentError("queries: queries_per_hour must be positive");
+  }
+  return OkStatus();
+}
+
 std::vector<QueryRequest> GenerateQueries(const QueryWorkloadParams& params,
                                           TimeInterval interval) {
-  PRESTO_CHECK(params.num_sensors >= 1);
-  PRESTO_CHECK(params.queries_per_hour > 0.0);
+  PRESTO_CHECK_OK(Validate(params));
   Pcg32 rng(params.seed, /*stream=*/0x515259);
   const double rate_per_us = params.queries_per_hour / static_cast<double>(kHour);
   std::vector<QueryRequest> out;

@@ -55,6 +55,9 @@ void CkptFields(S& v, F&& f) {
   f(v.seed);
 }
 
+// GenerateQueries' and QueryDriver's rules (InvalidArgument when broken).
+Status Validate(const QueryWorkloadParams& params);
+
 // Draws one query's fields (target, NOW/PAST shape, tolerance, latency bound) for a
 // query issued at `t`. Shared by the batch generator below and the in-sim
 // QueryDriver so both produce the same distributions from the same draws.

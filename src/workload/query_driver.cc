@@ -73,6 +73,12 @@ std::string LatencyHistogram::ToString() const {
   return out.empty() ? "(empty)" : out;
 }
 
+Status Validate(const QueryDriverParams& params) {
+  QueryWorkloadParams mix = params.mix;
+  mix.num_sensors = std::max(mix.num_sensors, 1);
+  return Validate(mix);
+}
+
 QueryDriver::QueryDriver(Simulator* sim, const QueryDriverParams& params,
                          IssueFn issue_fn)
     : sim_(sim),
@@ -81,8 +87,7 @@ QueryDriver::QueryDriver(Simulator* sim, const QueryDriverParams& params,
       rng_(params.mix.seed, /*stream=*/0x44525652) {
   PRESTO_CHECK(sim_ != nullptr);
   PRESTO_CHECK(issue_fn_ != nullptr);
-  PRESTO_CHECK(params_.mix.num_sensors >= 1);
-  PRESTO_CHECK(params_.mix.queries_per_hour > 0.0);
+  PRESTO_CHECK_OK(Validate(params_.mix));
   sim_->RegisterSink(this);
 }
 

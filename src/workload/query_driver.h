@@ -58,6 +58,10 @@ void CkptFields(S& v, F&& f) {
   f(v.arrivals);
 }
 
+// Attach-time rules: the mix's, except that num_sensors <= 0 stands for the whole
+// population, which the attaching cell fills in (InvalidArgument when broken).
+Status Validate(const QueryDriverParams& params);
+
 // What the glue reports back when a query finishes. Timestamps are simulator event
 // times (not wall clock), so latencies replay bit-identically.
 struct QueryOutcome {

@@ -16,6 +16,23 @@
 namespace presto {
 namespace {
 
+// Collects tagged QueryAsync completions, in completion order; each must land in
+// control context.
+class RecordingQueryClient : public DeploymentQueryClient {
+ public:
+  explicit RecordingQueryClient(Deployment* deployment) : deployment_(deployment) {
+    deployment_->SetQueryClient(this);
+  }
+  void OnDeploymentQueryDone(uint64_t tag, UnifiedQueryResult&& result) override {
+    EXPECT_EQ(deployment_->sim().CurrentLane(), Simulator::kLaneControl);
+    done.emplace_back(tag, std::move(result));
+  }
+  std::vector<std::pair<uint64_t, UnifiedQueryResult>> done;
+
+ private:
+  Deployment* deployment_;
+};
+
 // ---------- shard map ----------
 
 TEST(ShardMapTest, GeographicPolicyAssignsContiguousBlocks) {
@@ -781,24 +798,19 @@ TEST(BatchingTest, ConcurrentQueriesShareOnePull) {
   // Issued together, the three queries reach the proxy at the same instant.
   QuerySpec spec = NowSpec(Deployment::SensorId(0, 0), 1.0);
   spec.latency_bound = Seconds(30);
-  int answered = 0;
-  QueryAnswer first_answer;
-  auto on_done = [&](const UnifiedQueryResult& result) {
-    const QueryAnswer& answer = result.answer;
-    ++answered;
-    if (answered == 1) {
-      first_answer = answer;
-    } else {
-      EXPECT_EQ(answer.value, first_answer.value) << "riders must see the pulled data";
-    }
-  };
-  deployment.QueryAsync(spec, on_done);
-  deployment.QueryAsync(spec, on_done);
-  deployment.QueryAsync(spec, on_done);
+  RecordingQueryClient client(&deployment);
+  for (uint64_t tag = 0; tag < 3; ++tag) {
+    deployment.QueryAsync(spec, tag);
+  }
   deployment.RunUntil(deployment.sim().Now() + Minutes(15));
 
-  EXPECT_EQ(answered, 3);
+  ASSERT_EQ(client.done.size(), 3u);
+  const QueryAnswer& first_answer = client.done[0].second.answer;
   ASSERT_TRUE(first_answer.status.ok()) << first_answer.status.ToString();
+  for (const auto& [tag, result] : client.done) {
+    EXPECT_EQ(result.answer.value, first_answer.value)
+        << "riders must see the pulled data";
+  }
   EXPECT_EQ(deployment.proxy(0).stats().pulls, 1u) << "one radio transaction expected";
   EXPECT_EQ(deployment.proxy(0).stats().coalesced_pulls, 2u);
 }
@@ -1090,24 +1102,18 @@ TEST(LookaheadTest, OneProxyControlIssuedQueryCompletesAtItsTrueTime) {
   // Issues one query through QueryAsync when its control-lane event fires.
   struct Issuer : EventSink {
     Deployment* deployment = nullptr;
-    UnifiedQueryResult result;
-    bool done = false;
     void OnSimEvent(EventKind, EventPayload&) override {
-      deployment->QueryAsync(NowSpec(deployment->GlobalSensorId(0), 1.0),
-                             [this](const UnifiedQueryResult& r) {
-                               result = r;
-                               done = true;
-                             });
+      deployment->QueryAsync(NowSpec(deployment->GlobalSensorId(0), 1.0), /*tag=*/0);
     }
   } issuer;
   issuer.deployment = &deployment;
+  RecordingQueryClient client(&deployment);
   const SimTime issue_at = deployment.sim().Now() + Millis(123);
   deployment.sim().ScheduleEventAt(issue_at, EventKind::kQuery, &issuer, EventPayload{},
                                    Simulator::kLaneControl);
   deployment.RunUntil(issue_at + Seconds(10));
-  const bool done = issuer.done;
-  const UnifiedQueryResult& result = issuer.result;
-  ASSERT_TRUE(done);
+  ASSERT_EQ(client.done.size(), 1u);
+  const UnifiedQueryResult& result = client.done[0].second;
   ASSERT_TRUE(result.answer.status.ok());
   EXPECT_EQ(result.answer.source, AnswerSource::kCacheHit)
       << "the answer must come from the proxy, with no radio latency";
@@ -1235,22 +1241,21 @@ TEST(ExternalQueryTest, QueryAsyncCompletesOnControlContextWithoutHostStepping) 
   deployment.RunUntil(Hours(2));
 
   // A batch of async queries issued up front, then one plain RunUntil: no per-query
-  // host loop. Every completion must arrive in control context.
-  int completed = 0;
-  int ok = 0;
+  // host loop. Every completion must arrive in control context, under its own tag.
+  RecordingQueryClient client(&deployment);
   for (int g = 0; g < deployment.total_sensors(); ++g) {
-    deployment.QueryAsync(
-        NowSpec(deployment.GlobalSensorId(g), 3.0),
-        [&deployment, &completed, &ok](const UnifiedQueryResult& result) {
-          EXPECT_EQ(deployment.sim().CurrentLane(), Simulator::kLaneControl);
-          ++completed;
-          ok += result.answer.status.ok() ? 1 : 0;
-          EXPECT_GE(result.completed_at, result.issued_at);
-        });
+    deployment.QueryAsync(NowSpec(deployment.GlobalSensorId(g), 3.0),
+                          static_cast<uint64_t>(g));
   }
   deployment.RunUntil(deployment.sim().Now() + Minutes(5));
-  EXPECT_EQ(completed, deployment.total_sensors());
-  EXPECT_EQ(ok, deployment.total_sensors());
+  ASSERT_EQ(client.done.size(), static_cast<size_t>(deployment.total_sensors()));
+  std::set<uint64_t> tags;
+  for (const auto& [tag, result] : client.done) {
+    tags.insert(tag);
+    EXPECT_TRUE(result.answer.status.ok()) << "tag " << tag;
+    EXPECT_GE(result.completed_at, result.issued_at);
+  }
+  EXPECT_EQ(tags.size(), client.done.size()) << "each tag completes once";
 }
 
 TEST(ExternalQueryTest, TimedOutQueryAndWaitBlocksCheckpointsUntilItsPullLands) {

@@ -447,6 +447,9 @@ TEST(FedWireFuzzTest, BootstrapAndAttachCodecsRoundTripAndSurviveMutations) {
   FederationConfig config;
   PerturbFields perturb;
   CkptFields(config, perturb);
+  // The flip made the one field with a single valid value invalid; a worker
+  // refuses that bootstrap (BootstrapRefusesConfigsAWorkerWouldAbortOn).
+  config.cell.lane_engine = true;
   const std::vector<uint8_t> boot = EncodeBootstrap(config, 2, 3);
   ASSERT_NE(boot, EncodeBootstrap(FederationConfig{}, 2, 3));
   FederationConfig decoded;
@@ -551,6 +554,61 @@ TEST(FedWireFuzzTest, BootstrapAndAttachCodecsRoundTripAndSurviveMutations) {
     const auto bytes = Mutate(rng, attaches[rng.Below(attaches.size())], 0);
     (void)DecodeAttachDriver(span<const uint8_t>(bytes), &origin, &params_back);
   }
+}
+
+TEST(FedWireFuzzTest, BootstrapRefusesConfigsAWorkerWouldAbortOn) {
+  // One broken construction rule per config struct: well-typed bytes that would
+  // abort a worker's constructor are refused as InvalidArgument at decode.
+  const auto decode = [](const FederationConfig& config) {
+    const std::vector<uint8_t> boot = EncodeBootstrap(config, 0, 1);
+    FederationConfig decoded;
+    int worker_index = 0;
+    int num_workers = 0;
+    return DecodeBootstrap(span<const uint8_t>(boot), &decoded, &worker_index,
+                           &num_workers);
+  };
+  ASSERT_TRUE(decode(FederationConfig{}).ok());
+  FederationConfig config;
+  config.cell.flash.pages_per_block = 0;
+  EXPECT_EQ(decode(config).code(), StatusCode::kInvalidArgument) << "FlashParams";
+  config = FederationConfig{};
+  config.cell.archive.aging_factor = 1;
+  EXPECT_EQ(decode(config).code(), StatusCode::kInvalidArgument) << "ArchiveParams";
+  config = FederationConfig{};
+  config.cell.codec.quant_step = 0.0;
+  EXPECT_EQ(decode(config).code(), StatusCode::kInvalidArgument) << "CodecParams";
+  config = FederationConfig{};
+  config.cell.engine.min_training_samples = 15;
+  EXPECT_EQ(decode(config).code(), StatusCode::kInvalidArgument) << "engine params";
+  config = FederationConfig{};
+  config.cell.net.max_retries = -1;
+  EXPECT_EQ(decode(config).code(), StatusCode::kInvalidArgument) << "NetworkParams";
+  config = FederationConfig{};
+  config.link.bandwidth_bps = 0.0;
+  EXPECT_EQ(decode(config).code(), StatusCode::kInvalidArgument) << "CellLinkParams";
+  config = FederationConfig{};
+  config.cell.lane_engine = false;
+  EXPECT_EQ(decode(config).code(), StatusCode::kInvalidArgument) << "DeploymentConfig";
+  config = FederationConfig{};
+  config.cell.flash.page_size_bytes = 32;
+  EXPECT_EQ(decode(config).code(), StatusCode::kInvalidArgument) << "page size";
+  config = FederationConfig{};
+  config.epoch = 0;
+  EXPECT_EQ(decode(config).code(), StatusCode::kInvalidArgument) << "FederationConfig";
+
+  QueryDriverParams params;
+  params.mix.queries_per_hour = 0.0;
+  const std::vector<uint8_t> attach = EncodeAttachDriver(0, params);
+  int origin = 0;
+  EXPECT_EQ(DecodeAttachDriver(span<const uint8_t>(attach), &origin, &params).code(),
+            StatusCode::kInvalidArgument)
+      << "QueryWorkloadParams";
+  params = QueryDriverParams{};
+  params.mix.num_sensors = 0;  // the whole population, filled in at attach
+  EXPECT_TRUE(
+      DecodeAttachDriver(span<const uint8_t>(EncodeAttachDriver(0, params)), &origin,
+                         &params)
+          .ok());
 }
 
 }  // namespace

@@ -702,6 +702,12 @@ TEST(FedHelloTest, CodecRoundTripsAndValidates) {
   EXPECT_EQ(back.version, kFedWireVersion);
   EXPECT_EQ(back.worker_index, 3);
   EXPECT_EQ(back.num_workers, 7);
+  // The version is one raw byte; the slot rides zigzag varints.
+  FedHello wide;
+  wide.worker_index = 3;
+  wide.num_workers = 70;
+  EXPECT_EQ(EncodeFedHello(wide),
+            (std::vector<uint8_t>{kFedWireVersion, 0x06, 0x8c, 0x01}));
 
   std::vector<uint8_t> trailing = bytes;
   trailing.push_back(0);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "src/flash/archive_store.h"
@@ -196,6 +197,36 @@ TEST(PageCodecTest, SealMatchesByteWriterGolden) {
     EXPECT_EQ(decoded->samples[i].t, expected_t) << i;
     EXPECT_EQ(decoded->samples[i].value, static_cast<double>(static_cast<float>(v))) << i;
   }
+}
+
+// The header rides PageHeader's field list; its bytes (checksummed and read back by
+// every mount) are pinned to the hex the hand-written encoder produced.
+TEST(PageCodecTest, SealedHeaderGoldenBytes) {
+  PageBuilder builder(64);
+  builder.Add(Seconds(10), 21.5);
+  builder.Add(Seconds(41), -3.25);
+  const std::vector<uint8_t> page = builder.Seal(/*seq=*/0x0A0B0C0D, Seconds(31));
+  ASSERT_EQ(page.size(), 64u);
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (int i = 0; i < kPageHeaderBytes; ++i) {
+    hex += kDigits[page[static_cast<size_t>(i)] >> 4];
+    hex += kDigits[page[static_cast<size_t>(i)] & 0xF];
+  }
+  EXPECT_EQ(hex, "41500d0c0b0a0c008b608096980000000000c005d90100000000");
+
+  auto decoded = DecodePage(page);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->header.magic, kPageMagic);
+  EXPECT_EQ(decoded->header.seq, 0x0A0B0C0Du);
+  EXPECT_EQ(decoded->header.first_ts, Seconds(10));
+  EXPECT_EQ(decoded->header.resolution, Seconds(31));
+
+  std::vector<uint8_t> bad_magic = page;
+  bad_magic[1] ^= 0x01;
+  EXPECT_EQ(DecodePage(bad_magic).status().code(), StatusCode::kDataLoss);
+  const std::vector<uint8_t> short_header(page.begin(), page.begin() + 10);
+  EXPECT_EQ(DecodePage(short_header).status().code(), StatusCode::kDataLoss);
 }
 
 class PageCodecPropertyTest : public ::testing::TestWithParam<uint64_t> {};

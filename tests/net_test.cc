@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/net/cell_link.h"
@@ -242,6 +243,49 @@ TEST(NetworkTest, NodeDownAbandonsItsPendingBatches) {
   h.sim.RunAll();
   EXPECT_EQ(h.proxy.messages.size(), 2u);
   EXPECT_EQ(h.net->stats().batch_flushes, 1u);
+}
+
+TEST(NetworkTest, BatchFrameBytesArePinned) {
+  // A coalesced frame is a vector of {type, queue delay, payload} records. Its bytes
+  // are radio time and sit in checkpoints while in flight, so they are pinned to the
+  // hex the hand-written encoder produced: count 2, then type 7 queued 1 s with
+  // {1,2,3}, then type 9 queued 0.75 s with {4}.
+  Simulator sim;
+  NetworkParams params;
+  params.batch_epoch = Seconds(1);
+  Network net(&sim, params, /*seed=*/99);
+  Recorder a;
+  Recorder b;
+  NodeRadioConfig powered;
+  powered.powered = true;
+  net.AttachNode(1, &a, powered, nullptr);
+  net.AttachNode(2, &b, powered, nullptr);
+  net.ConnectWired(1, 2);
+  net.SendBatched(1, 2, 7, {1, 2, 3});
+  sim.RunUntil(Millis(250));
+  net.SendBatched(1, 2, 9, {4});
+  sim.RunUntil(Seconds(1) + Micros(500));  // flushed, still on the wire
+
+  ByteWriter w;
+  ASSERT_TRUE(sim.SaveState(w).ok());
+  static const char kDigits[] = "0123456789abcdef";
+  std::string saved;
+  for (const uint8_t byte : w.buffer()) {
+    saved += kDigits[byte >> 4];
+    saved += kDigits[byte & 0xF];
+  }
+  EXPECT_NE(saved.find("020700c0843d030102030900b0e32d0104"), std::string::npos)
+      << "in-flight frame bytes in the simulator section: " << saved;
+
+  sim.RunAll();
+  ASSERT_EQ(b.messages.size(), 2u);
+  EXPECT_EQ(b.messages[0].type, 7u);
+  EXPECT_EQ(b.messages[0].sent_at, 0);
+  EXPECT_EQ(b.messages[0].payload, (std::vector<uint8_t>{1, 2, 3}));
+  EXPECT_EQ(b.messages[1].type, 9u);
+  EXPECT_EQ(b.messages[1].sent_at, Millis(250)) << "queue delay taken back off";
+  EXPECT_EQ(b.messages[1].payload, (std::vector<uint8_t>{4}));
+  EXPECT_EQ(b.messages[0].delivered_at, b.messages[1].delivered_at);
 }
 
 TEST(NetworkDeathTest, UnknownNodeIdsCheckFail) {

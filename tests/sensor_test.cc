@@ -21,12 +21,12 @@ class FakeProxy : public NetNode {
   void OnMessage(const Message& message) override {
     messages.push_back(message);
     if (message.type == static_cast<uint16_t>(MsgType::kDataPush)) {
-      auto push = DataPushMsg::Decode(message.payload);
+      auto push = DecodeMsg<DataPushMsg>(message.payload);
       ASSERT_TRUE(push.ok());
       pushes.push_back(*push);
     }
     if (message.type == static_cast<uint16_t>(MsgType::kArchiveReply)) {
-      auto reply = ArchiveReplyMsg::Decode(message.payload);
+      auto reply = DecodeMsg<ArchiveReplyMsg>(message.payload);
       ASSERT_TRUE(reply.ok());
       replies.push_back(*reply);
     }
@@ -131,7 +131,7 @@ TEST(SensorNodeTest, ModelDrivenSuppressesPredictableData) {
   update.model_seq = 1;
   update.tolerance = 0.5;
   update.model_params = model.Serialize();
-  rig.net->Send(1, 100, static_cast<uint16_t>(MsgType::kModelUpdate), update.Encode());
+  rig.net->Send(1, 100, static_cast<uint16_t>(MsgType::kModelUpdate), EncodeMsg(update));
   rig.sim.RunUntil(Days(2) + Hours(6));
 
   EXPECT_EQ(rig.sensor->stats().model_updates, 1u);
@@ -166,7 +166,7 @@ TEST(SensorNodeTest, ModelDrivenReportsUnpredictableEvent) {
   ModelUpdateMsg update;
   update.model_params = model.Serialize();
   update.tolerance = 0.5;
-  rig.net->Send(1, 100, static_cast<uint16_t>(MsgType::kModelUpdate), update.Encode());
+  rig.net->Send(1, 100, static_cast<uint16_t>(MsgType::kModelUpdate), EncodeMsg(update));
   rig.sim.RunUntil(Days(2) + Hours(2));
   rig.proxy.pushes.clear();
 
@@ -187,7 +187,8 @@ TEST(SensorNodeTest, ArchiveQueryRoundTrip) {
   query.query_id = 77;
   query.local_start = Hours(1);
   query.local_end = Hours(1) + Minutes(10);
-  rig.net->Send(1, 100, static_cast<uint16_t>(MsgType::kArchiveQuery), query.Encode());
+  rig.net->Send(1, 100, static_cast<uint16_t>(MsgType::kArchiveQuery),
+                EncodeMsg(query));
   rig.sim.RunAll();
 
   ASSERT_EQ(rig.proxy.replies.size(), 1u);
@@ -212,7 +213,8 @@ TEST(SensorNodeTest, ArchiveQueryOutsideDataIsNotFound) {
   query.query_id = 5;
   query.local_start = Days(10);
   query.local_end = Days(10) + Minutes(1);
-  rig.net->Send(1, 100, static_cast<uint16_t>(MsgType::kArchiveQuery), query.Encode());
+  rig.net->Send(1, 100, static_cast<uint16_t>(MsgType::kArchiveQuery),
+                EncodeMsg(query));
   rig.sim.RunAll();
   ASSERT_EQ(rig.proxy.replies.size(), 1u);
   EXPECT_EQ(rig.proxy.replies[0].status_code,
@@ -226,7 +228,7 @@ TEST(SensorNodeTest, ConfigUpdateRetunesSensing) {
   ConfigUpdateMsg update;
   update.fields = kCfgSensingPeriod;
   update.sensing_period = Minutes(5);
-  rig.net->Send(1, 100, static_cast<uint16_t>(MsgType::kConfigUpdate), update.Encode());
+  rig.net->Send(1, 100, static_cast<uint16_t>(MsgType::kConfigUpdate), EncodeMsg(update));
   rig.sim.RunUntil(Minutes(60));
   // 50 more minutes at 5-minute sampling: ~10 samples, not ~97.
   const uint64_t after = rig.sensor->stats().samples - before;
@@ -242,7 +244,7 @@ TEST(SensorNodeTest, ConfigUpdateSwitchesPolicy) {
   update.fields = kCfgPolicy | kCfgBatchInterval;
   update.policy = PushPolicy::kBatched;
   update.batch_interval = Minutes(10);
-  rig.net->Send(1, 100, static_cast<uint16_t>(MsgType::kConfigUpdate), update.Encode());
+  rig.net->Send(1, 100, static_cast<uint16_t>(MsgType::kConfigUpdate), EncodeMsg(update));
   rig.sim.RunUntil(Minutes(40));
   bool saw_batch = false;
   for (const auto& push : rig.proxy.pushes) {
@@ -266,12 +268,12 @@ TEST(SensorNodeTest, CompressionShrinksBatchPayloads) {
   update.quant_step = 0.02;
   update.batch_interval = Hours(1);
   comp_rig.net->Send(1, 100, static_cast<uint16_t>(MsgType::kConfigUpdate),
-                     update.Encode());
+                     EncodeMsg(update));
   ConfigUpdateMsg raw_update;
   raw_update.fields = kCfgBatchInterval;
   raw_update.batch_interval = Hours(1);
   raw_rig.net->Send(1, 100, static_cast<uint16_t>(MsgType::kConfigUpdate),
-                    raw_update.Encode());
+                    EncodeMsg(raw_update));
 
   raw_rig.sim.RunUntil(Hours(6));
   comp_rig.sim.RunUntil(Hours(6));
@@ -300,7 +302,8 @@ TEST(SensorNodeTest, AggregateArchiveQueryReturnsOneValue) {
     query.local_start = Hours(1);
     query.local_end = Hours(2);
     query.aggregate = op;
-    rig.net->Send(1, 100, static_cast<uint16_t>(MsgType::kArchiveQuery), query.Encode());
+    rig.net->Send(1, 100, static_cast<uint16_t>(MsgType::kArchiveQuery),
+                  EncodeMsg(query));
     rig.sim.RunAll();
     const ArchiveReplyMsg& reply = rig.proxy.replies.back();
     EXPECT_EQ(reply.status_code, static_cast<uint8_t>(StatusCode::kOk));
@@ -323,7 +326,7 @@ TEST(SensorNodeTest, AggregateArchiveQueryReturnsOneValue) {
   full.query_id = 999;
   full.local_start = Hours(1);
   full.local_end = Hours(2);
-  rig.net->Send(1, 100, static_cast<uint16_t>(MsgType::kArchiveQuery), full.Encode());
+  rig.net->Send(1, 100, static_cast<uint16_t>(MsgType::kArchiveQuery), EncodeMsg(full));
   rig.sim.RunAll();
   EXPECT_GT(rig.proxy.replies.back().batch.size(), 20u * 5u);
 }

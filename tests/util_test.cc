@@ -12,7 +12,6 @@
 #include "src/util/bytes.h"
 #include "src/util/id_map.h"
 #include "src/util/result.h"
-#include "src/util/ring_buffer.h"
 #include "src/util/rng.h"
 #include "src/util/sample.h"
 #include "src/util/sim_time.h"
@@ -221,33 +220,6 @@ TEST_P(BitpackPropertyTest, RandomWidthsRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BitpackPropertyTest, ::testing::Values(4, 5, 6));
-
-// ---------- RingBuffer ----------
-
-TEST(RingBufferTest, FillAndOverwrite) {
-  RingBuffer<int> rb(3);
-  EXPECT_TRUE(rb.Empty());
-  rb.Push(1);
-  rb.Push(2);
-  rb.Push(3);
-  EXPECT_TRUE(rb.Full());
-  rb.Push(4);  // overwrites 1
-  EXPECT_EQ(rb.size(), 3u);
-  EXPECT_EQ(rb[0], 2);
-  EXPECT_EQ(rb[1], 3);
-  EXPECT_EQ(rb[2], 4);
-  EXPECT_EQ(rb.Back(), 4);
-  EXPECT_EQ(rb.ToVector(), (std::vector<int>{2, 3, 4}));
-}
-
-TEST(RingBufferTest, Clear) {
-  RingBuffer<int> rb(2);
-  rb.Push(1);
-  rb.Clear();
-  EXPECT_TRUE(rb.Empty());
-  rb.Push(9);
-  EXPECT_EQ(rb[0], 9);
-}
 
 // ---------- RNG ----------
 

@@ -19,10 +19,12 @@
    rows with unique keys, section names drawn from the declared key set, and
    fingerprints as "0x%016x" hex strings.
 6. Codec coverage: every field of the structs in CODEC_STRUCTS (the configs the
-   kBootstrap and kAttachDriver frames carry) must appear in that struct's field
-   list — the `CkptFields` template that drives both codec directions — or in
-   CODEC_EXCLUDED. A field added to a config without a list entry would silently
-   not reach a worker process.
+   kBootstrap and kAttachDriver frames carry, the radio messages and the flash page
+   header) must appear in that struct's field list — the `CkptFields` template
+   that drives both codec directions, `f(v.x)` or adapter-wrapped
+   `f(Adapter(v.x))` — or in CODEC_EXCLUDED. A field added to a config without a
+   list entry would silently not reach a worker process; one added to a message
+   would silently not go on the air.
 
 Exits non-zero with one line per problem.
 """
@@ -127,6 +129,15 @@ CODEC_STRUCTS = [
     ("src/net/cell_link.h", "CellLinkParams"),
     ("src/workload/query_driver.h", "QueryDriverParams"),
     ("src/workload/queries.h", "QueryWorkloadParams"),
+    ("src/sensor/protocol.h", "DataPushMsg"),
+    ("src/sensor/protocol.h", "ModelUpdateMsg"),
+    ("src/sensor/protocol.h", "ConfigUpdateMsg"),
+    ("src/sensor/protocol.h", "ArchiveQueryMsg"),
+    ("src/sensor/protocol.h", "ArchiveReplyMsg"),
+    ("src/sensor/protocol.h", "ReplicaUpdateMsg"),
+    ("src/sensor/protocol.h", "ReplicaModelMsg"),
+    ("src/flash/page_codec.h", "PageHeader"),
+    ("src/net/fed_wire.h", "FedHello"),
 ]
 
 # Fields deliberately left out of their struct's field list.
@@ -140,18 +151,29 @@ CODEC_EXCLUDED = {
     ("FederationConfig", "frame_deadline"),
 }
 
-CODEC_LIST_RE = r"CkptSelf<S,\s*%s>\s*=\s*0>\s*(?:friend\s+)?void\s+CkptFields\(S&\s*(\w+),[^)]*\)\s*\{(.*?)\n\s*\}"
+CODEC_LIST_RE = r"CkptSelf<S,\s*%s>\s*=\s*0>\s*(?:friend\s+)?void\s+CkptFields\(S&\s*(\w+),[^)]*\)\s*\{"
 
 
 def codec_list_fields(name):
-    """Fields named by `name`'s CkptFields list anywhere under src/, or None."""
+    """Fields named by `name`'s CkptFields list anywhere under src/, or None.
+
+    The body runs to the list's matching brace, so gated fields
+    (`if (v.mask & kBit) { f(v.x); }`) count; a field is `f(v.x)` or
+    `f(Adapter(v.x))`.
+    """
     for path in sorted(glob.glob(os.path.join(REPO, "src", "**", "*.h"), recursive=True)):
         with open(path, encoding="utf-8") as f:
             text = f.read()
-        match = re.search(CODEC_LIST_RE % re.escape(name), text, re.DOTALL)
+        match = re.search(CODEC_LIST_RE % re.escape(name), text)
         if match:
-            var, body = match.groups()
-            return re.findall(r"\bf\(%s\.(\w+)\)" % re.escape(var), body)
+            depth = 1
+            end = match.end()
+            while depth > 0 and end < len(text):
+                depth += {"{": 1, "}": -1}.get(text[end], 0)
+                end += 1
+            body = text[match.end():end]
+            var = re.escape(match.group(1))
+            return re.findall(r"\bf\((?:\w+\()?%s\.(\w+)\)" % var, body)
     return None
 
 
