@@ -1,5 +1,6 @@
 // Microbench M4 — core data-structure throughput: skip-graph ops, unified-store
-// routing, summary-cache ops, and the event queue that everything runs on.
+// routing, summary-cache ops, the query result's FedMail codec, and the event queue
+// that everything runs on.
 
 #include <benchmark/benchmark.h>
 
@@ -242,6 +243,61 @@ void BM_SummaryCacheRange(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SummaryCacheRange);
+
+// The query path's codec bucket: a cross-cell answer is written into a FedMail body
+// at the serving cell and read back at the gateway. Twenty samples is the `query`
+// workload's average answer; the body is 335 bytes here.
+UnifiedQueryResult TwentySampleResult() {
+  UnifiedQueryResult result;
+  result.answer.source = AnswerSource::kCacheHit;
+  for (int i = 0; i < 20; ++i) {
+    result.answer.samples.push_back(
+        Sample{Hours(40) + i * Seconds(31), 21.0 + 0.37 * static_cast<double>(i % 7)});
+  }
+  result.answer.value = 21.5;
+  result.answer.error_estimate = 0.25;
+  result.answer.energy_j = 1.5e-3;
+  result.answer.issued_at = Hours(41);
+  result.answer.completed_at = Hours(41) + Seconds(2);
+  result.served_by = 3;
+  result.index_hops = 2;
+  result.issued_at = Hours(41);
+  result.completed_at = Hours(41) + Seconds(2);
+  return result;
+}
+
+void BM_CkptWriteQueryResult(benchmark::State& state) {
+  const UnifiedQueryResult result = TwentySampleResult();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    ByteWriter body;
+    CkptWrite(body, result);
+    std::vector<uint8_t> out = body.TakeBuffer();
+    bytes = out.size();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+  state.counters["body_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_CkptWriteQueryResult);
+
+void BM_CkptReadQueryResult(benchmark::State& state) {
+  ByteWriter body;
+  CkptWrite(body, TwentySampleResult());
+  const std::vector<uint8_t> bytes = body.TakeBuffer();
+  for (auto _ : state) {
+    UnifiedQueryResult result;
+    ByteReader r{span<const uint8_t>(bytes)};
+    if (!CkptRead(r, result).ok() || !r.AtEnd()) {
+      state.SkipWithError("query result body did not read back");
+      break;
+    }
+    benchmark::DoNotOptimize(result.answer.samples.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes.size()));
+}
+BENCHMARK(BM_CkptReadQueryResult);
 
 // Counts the typed events dispatched to it.
 class CountingSink : public EventSink {

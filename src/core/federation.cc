@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -80,7 +81,6 @@ FedCell::FedCell(int index, const FederationConfig* config, Deployment* cell)
       cell_(cell) {
   PRESTO_CHECK(cell_ != nullptr);
   PRESTO_CHECK(index_ >= 0 && index_ < config_->num_cells);
-  by_target_.resize(static_cast<size_t>(config_->num_cells));
   cell_down_.assign(static_cast<size_t>(config_->num_cells), 0);
   links_out_.reserve(static_cast<size_t>(config_->num_cells));
   for (int d = 0; d < config_->num_cells; ++d) {
@@ -125,10 +125,9 @@ void FedCell::Issue(const FederationQuerySpec& spec, Pending q) {
     Complete(std::move(q));
     return;
   }
-  by_target_[static_cast<size_t>(target)].insert(qid);
   if (target == index_) {
     ++counters_.local;
-    pending_.emplace(qid, std::move(q));
+    pending_.Insert(qid, std::move(q));
     ExecuteLocal(qid);  // no trunk hop: straight into the local store
     return;
   }
@@ -139,16 +138,16 @@ void FedCell::Issue(const FederationQuerySpec& spec, Pending q) {
       q.result.issued_at, config_->query_bytes);
   ByteWriter body;
   CkptWrite(body, q.spec);
-  pending_.emplace(qid, std::move(q));
+  pending_.Insert(qid, std::move(q));
   outbox_.push_back(
       FedMail{index_, target, at, kFedOpExecute, qid, body.TakeBuffer()});
 }
 
 void FedCell::ExecuteLocal(uint64_t qid) {
-  auto it = pending_.find(qid);
-  PRESTO_CHECK(it != pending_.end());
+  const Pending* q = pending_.Find(qid);
+  PRESTO_CHECK(q != nullptr);
   // Copy: QueryAsync may complete synchronously and erase the entry.
-  const QuerySpec spec = it->second.spec;
+  const QuerySpec spec = q->spec;
   cell_->QueryAsync(spec, qid);
 }
 
@@ -174,7 +173,7 @@ void FedCell::OnSimEvent(EventKind kind, EventPayload& payload) {
       return;
     }
     case kFedOpComplete: {
-      if (pending_.find(payload.b) == pending_.end()) {
+      if (pending_.Find(payload.b) == nullptr) {
         // A response for a query this origin already failed fast at kill time.
         ++counters_.orphans;
         return;
@@ -196,7 +195,7 @@ void FedCell::OnDeploymentQueryDone(uint64_t qid, UnifiedQueryResult&& result) {
   // Runs on this cell's control lane (QueryAsync marshals completions there).
   const int origin = OriginOf(qid);
   if (origin == index_) {
-    if (pending_.find(qid) == pending_.end()) {
+    if (pending_.Find(qid) == nullptr) {
       ++counters_.orphans;  // completed after a kill sweep already failed it
       return;
     }
@@ -217,13 +216,10 @@ void FedCell::OnDeploymentQueryDone(uint64_t qid, UnifiedQueryResult&& result) {
 }
 
 void FedCell::FinalizeEntry(uint64_t qid, UnifiedQueryResult&& result) {
-  auto it = pending_.find(qid);
-  PRESTO_CHECK(it != pending_.end());
-  Pending q = std::move(it->second);
-  by_target_[static_cast<size_t>(q.result.target_cell)].erase(qid);
-  pending_.erase(it);
-  q.result.cell = std::move(result);
-  Complete(std::move(q));
+  std::optional<Pending> q = pending_.Take(qid);
+  PRESTO_CHECK(q.has_value());
+  q->result.cell = std::move(result);
+  Complete(std::move(*q));
 }
 
 void FedCell::Complete(Pending q) {
@@ -293,13 +289,15 @@ void FedCell::SetCellDown(int cell_index, bool down) {
 
 void FedCell::FailPendingToward(int cell_index) {
   PRESTO_CHECK(cell_index >= 0 && cell_index < config_->num_cells);
-  std::set<uint64_t> victims;
-  victims.swap(by_target_[static_cast<size_t>(cell_index)]);
-  for (const uint64_t qid : victims) {  // ascending qid: deterministic order
-    auto it = pending_.find(qid);
-    PRESTO_CHECK(it != pending_.end());
-    Pending q = std::move(it->second);
-    pending_.erase(it);
+  // Ascending qid: a deterministic order. The victims are fixed before any completes.
+  std::vector<uint64_t> victims;
+  for (const auto& [qid, q] : pending_.Sorted()) {
+    if (q->result.target_cell == cell_index) {
+      victims.push_back(qid);
+    }
+  }
+  for (const uint64_t qid : victims) {
+    Pending q = std::move(*pending_.Take(qid));
     q.result.cell = UnifiedQueryResult{};
     q.result.cell.answer.status =
         UnavailableError("federation: target cell was killed");
@@ -334,9 +332,9 @@ std::vector<FedCell::HostDone> FedCell::TakeHostDone() {
 
 bool FedCell::DriverAccountingHolds() const {
   std::vector<uint64_t> in_flight(drivers_.size(), 0);
-  for (const auto& [qid, q] : pending_) {
-    if (q.origin == Origin::kDriver) {
-      ++in_flight[static_cast<size_t>(q.driver_slot)];
+  for (const auto& [qid, q] : pending_.Sorted()) {
+    if (q->origin == Origin::kDriver) {
+      ++in_flight[static_cast<size_t>(q->driver_slot)];
     }
   }
   return QueryDriver::Balanced(drivers_, in_flight);
@@ -362,21 +360,14 @@ Status FedCell::SaveState(ByteWriter& w) const {
     }
   }
   // qid-sorted walk: the serialized bytes must not depend on hash layout.
-  std::vector<uint64_t> qids;
-  qids.reserve(pending_.size());
-  for (const auto& [qid, q] : pending_) {
-    qids.push_back(qid);
-  }
-  std::sort(qids.begin(), qids.end());
-  w.WriteVarU64(qids.size());
-  for (const uint64_t qid : qids) {
-    const Pending& q = pending_.at(qid);
-    if (q.origin != Origin::kDriver) {
+  w.WriteVarU64(pending_.size());
+  for (const auto& [qid, q] : pending_.Sorted()) {
+    if (q->origin != Origin::kDriver) {
       return FailedPreconditionError(
           "federation checkpoint: host probe in flight (QueryAndWait)");
     }
     CkptWrite(w, qid);
-    CkptWrite(w, q);
+    CkptWrite(w, *q);
   }
   w.WriteVarU64(drivers_.size());
   for (const auto& driver : drivers_) {
@@ -392,10 +383,7 @@ Status FedCell::LoadState(ByteReader& r) {
       PRESTO_RETURN_IF_ERROR(link->LoadState(r));
     }
   }
-  pending_.clear();
-  for (auto& targets : by_target_) {
-    targets.clear();
-  }
+  pending_.Clear();
   // The bytes SaveState writes: a count, then (qid, entry) pairs. Every entry
   // reads as kDriver, the only origin that can cross a checkpoint.
   std::vector<std::pair<uint64_t, Pending>> pending;
@@ -411,8 +399,10 @@ Status FedCell::LoadState(ByteReader& r) {
       return FailedPreconditionError(
           "federation restore: attach the same drivers before restoring");
     }
-    by_target_[static_cast<size_t>(q.result.target_cell)].insert(qid);
-    pending_.emplace(qid, std::move(q));
+    if (pending_.Find(qid) != nullptr) {
+      return DataLossError("federation restore: duplicate pending query");
+    }
+    pending_.Insert(qid, std::move(q));
   }
   auto driver_count = r.ReadVarU64();
   if (!driver_count.ok()) {

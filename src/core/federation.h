@@ -67,7 +67,6 @@
 #define SRC_CORE_FEDERATION_H_
 
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -79,6 +78,7 @@
 #include "src/net/fed_wire.h"
 #include "src/sim/simulator.h"
 #include "src/util/ckpt.h"
+#include "src/util/id_map.h"
 #include "src/workload/query_driver.h"
 
 namespace presto {
@@ -397,12 +397,10 @@ class FedCell : public EventSink, public DeploymentQueryClient {
   CellDirectory directory_;  // derived from *config_: pure routing math
   Deployment* cell_;
   Counters counters_;
-  // Pending cross-cell queries issued *at this cell* (single-writer: this cell's
-  // control lane). by_target_ indexes pending qids by target cell so KillCell
-  // fails exactly the affected queries — ordered sets, so the sweep is
-  // deterministic ascending-qid.
-  std::unordered_map<uint64_t, Pending> pending_;
-  std::vector<std::set<uint64_t>> by_target_;
+  // Pending cross-cell queries issued *at this cell*, by qid (single-writer: this
+  // cell's control lane). Walks that must be deterministic (checkpoints, the kill
+  // sweep) go in ascending qid order.
+  StableIdMap<Pending> pending_;
   std::vector<std::unique_ptr<CellLink>> links_out_;  // [dst], nullptr diagonal
   std::vector<FedMail> outbox_;                       // FIFO, drained at barriers
   std::vector<uint8_t> cell_down_;                    // routing view, all cells

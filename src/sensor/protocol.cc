@@ -50,4 +50,20 @@ const char* AggregateOpName(AggregateOp op) {
   return "?";
 }
 
+Status Validate(const ConfigUpdateMsg& msg) {
+  if ((msg.fields & kCfgSensingPeriod) && msg.sensing_period <= 0) {
+    return InvalidArgumentError("config update: sensing_period must be positive");
+  }
+  if ((msg.fields & kCfgBatchInterval) && msg.batch_interval <= 0) {
+    return InvalidArgumentError("config update: batch_interval must be positive");
+  }
+  if ((msg.fields & kCfgCompression) && msg.compress && !(msg.quant_step > 0.0)) {
+    return InvalidArgumentError("config update: quant_step must be positive");
+  }
+  if ((msg.fields & kCfgLplInterval) && msg.lpl_interval <= 0) {
+    return InvalidArgumentError("config update: lpl_interval must be positive");
+  }
+  return OkStatus();
+}
+
 }  // namespace presto

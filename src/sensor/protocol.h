@@ -141,6 +141,11 @@ void CkptFields(S& v, F&& f) {
   }
 }
 
+// Refuses knobs a sensor would abort on once applied: a non-positive sensing period,
+// batch interval or LPL interval, and a non-positive quantization step with
+// compression on. Only the fields in the mask are checked.
+Status Validate(const ConfigUpdateMsg& msg);
+
 // Sensor-side aggregation (paper §3: "The operation can be transmitted as a parameter
 // to the sensor node, which uses the specified mode function on its local data before
 // transmitting the final result"). kNone returns the samples themselves.

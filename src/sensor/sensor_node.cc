@@ -192,7 +192,7 @@ void SensorNode::HandleModelUpdate(const Message& message) {
 
 void SensorNode::HandleConfigUpdate(const Message& message) {
   auto msg = DecodeMsg<ConfigUpdateMsg>(message.payload);
-  if (!msg.ok()) {
+  if (!msg.ok() || !Validate(*msg).ok()) {
     PLOG_WARN("sensor %u: bad config update", config_.id);
     return;
   }

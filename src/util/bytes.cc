@@ -1,147 +1,44 @@
 #include "src/util/bytes.h"
 
+#include <algorithm>
+
 namespace presto {
 
-void ByteWriter::WriteU8(uint8_t v) { buffer_.push_back(v); }
+namespace {
 
-void ByteWriter::WriteU16(uint16_t v) {
-  WriteU8(static_cast<uint8_t>(v));
-  WriteU8(static_cast<uint8_t>(v >> 8));
-}
+// The first allocation of a writer that was not Reserve()d. Doubling from 32 lands on
+// the powers of two std::vector's own growth reaches, so a buffer handed over and kept
+// (a flash page, a mail body) holds as much spare capacity as a push_back writer's.
+constexpr size_t kFirstCapacity = 32;
 
-void ByteWriter::WriteU32(uint32_t v) {
-  WriteU16(static_cast<uint16_t>(v));
-  WriteU16(static_cast<uint16_t>(v >> 16));
-}
+// The most room Grow() zero-fills past the written bytes at once. Spare capacity a
+// writer never fills (up to half of a doubled allocation) stays untouched, so it
+// costs no resident pages.
+constexpr size_t kMaxRoomStep = 4096;
 
-void ByteWriter::WriteU64(uint64_t v) {
-  WriteU32(static_cast<uint32_t>(v));
-  WriteU32(static_cast<uint32_t>(v >> 32));
-}
+}  // namespace
 
-void ByteWriter::WriteF32(float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  WriteU32(bits);
-}
-
-void ByteWriter::WriteF64(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  WriteU64(bits);
-}
-
-int EncodeVarU64(uint64_t v, uint8_t* out) {
-  int n = 0;
-  while (v >= 0x80) {
-    out[n++] = static_cast<uint8_t>(v) | 0x80;
-    v >>= 7;
+void ByteWriter::Grow(size_t n) {
+  const size_t need = size_ + n;
+  const size_t capacity = buffer_.capacity();
+  if (need > capacity) {
+    Reallocate(std::max({need, 2 * capacity, kFirstCapacity}));
   }
-  out[n++] = static_cast<uint8_t>(v);
-  return n;
+  buffer_.resize(std::min(buffer_.capacity(), std::max(need, size_ + kMaxRoomStep)));
 }
 
-int VarU64Bytes(uint64_t v) {
-  int n = 1;
-  for (; v >= 0x80; v >>= 7) {
-    ++n;
-  }
-  return n;
+void ByteWriter::Reallocate(size_t capacity) {
+  buffer_.resize(size_);  // the move copies the written bytes only
+  buffer_.reserve(capacity);
 }
 
-void ByteWriter::WriteVarU64(uint64_t v) {
-  uint8_t bytes[kMaxVarU64Bytes];
-  buffer_.insert(buffer_.end(), bytes, bytes + EncodeVarU64(v, bytes));
-}
+Status ByteReader::Exhausted() { return OutOfRangeError("ByteReader: buffer exhausted"); }
 
-void ByteWriter::WriteVarI64(int64_t v) {
-  const uint64_t zigzag =
-      (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-  WriteVarU64(zigzag);
-}
-
-void ByteWriter::WriteBytes(span<const uint8_t> bytes) {
-  WriteVarU64(bytes.size());
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-}
-
-void ByteWriter::WriteString(const std::string& s) {
-  WriteBytes(span<const uint8_t>(reinterpret_cast<const uint8_t*>(s.data()), s.size()));
-}
-
-Result<uint8_t> ByteReader::ReadU8() {
-  if (!Need(1)) {
-    return OutOfRangeError("ByteReader: buffer exhausted");
-  }
-  return data_[pos_++];
-}
-
-Result<uint16_t> ByteReader::ReadU16() {
-  if (!Need(2)) {
-    return OutOfRangeError("ByteReader: buffer exhausted");
-  }
-  uint16_t v = static_cast<uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
-  pos_ += 2;
-  return v;
-}
-
-Result<uint32_t> ByteReader::ReadU32() {
-  if (!Need(4)) {
-    return OutOfRangeError("ByteReader: buffer exhausted");
-  }
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | data_[pos_ + static_cast<size_t>(i)];
-  }
-  pos_ += 4;
-  return v;
-}
-
-Result<uint64_t> ByteReader::ReadU64() {
-  if (!Need(8)) {
-    return OutOfRangeError("ByteReader: buffer exhausted");
-  }
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | data_[pos_ + static_cast<size_t>(i)];
-  }
-  pos_ += 8;
-  return v;
-}
-
-Result<int64_t> ByteReader::ReadI64() {
-  auto v = ReadU64();
-  if (!v.ok()) {
-    return v.status();
-  }
-  return static_cast<int64_t>(*v);
-}
-
-Result<float> ByteReader::ReadF32() {
-  auto bits = ReadU32();
-  if (!bits.ok()) {
-    return bits.status();
-  }
-  float v;
-  std::memcpy(&v, &*bits, sizeof(v));
-  return v;
-}
-
-Result<double> ByteReader::ReadF64() {
-  auto bits = ReadU64();
-  if (!bits.ok()) {
-    return bits.status();
-  }
-  double v;
-  std::memcpy(&v, &*bits, sizeof(v));
-  return v;
-}
-
-Result<uint64_t> ByteReader::ReadVarU64() {
+Result<uint64_t> ByteReader::ReadLongVarU64() {
   uint64_t v = 0;
   int shift = 0;
   while (true) {
-    if (!Need(1)) {
+    if (pos_ == data_.size()) {
       return OutOfRangeError("ByteReader: truncated varint");
     }
     if (shift >= 64) {
@@ -156,20 +53,12 @@ Result<uint64_t> ByteReader::ReadVarU64() {
   }
 }
 
-Result<int64_t> ByteReader::ReadVarI64() {
-  auto zigzag = ReadVarU64();
-  if (!zigzag.ok()) {
-    return zigzag.status();
-  }
-  return static_cast<int64_t>((*zigzag >> 1) ^ (~(*zigzag & 1) + 1));
-}
-
 Result<span<const uint8_t>> ByteReader::ReadByteSpan() {
   auto len = ReadVarU64();
   if (!len.ok()) {
     return len.status();
   }
-  if (!Need(*len)) {
+  if (remaining() < *len) {
     return OutOfRangeError("ByteReader: truncated byte array");
   }
   const span<const uint8_t> out = data_.subspan(pos_, static_cast<size_t>(*len));
@@ -186,11 +75,11 @@ Result<std::vector<uint8_t>> ByteReader::ReadBytes() {
 }
 
 Result<std::string> ByteReader::ReadString() {
-  auto bytes = ReadBytes();
+  auto bytes = ReadByteSpan();
   if (!bytes.ok()) {
     return bytes.status();
   }
-  return std::string(bytes->begin(), bytes->end());
+  return std::string(reinterpret_cast<const char*>(bytes->data()), bytes->size());
 }
 
 }  // namespace presto

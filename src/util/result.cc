@@ -28,19 +28,33 @@ const char* StatusCodeName(StatusCode code) {
   return "kUnknown";
 }
 
+Status::Status(StatusCode code, std::string message) : code_(code) {
+  if (code != StatusCode::kOk && !message.empty()) {
+    message_ = std::make_unique<const std::string>(std::move(message));
+  }
+}
+
+std::unique_ptr<const std::string> Status::Clone(const std::string& message) {
+  return std::make_unique<const std::string>(message);
+}
+
+const std::string& Status::EmptyMessage() {
+  static const std::string* const empty = new std::string();
+  return *empty;
+}
+
 std::string Status::ToString() const {
   if (ok()) {
     return "OK";
   }
   std::string out = StatusCodeName(code_);
-  if (!message_.empty()) {
+  if (message_) {
     out += ": ";
-    out += message_;
+    out += *message_;
   }
   return out;
 }
 
-Status OkStatus() { return Status(); }
 Status NotFoundError(std::string message) {
   return Status(StatusCode::kNotFound, std::move(message));
 }

@@ -7,6 +7,7 @@
 #ifndef SRC_UTIL_RESULT_H_
 #define SRC_UTIL_RESULT_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -34,18 +35,32 @@ enum class StatusCode {
 // Human-readable name of a status code ("kOk" -> "OK", etc.).
 const char* StatusCodeName(StatusCode code);
 
-// A cheap value type describing the outcome of an operation.
+// A cheap value type describing the outcome of an operation. An OK status is its code
+// and a null pointer: building, copying, moving and destroying one touches no heap,
+// which matters because every codec read returns one inside its Result. The message
+// lives out of line, allocated only for a non-OK status with a non-empty message;
+// message() is a shared empty string otherwise (so an OK status never carries text).
 class Status {
  public:
-  Status() : code_(StatusCode::kOk) {}
-  Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+  Status() = default;
+  Status(StatusCode code, std::string message);
+  Status(const Status& other)
+      : code_(other.code_), message_(other.message_ ? Clone(*other.message_) : nullptr) {}
+  Status(Status&& other) noexcept = default;
+  Status& operator=(const Status& other) {
+    if (this != &other) {
+      code_ = other.code_;
+      message_ = other.message_ ? Clone(*other.message_) : nullptr;
+    }
+    return *this;
+  }
+  Status& operator=(Status&& other) noexcept = default;
 
   static Status Ok() { return Status(); }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  const std::string& message() const { return message_ ? *message_ : EmptyMessage(); }
 
   // "OK" or "kNotFound: no archive segment covers [t1,t2)".
   std::string ToString() const;
@@ -53,12 +68,15 @@ class Status {
   friend bool operator==(const Status& a, const Status& b) { return a.code_ == b.code_; }
 
  private:
-  StatusCode code_;
-  std::string message_;
+  static std::unique_ptr<const std::string> Clone(const std::string& message);
+  static const std::string& EmptyMessage();
+
+  StatusCode code_ = StatusCode::kOk;
+  std::unique_ptr<const std::string> message_;
 };
 
 // Convenience constructors, mirroring absl.
-Status OkStatus();
+inline Status OkStatus() { return Status(); }
 Status NotFoundError(std::string message);
 Status InvalidArgumentError(std::string message);
 Status ResourceExhaustedError(std::string message);

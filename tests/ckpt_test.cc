@@ -1052,5 +1052,65 @@ TEST(CkptGoldenTest, FieldListsWriteTheRecordedBytes) {
   }
 }
 
+// A Status is its code and its message: an OK status and a bare error write an empty
+// string, and each reads back as written.
+TEST(CkptGoldenTest, StatusWritesItsCodeAndMessage) {
+  const std::vector<std::pair<Status, std::string>> cases = {
+      {OkStatus(), "0000"},
+      {NotFoundError(""), "0100"},
+      {DataLossError("x"), "080178"},
+  };
+  for (const auto& [status, hex] : cases) {
+    EXPECT_EQ(Hex(status), hex);
+    ByteWriter w;
+    CkptWrite(w, status);
+    const std::vector<uint8_t> bytes = w.TakeBuffer();
+    ByteReader r(bytes);
+    Status back = InternalError("overwritten");
+    ASSERT_TRUE(CkptRead(r, back).ok());
+    EXPECT_EQ(back.code(), status.code());
+    EXPECT_EQ(back.message(), status.message());
+  }
+}
+
+// The query path's FedMail body: a 20-sample answer writes the same bytes into a
+// fresh writer, into one reserved to its exact size (which it fills in place) and
+// behind other bytes; the bytes read back whole, and every strict prefix is refused.
+TEST(CkptCodecTest, QueryResultBodyIsWriterIndependentAndTruncationSafe) {
+  UnifiedQueryResult v = GoldenUnifiedQueryResult();
+  v.answer.status = OkStatus();
+  v.answer.samples.clear();
+  for (int i = 0; i < 20; ++i) {
+    v.answer.samples.push_back(Sample{Hours(30) + i * Seconds(31), 20.0 + 0.25 * i});
+  }
+  ByteWriter fresh;
+  CkptWrite(fresh, v);
+  const std::vector<uint8_t> bytes = fresh.TakeBuffer();
+
+  ByteWriter reserved;
+  reserved.Reserve(bytes.size());
+  CkptWrite(reserved, v);
+  EXPECT_EQ(reserved.buffer(), bytes);
+  EXPECT_EQ(reserved.buffer().capacity(), bytes.size()) << "reserved room used in place";
+
+  ByteWriter behind;
+  behind.WriteString("prefix");
+  CkptWrite(behind, v);
+  ASSERT_EQ(behind.size(), bytes.size() + 7);
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), behind.buffer().begin() + 7));
+
+  UnifiedQueryResult back;
+  ByteReader r(bytes);
+  ASSERT_TRUE(CkptRead(r, back).ok());
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(Hex(back), Hex(v));
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    const std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + len);
+    ByteReader short_reader(prefix);
+    UnifiedQueryResult partial;
+    EXPECT_FALSE(CkptRead(short_reader, partial).ok()) << "prefix " << len;
+  }
+}
+
 }  // namespace
 }  // namespace presto

@@ -289,6 +289,52 @@ TEST(SensorNodeTest, CompressionShrinksBatchPayloads) {
   }
 }
 
+// A config update carrying a knob the sensor would abort on once applied is dropped
+// whole: the sensor counts no update, keeps sampling at its old period and keeps
+// flushing its batches.
+void ExpectConfigUpdateDropped(const ConfigUpdateMsg& update) {
+  Rig rig(PushPolicy::kBatched);
+  rig.sim.RunUntil(Minutes(5));
+  rig.net->Send(1, 100, static_cast<uint16_t>(MsgType::kConfigUpdate), EncodeMsg(update));
+  rig.sim.RunUntil(Hours(1));
+  EXPECT_EQ(rig.sensor->stats().config_updates, 0u);
+  EXPECT_GE(rig.sensor->stats().samples, 110u);  // 31 s period for an hour
+  EXPECT_FALSE(rig.proxy.pushes.empty());
+}
+
+TEST(SensorNodeTest, ConfigUpdateWithNonPositiveSensingPeriodIsDropped) {
+  ConfigUpdateMsg update;
+  update.fields = kCfgSensingPeriod | kCfgValueDelta;
+  update.sensing_period = 0;
+  update.value_delta = 3.0;
+  ExpectConfigUpdateDropped(update);
+}
+
+TEST(SensorNodeTest, ConfigUpdateWithNonPositiveBatchIntervalIsDropped) {
+  ConfigUpdateMsg update;
+  update.fields = kCfgBatchInterval;
+  update.batch_interval = -Minutes(1);
+  ExpectConfigUpdateDropped(update);
+}
+
+TEST(SensorNodeTest, ConfigUpdateWithNonPositiveLplIntervalIsDropped) {
+  ConfigUpdateMsg update;
+  update.fields = kCfgLplInterval;
+  update.lpl_interval = 0;
+  ExpectConfigUpdateDropped(update);
+}
+
+TEST(SensorNodeTest, ConfigUpdateWithNonPositiveQuantStepIsDropped) {
+  ConfigUpdateMsg update;
+  update.fields = kCfgCompression;
+  update.compress = true;
+  update.quant_step = 0.0;
+  ExpectConfigUpdateDropped(update);
+  // The step only matters with compression on.
+  update.compress = false;
+  EXPECT_TRUE(Validate(update).ok());
+}
+
 TEST(SensorNodeTest, AggregateArchiveQueryReturnsOneValue) {
   // Linear ramp so aggregates are exactly predictable.
   auto ramp = [](SimTime t) { return static_cast<double>(t / Seconds(31)); };

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/util/bitpack.h"
@@ -34,6 +38,40 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
   EXPECT_EQ(s.ToString(), "kNotFound: no such range");
+}
+
+TEST(StatusTest, CopyMoveAndToStringWithAndWithoutMessage) {
+  const Status with = DataLossError("bad section");
+  Status copy = with;
+  EXPECT_EQ(copy.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(copy.message(), "bad section");
+  EXPECT_NE(&copy.message(), &with.message()) << "a copy owns its own message";
+  EXPECT_EQ(copy.ToString(), "kDataLoss: bad section");
+  Status moved = std::move(copy);
+  EXPECT_EQ(moved.ToString(), "kDataLoss: bad section");
+  EXPECT_TRUE(moved == with);
+
+  const Status bare = OutOfRangeError("");
+  EXPECT_EQ(bare.message(), "");
+  EXPECT_EQ(bare.ToString(), "kOutOfRange");
+  Status assigned;
+  assigned = bare;
+  EXPECT_EQ(assigned.ToString(), "kOutOfRange");
+  assigned = with;
+  const Status& self = assigned;
+  assigned = self;  // self-assignment keeps the message
+  EXPECT_EQ(assigned.ToString(), "kDataLoss: bad section");
+  assigned = OkStatus();
+  EXPECT_TRUE(assigned.ok());
+  EXPECT_EQ(assigned.message(), "");
+
+  // An OK status carries no text, whatever it was built from.
+  const Status ok_with_text(StatusCode::kOk, "ignored");
+  EXPECT_TRUE(ok_with_text.ok());
+  EXPECT_EQ(ok_with_text.message(), "");
+  EXPECT_EQ(ok_with_text.ToString(), "OK");
+  EXPECT_EQ(&OkStatus().message(), &bare.message()) << "one shared empty string";
+  EXPECT_EQ(sizeof(Status), sizeof(void*) + sizeof(void*)) << "a code and a pointer";
 }
 
 TEST(ResultTest, ValueAccess) {
@@ -145,6 +183,275 @@ TEST(BytesTest, ByteSpanIsAViewAndBoundsChecked) {
   const std::vector<uint8_t> lying = {5, 1, 2};  // claims 5 bytes, has 2
   ByteReader short_reader(lying);
   EXPECT_EQ(short_reader.ReadByteSpan().status().code(), StatusCode::kOutOfRange);
+}
+
+std::string HexOf(const std::vector<uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+template <typename Write>
+std::string HexWritten(Write write) {
+  ByteWriter w;
+  write(w);
+  return HexOf(w.TakeBuffer());
+}
+
+// Every writer primitive's bytes at its boundary values: little-endian fixed widths,
+// LEB128 varints, zigzag signed varints, varint-length-prefixed blobs, and float bits
+// passed through untouched (a NaN keeps its payload).
+TEST(BytesTest, WriterGoldenBytesAtBoundaries) {
+  float nan32;
+  const uint32_t nan32_bits = 0x7fc00001;
+  std::memcpy(&nan32, &nan32_bits, sizeof(nan32));
+  double nan64;
+  const uint64_t nan64_bits = 0x7ff8000000000123ULL;
+  std::memcpy(&nan64, &nan64_bits, sizeof(nan64));
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {HexWritten([](ByteWriter& w) { w.WriteU8(0xab); }), "ab"},
+      {HexWritten([](ByteWriter& w) { w.WriteU16(0xbeef); }), "efbe"},
+      {HexWritten([](ByteWriter& w) { w.WriteU32(0xdeadbeef); }), "efbeadde"},
+      {HexWritten([](ByteWriter& w) { w.WriteU64(0x0123456789abcdefULL); }),
+       "efcdab8967452301"},
+      {HexWritten([](ByteWriter& w) { w.WriteI64(-2); }), "feffffffffffffff"},
+      {HexWritten([](ByteWriter& w) { w.WriteVarU64(0); }), "00"},
+      {HexWritten([](ByteWriter& w) { w.WriteVarU64(127); }), "7f"},
+      {HexWritten([](ByteWriter& w) { w.WriteVarU64(128); }), "8001"},
+      {HexWritten([](ByteWriter& w) { w.WriteVarU64(1ULL << 63); }),
+       "80808080808080808001"},
+      {HexWritten([](ByteWriter& w) { w.WriteVarU64(UINT64_MAX); }),
+       "ffffffffffffffffff01"},
+      {HexWritten([](ByteWriter& w) { w.WriteVarI64(0); }), "00"},
+      {HexWritten([](ByteWriter& w) { w.WriteVarI64(-1); }), "01"},
+      {HexWritten([](ByteWriter& w) { w.WriteVarI64(-64); }), "7f"},
+      {HexWritten([](ByteWriter& w) { w.WriteVarI64(64); }), "8001"},
+      {HexWritten([](ByteWriter& w) { w.WriteVarI64(INT64_MIN); }),
+       "ffffffffffffffffff01"},
+      {HexWritten([](ByteWriter& w) { w.WriteVarI64(INT64_MAX); }),
+       "feffffffffffffffff01"},
+      {HexWritten([nan32](ByteWriter& w) { w.WriteF32(nan32); }), "0100c07f"},
+      {HexWritten([nan64](ByteWriter& w) { w.WriteF64(nan64); }), "230100000000f87f"},
+      {HexWritten([](ByteWriter& w) { w.WriteF64(-2.25); }), "00000000000002c0"},
+      {HexWritten([](ByteWriter& w) { w.WriteBytes({}); }), "00"},
+      {HexWritten([](ByteWriter& w) { w.WriteString("ab"); }), "026162"},
+      {HexWritten([](ByteWriter& w) { w.WriteString(std::string(128, 'x')); }),
+       "8001" + HexOf(std::vector<uint8_t>(128, 'x'))},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(cases[i].first, cases[i].second) << "case " << i;
+  }
+  // And the float bits read back as written.
+  ByteWriter w;
+  w.WriteF32(nan32);
+  w.WriteF64(nan64);
+  const std::vector<uint8_t> bytes = w.TakeBuffer();
+  ByteReader r(bytes);
+  const float f = *r.ReadF32();
+  const double d = *r.ReadF64();
+  uint32_t f_bits;
+  uint64_t d_bits;
+  std::memcpy(&f_bits, &f, sizeof(f_bits));
+  std::memcpy(&d_bits, &d, sizeof(d_bits));
+  EXPECT_EQ(f_bits, nan32_bits);
+  EXPECT_EQ(d_bits, nan64_bits);
+}
+
+// Each reader primitive, handed every strict prefix of a complete encoding, fails with
+// kOutOfRange, and reads the whole encoding back.
+TEST(BytesTest, EveryReaderPrimitiveTruncatedAtEachLengthIsOutOfRange) {
+  struct Case {
+    const char* name;
+    std::function<void(ByteWriter&)> write;
+    std::function<bool(ByteReader&)> read;  // ok() of the read
+  };
+  const std::vector<Case> cases = {
+      {"U8", [](ByteWriter& w) { w.WriteU8(0xff); },
+       [](ByteReader& r) { return r.ReadU8().ok(); }},
+      {"U16", [](ByteWriter& w) { w.WriteU16(0xffff); },
+       [](ByteReader& r) { return r.ReadU16().ok(); }},
+      {"U32", [](ByteWriter& w) { w.WriteU32(0xffffffff); },
+       [](ByteReader& r) { return r.ReadU32().ok(); }},
+      {"U64", [](ByteWriter& w) { w.WriteU64(UINT64_MAX); },
+       [](ByteReader& r) { return r.ReadU64().ok(); }},
+      {"I64", [](ByteWriter& w) { w.WriteI64(INT64_MIN); },
+       [](ByteReader& r) { return r.ReadI64().ok(); }},
+      {"F32", [](ByteWriter& w) { w.WriteF32(1.5f); },
+       [](ByteReader& r) { return r.ReadF32().ok(); }},
+      {"F64", [](ByteWriter& w) { w.WriteF64(1.5); },
+       [](ByteReader& r) { return r.ReadF64().ok(); }},
+      {"VarU64", [](ByteWriter& w) { w.WriteVarU64(UINT64_MAX); },
+       [](ByteReader& r) { return r.ReadVarU64().ok(); }},
+      {"VarI64", [](ByteWriter& w) { w.WriteVarI64(INT64_MIN); },
+       [](ByteReader& r) { return r.ReadVarI64().ok(); }},
+      {"Bytes", [](ByteWriter& w) { w.WriteBytes(std::vector<uint8_t>(130, 7)); },
+       [](ByteReader& r) { return r.ReadBytes().ok(); }},
+      {"ByteSpan", [](ByteWriter& w) { w.WriteBytes(std::vector<uint8_t>(130, 7)); },
+       [](ByteReader& r) { return r.ReadByteSpan().ok(); }},
+      {"String", [](ByteWriter& w) { w.WriteString(std::string(130, 's')); },
+       [](ByteReader& r) { return r.ReadString().ok(); }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ByteWriter w;
+    c.write(w);
+    const std::vector<uint8_t> bytes = w.TakeBuffer();
+    ByteReader whole(bytes);
+    EXPECT_TRUE(c.read(whole));
+    EXPECT_TRUE(whole.AtEnd());
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      const std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + len);
+      ByteReader r(prefix);
+      EXPECT_FALSE(c.read(r)) << "prefix " << len;
+    }
+  }
+  // The code, not just the failure: one Result per primitive family.
+  const std::vector<uint8_t> one = {0x80};
+  EXPECT_EQ(ByteReader(span<const uint8_t>()).ReadU8().status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(ByteReader(one).ReadU16().status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(ByteReader(one).ReadF64().status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(ByteReader(one).ReadVarU64().status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(ByteReader(one).ReadVarI64().status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(ByteReader(one).ReadString().status().code(), StatusCode::kOutOfRange);
+  const std::vector<uint8_t> lying = {3, 'a'};
+  EXPECT_EQ(ByteReader(lying).ReadBytes().status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(ByteReader(lying).ReadString().status().message(),
+            "ByteReader: truncated byte array");
+}
+
+// The writer against a byte-at-a-time reference: random sequences of every
+// primitive, with Reserve and buffer() calls mixed in, give the same bytes, and the
+// writer starts over empty after TakeBuffer.
+struct ReferenceWriter {
+  std::vector<uint8_t> bytes;
+  void Fixed(uint64_t v, int n) {
+    for (int i = 0; i < n; ++i) {
+      bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  }
+  void Var(uint64_t v) {
+    do {
+      bytes.push_back(static_cast<uint8_t>((v & 0x7f) | (v >= 0x80 ? 0x80 : 0)));
+      v >>= 7;
+    } while (v != 0);
+  }
+};
+
+class BytesDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BytesDifferentialTest, RandomWritesMatchAByteAtATimeWriter) {
+  Pcg32 rng(GetParam());
+  ByteWriter w;
+  for (int round = 0; round < 3; ++round) {
+    ReferenceWriter ref;
+    const int ops = 1 + static_cast<int>(rng.NextU32() % 400);
+    for (int op = 0; op < ops; ++op) {
+      const uint64_t v = rng.NextU64() >> (rng.NextU32() % 64);
+      switch (rng.NextU32() % 13) {
+        case 0:
+          w.WriteU8(static_cast<uint8_t>(v));
+          ref.Fixed(v, 1);
+          break;
+        case 1:
+          w.WriteU16(static_cast<uint16_t>(v));
+          ref.Fixed(v, 2);
+          break;
+        case 2:
+          w.WriteU32(static_cast<uint32_t>(v));
+          ref.Fixed(v, 4);
+          break;
+        case 3:
+          w.WriteU64(v);
+          ref.Fixed(v, 8);
+          break;
+        case 4:
+          w.WriteI64(static_cast<int64_t>(v));
+          ref.Fixed(v, 8);
+          break;
+        case 5: {
+          const float f = static_cast<float>(rng.Gaussian(0, 1e3));
+          uint32_t bits;
+          std::memcpy(&bits, &f, sizeof(bits));
+          w.WriteF32(f);
+          ref.Fixed(bits, 4);
+          break;
+        }
+        case 6: {
+          const double d = rng.Gaussian(0, 1e9);
+          uint64_t bits;
+          std::memcpy(&bits, &d, sizeof(bits));
+          w.WriteF64(d);
+          ref.Fixed(bits, 8);
+          break;
+        }
+        case 7:
+          w.WriteVarU64(v);
+          ref.Var(v);
+          break;
+        case 8: {
+          const int64_t s = rng.NextU32() % 2 ? static_cast<int64_t>(v)
+                                              : -static_cast<int64_t>(v >> 1) - 1;
+          w.WriteVarI64(s);
+          ref.Var((static_cast<uint64_t>(s) << 1) ^ static_cast<uint64_t>(s >> 63));
+          break;
+        }
+        case 9:
+        case 10: {
+          std::string blob(rng.NextU32() % 300, '\0');
+          for (char& c : blob) {
+            c = static_cast<char>(rng.NextU32());
+          }
+          if (rng.NextU32() % 2) {
+            w.WriteString(blob);
+          } else {
+            w.WriteBytes(span<const uint8_t>(
+                reinterpret_cast<const uint8_t*>(blob.data()), blob.size()));
+          }
+          ref.Var(blob.size());
+          ref.bytes.insert(ref.bytes.end(), blob.begin(), blob.end());
+          break;
+        }
+        case 11:
+          w.Reserve(rng.NextU32() % 64);
+          break;
+        case 12:
+          ASSERT_EQ(w.buffer(), ref.bytes) << "op " << op;
+          break;
+      }
+      ASSERT_EQ(w.size(), ref.bytes.size()) << "op " << op;
+    }
+    const std::vector<uint8_t> taken = w.TakeBuffer();
+    ASSERT_EQ(taken, ref.bytes) << "round " << round;
+    EXPECT_EQ(w.size(), 0u);
+    EXPECT_TRUE(w.buffer().empty());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BytesDifferentialTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// The writer grows geometrically: a byte at a time to 64 KiB takes a handful of
+// allocations, each handed over with exactly size() bytes.
+TEST(BytesTest, WriterGrowsGeometricallyAndHandsOverExactlyItsBytes) {
+  ByteWriter w;
+  int allocations = 0;
+  size_t capacity = 0;
+  for (int i = 0; i < 65536; ++i) {
+    w.WriteU8(static_cast<uint8_t>(i));
+    if (w.size() > capacity) {
+      ++allocations;
+      capacity = w.buffer().capacity();
+    }
+  }
+  EXPECT_LE(allocations, 14);
+  const std::vector<uint8_t> bytes = w.TakeBuffer();
+  EXPECT_EQ(bytes.size(), 65536u);
+  EXPECT_EQ(bytes[300], static_cast<uint8_t>(300));
 }
 
 // Property: random mixed payloads round-trip exactly.
