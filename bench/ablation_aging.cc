@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
         const TimeInterval range{Days(day), Days(day) + Hours(6)};
         auto data = store.Query(range);
         if (!data.ok() || data->empty()) {
-          *res = "-";
+          res->assign(1, '-');
           *rmse = -1.0;
           return;
         }

@@ -82,11 +82,12 @@ Status DecodeCellControl(FedFrameType type, span<const uint8_t> payload,
   ByteReader r{payload};
   *op = CellControl{};
   op->type = type;
-  CkptReader in(r);
-  if (!ForEachControlField(*op, in)) {
+  if (!ForEachControlField(*op, CkptReader(r))) {
     return InvalidArgumentError("cell_worker: unexpected frame type");
   }
-  PRESTO_RETURN_IF_ERROR(in.status());
+  if (!r.ok()) {
+    return r.status();
+  }
   if (r.remaining() != 0) {
     return DataLossError("cell_worker: control op trailing bytes");
   }
@@ -110,9 +111,12 @@ Status DecodeBootstrap(span<const uint8_t> payload, FederationConfig* config,
                        int* worker_index, int* num_workers) {
   ByteReader r{payload};
   *config = FederationConfig{};
-  CKPT_READ(r, *config);
-  CKPT_READ(r, *worker_index);
-  CKPT_READ(r, *num_workers);
+  CkptRead(r, *config);
+  CkptRead(r, *worker_index);
+  CkptRead(r, *num_workers);
+  if (!r.ok()) {
+    return r.status();
+  }
   if (r.remaining() != 0) {
     return DataLossError("cell_worker: bootstrap trailing bytes");
   }
@@ -134,8 +138,11 @@ Status DecodeAttachDriver(span<const uint8_t> payload, int* origin_cell,
                           QueryDriverParams* params) {
   ByteReader r{payload};
   *params = QueryDriverParams{};
-  CKPT_READ(r, *origin_cell);
-  CKPT_READ(r, *params);
+  CkptRead(r, *origin_cell);
+  CkptRead(r, *params);
+  if (!r.ok()) {
+    return r.status();
+  }
   if (r.remaining() != 0) {
     return DataLossError("cell_worker: attach-driver trailing bytes");
   }
@@ -183,15 +190,15 @@ std::vector<uint8_t> EncodeCkptLoad(const Checkpoint& ckpt,
 Status DecodeCkptLoad(span<const uint8_t> payload, size_t num_cells, Checkpoint* ckpt,
                       std::vector<uint8_t>* cell_down) {
   ByteReader r{payload};
-  auto blob = r.ReadByteSpan();
-  if (!blob.ok()) {
-    return blob.status();
+  const span<const uint8_t> blob = r.ReadByteSpan();
+  ReadCellBitmap(r, num_cells, cell_down);
+  if (!r.ok()) {
+    return r.status();
   }
-  PRESTO_RETURN_IF_ERROR(ReadCellBitmap(r, num_cells, cell_down));
   if (r.remaining() != 0) {
     return DataLossError("cell_worker: ckpt-load trailing bytes");
   }
-  auto decoded = Checkpoint::Decode(*blob);
+  auto decoded = Checkpoint::Decode(blob);
   if (!decoded.ok()) {
     return decoded.status();
   }
@@ -409,7 +416,10 @@ Status CellHost::LoadCheckpoint(const Checkpoint& ckpt,
     ByteReader r{span<const uint8_t>(*ckpt.Find(prefix + "fed"))};
     // Router first: the cell's simulator (loaded last inside LoadCheckpoint)
     // re-announces restored events into fully rebuilt tables.
-    PRESTO_RETURN_IF_ERROR(hosted.router->LoadState(r));
+    hosted.router->LoadState(r);
+    if (!r.ok()) {
+      return r.status();
+    }
     if (r.remaining() != 0) {
       return DataLossError("checkpoint section " + prefix + "fed has trailing bytes");
     }
@@ -454,7 +464,8 @@ Result<std::vector<uint8_t>> FrameTransport::Reply() {
   if (reply->type == FedFrameType::kError) {
     ByteReader r{span<const uint8_t>(reply->payload)};
     Status failure = OkStatus();
-    if (!CkptRead(r, failure).ok() || failure.ok()) {
+    CkptRead(r, failure);
+    if (!r.ok() || failure.ok()) {
       broken_ = true;
       return DataLossError("cell transport: malformed error reply");
     }
@@ -508,12 +519,12 @@ Result<int> FrameTransport::AttachDriver(int origin_cell,
     return reply.status();
   }
   ByteReader r{span<const uint8_t>(*reply)};
-  auto slot = r.ReadVarU64();
-  if (!slot.ok() || r.remaining() != 0) {
+  const uint64_t slot = r.ReadVarU64();
+  if (!r.ok() || r.remaining() != 0) {
     broken_ = true;
     return DataLossError("cell transport: bad attach-driver reply");
   }
-  return static_cast<int>(*slot);
+  return static_cast<int>(slot);
 }
 
 Status FrameTransport::Control(const CellControl& op, CellOutput* out) {
@@ -546,7 +557,10 @@ Status FrameTransport::Snapshot(std::vector<FedCellSnapshot>* out) {
     return reply.status();
   }
   ByteReader r{span<const uint8_t>(*reply)};
-  CKPT_READ(r, *out);
+  CkptRead(r, *out);
+  if (!r.ok()) {
+    return r.status();
+  }
   if (r.remaining() != 0) {
     return DataLossError("cell transport: snapshot trailing bytes");
   }
@@ -730,9 +744,12 @@ Status CellWorker::Dispatch(FedFrame& request, FedFrame* reply) {
     case FedFrameType::kStep: {
       SimTime barrier = 0, end = 0;
       std::vector<FedMail> mail;
-      CKPT_READ(r, barrier);
-      CKPT_READ(r, end);
-      CKPT_READ(r, mail);
+      CkptRead(r, barrier);
+      CkptRead(r, end);
+      CkptRead(r, mail);
+      if (!r.ok()) {
+        return r.status();
+      }
       if (r.remaining() != 0) {
         return DataLossError("cell_worker: step trailing bytes");
       }

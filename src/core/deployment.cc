@@ -968,50 +968,53 @@ std::vector<std::string> Deployment::CheckpointSections() const {
 }
 
 Status Deployment::LoadCheckpoint(const Checkpoint& ckpt, const std::string& prefix) {
-  const auto load = [&](const std::string& name,
-                        const std::function<Status(ByteReader&)>& fill) -> Status {
+  // Each section's reader is checked once, after its fill has read every field.
+  const auto load = [&](const std::string& name, const auto& fill) -> Status {
     const std::vector<uint8_t>* payload = ckpt.Find(prefix + name);
     if (payload == nullptr) {
       return NotFoundError("checkpoint missing section " + prefix + name);
     }
     ByteReader r{span<const uint8_t>(*payload)};
-    PRESTO_RETURN_IF_ERROR(fill(r));
+    fill(r);
+    if (!r.ok()) {
+      return r.status();
+    }
     if (r.remaining() != 0) {
       return DataLossError("checkpoint section " + prefix + name +
                            " has trailing bytes");
     }
     return OkStatus();
   };
-  PRESTO_RETURN_IF_ERROR(load("net", [&](ByteReader& r) { return net_->LoadState(r); }));
+  PRESTO_RETURN_IF_ERROR(load("net", [&](ByteReader& r) { net_->LoadState(r); }));
+  PRESTO_RETURN_IF_ERROR(load("store", [&](ByteReader& r) { store_->LoadState(r); }));
   PRESTO_RETURN_IF_ERROR(
-      load("store", [&](ByteReader& r) { return store_->LoadState(r); }));
-  PRESTO_RETURN_IF_ERROR(
-      load("shard_map", [&](ByteReader& r) { return shard_map_->LoadState(r); }));
-  PRESTO_RETURN_IF_ERROR(load("deploy", [&](ByteReader& r) -> Status {
-    CkptReader in(r);
-    DeployFields(*this, in);
-    PRESTO_RETURN_IF_ERROR(in.status());
+      load("shard_map", [&](ByteReader& r) { shard_map_->LoadState(r); }));
+  PRESTO_RETURN_IF_ERROR(load("deploy", [&](ByteReader& r) {
+    DeployFields(*this, CkptReader(r));
     if (proxy_down_.size() != static_cast<size_t>(config_.num_proxies) ||
         promotion_pending_.size() != proxy_down_.size() ||
         sensor_chain_.size() != static_cast<size_t>(total_sensors()) ||
         sensor_load_ema_.size() != sensor_chain_.size()) {
-      return DataLossError("deploy restore: table size mismatch");
+      return r.Fail(DataLossError("deploy restore: table size mismatch"));
     }
     // The bytes the save writes: a count, then (id, entry) pairs.
     std::vector<std::pair<uint64_t, ExternalQuery>> entries;
-    CKPT_READ(r, entries);
+    CkptRead(r, entries);
+    if (!r.ok()) {
+      return;
+    }
     external_.Clear();
     for (auto& [id, entry] : entries) {
       if (entry.origin == ExternalQuery::Origin::kWait) {
-        return DataLossError("deploy restore: bad external query origin");
+        return r.Fail(DataLossError("deploy restore: bad external query origin"));
       }
       if (entry.origin == ExternalQuery::Origin::kDriver &&
           entry.tag >= drivers_.size()) {
-        return DataLossError("deploy restore: external query names no driver");
+        return r.Fail(DataLossError("deploy restore: external query names no driver"));
       }
       if (external_.Find(id) != nullptr) {
-        return DataLossError("deploy restore: duplicate external query " +
-                             std::to_string(id));
+        return r.Fail(DataLossError("deploy restore: duplicate external query " +
+                                    std::to_string(id)));
       }
       external_.Insert(id, std::move(entry));
     }
@@ -1020,36 +1023,30 @@ Status Deployment::LoadCheckpoint(const Checkpoint& ckpt, const std::string& pre
     for (EventHandle& handle : pending_promotions_) {
       handle = EventHandle();
     }
-    return OkStatus();
   }));
   for (int p = 0; p < config_.num_proxies; ++p) {
     PRESTO_RETURN_IF_ERROR(load("proxy/" + std::to_string(p), [&](ByteReader& r) {
-      return proxies_[static_cast<size_t>(p)]->LoadState(r);
+      proxies_[static_cast<size_t>(p)]->LoadState(r);
     }));
   }
-  PRESTO_RETURN_IF_ERROR(load("sensors", [&](ByteReader& r) -> Status {
+  PRESTO_RETURN_IF_ERROR(load("sensors", [&](ByteReader& r) {
     for (const auto& sensor : sensors_) {
-      PRESTO_RETURN_IF_ERROR(sensor->LoadState(r));
+      sensor->LoadState(r);
     }
-    return OkStatus();
   }));
-  PRESTO_RETURN_IF_ERROR(load("drivers", [&](ByteReader& r) -> Status {
-    auto count = r.ReadVarU64();
-    if (!count.ok()) {
-      return count.status();
-    }
-    if (*count != drivers_.size()) {
-      return FailedPreconditionError(
-          "driver restore: attach the same drivers before restoring");
+  PRESTO_RETURN_IF_ERROR(load("drivers", [&](ByteReader& r) {
+    const uint64_t count = r.ReadVarU64();
+    if (count != drivers_.size()) {
+      return r.Fail(FailedPreconditionError(
+          "driver restore: attach the same drivers before restoring"));
     }
     for (const auto& driver : drivers_) {
-      PRESTO_RETURN_IF_ERROR(driver->LoadState(r));
+      driver->LoadState(r);
     }
-    return OkStatus();
   }));
   // The simulator loads last: restored queue events announce through
   // OnEventRestored into the fully restored subsystems above.
-  PRESTO_RETURN_IF_ERROR(load("sim", [&](ByteReader& r) { return sim_.LoadState(r); }));
+  PRESTO_RETURN_IF_ERROR(load("sim", [&](ByteReader& r) { sim_.LoadState(r); }));
   // Re-derive the conservative lookahead from the restored topology (down proxies,
   // re-bound lanes) — the same hook every mutation barrier runs.
   RetuneEpoch();

@@ -61,8 +61,11 @@ std::vector<uint8_t> EncodeFedControlReply(
 Status DecodeFedControlReply(span<const uint8_t> payload, std::vector<FedMail>* mail,
                              std::vector<FedCell::HostDone>* host_done) {
   ByteReader r{payload};
-  CKPT_READ(r, *mail);
-  CKPT_READ(r, *host_done);
+  CkptRead(r, *mail);
+  CkptRead(r, *host_done);
+  if (!r.ok()) {
+    return r.status();
+  }
   if (r.remaining() != 0) {
     return DataLossError("fed control reply: trailing bytes");
   }
@@ -163,9 +166,8 @@ void FedCell::OnSimEvent(EventKind kind, EventPayload& payload) {
       }
       QuerySpec spec;
       ByteReader r{span<const uint8_t>(payload.bytes)};
-      const Status s = CkptRead(r, spec);
-      PRESTO_CHECK_MSG(s.ok() && r.remaining() == 0,
-                       "federation: bad execute mail body");
+      CkptRead(r, spec);
+      PRESTO_CHECK_MSG(r.ok() && r.remaining() == 0, "federation: bad execute mail body");
       // Tagged (not closure) form: the deployment carries the fed qid through its
       // own checkpointable pending table and calls OnDeploymentQueryDone when the
       // store answers.
@@ -180,8 +182,8 @@ void FedCell::OnSimEvent(EventKind kind, EventPayload& payload) {
       }
       UnifiedQueryResult result;
       ByteReader r{span<const uint8_t>(payload.bytes)};
-      const Status s = CkptRead(r, result);
-      PRESTO_CHECK_MSG(s.ok() && r.remaining() == 0,
+      CkptRead(r, result);
+      PRESTO_CHECK_MSG(r.ok() && r.remaining() == 0,
                        "federation: bad complete mail body");
       FinalizeEntry(payload.b, std::move(result));
       return;
@@ -376,46 +378,45 @@ Status FedCell::SaveState(ByteWriter& w) const {
   return OkStatus();
 }
 
-Status FedCell::LoadState(ByteReader& r) {
-  CKPT_READ(r, counters_);
+void FedCell::LoadState(ByteReader& r) {
+  CkptRead(r, counters_);
   for (auto& link : links_out_) {
     if (link != nullptr) {
-      PRESTO_RETURN_IF_ERROR(link->LoadState(r));
+      link->LoadState(r);
     }
+  }
+  if (!r.ok()) {
+    return;
   }
   pending_.Clear();
   // The bytes SaveState writes: a count, then (qid, entry) pairs. Every entry
   // reads as kDriver, the only origin that can cross a checkpoint.
   std::vector<std::pair<uint64_t, Pending>> pending;
-  CKPT_READ(r, pending);
+  CkptRead(r, pending);
   for (auto& [qid, q] : pending) {
     if (OriginOf(qid) != index_ || q.result.origin_cell != index_) {
-      return DataLossError("federation restore: pending query origin mismatch");
+      return r.Fail(DataLossError("federation restore: pending query origin mismatch"));
     }
     if (q.result.target_cell < 0 || q.result.target_cell >= config_->num_cells) {
-      return DataLossError("federation restore: pending query cell out of range");
+      return r.Fail(DataLossError("federation restore: pending query cell out of range"));
     }
     if (q.driver_slot >= drivers_.size()) {
-      return FailedPreconditionError(
-          "federation restore: attach the same drivers before restoring");
+      return r.Fail(FailedPreconditionError(
+          "federation restore: attach the same drivers before restoring"));
     }
     if (pending_.Find(qid) != nullptr) {
-      return DataLossError("federation restore: duplicate pending query");
+      return r.Fail(DataLossError("federation restore: duplicate pending query"));
     }
     pending_.Insert(qid, std::move(q));
   }
-  auto driver_count = r.ReadVarU64();
-  if (!driver_count.ok()) {
-    return driver_count.status();
-  }
-  if (*driver_count != drivers_.size()) {
-    return FailedPreconditionError(
-        "federation restore: attach the same drivers before restoring");
+  const uint64_t driver_count = r.ReadVarU64();
+  if (driver_count != drivers_.size()) {
+    return r.Fail(FailedPreconditionError(
+        "federation restore: attach the same drivers before restoring"));
   }
   for (const auto& driver : drivers_) {
-    PRESTO_RETURN_IF_ERROR(driver->LoadState(r));
+    driver->LoadState(r);
   }
-  return OkStatus();
 }
 
 // ---------------------------------------------------------------------------
@@ -951,13 +952,13 @@ Status Federation::LoadCheckpoint(const Checkpoint& ckpt) {
     return NotFoundError("checkpoint missing section fed");
   }
   ByteReader r{span<const uint8_t>(*payload)};
-  CkptReader in(r);
-  OrchestratorFields(*this, in);
-  PRESTO_RETURN_IF_ERROR(in.status());
-  PRESTO_RETURN_IF_ERROR(
-      ReadCellBitmap(r, static_cast<size_t>(config_.num_cells), &cell_down_));
+  OrchestratorFields(*this, CkptReader(r));
+  ReadCellBitmap(r, static_cast<size_t>(config_.num_cells), &cell_down_);
   std::vector<FedMail> mail;
-  CKPT_READ(r, mail);
+  CkptRead(r, mail);
+  if (!r.ok()) {
+    return r.status();
+  }
   for (const FedMail& m : mail) {
     if (m.source_cell < 0 || m.source_cell >= config_.num_cells ||
         m.target_cell < 0 || m.target_cell >= config_.num_cells ||

@@ -379,7 +379,7 @@ class FedCell : public EventSink, public DeploymentQueryClient {
   // undrained mail belongs to the orchestrator's "fed" section, which is what
   // makes checkpoints byte-identical whatever the worker layout.
   Status SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
  private:
   int OriginOf(uint64_t qid) const {

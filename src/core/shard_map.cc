@@ -190,20 +190,20 @@ void ShardMap::SaveState(ByteWriter& w) const {
   CkptWrite(w, acting_);
 }
 
-Status ShardMap::LoadState(ByteReader& r) {
-  CKPT_READ(r, version_);
+void ShardMap::LoadState(ByteReader& r) {
+  CkptRead(r, version_);
   std::vector<int> owner;
   std::vector<int> acting;
-  CKPT_READ(r, owner);
-  CKPT_READ(r, acting);
+  CkptRead(r, owner);
+  CkptRead(r, acting);
   if (owner.size() != static_cast<size_t>(total_sensors_) ||
       acting.size() != owner.size()) {
-    return DataLossError("shard map restore: table size mismatch");
+    return r.Fail(DataLossError("shard map restore: table size mismatch"));
   }
   for (size_t g = 0; g < owner.size(); ++g) {
     if (owner[g] < 0 || owner[g] >= num_proxies_ || acting[g] < -1 ||
         acting[g] >= num_proxies_) {
-      return DataLossError("shard map restore: proxy index out of range");
+      return r.Fail(DataLossError("shard map restore: proxy index out of range"));
     }
   }
   owner_ = std::move(owner);
@@ -220,7 +220,6 @@ Status ShardMap::LoadState(ByteReader& r) {
     by_proxy_[static_cast<size_t>(owner_[static_cast<size_t>(g)])].push_back(g);
     served_by_[static_cast<size_t>(ActingOwnerOf(g))].push_back(g);
   }
-  return OkStatus();
 }
 
 }  // namespace presto

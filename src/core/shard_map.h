@@ -104,7 +104,7 @@ class ShardMap {
   // by-proxy and served-by inverse indices are rebuilt (ascending, exactly as the
   // incremental maintenance leaves them). The replica ring is construction-static.
   void SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
  private:
   int num_proxies_;

@@ -214,29 +214,34 @@ Status UnifiedStore::SaveState(ByteWriter& w) const {
   return OkStatus();
 }
 
-Status UnifiedStore::LoadState(ByteReader& r) {
-  PRESTO_RETURN_IF_ERROR(index_.LoadState(r));
+void UnifiedStore::LoadState(ByteReader& r) {
+  index_.LoadState(r);
+  if (!r.ok()) {
+    return;
+  }
   RebuildRoutes();
   std::map<NodeId, std::vector<NodeId>> chains;
-  CKPT_READ(r, chains);
+  CkptRead(r, chains);
   chain_of_.Clear();
   for (auto& [sensor, chain] : chains) {
     chain_of_.Emplace(sensor, std::move(chain));
   }
-  CKPT_READ(r, stats_);
-  CKPT_READ(r, next_query_id_);
+  CkptRead(r, stats_);
+  CkptRead(r, next_query_id_);
   // The bytes SaveState writes: a count, then (id, query) pairs.
   std::vector<std::pair<uint64_t, PendingQuery>> pending;
-  CKPT_READ(r, pending);
+  CkptRead(r, pending);
+  if (!r.ok()) {
+    return;
+  }
   pending_.Clear();
   for (auto& [id, query] : pending) {
     if (pending_.Find(id) != nullptr) {
-      return DataLossError("store restore: duplicate pending query " +
-                           std::to_string(id));
+      return r.Fail(
+          DataLossError("store restore: duplicate pending query " + std::to_string(id)));
     }
     pending_.Insert(id, std::move(query));
   }
-  return OkStatus();
 }
 
 }  // namespace presto

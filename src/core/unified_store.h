@@ -111,7 +111,7 @@ class UnifiedStore : public EventSink, public PullClient {
   // chains, stats, and pending queries. Restore assumes an identically
   // constructed store (same proxies added in the same order).
   Status SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
  private:
   // One routed query in flight: spec + provenance-annotated result under

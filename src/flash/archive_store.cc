@@ -459,10 +459,6 @@ namespace presto {
 
 void ArchiveStore::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
-Status ArchiveStore::LoadState(ByteReader& r) {
-  CkptReader in(r);
-  StateFields(*this, in);
-  return in.status();
-}
+void ArchiveStore::LoadState(ByteReader& r) { StateFields(*this, CkptReader(r)); }
 
 }  // namespace presto

@@ -110,7 +110,7 @@ class ArchiveStore {
   // unflushed RAM page) and stats. The flash device underneath is checkpointed
   // separately; both must be restored for the store to be consistent.
   void SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
  private:
   struct Segment {

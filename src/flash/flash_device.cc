@@ -126,43 +126,39 @@ void FlashDevice::SaveState(ByteWriter& w) const {
   CkptWrite(w, stats_);
 }
 
-Status FlashDevice::LoadState(ByteReader& r) {
+void FlashDevice::LoadState(ByteReader& r) {
   const size_t page_size = static_cast<size_t>(params_.page_size_bytes);
   const size_t total_pages = static_cast<size_t>(params_.TotalPages());
-  auto written_count = r.ReadVarU64();
-  if (!written_count.ok()) {
-    return written_count.status();
+  const uint64_t written_count = r.ReadVarU64();
+  if (!r.ok()) {
+    return;
   }
-  if (*written_count > total_pages) {
-    return DataLossError("flash restore: written-page count exceeds device size");
+  if (written_count > total_pages) {
+    return r.Fail(DataLossError("flash restore: written-page count exceeds device size"));
   }
   std::fill(data_.begin(), data_.end(), 0xFF);
   written_.assign(total_pages, false);
-  for (uint64_t i = 0; i < *written_count; ++i) {
-    auto page = r.ReadVarU64();
-    if (!page.ok()) {
-      return page.status();
+  for (uint64_t i = 0; i < written_count; ++i) {
+    const uint64_t page = r.ReadVarU64();
+    if (page >= total_pages) {
+      return r.Fail(DataLossError("flash restore: page index out of range"));
     }
-    if (*page >= total_pages) {
-      return DataLossError("flash restore: page index out of range");
+    const span<const uint8_t> bytes = r.ReadByteSpan();
+    if (!r.ok()) {
+      return;
     }
-    auto bytes = r.ReadBytes();
-    if (!bytes.ok()) {
-      return bytes.status();
+    if (bytes.size() != page_size) {
+      return r.Fail(DataLossError("flash restore: page image size mismatch"));
     }
-    if (bytes->size() != page_size) {
-      return DataLossError("flash restore: page image size mismatch");
-    }
-    std::copy(bytes->begin(), bytes->end(),
-              data_.begin() + static_cast<ptrdiff_t>(*page * page_size));
-    written_[static_cast<size_t>(*page)] = true;
+    std::copy(bytes.begin(), bytes.end(),
+              data_.begin() + static_cast<ptrdiff_t>(page * page_size));
+    written_[static_cast<size_t>(page)] = true;
   }
-  CKPT_READ(r, wear_);
+  CkptRead(r, wear_);
   if (wear_.size() != static_cast<size_t>(params_.num_blocks)) {
-    return DataLossError("flash restore: wear table size mismatch");
+    return r.Fail(DataLossError("flash restore: wear table size mismatch"));
   }
-  CKPT_READ(r, stats_);
-  return OkStatus();
+  CkptRead(r, stats_);
 }
 
 }  // namespace presto

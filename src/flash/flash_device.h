@@ -103,7 +103,7 @@ class FlashDevice {
   // Checkpoint codec: media contents (written pages only — erased pages are implied
   // 0xFF), wear counters, and stats. LoadState requires identical FlashParams.
   void SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
  private:
   bool ValidPage(int page) const { return page >= 0 && page < params_.TotalPages(); }

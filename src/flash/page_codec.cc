@@ -108,11 +108,11 @@ Result<DecodedPage> DecodePage(span<const uint8_t> page) {
 
   ByteReader r(page);
   DecodedPage out;
-  const Status read = CkptRead(r, out.header);
+  CkptRead(r, out.header);
   if (out.header.magic != kPageMagic) {
     return DataLossError("bad page magic");
   }
-  if (!read.ok()) {
+  if (!r.ok()) {
     return DataLossError("truncated page header");
   }
 
@@ -129,17 +129,17 @@ Result<DecodedPage> DecodePage(span<const uint8_t> page) {
   SimTime t = out.header.first_ts;
   bool first = true;
   while (!rec.AtEnd()) {
-    auto delta = rec.ReadVarU64();
-    auto value = rec.ReadF32();
-    if (!delta.ok() || !value.ok()) {
+    const uint64_t delta = rec.ReadVarU64();
+    const float value = rec.ReadF32();
+    if (!rec.ok()) {
       return DataLossError("truncated record");
     }
     if (first) {
       first = false;
-    } else {
-      t += static_cast<Duration>(*delta) * kMillisecond;
+    } else if (!AdvanceTime(t, delta, kMillisecond)) {
+      return DataLossError("record time overflows");
     }
-    out.samples.push_back(Sample{t, static_cast<double>(*value)});
+    out.samples.push_back(Sample{t, static_cast<double>(value)});
   }
   return out;
 }
@@ -150,14 +150,11 @@ namespace presto {
 
 void PageBuilder::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
-Status PageBuilder::LoadState(ByteReader& r) {
-  CkptReader in(r);
-  StateFields(*this, in);
-  PRESTO_RETURN_IF_ERROR(in.status());
+void PageBuilder::LoadState(ByteReader& r) {
+  StateFields(*this, CkptReader(r));
   if (records_.size() > static_cast<size_t>(page_size_)) {
-    return DataLossError("page builder restore: records exceed page size");
+    r.Fail(DataLossError("page builder restore: records exceed page size"));
   }
-  return OkStatus();
 }
 
 }  // namespace presto

@@ -71,7 +71,7 @@ class PageBuilder {
   // Checkpoint codec for the partially filled RAM page (page_size_ is construction
   // config and not serialized).
   void SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
  private:
   template <class Self, class F>

@@ -233,28 +233,28 @@ void SkipGraph::SaveState(ByteWriter& w) const {
   }
 }
 
-Status SkipGraph::LoadState(ByteReader& r) {
-  CKPT_READ(r, rng_);
-  auto count = r.ReadVarU64();
-  if (!count.ok()) {
-    return count.status();
+void SkipGraph::LoadState(ByteReader& r) {
+  CkptRead(r, rng_);
+  const uint64_t count = r.ReadVarU64();
+  if (!r.ok()) {
+    return;
   }
-  if (*count > r.remaining()) {
-    return DataLossError("skip graph restore: node count exceeds section bytes");
+  if (count > r.remaining()) {
+    return r.Fail(DataLossError("skip graph restore: node count exceeds section bytes"));
   }
   nodes_.clear();
   int max_height = 0;
-  for (uint64_t i = 0; i < *count; ++i) {
+  for (uint64_t i = 0; i < count; ++i) {
     uint64_t key = 0;
     uint64_t value = 0;
     uint64_t membership = 0;
     uint64_t height = 0;
-    CKPT_READ(r, key);
-    CKPT_READ(r, value);
-    CKPT_READ(r, membership);
-    CKPT_READ(r, height);
-    if (height == 0 || height > 64) {
-      return DataLossError("skip graph restore: bad node height");
+    CkptRead(r, key);
+    CkptRead(r, value);
+    CkptRead(r, membership);
+    CkptRead(r, height);
+    if (height == 0 || height > 64) {  // a failed read leaves it 0
+      return r.Fail(DataLossError("skip graph restore: bad node height"));
     }
     auto node = std::make_unique<Node>();
     node->key = key;
@@ -264,7 +264,7 @@ Status SkipGraph::LoadState(ByteReader& r) {
     node->right.assign(static_cast<size_t>(height), nullptr);
     max_height = std::max(max_height, static_cast<int>(height));
     if (!nodes_.emplace(key, std::move(node)).second) {
-      return DataLossError("skip graph restore: duplicate key");
+      return r.Fail(DataLossError("skip graph restore: duplicate key"));
     }
   }
   // Relink: the level-L lists partition {nodes with Height > L} by the low L bits of
@@ -286,7 +286,6 @@ Status SkipGraph::LoadState(ByteReader& r) {
       }
     }
   }
-  return OkStatus();
 }
 
 }  // namespace presto

@@ -64,7 +64,7 @@ class SkipGraph {
   // of height > L by the low L bits of membership, in key order, so (key, value,
   // membership, height) per node plus the RNG rebuild the structure exactly.
   void SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
  private:
   struct Node {

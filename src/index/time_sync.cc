@@ -107,20 +107,12 @@ namespace presto {
 
 void DriftingClock::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
-Status DriftingClock::LoadState(ByteReader& r) {
-  CkptReader in(r);
-  StateFields(*this, in);
-  return in.status();
-}
+void DriftingClock::LoadState(ByteReader& r) { StateFields(*this, CkptReader(r)); }
 
 void RegressionTimeSync::SaveState(ByteWriter& w) const {
   StateFields(*this, CkptWriter(w));
 }
 
-Status RegressionTimeSync::LoadState(ByteReader& r) {
-  CkptReader in(r);
-  StateFields(*this, in);
-  return in.status();
-}
+void RegressionTimeSync::LoadState(ByteReader& r) { StateFields(*this, CkptReader(r)); }
 
 }  // namespace presto

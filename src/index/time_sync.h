@@ -38,7 +38,7 @@ class DriftingClock {
 
   // Checkpoint codec: only the jitter RNG is dynamic state.
   void SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
  private:
   template <class Self, class F>
@@ -79,7 +79,7 @@ class RegressionTimeSync {
 
   // Checkpoint codec: beacon window and the fitted line.
   void SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
  private:
   template <class Self, class F>

@@ -174,55 +174,53 @@ void ArCore::SerializeTo(ByteWriter* w) const {
   }
 }
 
-Status ArCore::DeserializeFrom(ByteReader* r) {
+void ArCore::DeserializeFrom(ByteReader* r) {
   ResetCaches();
-  auto period = r->ReadVarU64();
-  auto order = r->ReadVarU64();
-  if (!period.ok() || !order.ok() || *order == 0 || *order > 64) {
-    return InvalidArgumentError("AR params malformed");
+  // The header reads on a copy: a short or overlong varint there is malformed params.
+  ByteReader head = *r;
+  const uint64_t period = head.ReadVarU64();
+  const uint64_t order = head.ReadVarU64();
+  if (!head.ok() || order == 0 || order > 64) {
+    return r->Fail(InvalidArgumentError("AR params malformed"));
   }
-  if (!IsWirePeriod(*period)) {
-    return InvalidArgumentError("AR params: sample period not positive");
+  *r = head;
+  if (!IsWirePeriod(period)) {
+    return r->Fail(InvalidArgumentError("AR params: sample period not positive"));
   }
-  sample_period = static_cast<Duration>(*period);
+  sample_period = static_cast<Duration>(period);
+  // Coefficients, then mean, innovation and marginal (f32 each) and the state time.
+  if (r->remaining() < 4 * order + 4 * 3 + 8) {
+    return r->Fail(InvalidArgumentError("AR params truncated"));
+  }
   phi.clear();
-  for (uint64_t i = 0; i < *order; ++i) {
-    auto p = r->ReadF32();
-    if (!p.ok()) {
-      return InvalidArgumentError("AR params truncated");
-    }
-    phi.push_back(static_cast<double>(*p));
+  for (uint64_t i = 0; i < order; ++i) {
+    phi.push_back(static_cast<double>(r->ReadF32()));
   }
-  auto m = r->ReadF32();
-  auto inno = r->ReadF32();
-  auto marg = r->ReadF32();
-  auto st = r->ReadI64();
-  if (!m.ok() || !inno.ok() || !marg.ok() || !st.ok()) {
-    return InvalidArgumentError("AR params truncated");
-  }
-  if (*st < 0) {
+  const float m = r->ReadF32();
+  const float inno = r->ReadF32();
+  const float marg = r->ReadF32();
+  const int64_t st = r->ReadI64();
+  if (st < 0) {
     // Sim time starts at 0; a negative state time overflows the forecast's t - time.
-    return InvalidArgumentError("AR params: state time negative");
+    return r->Fail(InvalidArgumentError("AR params: state time negative"));
   }
-  mean = static_cast<double>(*m);
-  innovation_std = static_cast<double>(*inno);
-  marginal_std = static_cast<double>(*marg);
-  state_time = *st;
+  mean = static_cast<double>(m);
+  innovation_std = static_cast<double>(inno);
+  marginal_std = static_cast<double>(marg);
+  state_time = st;
+  if (r->remaining() < 4 * order) {
+    return r->Fail(InvalidArgumentError("AR state truncated"));
+  }
   state.clear();
-  for (uint64_t i = 0; i < *order; ++i) {
-    auto v = r->ReadF32();
-    if (!v.ok()) {
-      return InvalidArgumentError("AR state truncated");
-    }
-    state.push_back(static_cast<double>(*v));
+  for (uint64_t i = 0; i < order; ++i) {
+    state.push_back(static_cast<double>(r->ReadF32()));
   }
   const auto finite = [](double v) { return std::isfinite(v); };
   if (!std::all_of(phi.begin(), phi.end(), finite) ||
       !std::all_of(state.begin(), state.end(), finite) || !std::isfinite(mean) ||
       !std::isfinite(innovation_std) || !std::isfinite(marginal_std)) {
-    return InvalidArgumentError("AR params not finite");
+    return r->Fail(InvalidArgumentError("AR params not finite"));
   }
-  return OkStatus();
 }
 
 // ---------- ArModel ----------
@@ -252,12 +250,15 @@ std::vector<uint8_t> ArModel::Serialize() const {
 
 Status ArModel::Deserialize(span<const uint8_t> bytes) {
   ByteReader r(bytes);
-  auto tag = r.ReadU8();
-  if (!tag.ok() || *tag != static_cast<uint8_t>(type())) {
+  const uint8_t tag = r.ReadU8();
+  if (!r.ok() || tag != static_cast<uint8_t>(type())) {
     return InvalidArgumentError("not AR model params");
   }
   core_.max_forecast_steps = config_.max_forecast_steps;
-  PRESTO_RETURN_IF_ERROR(core_.DeserializeFrom(&r));
+  core_.DeserializeFrom(&r);
+  if (!r.ok()) {
+    return r.status();
+  }
   fitted_ = true;
   return OkStatus();
 }
@@ -316,13 +317,19 @@ std::vector<uint8_t> SeasonalArModel::Serialize() const {
 
 Status SeasonalArModel::Deserialize(span<const uint8_t> bytes) {
   ByteReader r(bytes);
-  auto tag = r.ReadU8();
-  if (!tag.ok() || *tag != static_cast<uint8_t>(type())) {
+  const uint8_t tag = r.ReadU8();
+  if (!r.ok() || tag != static_cast<uint8_t>(type())) {
     return InvalidArgumentError("not seasonal-AR model params");
   }
-  PRESTO_RETURN_IF_ERROR(bins_.DeserializeFrom(&r));
+  bins_.DeserializeFrom(&r);
+  if (!r.ok()) {
+    return r.status();
+  }
   core_.max_forecast_steps = config_.max_forecast_steps;
-  PRESTO_RETURN_IF_ERROR(core_.DeserializeFrom(&r));
+  core_.DeserializeFrom(&r);
+  if (!r.ok()) {
+    return r.status();
+  }
   fitted_ = true;
   return OkStatus();
 }
@@ -354,45 +361,35 @@ int64_t SeasonalArModel::FitCostOps(size_t history_len) const {
 
 void ArCore::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
-Status ArCore::LoadState(ByteReader& r) {
+void ArCore::LoadState(ByteReader& r) {
   ResetCaches();
-  CkptReader in(r);
-  StateFields(*this, in);
-  PRESTO_RETURN_IF_ERROR(in.status());
+  StateFields(*this, CkptReader(r));
   if (sample_period <= 0) {
-    return DataLossError("AR restore: sample period not positive");
+    return r.Fail(DataLossError("AR restore: sample period not positive"));
   }
   if (phi.empty() || phi.size() > 64) {
-    return DataLossError("AR restore: order outside [1, 64]");
+    return r.Fail(DataLossError("AR restore: order outside [1, 64]"));
   }
   if (state.size() != phi.size()) {
-    return DataLossError("AR restore: state window is not one value per coefficient");
+    return r.Fail(
+        DataLossError("AR restore: state window is not one value per coefficient"));
   }
   if (max_forecast_steps < 1 || max_forecast_steps > 65536) {
-    return DataLossError("AR restore: max_forecast_steps outside [1, 65536]");
+    return r.Fail(DataLossError("AR restore: max_forecast_steps outside [1, 65536]"));
   }
   if (state_time < 0) {
-    return DataLossError("AR restore: state time negative");
+    return r.Fail(DataLossError("AR restore: state time negative"));
   }
-  return OkStatus();
 }
 
 void ArModel::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
-Status ArModel::LoadState(ByteReader& r) {
-  CkptReader in(r);
-  StateFields(*this, in);
-  return in.status();
-}
+void ArModel::LoadState(ByteReader& r) { StateFields(*this, CkptReader(r)); }
 
 void SeasonalArModel::SaveState(ByteWriter& w) const {
   StateFields(*this, CkptWriter(w));
 }
 
-Status SeasonalArModel::LoadState(ByteReader& r) {
-  CkptReader in(r);
-  StateFields(*this, in);
-  return in.status();
-}
+void SeasonalArModel::LoadState(ByteReader& r) { StateFields(*this, CkptReader(r)); }
 
 }  // namespace presto

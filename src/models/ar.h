@@ -52,7 +52,7 @@ struct ArCore {
   void Anchor(const Sample& s);
 
   void SerializeTo(ByteWriter* w) const;
-  Status DeserializeFrom(ByteReader* r);
+  void DeserializeFrom(ByteReader* r);
 
   // Full-precision checkpoint codec (the wire form above rounds through f32). Only
   // fitted models are checkpointed, so LoadState refuses, as DataLoss, any state a
@@ -60,7 +60,7 @@ struct ArCore {
   // window that is not p values, max_forecast_steps outside [1, 65536], or a
   // negative state_time.
   void SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
  private:
   template <class Self, class F>
@@ -145,7 +145,7 @@ class ArModel : public PredictiveModel {
     return std::make_unique<ArModel>(*this);
   }
   void SaveState(ByteWriter& w) const override;
-  Status LoadState(ByteReader& r) override;
+  void LoadState(ByteReader& r) override;
 
  private:
   template <class Self, class F>
@@ -176,7 +176,7 @@ class SeasonalArModel : public PredictiveModel {
     return std::make_unique<SeasonalArModel>(*this);
   }
   void SaveState(ByteWriter& w) const override;
-  Status LoadState(ByteReader& r) override;
+  void LoadState(ByteReader& r) override;
 
  private:
   template <class Self, class F>

@@ -245,46 +245,46 @@ std::vector<uint8_t> MarkovModel::Serialize() const {
 
 Status MarkovModel::Deserialize(span<const uint8_t> bytes) {
   ByteReader r(bytes);
-  auto tag = r.ReadU8();
-  if (!tag.ok() || *tag != static_cast<uint8_t>(type())) {
+  const uint8_t tag = r.ReadU8();
+  if (!r.ok() || tag != static_cast<uint8_t>(type())) {
     return InvalidArgumentError("not markov model params");
   }
-  auto period = r.ReadVarU64();
-  auto k = r.ReadVarU64();
-  auto half = r.ReadF32();
-  if (!period.ok() || !k.ok() || !half.ok() || *k < 2 || *k > 64) {
+  const uint64_t period = r.ReadVarU64();
+  const uint64_t k = r.ReadVarU64();
+  const float half = r.ReadF32();
+  if (!r.ok() || k < 2 || k > 64) {
     return InvalidArgumentError("markov params malformed");
   }
-  if (!IsWirePeriod(*period)) {
+  if (!IsWirePeriod(period)) {
     return InvalidArgumentError("markov params: sample period not positive");
   }
-  if (!std::isfinite(*half)) {
+  if (!std::isfinite(half)) {
     return InvalidArgumentError("markov params not finite");
   }
-  config_.sample_period = static_cast<Duration>(*period);
-  bin_half_width_ = static_cast<double>(*half);
-  const int n = static_cast<int>(*k);
+  config_.sample_period = static_cast<Duration>(period);
+  bin_half_width_ = static_cast<double>(half);
+  const int n = static_cast<int>(k);
   centers_.assign(static_cast<size_t>(n), 0.0);
   for (int i = 0; i < n; ++i) {
-    auto c = r.ReadF32();
-    if (!c.ok()) {
+    const float c = r.ReadF32();
+    if (!r.ok()) {
       return InvalidArgumentError("markov params truncated");
     }
-    if (!std::isfinite(*c)) {
+    if (!std::isfinite(c)) {
       return InvalidArgumentError("markov params not finite");
     }
-    centers_[static_cast<size_t>(i)] = static_cast<double>(*c);
+    centers_[static_cast<size_t>(i)] = static_cast<double>(c);
   }
   trans_.assign(static_cast<size_t>(n), std::vector<double>(static_cast<size_t>(n), 0.0));
   for (int i = 0; i < n; ++i) {
     double rsum = 0.0;
     for (int j = 0; j < n; ++j) {
-      auto q = r.ReadU8();
-      if (!q.ok()) {
-        return InvalidArgumentError("markov params truncated");
-      }
-      trans_[static_cast<size_t>(i)][static_cast<size_t>(j)] = *q;
-      rsum += *q;
+      const uint8_t q = r.ReadU8();
+      trans_[static_cast<size_t>(i)][static_cast<size_t>(j)] = q;
+      rsum += q;
+    }
+    if (!r.ok()) {
+      return InvalidArgumentError("markov params truncated");
     }
     if (rsum <= 0.0) {
       return InvalidArgumentError("markov row sums to zero");
@@ -296,12 +296,12 @@ Status MarkovModel::Deserialize(span<const uint8_t> bytes) {
   marginal_.assign(static_cast<size_t>(n), 0.0);
   double msum = 0.0;
   for (int i = 0; i < n; ++i) {
-    auto q = r.ReadU8();
-    if (!q.ok()) {
-      return InvalidArgumentError("markov params truncated");
-    }
-    marginal_[static_cast<size_t>(i)] = *q;
-    msum += *q;
+    const uint8_t q = r.ReadU8();
+    marginal_[static_cast<size_t>(i)] = q;
+    msum += q;
+  }
+  if (!r.ok()) {
+    return InvalidArgumentError("markov params truncated");
   }
   if (msum <= 0.0) {
     return InvalidArgumentError("markov marginal sums to zero");
@@ -327,10 +327,11 @@ int64_t MarkovModel::FitCostOps(size_t history_len) const {
 
 void MarkovModel::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
-Status MarkovModel::LoadState(ByteReader& r) {
-  CkptReader in(r);
-  StateFields(*this, in);
-  PRESTO_RETURN_IF_ERROR(in.status());
+void MarkovModel::LoadState(ByteReader& r) {
+  StateFields(*this, CkptReader(r));
+  if (!r.ok()) {
+    return;
+  }
   // The binary-power cache is a pure function of the transition matrix; rebuild it
   // rather than shipping O(states^2 log horizon) doubles in every checkpoint.
   if (fitted_) {
@@ -338,7 +339,6 @@ Status MarkovModel::LoadState(ByteReader& r) {
   } else {
     power_cache_.clear();
   }
-  return OkStatus();
 }
 
 }  // namespace presto

@@ -26,7 +26,7 @@ class MarkovModel : public PredictiveModel {
     return std::make_unique<MarkovModel>(*this);
   }
   void SaveState(ByteWriter& w) const override;
-  Status LoadState(ByteReader& r) override;
+  void LoadState(ByteReader& r) override;
 
   int num_states() const { return static_cast<int>(centers_.size()); }
 

@@ -121,7 +121,7 @@ class PredictiveModel {
   // state, including anchors and rolling windows. LoadState overwrites everything;
   // derived caches are rebuilt deterministically.
   virtual void SaveState(ByteWriter& w) const = 0;
-  virtual Status LoadState(ByteReader& r) = 0;
+  virtual void LoadState(ByteReader& r) = 0;
 };
 
 // Checkpoint-serializes `model` with its type tag (or a null marker), so the paired
@@ -129,9 +129,9 @@ class PredictiveModel {
 void SaveModelState(ByteWriter& w, const PredictiveModel* model);
 
 // Rebuilds a model from SaveModelState bytes: returns nullptr for the null marker,
-// otherwise a freshly created model of the tagged type with LoadState applied.
-Result<std::unique_ptr<PredictiveModel>> LoadModelState(ByteReader& r,
-                                                        const ModelConfig& config);
+// otherwise a freshly created model of the tagged type with LoadState applied
+// (nullptr, too, once `r` has failed).
+std::unique_ptr<PredictiveModel> LoadModelState(ByteReader& r, const ModelConfig& config);
 
 // A model slot as one field of a list: `f(CkptModel(self.model_, config))` writes
 // SaveModelState's bytes and reads them back into the slot under `config`.
@@ -148,14 +148,9 @@ inline void CkptWrite(ByteWriter& w,
                       const CkptModelSlot<const std::unique_ptr<PredictiveModel>>& v) {
   SaveModelState(w, v.model.get());
 }
-inline Status CkptRead(ByteReader& r,
-                       const CkptModelSlot<std::unique_ptr<PredictiveModel>>& v) {
-  auto model = LoadModelState(r, v.config);
-  if (!model.ok()) {
-    return model.status();
-  }
-  v.model = std::move(*model);
-  return OkStatus();
+inline void CkptRead(ByteReader& r,
+                     const CkptModelSlot<std::unique_ptr<PredictiveModel>>& v) {
+  CkptSet(r, v.model, LoadModelState(r, v.config));
 }
 
 }  // namespace presto

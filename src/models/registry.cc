@@ -50,22 +50,23 @@ void SaveModelState(ByteWriter& w, const PredictiveModel* model) {
   model->SaveState(w);
 }
 
-Result<std::unique_ptr<PredictiveModel>> LoadModelState(ByteReader& r,
-                                                        const ModelConfig& config) {
-  auto tag = r.ReadU8();
-  if (!tag.ok()) {
-    return tag.status();
+std::unique_ptr<PredictiveModel> LoadModelState(ByteReader& r,
+                                                const ModelConfig& config) {
+  const uint8_t tag = r.ReadU8();
+  if (!r.ok() || tag == 0) {
+    return nullptr;
   }
-  if (*tag == 0) {
-    return std::unique_ptr<PredictiveModel>();
-  }
-  if (*tag < static_cast<uint8_t>(ModelType::kLastValue) ||
-      *tag > static_cast<uint8_t>(ModelType::kMarkov)) {
-    return DataLossError("model restore: unknown type tag");
+  if (tag < static_cast<uint8_t>(ModelType::kLastValue) ||
+      tag > static_cast<uint8_t>(ModelType::kMarkov)) {
+    r.Fail(DataLossError("model restore: unknown type tag"));
+    return nullptr;
   }
   std::unique_ptr<PredictiveModel> model =
-      CreateModel(static_cast<ModelType>(*tag), config);
-  PRESTO_RETURN_IF_ERROR(model->LoadState(r));
+      CreateModel(static_cast<ModelType>(tag), config);
+  model->LoadState(r);
+  if (!r.ok()) {
+    return nullptr;
+  }
   return model;
 }
 

@@ -77,48 +77,39 @@ void SeasonalBins::SerializeTo(ByteWriter* w) const {
   }
 }
 
-Status SeasonalBins::DeserializeFrom(ByteReader* r) {
-  auto p = r->ReadVarU64();
-  if (!p.ok()) {
-    return p.status();
+void SeasonalBins::DeserializeFrom(ByteReader* r) {
+  const uint64_t p = r->ReadVarU64();
+  if (!IsWirePeriod(p)) {  // a failed read's 0 included
+    return r->Fail(InvalidArgumentError("seasonal params: period not positive"));
   }
-  if (!IsWirePeriod(*p)) {
-    return InvalidArgumentError("seasonal params: period not positive");
-  }
-  period = static_cast<Duration>(*p);
-  auto n = r->ReadVarU64();
-  if (!n.ok()) {
-    return n.status();
-  }
+  period = static_cast<Duration>(p);
+  const uint64_t n = r->ReadVarU64();
   // Checked before the bins are allocated: each bin is 8 wire bytes, every bin must
   // span at least one tick, and BinOf's phase * bin count must stay in range.
-  if (*n == 0) {
-    return InvalidArgumentError("seasonal params empty");
+  if (n == 0) {
+    return r->Fail(InvalidArgumentError("seasonal params empty"));
   }
-  if (*n > r->remaining() / 8) {
-    return InvalidArgumentError("seasonal params truncated");
+  if (n > r->remaining() / 8) {
+    return r->Fail(InvalidArgumentError("seasonal params truncated"));
   }
-  if (*n > *p) {
-    return InvalidArgumentError("seasonal params: more bins than period ticks");
+  if (n > p) {
+    return r->Fail(InvalidArgumentError("seasonal params: more bins than period ticks"));
   }
-  if (*p > static_cast<uint64_t>(INT64_MAX) / *n) {
-    return InvalidArgumentError("seasonal params: period too long for the bin count");
+  if (p > static_cast<uint64_t>(INT64_MAX) / n) {
+    return r->Fail(
+        InvalidArgumentError("seasonal params: period too long for the bin count"));
   }
   means.clear();
   stddevs.clear();
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto m = r->ReadF32();
-    auto s = r->ReadF32();
-    if (!m.ok() || !s.ok()) {
-      return InvalidArgumentError("seasonal params truncated");
+  for (uint64_t i = 0; i < n; ++i) {
+    const float m = r->ReadF32();
+    const float s = r->ReadF32();
+    if (!std::isfinite(m) || !std::isfinite(s)) {
+      return r->Fail(InvalidArgumentError("seasonal params not finite"));
     }
-    if (!std::isfinite(*m) || !std::isfinite(*s)) {
-      return InvalidArgumentError("seasonal params not finite");
-    }
-    means.push_back(static_cast<double>(*m));
-    stddevs.push_back(static_cast<double>(*s));
+    means.push_back(static_cast<double>(m));
+    stddevs.push_back(static_cast<double>(s));
   }
-  return OkStatus();
 }
 
 // ---------- SeasonalModel ----------
@@ -140,11 +131,14 @@ std::vector<uint8_t> SeasonalModel::Serialize() const {
 
 Status SeasonalModel::Deserialize(span<const uint8_t> bytes) {
   ByteReader r(bytes);
-  auto tag = r.ReadU8();
-  if (!tag.ok() || *tag != static_cast<uint8_t>(type())) {
+  const uint8_t tag = r.ReadU8();
+  if (!r.ok() || tag != static_cast<uint8_t>(type())) {
     return InvalidArgumentError("not seasonal model params");
   }
-  PRESTO_RETURN_IF_ERROR(bins_.DeserializeFrom(&r));
+  bins_.DeserializeFrom(&r);
+  if (!r.ok()) {
+    return r.status();
+  }
   fitted_ = true;
   return OkStatus();
 }
@@ -199,27 +193,27 @@ std::vector<uint8_t> LastValueModel::Serialize() const {
 
 Status LastValueModel::Deserialize(span<const uint8_t> bytes) {
   ByteReader r(bytes);
-  auto tag = r.ReadU8();
-  if (!tag.ok() || *tag != static_cast<uint8_t>(type())) {
+  const uint8_t tag = r.ReadU8();
+  if (!r.ok() || tag != static_cast<uint8_t>(type())) {
     return InvalidArgumentError("not last-value model params");
   }
-  auto period = r.ReadVarU64();
-  auto mean = r.ReadF32();
-  auto marg = r.ReadF32();
-  auto step = r.ReadF32();
-  if (!period.ok() || !mean.ok() || !marg.ok() || !step.ok()) {
+  const uint64_t period = r.ReadVarU64();
+  const float mean = r.ReadF32();
+  const float marg = r.ReadF32();
+  const float step = r.ReadF32();
+  if (!r.ok()) {
     return InvalidArgumentError("last-value params truncated");
   }
-  if (!IsWirePeriod(*period)) {
+  if (!IsWirePeriod(period)) {
     return InvalidArgumentError("last-value params: sample period not positive");
   }
-  if (!std::isfinite(*mean) || !std::isfinite(*marg) || !std::isfinite(*step)) {
+  if (!std::isfinite(mean) || !std::isfinite(marg) || !std::isfinite(step)) {
     return InvalidArgumentError("last-value params not finite");
   }
-  config_.sample_period = static_cast<Duration>(*period);
-  mean_ = static_cast<double>(*mean);
-  marginal_stddev_ = static_cast<double>(*marg);
-  step_stddev_ = static_cast<double>(*step);
+  config_.sample_period = static_cast<Duration>(period);
+  mean_ = static_cast<double>(mean);
+  marginal_stddev_ = static_cast<double>(marg);
+  step_stddev_ = static_cast<double>(step);
   fitted_ = true;
   anchored_ = false;
   return OkStatus();
@@ -247,36 +241,25 @@ void LastValueModel::OnAnchor(const Sample& sample) {
 
 void SeasonalBins::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
-Status SeasonalBins::LoadState(ByteReader& r) {
-  CkptReader in(r);
-  StateFields(*this, in);
-  PRESTO_RETURN_IF_ERROR(in.status());
+void SeasonalBins::LoadState(ByteReader& r) {
+  StateFields(*this, CkptReader(r));
   if (period <= 0) {
-    return DataLossError("seasonal restore: period not positive");
+    return r.Fail(DataLossError("seasonal restore: period not positive"));
   }
   if (means.empty() || means.size() != stddevs.size()) {
-    return DataLossError("seasonal restore: bins missing or mismatched");
+    return r.Fail(DataLossError("seasonal restore: bins missing or mismatched"));
   }
   if (static_cast<Duration>(means.size()) > period) {
-    return DataLossError("seasonal restore: more bins than period ticks");
+    return r.Fail(DataLossError("seasonal restore: more bins than period ticks"));
   }
-  return OkStatus();
 }
 
 void SeasonalModel::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
-Status SeasonalModel::LoadState(ByteReader& r) {
-  CkptReader in(r);
-  StateFields(*this, in);
-  return in.status();
-}
+void SeasonalModel::LoadState(ByteReader& r) { StateFields(*this, CkptReader(r)); }
 
 void LastValueModel::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
-Status LastValueModel::LoadState(ByteReader& r) {
-  CkptReader in(r);
-  StateFields(*this, in);
-  return in.status();
-}
+void LastValueModel::LoadState(ByteReader& r) { StateFields(*this, CkptReader(r)); }
 
 }  // namespace presto

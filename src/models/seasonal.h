@@ -27,13 +27,13 @@ struct SeasonalBins {
   Status Fit(const std::vector<Sample>& history, int bins);
 
   void SerializeTo(ByteWriter* w) const;
-  Status DeserializeFrom(ByteReader* r);
+  void DeserializeFrom(ByteReader* r);
 
   // Full-precision checkpoint codec (the wire form above rounds through f32). Only
   // fitted bins are checkpointed, so LoadState refuses, as DataLoss, a period <= 0,
   // no bins, mismatched mean/stddev counts, or more bins than the period has ticks.
   void SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
   template <class Self, class F>
   static void StateFields(Self& self, F&& f) {
@@ -63,7 +63,7 @@ class SeasonalModel : public PredictiveModel {
     return std::make_unique<SeasonalModel>(*this);
   }
   void SaveState(ByteWriter& w) const override;
-  Status LoadState(ByteReader& r) override;
+  void LoadState(ByteReader& r) override;
 
  private:
   template <class Self, class F>
@@ -98,7 +98,7 @@ class LastValueModel : public PredictiveModel {
     return std::make_unique<LastValueModel>(*this);
   }
   void SaveState(ByteWriter& w) const override;
-  Status LoadState(ByteReader& r) override;
+  void LoadState(ByteReader& r) override;
 
  private:
   template <class Self, class F>

@@ -41,10 +41,6 @@ SimTime CellLink::Deliver(SimTime send_time, size_t bytes) {
 
 void CellLink::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
-Status CellLink::LoadState(ByteReader& r) {
-  CkptReader in(r);
-  StateFields(*this, in);
-  return in.status();
-}
+void CellLink::LoadState(ByteReader& r) { StateFields(*this, CkptReader(r)); }
 
 }  // namespace presto

@@ -76,7 +76,7 @@ class CellLink {
 
   // Checkpoint codec: the serialization clock and counters.
   void SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
  private:
   template <class Self, class F>

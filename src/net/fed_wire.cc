@@ -214,27 +214,21 @@ void WriteCellBitmap(ByteWriter& w, const std::vector<uint8_t>& flags) {
   w.WriteBytes(span<const uint8_t>(bits.bytes()));
 }
 
-Status ReadCellBitmap(ByteReader& r, size_t num_cells, std::vector<uint8_t>* flags) {
-  auto count = r.ReadVarU64();
-  if (!count.ok()) {
-    return count.status();
+void ReadCellBitmap(ByteReader& r, size_t num_cells, std::vector<uint8_t>* flags) {
+  // A failed read's 0 or empty blob fails these checks, or sizes nothing.
+  const uint64_t count = r.ReadVarU64();
+  if (count != num_cells) {
+    return r.Fail(DataLossError("fed_wire: cell bitmap count mismatch"));
   }
-  if (*count != num_cells) {
-    return DataLossError("fed_wire: cell bitmap count mismatch");
+  const std::vector<uint8_t> packed = r.ReadBytes();
+  if (packed.size() != (num_cells + 7) / 8) {
+    return r.Fail(DataLossError("fed_wire: cell bitmap byte count mismatch"));
   }
-  auto packed = r.ReadBytes();
-  if (!packed.ok()) {
-    return packed.status();
-  }
-  if (packed->size() != (num_cells + 7) / 8) {
-    return DataLossError("fed_wire: cell bitmap byte count mismatch");
-  }
-  BitReader bits(*packed);
+  BitReader bits(packed);
   flags->assign(num_cells, 0);
   for (size_t c = 0; c < num_cells; ++c) {
     (*flags)[c] = static_cast<uint8_t>(bits.ReadBits(1));
   }
-  return OkStatus();
 }
 
 Result<int> TcpListen(const char* host, uint16_t port, uint16_t* bound_port) {
@@ -333,7 +327,10 @@ std::vector<uint8_t> EncodeFedHello(const FedHello& hello) {
 
 Status DecodeFedHello(span<const uint8_t> payload, FedHello* hello) {
   ByteReader r(payload);
-  CKPT_READ(r, *hello);
+  CkptRead(r, *hello);
+  if (!r.ok()) {
+    return r.status();
+  }
   if (!r.AtEnd()) {
     return DataLossError("fed_wire: trailing bytes after hello");
   }
@@ -359,7 +356,8 @@ Status FedHelloClient(FrameChannel& channel, int worker_index, int num_workers) 
   if (reply->type == FedFrameType::kError) {
     ByteReader r(span<const uint8_t>(reply->payload));
     Status refused = OkStatus();
-    if (!CkptRead(r, refused).ok() || refused.ok()) {
+    CkptRead(r, refused);
+    if (!r.ok() || refused.ok()) {
       return DataLossError("fed_wire: malformed hello refusal");
     }
     return refused;

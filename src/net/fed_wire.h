@@ -125,7 +125,7 @@ void CkptFields(S& v, F&& f) {
 // Cell-down flags as a bit-packed map (BitWriter, one bit per cell), length
 // prefixed. Broadcast in kCkptLoad and folded into bootstrap-time restores.
 void WriteCellBitmap(ByteWriter& w, const std::vector<uint8_t>& flags);
-Status ReadCellBitmap(ByteReader& r, size_t num_cells, std::vector<uint8_t>* flags);
+void ReadCellBitmap(ByteReader& r, size_t num_cells, std::vector<uint8_t>* flags);
 
 // --- TCP transport (multi-machine federation) ---------------------------------
 //

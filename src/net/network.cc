@@ -33,14 +33,16 @@ std::map<std::pair<NodeId, NodeId>, V> LinkMap(const IdMap<V>& table) {
 }
 
 template <typename V>
-Status ReadLinkTable(ByteReader& r, IdMap<V>& table) {
+void ReadLinkTable(ByteReader& r, IdMap<V>& table) {
   std::map<std::pair<NodeId, NodeId>, V> links;
-  CKPT_READ(r, links);
+  CkptRead(r, links);
+  if (!r.ok()) {
+    return;
+  }
   table.Clear();
   for (const auto& [pair, value] : links) {
     table[LinkKey(pair.first, pair.second)] = value;
   }
-  return OkStatus();
 }
 
 uint64_t PackIds(NodeId src, NodeId dst) {
@@ -399,7 +401,8 @@ void Network::Deliver(NodeState& dst, const Message& message) {
   }
   ByteReader reader(message.payload);
   std::vector<BatchEntry> entries;
-  if (!CkptRead(reader, entries).ok() || !reader.AtEnd()) {
+  CkptRead(reader, entries);
+  if (!reader.ok() || !reader.AtEnd()) {
     PLOG_WARN("net: undecodable batch frame from %u", message.src);
     return;
   }
@@ -636,32 +639,31 @@ Status Network::SaveState(ByteWriter& w) const {
 
 // The node table and the lane contexts exist before a restore (wiring and lane
 // count are construction), so they read in place, checked against the saved ids.
-Status Network::LoadState(ByteReader& r) {
+void Network::LoadState(ByteReader& r) {
   uint64_t node_count = 0;
-  CKPT_READ(r, node_count);
+  CkptRead(r, node_count);
   if (node_count != nodes_.size()) {
-    return FailedPreconditionError("net restore: node table mismatch");
+    return r.Fail(FailedPreconditionError("net restore: node table mismatch"));
   }
   for (const uint64_t id : nodes_.SortedKeys()) {
     NodeId saved_id = 0;
-    CKPT_READ(r, saved_id);
+    CkptRead(r, saved_id);
     if (saved_id != id) {
-      return FailedPreconditionError("net restore: node id mismatch");
+      return r.Fail(FailedPreconditionError("net restore: node id mismatch"));
     }
-    CKPT_READ(r, *nodes_.Find(id));
+    CkptRead(r, *nodes_.Find(id));
   }
-  PRESTO_RETURN_IF_ERROR(ReadLinkTable(r, link_loss_));
-  PRESTO_RETURN_IF_ERROR(ReadLinkTable(r, wired_));
+  ReadLinkTable(r, link_loss_);
+  ReadLinkTable(r, wired_);
   uint64_t ctx_count = 0;
-  CKPT_READ(r, ctx_count);
+  CkptRead(r, ctx_count);
   if (ctx_count != ctx_.size()) {
-    return FailedPreconditionError("net restore: lane context count mismatch");
+    return r.Fail(FailedPreconditionError("net restore: lane context count mismatch"));
   }
   for (LaneCtx& ctx : ctx_) {
-    CKPT_READ(r, ctx);
+    CkptRead(r, ctx);
   }
   min_wired_dirty_ = true;
-  return OkStatus();
 }
 
 void Network::OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,

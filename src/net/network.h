@@ -262,7 +262,7 @@ class Network : public EventSink {
   // In-flight kFrame deliveries live in the simulator's queues, not here; batch
   // flush handles are re-captured via OnEventRestored. Control context only.
   Status SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
  private:
   struct NodeState {

@@ -138,10 +138,6 @@ void PredictionEngine::SaveState(ByteWriter& w) const {
   StateFields(*this, CkptWriter(w));
 }
 
-Status PredictionEngine::LoadState(ByteReader& r) {
-  CkptReader in(r);
-  StateFields(*this, in);
-  return in.status();
-}
+void PredictionEngine::LoadState(ByteReader& r) { StateFields(*this, CkptReader(r)); }
 
 }  // namespace presto

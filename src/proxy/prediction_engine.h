@@ -87,7 +87,7 @@ class PredictionEngine {
   // Checkpoint codec: training history, the fitted model (full precision), fit
   // bookkeeping and the push-rate window.
   void SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
  private:
   template <class Self, class F>

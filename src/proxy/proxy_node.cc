@@ -942,16 +942,12 @@ void ProxyNode::HandleStateSnapshot(const Message& message) {
   NodeId sensor_id = 0;
   std::vector<Sample> samples;
   double tolerance = 0.0;
-  const Status parsed = [&]() -> Status {
-    CKPT_READ(r, sensor_id);
-    CKPT_READ(r, samples);
-    CKPT_READ(r, tolerance);
-    return OkStatus();
-  }();
-  (void)tolerance;  // informational; the receiver keeps its own default_tolerance
-  if (!parsed.ok()) {
+  CkptRead(r, sensor_id);
+  CkptRead(r, samples);
+  CkptRead(r, tolerance);  // informational; the receiver keeps its own default_tolerance
+  if (!r.ok()) {
     PLOG_WARN("proxy %u: bad state snapshot: %s", config_.id,
-              parsed.ToString().c_str());
+              r.status().ToString().c_str());
     return;
   }
   SensorState* target = FindSensor(sensor_id);
@@ -962,14 +958,14 @@ void ProxyNode::HandleStateSnapshot(const Message& message) {
   for (const Sample& s : samples) {
     sensor.cache.Insert(s.t, s.value, CacheSource::kPushed, sim_->Now());
   }
-  auto model = LoadModelState(r, config_.engine.model_config);
-  if (!model.ok()) {
+  std::unique_ptr<PredictiveModel> model = LoadModelState(r, config_.engine.model_config);
+  if (!r.ok()) {
     PLOG_WARN("proxy %u: snapshot model restore failed: %s", config_.id,
-              model.status().ToString().c_str());
+              r.status().ToString().c_str());
     return;
   }
-  if (*model != nullptr) {
-    sensor.engine.InstallModel(std::move(*model));
+  if (model != nullptr) {
+    sensor.engine.InstallModel(std::move(model));
   }
 }
 
@@ -1008,39 +1004,45 @@ Status ProxyNode::SaveState(ByteWriter& w) const {
 // The sensor states are built from this proxy's config and indexed, and the pulls
 // keyed by id, so those two tables read element-wise; every record and the rest
 // read through the same lists SaveState writes.
-Status ProxyNode::LoadState(ByteReader& r) {
-  CKPT_READ(r, lane_);
-  CKPT_READ(r, maintenance_timer_);
-  auto sensor_count = r.ReadVarU64();
-  if (!sensor_count.ok()) {
-    return sensor_count.status();
+void ProxyNode::LoadState(ByteReader& r) {
+  CkptRead(r, lane_);
+  CkptRead(r, maintenance_timer_);
+  const uint64_t sensor_count = r.ReadVarU64();
+  if (!r.ok()) {
+    return;
   }
-  if (*sensor_count > r.remaining()) {
-    return DataLossError("proxy restore: sensor count exceeds section bytes");
+  if (sensor_count > r.remaining()) {
+    return r.Fail(DataLossError("proxy restore: sensor count exceeds section bytes"));
   }
   sensors_.clear();
   sensor_index_.Clear();
-  for (uint64_t i = 0; i < *sensor_count; ++i) {
+  for (uint64_t i = 0; i < sensor_count; ++i) {
     auto sensor =
         std::make_unique<SensorState>(0, Seconds(31), config_.engine, config_.matcher);
-    CKPT_READ(r, *sensor);
+    CkptRead(r, *sensor);
+    if (!r.ok()) {
+      return;
+    }
     const NodeId id = sensor->id;
     if (!AddSensorState(std::move(sensor))) {
-      return DataLossError("proxy restore: duplicate sensor " + std::to_string(id));
+      return r.Fail(
+          DataLossError("proxy restore: duplicate sensor " + std::to_string(id)));
     }
   }
   std::vector<PendingPull> pulls;
-  CKPT_READ(r, pulls);
+  CkptRead(r, pulls);
+  if (!r.ok()) {
+    return;
+  }
   pending_pulls_.clear();
   for (PendingPull& pull : pulls) {
     const uint32_t id = pull.id;
     pending_pulls_.emplace(id, std::move(pull));
   }
-  CKPT_READ(r, backfill_queue_);
-  CKPT_READ(r, backfill_drain_pending_);
-  CKPT_READ(r, next_pull_id_);
-  CKPT_READ(r, stats_);
-  return OkStatus();
+  CkptRead(r, backfill_queue_);
+  CkptRead(r, backfill_drain_pending_);
+  CkptRead(r, next_pull_id_);
+  CkptRead(r, stats_);
 }
 
 }  // namespace presto

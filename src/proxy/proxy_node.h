@@ -238,7 +238,7 @@ class ProxyNode : public NetNode, public EventSink {
   // expects a freshly constructed proxy with the same config; pull-timeout handles
   // are re-captured via OnEventRestored.
   Status SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
   // Introspection for benches and the unified store.
   const ProxyStats& stats() const { return stats_; }

@@ -76,10 +76,6 @@ void QuerySensorMatcher::SaveState(ByteWriter& w) const {
   StateFields(*this, CkptWriter(w));
 }
 
-Status QuerySensorMatcher::LoadState(ByteReader& r) {
-  CkptReader in(r);
-  StateFields(*this, in);
-  return in.status();
-}
+void QuerySensorMatcher::LoadState(ByteReader& r) { StateFields(*this, CkptReader(r)); }
 
 }  // namespace presto

@@ -80,7 +80,7 @@ class QuerySensorMatcher {
 
   // Checkpoint codec: the query profile window and the applied-config snapshot.
   void SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
  private:
   template <class Self, class F>

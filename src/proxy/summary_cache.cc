@@ -201,19 +201,21 @@ void SummaryCache::SaveState(ByteWriter& w) const {
   CkptWrite(w, stats_);
 }
 
-Status SummaryCache::LoadState(ByteReader& r) {
+void SummaryCache::LoadState(ByteReader& r) {
   std::vector<Slot> slots;
-  CKPT_READ(r, slots);
+  CkptRead(r, slots);
+  if (!r.ok()) {
+    return;
+  }
   for (size_t i = 1; i < slots.size(); ++i) {
     if (slots[i].t <= slots[i - 1].t) {
-      return DataLossError("ckpt: summary-cache keys not strictly ascending");
+      return r.Fail(DataLossError("ckpt: summary-cache keys not strictly ascending"));
     }
   }
   slots_ = std::move(slots);
   head_ = 0;
   last_insert_ = 0;
-  CKPT_READ(r, stats_);
-  return OkStatus();
+  CkptRead(r, stats_);
 }
 
 }  // namespace presto

@@ -182,7 +182,7 @@ class SummaryCache {
 
   // Checkpoint codec: entries with provenance, plus stats (max_entries_ is config).
   void SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
  private:
   Iter live_begin() const { return slots_.begin() + static_cast<ptrdiff_t>(head_); }

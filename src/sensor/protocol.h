@@ -231,7 +231,10 @@ template <class M>
 Result<M> DecodeMsg(span<const uint8_t> bytes) {
   ByteReader r(bytes);
   M msg;
-  PRESTO_RETURN_IF_ERROR(CkptRead(r, msg));
+  CkptRead(r, msg);
+  if (!r.ok()) {
+    return r.status();
+  }
   if (!r.AtEnd()) {
     return DataLossError("protocol: trailing bytes after message");
   }

@@ -315,10 +315,6 @@ namespace presto {
 
 void SensorNode::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
-Status SensorNode::LoadState(ByteReader& r) {
-  CkptReader in(r);
-  StateFields(*this, in);
-  return in.status();
-}
+void SensorNode::LoadState(ByteReader& r) { StateFields(*this, CkptReader(r)); }
 
 }  // namespace presto

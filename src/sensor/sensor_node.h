@@ -124,7 +124,7 @@ class SensorNode : public NetNode {
   // Checkpoint codec: proxy-tunable config fields, flash + archive + clock, timers,
   // the installed model (full precision), batch buffer, push state, meter and stats.
   void SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
   const Stats& stats() const { return stats_; }
   const EnergyMeter& meter() const { return meter_; }

@@ -479,37 +479,33 @@ Status Simulator::SaveState(ByteWriter& w) const {
   return OkStatus();
 }
 
-Status Simulator::LoadState(ByteReader& r) {
+void Simulator::LoadState(ByteReader& r) {
   PRESTO_CHECK_MSG(CurrentLane() == kLaneControl, "restore only from control context");
   uint64_t lane_count = 0;
   uint64_t sink_count = 0;
-  CKPT_READ(r, lane_count);
-  CKPT_READ(r, sink_count);
+  CkptRead(r, lane_count);
+  CkptRead(r, sink_count);
   if (lane_count != lanes_.size()) {
-    return FailedPreconditionError(
+    return r.Fail(FailedPreconditionError(
         "restore: lane configuration mismatch (checkpoint has " +
         std::to_string(lane_count) + " lanes, simulator has " +
-        std::to_string(lanes_.size()) + ")");
+        std::to_string(lanes_.size()) + ")"));
   }
   if (sink_count != sinks_.size()) {
-    return FailedPreconditionError(
+    return r.Fail(FailedPreconditionError(
         "restore: sink table mismatch (checkpoint has " + std::to_string(sink_count) +
         " sinks, simulator has " + std::to_string(sinks_.size()) +
-        "; construction order must match the saving run)");
+        "; construction order must match the saving run)"));
   }
   Duration epoch = 0;
-  CKPT_READ(r, epoch);
+  CkptRead(r, epoch);
   if (epoch <= 0) {
-    return DataLossError("restore: invalid epoch");
+    return r.Fail(DataLossError("restore: invalid epoch"));
   }
   epoch_ = epoch;
-  CKPT_READ(r, epoch_anchor_);
-  CKPT_READ(r, global_now_);
-  auto barrier_hash = r.ReadU64();
-  if (!barrier_hash.ok()) {
-    return barrier_hash.status();
-  }
-  barrier_hash_ = *barrier_hash;
+  CkptRead(r, epoch_anchor_);
+  CkptRead(r, global_now_);
+  CkptRead(r, CkptFixed(barrier_hash_));
   // Restored events to announce once every lane's queues are rebuilt.
   struct Restored {
     int lane;
@@ -518,74 +514,79 @@ Status Simulator::LoadState(ByteReader& r) {
     uint32_t slot;
   };
   std::vector<Restored> announce;
-  for (size_t li = 0; li < lanes_.size(); ++li) {
+  for (size_t li = 0; li < lanes_.size() && r.ok(); ++li) {
     Lane& lane = lanes_[li];
     // Discard construction-time residue: the restoring run rebuilds queues from the
     // checkpoint; handle-holders re-capture via OnEventRestored below.
     lane.pool.clear();
     lane.free_slots.clear();
     lane.queue = std::priority_queue<QueueEntry, std::vector<QueueEntry>, Later>();
-    CKPT_READ(r, lane.now);
-    CKPT_READ(r, lane.next_seq);
-    CKPT_READ(r, lane.executed);
-    auto fp = r.ReadU64();
-    if (!fp.ok()) {
-      return fp.status();
-    }
-    lane.fp = *fp;
+    CkptRead(r, lane.now);
+    CkptRead(r, lane.next_seq);
+    CkptRead(r, lane.executed);
+    CkptRead(r, CkptFixed(lane.fp));
     uint64_t pending = 0;
-    CKPT_READ(r, pending);
-    for (uint64_t i = 0; i < pending; ++i) {
+    CkptRead(r, pending);
+    for (uint64_t i = 0; i < pending && r.ok(); ++i) {
       SimTime time = 0;
       uint64_t seq = 0;
       EventKind kind = EventKind::kTimer;
       uint64_t sink_id = 0;
-      CKPT_READ(r, time);
-      CKPT_READ(r, seq);
+      CkptRead(r, time);
+      CkptRead(r, seq);
       // Event kinds are a closed set: a record naming any other kind (a corrupt
       // file, or a peer's bytes) is refused here, not at dispatch in a sink.
-      CKPT_READ(r, kind);
-      CKPT_READ(r, sink_id);
+      CkptRead(r, kind);
+      CkptRead(r, sink_id);
+      if (!r.ok()) {
+        return;
+      }
       if (sink_id >= sinks_.size()) {
-        return DataLossError("restore: invalid event record in lane " +
-                             std::to_string(li));
+        return r.Fail(
+            DataLossError("restore: invalid event record in lane " + std::to_string(li)));
       }
       const uint32_t slot = static_cast<uint32_t>(lane.pool.size());
       lane.pool.emplace_back();
       Event& event = lane.pool[slot];
       event.kind = kind;
       event.sink = sinks_[sink_id];
-      CKPT_READ(r, event.payload);
+      CkptRead(r, event.payload);
       // Original (time, seq): same-time tie-break order is part of the replay
       // contract, so events re-enter with the seqs they were scheduled under.
       lane.queue.push(QueueEntry{time, seq, slot, event.gen});
       announce.push_back(Restored{static_cast<int>(li), time, kind, slot});
     }
     uint64_t box_count = 0;
-    CKPT_READ(r, box_count);
+    CkptRead(r, box_count);
     if (box_count != lane.inbox.size()) {
-      return DataLossError("restore: mailbox table mismatch in lane " +
-                           std::to_string(li));
+      return r.Fail(
+          DataLossError("restore: mailbox table mismatch in lane " + std::to_string(li)));
     }
     for (std::vector<Mail>& box : lane.inbox) {
       box.clear();
       uint64_t mail_count = 0;
-      CKPT_READ(r, mail_count);
-      for (uint64_t i = 0; i < mail_count; ++i) {
+      CkptRead(r, mail_count);
+      for (uint64_t i = 0; i < mail_count && r.ok(); ++i) {
         Mail mail{};
         uint64_t sink_id = 0;
-        CKPT_READ(r, mail.time);
-        CKPT_READ(r, mail.kind);
-        CKPT_READ(r, sink_id);
+        CkptRead(r, mail.time);
+        CkptRead(r, mail.kind);
+        CkptRead(r, sink_id);
+        if (!r.ok()) {
+          return;
+        }
         if (sink_id >= sinks_.size()) {
-          return DataLossError("restore: invalid mailbox record in lane " +
-                               std::to_string(li));
+          return r.Fail(DataLossError("restore: invalid mailbox record in lane " +
+                                      std::to_string(li)));
         }
         mail.sink = sinks_[sink_id];
-        CKPT_READ(r, mail.payload);
+        CkptRead(r, mail.payload);
         box.push_back(std::move(mail));
       }
     }
+  }
+  if (!r.ok()) {
+    return;
   }
   for (const Restored& item : announce) {
     Lane& lane = lanes_[static_cast<size_t>(item.lane)];
@@ -595,7 +596,6 @@ Status Simulator::LoadState(ByteReader& r) {
                                 EventHandle(this, item.lane, item.slot, event.gen),
                                 external_lane);
   }
-  return OkStatus();
 }
 
 size_t Simulator::PoolSlotsForTest(int lane) const {

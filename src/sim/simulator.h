@@ -258,7 +258,7 @@ class Simulator {
   // events re-enter their pools with their original (time, seq) keys and each is
   // announced via OnEventRestored. Call after every subsystem's own LoadState, so
   // re-captured handles land in fully restored objects.
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
  private:
   struct QueueEntry {

@@ -77,11 +77,9 @@ void PeriodicTimer::ScheduleNext(Duration delay) {
 
 void PeriodicTimer::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
-Status PeriodicTimer::LoadState(ByteReader& r) {
+void PeriodicTimer::LoadState(ByteReader& r) {
   pending_ = EventHandle();  // stale pre-restore handle: drop without cancelling
-  CkptReader in(r);
-  StateFields(*this, in);
-  return in.status();
+  StateFields(*this, CkptReader(r));
 }
 
 void PeriodicTimer::OnEventRestored(SimTime t, EventKind kind,

@@ -56,7 +56,7 @@ class PeriodicTimer : public EventSink {
   // itself lives in the simulator's queue; LoadState drops the stale handle and
   // OnEventRestored re-captures it when the engine restores the kTimer event.
   void SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
   void OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
                        const EventHandle& handle, int lane) override;
 

@@ -32,54 +32,48 @@ void ByteWriter::Reallocate(size_t capacity) {
   buffer_.reserve(capacity);
 }
 
-Status ByteReader::Exhausted() { return OutOfRangeError("ByteReader: buffer exhausted"); }
+void ByteReader::Fail(Status why) {
+  if (ok()) {
+    status_ = std::move(why);
+  }
+  pos_ = data_.size();
+}
 
-Result<uint64_t> ByteReader::ReadLongVarU64() {
+void ByteReader::FailShort(const char* message) {
+  if (ok()) {
+    Fail(OutOfRangeError(message));
+  }
+}
+
+uint64_t ByteReader::ReadLongVarU64() {
   uint64_t v = 0;
-  int shift = 0;
-  while (true) {
+  for (int shift = 0;; shift += 7) {
     if (pos_ == data_.size()) {
-      return OutOfRangeError("ByteReader: truncated varint");
-    }
-    if (shift >= 64) {
-      return InvalidArgumentError("ByteReader: varint too long");
+      FailShort("ByteReader: truncated varint");
+      return 0;
     }
     const uint8_t byte = data_[pos_++];
+    // The tenth byte holds bit 63 alone: anything more would not fit a uint64_t.
+    if (shift == 63 && byte > 1) {
+      Fail(InvalidArgumentError("ByteReader: varint too long"));
+      return 0;
+    }
     v |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) {
       return v;
     }
-    shift += 7;
   }
 }
 
-Result<span<const uint8_t>> ByteReader::ReadByteSpan() {
-  auto len = ReadVarU64();
-  if (!len.ok()) {
-    return len.status();
+span<const uint8_t> ByteReader::ReadByteSpan() {
+  const uint64_t len = ReadVarU64();
+  if (remaining() < len) {
+    FailShort("ByteReader: truncated byte array");
+    return span<const uint8_t>();
   }
-  if (remaining() < *len) {
-    return OutOfRangeError("ByteReader: truncated byte array");
-  }
-  const span<const uint8_t> out = data_.subspan(pos_, static_cast<size_t>(*len));
-  pos_ += static_cast<size_t>(*len);
+  const span<const uint8_t> out = data_.subspan(pos_, static_cast<size_t>(len));
+  pos_ += static_cast<size_t>(len);
   return out;
-}
-
-Result<std::vector<uint8_t>> ByteReader::ReadBytes() {
-  auto bytes = ReadByteSpan();
-  if (!bytes.ok()) {
-    return bytes.status();
-  }
-  return std::vector<uint8_t>(bytes->begin(), bytes->end());
-}
-
-Result<std::string> ByteReader::ReadString() {
-  auto bytes = ReadByteSpan();
-  if (!bytes.ok()) {
-    return bytes.status();
-  }
-  return std::string(reinterpret_cast<const char*>(bytes->data()), bytes->size());
 }
 
 }  // namespace presto

@@ -14,7 +14,16 @@
 //     is zero-filled at most 4 KiB past the written bytes, so capacity a writer never
 //     fills costs no resident pages.
 //   - ByteReader's fixed-width and one-byte varint reads are a bounds check and a
-//     load; only the failure Status (and the multi-byte varint loop) is out of line.
+//     load; only the failure (and the multi-byte varint loop) is out of line.
+//
+// The failure rule, for every decoder. A ByteReader keeps its first failure: a short
+// read, a bad varint, or a semantic refusal its caller reports with Fail(). Every read
+// returns a plain value; once the reader has failed, each later read returns zero (or
+// empty) and consumes nothing, and Fail() keeps the first failure. A decoder therefore
+// reads straight through its fields and whoever owns the byte span checks status()
+// once at the end. The one care a decoder takes: a value read from the bytes that
+// sizes an allocation, indexes a table or bounds a loop is used only once ok() holds
+// (or after its own check against remaining()).
 
 #ifndef SRC_UTIL_BYTES_H_
 #define SRC_UTIL_BYTES_H_
@@ -155,61 +164,74 @@ class ByteWriter {
   size_t size_ = 0;
 };
 
-// Bounds-checked reader over a byte span. All reads return a Result; a short buffer is
-// an error, never undefined behaviour. The span must outlive the reader.
+// Bounds-checked reader over a byte span, under the failure rule above: a short
+// buffer is a failure, never undefined behaviour. The span must outlive the reader.
 class ByteReader {
  public:
   explicit ByteReader(span<const uint8_t> data) : data_(data) {}
 
-  Result<uint8_t> ReadU8() { return ReadFixed<uint8_t, uint8_t>(); }
-  Result<uint16_t> ReadU16() { return ReadFixed<uint16_t, uint16_t>(); }
-  Result<uint32_t> ReadU32() { return ReadFixed<uint32_t, uint32_t>(); }
-  Result<uint64_t> ReadU64() { return ReadFixed<uint64_t, uint64_t>(); }
-  Result<int64_t> ReadI64() { return ReadFixed<int64_t, uint64_t>(); }
-  Result<float> ReadF32() { return ReadFixed<float, uint32_t>(); }
-  Result<double> ReadF64() { return ReadFixed<double, uint64_t>(); }
-  Result<uint64_t> ReadVarU64() {
+  uint8_t ReadU8() { return ReadFixed<uint8_t, uint8_t>(); }
+  uint16_t ReadU16() { return ReadFixed<uint16_t, uint16_t>(); }
+  uint32_t ReadU32() { return ReadFixed<uint32_t, uint32_t>(); }
+  uint64_t ReadU64() { return ReadFixed<uint64_t, uint64_t>(); }
+  int64_t ReadI64() { return ReadFixed<int64_t, uint64_t>(); }
+  float ReadF32() { return ReadFixed<float, uint32_t>(); }
+  double ReadF64() { return ReadFixed<double, uint64_t>(); }
+  uint64_t ReadVarU64() {
     if (pos_ < data_.size() && data_[pos_] < 0x80) {
       return data_[pos_++];
     }
     return ReadLongVarU64();
   }
-  Result<int64_t> ReadVarI64() {
-    auto zigzag = ReadVarU64();
-    if (!zigzag.ok()) {
-      return zigzag.status();
-    }
-    return static_cast<int64_t>((*zigzag >> 1) ^ (~(*zigzag & 1) + 1));
+  int64_t ReadVarI64() {
+    const uint64_t zigzag = ReadVarU64();
+    return static_cast<int64_t>((zigzag >> 1) ^ (~(zigzag & 1) + 1));
   }
-  Result<std::vector<uint8_t>> ReadBytes();
+  std::vector<uint8_t> ReadBytes() {
+    const span<const uint8_t> bytes = ReadByteSpan();
+    return std::vector<uint8_t>(bytes.begin(), bytes.end());
+  }
   // ReadBytes without the copy: a view into the reader's data.
-  Result<span<const uint8_t>> ReadByteSpan();
-  Result<std::string> ReadString();
+  span<const uint8_t> ReadByteSpan();
+  std::string ReadString() {
+    const span<const uint8_t> bytes = ReadByteSpan();
+    return std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  }
+
+  // The first failure wins: a later Fail() (or failed read) keeps it. Failing moves
+  // the reader to its end, so nothing more is consumed.
+  bool ok() const { return status_.ok(); }
+  const Status& status() const { return status_; }
+  void Fail(Status why);
 
   size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }
 
  private:
-  // A T whose little-endian bits are the next sizeof(Bits) bytes.
+  // A T whose little-endian bits are the next sizeof(Bits) bytes, or zero.
   template <typename T, typename Bits>
-  Result<T> ReadFixed() {
+  T ReadFixed() {
     static_assert(sizeof(T) == sizeof(Bits));
-    if (remaining() < sizeof(Bits)) {
-      return Exhausted();
+    Bits bits = 0;
+    if (remaining() >= sizeof(Bits)) {
+      bits = LoadLe<Bits>(data_.data() + pos_);
+      pos_ += sizeof(Bits);
+    } else {
+      FailShort("ByteReader: buffer exhausted");
     }
-    const Bits bits = LoadLe<Bits>(data_.data() + pos_);
-    pos_ += sizeof(Bits);
     T v;
     std::memcpy(&v, &bits, sizeof(v));
     return v;
   }
 
   // The varint loop, for a varint of two or more bytes or a read at the end.
-  Result<uint64_t> ReadLongVarU64();
-  static Status Exhausted();
+  uint64_t ReadLongVarU64();
+  // Fails as OutOfRange with `message`, built only for the first failure.
+  void FailShort(const char* message);
 
   span<const uint8_t> data_;
   size_t pos_ = 0;
+  Status status_;
 };
 
 }  // namespace presto

@@ -15,6 +15,58 @@ bool Keeps(const Checkpoint::SectionFilter& keep, const std::string& name) {
 
 }  // namespace
 
+void CkptRefuse(ByteReader& r, uint64_t raw, const char* what) {
+  r.Fail(DataLossError("ckpt: value " + std::to_string(raw) + " " + what));
+}
+
+void CkptRefuse(ByteReader& r, int64_t raw, const char* what) {
+  r.Fail(DataLossError("ckpt: value " + std::to_string(raw) + " " + what));
+}
+
+void CkptRefuseBool(ByteReader& r, uint8_t byte) {
+  r.Fail(DataLossError("ckpt: bool byte " + std::to_string(byte) + " is not 0 or 1"));
+}
+
+void CkptRefuseCount(ByteReader& r, const char* what) {
+  r.Fail(DataLossError(std::string("ckpt: ") + what + " length exceeds section bytes"));
+}
+
+void CkptRead(ByteReader& r, Status& v) {
+  const uint64_t code = r.ReadVarU64();
+  if (code > static_cast<uint64_t>(StatusCode::kInternal)) {
+    return r.Fail(DataLossError("ckpt: status code out of range"));
+  }
+  std::string message = r.ReadString();
+  CkptSet(r, v, Status(static_cast<StatusCode>(code), std::move(message)));
+}
+
+void CkptRead(ByteReader& r, Pcg32& rng) {
+  Pcg32::State s;
+  s.state = r.ReadU64();
+  s.inc = r.ReadU64();
+  CkptRead(r, s.has_cached_gaussian);
+  s.cached_gaussian = r.ReadF64();
+  if (r.ok()) {
+    rng.LoadState(s);
+  }
+}
+
+void CkptRead(ByteReader& r, SampleSet& s) {
+  const uint64_t count = CkptReadCount(r, "sample-set");
+  if (!r.ok()) {
+    return;
+  }
+  s = SampleSet();
+  s.Reserve(static_cast<size_t>(count));
+  for (uint64_t i = 0; i < count; ++i) {
+    const double x = r.ReadF64();
+    if (!r.ok()) {
+      return;
+    }
+    s.Add(x);
+  }
+}
+
 void Checkpoint::Add(const std::string& name, std::vector<uint8_t> payload) {
   auto it = index_.find(name);
   if (it != index_.end()) {
@@ -89,41 +141,27 @@ std::vector<uint8_t> Checkpoint::Encode(const SectionFilter& keep) const {
 
 Result<Checkpoint> Checkpoint::Decode(span<const uint8_t> data) {
   ByteReader r(data);
-  auto magic = r.ReadU32();
-  if (!magic.ok() || *magic != kSnapshotMagic) {
+  if (r.ReadU32() != kSnapshotMagic) {
     return DataLossError("ckpt: bad snapshot magic");
   }
-  auto version = r.ReadU32();
-  if (!version.ok()) {
-    return version.status();
+  const uint32_t version = r.ReadU32();
+  if (r.ok() && version != kVersion) {
+    return InvalidArgumentError("ckpt: unsupported version " + std::to_string(version));
   }
-  if (*version != kVersion) {
-    return InvalidArgumentError("ckpt: unsupported version " +
-                                std::to_string(*version));
-  }
-  auto count = r.ReadVarU64();
-  if (!count.ok()) {
-    return count.status();
-  }
+  const uint64_t count = r.ReadVarU64();
   Checkpoint out;
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto name = r.ReadString();
-    if (!name.ok()) {
-      return name.status();
-    }
+  for (uint64_t i = 0; i < count && r.ok(); ++i) {
+    std::string name = r.ReadString();
     // Verified in place: only a good payload is copied out of `data`.
-    auto payload = r.ReadByteSpan();
-    if (!payload.ok()) {
-      return payload.status();
+    const span<const uint8_t> payload = r.ReadByteSpan();
+    const uint64_t checksum = r.ReadU64();
+    if (r.ok() && CkptChecksum(payload) != checksum) {
+      return DataLossError("ckpt: checksum mismatch in section '" + name + "'");
     }
-    auto checksum = r.ReadU64();
-    if (!checksum.ok()) {
-      return checksum.status();
-    }
-    if (CkptChecksum(*payload) != *checksum) {
-      return DataLossError("ckpt: checksum mismatch in section '" + *name + "'");
-    }
-    out.Add(*name, std::vector<uint8_t>(payload->begin(), payload->end()));
+    out.Add(name, std::vector<uint8_t>(payload.begin(), payload.end()));
+  }
+  if (!r.ok()) {
+    return r.status();
   }
   return out;
 }
@@ -162,36 +200,25 @@ std::vector<uint8_t> Checkpoint::EncodeDiffFrom(const Checkpoint& base) const {
 Result<Checkpoint> Checkpoint::ApplyDiff(const Checkpoint& base,
                                          span<const uint8_t> diff) {
   ByteReader r(diff);
-  auto magic = r.ReadU32();
-  if (!magic.ok() || *magic != kDiffMagic) {
+  if (r.ReadU32() != kDiffMagic) {
     return DataLossError("ckpt: bad diff magic");
   }
-  auto version = r.ReadU32();
-  if (!version.ok()) {
-    return version.status();
-  }
-  if (*version != kVersion) {
+  const uint32_t version = r.ReadU32();
+  if (r.ok() && version != kVersion) {
     return InvalidArgumentError("ckpt: unsupported diff version " +
-                                std::to_string(*version));
+                                std::to_string(version));
   }
-  auto base_digest = r.ReadU64();
-  if (!base_digest.ok()) {
-    return base_digest.status();
-  }
-  if (*base_digest != base.Digest()) {
+  const uint64_t base_digest = r.ReadU64();
+  if (r.ok() && base_digest != base.Digest()) {
     return FailedPreconditionError("ckpt: diff base digest mismatch");
   }
-  auto removed_count = r.ReadVarU64();
-  if (!removed_count.ok()) {
-    return removed_count.status();
-  }
+  const uint64_t removed_count = r.ReadVarU64();
   std::map<std::string, bool> removed;
-  for (uint64_t i = 0; i < *removed_count; ++i) {
-    auto name = r.ReadString();
-    if (!name.ok()) {
-      return name.status();
-    }
-    removed[*name] = true;
+  for (uint64_t i = 0; i < removed_count && r.ok(); ++i) {
+    removed[r.ReadString()] = true;
+  }
+  if (!r.ok()) {
+    return r.status();
   }
   Checkpoint out;
   for (const Section& s : base.sections_) {
@@ -199,27 +226,18 @@ Result<Checkpoint> Checkpoint::ApplyDiff(const Checkpoint& base,
       out.Add(s.name, s.payload);
     }
   }
-  auto changed_count = r.ReadVarU64();
-  if (!changed_count.ok()) {
-    return changed_count.status();
+  const uint64_t changed_count = r.ReadVarU64();
+  for (uint64_t i = 0; i < changed_count && r.ok(); ++i) {
+    std::string name = r.ReadString();
+    std::vector<uint8_t> payload = r.ReadBytes();
+    const uint64_t checksum = r.ReadU64();
+    if (r.ok() && CkptChecksum(span<const uint8_t>(payload)) != checksum) {
+      return DataLossError("ckpt: checksum mismatch in diff section '" + name + "'");
+    }
+    out.Add(name, std::move(payload));
   }
-  for (uint64_t i = 0; i < *changed_count; ++i) {
-    auto name = r.ReadString();
-    if (!name.ok()) {
-      return name.status();
-    }
-    auto payload = r.ReadBytes();
-    if (!payload.ok()) {
-      return payload.status();
-    }
-    auto checksum = r.ReadU64();
-    if (!checksum.ok()) {
-      return checksum.status();
-    }
-    if (CkptChecksum(span<const uint8_t>(*payload)) != *checksum) {
-      return DataLossError("ckpt: checksum mismatch in diff section '" + *name + "'");
-    }
-    out.Add(*name, std::move(*payload));
+  if (!r.ok()) {
+    return r.status();
   }
   return out;
 }

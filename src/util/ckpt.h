@@ -13,7 +13,9 @@
 // SaveState/LoadState from: varint integers (zigzag when signed), fixed-width floats
 // (state must round-trip exactly — never re-quantize through the lossy wire formats),
 // strings, and recursively the standard containers. All reads are bounds-checked
-// through ByteReader; a truncated section is an error, never UB.
+// through ByteReader and follow its failure rule: a LoadState returns nothing, and the
+// loader that owns a section checks the reader's status once — a truncated section is
+// an error, never UB.
 
 #ifndef SRC_UTIL_CKPT_H_
 #define SRC_UTIL_CKPT_H_
@@ -48,22 +50,33 @@ inline uint64_t CkptChecksum(span<const uint8_t> bytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Generic field codec. CkptWrite(w, v) appends; CkptRead(r, v) parses into v and
-// returns a Status (bounds-checked, propagate with CKPT_READ).
+// Generic field codec. CkptWrite(w, v) appends; CkptRead(r, v) parses into v under
+// ByteReader's failure rule: a read that fails (short bytes, or a value the field
+// cannot take) fails the reader and leaves v as it was, and a read on a failed
+// reader leaves v alone too. The owner of the bytes checks r.status() once.
 // ---------------------------------------------------------------------------
+
+// Sets `field` to a value just read from `r`, unless that read failed.
+template <typename T, typename V>
+void CkptSet(const ByteReader& r, T& field, V&& value) {
+  if (r.ok()) {
+    field = std::forward<V>(value);
+  }
+}
+
+// Fails `r` with "ckpt: value <raw> <what>" — how a read refuses a decoded value.
+void CkptRefuse(ByteReader& r, uint64_t raw, const char* what);
+void CkptRefuse(ByteReader& r, int64_t raw, const char* what);
 
 inline void CkptWrite(ByteWriter& w, bool v) { w.WriteU8(v ? 1 : 0); }
 // A bool is one byte, 0 or 1; any other byte is data loss.
-inline Status CkptRead(ByteReader& r, bool& v) {
-  auto byte = r.ReadU8();
-  if (!byte.ok()) {
-    return byte.status();
+void CkptRefuseBool(ByteReader& r, uint8_t byte);
+inline void CkptRead(ByteReader& r, bool& v) {
+  const uint8_t byte = r.ReadU8();
+  if (byte > 1) {
+    return CkptRefuseBool(r, byte);
   }
-  if (*byte > 1) {
-    return DataLossError("ckpt: bool byte " + std::to_string(*byte) + " is not 0 or 1");
-  }
-  v = (*byte != 0);
-  return OkStatus();
+  CkptSet(r, v, byte != 0);
 }
 
 template <typename T,
@@ -79,16 +92,12 @@ template <typename T,
           std::enable_if_t<std::is_integral_v<T> && !std::is_same_v<T, bool> &&
                                std::is_unsigned_v<T>,
                            int> = 0>
-Status CkptRead(ByteReader& r, T& v) {
-  auto raw = r.ReadVarU64();
-  if (!raw.ok()) {
-    return raw.status();
+void CkptRead(ByteReader& r, T& v) {
+  const uint64_t raw = r.ReadVarU64();
+  if (static_cast<uint64_t>(static_cast<T>(raw)) != raw) {
+    return CkptRefuse(r, raw, "overflows its field");
   }
-  if (static_cast<uint64_t>(static_cast<T>(*raw)) != *raw) {
-    return DataLossError("ckpt: value " + std::to_string(*raw) + " overflows its field");
-  }
-  v = static_cast<T>(*raw);
-  return OkStatus();
+  CkptSet(r, v, static_cast<T>(raw));
 }
 
 template <typename T,
@@ -98,16 +107,12 @@ void CkptWrite(ByteWriter& w, T v) {
 }
 template <typename T,
           std::enable_if_t<std::is_integral_v<T> && std::is_signed_v<T>, int> = 0>
-Status CkptRead(ByteReader& r, T& v) {
-  auto raw = r.ReadVarI64();
-  if (!raw.ok()) {
-    return raw.status();
+void CkptRead(ByteReader& r, T& v) {
+  const int64_t raw = r.ReadVarI64();
+  if (static_cast<int64_t>(static_cast<T>(raw)) != raw) {
+    return CkptRefuse(r, raw, "overflows its field");
   }
-  if (static_cast<int64_t>(static_cast<T>(*raw)) != *raw) {
-    return DataLossError("ckpt: value " + std::to_string(*raw) + " overflows its field");
-  }
-  v = static_cast<T>(*raw);
-  return OkStatus();
+  CkptSet(r, v, static_cast<T>(raw));
 }
 
 template <typename E, std::enable_if_t<std::is_enum_v<E>, int> = 0>
@@ -118,82 +123,40 @@ void CkptWrite(ByteWriter& w, E v) {
 // then name an enumerator: every serialized enum declares, next to its
 // definition, `constexpr bool CkptEnumValid(E v)` (its range, found by ADL).
 template <typename E, std::enable_if_t<std::is_enum_v<E>, int> = 0>
-Status CkptRead(ByteReader& r, E& v) {
+void CkptRead(ByteReader& r, E& v) {
   using U = std::underlying_type_t<E>;
-  auto raw = r.ReadVarU64();
-  if (!raw.ok()) {
-    return raw.status();
+  const uint64_t raw = r.ReadVarU64();
+  if (static_cast<uint64_t>(static_cast<U>(raw)) != raw) {
+    return CkptRefuse(r, raw, "overflows its field");
   }
-  if (static_cast<uint64_t>(static_cast<U>(*raw)) != *raw) {
-    return DataLossError("ckpt: value " + std::to_string(*raw) + " overflows its field");
-  }
-  const E e = static_cast<E>(static_cast<U>(*raw));
+  const E e = static_cast<E>(static_cast<U>(raw));
   if (!CkptEnumValid(e)) {
-    return DataLossError("ckpt: value " + std::to_string(*raw) + " names no enumerator");
+    return CkptRefuse(r, raw, "names no enumerator");
   }
-  v = e;
-  return OkStatus();
+  CkptSet(r, v, e);
 }
 
 inline void CkptWrite(ByteWriter& w, float v) { w.WriteF32(v); }
-inline Status CkptRead(ByteReader& r, float& v) {
-  auto raw = r.ReadF32();
-  if (!raw.ok()) {
-    return raw.status();
-  }
-  v = *raw;
-  return OkStatus();
-}
+inline void CkptRead(ByteReader& r, float& v) { CkptSet(r, v, r.ReadF32()); }
 
 inline void CkptWrite(ByteWriter& w, double v) { w.WriteF64(v); }
-inline Status CkptRead(ByteReader& r, double& v) {
-  auto raw = r.ReadF64();
-  if (!raw.ok()) {
-    return raw.status();
-  }
-  v = *raw;
-  return OkStatus();
-}
+inline void CkptRead(ByteReader& r, double& v) { CkptSet(r, v, r.ReadF64()); }
 
 inline void CkptWrite(ByteWriter& w, const std::string& v) { w.WriteString(v); }
-inline Status CkptRead(ByteReader& r, std::string& v) {
-  auto raw = r.ReadString();
-  if (!raw.ok()) {
-    return raw.status();
-  }
-  v = std::move(*raw);
-  return OkStatus();
-}
+inline void CkptRead(ByteReader& r, std::string& v) { CkptSet(r, v, r.ReadString()); }
 
 // Status round-trips by (code, message) — codes outside the enum are data loss.
 inline void CkptWrite(ByteWriter& w, const Status& v) {
   w.WriteVarU64(static_cast<uint64_t>(v.code()));
   w.WriteString(v.message());
 }
-inline Status CkptRead(ByteReader& r, Status& v) {
-  auto code = r.ReadVarU64();
-  if (!code.ok()) {
-    return code.status();
-  }
-  if (*code > static_cast<uint64_t>(StatusCode::kInternal)) {
-    return DataLossError("ckpt: status code out of range");
-  }
-  std::string message;
-  PRESTO_RETURN_IF_ERROR(CkptRead(r, message));
-  v = Status(static_cast<StatusCode>(*code), std::move(message));
-  return OkStatus();
-}
+void CkptRead(ByteReader& r, Status& v);
 
 inline void CkptWrite(ByteWriter& w, const std::vector<uint8_t>& v) {
   w.WriteBytes(span<const uint8_t>(v));
 }
-inline Status CkptRead(ByteReader& r, std::vector<uint8_t>& v) {
-  auto raw = r.ReadBytes();
-  if (!raw.ok()) {
-    return raw.status();
-  }
-  v = std::move(*raw);
-  return OkStatus();
+inline void CkptRead(ByteReader& r, std::vector<uint8_t>& v) {
+  CkptSet(r, v, r.ReadBytes());
 }
 
 // Exact generator state (PCG state + increment + the Box-Muller cache).
@@ -204,27 +167,7 @@ inline void CkptWrite(ByteWriter& w, const Pcg32& rng) {
   CkptWrite(w, s.has_cached_gaussian);
   w.WriteF64(s.cached_gaussian);
 }
-inline Status CkptRead(ByteReader& r, Pcg32& rng) {
-  Pcg32::State s;
-  auto state = r.ReadU64();
-  if (!state.ok()) {
-    return state.status();
-  }
-  auto inc = r.ReadU64();
-  if (!inc.ok()) {
-    return inc.status();
-  }
-  s.state = *state;
-  s.inc = *inc;
-  PRESTO_RETURN_IF_ERROR(CkptRead(r, s.has_cached_gaussian));
-  auto cached = r.ReadF64();
-  if (!cached.ok()) {
-    return cached.status();
-  }
-  s.cached_gaussian = *cached;
-  rng.LoadState(s);
-  return OkStatus();
-}
+void CkptRead(ByteReader& r, Pcg32& rng);
 
 // Exact raw samples; the lazily-sorted order is presentation state, not data.
 inline void CkptWrite(ByteWriter& w, const SampleSet& s) {
@@ -233,48 +176,24 @@ inline void CkptWrite(ByteWriter& w, const SampleSet& s) {
     w.WriteF64(x);
   }
 }
-inline Status CkptRead(ByteReader& r, SampleSet& s) {
-  auto count = r.ReadVarU64();
-  if (!count.ok()) {
-    return count.status();
-  }
-  if (*count > r.remaining()) {
-    return DataLossError("ckpt: sample-set length exceeds section bytes");
-  }
-  s = SampleSet();
-  s.Reserve(static_cast<size_t>(*count));
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto x = r.ReadF64();
-    if (!x.ok()) {
-      return x.status();
-    }
-    s.Add(*x);
-  }
-  return OkStatus();
-}
+void CkptRead(ByteReader& r, SampleSet& s);
 
 inline void CkptWrite(ByteWriter& w, const Sample& s) {
   CkptWrite(w, s.t);
   w.WriteF64(s.value);
 }
-inline Status CkptRead(ByteReader& r, Sample& s) {
-  PRESTO_RETURN_IF_ERROR(CkptRead(r, s.t));
-  auto value = r.ReadF64();
-  if (!value.ok()) {
-    return value.status();
-  }
-  s.value = *value;
-  return OkStatus();
+inline void CkptRead(ByteReader& r, Sample& s) {
+  CkptRead(r, s.t);
+  CkptRead(r, s.value);
 }
 
 inline void CkptWrite(ByteWriter& w, const TimeInterval& v) {
   CkptWrite(w, v.start);
   CkptWrite(w, v.end);
 }
-inline Status CkptRead(ByteReader& r, TimeInterval& v) {
-  PRESTO_RETURN_IF_ERROR(CkptRead(r, v.start));
-  PRESTO_RETURN_IF_ERROR(CkptRead(r, v.end));
-  return OkStatus();
+inline void CkptRead(ByteReader& r, TimeInterval& v) {
+  CkptRead(r, v.start);
+  CkptRead(r, v.end);
 }
 
 template <typename A, typename B>
@@ -283,10 +202,22 @@ void CkptWrite(ByteWriter& w, const std::pair<A, B>& v) {
   CkptWrite(w, v.second);
 }
 template <typename A, typename B>
-Status CkptRead(ByteReader& r, std::pair<A, B>& v) {
-  PRESTO_RETURN_IF_ERROR(CkptRead(r, v.first));
-  PRESTO_RETURN_IF_ERROR(CkptRead(r, v.second));
-  return OkStatus();
+void CkptRead(ByteReader& r, std::pair<A, B>& v) {
+  CkptRead(r, v.first);
+  CkptRead(r, v.second);
+}
+
+// A container's element count, checked against the bytes left (every element costs
+// at least one byte); 0 once the reader has failed. `what` names the container in
+// the refusal: "ckpt: <what> length exceeds section bytes".
+void CkptRefuseCount(ByteReader& r, const char* what);
+inline uint64_t CkptReadCount(ByteReader& r, const char* what) {
+  const uint64_t count = r.ReadVarU64();
+  if (count > r.remaining()) {
+    CkptRefuseCount(r, what);
+    return 0;
+  }
+  return count;
 }
 
 template <typename T>
@@ -297,22 +228,21 @@ void CkptWrite(ByteWriter& w, const std::vector<T>& v) {
   }
 }
 template <typename T>
-Status CkptRead(ByteReader& r, std::vector<T>& v) {
-  auto count = r.ReadVarU64();
-  if (!count.ok()) {
-    return count.status();
-  }
-  if (*count > r.remaining()) {  // every element costs >= 1 byte
-    return DataLossError("ckpt: vector length exceeds section bytes");
+void CkptRead(ByteReader& r, std::vector<T>& v) {
+  const uint64_t count = CkptReadCount(r, "vector");
+  if (!r.ok()) {
+    return;
   }
   v.clear();
-  v.reserve(static_cast<size_t>(*count));
-  for (uint64_t i = 0; i < *count; ++i) {
+  v.reserve(static_cast<size_t>(count));
+  for (uint64_t i = 0; i < count; ++i) {
     T item{};
-    PRESTO_RETURN_IF_ERROR(CkptRead(r, item));
+    CkptRead(r, item);
+    if (!r.ok()) {
+      return;
+    }
     v.push_back(std::move(item));
   }
-  return OkStatus();
 }
 
 template <typename T>
@@ -323,21 +253,20 @@ void CkptWrite(ByteWriter& w, const std::deque<T>& v) {
   }
 }
 template <typename T>
-Status CkptRead(ByteReader& r, std::deque<T>& v) {
-  auto count = r.ReadVarU64();
-  if (!count.ok()) {
-    return count.status();
-  }
-  if (*count > r.remaining()) {
-    return DataLossError("ckpt: deque length exceeds section bytes");
+void CkptRead(ByteReader& r, std::deque<T>& v) {
+  const uint64_t count = CkptReadCount(r, "deque");
+  if (!r.ok()) {
+    return;
   }
   v.clear();
-  for (uint64_t i = 0; i < *count; ++i) {
+  for (uint64_t i = 0; i < count; ++i) {
     T item{};
-    PRESTO_RETURN_IF_ERROR(CkptRead(r, item));
+    CkptRead(r, item);
+    if (!r.ok()) {
+      return;
+    }
     v.push_back(std::move(item));
   }
-  return OkStatus();
 }
 
 template <typename T, size_t N>
@@ -347,11 +276,10 @@ void CkptWrite(ByteWriter& w, const std::array<T, N>& v) {
   }
 }
 template <typename T, size_t N>
-Status CkptRead(ByteReader& r, std::array<T, N>& v) {
-  for (size_t i = 0; i < N; ++i) {
-    PRESTO_RETURN_IF_ERROR(CkptRead(r, v[i]));
+void CkptRead(ByteReader& r, std::array<T, N>& v) {
+  for (T& item : v) {
+    CkptRead(r, item);
   }
-  return OkStatus();
 }
 
 template <typename K, typename V>
@@ -363,23 +291,22 @@ void CkptWrite(ByteWriter& w, const std::map<K, V>& v) {
   }
 }
 template <typename K, typename V>
-Status CkptRead(ByteReader& r, std::map<K, V>& v) {
-  auto count = r.ReadVarU64();
-  if (!count.ok()) {
-    return count.status();
-  }
-  if (*count > r.remaining()) {
-    return DataLossError("ckpt: map length exceeds section bytes");
+void CkptRead(ByteReader& r, std::map<K, V>& v) {
+  const uint64_t count = CkptReadCount(r, "map");
+  if (!r.ok()) {
+    return;
   }
   v.clear();
-  for (uint64_t i = 0; i < *count; ++i) {
+  for (uint64_t i = 0; i < count; ++i) {
     K key{};
     V value{};
-    PRESTO_RETURN_IF_ERROR(CkptRead(r, key));
-    PRESTO_RETURN_IF_ERROR(CkptRead(r, value));
+    CkptRead(r, key);
+    CkptRead(r, value);
+    if (!r.ok()) {
+      return;
+    }
     v.emplace(std::move(key), std::move(value));
   }
-  return OkStatus();
 }
 
 // ---------------------------------------------------------------------------
@@ -412,25 +339,19 @@ class CkptWriter {
   ByteWriter& w_;
 };
 
-// The read direction: reads fields until the first failure, which status() keeps;
-// the fields after it are left alone.
+// The read direction: each field reads under the reader's failure rule, so the
+// fields after a failure are left alone.
 class CkptReader {
  public:
   explicit CkptReader(ByteReader& r) : r_(r) {}
-  // Forwarding, so a field may also be a read adapter built in the list. Out of
-  // line, so every list shares one body per field type instead of inlining the
-  // Status handling into each field of each list.
+  // Forwarding, so a field may also be a read adapter built in the list.
   template <typename T>
-  [[gnu::noinline]] void operator()(T&& v) {
-    if (status_.ok()) {
-      status_ = CkptRead(r_, v);
-    }
+  void operator()(T&& v) const {
+    CkptRead(r_, v);
   }
-  const Status& status() const { return status_; }
 
  private:
   ByteReader& r_;
-  Status status_;
 };
 
 template <typename T>
@@ -440,10 +361,8 @@ auto CkptWrite(ByteWriter& w, const T& v)
 }
 template <typename T>
 auto CkptRead(ByteReader& r, T& v)
-    -> decltype(CkptFields(v, std::declval<CkptReader&>()), Status()) {
-  CkptReader in(r);
-  CkptFields(v, in);
-  return in.status();
+    -> decltype(CkptFields(v, std::declval<CkptReader&>())) {
+  CkptFields(v, CkptReader(r));
 }
 
 // ---------------------------------------------------------------------------
@@ -499,8 +418,8 @@ void CkptWrite(ByteWriter& w, const CkptAs<kForm, const T>& a) {
   }
 }
 template <CkptForm kForm, typename T>
-Status CkptRead(ByteReader& r, const CkptAs<kForm, T>& a) {
-  auto raw = [&r] {
+void CkptRead(ByteReader& r, const CkptAs<kForm, T>& a) {
+  const auto raw = [&r] {
     if constexpr (kForm == CkptForm::kF32) {
       return r.ReadF32();
     } else if constexpr (kForm == CkptForm::kVarBits) {
@@ -515,11 +434,7 @@ Status CkptRead(ByteReader& r, const CkptAs<kForm, T>& a) {
       return r.ReadU64();
     }
   }();
-  if (!raw.ok()) {
-    return raw.status();
-  }
-  a.v = static_cast<T>(*raw);
-  return OkStatus();
+  CkptSet(r, a.v, static_cast<T>(raw));
 }
 
 // An object with its own SaveState/LoadState nests as one field.
@@ -530,12 +445,8 @@ auto CkptWrite(ByteWriter& w, const T& v)
 }
 template <typename T>
 auto CkptRead(ByteReader& r, T& v) -> decltype(v.LoadState(r)) {
-  return v.LoadState(r);
+  v.LoadState(r);
 }
-
-// Propagates a failed CkptRead out of a Status-returning LoadState.
-#define CKPT_READ(reader, field) \
-  PRESTO_RETURN_IF_ERROR(::presto::CkptRead((reader), (field)))
 
 // ---------------------------------------------------------------------------
 // Checkpoint container.

@@ -37,8 +37,8 @@ const char* StatusCodeName(StatusCode code);
 
 // A cheap value type describing the outcome of an operation. An OK status is its code
 // and a null pointer: building, copying, moving and destroying one touches no heap,
-// which matters because every codec read returns one inside its Result. The message
-// lives out of line, allocated only for a non-OK status with a non-empty message;
+// which matters because every ByteReader holds one and every decoder returns one. The
+// message lives out of line, allocated only for a non-OK status with a non-empty message;
 // message() is a shared empty string otherwise (so an OK status never carries text).
 class Status {
  public:

@@ -39,6 +39,21 @@ constexpr double ToMinutes(Duration d) { return static_cast<double>(d) / kMinute
 constexpr double ToHours(Duration d) { return static_cast<double>(d) / kHour; }
 constexpr double ToDays(Duration d) { return static_cast<double>(d) / kDay; }
 
+// Advances `t` by `n` steps of `step` (both decoded from bytes); false, with `t`
+// untouched, when the result would overflow SimTime — how a decoder bounds a time it
+// rebuilds from a count and a period or from a delta.
+inline bool AdvanceTime(SimTime& t, uint64_t n, Duration step) {
+  int64_t span = 0;
+  SimTime sum = 0;
+  if (n > static_cast<uint64_t>(INT64_MAX) ||
+      __builtin_mul_overflow(static_cast<int64_t>(n), step, &span) ||
+      __builtin_add_overflow(t, span, &sum)) {
+    return false;
+  }
+  t = sum;
+  return true;
+}
+
 // Renders a time as "Nd HH:MM:SS.mmm" for logs and tables.
 std::string FormatTime(SimTime t);
 

@@ -27,10 +27,14 @@ void WriteMagnitude(BitWriter* w, uint64_t v) {
   }
 }
 
+// 0 (never a written magnitude) when the bucket is too long for a uint64_t.
 uint64_t ReadMagnitude(BitReader* r) {
   const int bucket = r->ReadUnary();
   if (bucket == 0) {
     return 1;
+  }
+  if (bucket > 63) {
+    return 0;
   }
   return (1ULL << bucket) | r->ReadBits(bucket);
 }
@@ -130,77 +134,110 @@ std::vector<uint8_t> EncodeIrregularBatch(const std::vector<Sample>& samples) {
   return w.TakeBuffer();
 }
 
+// Every count and time below comes from the bytes, so each is bounded before use: a
+// count by the bytes its samples need, a grid's last time and each irregular delta by
+// SimTime's range, and a wavelet's levels and magnitudes by what its transform and a
+// uint64_t can hold.
 Result<DecodedBatch> DecodeBatch(span<const uint8_t> bytes) {
   ByteReader r(bytes);
-  auto format = r.ReadU8();
-  if (!format.ok()) {
+  const uint8_t format = r.ReadU8();
+  if (!r.ok()) {
     return InvalidArgumentError("codec: empty payload");
   }
-  auto count = r.ReadVarU64();
-  auto start = r.ReadI64();
-  auto period = r.ReadVarU64();
-  if (!count.ok() || !start.ok() || !period.ok()) {
+  const uint64_t count = r.ReadVarU64();
+  const int64_t start = r.ReadI64();
+  const uint64_t period = r.ReadVarU64();
+  if (!r.ok()) {
     return InvalidArgumentError("codec: truncated batch header");
   }
   DecodedBatch out;
-  out.format = static_cast<BatchFormat>(*format);
-  out.start = *start;
-  out.period = static_cast<Duration>(*period);
+  out.format = static_cast<BatchFormat>(format);
+  out.start = start;
+  out.period = static_cast<Duration>(period);
+  // A grid format's (raw, wavelet) last sample time must be a SimTime too.
+  SimTime last = out.start;
+  const bool grid_fits =
+      out.period >= 0 && (count == 0 || AdvanceTime(last, count - 1, out.period));
 
-  if (*format == static_cast<uint8_t>(BatchFormat::kRaw)) {
+  if (format == static_cast<uint8_t>(BatchFormat::kRaw)) {
+    if (count > r.remaining() / 4) {
+      return InvalidArgumentError("codec: truncated raw batch");
+    }
+    if (!grid_fits) {
+      return InvalidArgumentError("codec: batch time overflows");
+    }
     std::vector<double> values;
-    values.reserve(*count);
-    for (uint64_t i = 0; i < *count; ++i) {
-      auto v = r.ReadF32();
-      if (!v.ok()) {
-        return InvalidArgumentError("codec: truncated raw batch");
-      }
-      values.push_back(static_cast<double>(*v));
+    values.reserve(count);
+    for (uint64_t i = 0; i < count; ++i) {
+      values.push_back(static_cast<double>(r.ReadF32()));
     }
     out.samples = GridSamples(out.start, out.period, values);
     return out;
   }
-  if (*format == static_cast<uint8_t>(BatchFormat::kIrregular)) {
+  if (format == static_cast<uint8_t>(BatchFormat::kIrregular)) {
+    if (count > r.remaining() / 5) {
+      return InvalidArgumentError("codec: truncated irregular batch");
+    }
     SimTime t = out.start;
-    for (uint64_t i = 0; i < *count; ++i) {
-      auto delta = r.ReadVarU64();
-      auto v = r.ReadF32();
-      if (!delta.ok() || !v.ok()) {
+    for (uint64_t i = 0; i < count; ++i) {
+      const uint64_t delta = r.ReadVarU64();
+      const float v = r.ReadF32();
+      if (!r.ok()) {
         return InvalidArgumentError("codec: truncated irregular batch");
       }
-      t += static_cast<Duration>(*delta) * kMillisecond;
-      out.samples.push_back(Sample{t, static_cast<double>(*v)});
+      if (!AdvanceTime(t, delta, kMillisecond)) {
+        return InvalidArgumentError("codec: batch time overflows");
+      }
+      out.samples.push_back(Sample{t, static_cast<double>(v)});
     }
     return out;
   }
-  if (*format != static_cast<uint8_t>(BatchFormat::kWavelet)) {
+  if (format != static_cast<uint8_t>(BatchFormat::kWavelet)) {
     return InvalidArgumentError("codec: unknown batch format");
   }
 
-  auto kind = r.ReadU8();
-  auto levels = r.ReadU8();
-  auto quant = r.ReadF32();
-  auto packed = r.ReadBytes();
-  if (!kind.ok() || !levels.ok() || !quant.ok() || !packed.ok()) {
+  const uint8_t kind = r.ReadU8();
+  const uint8_t levels = r.ReadU8();
+  const float quant = r.ReadF32();
+  const std::vector<uint8_t> packed = r.ReadBytes();
+  if (!r.ok()) {
     return InvalidArgumentError("codec: truncated wavelet header");
   }
-  if (*count == 0) {
+  if (count == 0) {
     return InvalidArgumentError("codec: empty wavelet batch");
   }
+  if (!CkptEnumValid(static_cast<WaveletKind>(kind))) {
+    return InvalidArgumentError("codec: unknown wavelet kind");
+  }
+  // Each padded coefficient costs at least its significance bit.
+  const size_t bit_count = 8 * packed.size();
+  const size_t padded = count > bit_count ? 0 : NextPowerOfTwo(count);
+  if (padded == 0 || padded > bit_count) {
+    return InvalidArgumentError("codec: wavelet batch longer than its bits");
+  }
+  if (levels >= 64 || (padded >> levels) == 0) {
+    return InvalidArgumentError("codec: wavelet levels exceed the batch");
+  }
+  if (!grid_fits) {
+    return InvalidArgumentError("codec: batch time overflows");
+  }
   DwtCoeffs coeffs;
-  coeffs.kind = static_cast<WaveletKind>(*kind);
-  coeffs.levels = *levels;
-  coeffs.original_length = *count;
-  coeffs.data.assign(NextPowerOfTwo(*count), 0.0);
+  coeffs.kind = static_cast<WaveletKind>(kind);
+  coeffs.levels = levels;
+  coeffs.original_length = count;
+  coeffs.data.assign(padded, 0.0);
 
-  BitReader bits(*packed);
+  BitReader bits(packed);
   for (double& c : coeffs.data) {
     if (bits.ReadBits(1) == 0) {
       continue;
     }
     const bool negative = bits.ReadBits(1) == 1;
     const uint64_t magnitude = ReadMagnitude(&bits);
-    const double value = static_cast<double>(magnitude) * static_cast<double>(*quant);
+    if (magnitude == 0) {
+      return InvalidArgumentError("codec: wavelet magnitude too long");
+    }
+    const double value = static_cast<double>(magnitude) * static_cast<double>(quant);
     c = negative ? -value : value;
   }
   out.samples = GridSamples(out.start, out.period, InverseDwt(coeffs));

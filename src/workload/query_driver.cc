@@ -50,10 +50,9 @@ uint64_t LatencyHistogram::Hash() const {
 
 void LatencyHistogram::SaveState(ByteWriter& w) const { CkptWrite(w, counts_); }
 
-Status LatencyHistogram::LoadState(ByteReader& r) {
-  CKPT_READ(r, counts_);
+void LatencyHistogram::LoadState(ByteReader& r) {
+  CkptRead(r, counts_);
   hash_valid_ = false;
-  return OkStatus();
 }
 
 std::string LatencyHistogram::ToString() const {
@@ -153,11 +152,9 @@ Status QueryDriver::SaveState(ByteWriter& w) const {
   return OkStatus();
 }
 
-Status QueryDriver::LoadState(ByteReader& r) {
+void QueryDriver::LoadState(ByteReader& r) {
   pending_ = EventHandle();  // re-captured via OnEventRestored
-  CkptReader in(r);
-  StateFields(*this, in);
-  return in.status();
+  StateFields(*this, CkptReader(r));
 }
 
 bool QueryDriver::Balanced(const std::vector<std::unique_ptr<QueryDriver>>& drivers,

@@ -102,7 +102,7 @@ class LatencyHistogram {
 
   // Checkpoint codec: bucket counts only (the memo rebuilds on demand).
   void SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
   friend bool operator==(const LatencyHistogram& a, const LatencyHistogram& b) {
     return a.counts_ == b.counts_;
@@ -196,7 +196,7 @@ class QueryDriver : public EventSink {
   // The pending-arrival event itself lives in the simulator's queue; LoadState
   // drops the stale handle and OnEventRestored re-captures it.
   Status SaveState(ByteWriter& w) const;
-  Status LoadState(ByteReader& r);
+  void LoadState(ByteReader& r);
 
  private:
   template <class Self, class F>

@@ -21,6 +21,7 @@
 #include "src/sensor/sensor_node.h"
 #include "src/util/ckpt.h"
 #include "src/workload/query_driver.h"
+#include "tests/read_status.h"
 
 namespace presto {
 namespace {
@@ -57,7 +58,7 @@ TEST(LatencyHistogramTest, HashIsOrderIndependentAndMemoInvalidates) {
   a.SaveState(w);
   LatencyHistogram restored;
   ByteReader r{span<const uint8_t>(w.buffer())};
-  ASSERT_TRUE(restored.LoadState(r).ok());
+  ASSERT_TRUE(ReadStatus(r, restored).ok());
   EXPECT_EQ(restored.Hash(), a.Hash());
   EXPECT_TRUE(restored == a);
 }
@@ -553,18 +554,20 @@ TEST(CkptEnumTest, OverflowingEnumVarintIsDataLoss) {
   w.WriteVarU64(257);
   AnswerSource source = AnswerSource::kFailed;
   ByteReader r{span<const uint8_t>(w.buffer())};
-  EXPECT_EQ(CkptRead(r, source).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(ReadStatus(r, source).code(), StatusCode::kDataLoss);
   EXPECT_EQ(source, AnswerSource::kFailed) << "a refused read leaves the value alone";
   // Integer fields follow the same rule (a queued network message's uint16_t type,
   // an int lane).
   ByteWriter wide;
   wide.WriteVarU64(70000);
-  wide.WriteVarI64(int64_t{1} << 40);
   ByteReader narrow{span<const uint8_t>(wide.buffer())};
   uint16_t type = 0;
-  EXPECT_EQ(CkptRead(narrow, type).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(ReadStatus(narrow, type).code(), StatusCode::kDataLoss);
+  ByteWriter wide_lane;
+  wide_lane.WriteVarI64(int64_t{1} << 40);
+  ByteReader narrow_lane{span<const uint8_t>(wide_lane.buffer())};
   int lane = 0;
-  EXPECT_EQ(CkptRead(narrow, lane).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(ReadStatus(narrow_lane, lane).code(), StatusCode::kDataLoss);
 
   // The same planted tag inside a QueryAnswer body (and so inside a pending store
   // query, a parked deployment result or trunk mail) fails the whole decode.
@@ -584,9 +587,9 @@ TEST(CkptEnumTest, OverflowingEnumVarintIsDataLoss) {
                good.buffer().end());
   QueryAnswer decoded;
   ByteReader body{span<const uint8_t>(bytes)};
-  EXPECT_EQ(CkptRead(body, decoded).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(ReadStatus(body, decoded).code(), StatusCode::kDataLoss);
   ByteReader intact{span<const uint8_t>(good.buffer())};
-  ASSERT_TRUE(CkptRead(intact, decoded).ok());
+  ASSERT_TRUE(ReadStatus(intact, decoded).ok());
   EXPECT_EQ(decoded.source, AnswerSource::kExtrapolated);
 }
 
@@ -607,19 +610,19 @@ TEST(CkptEnumTest, SensorSectionRejectsBadPolicyAndCodecKind) {
   ByteReader r{span<const uint8_t>(blob)};
   NodeId proxy_id = 0;
   Duration period = 0;
-  ASSERT_TRUE(CkptRead(r, proxy_id).ok());
-  ASSERT_TRUE(CkptRead(r, period).ok());
+  ASSERT_TRUE(ReadStatus(r, proxy_id).ok());
+  ASSERT_TRUE(ReadStatus(r, period).ok());
   const size_t policy_at = blob.size() - r.remaining();
   PushPolicy policy{};
   double value_delta = 0.0;
   double tolerance = 0.0;
   Duration batch_interval = 0;
   bool compress = false;
-  ASSERT_TRUE(CkptRead(r, policy).ok());
-  ASSERT_TRUE(CkptRead(r, value_delta).ok());
-  ASSERT_TRUE(CkptRead(r, tolerance).ok());
-  ASSERT_TRUE(CkptRead(r, batch_interval).ok());
-  ASSERT_TRUE(CkptRead(r, compress).ok());
+  ASSERT_TRUE(ReadStatus(r, policy).ok());
+  ASSERT_TRUE(ReadStatus(r, value_delta).ok());
+  ASSERT_TRUE(ReadStatus(r, tolerance).ok());
+  ASSERT_TRUE(ReadStatus(r, batch_interval).ok());
+  ASSERT_TRUE(ReadStatus(r, compress).ok());
   const size_t kind_at = blob.size() - r.remaining();
   ASSERT_EQ(blob[policy_at], static_cast<uint8_t>(config.policy));
   ASSERT_EQ(blob[kind_at], static_cast<uint8_t>(config.codec.kind));
@@ -632,7 +635,7 @@ TEST(CkptEnumTest, SensorSectionRejectsBadPolicyAndCodecKind) {
     Network fresh_net(&fresh_sim, NetworkParams{}, 1);
     SensorNode fresh(&fresh_sim, &fresh_net, config, [](SimTime) { return 20.0; });
     ByteReader reader{span<const uint8_t>(bytes)};
-    return fresh.LoadState(reader);
+    return ReadStatus(reader, fresh);
   };
   ASSERT_TRUE(load(policy_at, {blob[policy_at]}).ok()) << "the unplanted bytes restore";
   const std::vector<uint8_t> varint_257 = {0x81, 0x02};
@@ -649,7 +652,7 @@ TEST(CkptEnumTest, InTypeValueNamingNoEnumeratorIsDataLoss) {
   QueryType type = QueryType::kNow;
   const std::vector<uint8_t> nine = {9};
   ByteReader r{span<const uint8_t>(nine)};
-  EXPECT_EQ(CkptRead(r, type).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(ReadStatus(r, type).code(), StatusCode::kDataLoss);
   EXPECT_EQ(type, QueryType::kNow) << "a refused read leaves the value alone";
 
   Checkpoint ckpt;
@@ -678,12 +681,12 @@ TEST(CkptEnumTest, InTypeValueNamingNoEnumeratorIsDataLoss) {
     CellLinkStats link;
     uint64_t pending = 0;
     uint64_t qid = 0;
-    ASSERT_TRUE(CkptRead(fields, counters).ok());
-    ASSERT_TRUE(CkptRead(fields, clear_at).ok());
-    ASSERT_TRUE(CkptRead(fields, link).ok());
-    ASSERT_TRUE(CkptRead(fields, pending).ok());
+    ASSERT_TRUE(ReadStatus(fields, counters).ok());
+    ASSERT_TRUE(ReadStatus(fields, clear_at).ok());
+    ASSERT_TRUE(ReadStatus(fields, link).ok());
+    ASSERT_TRUE(ReadStatus(fields, pending).ok());
     if (pending > 0) {
-      ASSERT_TRUE(CkptRead(fields, qid).ok());
+      ASSERT_TRUE(ReadStatus(fields, qid).ok());
       section = name;
       type_at = payload->size() - fields.remaining();
     }
@@ -714,9 +717,9 @@ TEST(CkptEnumTest, InTypeValueNamingNoEnumeratorIsDataLoss) {
   int num_cells = 0;
   int num_proxies = 0;
   int sensors_per_proxy = 0;
-  ASSERT_TRUE(CkptRead(head, num_cells).ok());
-  ASSERT_TRUE(CkptRead(head, num_proxies).ok());
-  ASSERT_TRUE(CkptRead(head, sensors_per_proxy).ok());
+  ASSERT_TRUE(ReadStatus(head, num_cells).ok());
+  ASSERT_TRUE(ReadStatus(head, num_proxies).ok());
+  ASSERT_TRUE(ReadStatus(head, sensors_per_proxy).ok());
   const size_t policy_at = boot.size() - head.remaining();
   ASSERT_EQ(boot[policy_at], static_cast<uint8_t>(ShardPolicy::kGeographic));
   std::vector<uint8_t> bad_boot = boot;
@@ -1067,7 +1070,7 @@ TEST(CkptGoldenTest, StatusWritesItsCodeAndMessage) {
     const std::vector<uint8_t> bytes = w.TakeBuffer();
     ByteReader r(bytes);
     Status back = InternalError("overwritten");
-    ASSERT_TRUE(CkptRead(r, back).ok());
+    ASSERT_TRUE(ReadStatus(r, back).ok());
     EXPECT_EQ(back.code(), status.code());
     EXPECT_EQ(back.message(), status.message());
   }
@@ -1101,14 +1104,14 @@ TEST(CkptCodecTest, QueryResultBodyIsWriterIndependentAndTruncationSafe) {
 
   UnifiedQueryResult back;
   ByteReader r(bytes);
-  ASSERT_TRUE(CkptRead(r, back).ok());
+  ASSERT_TRUE(ReadStatus(r, back).ok());
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(Hex(back), Hex(v));
   for (size_t len = 0; len < bytes.size(); ++len) {
     const std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + len);
     ByteReader short_reader(prefix);
     UnifiedQueryResult partial;
-    EXPECT_FALSE(CkptRead(short_reader, partial).ok()) << "prefix " << len;
+    EXPECT_FALSE(ReadStatus(short_reader, partial).ok()) << "prefix " << len;
   }
 }
 

@@ -29,6 +29,7 @@
 #include "src/core/federation.h"
 #include "src/net/fed_wire.h"
 #include "src/util/ckpt.h"
+#include "tests/read_status.h"
 
 namespace presto {
 namespace {
@@ -284,14 +285,14 @@ TEST(FedWireFuzzTest, PayloadCodecsAreTotal) {
         const auto bytes = Mutate(rng, mail_seed, 0);
         ByteReader r{span<const uint8_t>(bytes)};
         FedMail out;
-        (void)CkptRead(r, out);
+        CkptRead(r, out);
         break;
       }
       case 2: {
         const auto bytes = Mutate(rng, bitmap_seed, 0);
         ByteReader r{span<const uint8_t>(bytes)};
         std::vector<uint8_t> out;
-        (void)ReadCellBitmap(r, 9, &out);
+        ReadCellBitmap(r, 9, &out);
         break;
       }
       default: {
@@ -487,14 +488,14 @@ TEST(FedWireFuzzTest, BootstrapAndAttachCodecsRoundTripAndSurviveMutations) {
     double delta = 0.0;
     Duration batch = 0;
     for (int& v : ints) {
-      ASSERT_TRUE(CkptRead(r, v).ok());
+      ASSERT_TRUE(ReadStatus(r, v).ok());
     }
-    ASSERT_TRUE(CkptRead(r, shard).ok());
-    ASSERT_TRUE(CkptRead(r, period).ok());
-    ASSERT_TRUE(CkptRead(r, policy).ok());
-    ASSERT_TRUE(CkptRead(r, tolerance).ok());
-    ASSERT_TRUE(CkptRead(r, delta).ok());
-    ASSERT_TRUE(CkptRead(r, batch).ok());
+    ASSERT_TRUE(ReadStatus(r, shard).ok());
+    ASSERT_TRUE(ReadStatus(r, period).ok());
+    ASSERT_TRUE(ReadStatus(r, policy).ok());
+    ASSERT_TRUE(ReadStatus(r, tolerance).ok());
+    ASSERT_TRUE(ReadStatus(r, delta).ok());
+    ASSERT_TRUE(ReadStatus(r, batch).ok());
     const size_t compress_at = boot.size() - r.remaining();
     ASSERT_EQ(boot[compress_at], config.cell.compress ? 1 : 0);
     std::vector<uint8_t> planted = boot;

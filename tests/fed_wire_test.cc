@@ -24,6 +24,7 @@
 
 #include "src/net/fed_wire.h"
 #include "src/util/ckpt.h"
+#include "tests/read_status.h"
 
 namespace presto {
 namespace {
@@ -149,7 +150,7 @@ TEST(FedWireCodecTest, FedMailRoundTrips) {
   CkptWrite(w, mail);
   ByteReader r{span<const uint8_t>(w.buffer())};
   FedMail back;
-  ASSERT_TRUE(CkptRead(r, back).ok());
+  ASSERT_TRUE(ReadStatus(r, back).ok());
   EXPECT_EQ(back.source_cell, mail.source_cell);
   EXPECT_EQ(back.target_cell, mail.target_cell);
   EXPECT_EQ(back.time, mail.time);
@@ -162,7 +163,7 @@ TEST(FedWireCodecTest, FedMailRoundTrips) {
   for (size_t cut = 0; cut < w.buffer().size(); ++cut) {
     ByteReader short_reader{span<const uint8_t>(w.buffer().data(), cut)};
     FedMail scratch;
-    EXPECT_FALSE(CkptRead(short_reader, scratch).ok()) << "cut=" << cut;
+    EXPECT_FALSE(ReadStatus(short_reader, scratch).ok()) << "cut=" << cut;
   }
 }
 
@@ -177,7 +178,8 @@ TEST(FedWireCodecTest, CellBitmapRoundTripsAcrossWidths) {
     WriteCellBitmap(w, flags);
     ByteReader r{span<const uint8_t>(w.buffer())};
     std::vector<uint8_t> back;
-    ASSERT_TRUE(ReadCellBitmap(r, n, &back).ok()) << "n=" << n;
+    ReadCellBitmap(r, n, &back);
+    ASSERT_TRUE(r.ok()) << "n=" << n;
     EXPECT_EQ(back, flags) << "n=" << n;
   }
 }
@@ -188,7 +190,8 @@ TEST(FedWireCodecTest, CellBitmapRejectsCountMismatch) {
   WriteCellBitmap(w, flags);
   ByteReader r{span<const uint8_t>(w.buffer())};
   std::vector<uint8_t> back;
-  const Status st = ReadCellBitmap(r, 9, &back);
+  ReadCellBitmap(r, 9, &back);
+  const Status& st = r.status();
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.message(), "fed_wire: cell bitmap count mismatch");
 }
@@ -810,7 +813,7 @@ TEST(FedHelloTest, ServerRefusesANonHelloOpeningAndClientSeesWhy) {
   ASSERT_EQ(reply->type, FedFrameType::kError);
   ByteReader r{span<const uint8_t>(reply->payload)};
   Status refused = OkStatus();
-  ASSERT_TRUE(CkptRead(r, refused).ok());
+  ASSERT_TRUE(ReadStatus(r, refused).ok());
   EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(refused.message(), "fed_wire: expected a hello handshake frame");
 }

@@ -22,6 +22,7 @@
 #include "src/core/federation.h"
 #include "src/util/ckpt.h"
 #include "src/workload/query_driver.h"
+#include "tests/read_status.h"
 
 namespace presto {
 namespace {
@@ -844,7 +845,7 @@ TEST(FederationHandoffTest, WorkerRefusesForeignOrMissingSectionsBeforeTouchingS
     }
     ByteReader r{span<const uint8_t>(reply->payload)};
     Status refused = OkStatus();
-    EXPECT_TRUE(CkptRead(r, refused).ok());
+    EXPECT_TRUE(ReadStatus(r, refused).ok());
     return refused;
   };
   // Foreign: the whole federation, one of cell 1's sections, the orchestrator's.

@@ -139,6 +139,26 @@ TEST(PageCodecTest, PaddingCorruptionIsHarmless) {
 // The page image PageBuilder seals must match one written field by field with
 // ByteWriter: 1-, 2- and 3-byte varint deltas, float32 values, and a page filled to
 // its last byte.
+// A record delta past SimTime's range is refused, not added into a signed overflow.
+TEST(PageCodecTest, RecordDeltaOverflowIsRefused) {
+  ByteWriter records;
+  records.WriteVarU64(0);  // the first record sits at first_ts
+  records.WriteF32(20.0f);
+  records.WriteVarU64(uint64_t{1} << 62);
+  records.WriteF32(21.0f);
+  const std::vector<uint8_t> body = records.TakeBuffer();
+  ByteWriter w;
+  CkptWrite(w, PageHeader{kPageMagic, 1, static_cast<uint16_t>(body.size()),
+                          Fletcher16(body), Hours(1), kSecond});
+  std::vector<uint8_t> page = w.TakeBuffer();
+  page.insert(page.end(), body.begin(), body.end());
+  page.resize(256, 0xFF);
+  auto decoded = DecodePage(page);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(decoded.status().message(), "record time overflows");
+}
+
 TEST(PageCodecTest, SealMatchesByteWriterGolden) {
   constexpr int kPageSize = 64;
   constexpr int kCapacity = kPageSize - kPageHeaderBytes;  // 38 record bytes

@@ -14,6 +14,7 @@
 #include "src/core/unified_store.h"
 #include "src/index/skip_graph.h"
 #include "src/util/ckpt.h"
+#include "tests/read_status.h"
 
 namespace presto {
 namespace {
@@ -164,7 +165,7 @@ TEST(UnifiedStoreTest, RouteTableMatchesSkipGraphSearch) {
   restored.proxies[1]->RegisterSensor(1003, Seconds(31), /*replica=*/true);
   restored.proxies[2]->RegisterSensor(2050, Seconds(31));
   ByteReader r{span<const uint8_t>(w.buffer())};
-  ASSERT_TRUE(restored.store.LoadState(r).ok());
+  ASSERT_TRUE(ReadStatus(r, restored.store).ok());
   EXPECT_EQ(restored.store.stats().total_index_hops, rig.store.stats().total_index_hops);
   check(restored, "restored");
   check(rig, "original, after the save");

@@ -21,6 +21,7 @@
 #include "src/util/ckpt.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
+#include "tests/read_status.h"
 
 namespace presto {
 namespace {
@@ -332,13 +333,13 @@ ArCore CoreOf(const PredictiveModel& model) {
   model.SaveState(w);
   ByteReader r(w.buffer());
   bool fitted = false;
-  EXPECT_TRUE(CkptRead(r, fitted).ok() && fitted);
+  EXPECT_TRUE(ReadStatus(r, fitted).ok() && fitted);
   if (model.type() == ModelType::kSeasonalAr) {
     SeasonalBins bins;
-    EXPECT_TRUE(bins.LoadState(r).ok());
+    EXPECT_TRUE(ReadStatus(r, bins).ok());
   }
   ArCore core;
-  EXPECT_TRUE(core.LoadState(r).ok());
+  EXPECT_TRUE(ReadStatus(r, core).ok());
   return core;
 }
 
@@ -395,7 +396,11 @@ struct ArStateBlob {
 
 Result<std::unique_ptr<PredictiveModel>> Restore(const std::vector<uint8_t>& bytes) {
   ByteReader r(bytes);
-  return LoadModelState(r, TestConfig());
+  std::unique_ptr<PredictiveModel> model = LoadModelState(r, TestConfig());
+  if (!r.ok()) {
+    return r.status();
+  }
+  return model;
 }
 
 // The lazily grown horizon table against the eager one it replaced: (seasonal-)AR fits
@@ -412,8 +417,8 @@ TEST(ArCoreTest, LazyHorizonStdMatchesEagerTable) {
     SaveModelState(w, &model);
     ByteReader r(w.buffer());
     auto copy = LoadModelState(r, TestConfig());
-    ASSERT_TRUE(copy.ok()) << what;
-    ExpectEagerStddevs(**copy, kGrowing, what + " restored");
+    ASSERT_TRUE(r.ok()) << what;
+    ExpectEagerStddevs(*copy, kGrowing, what + " restored");
     ExpectEagerStddevs(model, kGrowing, what + " again");
   };
   for (ModelType type : {ModelType::kAr, ModelType::kSeasonalAr}) {
@@ -601,7 +606,7 @@ TEST_P(ForecastCursorTest, ScriptedPredictsMatchColdRolls) {
   ByteWriter w;
   replica->SaveState(w);
   ByteReader r(w.buffer());
-  ASSERT_TRUE(model->LoadState(r).ok());
+  ASSERT_TRUE(ReadStatus(r, *model).ok());
   after_change(t0);
   EXPECT_EQ(model->Predict(t0 + 6 * kPeriod).value,
             replica->Predict(t0 + 6 * kPeriod).value);

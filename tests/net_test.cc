@@ -11,6 +11,7 @@
 #include "src/net/network.h"
 #include "src/sim/simulator.h"
 #include "src/util/bytes.h"
+#include "tests/read_status.h"
 
 namespace presto {
 namespace {
@@ -342,7 +343,7 @@ TEST(NetworkTest, IdTablesRoundTripThroughACheckpoint) {
   std::vector<Recorder> nodes2(64);
   std::unique_ptr<Network> restored = build(&sim2, &nodes2);
   ByteReader r{span<const uint8_t>(bytes)};
-  ASSERT_TRUE(restored->LoadState(r).ok());
+  ASSERT_TRUE(ReadStatus(r, *restored).ok());
   ByteWriter again;
   ASSERT_TRUE(restored->SaveState(again).ok());
   EXPECT_EQ(again.buffer(), bytes);

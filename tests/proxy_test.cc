@@ -19,6 +19,7 @@
 #include "src/util/bytes.h"
 #include "src/util/ckpt.h"
 #include "src/util/rng.h"
+#include "tests/read_status.h"
 
 namespace presto {
 namespace {
@@ -377,7 +378,7 @@ TEST(SummaryCacheTest, MatchesMapReference) {
     const std::vector<uint8_t> bytes = Saved(cache);
     SummaryCache restored(cap);
     ByteReader reader(bytes);
-    ASSERT_TRUE(restored.LoadState(reader).ok());
+    ASSERT_TRUE(ReadStatus(reader, restored).ok());
     EXPECT_EQ(Saved(restored), bytes);
   }
 }
@@ -406,7 +407,7 @@ std::vector<uint8_t> CacheBlob(uint64_t count,
 Status Load(const std::vector<uint8_t>& bytes) {
   SummaryCache cache;
   ByteReader reader(bytes);
-  return cache.LoadState(reader);
+  return ReadStatus(reader, cache);
 }
 
 TEST(SummaryCacheTest, LoadStateRejectsMalformedBytes) {
@@ -452,7 +453,7 @@ TEST(SummaryCacheTest, LoadStateRejectsMalformedBytes) {
     }
     SummaryCache cache;
     ByteReader reader(bytes);
-    const Status status = cache.LoadState(reader);
+    const Status status = ReadStatus(reader, cache);
     if (status.ok()) {
       // Whatever decoded is a valid cache: it saves and restores again.
       ASSERT_TRUE(Load(Saved(cache)).ok()) << "trial " << trial;
@@ -768,7 +769,7 @@ TEST(ProxyNodeTest, RestoreRejectsOutOfRangeQueryOrigin) {
   const auto load = [&bytes] {
     Rig fresh(ProxyMode::kAlwaysPull, PushPolicy::kNone);
     ByteReader r{span<const uint8_t>(bytes)};
-    return fresh.proxy->LoadState(r);
+    return ReadStatus(r, *fresh.proxy);
   };
   ASSERT_TRUE(load().ok()) << "the unplanted bytes restore";
   for (const uint8_t kind : {1, 3, 127}) {  // 1: the retired closure origin

@@ -19,6 +19,7 @@
 #include "src/sim/simulator.h"
 #include "src/sim/timer.h"
 #include "src/util/bytes.h"
+#include "tests/read_status.h"
 
 namespace presto {
 namespace {
@@ -590,7 +591,7 @@ Status RestoreInto(const std::vector<uint8_t>& bytes) {
   Simulator sim(2, 1, Millis(100));
   PostingSink sink(&sim);
   ByteReader r{span<const uint8_t>(bytes)};
-  return sim.LoadState(r);
+  return ReadStatus(r, sim);
 }
 
 TEST(SimulatorCheckpointTest, RestoreRejectsOutOfRangeEventKinds) {

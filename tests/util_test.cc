@@ -108,13 +108,13 @@ TEST(BytesTest, PrimitiveRoundTrip) {
   w.WriteString("presto");
 
   ByteReader r(w.buffer());
-  EXPECT_EQ(*r.ReadU8(), 0xAB);
-  EXPECT_EQ(*r.ReadU16(), 0xBEEF);
-  EXPECT_EQ(*r.ReadU32(), 0xDEADBEEFu);
-  EXPECT_EQ(*r.ReadU64(), 0x0123456789ABCDEFULL);
-  EXPECT_EQ(*r.ReadF32(), 3.5f);
-  EXPECT_EQ(*r.ReadF64(), -2.25);
-  EXPECT_EQ(*r.ReadString(), "presto");
+  EXPECT_EQ(r.ReadU8(), 0xAB);
+  EXPECT_EQ(r.ReadU16(), 0xBEEF);
+  EXPECT_EQ(r.ReadU32(), 0xDEADBEEFu);
+  EXPECT_EQ(r.ReadU64(), 0x0123456789ABCDEFULL);
+  EXPECT_EQ(r.ReadF32(), 3.5f);
+  EXPECT_EQ(r.ReadF64(), -2.25);
+  EXPECT_EQ(r.ReadString(), "presto");
   EXPECT_TRUE(r.AtEnd());
 }
 
@@ -126,7 +126,7 @@ TEST(BytesTest, VarintBoundaries) {
   }
   ByteReader r(w.buffer());
   for (uint64_t c : cases) {
-    EXPECT_EQ(*r.ReadVarU64(), c);
+    EXPECT_EQ(r.ReadVarU64(), c);
   }
 }
 
@@ -147,7 +147,7 @@ TEST(BytesTest, ZigzagRoundTrip) {
   }
   ByteReader r(w.buffer());
   for (int64_t c : cases) {
-    EXPECT_EQ(*r.ReadVarI64(), c);
+    EXPECT_EQ(r.ReadVarI64(), c);
   }
 }
 
@@ -156,13 +156,70 @@ TEST(BytesTest, TruncationIsAnErrorNotUb) {
   w.WriteU32(1234);
   std::vector<uint8_t> short_buf(w.buffer().begin(), w.buffer().begin() + 2);
   ByteReader r(short_buf);
-  EXPECT_FALSE(r.ReadU32().ok());
+  r.ReadU32();
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(BytesTest, TruncatedVarintFails) {
   std::vector<uint8_t> bad = {0x80, 0x80};  // continuation bits never end
   ByteReader r(bad);
-  EXPECT_FALSE(r.ReadVarU64().ok());
+  r.ReadVarU64();
+  EXPECT_FALSE(r.ok());
+}
+
+// The tenth byte of a varint holds bit 63 alone: 1 completes UINT64_MAX, and any
+// larger byte would carry bits a uint64_t cannot hold.
+TEST(BytesTest, TenthVarintByteCarriesOneBit) {
+  std::vector<uint8_t> bytes(9, 0xFF);
+  bytes.push_back(0x01);
+  ByteReader max(bytes);
+  EXPECT_EQ(max.ReadVarU64(), UINT64_MAX);
+  EXPECT_TRUE(max.ok());
+  EXPECT_TRUE(max.AtEnd());
+  for (const uint8_t tenth : {0x02, 0x7F, 0x80, 0x81, 0xFF}) {
+    bytes.back() = tenth;
+    ByteReader r(bytes);
+    EXPECT_EQ(r.ReadVarU64(), 0u) << int{tenth};
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << int{tenth};
+    EXPECT_EQ(r.status().message(), "ByteReader: varint too long") << int{tenth};
+  }
+}
+
+// The failure rule: the first failure sticks. Every later read returns zero or empty
+// and consumes nothing, and a later Fail() keeps the first failure.
+TEST(BytesTest, FirstFailureSticks) {
+  const std::vector<uint8_t> bytes = {7, 5, 'a', 'b'};  // a string claiming 5 bytes
+  ByteReader r(bytes);
+  EXPECT_EQ(r.ReadU8(), 7);
+  EXPECT_TRUE(r.ReadString().empty());
+  const Status first = r.status();
+  EXPECT_EQ(first.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(first.message(), "ByteReader: truncated byte array");
+  EXPECT_TRUE(r.AtEnd()) << "the failure consumed the rest";
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(r.ReadU8(), 0);
+  EXPECT_EQ(r.ReadU16(), 0);
+  EXPECT_EQ(r.ReadU64(), 0u);
+  EXPECT_EQ(r.ReadI64(), 0);
+  EXPECT_EQ(r.ReadF32(), 0.0f);
+  EXPECT_EQ(r.ReadF64(), 0.0);
+  EXPECT_EQ(r.ReadVarU64(), 0u);
+  EXPECT_EQ(r.ReadVarI64(), 0);
+  EXPECT_TRUE(r.ReadBytes().empty());
+  EXPECT_TRUE(r.ReadByteSpan().empty());
+  EXPECT_TRUE(r.ReadString().empty());
+  r.Fail(DataLossError("a later refusal"));
+  EXPECT_EQ(r.status().code(), first.code());
+  EXPECT_EQ(r.status().message(), first.message());
+
+  // A refusal is a failure like any other: it ends the reading, and it sticks.
+  ByteReader refused(bytes);
+  EXPECT_EQ(refused.ReadU8(), 7);
+  refused.Fail(DataLossError("refused"));
+  EXPECT_TRUE(refused.AtEnd());
+  EXPECT_TRUE(refused.ReadString().empty());
+  EXPECT_EQ(refused.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(refused.status().message(), "refused");
 }
 
 TEST(BytesTest, ByteSpanIsAViewAndBoundsChecked) {
@@ -174,15 +231,16 @@ TEST(BytesTest, ByteSpanIsAViewAndBoundsChecked) {
   EXPECT_EQ(w.buffer().capacity(), capacity) << "reserved room is used in place";
   const std::vector<uint8_t> bytes = w.TakeBuffer();
   ByteReader r(bytes);
-  auto view = r.ReadByteSpan();
-  ASSERT_TRUE(view.ok());
-  EXPECT_EQ(view->data(), bytes.data() + 1) << "no copy";
-  EXPECT_EQ(std::vector<uint8_t>(view->begin(), view->end()),
+  const span<const uint8_t> view = r.ReadByteSpan();
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(view.data(), bytes.data() + 1) << "no copy";
+  EXPECT_EQ(std::vector<uint8_t>(view.begin(), view.end()),
             (std::vector<uint8_t>{7, 8, 9}));
-  EXPECT_EQ(*r.ReadU8(), 42);
+  EXPECT_EQ(r.ReadU8(), 42);
   const std::vector<uint8_t> lying = {5, 1, 2};  // claims 5 bytes, has 2
   ByteReader short_reader(lying);
-  EXPECT_EQ(short_reader.ReadByteSpan().status().code(), StatusCode::kOutOfRange);
+  short_reader.ReadByteSpan();
+  EXPECT_EQ(short_reader.status().code(), StatusCode::kOutOfRange);
 }
 
 std::string HexOf(const std::vector<uint8_t>& bytes) {
@@ -251,8 +309,8 @@ TEST(BytesTest, WriterGoldenBytesAtBoundaries) {
   w.WriteF64(nan64);
   const std::vector<uint8_t> bytes = w.TakeBuffer();
   ByteReader r(bytes);
-  const float f = *r.ReadF32();
-  const double d = *r.ReadF64();
+  const float f = r.ReadF32();
+  const double d = r.ReadF64();
   uint32_t f_bits;
   uint64_t d_bits;
   std::memcpy(&f_bits, &f, sizeof(f_bits));
@@ -267,33 +325,33 @@ TEST(BytesTest, EveryReaderPrimitiveTruncatedAtEachLengthIsOutOfRange) {
   struct Case {
     const char* name;
     std::function<void(ByteWriter&)> write;
-    std::function<bool(ByteReader&)> read;  // ok() of the read
+    std::function<bool(ByteReader&)> read;  // the reader's ok() after the read
   };
   const std::vector<Case> cases = {
       {"U8", [](ByteWriter& w) { w.WriteU8(0xff); },
-       [](ByteReader& r) { return r.ReadU8().ok(); }},
+       [](ByteReader& r) { r.ReadU8(); return r.ok(); }},
       {"U16", [](ByteWriter& w) { w.WriteU16(0xffff); },
-       [](ByteReader& r) { return r.ReadU16().ok(); }},
+       [](ByteReader& r) { r.ReadU16(); return r.ok(); }},
       {"U32", [](ByteWriter& w) { w.WriteU32(0xffffffff); },
-       [](ByteReader& r) { return r.ReadU32().ok(); }},
+       [](ByteReader& r) { r.ReadU32(); return r.ok(); }},
       {"U64", [](ByteWriter& w) { w.WriteU64(UINT64_MAX); },
-       [](ByteReader& r) { return r.ReadU64().ok(); }},
+       [](ByteReader& r) { r.ReadU64(); return r.ok(); }},
       {"I64", [](ByteWriter& w) { w.WriteI64(INT64_MIN); },
-       [](ByteReader& r) { return r.ReadI64().ok(); }},
+       [](ByteReader& r) { r.ReadI64(); return r.ok(); }},
       {"F32", [](ByteWriter& w) { w.WriteF32(1.5f); },
-       [](ByteReader& r) { return r.ReadF32().ok(); }},
+       [](ByteReader& r) { r.ReadF32(); return r.ok(); }},
       {"F64", [](ByteWriter& w) { w.WriteF64(1.5); },
-       [](ByteReader& r) { return r.ReadF64().ok(); }},
+       [](ByteReader& r) { r.ReadF64(); return r.ok(); }},
       {"VarU64", [](ByteWriter& w) { w.WriteVarU64(UINT64_MAX); },
-       [](ByteReader& r) { return r.ReadVarU64().ok(); }},
+       [](ByteReader& r) { r.ReadVarU64(); return r.ok(); }},
       {"VarI64", [](ByteWriter& w) { w.WriteVarI64(INT64_MIN); },
-       [](ByteReader& r) { return r.ReadVarI64().ok(); }},
+       [](ByteReader& r) { r.ReadVarI64(); return r.ok(); }},
       {"Bytes", [](ByteWriter& w) { w.WriteBytes(std::vector<uint8_t>(130, 7)); },
-       [](ByteReader& r) { return r.ReadBytes().ok(); }},
+       [](ByteReader& r) { r.ReadBytes(); return r.ok(); }},
       {"ByteSpan", [](ByteWriter& w) { w.WriteBytes(std::vector<uint8_t>(130, 7)); },
-       [](ByteReader& r) { return r.ReadByteSpan().ok(); }},
+       [](ByteReader& r) { r.ReadByteSpan(); return r.ok(); }},
       {"String", [](ByteWriter& w) { w.WriteString(std::string(130, 's')); },
-       [](ByteReader& r) { return r.ReadString().ok(); }},
+       [](ByteReader& r) { r.ReadString(); return r.ok(); }},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -309,18 +367,30 @@ TEST(BytesTest, EveryReaderPrimitiveTruncatedAtEachLengthIsOutOfRange) {
       EXPECT_FALSE(c.read(r)) << "prefix " << len;
     }
   }
-  // The code, not just the failure: one Result per primitive family.
+  // The code, not just the failure: one status per primitive family.
+  const auto status_after = [](span<const uint8_t> bytes,
+                               const std::function<void(ByteReader&)>& read) {
+    ByteReader r(bytes);
+    read(r);
+    return r.status();
+  };
   const std::vector<uint8_t> one = {0x80};
-  EXPECT_EQ(ByteReader(span<const uint8_t>()).ReadU8().status().code(),
+  EXPECT_EQ(status_after({}, [](ByteReader& r) { r.ReadU8(); }).code(),
             StatusCode::kOutOfRange);
-  EXPECT_EQ(ByteReader(one).ReadU16().status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(ByteReader(one).ReadF64().status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(ByteReader(one).ReadVarU64().status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(ByteReader(one).ReadVarI64().status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(ByteReader(one).ReadString().status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(status_after(one, [](ByteReader& r) { r.ReadU16(); }).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(status_after(one, [](ByteReader& r) { r.ReadF64(); }).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(status_after(one, [](ByteReader& r) { r.ReadVarU64(); }).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(status_after(one, [](ByteReader& r) { r.ReadVarI64(); }).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(status_after(one, [](ByteReader& r) { r.ReadString(); }).code(),
+            StatusCode::kOutOfRange);
   const std::vector<uint8_t> lying = {3, 'a'};
-  EXPECT_EQ(ByteReader(lying).ReadBytes().status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(ByteReader(lying).ReadString().status().message(),
+  EXPECT_EQ(status_after(lying, [](ByteReader& r) { r.ReadBytes(); }).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(status_after(lying, [](ByteReader& r) { r.ReadString(); }).message(),
             "ByteReader: truncated byte array");
 }
 
@@ -475,9 +545,9 @@ TEST_P(BytesPropertyTest, RandomRoundTrip) {
   }
   ByteReader r(w.buffer());
   for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(*r.ReadVarU64(), u64s[i]);
-    EXPECT_EQ(*r.ReadVarI64(), i64s[i]);
-    EXPECT_EQ(*r.ReadF64(), doubles[i]);
+    EXPECT_EQ(r.ReadVarU64(), u64s[i]);
+    EXPECT_EQ(r.ReadVarI64(), i64s[i]);
+    EXPECT_EQ(r.ReadF64(), doubles[i]);
   }
   EXPECT_TRUE(r.AtEnd());
 }

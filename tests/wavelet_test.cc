@@ -7,6 +7,9 @@
 #include <tuple>
 #include <vector>
 
+#include "src/flash/page_codec.h"
+#include "src/util/bitpack.h"
+#include "src/util/bytes.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/wavelet/aging.h"
@@ -252,6 +255,173 @@ TEST(CodecTest, IrregularRoundTripExactTimestamps) {
 TEST(CodecTest, GarbageRejected) {
   EXPECT_FALSE(DecodeBatch(std::vector<uint8_t>{}).ok());
   EXPECT_FALSE(DecodeBatch(std::vector<uint8_t>{99, 1, 2, 3}).ok());
+}
+
+// A batch's bytes by hand: the header every format shares, then `body`.
+std::vector<uint8_t> BatchBytes(BatchFormat format, uint64_t count, SimTime start,
+                                uint64_t period, const std::vector<uint8_t>& body) {
+  ByteWriter w;
+  w.WriteU8(static_cast<uint8_t>(format));
+  w.WriteVarU64(count);
+  w.WriteI64(start);
+  w.WriteVarU64(period);
+  std::vector<uint8_t> out = w.TakeBuffer();
+  out.insert(out.end(), body.begin(), body.end());
+  return out;
+}
+
+// A wavelet batch's bytes by hand: kind, levels, quant step 1, then the packed bits.
+std::vector<uint8_t> WaveletBytes(uint64_t count, uint8_t kind, uint8_t levels,
+                                  const std::vector<uint8_t>& packed) {
+  ByteWriter w;
+  w.WriteU8(kind);
+  w.WriteU8(levels);
+  w.WriteF32(1.0f);
+  w.WriteBytes(packed);
+  return BatchBytes(BatchFormat::kWavelet, count, Hours(1),
+                    static_cast<uint64_t>(kSecond), w.TakeBuffer());
+}
+
+// Inputs that crashed the decoder or ran it into undefined behaviour: each is refused
+// as InvalidArgument now.
+TEST(CodecTest, MalformedBatchesAreRefused) {
+  const auto code_of = [](const std::vector<uint8_t>& bytes) {
+    return DecodeBatch(bytes).status().code();
+  };
+  // A raw count of 2^61 with no samples behind it: a length_error at the reserve.
+  EXPECT_EQ(code_of(BatchBytes(BatchFormat::kRaw, uint64_t{1} << 61, 0, 1, {})),
+            StatusCode::kInvalidArgument);
+  // One coefficient whose magnitude bucket is a 70-long unary run: a shift by 70.
+  BitWriter bits;
+  bits.WriteBits(1, 1);  // significant
+  bits.WriteBits(0, 1);  // positive
+  bits.WriteUnary(70);
+  EXPECT_EQ(code_of(WaveletBytes(1, 0, 0, bits.bytes())), StatusCode::kInvalidArgument);
+  // 70 levels over a one-sample batch: a shift by 69 in the inverse transform.
+  EXPECT_EQ(code_of(WaveletBytes(1, 0, 70, {0})), StatusCode::kInvalidArgument);
+  // A count above 2^63: an endless NextPowerOfTwo.
+  EXPECT_EQ(code_of(WaveletBytes((uint64_t{1} << 63) + 1, 0, 0, {0})),
+            StatusCode::kInvalidArgument);
+  // A wavelet kind naming no enumerator once decoded as D4.
+  EXPECT_EQ(code_of(WaveletBytes(1, 2, 0, {0})), StatusCode::kInvalidArgument);
+  // An irregular delta past SimTime's range: a signed overflow.
+  ByteWriter far;
+  far.WriteVarU64(0);
+  far.WriteF32(20.0f);
+  far.WriteVarU64(uint64_t{1} << 62);
+  far.WriteF32(21.0f);
+  const std::vector<uint8_t> far_bytes = far.TakeBuffer();
+  EXPECT_EQ(code_of(BatchBytes(BatchFormat::kIrregular, 2, Hours(1), 0, far_bytes)),
+            StatusCode::kInvalidArgument);
+  // A grid whose last sample time overflows, or whose period is negative.
+  ByteWriter two;
+  two.WriteF32(20.0f);
+  two.WriteF32(21.0f);
+  const std::vector<uint8_t> values = two.TakeBuffer();
+  for (const uint64_t period : {uint64_t{INT64_MAX}, uint64_t{1} << 63}) {
+    EXPECT_EQ(code_of(BatchBytes(BatchFormat::kRaw, 2, Hours(1), period, values)),
+              StatusCode::kInvalidArgument)
+        << period;
+  }
+  // The same two raw samples on a sane grid decode.
+  auto sane = DecodeBatch(BatchBytes(BatchFormat::kRaw, 2, Hours(1), 7, values));
+  ASSERT_TRUE(sane.ok());
+  EXPECT_EQ(sane->samples.back().t, Hours(1) + 7);
+}
+
+// Every byte-mutated or truncated encoding of each batch format and of a sealed page
+// decodes to a typed error or to a bounded, time-ordered sample list. Under the
+// sanitizers this is the crash and undefined-behaviour check for both decoders.
+TEST(CodecTest, MutatedBatchesAndPagesDecodeOrFailCleanly) {
+  const std::vector<double> values = RandomSignal(40, 5);
+  std::vector<Sample> irregular;
+  for (size_t i = 0; i < values.size(); ++i) {
+    const Duration offset = static_cast<Duration>(i * i) * kSecond;
+    irregular.push_back(Sample{Hours(2) + offset, values[i]});
+  }
+  CodecParams haar;
+  CodecParams d4;
+  d4.kind = WaveletKind::kDaubechies4;
+  d4.levels = 2;
+  PageBuilder builder(256);
+  for (const Sample& s : irregular) {
+    if (builder.Fits(s.t, s.value)) {
+      builder.Add(s.t, s.value);
+    }
+  }
+  const std::vector<uint8_t> page = builder.Seal(7, kSecond);
+  const std::vector<std::vector<uint8_t>> batches = {
+      EncodeRawBatch(Hours(1), kSecond, values),
+      *EncodeWaveletBatch(Hours(1), kSecond, values, haar),
+      *EncodeWaveletBatch(Hours(1), kSecond, values, d4),
+      EncodeIrregularBatch(irregular),
+  };
+  const auto expect_sane = [](const std::vector<Sample>& samples, size_t byte_count) {
+    ASSERT_LE(samples.size(), 8 * byte_count);
+    for (size_t i = 1; i < samples.size(); ++i) {
+      ASSERT_LE(samples[i - 1].t, samples[i].t) << "sample " << i;
+    }
+  };
+  Pcg32 rng(4242);
+  const auto below = [&rng](size_t bound) {
+    return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(bound) - 1));
+  };
+  const auto mutate = [&](std::vector<uint8_t> bytes) {
+    const int flips = 1 + static_cast<int>(below(3));
+    for (int i = 0; i < flips; ++i) {
+      bytes[below(bytes.size())] = static_cast<uint8_t>(rng.NextU32());
+    }
+    if (below(4) == 0) {
+      bytes.resize(below(bytes.size() + 1));
+    }
+    return bytes;
+  };
+  for (int iter = 0; iter < 4000; ++iter) {
+    const std::vector<uint8_t> batch = mutate(batches[below(batches.size())]);
+    auto decoded = DecodeBatch(batch);
+    if (decoded.ok()) {
+      expect_sane(decoded->samples, batch.size());
+    } else {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    }
+
+    // A page mutated past its header usually fails the checksum; half the time the
+    // checksum is made to match, so the record decoder sees the mutation too.
+    std::vector<uint8_t> mutated = mutate(page);
+    if (below(2) == 0 && mutated.size() >= static_cast<size_t>(kPageHeaderBytes)) {
+      const size_t used = mutated[6] | (static_cast<size_t>(mutated[7]) << 8);
+      if (kPageHeaderBytes + used <= mutated.size()) {
+        const uint16_t sum = Fletcher16(
+            span<const uint8_t>(mutated.data() + kPageHeaderBytes, used));
+        mutated[8] = static_cast<uint8_t>(sum);
+        mutated[9] = static_cast<uint8_t>(sum >> 8);
+      }
+    }
+    auto records = DecodePage(mutated);
+    if (records.ok()) {
+      expect_sane(records->samples, mutated.size());
+    } else {
+      const StatusCode code = records.status().code();
+      EXPECT_TRUE(code == StatusCode::kDataLoss || code == StatusCode::kNotFound)
+          << records.status().ToString();
+    }
+  }
+  // Every truncation of every encoding is refused or decodes sanely too.
+  for (const std::vector<uint8_t>& whole : batches) {
+    for (size_t n = 0; n < whole.size(); ++n) {
+      const std::vector<uint8_t> prefix(whole.begin(), whole.begin() + n);
+      auto decoded = DecodeBatch(prefix);
+      if (decoded.ok()) {
+        expect_sane(decoded->samples, prefix.size());
+      }
+    }
+  }
+  for (size_t n = 0; n < page.size(); ++n) {
+    auto decoded = DecodePage(span<const uint8_t>(page.data(), n));
+    if (decoded.ok()) {
+      expect_sane(decoded->samples, n);
+    }
+  }
 }
 
 // ---------- aging ----------
