@@ -1,6 +1,6 @@
 // Microbench M4 — core data-structure throughput: skip-graph ops, unified-store
-// routing, summary-cache ops, the query result's FedMail codec, and the event queue
-// that everything runs on.
+// routing, summary-cache ops, the query result's FedMail codec, the event queue
+// that everything runs on, and the per-sensor sensing tick in a warm deployment.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/deployment.h"
 #include "src/core/unified_store.h"
 #include "src/index/skip_graph.h"
 #include "src/net/network.h"
@@ -326,6 +327,44 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_SimulatorEventThroughput);
+
+// Wall time per executed event in an 8 x N deployment in its model regime: warmed
+// 28 sim hours outside the timing (past the prediction engine's 26 h training span
+// and the hours of model fitting that follow it), then one fixed 6-sim-hour window
+// timed, so every run (and repetition) times the same events. Sensing ticks are
+// ~87% of those events, so the curve over N shows how a tick's cost grows with the
+// per-sensor state the host must keep cached. The config is perfbench's ingest cell
+// (N = 64) without its query driver.
+void BM_SensingTick(benchmark::State& state) {
+  DeploymentConfig config;
+  config.num_proxies = 8;
+  config.sensors_per_proxy = static_cast<int>(state.range(0));
+  config.enable_replication = true;
+  config.replication_factor = 2;
+  config.flash.num_blocks = 8;
+  config.seed = 2005;
+  Deployment dep(config);
+  dep.Start();
+  dep.RunUntil(Hours(28));
+  uint64_t events = 0;
+  for (auto _ : state) {
+    const uint64_t before = dep.sim().events_executed();
+    dep.RunUntil(Hours(34));
+    events += dep.sim().events_executed() - before;
+  }
+  // Seconds per event, which the table prints with an SI prefix (e.g. "470n").
+  const auto flags = benchmark::Counter::kIsRate | benchmark::Counter::kInvert;
+  state.counters["per_event"] = benchmark::Counter(static_cast<double>(events), flags);
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+}
+BENCHMARK(BM_SensingTick)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(128)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace presto

@@ -83,8 +83,9 @@ void Deployment::Build(MeasureFactory measure_factory) {
   field_params.seed = config_.seed ^ 0x6669656c64;
   field_ = std::make_unique<TemperatureField>(total_sensors(), field_params,
                                               config_.spatial_correlation);
-  // The shared component of the temperature field is built lazily on read; extend
-  // it at each barrier so concurrent lane measurements are pure reads.
+  // The temperature field is built lazily on read: at each barrier, extend its
+  // shared component and grow its per-node front table, so concurrent lane
+  // measurements read shared state and write only their own nodes' cells.
   sim_.SetBarrierHook([this](SimTime epoch_end) { field_->PrepareThrough(epoch_end); });
   store_ = std::make_unique<UnifiedStore>(&sim_, net_.get(), config_.seed ^ 0x696478);
   store_->SetClient(this);

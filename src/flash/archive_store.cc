@@ -43,10 +43,10 @@ Status Validate(const ArchiveParams& params) {
 }
 
 ArchiveStore::ArchiveStore(FlashDevice* device, const ArchiveParams& params)
-    : device_(device),
+    : page_builder_(device->params().page_size_bytes),
+      device_(device),
       params_(params),
-      summarizer_(MeanDecimate),
-      page_builder_(device->params().page_size_bytes) {
+      summarizer_(MeanDecimate) {
   PRESTO_CHECK(device_ != nullptr);
   PRESTO_CHECK_OK(Validate(params_));
   free_blocks_.reserve(static_cast<size_t>(device_->params().num_blocks));

@@ -157,22 +157,25 @@ class ArchiveStore {
   Status RunAgingPass();
   Result<std::vector<Sample>> ReadSegment(const Segment& seg, TimeInterval range);
 
+  // What an append into an open page reads leads the object (cache layout).
+  // open_ is false before first append / after mount of full device.
+  bool open_ = false;
+  bool has_last_append_ = false;
+  SimTime last_append_ts_ = 0;  // enforces time-ordered appends across pages/segments
+  PageBuilder page_builder_;
+  ArchiveStats stats_;
+
   FlashDevice* device_;
   ArchiveParams params_;
   AgingSummarizer summarizer_;
-  ArchiveStats stats_;
 
   std::deque<Segment> segments_;  // oldest first
   std::vector<int> free_blocks_;
   uint32_t next_seq_ = 1;
 
-  // Open segment state. open_ is false before first append / after mount of full device.
-  bool open_ = false;
+  // The rest of the open segment's state.
   Segment open_segment_;
   int next_page_in_block_ = 0;
-  PageBuilder page_builder_;
-  SimTime last_append_ts_ = 0;  // enforces time-ordered appends across pages/segments
-  bool has_last_append_ = false;
 };
 
 }  // namespace presto

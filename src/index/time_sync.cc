@@ -13,11 +13,12 @@ DriftingClock::DriftingClock(Duration initial_offset, double drift_ppm,
                              uint64_t seed)
     : offset_(initial_offset),
       drift_ppm_(drift_ppm),
+      rate_(1.0 + drift_ppm * 1e-6),
       jitter_std_(jitter_std),
       rng_(seed, /*stream=*/0x434c4b) {}
 
 SimTime DriftingClock::LocalTimeExact(SimTime t) const {
-  const double scaled = static_cast<double>(t) * (1.0 + drift_ppm_ * 1e-6);
+  const double scaled = static_cast<double>(t) * rate_;
   return offset_ + static_cast<SimTime>(scaled);
 }
 

@@ -48,6 +48,7 @@ class DriftingClock {
 
   Duration offset_;
   double drift_ppm_;
+  double rate_;  // 1 + drift_ppm_ * 1e-6: local ticks per true tick
   Duration jitter_std_;
   Pcg32 rng_;
 };

@@ -42,10 +42,13 @@ Status ArCore::Fit(const std::vector<double>& values, SimTime last_sample_time,
 
   // Round through the wire's float32 precision so the proxy's copy and the sensor's
   // deserialized copy forecast bit-identically (lockstep contract in model.h).
+  // mean and innovation_std keep full precision: g++ 12's SLP vectorizer dropped
+  // their two adjacent roundings from every -O2/-O3 build that recorded this
+  // repository's fingerprints (-O0/-O1 builds kept them), so that is the recorded
+  // behaviour, now written out for every build. Their wire copies differ in the
+  // low bits, which is the lockstep defect ROADMAP.md tracks.
   auto f32 = [](double v) { return static_cast<double>(static_cast<float>(v)); };
-  mean = f32(mean);
   marginal_std = f32(marginal_std);
-  innovation_std = f32(innovation_std);
   for (double& p : phi) {
     p = f32(p);
   }
@@ -55,36 +58,34 @@ Status ArCore::Fit(const std::vector<double>& values, SimTime last_sample_time,
   return OkStatus();
 }
 
-double ArCore::StepOnce(const double* newest_end) const {
-  // phi[0] multiplies the newest value.
-  double next = mean;
-  const size_t p = phi.size();
-  for (size_t i = 0; i < p; ++i) {
-    next += phi[i] * (newest_end[-1 - static_cast<ptrdiff_t>(i)] - mean);
-  }
-  return next;
-}
-
 const double* ArCore::RollTo(int64_t k) const {
-  // Room for this many steps past the window before it slides back to the front.
-  constexpr size_t kCursorSlack = 32;
+  const size_t q = phi.size();
   const size_t p = state.size();
+  // Room for this many steps past the window before it slides back to the front.
+  const size_t slack = std::max<size_t>(p, 4);
   Cursor& c = cursor_;
   if (c.steps < 0 || c.base != state_time || k < c.steps) {
-    if (c.buf.size() < p + kCursorSlack) {
-      c.buf.resize(p + kCursorSlack);
-    }
-    std::copy(state.begin(), state.end(), c.buf.begin());
-    c.end = p;
+    c.buf.resize(q + p + slack);
+    std::copy(phi.begin(), phi.end(), c.buf.begin());
+    std::copy(state.begin(), state.end(), c.buf.begin() + static_cast<ptrdiff_t>(q));
+    c.end = q + p;
     c.steps = 0;
     c.base = state_time;
   }
+  const double* const coeffs = c.buf.data();
   for (; c.steps < k; ++c.steps) {
     if (c.end == c.buf.size()) {
-      std::copy(c.buf.end() - static_cast<ptrdiff_t>(p), c.buf.end(), c.buf.begin());
-      c.end = p;
+      std::copy(c.buf.end() - static_cast<ptrdiff_t>(p), c.buf.end(),
+                c.buf.begin() + static_cast<ptrdiff_t>(q));
+      c.end = q + p;
     }
-    c.buf[c.end] = StepOnce(c.buf.data() + c.end);
+    // One AR step; coeffs[0] multiplies the newest value.
+    const double* newest_end = coeffs + c.end;
+    double next = mean;
+    for (size_t i = 0; i < q; ++i) {
+      next += coeffs[i] * (newest_end[-1 - static_cast<ptrdiff_t>(i)] - mean);
+    }
+    c.buf[c.end] = next;
     ++c.end;
   }
   return c.buf.data() + c.end;
@@ -294,8 +295,8 @@ Status SeasonalArModel::Fit(const std::vector<Sample>& history) {
   if (history.empty()) {
     return FailedPreconditionError("seasonal-AR fit: empty history");
   }
-  bins_.period = config_.seasonal_period;
-  PRESTO_RETURN_IF_ERROR(bins_.Fit(history, config_.seasonal_bins));
+  PRESTO_RETURN_IF_ERROR(
+      bins_.Fit(history, config_.seasonal_period, config_.seasonal_bins));
   std::vector<double> residuals;
   residuals.reserve(history.size());
   for (const Sample& s : history) {

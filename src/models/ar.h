@@ -19,19 +19,67 @@
 namespace presto {
 
 // AR(p) forecasting machinery on a fixed sampling grid.
+//
+// Member order is cache layout: a forecast that continues the cursor reads the
+// scalars and caches declared first, plus one cursor block and one horizon entry.
 struct ArCore {
   Duration sample_period = Seconds(31);
+  // Grid time of the newest `state` entry.
+  SimTime state_time = 0;
   int max_forecast_steps = 4096;
-
-  std::vector<double> phi;     // AR coefficients, phi[0] multiplies the newest value
   double mean = 0.0;           // level the AR process reverts to
+
+ private:
+  // The forecast cursor: `buf` holds a copy of phi (q values), then a window whose
+  // [end - p, end) is `state` rolled `steps` grid steps past `base` (steps < 0:
+  // none), so a step reads one block. Never serialized or copied.
+  struct Cursor {
+    std::vector<double> buf;
+    size_t end = 0;
+    int64_t steps = -1;
+    SimTime base = 0;
+
+    Cursor() = default;
+    Cursor(const Cursor&) {}
+    Cursor& operator=(const Cursor&) {
+      steps = -1;
+      return *this;
+    }
+  };
+
+  // The horizon table: psi[j] and stddev[j] for j < psi.size() == stddev.size()
+  // (stddev[0] unused), with cum = sum of psi[j]^2 over j < stddev.size() - 1. Grown
+  // by HorizonStd one horizon at a time in the order the eager psi-weight recursion
+  // used, so every entry is bit-identical to it. Never serialized or copied.
+  struct HorizonTable {
+    std::vector<double> stddev;
+    std::vector<double> psi;
+    double cum = 0.0;
+
+    HorizonTable() = default;
+    HorizonTable(const HorizonTable&) {}
+    HorizonTable& operator=(const HorizonTable&) {
+      Reset();
+      return *this;
+    }
+    void Reset() {
+      psi.clear();
+      stddev.clear();
+      cum = 0.0;
+    }
+  };
+
+  mutable Cursor cursor_;
+  mutable HorizonTable horizon_;
+
+ public:
+  std::vector<double> phi;     // AR coefficients, phi[0] multiplies the newest value
   double innovation_std = 0.0; // one-step noise sigma
   double marginal_std = 0.0;   // series sigma (forecast-variance ceiling)
 
-  // Rolling state: the last p values on the grid (newest last) and the grid time of the
-  // newest entry. Mirrored at proxy and sensor through anchors.
+  // Rolling state: the last p values on the grid (newest last), ending at
+  // state_time. Mirrored at proxy and sensor through anchors.
   std::vector<double> state;
-  SimTime state_time = 0;
 
   // Fits phi/mean/sigmas from a regular time-ordered series and initializes the state
   // from its tail. `values[i]` is at `start + i * sample_period`.
@@ -40,11 +88,12 @@ struct ArCore {
   // Forecast at absolute time t, k = round((t - state_time) / sample_period) steps
   // ahead. Rolls a private cursor (the state stepped forward, never the state itself):
   // a request at or past the cursor's step count continues it, an earlier one rebuilds
-  // it from `state`. A sensor checking consecutive samples therefore pays one AR step
-  // per check instead of k, with results bit-identical to a cold roll. The stddev
-  // comes from HorizonStd(k). The cursor and the horizon table are mutable caches, so
-  // each ArCore is used by one lane only (the sensor's copy, or its proxy's engine);
-  // copies start without either.
+  // it from `state` and `phi`. A sensor checking consecutive samples therefore pays
+  // one AR step per check instead of k, with results bit-identical to a cold roll.
+  // The stddev comes from HorizonStd(k). The cursor and the horizon table are mutable
+  // caches, so each ArCore is used by one lane only (the sensor's copy, or its
+  // proxy's engine); copies start without either. A hand edit of phi or state
+  // takes effect at the next Fit, Anchor or restore.
   Prediction Forecast(SimTime t) const;
 
   // Advances the state to `s.t` (predicting the gap) and pins the newest value to the
@@ -75,57 +124,14 @@ struct ArCore {
     f(self.state_time);
   }
 
-  // The forecast cursor: buf[end - p, end) is `state` rolled `steps` grid steps past
-  // `base` (steps < 0: none). Never serialized or copied.
-  struct Cursor {
-    std::vector<double> buf;
-    size_t end = 0;
-    int64_t steps = -1;
-    SimTime base = 0;
-
-    Cursor() = default;
-    Cursor(const Cursor&) {}
-    Cursor& operator=(const Cursor&) {
-      steps = -1;
-      return *this;
-    }
-  };
-
-  // The horizon table: psi[j] and stddev[j] for j < psi.size() == stddev.size()
-  // (stddev[0] unused), with cum = sum of psi[j]^2 over j < stddev.size() - 1. Grown
-  // by HorizonStd one horizon at a time in the order the eager psi-weight recursion
-  // used, so every entry is bit-identical to it. Never serialized or copied.
-  struct HorizonTable {
-    std::vector<double> psi;
-    std::vector<double> stddev;
-    double cum = 0.0;
-
-    HorizonTable() = default;
-    HorizonTable(const HorizonTable&) {}
-    HorizonTable& operator=(const HorizonTable&) {
-      Reset();
-      return *this;
-    }
-    void Reset() {
-      psi.clear();
-      stddev.clear();
-      cum = 0.0;
-    }
-  };
-
   // Cumulative k-step forecast stddev from the psi weights of phi, for
   // 1 <= k <= max_forecast_steps. Extends the horizon table only as far as the largest
-  // k asked since the last Fit/install/restore (a sensor only ever asks k = 1).
+  // k asked since the last Fit/install/restore.
   double HorizonStd(int64_t k) const;
-  // One AR step from the p values ending at `newest_end` (newest at newest_end[-1]).
-  double StepOnce(const double* newest_end) const;
   // Rolls the cursor to k >= 1 steps past state_time; returns one past its newest value.
   const double* RollTo(int64_t k) const;
   // Drops both caches: Fit, DeserializeFrom and LoadState replace what they derive from.
   void ResetCaches();
-
-  mutable Cursor cursor_;
-  mutable HorizonTable horizon_;
 };
 
 // Plain AR(p) on the observed values.
@@ -154,9 +160,9 @@ class ArModel : public PredictiveModel {
     f(self.core_);
   }
 
-  ModelConfig config_;
-  ArCore core_;
   bool fitted_ = false;
+  ArCore core_;
+  ModelConfig config_;
 };
 
 // Seasonal bins plus AR(p) on the de-seasonalized residual.
@@ -186,10 +192,11 @@ class SeasonalArModel : public PredictiveModel {
     f(self.core_);
   }
 
-  ModelConfig config_;
+  // What Predict reads first (cache layout).
+  bool fitted_ = false;
   SeasonalBins bins_;
   ArCore core_;  // runs on residuals (value - seasonal)
-  bool fitted_ = false;
+  ModelConfig config_;
 };
 
 }  // namespace presto

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/util/assert.h"
 #include "src/util/ckpt.h"
@@ -10,39 +11,54 @@ namespace presto {
 
 // ---------- SeasonalBins ----------
 
+SeasonalBins::SeasonalBins(Duration period, std::vector<double> means,
+                           std::vector<double> stddevs)
+    : period_(period), means_(std::move(means)), stddevs_(std::move(stddevs)) {
+  PRESTO_CHECK(!means_.empty() && means_.size() == stddevs_.size());
+  PRESTO_CHECK(period_ >= static_cast<Duration>(means_.size()));
+  DeriveBinWidth();
+}
+
 int SeasonalBins::BinOf(SimTime t) const {
-  PRESTO_DCHECK(!means.empty());
-  const Duration phase = ((t % period) + period) % period;
-  const int bin = static_cast<int>(phase * static_cast<Duration>(means.size()) / period);
-  return std::min(bin, static_cast<int>(means.size()) - 1);
+  PRESTO_DCHECK(!means_.empty());
+  const int n = static_cast<int>(means_.size());
+  const int bin = static_cast<int>(PhaseOf(t) * n / period_);
+  return std::min(bin, n - 1);
 }
 
 double SeasonalBins::ValueAt(SimTime t) const {
-  PRESTO_DCHECK(!means.empty());
-  const int n = static_cast<int>(means.size());
-  const Duration bin_width = period / n;
-  const Duration phase = ((t % period) + period) % period;
+  PRESTO_DCHECK(!means_.empty());
+  const int n = static_cast<int>(means_.size());
   // Interpolate between the centers of the two surrounding bins.
-  const double pos = (static_cast<double>(phase) / static_cast<double>(bin_width)) - 0.5;
-  const int lo = static_cast<int>(std::floor(pos));
-  const double frac = pos - std::floor(pos);
-  const int a = ((lo % n) + n) % n;
-  const int b = (a + 1) % n;
-  return means[static_cast<size_t>(a)] * (1.0 - frac) +
-         means[static_cast<size_t>(b)] * frac;
+  const double pos = (static_cast<double>(PhaseOf(t)) / bin_width_) - 0.5;
+  const double lo = std::floor(pos);
+  const double frac = pos - lo;
+  // pos >= -0.5, so lo >= -1; it passes the last bin only when the bin count does
+  // not divide the period (bin_width_ is rounded down).
+  int a = static_cast<int>(lo);
+  if (a < 0) {
+    a += n;
+  } else if (a >= n) {
+    a %= n;
+  }
+  const int b = a + 1 == n ? 0 : a + 1;
+  return means_[static_cast<size_t>(a)] * (1.0 - frac) +
+         means_[static_cast<size_t>(b)] * frac;
 }
 
 double SeasonalBins::StddevAt(SimTime t) const {
-  return stddevs[static_cast<size_t>(BinOf(t))];
+  return stddevs_[static_cast<size_t>(BinOf(t))];
 }
 
-Status SeasonalBins::Fit(const std::vector<Sample>& history, int bins) {
+Status SeasonalBins::Fit(const std::vector<Sample>& history, Duration period, int bins) {
   PRESTO_CHECK(bins > 0);
+  period_ = period;
   std::vector<double> sums(static_cast<size_t>(bins), 0.0);
   std::vector<double> sq(static_cast<size_t>(bins), 0.0);
   std::vector<int64_t> counts(static_cast<size_t>(bins), 0);
-  means.assign(static_cast<size_t>(bins), 0.0);
-  stddevs.assign(static_cast<size_t>(bins), 0.0);
+  means_.assign(static_cast<size_t>(bins), 0.0);
+  stddevs_.assign(static_cast<size_t>(bins), 0.0);
+  DeriveBinWidth();
   for (const Sample& s : history) {
     const int b = BinOf(s.t);
     sums[static_cast<size_t>(b)] += s.value;
@@ -54,26 +70,24 @@ Status SeasonalBins::Fit(const std::vector<Sample>& history, int bins) {
       return FailedPreconditionError("seasonal fit: a bin has no samples");
     }
     const double n = static_cast<double>(counts[static_cast<size_t>(b)]);
-    means[static_cast<size_t>(b)] = sums[static_cast<size_t>(b)] / n;
-    const double var =
-        std::max(0.0, sq[static_cast<size_t>(b)] / n -
-                          means[static_cast<size_t>(b)] * means[static_cast<size_t>(b)]);
-    stddevs[static_cast<size_t>(b)] = std::sqrt(var);
+    double& mean = means_[static_cast<size_t>(b)];
+    double& stddev = stddevs_[static_cast<size_t>(b)];
+    mean = sums[static_cast<size_t>(b)] / n;
+    const double var = std::max(0.0, sq[static_cast<size_t>(b)] / n - mean * mean);
+    stddev = std::sqrt(var);
     // Wire precision is float32; keep the in-RAM copy identical (lockstep contract).
-    means[static_cast<size_t>(b)] =
-        static_cast<double>(static_cast<float>(means[static_cast<size_t>(b)]));
-    stddevs[static_cast<size_t>(b)] =
-        static_cast<double>(static_cast<float>(stddevs[static_cast<size_t>(b)]));
+    mean = static_cast<double>(static_cast<float>(mean));
+    stddev = static_cast<double>(static_cast<float>(stddev));
   }
   return OkStatus();
 }
 
 void SeasonalBins::SerializeTo(ByteWriter* w) const {
-  w->WriteVarU64(static_cast<uint64_t>(period));
-  w->WriteVarU64(means.size());
-  for (size_t i = 0; i < means.size(); ++i) {
-    w->WriteF32(static_cast<float>(means[i]));
-    w->WriteF32(static_cast<float>(stddevs[i]));
+  w->WriteVarU64(static_cast<uint64_t>(period_));
+  w->WriteVarU64(means_.size());
+  for (size_t i = 0; i < means_.size(); ++i) {
+    w->WriteF32(static_cast<float>(means_[i]));
+    w->WriteF32(static_cast<float>(stddevs_[i]));
   }
 }
 
@@ -82,7 +96,7 @@ void SeasonalBins::DeserializeFrom(ByteReader* r) {
   if (!IsWirePeriod(p)) {  // a failed read's 0 included
     return r->Fail(InvalidArgumentError("seasonal params: period not positive"));
   }
-  period = static_cast<Duration>(p);
+  period_ = static_cast<Duration>(p);
   const uint64_t n = r->ReadVarU64();
   // Checked before the bins are allocated: each bin is 8 wire bytes, every bin must
   // span at least one tick, and BinOf's phase * bin count must stay in range.
@@ -99,24 +113,25 @@ void SeasonalBins::DeserializeFrom(ByteReader* r) {
     return r->Fail(
         InvalidArgumentError("seasonal params: period too long for the bin count"));
   }
-  means.clear();
-  stddevs.clear();
+  means_.clear();
+  stddevs_.clear();
   for (uint64_t i = 0; i < n; ++i) {
     const float m = r->ReadF32();
     const float s = r->ReadF32();
     if (!std::isfinite(m) || !std::isfinite(s)) {
       return r->Fail(InvalidArgumentError("seasonal params not finite"));
     }
-    means.push_back(static_cast<double>(m));
-    stddevs.push_back(static_cast<double>(s));
+    means_.push_back(static_cast<double>(m));
+    stddevs_.push_back(static_cast<double>(s));
   }
+  DeriveBinWidth();
 }
 
 // ---------- SeasonalModel ----------
 
 Status SeasonalModel::Fit(const std::vector<Sample>& history) {
-  bins_.period = config_.seasonal_period;
-  PRESTO_RETURN_IF_ERROR(bins_.Fit(history, config_.seasonal_bins));
+  PRESTO_RETURN_IF_ERROR(
+      bins_.Fit(history, config_.seasonal_period, config_.seasonal_bins));
   fitted_ = true;
   return OkStatus();
 }
@@ -243,15 +258,16 @@ void SeasonalBins::SaveState(ByteWriter& w) const { StateFields(*this, CkptWrite
 
 void SeasonalBins::LoadState(ByteReader& r) {
   StateFields(*this, CkptReader(r));
-  if (period <= 0) {
+  if (period_ <= 0) {
     return r.Fail(DataLossError("seasonal restore: period not positive"));
   }
-  if (means.empty() || means.size() != stddevs.size()) {
+  if (means_.empty() || means_.size() != stddevs_.size()) {
     return r.Fail(DataLossError("seasonal restore: bins missing or mismatched"));
   }
-  if (static_cast<Duration>(means.size()) > period) {
+  if (static_cast<Duration>(means_.size()) > period_) {
     return r.Fail(DataLossError("seasonal restore: more bins than period ticks"));
   }
+  DeriveBinWidth();
 }
 
 void SeasonalModel::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }

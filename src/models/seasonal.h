@@ -13,18 +13,21 @@ namespace presto {
 
 // Shared bin machinery: per-bin mean/spread over a repeating period, with linear
 // interpolation between bin centers. Reused by SeasonalModel and SeasonalArModel.
-struct SeasonalBins {
-  Duration period = Hours(24);
-  std::vector<double> means;
-  std::vector<double> stddevs;
+class SeasonalBins {
+ public:
+  SeasonalBins() = default;
+  // Bins given directly: `means` and `stddevs` hold one entry per bin, at least one,
+  // and no more bins than `period` has ticks.
+  SeasonalBins(Duration period, std::vector<double> means, std::vector<double> stddevs);
 
   int BinOf(SimTime t) const;
   // Interpolated seasonal expectation at t.
   double ValueAt(SimTime t) const;
   double StddevAt(SimTime t) const;
 
-  // Fits bins from samples; requires at least one sample per bin.
-  Status Fit(const std::vector<Sample>& history, int bins);
+  // Fits `bins` bins over `period` from samples; requires at least one sample per
+  // bin.
+  Status Fit(const std::vector<Sample>& history, Duration period, int bins);
 
   void SerializeTo(ByteWriter* w) const;
   void DeserializeFrom(ByteReader* r);
@@ -35,12 +38,28 @@ struct SeasonalBins {
   void SaveState(ByteWriter& w) const;
   void LoadState(ByteReader& r);
 
+ private:
   template <class Self, class F>
   static void StateFields(Self& self, F&& f) {
-    f(self.period);
-    f(self.means);
-    f(self.stddevs);
+    f(self.period_);
+    f(self.means_);
+    f(self.stddevs_);
   }
+
+  // The phase of `t` within the period, in [0, period).
+  Duration PhaseOf(SimTime t) const {
+    const Duration phase = t % period_;
+    return phase < 0 ? phase + period_ : phase;
+  }
+  // Recomputes bin_width_ after the period or the bin count changed.
+  void DeriveBinWidth() {
+    bin_width_ = static_cast<double>(period_ / static_cast<Duration>(means_.size()));
+  }
+
+  Duration period_ = Hours(24);
+  double bin_width_ = 0.0;  // period / bins, in whole ticks
+  std::vector<double> means_;
+  std::vector<double> stddevs_;
 };
 
 // Pure seasonal predictor: Predict(t) = bin mean. Stateless across anchors (an anchor

@@ -1,5 +1,7 @@
 #include "src/sensor/protocol.h"
 
+#include "src/wavelet/codec.h"
+
 namespace presto {
 
 const char* PushReasonName(PushReason reason) {
@@ -57,8 +59,10 @@ Status Validate(const ConfigUpdateMsg& msg) {
   if ((msg.fields & kCfgBatchInterval) && msg.batch_interval <= 0) {
     return InvalidArgumentError("config update: batch_interval must be positive");
   }
-  if ((msg.fields & kCfgCompression) && msg.compress && !(msg.quant_step > 0.0)) {
-    return InvalidArgumentError("config update: quant_step must be positive");
+  if ((msg.fields & kCfgCompression) && msg.compress &&
+      !IsWireQuantStep(msg.quant_step)) {
+    return InvalidArgumentError(
+        "config update: quant_step must be a positive finite f32");
   }
   if ((msg.fields & kCfgLplInterval) && msg.lpl_interval <= 0) {
     return InvalidArgumentError("config update: lpl_interval must be positive");

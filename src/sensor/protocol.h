@@ -142,8 +142,8 @@ void CkptFields(S& v, F&& f) {
 }
 
 // Refuses knobs a sensor would abort on once applied: a non-positive sensing period,
-// batch interval or LPL interval, and a non-positive quantization step with
-// compression on. Only the fields in the mask are checked.
+// batch interval or LPL interval, and, with compression on, a quantization step that
+// is not a wire quant step (IsWireQuantStep). Only the fields in the mask are checked.
 Status Validate(const ConfigUpdateMsg& msg);
 
 // Sensor-side aggregation (paper §3: "The operation can be transmitted as a parameter

@@ -12,14 +12,14 @@ namespace presto {
 
 SensorNode::SensorNode(Simulator* sim, Network* net, const SensorNodeConfig& config,
                        MeasureFn measure)
-    : sim_(sim),
-      net_(net),
-      config_(config),
-      measure_(std::move(measure)),
+    : config_(config),
       flash_(config.flash, &meter_),
-      archive_(&flash_, config.archive),
-      clock_(config.clock_offset, config.drift_ppm, config.clock_jitter, config.seed),
+      sim_(sim),
       sensing_timer_(sim, [this] { OnSensingTick(); }),
+      measure_(std::move(measure)),
+      clock_(config.clock_offset, config.drift_ppm, config.clock_jitter, config.seed),
+      archive_(&flash_, config.archive),
+      net_(net),
       batch_timer_(sim, [this] { FlushBatch(); }) {
   PRESTO_CHECK(sim_ != nullptr);
   PRESTO_CHECK(net_ != nullptr);

@@ -171,25 +171,29 @@ class SensorNode : public NetNode {
   std::vector<uint8_t> EncodeBatchPayload(const std::vector<Sample>& local_samples,
                                           bool try_compress);
 
-  Simulator* sim_;
-  Network* net_;
+  // Member order is cache layout: a sensing tick (the timer's fire and
+  // OnSensingTick) reads the head of config_ (policy and tolerances lead it), then
+  // one run of lines from sim_ through the head of archive_ (its append state leads
+  // it). The timers register as simulator sinks in construction order, sensing
+  // before batch, which checkpoints name them by.
   SensorNodeConfig config_;
-  MeasureFn measure_;
+  FlashDevice flash_;  // only stores &meter_ here; archive_ needs it built first
 
-  EnergyMeter meter_;
-  FlashDevice flash_;
-  ArchiveStore archive_;
-  DriftingClock clock_;
+  Simulator* sim_;
   PeriodicTimer sensing_timer_;
-  PeriodicTimer batch_timer_;
-
+  MeasureFn measure_;
+  DriftingClock clock_;
+  EnergyMeter meter_;
   std::unique_ptr<PredictiveModel> model_;  // null until the proxy installs one
-  uint32_t model_seq_ = 0;
   bool has_pushed_value_ = false;
   double last_pushed_value_ = 0.0;
-  std::vector<Sample> batch_buffer_;  // local-time samples awaiting a batch flush
-
   Stats stats_;
+  ArchiveStore archive_;
+
+  Network* net_;
+  PeriodicTimer batch_timer_;
+  uint32_t model_seq_ = 0;
+  std::vector<Sample> batch_buffer_;  // local-time samples awaiting a batch flush
 };
 
 }  // namespace presto

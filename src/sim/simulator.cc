@@ -86,9 +86,10 @@ size_t Simulator::RebindMatchingEvents(
     }
     const EventKind kind = event.kind;
     EventSink* sink = event.sink;
+    const bool has_payload = event.has_payload;
     EventPayload payload = std::move(event.payload);
     ReleaseSlot(src, entry.slot);  // bumps gen: stale handles become no-ops
-    Enqueue(dst, entry.time, kind, sink, std::move(payload));
+    Enqueue(dst, entry.time, kind, sink, has_payload ? &payload : nullptr);
     ++moved;
   }
   for (const QueueEntry& entry : keep) {
@@ -157,18 +158,25 @@ EventHandle Simulator::ScheduleEventAt(SimTime t, EventKind kind, EventSink* sin
                                        EventPayload payload, int lane) {
   PRESTO_CHECK_MSG(t >= Now(), "cannot schedule into the past");
   PRESTO_CHECK(sink != nullptr);
-  return Push(ResolveLane(lane), t, kind, sink, std::move(payload));
+  return Push(ResolveLane(lane), t, kind, sink, &payload);
+}
+
+EventHandle Simulator::ScheduleEventAt(SimTime t, EventKind kind, EventSink* sink,
+                                       int lane) {
+  PRESTO_CHECK_MSG(t >= Now(), "cannot schedule into the past");
+  PRESTO_CHECK(sink != nullptr);
+  return Push(ResolveLane(lane), t, kind, sink, nullptr);
 }
 
 EventHandle Simulator::Push(int internal_lane, SimTime t, EventKind kind,
-                            EventSink* sink, EventPayload&& payload) {
+                            EventSink* sink, EventPayload* payload) {
   const int current = CurrentLane();
   if (current != kLaneControl && internal_lane != current) {
     // Cross-lane post from a running worker: mailbox, drained (single-writer FIFO,
     // deterministic source order) at the next barrier. Not cancellable.
     Lane& target = lanes_[static_cast<size_t>(internal_lane)];
     target.inbox[static_cast<size_t>(current)].push_back(
-        Mail{t, kind, sink, std::move(payload)});
+        Mail{t, kind, sink, payload != nullptr ? std::move(*payload) : EventPayload{}});
     return EventHandle();
   }
   if (current == kLaneControl && internal_lane != ControlIndex() && t < global_now_) {
@@ -180,12 +188,12 @@ EventHandle Simulator::Push(int internal_lane, SimTime t, EventKind kind,
     t = global_now_;
   }
   Lane& lane = lanes_[static_cast<size_t>(internal_lane)];
-  const uint32_t slot = Enqueue(lane, t, kind, sink, std::move(payload));
+  const uint32_t slot = Enqueue(lane, t, kind, sink, payload);
   return EventHandle(this, internal_lane, slot, lane.pool[slot].gen);
 }
 
 uint32_t Simulator::Enqueue(Lane& lane, SimTime t, EventKind kind, EventSink* sink,
-                            EventPayload&& payload) {
+                            EventPayload* payload) {
   uint32_t slot;
   if (!lane.free_slots.empty()) {
     slot = lane.free_slots.back();
@@ -197,7 +205,10 @@ uint32_t Simulator::Enqueue(Lane& lane, SimTime t, EventKind kind, EventSink* si
   Event& event = lane.pool[slot];
   event.kind = kind;
   event.sink = sink;
-  event.payload = std::move(payload);
+  event.has_payload = payload != nullptr;
+  if (event.has_payload) {
+    event.payload = std::move(*payload);
+  }
   lane.queue.push(QueueEntry{t, lane.next_seq++, slot, event.gen});
   return slot;
 }
@@ -214,9 +225,12 @@ void Simulator::ReleaseSlot(Lane& lane, uint32_t slot) {
   Event& event = lane.pool[slot];
   ++event.gen;  // invalidates queue entries and handles of the old generation
   event.sink = nullptr;
-  // Release the payload buffer: the next occupant move-assigns its own vector over
-  // this one, so retained capacity would only pin the last frame's allocation.
-  event.payload.bytes = std::vector<uint8_t>();
+  if (event.has_payload) {
+    // Back to EventPayload{}, releasing the buffer: retained capacity would only
+    // pin the last frame's allocation.
+    event.payload = EventPayload{};
+    event.has_payload = false;
+  }
   lane.free_slots.push_back(slot);
 }
 
@@ -234,10 +248,14 @@ bool Simulator::ExecuteOne(Lane& lane) {
   MixFp(lane.fp, static_cast<uint64_t>(entry.time));
   MixFp(lane.fp, entry.seq);
   // Move the event out before dispatch: the handler may schedule into this lane and
-  // reallocate the pool (and may legitimately reuse this very slot).
+  // reallocate the pool (and may legitimately reuse this very slot). A bare event
+  // has nothing to move: its sink gets a fresh empty payload.
   const EventKind kind = event.kind;
   EventSink* sink = event.sink;
-  EventPayload payload = std::move(event.payload);
+  EventPayload payload;
+  if (event.has_payload) {
+    payload = std::move(event.payload);
+  }
   ReleaseSlot(lane, entry.slot);
   sink->OnSimEvent(kind, payload);
   return true;
@@ -269,8 +287,7 @@ void Simulator::RunEpoch(SimTime end, bool inclusive) {
   for (Lane& target : lanes_) {
     for (std::vector<Mail>& box : target.inbox) {
       for (Mail& mail : box) {
-        Enqueue(target, std::max(mail.time, start), mail.kind, mail.sink,
-                std::move(mail.payload));
+        Enqueue(target, std::max(mail.time, start), mail.kind, mail.sink, &mail.payload);
         ++drained;
       }
       box.clear();
@@ -550,6 +567,7 @@ void Simulator::LoadState(ByteReader& r) {
       Event& event = lane.pool[slot];
       event.kind = kind;
       event.sink = sinks_[sink_id];
+      event.has_payload = true;
       CkptRead(r, event.payload);
       // Original (time, seq): same-time tie-break order is part of the replay
       // contract, so events re-enter with the seqs they were scheduled under.

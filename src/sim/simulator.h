@@ -199,6 +199,10 @@ class Simulator {
   // a running lane (mailbox; invalid handle).
   EventHandle ScheduleEventAt(SimTime t, EventKind kind, EventSink* sink,
                               EventPayload payload, int lane = kLaneCurrent);
+  // The same with an all-zero payload (timer fires), which never moves through the
+  // event pool: the sink receives a fresh EventPayload{}.
+  EventHandle ScheduleEventAt(SimTime t, EventKind kind, EventSink* sink,
+                              int lane = kLaneCurrent);
 
   // Runs a barrier-time hook before each epoch's workers launch:
   // the deployment pre-extends shared lazily-built world state (e.g. the temperature
@@ -275,8 +279,11 @@ class Simulator {
       return a.seq > b.seq;
     }
   };
+  // A free slot's payload is EventPayload{}, and so is a bare event's (one scheduled
+  // without a payload): only events with `has_payload` move theirs in and out.
   struct Event {
     EventKind kind = EventKind::kTimer;
+    bool has_payload = false;
     uint32_t gen = 0;
     EventSink* sink = nullptr;
     EventPayload payload;
@@ -304,10 +311,11 @@ class Simulator {
 
   int ControlIndex() const { return static_cast<int>(lanes_.size()) - 1; }
   int ResolveLane(int lane) const;
+  // `payload` null: a bare event.
   EventHandle Push(int internal_lane, SimTime t, EventKind kind, EventSink* sink,
-                   EventPayload&& payload);
+                   EventPayload* payload);
   uint32_t Enqueue(Lane& lane, SimTime t, EventKind kind, EventSink* sink,
-                   EventPayload&& payload);
+                   EventPayload* payload);
   void CancelEvent(int internal_lane, uint32_t slot, uint32_t gen);
   void ReleaseSlot(Lane& lane, uint32_t slot);
   // Executes queued events of `lane` with time < end (<= end when `inclusive`).

@@ -49,10 +49,8 @@ void PeriodicTimer::Rebind(int new_lane) {
   // shift just because the owner changed lanes (clamp covers a fire that was due
   // exactly at this barrier).
   pending_.Cancel();
-  const SimTime now = sim_->Now();
-  pending_ = sim_->ScheduleEventAt(std::max(next_fire_at_, now), EventKind::kTimer,
-                                   this, EventPayload{}, lane_);
-  next_fire_at_ = std::max(next_fire_at_, now);
+  next_fire_at_ = std::max(next_fire_at_, sim_->Now());
+  pending_ = sim_->ScheduleEventAt(next_fire_at_, EventKind::kTimer, this, lane_);
 }
 
 void PeriodicTimer::OnSimEvent(EventKind kind, EventPayload& payload) {
@@ -71,8 +69,7 @@ void PeriodicTimer::Fire() {
 
 void PeriodicTimer::ScheduleNext(Duration delay) {
   next_fire_at_ = sim_->Now() + delay;
-  pending_ = sim_->ScheduleEventAt(next_fire_at_, EventKind::kTimer, this,
-                                   EventPayload{}, lane_);
+  pending_ = sim_->ScheduleEventAt(next_fire_at_, EventKind::kTimer, this, lane_);
 }
 
 void PeriodicTimer::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }

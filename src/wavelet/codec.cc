@@ -1,6 +1,7 @@
 #include "src/wavelet/codec.h"
 
 #include <cmath>
+#include <limits>
 
 #include "src/util/assert.h"
 #include "src/util/bitpack.h"
@@ -68,9 +69,15 @@ std::vector<uint8_t> EncodeRawBatch(SimTime start, Duration period,
   return w.TakeBuffer();
 }
 
+bool IsWireQuantStep(double step) {
+  // Range-checked first: narrowing a double beyond the float range is undefined.
+  return step > 0.0 && step <= std::numeric_limits<float>::max() &&
+         static_cast<float>(step) > 0.0f;
+}
+
 Status Validate(const CodecParams& params) {
-  if (!(params.quant_step > 0.0)) {
-    return InvalidArgumentError("codec: quant_step must be positive");
+  if (!IsWireQuantStep(params.quant_step)) {
+    return InvalidArgumentError("codec: quant_step must be a positive finite f32");
   }
   return OkStatus();
 }
@@ -169,7 +176,11 @@ Result<DecodedBatch> DecodeBatch(span<const uint8_t> bytes) {
     std::vector<double> values;
     values.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
-      values.push_back(static_cast<double>(r.ReadF32()));
+      const float v = r.ReadF32();
+      if (!std::isfinite(v)) {
+        return InvalidArgumentError("codec: raw sample not finite");
+      }
+      values.push_back(static_cast<double>(v));
     }
     out.samples = GridSamples(out.start, out.period, values);
     return out;
@@ -184,6 +195,9 @@ Result<DecodedBatch> DecodeBatch(span<const uint8_t> bytes) {
       const float v = r.ReadF32();
       if (!r.ok()) {
         return InvalidArgumentError("codec: truncated irregular batch");
+      }
+      if (!std::isfinite(v)) {
+        return InvalidArgumentError("codec: irregular sample not finite");
       }
       if (!AdvanceTime(t, delta, kMillisecond)) {
         return InvalidArgumentError("codec: batch time overflows");
@@ -208,6 +222,10 @@ Result<DecodedBatch> DecodeBatch(span<const uint8_t> bytes) {
   }
   if (!CkptEnumValid(static_cast<WaveletKind>(kind))) {
     return InvalidArgumentError("codec: unknown wavelet kind");
+  }
+  // Every coefficient is a magnitude times this step.
+  if (!IsWireQuantStep(quant)) {
+    return InvalidArgumentError("codec: wavelet quant step not a positive finite f32");
   }
   // Each padded coefficient costs at least its significance bit.
   const size_t bit_count = 8 * packed.size();

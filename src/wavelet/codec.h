@@ -40,7 +40,13 @@ void CkptFields(S& v, F&& f) {
   f(v.denoise_scale);
 }
 
-// The encoder's rules for its params (InvalidArgument when broken).
+// A quantization step a wavelet batch can carry: the wire holds it as an f32, so its
+// f32 rounding must be a positive finite float (not NaN, -0, negative, underflowing
+// to 0 or overflowing to infinity).
+bool IsWireQuantStep(double step);
+
+// The encoder's rules for its params (InvalidArgument when broken): the quant step
+// is a wire quant step, so what the encoder writes the decoder accepts.
 Status Validate(const CodecParams& params);
 
 struct DecodedBatch {

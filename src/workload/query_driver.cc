@@ -109,8 +109,8 @@ void QueryDriver::Start(Duration duration) {
   if (until_ >= 0 && next_at_ >= until_) {
     return;
   }
-  pending_ = sim_->ScheduleEventAt(next_at_, EventKind::kQuery, this, EventPayload{},
-                                   Simulator::kLaneControl);
+  pending_ =
+      sim_->ScheduleEventAt(next_at_, EventKind::kQuery, this, Simulator::kLaneControl);
 }
 
 void QueryDriver::Stop() {
@@ -133,8 +133,8 @@ void QueryDriver::OnSimEvent(EventKind kind, EventPayload& payload) {
     running_ = false;
     return;
   }
-  pending_ = sim_->ScheduleEventAt(next_at_, EventKind::kQuery, this, EventPayload{},
-                                   Simulator::kLaneControl);
+  pending_ =
+      sim_->ScheduleEventAt(next_at_, EventKind::kQuery, this, Simulator::kLaneControl);
 }
 
 void QueryDriver::OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,

@@ -17,8 +17,7 @@
 #ifndef SRC_WORKLOAD_TEMPERATURE_H_
 #define SRC_WORKLOAD_TEMPERATURE_H_
 
-#include <map>
-#include <memory>
+#include <cstddef>
 #include <vector>
 
 #include "src/util/ckpt.h"
@@ -92,12 +91,15 @@ class TemperatureSignal : public Signal {
 
  private:
   double FrontAt(SimTime t);
-  void ExtendFronts(SimTime t);
+  // Draws the hourly front grid out to `rows` points.
+  void ExtendFronts(size_t rows);
   void ExtendEvents(SimTime t);
 
   TemperatureParams params_;
   Pcg32 front_rng_;
   Pcg32 event_rng_;
+  double front_decay_;  // OU step: x_{k+1} = decay x_k + step_std eps
+  double front_step_std_;
   std::vector<double> fronts_;  // OU samples on the hourly grid, extended lazily
   std::vector<TransientEvent> events_;
   SimTime events_horizon_ = 0;
@@ -118,26 +120,54 @@ class TemperatureField {
   // TruthAt plus white measurement noise — what the node's ADC reads.
   double MeasureAt(int node, SimTime t);
 
-  // Pre-extends the *shared* field component through `t`. Per-node components are
-  // only read by their own node's lane, but the shared signal is read by every lane:
-  // the deployment pre-extends it at each epoch barrier so MeasureAt never mutates
-  // cross-lane state. (Noise is a stateless hash; no preparation needed.)
+  // Pre-extends the shared field component and grows the per-node front table
+  // through `t`. The shared signal is read by every lane and the table's rows by
+  // every lane's nodes; the deployment calls this at each epoch barrier, so during
+  // an epoch a lane only fills its own nodes' cells and never reallocates the
+  // table. (Noise is a stateless hash; no preparation needed.)
   void PrepareThrough(SimTime t);
 
   // Per-node events (for rare-event detection scoring).
   std::vector<TransientEvent> EventsIn(int node, TimeInterval interval);
 
  private:
+  // What one sample of a node reads, kept apart from the draw streams so a tick
+  // touches one small record. The node's transient events (own stream, zero base)
+  // are summed from `event_cursor`, the first event that has not yet ended at
+  // `cursor_time`; a later time before `next_event_start` sees none of them.
   struct NodeState {
-    double offset = 0.0;
-    std::unique_ptr<TemperatureSignal> independent;  // de-correlated component source
-    std::unique_ptr<TemperatureSignal> own_events;   // carries this node's anomalies
+    double offset = 0.0;         // room-to-room bias
+    SimTime events_horizon = 0;  // event list generated through here
+    SimTime cursor_time = 0;
+    SimTime next_event_start = 0;
+    uint32_t event_cursor = 0;
+    uint32_t fronts_filled = 0;  // rows of this node's front column drawn so far
+  };
+  // A node's draw streams and generated events, touched once per hour or event.
+  struct NodeStreams {
+    Pcg32 front_rng;  // the independent (de-correlated) OU front component
+    Pcg32 event_rng;
+    std::vector<TransientEvent> events;  // start-ordered; all share rise and decay
   };
 
+  // The node's independent front at `t` (an OU process on the hourly grid).
+  double IndependentAt(size_t node, SimTime t);
+  // Sum of the node's transient-event contributions at `t`.
+  double EventsAt(size_t node, SimTime t);
+  void ExtendEvents(size_t node, SimTime t);
+  // Grows the front table to `rows` hourly rows (cells stay undrawn).
+  void GrowFrontRows(size_t rows);
+
   TemperatureParams params_;
-  double correlation_;
-  std::unique_ptr<TemperatureSignal> shared_;
+  double independent_scale_;  // sqrt(1 - correlation^2)
+  double front_decay_;        // OU step: x_{k+1} = decay x_k + step_std eps
+  double front_step_std_;
+  TemperatureSignal shared_;
   std::vector<NodeState> nodes_;
+  std::vector<NodeStreams> streams_;
+  // Independent fronts, [hour][node]: row k holds every node's front at hour k.
+  std::vector<double> fronts_;
+  size_t front_rows_ = 0;
   uint64_t noise_seed_;
 };
 

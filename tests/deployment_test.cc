@@ -1048,6 +1048,48 @@ TEST(LaneEngineDeploymentTest, ModelForecastCachesAreLanePinned) {
   EXPECT_TRUE(one == two) << "worker count must not change any observable";
 }
 
+// The temperature field keeps every node's independent weather front in one
+// [hour][node] table: the barrier hook grows its rows, and each lane fills only its
+// own nodes' cells. Past three sim hours the table has grown at several barriers
+// under four concurrently running lanes; every observable, and each node's field
+// value read back afterwards, must equal the single-worker run's bit for bit (and,
+// under TSan, be race-free).
+ReplayDigest RunFrontTableScenario(int threads, std::vector<double>* truths) {
+  DeploymentConfig config;
+  config.num_proxies = 4;
+  config.sensors_per_proxy = 6;
+  config.sim_threads = threads;
+  config.seed = 373;
+  Deployment deployment(config);
+  deployment.Start();
+  deployment.RunUntil(Hours(3) + Minutes(40));
+
+  truths->clear();
+  for (int g = 0; g < deployment.total_sensors(); ++g) {
+    const SimTime t = Hours(2) + Minutes(17) + g * Seconds(7);
+    truths->push_back(deployment.field().TruthAt(g, t));
+  }
+  ReplayDigest digest;
+  digest.fingerprint = deployment.sim().fingerprint();
+  digest.events = deployment.sim().events_executed();
+  digest.energy = deployment.MeanSensorEnergy();
+  digest.messages_sent = deployment.net().stats().messages_sent;
+  return digest;
+}
+
+TEST(LaneEngineDeploymentTest, FrontTableGrowsAtBarriersAcrossLanes) {
+  std::vector<double> truths_one;
+  std::vector<double> truths_four;
+  const ReplayDigest one = RunFrontTableScenario(1, &truths_one);
+  const ReplayDigest four = RunFrontTableScenario(4, &truths_four);
+  EXPECT_EQ(one.fingerprint, four.fingerprint);
+  EXPECT_TRUE(one == four) << "worker count must not change any observable";
+  ASSERT_EQ(truths_one.size(), truths_four.size());
+  for (size_t g = 0; g < truths_one.size(); ++g) {
+    EXPECT_EQ(truths_one[g], truths_four[g]) << g;
+  }
+}
+
 // ---------- barrier-time lane re-binding on migration ----------
 
 TEST(LaneEngineDeploymentTest, MigrationRebindsSensorLaneAndDropsCrossLaneSends) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -21,6 +22,7 @@
 #include "src/util/ckpt.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
+#include "src/workload/signal.h"
 #include "tests/read_status.h"
 
 namespace presto {
@@ -268,6 +270,141 @@ TEST(ArModelTest, UncertaintyGrowsWithHorizon) {
     EXPECT_GE(sd, prev);
     prev = sd;
   }
+}
+
+// Bit patterns, so a golden comparison fails if one bit of a double moves.
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Hex-exact ValueAt: negative times, bin centres and edges, the wrap from the last
+// bin to the first, periods the bin count does not divide (where the interpolation
+// position runs past the last bin), and a single bin.
+TEST(SeasonalBinsTest, GoldenValuesAreBitExact) {
+  struct Case {
+    Duration period;
+    int bins;
+    std::vector<std::pair<SimTime, double>> probes;
+  };
+  // clang-format off
+  const Case kCases[] = {
+      {86400000000, 24,
+       {
+           {-1, 0x1.9875c292cb558p+6},
+           {-3600000000, 0x1.744f5c28f5c29p+7},
+           {-90000000007, 0x1.744f5c27e8033p+7},
+           {0, 0x1.9875c28f5c28fp+6},
+           {1800000000, 0x1.4p+3},
+           {3600000000, 0x1.3deb851eb851ep+3},
+           {5400000000, 0x1.3bd70a3d70a3dp+3},
+           {84600000000, 0x1.8475c28f5c28fp+7},
+           {85500000000, 0x1.285851eb851ebp+7},
+           {86399999999, 0x1.9875c292cb558p+6},
+           {86400000000, 0x1.9875c28f5c28fp+6},
+           {34560005000000, 0x1.976fbe76c8b43p+6},
+           {4000000000000007, 0x1.6f4321011ca2ep+4},
+       }},
+      {1000003, 7,
+       {
+           {0, 0x1.e51eb851eb852p+3},
+           {71428, 0x1.40004bbfcbf6cp+3},
+           {142857, 0x1.3deb851eb851ep+3},
+           {142858, 0x1.3deb83362abf5p+3},
+           {999999, 0x1.e51eb851eb852p+3},
+           {1000002, 0x1.e51cf1d323bccp+3},
+           {-1, 0x1.e51cf1d323bccp+3},
+           {-500000, 0x1.7a8fc78b7669p+3},
+           {3000086, 0x1.e4f126f1391bfp+3},
+       }},
+      {10, 4,
+       {
+           {0, 0x1.5d47ae147ae14p+3},
+           {1, 0x1.4p+3},
+           {2, 0x1.3deb851eb851ep+3},
+           {3, 0x1.3bd70a3d70a3dp+3},
+           {4, 0x1.459999999999ap+3},
+           {5, 0x1.4f5c28f5c28f6p+3},
+           {6, 0x1.64f5c28f5c29p+3},
+           {7, 0x1.7a8f5c28f5c29p+3},
+           {8, 0x1.5d47ae147ae14p+3},
+           {9, 0x1.4p+3},
+           {-1, 0x1.4p+3},
+           {-7, 0x1.3bd70a3d70a3dp+3},
+           {19, 0x1.4p+3},
+       }},
+      {3600000000, 1,
+       {
+           {0, 0x1.4p+3},
+           {600000000, 0x1.4p+3},
+           {-600000000, 0x1.4p+3},
+           {21000000000, 0x1.4p+3},
+       }},
+  };
+  // clang-format on
+  for (const Case& c : kCases) {
+    std::vector<double> means;
+    std::vector<double> stddevs;
+    for (int i = 0; i < c.bins; ++i) {
+      means.push_back(10.0 + 0.37 * i * i - 0.5 * i);
+      stddevs.push_back(0.1 * (i + 1));
+    }
+    const SeasonalBins bins(c.period, means, stddevs);
+    for (const auto& [t, value] : c.probes) {
+      EXPECT_EQ(Bits(bins.ValueAt(t)), Bits(value))
+          << c.period << "/" << c.bins << " @ " << t;
+    }
+  }
+}
+
+// Hex-exact forecasts (value and stddev) of a fitted AR(3), before and after an
+// anchor: grid steps, half-step rounding, a backward time, and past the horizon.
+TEST(ArCoreTest, GoldenForecastsAreBitExact) {
+  ArCore core;
+  core.sample_period = Seconds(31);
+  std::vector<double> values;
+  for (int i = 0; i < 400; ++i) {
+    const double smooth = 3.0 * std::sin(i * 0.1) + 1.5 * std::cos(i * 0.037);
+    values.push_back(smooth + 0.2 * HashGaussian(5, i));
+  }
+  ASSERT_TRUE(core.Fit(values, 399 * Seconds(31), /*order=*/3).ok());
+  struct Probe {
+    SimTime t;
+    double value;
+    double stddev;
+  };
+  auto expect = [&core](const std::vector<Probe>& probes) {
+    for (const Probe& p : probes) {
+      const Prediction got = core.Forecast(p.t);
+      EXPECT_EQ(Bits(got.value), Bits(p.value)) << p.t;
+      EXPECT_EQ(Bits(got.stddev), Bits(p.stddev)) << p.t;
+    }
+  };
+  // clang-format off
+  const std::vector<Probe> kBeforeAnchor = {
+      {12400000000, 0x1.3fd062e0e6803p+0, 0x1.5aae139732fe9p-2},
+      {12431000000, 0x1.d81cd6dfcdcc4p-1, 0x1.f2ae092ce4d45p-2},
+      {12462000000, 0x1.db2f16d8cad64p-1, 0x1.58f99dc613d26p-1},
+      {12679000000, 0x1.4bd0f2eecc1ffp-1, 0x1.73981389b802ep+0},
+      {15469000000, 0x1.e6edbbc632bbap-3, 0x1.322a4dd3f8132p+1},
+      {12384000000, 0x1.26fa82p+0, 0x1.5aae139732fe9p-2},
+      {12385000000, 0x1.3fd062e0e6803p+0, 0x1.5aae139732fe9p-2},
+      {12369000000, 0x1.aba613fb3b5f1p-3, 0x1.32992ap+1},
+      {12338000000, 0x1.aba613fb3b5f1p-3, 0x1.32992ap+1},
+      {167369000000, 0x1.aba613fb3b5f1p-3, 0x1.32992ap+1},
+  };
+  const std::vector<Probe> kAfterAnchor = {
+      {12462000000, 0x1.3d5dc1941b1e6p+1, 0x1.5aae139732fe9p-2},
+      {12493000000, 0x1.2962417dc0342p+1, 0x1.f2ae092ce4d45p-2},
+      {13981000000, 0x1.6570bd02af5a4p-1, 0x1.29b3956519bbp+1},
+      {12430999999, 0x1.aba613fb3b5f1p-3, 0x1.32992ap+1},
+  };
+  // clang-format on
+  expect(kBeforeAnchor);
+  core.Anchor(Sample{399 * Seconds(31) + Seconds(62) + 900000, 2.5});
+  ASSERT_EQ(core.state_time, 12431000000);
+  expect(kAfterAnchor);
 }
 
 // The forecast cursor against the arithmetic it replaces: each forecast rolls a fresh

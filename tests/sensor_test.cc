@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/models/ar.h"
 #include "src/net/network.h"
@@ -333,6 +334,14 @@ TEST(SensorNodeTest, ConfigUpdateWithNonPositiveQuantStepIsDropped) {
   // The step only matters with compression on.
   update.compress = false;
   EXPECT_TRUE(Validate(update).ok());
+}
+
+TEST(SensorNodeTest, ConfigUpdateWithNonFiniteQuantStepIsDropped) {
+  ConfigUpdateMsg update;
+  update.fields = kCfgCompression;
+  update.compress = true;
+  update.quant_step = std::numeric_limits<double>::infinity();
+  ExpectConfigUpdateDropped(update);
 }
 
 TEST(SensorNodeTest, AggregateArchiveQueryReturnsOneValue) {

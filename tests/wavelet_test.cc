@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -270,13 +272,14 @@ std::vector<uint8_t> BatchBytes(BatchFormat format, uint64_t count, SimTime star
   return out;
 }
 
-// A wavelet batch's bytes by hand: kind, levels, quant step 1, then the packed bits.
+// A wavelet batch's bytes by hand: kind, levels, the quant step, then the packed bits.
 std::vector<uint8_t> WaveletBytes(uint64_t count, uint8_t kind, uint8_t levels,
-                                  const std::vector<uint8_t>& packed) {
+                                  const std::vector<uint8_t>& packed,
+                                  float quant = 1.0f) {
   ByteWriter w;
   w.WriteU8(kind);
   w.WriteU8(levels);
-  w.WriteF32(1.0f);
+  w.WriteF32(quant);
   w.WriteBytes(packed);
   return BatchBytes(BatchFormat::kWavelet, count, Hours(1),
                     static_cast<uint64_t>(kSecond), w.TakeBuffer());
@@ -327,6 +330,57 @@ TEST(CodecTest, MalformedBatchesAreRefused) {
   auto sane = DecodeBatch(BatchBytes(BatchFormat::kRaw, 2, Hours(1), 7, values));
   ASSERT_TRUE(sane.ok());
   EXPECT_EQ(sane->samples.back().t, Hours(1) + 7);
+}
+
+// No encoder emits these quant steps or sample values, but a peer's bytes may carry
+// them: each is refused, and the encoder's own rule refuses the same steps.
+TEST(CodecTest, NonFiniteOrNonPositiveQuantStepsAndValuesAreRefused) {
+  // One significant coefficient of magnitude 1.
+  BitWriter bits;
+  bits.WriteBits(1, 1);
+  bits.WriteBits(0, 1);
+  bits.WriteUnary(0);
+  const auto decode_code = [&bits](float quant) {
+    return DecodeBatch(WaveletBytes(1, 0, 0, bits.bytes(), quant)).status().code();
+  };
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const float quant : {nan, -0.0f, 0.0f, -0.5f, -inf, inf}) {
+    EXPECT_EQ(decode_code(quant), StatusCode::kInvalidArgument) << quant;
+  }
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  auto smallest = DecodeBatch(WaveletBytes(1, 0, 0, bits.bytes(), tiny));
+  ASSERT_TRUE(smallest.ok());
+  EXPECT_GT(smallest->samples[0].value, 0.0);
+  EXPECT_EQ(decode_code(0.25f), StatusCode::kOk);
+
+  for (const float bad : {nan, inf, -inf}) {
+    ByteWriter raw;
+    raw.WriteF32(20.0f);
+    raw.WriteF32(bad);
+    const auto raw_bytes = BatchBytes(BatchFormat::kRaw, 2, 0, 7, raw.TakeBuffer());
+    EXPECT_EQ(DecodeBatch(raw_bytes).status().code(), StatusCode::kInvalidArgument);
+    ByteWriter irregular;
+    irregular.WriteVarU64(0);
+    irregular.WriteF32(bad);
+    const auto irregular_bytes =
+        BatchBytes(BatchFormat::kIrregular, 1, 0, 0, irregular.TakeBuffer());
+    EXPECT_EQ(DecodeBatch(irregular_bytes).status().code(), StatusCode::kInvalidArgument);
+  }
+
+  // The encoder side: the f32 the wire would carry must be positive and finite. 1e-50
+  // underflows to 0 as an f32 and 1e39 overflows its range.
+  const double nan_step = std::numeric_limits<double>::quiet_NaN();
+  const double inf_step = std::numeric_limits<double>::infinity();
+  CodecParams params;
+  for (const double step : {nan_step, -0.0, 0.0, -0.02, 1e-50, 1e39, inf_step}) {
+    params.quant_step = step;
+    EXPECT_EQ(Validate(params).code(), StatusCode::kInvalidArgument) << step;
+  }
+  for (const double step : {0.02, 1e-40, static_cast<double>(FLT_MAX)}) {
+    params.quant_step = step;
+    EXPECT_TRUE(Validate(params).ok()) << step;
+  }
 }
 
 // Every byte-mutated or truncated encoding of each batch format and of a sealed page

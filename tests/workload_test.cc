@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "src/util/stats.h"
 #include "src/workload/activity.h"
@@ -144,6 +148,108 @@ TEST(TemperatureFieldTest, MeasurementNoiseOnTopOfTruth) {
   }
   EXPECT_NEAR(noise.stddev(), 0.2, 0.02);
   EXPECT_NEAR(noise.mean(), 0.0, 0.02);
+}
+
+// Bit patterns, so a golden comparison fails if one bit of a double moves.
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+struct FieldProbe {
+  int node;
+  SimTime t;
+  double truth;
+  double measured;
+};
+
+void ExpectFieldGolden(TemperatureField& field, const std::vector<FieldProbe>& probes) {
+  for (const FieldProbe& p : probes) {
+    EXPECT_EQ(Bits(field.TruthAt(p.node, p.t)), Bits(p.truth)) << p.node << " @ " << p.t;
+    EXPECT_EQ(Bits(field.MeasureAt(p.node, p.t)), Bits(p.measured))
+        << p.node << " @ " << p.t;
+  }
+}
+
+// Hex-exact values of the field, in a call order that crosses hour boundaries, runs
+// through node 0's first transient event (ramp, peak, decay, past its end), reads
+// node 1 past 48 h and inside its first event, and then steps back in time.
+TEST(TemperatureFieldTest, GoldenValuesAreBitExact) {
+  TemperatureParams params;
+  params.seed = 11;
+  TemperatureField field(4, params, 0.8);
+  const auto node0 = field.EventsIn(0, TimeInterval{0, Hours(12)});
+  ASSERT_EQ(node0.size(), 1u);
+  EXPECT_EQ(node0[0].start, 36964588153);
+  EXPECT_EQ(Bits(node0[0].magnitude), Bits(0x1.6cfb8d7907cf3p+2));
+  const auto node1 = field.EventsIn(1, TimeInterval{Hours(48), Hours(70)});
+  ASSERT_EQ(node1.size(), 1u);
+  EXPECT_EQ(node1[0].start, 237724932634);
+  // clang-format off
+  const std::vector<FieldProbe> kProbes = {
+      {0, 0, 0x1.2fb64955d5101p+4, 0x1.30b9f51d8a69cp+4},
+      {0, 3599999999, 0x1.10d8bb8d09173p+4, 0x1.0c19b2de99773p+4},
+      {0, 3600000000, 0x1.10d8bb8ce667ep+4, 0x1.11456d172e067p+4},
+      {0, 3600000001, 0x1.10d8bb8cda771p+4, 0x1.13745cc8f6103p+4},
+      {1, 5400000000, 0x1.0ec73115b3a1ep+4, 0x1.1141962d8b3bdp+4},
+      {2, 7231000000, 0x1.0bc6e30d35978p+4, 0x1.0f0657063b9e1p+4},
+      {3, 10800000000, 0x1.23dd94faed17fp+4, 0x1.25b6d8519eb31p+4},
+      {0, 37114588153, 0x1.8c7e25fc27a1cp+4, 0x1.8ec690c84e652p+4},
+      {0, 37264588153, 0x1.bb6e841839b24p+4, 0x1.b863da063cd1p+4},
+      {0, 39964588153, 0x1.94d0e9e2d0ec9p+4, 0x1.92d966e7e00fbp+4},
+      {0, 58864588154, 0x1.68aecabd24047p+4, 0x1.67e6b8e732f5dp+4},
+      {1, 172799000000, 0x1.fdbccf2f5a823p+3, 0x1.f91582c0f4dabp+3},
+      {1, 172800000000, 0x1.fdbc1854177dep+3, 0x1.0076bb0e2c492p+4},
+      {1, 176407000000, 0x1.fd6753c9b8392p+3, 0x1.fccc2ef44636ap+3},
+      {1, 238724932634, 0x1.077dc45ba6d6ap+4, 0x1.033b69db5566ep+4},
+      {2, 360013000000, 0x1.f2f6b5e96255ep+3, 0x1.ee30c43332db1p+3},
+      {3, 432000000000, 0x1.5ff3b23fd73c6p+4, 0x1.600b9e2628ce7p+4},
+      {0, 108000000000, 0x1.379849927ea98p+4, 0x1.3831d8a564d1ap+4},
+      {0, 37564588153, 0x1.b475e16177bb4p+4, 0x1.b6bcd912cdb0ap+4},
+      {1, 238755932634, 0x1.08484aecbab89p+4, 0x1.0699818bcab67p+4},
+  };
+  // clang-format on
+  ExpectFieldGolden(field, kProbes);
+}
+
+// The correlation extremes: fully independent nodes and the shared field alone.
+TEST(TemperatureFieldTest, GoldenValuesAtCorrelationExtremes) {
+  TemperatureParams params;
+  params.seed = 12;
+  // clang-format off
+  const std::vector<FieldProbe> kIndependent = {
+      {0, 18000000000, 0x1.1ae8be31dd41p+4, 0x1.1bd1be6d0c523p+4},
+      {2, 180000000017, 0x1.27fa760f8be46p+4, 0x1.2618bcebf04b4p+4},
+      {1, 7200000000, 0x1.193bbdd9ad1e9p+4, 0x1.19cf16532d973p+4},
+  };
+  const std::vector<FieldProbe> kShared = {
+      {0, 18000000000, 0x1.1dde0851e8fccp+4, 0x1.1ec7088d180dfp+4},
+      {2, 180000000017, 0x1.39fd1b8e87b01p+4, 0x1.381b626aec16fp+4},
+      {1, 7200000000, 0x1.ef38874fe1f97p+3, 0x1.f05f3842e2eaap+3},
+  };
+  // clang-format on
+  TemperatureField independent(3, params, 0.0);
+  ExpectFieldGolden(independent, kIndependent);
+  TemperatureField shared(3, params, 1.0);
+  ExpectFieldGolden(shared, kShared);
+}
+
+TEST(TemperatureTest, GoldenValuesAreBitExact) {
+  TemperatureParams params;
+  params.seed = 11;
+  TemperatureSignal signal(params);
+  // clang-format off
+  const std::pair<SimTime, double> kProbes[] = {
+      {0, 0x1.3ceb76db56aecp+4},
+      {4020000000, 0x1.25e3021b8b377p+4},
+      {216000000000, 0x1.79a8519a1d80fp+4},
+      {10799999999, 0x1.2449d63e51873p+4},
+  };
+  // clang-format on
+  for (const auto& [t, value] : kProbes) {
+    EXPECT_EQ(Bits(signal.ValueAt(t)), Bits(value)) << t;
+  }
 }
 
 // ---------- traffic ----------
