@@ -1,10 +1,12 @@
 // Microbench M4 — core data-structure throughput: skip-graph ops, unified-store
 // routing, summary-cache ops, the query result's FedMail codec, the event queue
-// that everything runs on, and the per-sensor sensing tick in a warm deployment.
+// that everything runs on, sparse lane barriers, and the per-sensor sensing tick in
+// a warm deployment.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -327,6 +329,55 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_SimulatorEventThroughput);
+
+// Timers that re-arm themselves one period (payload.a us) on, in their own lane.
+class RearmSink : public EventSink {
+ public:
+  explicit RearmSink(Simulator* sim) : sim_(sim) {}
+  void OnSimEvent(EventKind kind, EventPayload& payload) override {
+    const auto period = static_cast<Duration>(payload.a);
+    sim_->ScheduleEventAt(sim_->Now() + period, kind, this, std::move(payload));
+  }
+
+ private:
+  Simulator* sim_;
+};
+
+// Wall time per event of 8 lanes x 192 re-arming 1 s timers, phases spread evenly and
+// dealt round-robin over the lanes, stepped on a 2 ms epoch grid for 20 sim seconds
+// on one thread. Most barriers find one or two lanes with an event due and no mail:
+// the shape of a sensing deployment's lanes between pushes. The label is the
+// simulator fingerprint, which a change to the barrier must keep.
+void BM_SparseLaneEpochs(benchmark::State& state) {
+  constexpr int kLanes = 8;
+  constexpr int kTimersPerLane = 192;
+  constexpr int kTimers = kLanes * kTimersPerLane;
+  uint64_t events = 0;
+  uint64_t fingerprint = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Simulator sim(kLanes, /*threads=*/1, Millis(2));
+    RearmSink sink(&sim);
+    for (int i = 0; i < kTimers; ++i) {
+      EventPayload payload;
+      payload.a = static_cast<uint64_t>(Seconds(1));
+      sim.ScheduleEventAt(Seconds(1) * i / kTimers, EventKind::kTimer, &sink,
+                          std::move(payload), i % kLanes);
+    }
+    state.ResumeTiming();
+    sim.RunUntil(Seconds(20));
+    events += sim.events_executed();
+    fingerprint = sim.fingerprint();
+  }
+  const auto flags = benchmark::Counter::kIsRate | benchmark::Counter::kInvert;
+  state.counters["per_event"] = benchmark::Counter(static_cast<double>(events), flags);
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+  char label[24];
+  std::snprintf(label, sizeof(label), "fp=%016llx",
+                static_cast<unsigned long long>(fingerprint));
+  state.SetLabel(label);
+}
+BENCHMARK(BM_SparseLaneEpochs)->Unit(benchmark::kMillisecond);
 
 // Wall time per executed event in an 8 x N deployment in its model regime: warmed
 // 28 sim hours outside the timing (past the prediction engine's 26 h training span

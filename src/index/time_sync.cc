@@ -32,43 +32,49 @@ RegressionTimeSync::RegressionTimeSync(size_t window) : window_(window) {
 }
 
 void RegressionTimeSync::AddBeacon(SimTime local, SimTime reference) {
-  locals_.push_back(static_cast<double>(local));
-  references_.push_back(static_cast<double>(reference));
-  if (locals_.size() > window_) {
-    locals_.erase(locals_.begin());
-    references_.erase(references_.begin());
+  const Beacon beacon{static_cast<double>(local), static_cast<double>(reference)};
+  if (beacons_.size() < window_) {
+    beacons_.reserve(window_);
+    beacons_.push_back(beacon);
+  } else {
+    beacons_[head_] = beacon;
+    head_ = head_ + 1 == window_ ? 0 : head_ + 1;
   }
   fit_valid_ = Refit().ok();
 }
 
+namespace {
+
+// A mote oscillator is a crystal within a few hundred ppm of nominal, so a plausible
+// line's slope is within ±1% of 1.0.
+bool SlopeIsPlausible(double slope) { return std::abs(slope - 1.0) <= 0.01; }
+
+}  // namespace
+
 Status RegressionTimeSync::Refit() {
-  if (locals_.size() < 2) {
+  if (beacons_.size() < 2) {
     return FailedPreconditionError("time sync: need >= 2 beacons");
   }
   // Center for numerical stability: times are ~1e11 us, squares overflow doubles'
   // precision comfort zone.
-  const double ref0 = references_.front();
-  const double loc0 = locals_.front();
-  std::vector<double> x(references_.size());
-  std::vector<double> y(locals_.size());
-  for (size_t i = 0; i < references_.size(); ++i) {
-    x[i] = references_[i] - ref0;
-    y[i] = locals_[i] - loc0;
-  }
-  auto line = FitLine(x, y);
+  const double ref0 = At(0).reference;
+  const double loc0 = At(0).local;
+  auto line = FitLineOf(beacons_.size(), [&](size_t i) {
+    const Beacon& b = At(i);
+    return std::make_pair(b.reference - ref0, b.local - loc0);
+  });
   if (!line.ok()) {
     return line.status();
   }
   // local - loc0 = a + b (ref - ref0)  =>  local = (loc0 + a - b*ref0) + b*ref.
   slope_ = line->second;
   intercept_ = loc0 + line->first - slope_ * ref0;
-  // A mote oscillator is a crystal within a few hundred ppm of nominal. A fitted
-  // slope outside ±1% of 1.0 cannot be clock drift — it means the beacon baseline
-  // is shorter than the timestamp jitter (e.g. the first two beacons after a
-  // failover promotion land seconds apart), and extrapolating that line maps
+  // A fitted slope outside the tolerance cannot be clock drift — it means the beacon
+  // baseline is shorter than the timestamp jitter (e.g. the first two beacons after
+  // a failover promotion land seconds apart), and extrapolating that line maps
   // queries wildly off the sensor's timeline. The identity fallback is strictly
   // better until the baseline grows.
-  if (std::abs(slope_ - 1.0) > 0.01) {
+  if (!SlopeIsPlausible(slope_)) {
     return FailedPreconditionError("time sync: slope outside oscillator tolerance");
   }
   return OkStatus();
@@ -94,12 +100,12 @@ Result<double> RegressionTimeSync::ResidualRms() const {
     return FailedPreconditionError("time sync: not enough beacons");
   }
   double sq = 0.0;
-  for (size_t i = 0; i < locals_.size(); ++i) {
-    const double predicted = intercept_ + slope_ * references_[i];
-    const double r = locals_[i] - predicted;
+  for (size_t i = 0; i < beacons_.size(); ++i) {
+    const double predicted = intercept_ + slope_ * At(i).reference;
+    const double r = At(i).local - predicted;
     sq += r * r;
   }
-  return std::sqrt(sq / static_cast<double>(locals_.size()));
+  return std::sqrt(sq / static_cast<double>(beacons_.size()));
 }
 
 }  // namespace presto
@@ -111,9 +117,51 @@ void DriftingClock::SaveState(ByteWriter& w) const { StateFields(*this, CkptWrit
 void DriftingClock::LoadState(ByteReader& r) { StateFields(*this, CkptReader(r)); }
 
 void RegressionTimeSync::SaveState(ByteWriter& w) const {
-  StateFields(*this, CkptWriter(w));
+  w.WriteVarU64(beacons_.size());
+  for (size_t i = 0; i < beacons_.size(); ++i) {
+    CkptWrite(w, At(i).local);
+  }
+  w.WriteVarU64(beacons_.size());
+  for (size_t i = 0; i < beacons_.size(); ++i) {
+    CkptWrite(w, At(i).reference);
+  }
+  CkptWrite(w, fit_valid_);
+  CkptWrite(w, intercept_);
+  CkptWrite(w, slope_);
 }
 
-void RegressionTimeSync::LoadState(ByteReader& r) { StateFields(*this, CkptReader(r)); }
+void RegressionTimeSync::LoadState(ByteReader& r) {
+  std::vector<double> locals;
+  std::vector<double> references;
+  bool fit_valid = false;
+  double intercept = 0.0;
+  double slope = 1.0;
+  CkptRead(r, locals);
+  CkptRead(r, references);
+  CkptRead(r, fit_valid);
+  CkptRead(r, intercept);
+  CkptRead(r, slope);
+  if (!r.ok()) {
+    return;
+  }
+  if (locals.size() != references.size()) {
+    return r.Fail(DataLossError("ckpt: time-sync beacon lists differ in length"));
+  }
+  if (locals.size() > window_) {
+    return r.Fail(DataLossError("ckpt: time-sync beacons exceed the window"));
+  }
+  if (fit_valid &&
+      !(std::isfinite(intercept) && std::isfinite(slope) && SlopeIsPlausible(slope))) {
+    return r.Fail(DataLossError("ckpt: time-sync line flagged valid is implausible"));
+  }
+  beacons_.clear();
+  for (size_t i = 0; i < locals.size(); ++i) {
+    beacons_.push_back(Beacon{locals[i], references[i]});
+  }
+  head_ = 0;
+  fit_valid_ = fit_valid;
+  intercept_ = intercept;
+  slope_ = slope;
+}
 
 }  // namespace presto

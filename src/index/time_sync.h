@@ -55,14 +55,16 @@ class DriftingClock {
 
 class RegressionTimeSync {
  public:
-  // Caps memory: only the most recent `window` beacons contribute to the fit.
+  // Caps memory: only the most recent `window` beacons contribute to the fit. They
+  // live in a ring of at most `window` entries, so a beacon allocates nothing once
+  // the ring is full.
   explicit RegressionTimeSync(size_t window = 32);
 
   // Records a sync beacon: the sensor reported local time `local` at proxy reference
   // time `reference` (e.g. stamped on a push the proxy just received).
   void AddBeacon(SimTime local, SimTime reference);
 
-  size_t beacon_count() const { return locals_.size(); }
+  size_t beacon_count() const { return beacons_.size(); }
   // A usable fit exists: >= 2 beacons whose least-squares slope is physically
   // plausible (see Refit). Correct/ToLocal fail until this holds.
   bool Ready() const { return fit_valid_; }
@@ -78,25 +80,30 @@ class RegressionTimeSync {
   // RMS residual of the fit in microseconds (how trustworthy corrections are).
   Result<double> ResidualRms() const;
 
-  // Checkpoint codec: beacon window and the fitted line.
+  // Checkpoint codec: the beacons' local times and their reference times (two
+  // lists, oldest first), then the fitted line. A restore refuses, as DataLoss, lists
+  // of unequal length or longer than the window, and a line flagged valid that is not
+  // finite or whose slope is outside the oscillator tolerance Refit enforces.
   void SaveState(ByteWriter& w) const;
   void LoadState(ByteReader& r);
 
  private:
-  template <class Self, class F>
-  static void StateFields(Self& self, F&& f) {
-    f(self.locals_);
-    f(self.references_);
-    f(self.fit_valid_);
-    f(self.intercept_);
-    f(self.slope_);
-  }
+  struct Beacon {
+    double local;
+    double reference;
+  };
 
+  // The i-th oldest beacon in the window.
+  const Beacon& At(size_t i) const {
+    const size_t j = head_ + i;
+    return beacons_[j < beacons_.size() ? j : j - beacons_.size()];
+  }
   Status Refit();
 
   size_t window_;
-  std::vector<double> locals_;
-  std::vector<double> references_;
+  // The window as a ring: oldest at head_ once full, else at 0.
+  std::vector<Beacon> beacons_;
+  size_t head_ = 0;
   bool fit_valid_ = false;
   double intercept_ = 0.0;  // local = intercept + slope * reference
   double slope_ = 1.0;

@@ -14,7 +14,7 @@ namespace presto {
 Status ArCore::Fit(const std::vector<double>& values, SimTime last_sample_time,
                    int order) {
   PRESTO_CHECK(order >= 1);
-  ResetCaches();
+  cursor_.steps = -1;
   if (static_cast<int>(values.size()) < std::max(8, 4 * order)) {
     return FailedPreconditionError("AR fit: history too short");
   }
@@ -58,66 +58,52 @@ Status ArCore::Fit(const std::vector<double>& values, SimTime last_sample_time,
   return OkStatus();
 }
 
+template <bool kHorizon>
 const double* ArCore::RollTo(int64_t k) const {
   const size_t q = phi.size();
   const size_t p = state.size();
-  // Room for this many steps past the window before it slides back to the front.
-  const size_t slack = std::max<size_t>(p, 4);
+  // Window length: room for max(p, 4) steps before both windows slide back to the
+  // front.
+  const size_t w = p + std::max<size_t>(p, 4);
   Cursor& c = cursor_;
   if (c.steps < 0 || c.base != state_time || k < c.steps) {
-    c.buf.resize(q + p + slack);
+    c.buf.resize(q + 2 * w);
     std::copy(phi.begin(), phi.end(), c.buf.begin());
     std::copy(state.begin(), state.end(), c.buf.begin() + static_cast<ptrdiff_t>(q));
+    c.buf[q + w + p - 1] = 1.0;  // psi_0, aligned with the newest value
     c.end = q + p;
     c.steps = 0;
     c.base = state_time;
+    c.cum = 0.0;
   }
-  const double* const coeffs = c.buf.data();
+  double* const buf = c.buf.data();
   for (; c.steps < k; ++c.steps) {
-    if (c.end == c.buf.size()) {
-      std::copy(c.buf.end() - static_cast<ptrdiff_t>(p), c.buf.end(),
-                c.buf.begin() + static_cast<ptrdiff_t>(q));
+    if (c.end == q + w) {
+      std::copy(buf + q + w - p, buf + q + w, buf + q);
+      std::copy(buf + q + 2 * w - p, buf + q + 2 * w, buf + q + w);
       c.end = q + p;
     }
-    // One AR step; coeffs[0] multiplies the newest value.
-    const double* newest_end = coeffs + c.end;
+    // One AR step; buf[0] (phi[0]) multiplies the newest value.
+    double* const newest_end = buf + c.end;
     double next = mean;
     for (size_t i = 0; i < q; ++i) {
-      next += coeffs[i] * (newest_end[-1 - static_cast<ptrdiff_t>(i)] - mean);
+      next += buf[i] * (newest_end[-1 - static_cast<ptrdiff_t>(i)] - mean);
     }
-    c.buf[c.end] = next;
+    *newest_end = next;
+    if (kHorizon) {
+      // Horizon n = steps + 1: cum gains psi_{n-1}^2, then psi_n joins the window.
+      double* const psi_end = newest_end + w;
+      c.cum += psi_end[-1] * psi_end[-1];
+      const size_t terms = std::min(static_cast<size_t>(c.steps) + 1, q);
+      double v = 0.0;
+      for (size_t i = 1; i <= terms; ++i) {
+        v += buf[i - 1] * psi_end[-static_cast<ptrdiff_t>(i)];
+      }
+      *psi_end = v;
+    }
     ++c.end;
   }
-  return c.buf.data() + c.end;
-}
-
-void ArCore::ResetCaches() {
-  cursor_.steps = -1;
-  horizon_.Reset();
-}
-
-double ArCore::HorizonStd(int64_t k) const {
-  PRESTO_DCHECK(k >= 1 && k <= max_forecast_steps);
-  HorizonTable& h = horizon_;
-  if (h.stddev.empty()) {
-    h.psi.assign(1, 1.0);
-    h.stddev.assign(1, 0.0);
-  }
-  // psi-weight recursion: psi_0 = 1, psi_j = sum_{i<=min(j,p)} phi_i psi_{j-i};
-  // stddev[n] = sqrt(min(sigma^2 * sum_{j<n} psi_j^2, 1.5 * marginal^2)).
-  const size_t p = phi.size();
-  const double var_cap = marginal_std * marginal_std;
-  for (size_t n = h.stddev.size(); n <= static_cast<size_t>(k); ++n) {
-    h.cum += h.psi[n - 1] * h.psi[n - 1];
-    const double var = std::min(innovation_std * innovation_std * h.cum, 1.5 * var_cap);
-    h.stddev.push_back(std::sqrt(var));
-    double v = 0.0;
-    for (size_t i = 1; i <= std::min(n, p); ++i) {
-      v += phi[i - 1] * h.psi[n - i];
-    }
-    h.psi.push_back(v);
-  }
-  return h.stddev[static_cast<size_t>(k)];
+  return buf + c.end;
 }
 
 Prediction ArCore::Forecast(SimTime t) const {
@@ -134,8 +120,11 @@ Prediction ArCore::Forecast(SimTime t) const {
   if (k > max_forecast_steps) {
     return Prediction{mean, marginal_std};
   }
-  const double newest = RollTo(k)[-1];
-  return Prediction{newest, std::max(HorizonStd(k), 1e-9)};
+  const double newest = RollTo<true>(k)[-1];
+  // sigma^2 * sum_{j<k} psi_j^2, capped at 1.5 marginal variances.
+  const double var = std::min(innovation_std * innovation_std * cursor_.cum,
+                              1.5 * (marginal_std * marginal_std));
+  return Prediction{newest, std::max(std::sqrt(var), 1e-9)};
 }
 
 void ArCore::Anchor(const Sample& s) {
@@ -147,7 +136,7 @@ void ArCore::Anchor(const Sample& s) {
   k = std::min<int64_t>(std::max<int64_t>(k, 1), max_forecast_steps);
   // The sensor anchors the sample it just checked, so the cursor is usually already k
   // steps out.
-  const double* newest_end = RollTo(k);
+  const double* newest_end = RollTo<false>(k);
   std::copy(newest_end - static_cast<ptrdiff_t>(state.size()), newest_end, state.begin());
   cursor_.steps = -1;
   // Attribute the innovation as a level shift across the whole lag window rather than
@@ -176,7 +165,7 @@ void ArCore::SerializeTo(ByteWriter* w) const {
 }
 
 void ArCore::DeserializeFrom(ByteReader* r) {
-  ResetCaches();
+  cursor_.steps = -1;
   // The header reads on a copy: a short or overlong varint there is malformed params.
   ByteReader head = *r;
   const uint64_t period = head.ReadVarU64();
@@ -363,7 +352,7 @@ int64_t SeasonalArModel::FitCostOps(size_t history_len) const {
 void ArCore::SaveState(ByteWriter& w) const { StateFields(*this, CkptWriter(w)); }
 
 void ArCore::LoadState(ByteReader& r) {
-  ResetCaches();
+  cursor_.steps = -1;
   StateFields(*this, CkptReader(r));
   if (sample_period <= 0) {
     return r.Fail(DataLossError("AR restore: sample period not positive"));

@@ -21,7 +21,7 @@ namespace presto {
 // AR(p) forecasting machinery on a fixed sampling grid.
 //
 // Member order is cache layout: a forecast that continues the cursor reads the
-// scalars and caches declared first, plus one cursor block and one horizon entry.
+// scalars and caches declared first, plus one cursor block.
 struct ArCore {
   Duration sample_period = Seconds(31);
   // Grid time of the newest `state` entry.
@@ -30,14 +30,20 @@ struct ArCore {
   double mean = 0.0;           // level the AR process reverts to
 
  private:
-  // The forecast cursor: `buf` holds a copy of phi (q values), then a window whose
-  // [end - p, end) is `state` rolled `steps` grid steps past `base` (steps < 0:
-  // none), so a step reads one block. Never serialized or copied.
+  // The forecast cursor, `steps` grid steps past `base` (steps < 0: none). `buf`
+  // holds a copy of phi (q values), then a value window whose [end - p, end) is
+  // `state` rolled `steps` steps, then a psi window of the same length whose
+  // [end + w - p, end + w) holds the newest psi weights (psi_0 = 1, psi_j = sum over
+  // i <= min(j, p) of phi_i psi_{j-i}; w is the window length), and `cum` is the sum
+  // of psi_j^2 over j < steps. A step reads one block and updates them in the order
+  // the eager psi-weight recursion used, so every forecast stddev is bit-identical
+  // to it. Never serialized or copied.
   struct Cursor {
     std::vector<double> buf;
     size_t end = 0;
     int64_t steps = -1;
     SimTime base = 0;
+    double cum = 0.0;
 
     Cursor() = default;
     Cursor(const Cursor&) {}
@@ -47,30 +53,7 @@ struct ArCore {
     }
   };
 
-  // The horizon table: psi[j] and stddev[j] for j < psi.size() == stddev.size()
-  // (stddev[0] unused), with cum = sum of psi[j]^2 over j < stddev.size() - 1. Grown
-  // by HorizonStd one horizon at a time in the order the eager psi-weight recursion
-  // used, so every entry is bit-identical to it. Never serialized or copied.
-  struct HorizonTable {
-    std::vector<double> stddev;
-    std::vector<double> psi;
-    double cum = 0.0;
-
-    HorizonTable() = default;
-    HorizonTable(const HorizonTable&) {}
-    HorizonTable& operator=(const HorizonTable&) {
-      Reset();
-      return *this;
-    }
-    void Reset() {
-      psi.clear();
-      stddev.clear();
-      cum = 0.0;
-    }
-  };
-
   mutable Cursor cursor_;
-  mutable HorizonTable horizon_;
 
  public:
   std::vector<double> phi;     // AR coefficients, phi[0] multiplies the newest value
@@ -90,10 +73,11 @@ struct ArCore {
   // a request at or past the cursor's step count continues it, an earlier one rebuilds
   // it from `state` and `phi`. A sensor checking consecutive samples therefore pays
   // one AR step per check instead of k, with results bit-identical to a cold roll.
-  // The stddev comes from HorizonStd(k). The cursor and the horizon table are mutable
-  // caches, so each ArCore is used by one lane only (the sensor's copy, or its
-  // proxy's engine); copies start without either. A hand edit of phi or state
-  // takes effect at the next Fit, Anchor or restore.
+  // The cursor steps the k-step stddev (psi-weight variance growth, capped at 1.5
+  // marginal variances) along with the values. It is a mutable cache, so each ArCore
+  // is used by one lane only (the sensor's copy, or its proxy's engine); copies start
+  // without one. A hand edit of phi or state takes effect at the next Fit, Anchor or
+  // restore; the sigmas are read at every forecast.
   Prediction Forecast(SimTime t) const;
 
   // Advances the state to `s.t` (predicting the gap) and pins the newest value to the
@@ -124,14 +108,11 @@ struct ArCore {
     f(self.state_time);
   }
 
-  // Cumulative k-step forecast stddev from the psi weights of phi, for
-  // 1 <= k <= max_forecast_steps. Extends the horizon table only as far as the largest
-  // k asked since the last Fit/install/restore.
-  double HorizonStd(int64_t k) const;
-  // Rolls the cursor to k >= 1 steps past state_time; returns one past its newest value.
+  // Rolls the cursor to k >= 1 steps past state_time; returns one past its newest
+  // value. kHorizon also steps the psi window and `cum`; a roll without it
+  // leaves them behind, so only Anchor, which drops the cursor after, skips them.
+  template <bool kHorizon>
   const double* RollTo(int64_t k) const;
-  // Drops both caches: Fit, DeserializeFrom and LoadState replace what they derive from.
-  void ResetCaches();
 };
 
 // Plain AR(p) on the observed values.

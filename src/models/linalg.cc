@@ -185,30 +185,4 @@ std::vector<double> Autocovariance(const std::vector<double>& x, int max_lag) {
   return out;
 }
 
-Result<std::pair<double, double>> FitLine(const std::vector<double>& x,
-                                          const std::vector<double>& y) {
-  PRESTO_CHECK(x.size() == y.size());
-  const size_t n = x.size();
-  if (n < 2) {
-    return FailedPreconditionError("need at least 2 points for a line");
-  }
-  double sx = 0.0;
-  double sy = 0.0;
-  double sxx = 0.0;
-  double sxy = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    sx += x[i];
-    sy += y[i];
-    sxx += x[i] * x[i];
-    sxy += x[i] * y[i];
-  }
-  const double denom = static_cast<double>(n) * sxx - sx * sx;
-  if (std::abs(denom) < 1e-12) {
-    return FailedPreconditionError("degenerate x values");
-  }
-  const double slope = (static_cast<double>(n) * sxy - sx * sy) / denom;
-  const double intercept = (sy - slope * sx) / static_cast<double>(n);
-  return std::make_pair(intercept, slope);
-}
-
 }  // namespace presto

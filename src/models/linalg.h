@@ -5,6 +5,9 @@
 #ifndef SRC_MODELS_LINALG_H_
 #define SRC_MODELS_LINALG_H_
 
+#include <cmath>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "src/util/result.h"
@@ -57,10 +60,33 @@ Result<YuleWalkerFit> LevinsonDurbin(const std::vector<double>& autocov);
 // Sample autocovariances of `x` at lags 0..max_lag (biased estimator, standard for YW).
 std::vector<double> Autocovariance(const std::vector<double>& x, int max_lag);
 
-// Ordinary least squares for y ~ a + b*x. Returns {a, b}; fails with fewer than 2
+// Ordinary least squares for y ~ a + b*x over the n points point(0) .. point(n-1),
+// each an {x, y} pair, summed in that order. Returns {a, b}; fails with fewer than 2
 // distinct x values.
-Result<std::pair<double, double>> FitLine(const std::vector<double>& x,
-                                          const std::vector<double>& y);
+template <class Point>
+Result<std::pair<double, double>> FitLineOf(size_t n, Point&& point) {
+  if (n < 2) {
+    return FailedPreconditionError("need at least 2 points for a line");
+  }
+  double sx = 0.0;
+  double sy = 0.0;
+  double sxx = 0.0;
+  double sxy = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const auto [x, y] = point(i);
+    sx += x;
+    sy += y;
+    sxx += x * x;
+    sxy += x * y;
+  }
+  const double denom = static_cast<double>(n) * sxx - sx * sx;
+  if (std::abs(denom) < 1e-12) {
+    return FailedPreconditionError("degenerate x values");
+  }
+  const double slope = (static_cast<double>(n) * sxy - sx * sy) / denom;
+  const double intercept = (sy - slope * sx) / static_cast<double>(n);
+  return std::make_pair(intercept, slope);
+}
 
 }  // namespace presto
 

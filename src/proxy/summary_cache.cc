@@ -27,13 +27,17 @@ SummaryCache::SummaryCache(size_t max_entries) : max_entries_(max_entries) {
 
 SummaryCache::Iter SummaryCache::GallopForward(Iter from, Iter end, SimTime t) {
   const auto before = [](const Slot& slot, SimTime key) { return slot.t < key; };
+  // Slots left in [from, end), counted down rather than re-derived per probe (a
+  // 24-byte stride makes each iterator difference a division).
+  size_t left = static_cast<size_t>(end - from);
   size_t step = 1;
-  while (static_cast<size_t>(end - from) > step) {
+  while (left > step) {
     const Iter probe = from + static_cast<ptrdiff_t>(step - 1);
     if (probe->t >= t) {
       return std::lower_bound(from, probe, t, before);
     }
     from = probe + 1;
+    left -= step;
     step *= 2;
   }
   return std::lower_bound(from, end, t, before);
@@ -62,13 +66,15 @@ SummaryCache::Iter SummaryCache::LowerBound(SimTime t) const {
   }
   // hi->t >= t: gallop backward until a slot older than t brackets the bound.
   const auto before = [](const Slot& slot, SimTime key) { return slot.t < key; };
+  size_t room = guess;  // slots in [begin, hi)
   size_t step = 1;
-  while (static_cast<size_t>(hi - begin) >= step) {
+  while (room >= step) {
     const Iter probe = hi - static_cast<ptrdiff_t>(step);
     if (probe->t < t) {
       return std::lower_bound(probe + 1, hi, t, before);
     }
     hi = probe;
+    room -= step;
     step *= 2;
   }
   return std::lower_bound(begin, hi, t, before);
@@ -102,24 +108,26 @@ void SummaryCache::DropOldest(size_t n) {
 
 void SummaryCache::Insert(SimTime t, double value, CacheSource source,
                           SimTime inserted_at) {
-  const CachedValue v{value, source, inserted_at};
+  PRESTO_CHECK_MSG(inserted_at >= kMinInsertedAt && inserted_at <= kMaxInsertedAt,
+                   "summary cache: arrival time outside the slot's range");
+  const Slot slot(t, CachedValue{value, source, inserted_at});
   if (size() == 0 || t > slots_.back().t) {
     last_insert_ = slots_.size();
-    slots_.push_back(Slot{t, v});
+    slots_.push_back(slot);
   } else {
     const Iter at = InsertPosition(t);
     last_insert_ = static_cast<size_t>(at - slots_.cbegin());
     if (at->t == t) {
-      CachedValue& existing = slots_[static_cast<size_t>(at - slots_.cbegin())].v;
-      if (static_cast<uint8_t>(source) >= static_cast<uint8_t>(existing.source)) {
-        existing = v;
+      Slot& existing = slots_[last_insert_];
+      if (static_cast<uint8_t>(source) >= static_cast<uint8_t>(existing.source())) {
+        existing = slot;
         ++stats_.refinements;
       } else {
         ++stats_.downgrades_rejected;
       }
       return;
     }
-    slots_.insert(at, Slot{t, v});
+    slots_.insert(at, slot);
   }
   ++stats_.inserts;
   if (size() > max_entries_) {
@@ -129,19 +137,22 @@ void SummaryCache::Insert(SimTime t, double value, CacheSource source,
 
 std::optional<std::pair<SimTime, CachedValue>> SummaryCache::NearestAround(
     Iter begin, Iter end, Iter after, SimTime t, Duration max_gap) {
-  std::optional<std::pair<SimTime, CachedValue>> best;
+  const Slot* best = nullptr;
   Duration best_gap = max_gap;
   if (after != end && after->t - t <= best_gap) {
     best_gap = after->t - t;
-    best.emplace(after->t, after->v);
+    best = &*after;
   }
   if (after != begin) {
     const Iter before = std::prev(after);
     if (t - before->t <= best_gap) {
-      best.emplace(before->t, before->v);
+      best = &*before;
     }
   }
-  return best;
+  if (best == nullptr) {
+    return std::nullopt;
+  }
+  return std::make_pair(best->t, best->cached());
 }
 
 std::optional<std::pair<SimTime, CachedValue>> SummaryCache::Nearest(
@@ -160,7 +171,7 @@ std::vector<Sample> SummaryCache::Window::Samples() const {
   std::vector<Sample> out;
   out.reserve(size());
   for (Iter it = first_; it != last_; ++it) {
-    out.push_back(Sample{it->t, it->v.value});
+    out.push_back(Sample{it->t, it->value});
   }
   return out;
 }
@@ -178,7 +189,8 @@ std::vector<SummaryCache::Entry> SummaryCache::RangeEntries(TimeInterval range) 
   std::vector<Entry> out;
   out.reserve(window.size());
   for (Iter it = window.first_; it != window.last_; ++it) {
-    out.push_back(Entry{it->t, it->v.value, it->v.source, it->v.inserted_at});
+    const CachedValue v = it->cached();
+    out.push_back(Entry{it->t, v.value, v.source, v.inserted_at});
   }
   return out;
 }
@@ -191,26 +203,39 @@ void SummaryCache::EvictBefore(SimTime t) {
 
 namespace presto {
 
-// The bytes CkptWrite(std::vector<Slot>) writes for the live slots: a varint
-// count, then the (t, value) pairs in ascending t.
+// The live slots as a list of {t, CachedValue} (a varint count, then each entry's
+// t and its CachedValue field list, ascending in t), then the stats.
 void SummaryCache::SaveState(ByteWriter& w) const {
   w.WriteVarU64(size());
   for (Iter it = live_begin(); it != slots_.end(); ++it) {
-    CkptWrite(w, *it);
+    CkptWrite(w, it->t);
+    CkptWrite(w, it->cached());
   }
   CkptWrite(w, stats_);
 }
 
 void SummaryCache::LoadState(ByteReader& r) {
+  const uint64_t count = CkptReadCount(r, "vector");
   std::vector<Slot> slots;
-  CkptRead(r, slots);
-  if (!r.ok()) {
-    return;
-  }
-  for (size_t i = 1; i < slots.size(); ++i) {
-    if (slots[i].t <= slots[i - 1].t) {
+  slots.reserve(static_cast<size_t>(count));
+  for (uint64_t i = 0; i < count && r.ok(); ++i) {
+    SimTime t = 0;
+    CachedValue v;
+    CkptRead(r, t);
+    CkptRead(r, v);
+    if (!r.ok()) {
+      return;
+    }
+    if (!slots.empty() && t <= slots.back().t) {
       return r.Fail(DataLossError("ckpt: summary-cache keys not strictly ascending"));
     }
+    if (v.inserted_at < kMinInsertedAt || v.inserted_at > kMaxInsertedAt) {
+      return r.Fail(DataLossError("ckpt: summary-cache arrival time out of range"));
+    }
+    slots.emplace_back(t, v);
+  }
+  if (!r.ok()) {
+    return;
   }
   slots_ = std::move(slots);
   head_ = 0;

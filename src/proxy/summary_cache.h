@@ -6,9 +6,11 @@
 // as more accurate data is obtained from the remote sensors"). Timestamps are on the
 // proxy's reference timeline (drift-corrected before insertion).
 //
-// Storage: one contiguous vector of {t, CachedValue} slots, strictly ascending in t.
-// The live entries are slots_[head_, end); slots before head_ are evicted and are
-// reclaimed in one move once they are as many as the live ones.
+// Storage: one contiguous vector of 24-byte slots {t, value, inserted_at << 2 |
+// source}, strictly ascending in t. The live entries are slots_[head_, end); slots
+// before head_ are evicted and are reclaimed in one move once they are as many as the
+// live ones. The packed word holds arrival times in [-2^61, 2^61) us (about 73,000
+// years either side of zero); the checkpoint writes each slot as {t, CachedValue}.
 //
 // Search: a lookup interpolates the position of `t` between the first and last live
 // times and gallops from that guess to the exact lower bound. The bound is unique,
@@ -97,7 +99,8 @@ class SummaryCache {
   explicit SummaryCache(size_t max_entries = 1 << 20);
 
   // `inserted_at` records when the proxy learned the value — event-detection and
-  // staleness logic distinguish data time from arrival time.
+  // staleness logic distinguish data time from arrival time. It must lie in
+  // [kMinInsertedAt, kMaxInsertedAt].
   void Insert(SimTime t, double value, CacheSource source, SimTime inserted_at = 0);
 
   // Entry closest to `t` within `max_gap` (either side); on a tie, the earlier one.
@@ -109,20 +112,31 @@ class SummaryCache {
     if (size() == 0) {
       return std::nullopt;
     }
-    return std::make_pair(slots_.back().t, slots_.back().v);
+    return std::make_pair(slots_.back().t, slots_.back().cached());
   }
+
+  // The arrival times a slot can hold: [-2^61, 2^61).
+  static constexpr SimTime kMinInsertedAt = -(SimTime{1} << 61);
+  static constexpr SimTime kMaxInsertedAt = (SimTime{1} << 61) - 1;
 
  private:
   struct Slot {
-    SimTime t = 0;
-    CachedValue v;
+    SimTime t;
+    double value;
+    uint64_t stamp;  // inserted_at << 2 | source
 
-    template <class S, class F, CkptSelf<S, Slot> = 0>
-    friend void CkptFields(S& s, F&& f) {
-      f(s.t);
-      f(s.v);
+    Slot(SimTime time, const CachedValue& v)
+        : t(time),
+          value(v.value),
+          stamp(static_cast<uint64_t>(v.inserted_at) << 2 |
+                static_cast<uint64_t>(v.source)) {}
+    CacheSource source() const { return static_cast<CacheSource>(stamp & 3); }
+    CachedValue cached() const {
+      // The arithmetic shift restores the arrival time's sign.
+      return CachedValue{value, source(), static_cast<SimTime>(stamp) >> 2};
     }
   };
+  static_assert(sizeof(Slot) == 24, "a summary-cache slot is three words");
   using Iter = std::vector<Slot>::const_iterator;
 
  public:
@@ -181,6 +195,8 @@ class SummaryCache {
   const CacheStats& stats() const { return stats_; }
 
   // Checkpoint codec: entries with provenance, plus stats (max_entries_ is config).
+  // A restore refuses, as DataLoss, keys that do not strictly ascend and an arrival
+  // time a slot cannot hold.
   void SaveState(ByteWriter& w) const;
   void LoadState(ByteReader& r);
 

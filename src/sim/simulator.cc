@@ -177,6 +177,10 @@ EventHandle Simulator::Push(int internal_lane, SimTime t, EventKind kind,
     Lane& target = lanes_[static_cast<size_t>(internal_lane)];
     target.inbox[static_cast<size_t>(current)].push_back(
         Mail{t, kind, sink, payload != nullptr ? std::move(*payload) : EventPayload{}});
+    Lane& source = lanes_[static_cast<size_t>(current)];
+    if (source.posted++ == 0 || t < source.earliest_post) {
+      source.earliest_post = t;
+    }
     return EventHandle();
   }
   if (current == kLaneControl && internal_lane != ControlIndex() && t < global_now_) {
@@ -283,17 +287,31 @@ void Simulator::RunEpoch(SimTime end, bool inclusive) {
   const SimTime start = global_now_;
   // 1) Drain mailboxes: for each target lane, source lanes in index order, FIFO
   //    within a source. Arrival times clamp to the barrier (cross-lane granularity).
-  uint64_t drained = 0;
-  for (Lane& target : lanes_) {
-    for (std::vector<Mail>& box : target.inbox) {
-      for (Mail& mail : box) {
-        Enqueue(target, std::max(mail.time, start), mail.kind, mail.sink, &mail.payload);
-        ++drained;
-      }
-      box.clear();
-    }
+  //    Sources that posted nothing have empty boxes everywhere and are skipped.
+  uint64_t posted = 0;
+  for (int source = 0; source < num_lanes(); ++source) {
+    posted += lanes_[static_cast<size_t>(source)].posted;
   }
-  if (drained > 0) {
+  if (posted > 0) {
+    uint64_t drained = 0;
+    for (Lane& target : lanes_) {
+      for (int source = 0; source < num_lanes(); ++source) {
+        if (lanes_[static_cast<size_t>(source)].posted == 0) {
+          continue;
+        }
+        std::vector<Mail>& box = target.inbox[static_cast<size_t>(source)];
+        for (Mail& mail : box) {
+          Enqueue(target, std::max(mail.time, start), mail.kind, mail.sink,
+                  &mail.payload);
+        }
+        drained += box.size();
+        box.clear();
+      }
+    }
+    PRESTO_CHECK(drained == posted);
+    for (Lane& lane : lanes_) {
+      lane.posted = 0;
+    }
     // Barrier-sequence hash: which barrier took delivery of how much cross-lane
     // traffic is part of the replay contract.
     MixFp(barrier_hash_, static_cast<uint64_t>(start));
@@ -303,8 +321,22 @@ void Simulator::RunEpoch(SimTime end, bool inclusive) {
   if (barrier_hook_) {
     barrier_hook_(end);
   }
-  // 3) Worker lanes.
-  pool_->Run(num_lanes(), [&](int lane) { RunLaneTo(lane, end, inclusive); });
+  // 3) Worker lanes with an event due before the closing barrier; the rest would
+  //    find nothing to run.
+  const auto due = [&](const Lane& lane) {
+    return !lane.queue.empty() &&
+           (inclusive ? lane.queue.top().time <= end : lane.queue.top().time < end);
+  };
+  due_.clear();
+  for (int lane = 0; lane < num_lanes(); ++lane) {
+    if (due(lanes_[static_cast<size_t>(lane)])) {
+      due_.push_back(lane);
+    }
+  }
+  if (!due_.empty()) {
+    pool_->Run(static_cast<int>(due_.size()),
+               [&](int i) { RunLaneTo(due_[static_cast<size_t>(i)], end, inclusive); });
+  }
   // 4) Control lane: mutations and other serial work run at the closing barrier,
   //    with every worker idle and the global clock at `end`. An event scheduled for
   //    time T executes at the first barrier at-or-after T (never before it), but
@@ -312,7 +344,26 @@ void Simulator::RunEpoch(SimTime end, bool inclusive) {
   //    not. Deliveries it makes into worker lanes clamp forward to the barrier
   //    (see Push); control-to-control chains keep full time resolution.
   global_now_ = end;
-  RunLaneTo(ControlIndex(), end, /*inclusive=*/true);
+  const Lane& control = lanes_[static_cast<size_t>(ControlIndex())];
+  if (!control.queue.empty() && control.queue.top().time <= end) {
+    RunLaneTo(ControlIndex(), end, /*inclusive=*/true);
+  }
+}
+
+void Simulator::RecountPosts() {
+  for (Lane& lane : lanes_) {
+    lane.posted = 0;
+  }
+  for (const Lane& target : lanes_) {
+    for (size_t source = 0; source < target.inbox.size(); ++source) {
+      Lane& poster = lanes_[source];
+      for (const Mail& mail : target.inbox[source]) {
+        if (poster.posted++ == 0 || mail.time < poster.earliest_post) {
+          poster.earliest_post = mail.time;
+        }
+      }
+    }
+  }
 }
 
 void Simulator::SetBarrierHook(std::function<void(SimTime)> hook) {
@@ -381,10 +432,7 @@ uint64_t Simulator::events_executed() const {
 size_t Simulator::events_pending() const {
   size_t total = 0;
   for (const Lane& lane : lanes_) {
-    total += lane.queue.size();
-    for (const std::vector<Mail>& box : lane.inbox) {
-      total += box.size();
-    }
+    total += lane.queue.size() + lane.posted;
   }
   return total;
 }
@@ -414,12 +462,8 @@ SimTime Simulator::NextEventTime() const {
         best = t;
       }
     }
-    for (const std::vector<Mail>& box : lane.inbox) {
-      for (const Mail& mail : box) {
-        if (best < 0 || mail.time < best) {
-          best = mail.time;
-        }
-      }
+    if (lane.posted > 0 && (best < 0 || lane.earliest_post < best)) {
+      best = lane.earliest_post;
     }
   }
   return best;
@@ -498,6 +542,11 @@ Status Simulator::SaveState(ByteWriter& w) const {
 
 void Simulator::LoadState(ByteReader& r) {
   PRESTO_CHECK_MSG(CurrentLane() == kLaneControl, "restore only from control context");
+  // However far the restore gets, the post counts describe the inboxes it leaves.
+  struct Recount {
+    Simulator* sim;
+    ~Recount() { sim->RecountPosts(); }
+  } recount{this};
   uint64_t lane_count = 0;
   uint64_t sink_count = 0;
   CkptRead(r, lane_count);

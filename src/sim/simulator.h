@@ -8,7 +8,8 @@
 // home shard) plus a serial *control lane*, executed by a worker pool. Within an
 // epoch [T, T+E) every worker lane runs its own events independently; an event that
 // schedules into *another* lane posts to a per-lane mailbox instead, and mailboxes
-// are drained serially at the next barrier (arrival times clamp forward to it). The
+// are drained serially at the next barrier (arrival times clamp forward to it); a
+// barrier touches only the lanes that posted mail or have an event due. The
 // control lane runs at barriers with no workers active — deployment mutations (kill /
 // revive / promote / migrate / rebalance) and query drivers execute there so they
 // may touch any lane's state; a control event observes its own timestamp, not the
@@ -305,6 +306,11 @@ class Simulator {
     std::vector<uint32_t> free_slots;
     std::priority_queue<QueueEntry, std::vector<QueueEntry>, Later> queue;
     std::vector<std::vector<Mail>> inbox;  // [source worker lane] -> FIFO
+    // Mail this lane posted (to any inbox) since the last drain, and the earliest
+    // time among it. Written only by this lane while it runs; the barrier reads and
+    // resets them. A rebind moves mail between targets, never between sources.
+    uint64_t posted = 0;
+    SimTime earliest_post = 0;  // meaningful while posted > 0
   };
 
   friend class EventHandle;
@@ -321,10 +327,13 @@ class Simulator {
   // Executes queued events of `lane` with time < end (<= end when `inclusive`).
   void RunLaneTo(int internal_lane, SimTime end, bool inclusive);
   bool ExecuteOne(Lane& lane);
-  // One barrier + one epoch [global_now_, end): drain mailboxes and run the hook,
-  // execute the worker lanes through the epoch, then run due control-lane events at
-  // the closing barrier (with the global clock at `end` and every worker idle).
+  // One barrier + one epoch [global_now_, end): drain mailboxes (when any lane
+  // posted) and run the hook, execute the worker lanes with an event due in the
+  // epoch, then run due control-lane events at the closing barrier (with the global
+  // clock at `end` and every worker idle).
   void RunEpoch(SimTime end, bool inclusive);
+  // Recomputes every lane's `posted` and `earliest_post` from the inboxes.
+  void RecountPosts();
   void MixFp(uint64_t& fp, uint64_t v) const;
   // First barrier strictly after `t` on the current grid. The grid is anchored at
   // the barrier where the epoch length last changed (epoch_anchor_, 0 until a
@@ -340,6 +349,7 @@ class Simulator {
   SimTime global_now_ = 0;
   uint64_t barrier_hash_ = 0xcbf29ce484222325ull;
   std::vector<Lane> lanes_;  // [0..L-1] workers, [L] control
+  std::vector<int> due_;     // RunEpoch's worker lanes with an event in the epoch
   std::function<void(SimTime)> barrier_hook_;
   std::vector<EventSink*> sinks_;  // checkpoint sink table, construction order
   std::map<const EventSink*, uint64_t> sink_ids_;

@@ -18,6 +18,8 @@
 #include "src/core/cell_worker.h"
 #include "src/core/deployment.h"
 #include "src/core/federation.h"
+#include "src/index/time_sync.h"
+#include "src/proxy/summary_cache.h"
 #include "src/sensor/sensor_node.h"
 #include "src/util/ckpt.h"
 #include "src/workload/query_driver.h"
@@ -853,6 +855,27 @@ CachedValue GoldenCachedValue() {
   return v;
 }
 
+// All three sources, a refinement, a rejected downgrade, a negative arrival time and
+// one of 2^40 us: the packed slots write the {t, CachedValue} list they always did.
+SummaryCache GoldenSummaryCache() {
+  SummaryCache v;
+  v.Insert(Seconds(31), 21.5, CacheSource::kPushed, -Seconds(7));
+  v.Insert(Seconds(62), 22.25, CacheSource::kPulled, int64_t{1} << 40);
+  v.Insert(Seconds(93), -3.125, CacheSource::kExtrapolated, 0);
+  v.Insert(Seconds(62), 1.0, CacheSource::kPushed, 5);
+  v.Insert(Seconds(31), 21.75, CacheSource::kPulled, Seconds(40));
+  return v;
+}
+
+// Six beacons through a window of four: the ring writes its beacons oldest first.
+RegressionTimeSync GoldenTimeSync() {
+  RegressionTimeSync v(/*window=*/4);
+  for (int i = 0; i < 6; ++i) {
+    v.AddBeacon(Seconds(2) + i * Minutes(10) + i * 3, i * Minutes(10));
+  }
+  return v;
+}
+
 ProxyStats GoldenProxyStats() {
   ProxyStats v;
   v.pushes_received = 1;
@@ -1024,6 +1047,13 @@ TEST(CkptGoldenTest, FieldListsWriteTheRecordedBytes) {
        "000000"},
       {"CachedValue", Hex(GoldenCachedValue()),
        "0000000000603540028094ebdc03"},
+      {"SummaryCache", Hex(GoldenSummaryCache()),
+       "038097c81d0000000000c035400280e8922680ae903b00000000004036400280808080"
+       "804080c5d85800000000000009c0000003010100"},
+      {"RegressionTimeSync", Hex(GoldenTimeSync()),
+       "040000802144e9d141000040a215dada410000809173e5e1410000e051dc5de64104"
+       "00000000a3e1d1410000008074d2da4100000000a3e1e141000000c00b5ae6410100"
+       "00000080843e41ee9857010000f03f"},
       {"FederationTrunkTotals", Hex(GoldenTrunks()),
        "0bae11"},
       {"FedCell::Counters", Hex(GoldenCounters()),

@@ -5,13 +5,17 @@
 
 #include <cmath>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "src/index/skip_graph.h"
 #include "src/index/temporal_merge.h"
 #include "src/index/time_sync.h"
+#include "src/util/bytes.h"
+#include "src/util/ckpt.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
+#include "tests/read_status.h"
 
 namespace presto {
 namespace {
@@ -229,6 +233,130 @@ TEST(TimeSyncTest, WindowBoundsMemory) {
     sync.AddBeacon(i * kSecond, i * kSecond);
   }
   EXPECT_EQ(sync.beacon_count(), 4u);
+}
+
+// Least squares for y ~ a + b*x as a plain loop over two vectors, summed in index
+// order; returns {a, b}. The oracle for the ring below.
+std::pair<double, double> OracleLine(const std::vector<double>& x,
+                                     const std::vector<double>& y) {
+  const double n = static_cast<double>(x.size());
+  double sx = 0.0;
+  double sy = 0.0;
+  double sxx = 0.0;
+  double sxy = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    sx += x[i];
+    sy += y[i];
+    sxx += x[i] * x[i];
+    sxy += x[i] * y[i];
+  }
+  const double slope = (n * sxy - sx * sy) / (n * sxx - sx * sx);
+  return {(sy - slope * sx) / n, slope};
+}
+
+// The beacon ring against the sliding window it replaced (a vector losing its front
+// to each beacon past the window, fitted by OracleLine on centred copies): every line
+// is bit-identical, while the ring wraps many times.
+TEST(TimeSyncTest, RingFitsLikeASlidingWindow) {
+  DriftingClock clock(Seconds(2), /*drift_ppm=*/35.0, /*jitter_std=*/Millis(2),
+                      /*seed=*/9);
+  for (const size_t window : {size_t{2}, size_t{5}, size_t{32}}) {
+    RegressionTimeSync sync(window);
+    std::vector<double> locals;
+    std::vector<double> references;
+    for (int i = 0; i < 120; ++i) {
+      const SimTime ref = i * Minutes(3) + (i % 7) * Seconds(11);
+      const SimTime local = clock.LocalTime(ref);
+      sync.AddBeacon(local, ref);
+      locals.push_back(static_cast<double>(local));
+      references.push_back(static_cast<double>(ref));
+      if (locals.size() > window) {
+        locals.erase(locals.begin());
+        references.erase(references.begin());
+      }
+      ASSERT_EQ(sync.beacon_count(), locals.size());
+      if (locals.size() < 2) {
+        continue;
+      }
+      std::vector<double> x;
+      std::vector<double> y;
+      for (size_t j = 0; j < locals.size(); ++j) {
+        x.push_back(references[j] - references.front());
+        y.push_back(locals[j] - locals.front());
+      }
+      const auto [a, slope] = OracleLine(x, y);
+      const double intercept = locals.front() + a - slope * references.front();
+      ASSERT_EQ(sync.Ready(), std::abs(slope - 1.0) <= 0.01) << window << " " << i;
+      if (sync.Ready()) {
+        const SimTime probe = ref + Minutes(5);
+        EXPECT_EQ(*sync.ToLocal(probe),
+                  static_cast<SimTime>(intercept + slope * static_cast<double>(probe)))
+            << window << " " << i;
+      }
+    }
+  }
+}
+
+// A time-sync checkpoint: the two beacon lists, then the fitted line.
+std::vector<uint8_t> SyncBlob(const std::vector<double>& locals,
+                              const std::vector<double>& references, bool fit_valid,
+                              double intercept, double slope) {
+  ByteWriter w;
+  CkptWrite(w, locals);
+  CkptWrite(w, references);
+  CkptWrite(w, fit_valid);
+  CkptWrite(w, intercept);
+  CkptWrite(w, slope);
+  return w.TakeBuffer();
+}
+
+Status LoadSync(const std::vector<uint8_t>& bytes) {
+  RegressionTimeSync sync(/*window=*/4);
+  ByteReader reader(bytes);
+  return ReadStatus(reader, sync);
+}
+
+// Restored beacons and lines come from peers: lists of unequal length (the next
+// beacon's refit would read past the shorter one), more beacons than the window, or
+// a line flagged valid that Correct could not divide by are data loss.
+TEST(TimeSyncTest, RestoreRefusesAnInconsistentWindowOrLine) {
+  const std::vector<double> two = {2e6, 6.02e8};
+  const std::vector<double> two_refs = {0, 6e8};
+  EXPECT_TRUE(LoadSync(SyncBlob(two, two_refs, true, 2e6, 1.00004)).ok());
+  EXPECT_TRUE(LoadSync(SyncBlob({}, {}, false, 0.0, 1.0)).ok());
+  // An invalid line is never read, whatever it holds.
+  EXPECT_TRUE(LoadSync(SyncBlob(two, two_refs, false, 0.0, 0.0)).ok());
+
+  EXPECT_EQ(LoadSync(SyncBlob({2e6}, {0, 1, 2, 3}, false, 0.0, 1.0)).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(LoadSync(SyncBlob({1, 2, 3, 4}, {0}, false, 0.0, 1.0)).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(LoadSync(SyncBlob({1, 2, 3, 4, 5}, {1, 2, 3, 4, 5}, false, 0.0, 1.0)).code(),
+            StatusCode::kDataLoss);
+  const std::vector<std::pair<double, double>> kImplausible = {
+      {2e6, 0.0},
+      {2e6, 1.02},
+      {2e6, std::nan("")},
+      {2e6, HUGE_VAL},
+      {HUGE_VAL, 1.0},
+      {std::nan(""), 1.0},
+  };
+  for (const auto& [intercept, slope] : kImplausible) {
+    EXPECT_EQ(LoadSync(SyncBlob(two, two_refs, true, intercept, slope)).code(),
+              StatusCode::kDataLoss)
+        << intercept << " " << slope;
+  }
+
+  // A restored window keeps working: a full one takes new beacons in its ring.
+  RegressionTimeSync sync(/*window=*/4);
+  const std::vector<uint8_t> bytes =
+      SyncBlob({2e6, 6.02e8, 1.202e9, 1.802e9}, {0, 6e8, 1.2e9, 1.8e9}, true, 2e6, 1.0);
+  ByteReader reader(bytes);
+  ASSERT_TRUE(ReadStatus(reader, sync).ok());
+  sync.AddBeacon(2402000000, 2400000000);
+  EXPECT_EQ(sync.beacon_count(), 4u);
+  ASSERT_TRUE(sync.Ready());
+  EXPECT_EQ(*sync.ToLocal(3000000000), 3002000000);
 }
 
 // ---------- temporal merge ----------

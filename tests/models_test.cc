@@ -87,7 +87,9 @@ TEST(LinalgTest, LevinsonDurbinRecoversAr2) {
 }
 
 TEST(LinalgTest, FitLineExact) {
-  auto line = FitLine({0, 1, 2, 3}, {5, 7, 9, 11});
+  const std::vector<double> x = {0, 1, 2, 3};
+  const std::vector<double> y = {5, 7, 9, 11};
+  auto line = FitLineOf(x.size(), [&](size_t i) { return std::make_pair(x[i], y[i]); });
   ASSERT_TRUE(line.ok());
   EXPECT_NEAR(line->first, 5.0, 1e-9);   // intercept
   EXPECT_NEAR(line->second, 2.0, 1e-9);  // slope
@@ -400,11 +402,42 @@ TEST(ArCoreTest, GoldenForecastsAreBitExact) {
       {13981000000, 0x1.6570bd02af5a4p-1, 0x1.29b3956519bbp+1},
       {12430999999, 0x1.aba613fb3b5f1p-3, 0x1.32992ap+1},
   };
+  // k = max_forecast_steps (4096), one short of it (a rebuild), one past it (the
+  // marginal), and back.
+  const std::vector<Probe> kFarHorizon = {
+      {139407000000, 0x1.aba613fb3b605p-3, 0x1.329946573b85dp+1},
+      {139376000000, 0x1.aba613fb3b605p-3, 0x1.329946573b85dp+1},
+      {139438000000, 0x1.aba613fb3b5f1p-3, 0x1.32992ap+1},
+      {139407000000, 0x1.aba613fb3b605p-3, 0x1.329946573b85dp+1},
+  };
   // clang-format on
   expect(kBeforeAnchor);
   core.Anchor(Sample{399 * Seconds(31) + Seconds(62) + 900000, 2.5});
   ASSERT_EQ(core.state_time, 12431000000);
   expect(kAfterAnchor);
+  expect(kFarHorizon);
+
+  // A hand-set core whose variance ceiling (1.5 marginal variances) binds from k = 3
+  // on: k = 1, 2, 3, 4096, 4095, 4097 and 2.
+  core = ArCore();
+  core.sample_period = Seconds(31);
+  core.phi = {0.6, 0.2};
+  core.mean = 0.25;
+  core.innovation_std = 0.5;
+  core.marginal_std = 0.5;
+  core.state = {0.5, -0.25};
+  core.state_time = Seconds(31) * 1000;
+  // clang-format off
+  expect({
+      {31031000000, 0x1p-56, 0x1p-1},
+      {31062000000, 0x0p+0, 0x1.2a8b73e294fb4p-1},
+      {31093000000, 0x1.999999999999ap-5, 0x1.3988e1409212ep-1},
+      {157976000000, 0x1.ffffffffffffdp-3, 0x1.3988e1409212ep-1},
+      {157945000000, 0x1.ffffffffffffdp-3, 0x1.3988e1409212ep-1},
+      {158007000000, 0x1p-2, 0x1p-1},
+      {31062000000, 0x0p+0, 0x1.2a8b73e294fb4p-1},
+  });
+  // clang-format on
 }
 
 // The forecast cursor against the arithmetic it replaces: each forecast rolls a fresh
@@ -437,7 +470,8 @@ TEST(ArCoreTest, ForecastMatchesNaiveRoll) {
   }
 }
 
-// The eager psi-weight table that HorizonStd grows lazily, kept as its oracle:
+// The eager psi-weight table the forecast cursor's horizon steps replace, kept as
+// their oracle:
 // table[k] is the k-step-ahead stddev for every k in [1, max_forecast_steps].
 std::vector<double> EagerHorizonStd(const ArCore& core) {
   const int p = static_cast<int>(core.phi.size());
@@ -540,11 +574,12 @@ Result<std::unique_ptr<PredictiveModel>> Restore(const std::vector<uint8_t>& byt
   return model;
 }
 
-// The lazily grown horizon table against the eager one it replaced: (seasonal-)AR fits
-// of orders 1-8 plus a model whose variance ceiling binds, horizons visited out of
-// order (4097 is past the table), and the same on a clone and a checkpoint copy,
-// which start with empty tables and here grow them one horizon at a time.
-TEST(ArCoreTest, LazyHorizonStdMatchesEagerTable) {
+// The cursor's stepped horizon stddev against the eager table: (seasonal-)AR fits of
+// orders 1-8 plus a model whose variance ceiling binds, horizons visited out of order
+// (each backward one rebuilds the cursor; 4097 is past max_forecast_steps), and the
+// same on a clone and a checkpoint copy, which start without a cursor and here step
+// it one horizon at a time.
+TEST(ArCoreTest, CursorHorizonStdMatchesEagerTable) {
   const std::vector<int64_t> kOutOfOrder = {4096, 1, 37, 2048, 4097};
   const std::vector<int64_t> kGrowing = {1, 2, 3, 37, 36, 2048, 4096, 4097};
   auto check = [&](const PredictiveModel& model, const std::string& what) {
@@ -582,14 +617,14 @@ TEST(ArCoreTest, LazyHorizonStdMatchesEagerTable) {
   check(**capped, "capped");
 }
 
-// A checkpointed model is its parameters and state, not the derived table: well
-// under the 4097-entry table it used to carry (~33 KiB).
+// A checkpointed model is its parameters and state, not a derived table: well
+// under the 4097-entry horizon table it once carried (~33 KiB).
 TEST(ArCoreTest, FittedModelStateIsCompact) {
   std::unique_ptr<PredictiveModel> model =
       CreateModel(ModelType::kSeasonalAr, TestConfig());
   const std::vector<Sample> history = DiurnalSeries();
   ASSERT_TRUE(model->Fit(history).ok());
-  model->Predict(history.back().t + 4096 * kPeriod);  // grows the full table
+  model->Predict(history.back().t + 4096 * kPeriod);  // rolls the longest horizon
   ByteWriter w;
   model->SaveState(w);
   EXPECT_LT(w.size(), 1024u);

@@ -466,6 +466,45 @@ TEST(SummaryCacheTest, LoadStateRejectsMalformedBytes) {
   }
 }
 
+// A slot packs the arrival time beside the source, so a restore refuses an arrival
+// time the slot cannot hold, and the extremes it can hold round-trip.
+TEST(SummaryCacheTest, RestoreRefusesAnArrivalTimeOutsideTheSlot) {
+  auto blob = [](SimTime inserted_at) {
+    ByteWriter w;
+    w.WriteVarU64(1);
+    CkptWrite(w, Seconds(31));
+    CkptWrite(w, CachedValue{21.5, CacheSource::kPulled, inserted_at});
+    for (int stat = 0; stat < 4; ++stat) {
+      w.WriteVarU64(0);
+    }
+    return w.TakeBuffer();
+  };
+  EXPECT_EQ(Load(blob(int64_t{1} << 62)).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(Load(blob(SummaryCache::kMaxInsertedAt + 1)).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(Load(blob(SummaryCache::kMinInsertedAt - 1)).code(), StatusCode::kDataLoss);
+  const SimTime kHeld[] = {
+      SummaryCache::kMinInsertedAt,
+      -1,
+      0,
+      SummaryCache::kMaxInsertedAt,
+  };
+  for (const SimTime at : kHeld) {
+    const std::vector<uint8_t> bytes = blob(at);
+    SummaryCache cache;
+    ByteReader reader(bytes);
+    ASSERT_TRUE(ReadStatus(reader, cache).ok()) << at;
+    const auto latest = cache.Latest();
+    ASSERT_TRUE(latest.has_value());
+    EXPECT_EQ(latest->second.inserted_at, at);
+    EXPECT_EQ(latest->second.source, CacheSource::kPulled);
+    EXPECT_EQ(latest->second.value, 21.5);
+    EXPECT_EQ(Saved(cache), bytes);
+  }
+  SummaryCache cache;
+  EXPECT_DEATH(cache.Insert(Seconds(31), 21.5, CacheSource::kPushed, int64_t{1} << 62),
+               "arrival time");
+}
+
 // The interpolation-seeded search and the forward Nearest walk, on the series shapes
 // that stress a guess: near-periodic with jitter and holes, a sparse push series
 // densely refilled out of order (BM_SummaryCacheFillHoles' shape), large gaps that

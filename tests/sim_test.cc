@@ -618,6 +618,92 @@ TEST(SimulatorCheckpointTest, RestoreRejectsOutOfRangeEventKinds) {
   }
 }
 
+// Mail-count sink: an event with payload.b != 0 posts one event into lane payload.c,
+// payload.b us later (cross-lane from a running lane: mailbox); every event logs the
+// lane and time it ran at.
+class MailLog : public EventSink {
+ public:
+  explicit MailLog(Simulator* sim) : sim_(sim) { sim_->RegisterSink(this); }
+  void OnSimEvent(EventKind kind, EventPayload& payload) override {
+    (void)kind;
+    {
+      std::lock_guard<std::mutex> lock(m_);
+      runs.emplace_back(sim_->CurrentLane(), sim_->Now());
+    }
+    if (payload.b != 0) {
+      sim_->ScheduleEventAt(sim_->Now() + static_cast<Duration>(payload.b),
+                            EventKind::kTimer, this, EventPayload{},
+                            static_cast<int>(payload.c));
+    }
+  }
+  void PostFrom(int lane, SimTime at, Duration delay, int target) {
+    EventPayload payload;
+    payload.b = static_cast<uint64_t>(delay);
+    payload.c = static_cast<uint64_t>(target);
+    sim_->ScheduleEventAt(at, EventKind::kTimer, this, std::move(payload), lane);
+  }
+
+  std::vector<std::pair<int, SimTime>> runs;
+
+ private:
+  Simulator* sim_;
+  std::mutex m_;  // lanes run concurrently
+};
+
+// Restored mail counts as posted: the next-event time and the pending count see it,
+// and the next barrier drains it. A restore that lost the count would report the
+// simulator idle and never deliver the mail.
+TEST(SimulatorCheckpointTest, RestoredMailIsDrained) {
+  for (const int threads : {1, 4}) {
+    Simulator sim(4, threads, Millis(100));
+    MailLog log(&sim);
+    log.PostFrom(0, Millis(5), Millis(245), 1);
+    log.PostFrom(2, Millis(7), Millis(493), 1);
+    sim.RunUntil(Millis(10));  // both posts wait in lane 1's inbox
+    ASSERT_EQ(sim.events_pending(), 2u);
+    ByteWriter w;
+    ASSERT_TRUE(sim.SaveState(w).ok());
+    sim.RunAll();
+
+    Simulator restored(4, threads, Millis(100));
+    MailLog restored_log(&restored);
+    ByteReader r(w.buffer());
+    ASSERT_TRUE(ReadStatus(r, restored).ok());
+    EXPECT_EQ(restored.NextEventTime(), Millis(250)) << threads;
+    EXPECT_EQ(restored.events_pending(), 2u) << threads;
+    restored.RunAll();
+    const std::vector<std::pair<int, SimTime>> want = {
+        {1, Millis(250)},
+        {1, Millis(500)},
+    };
+    EXPECT_EQ(restored_log.runs, want) << threads;
+    EXPECT_EQ(restored.fingerprint(), sim.fingerprint()) << threads;
+  }
+}
+
+// A rebind moves undrained mail to another target, never to another source, so the
+// source's count still covers it: the next-event time still sees it, and the next
+// barrier drains it into the new lane.
+TEST(LaneRebindTest, RebindKeepsMailCounted) {
+  for (const int threads : {1, 4}) {
+    Simulator sim(4, threads, Millis(100));
+    MailLog log(&sim);
+    log.PostFrom(0, Millis(5), Millis(245), 1);
+    sim.RunUntil(Millis(10));
+    const auto all = [](EventKind, const EventSink*, const EventPayload&) {
+      return true;
+    };
+    EXPECT_EQ(sim.RebindMatchingEvents(1, 2, all), 1u);
+    EXPECT_EQ(sim.NextEventTime(), Millis(250));
+    EXPECT_EQ(sim.events_pending(), 1u);
+    sim.RunAll();
+    const std::vector<std::pair<int, SimTime>> want = {{0, Millis(5)}, {2, Millis(250)}};
+    EXPECT_EQ(log.runs, want) << threads;
+    EXPECT_EQ(sim.events_pending(), 0u);
+    EXPECT_EQ(sim.NextEventTime(), -1);
+  }
+}
+
 // Back-to-back runs hand off while the helpers poll; gaps longer than the poll
 // window park them, and slow items park the caller on the done count. Every item
 // must run exactly once per run on every path.
