@@ -343,12 +343,10 @@ class RearmSink : public EventSink {
   Simulator* sim_;
 };
 
-// Wall time per event of 8 lanes x 192 re-arming 1 s timers, phases spread evenly and
-// dealt round-robin over the lanes, stepped on a 2 ms epoch grid for 20 sim seconds
-// on one thread. Most barriers find one or two lanes with an event due and no mail:
-// the shape of a sensing deployment's lanes between pushes. The label is the
-// simulator fingerprint, which a change to the barrier must keep.
-void BM_SparseLaneEpochs(benchmark::State& state) {
+// Wall time per event of 8 lanes x 192 re-arming 1 s timers, dealt round-robin over
+// the lanes and stepped on a 2 ms epoch grid for 20 sim seconds on one thread. The
+// label is the simulator fingerprint, which a change to the engine must keep.
+void RunLaneTimers(benchmark::State& state, bool aligned) {
   constexpr int kLanes = 8;
   constexpr int kTimersPerLane = 192;
   constexpr int kTimers = kLanes * kTimersPerLane;
@@ -361,8 +359,8 @@ void BM_SparseLaneEpochs(benchmark::State& state) {
     for (int i = 0; i < kTimers; ++i) {
       EventPayload payload;
       payload.a = static_cast<uint64_t>(Seconds(1));
-      sim.ScheduleEventAt(Seconds(1) * i / kTimers, EventKind::kTimer, &sink,
-                          std::move(payload), i % kLanes);
+      sim.ScheduleEventAt(aligned ? 0 : Seconds(1) * i / kTimers, EventKind::kTimer,
+                          &sink, std::move(payload), i % kLanes);
     }
     state.ResumeTiming();
     sim.RunUntil(Seconds(20));
@@ -377,7 +375,18 @@ void BM_SparseLaneEpochs(benchmark::State& state) {
                 static_cast<unsigned long long>(fingerprint));
   state.SetLabel(label);
 }
+
+// Phases spread evenly: most barriers find one or two lanes with an event due and
+// no mail, the shape of a sensing deployment's lanes between pushes. Every timer
+// has a time of its own, so every push starts a run of one: the run queue's worst
+// case.
+void BM_SparseLaneEpochs(benchmark::State& state) { RunLaneTimers(state, false); }
 BENCHMARK(BM_SparseLaneEpochs)->Unit(benchmark::kMillisecond);
+
+// One shared phase, as sensors started together tick: each lane's 192 timers fire
+// and re-arm at one time, so all but the first push of a tick join a run.
+void BM_AlignedLaneTimers(benchmark::State& state) { RunLaneTimers(state, true); }
+BENCHMARK(BM_AlignedLaneTimers)->Unit(benchmark::kMillisecond);
 
 // Wall time per executed event in an 8 x N deployment in its model regime: warmed
 // 28 sim hours outside the timing (past the prediction engine's 26 h training span

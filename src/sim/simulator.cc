@@ -67,21 +67,22 @@ size_t Simulator::RebindMatchingEvents(
   Lane& src = lanes_[static_cast<size_t>(from_lane)];
   Lane& dst = lanes_[static_cast<size_t>(to_lane)];
   size_t moved = 0;
-  // Queue pass: pop everything (heap order == (time, seq) order), move matching
-  // live entries — delivery times preserved, relative order preserved because the
-  // target assigns fresh monotone seqs in pop order — and re-push the rest with
-  // their original seqs (heap contents identical to before).
-  std::vector<QueueEntry> keep;
-  keep.reserve(src.queue.size());
-  while (!src.queue.empty()) {
-    const QueueEntry entry = src.queue.top();
-    src.queue.pop();
+  // Queue pass: take every entry in (time, seq) order, move matching live entries —
+  // delivery times preserved, relative order preserved because the target assigns
+  // fresh monotone seqs in that order — and re-link the rest with their original
+  // seqs, in that same order, so the source's runs keep the run invariant.
+  const std::vector<Pending> entries = InOrder(src);
+  src.runs.clear();
+  src.queued = 0;
+  src.open_tail = kNoSlot;
+  for (const Pending& entry : entries) {
     Event& event = src.pool[entry.slot];
-    if (event.gen != entry.gen) {
-      continue;  // cancelled: the slot is already free, drop the stale entry
+    if (event.sink == nullptr) {
+      src.free_slots.push_back(entry.slot);  // cancelled: drop it
+      continue;
     }
     if (!match(event.kind, event.sink, event.payload)) {
-      keep.push_back(entry);
+      Link(src, entry.time, entry.slot);
       continue;
     }
     const EventKind kind = event.kind;
@@ -91,9 +92,6 @@ size_t Simulator::RebindMatchingEvents(
     ReleaseSlot(src, entry.slot);  // bumps gen: stale handles become no-ops
     Enqueue(dst, entry.time, kind, sink, has_payload ? &payload : nullptr);
     ++moved;
-  }
-  for (const QueueEntry& entry : keep) {
-    src.queue.push(entry);
   }
   // Mailbox pass: mail posted to the old lane during the just-finished epoch has
   // not drained yet (draining happens at the *opening* barrier). Append matching
@@ -213,8 +211,55 @@ uint32_t Simulator::Enqueue(Lane& lane, SimTime t, EventKind kind, EventSink* si
   if (event.has_payload) {
     event.payload = std::move(*payload);
   }
-  lane.queue.push(QueueEntry{t, lane.next_seq++, slot, event.gen});
+  event.seq = lane.next_seq++;
+  Link(lane, t, slot);
   return slot;
+}
+
+void Simulator::Link(Lane& lane, SimTime t, uint32_t slot) {
+  lane.pool[slot].next = kNoSlot;
+  ++lane.queued;
+  if (lane.open_tail != kNoSlot && lane.open_time == t) {
+    lane.pool[lane.open_tail].next = slot;
+  } else {
+    lane.runs.push_back(Run{t, lane.pool[slot].seq, slot});
+    std::push_heap(lane.runs.begin(), lane.runs.end(), RunAfter{});
+    lane.open_time = t;
+  }
+  lane.open_tail = slot;
+}
+
+uint32_t Simulator::PopHead(Lane& lane) {
+  Run& run = lane.runs.front();
+  const uint32_t slot = run.head;
+  const uint32_t next = lane.pool[slot].next;
+  if (next != kNoSlot) {
+    // The key stays (time, first_seq): every later run at this time started after
+    // this run's entries were pushed, so its first seq still exceeds them all.
+    run.head = next;
+  } else {
+    if (slot == lane.open_tail) {
+      lane.open_tail = kNoSlot;
+    }
+    std::pop_heap(lane.runs.begin(), lane.runs.end(), RunAfter{});
+    lane.runs.pop_back();
+  }
+  --lane.queued;
+  return slot;
+}
+
+std::vector<Simulator::Pending> Simulator::InOrder(const Lane& lane) {
+  std::vector<Run> runs = lane.runs;
+  std::sort(runs.begin(), runs.end(),
+            [](const Run& a, const Run& b) { return RunAfter{}(b, a); });
+  std::vector<Pending> entries;
+  entries.reserve(lane.queued);
+  for (const Run& run : runs) {
+    for (uint32_t slot = run.head; slot != kNoSlot; slot = lane.pool[slot].next) {
+      entries.push_back(Pending{run.time, slot});
+    }
+  }
+  return entries;
 }
 
 void Simulator::CancelEvent(int internal_lane, uint32_t slot, uint32_t gen) {
@@ -222,12 +267,13 @@ void Simulator::CancelEvent(int internal_lane, uint32_t slot, uint32_t gen) {
   if (slot >= lane.pool.size() || lane.pool[slot].gen != gen) {
     return;  // already fired, cancelled, or the slot moved on to a new generation
   }
-  ReleaseSlot(lane, slot);
+  // The slot stays linked into its run until the queue reaches it (ExecuteOne frees
+  // it then), so only the event is retired here.
+  RetireEvent(lane.pool[slot]);
 }
 
-void Simulator::ReleaseSlot(Lane& lane, uint32_t slot) {
-  Event& event = lane.pool[slot];
-  ++event.gen;  // invalidates queue entries and handles of the old generation
+void Simulator::RetireEvent(Event& event) {
+  ++event.gen;  // invalidates handles of the old generation
   event.sink = nullptr;
   if (event.has_payload) {
     // Back to EventPayload{}, releasing the buffer: retained capacity would only
@@ -235,22 +281,27 @@ void Simulator::ReleaseSlot(Lane& lane, uint32_t slot) {
     event.payload = EventPayload{};
     event.has_payload = false;
   }
+}
+
+void Simulator::ReleaseSlot(Lane& lane, uint32_t slot) {
+  RetireEvent(lane.pool[slot]);
   lane.free_slots.push_back(slot);
 }
 
 void Simulator::MixFp(uint64_t& fp, uint64_t v) const { FnvMix(fp, v); }
 
 bool Simulator::ExecuteOne(Lane& lane) {
-  const QueueEntry entry = lane.queue.top();
-  lane.queue.pop();
-  Event& event = lane.pool[entry.slot];
-  if (event.gen != entry.gen) {
-    return false;  // cancelled (slot already released)
+  const SimTime time = lane.runs.front().time;
+  const uint32_t slot = PopHead(lane);
+  Event& event = lane.pool[slot];
+  if (event.sink == nullptr) {
+    lane.free_slots.push_back(slot);  // cancelled: already retired
+    return false;
   }
-  lane.now = entry.time;
+  lane.now = time;
   ++lane.executed;
-  MixFp(lane.fp, static_cast<uint64_t>(entry.time));
-  MixFp(lane.fp, entry.seq);
+  MixFp(lane.fp, static_cast<uint64_t>(time));
+  MixFp(lane.fp, event.seq);
   // Move the event out before dispatch: the handler may schedule into this lane and
   // reallocate the pool (and may legitimately reuse this very slot). A bare event
   // has nothing to move: its sink gets a fresh empty payload.
@@ -260,7 +311,7 @@ bool Simulator::ExecuteOne(Lane& lane) {
   if (event.has_payload) {
     payload = std::move(event.payload);
   }
-  ReleaseSlot(lane, entry.slot);
+  ReleaseSlot(lane, slot);
   sink->OnSimEvent(kind, payload);
   return true;
 }
@@ -273,8 +324,8 @@ void Simulator::RunLaneTo(int internal_lane, SimTime end, bool inclusive) {
   // the control lane's clock.
   tl_lane_ctx = ThreadLaneContext{
       this, internal_lane == ControlIndex() ? kLaneControl : internal_lane};
-  while (!lane.queue.empty()) {
-    const SimTime top = lane.queue.top().time;
+  while (!lane.runs.empty()) {
+    const SimTime top = lane.runs.front().time;
     if (inclusive ? top > end : top >= end) {
       break;
     }
@@ -324,8 +375,8 @@ void Simulator::RunEpoch(SimTime end, bool inclusive) {
   // 3) Worker lanes with an event due before the closing barrier; the rest would
   //    find nothing to run.
   const auto due = [&](const Lane& lane) {
-    return !lane.queue.empty() &&
-           (inclusive ? lane.queue.top().time <= end : lane.queue.top().time < end);
+    return !lane.runs.empty() &&
+           (inclusive ? lane.runs.front().time <= end : lane.runs.front().time < end);
   };
   due_.clear();
   for (int lane = 0; lane < num_lanes(); ++lane) {
@@ -345,7 +396,7 @@ void Simulator::RunEpoch(SimTime end, bool inclusive) {
   //    (see Push); control-to-control chains keep full time resolution.
   global_now_ = end;
   const Lane& control = lanes_[static_cast<size_t>(ControlIndex())];
-  if (!control.queue.empty() && control.queue.top().time <= end) {
+  if (!control.runs.empty() && control.runs.front().time <= end) {
     RunLaneTo(ControlIndex(), end, /*inclusive=*/true);
   }
 }
@@ -432,7 +483,7 @@ uint64_t Simulator::events_executed() const {
 size_t Simulator::events_pending() const {
   size_t total = 0;
   for (const Lane& lane : lanes_) {
-    total += lane.queue.size() + lane.posted;
+    total += lane.queued + lane.posted;
   }
   return total;
 }
@@ -456,8 +507,8 @@ uint64_t Simulator::fingerprint() const {
 SimTime Simulator::NextEventTime() const {
   SimTime best = -1;
   for (const Lane& lane : lanes_) {
-    if (!lane.queue.empty()) {
-      const SimTime t = lane.queue.top().time;
+    if (!lane.runs.empty()) {
+      const SimTime t = lane.runs.front().time;
       if (best < 0 || t < best) {
         best = t;
       }
@@ -496,19 +547,15 @@ Status Simulator::SaveState(ByteWriter& w) const {
     CkptWrite(w, lane.next_seq);
     CkptWrite(w, lane.executed);
     w.WriteU64(lane.fp);
-    // Pending queue events, ascending (time, seq) — copy-pop to iterate the heap.
-    auto queue = lane.queue;
-    std::vector<QueueEntry> live;
-    live.reserve(queue.size());
-    while (!queue.empty()) {
-      const QueueEntry entry = queue.top();
-      queue.pop();
-      if (lane.pool[entry.slot].gen == entry.gen) {
-        live.push_back(entry);
-      }
-    }
+    // Pending queue events, ascending (time, seq).
+    std::vector<Pending> live = InOrder(lane);
+    live.erase(std::remove_if(live.begin(), live.end(),
+                              [&](const Pending& entry) {
+                                return lane.pool[entry.slot].sink == nullptr;
+                              }),
+               live.end());
     CkptWrite(w, static_cast<uint64_t>(live.size()));
-    for (const QueueEntry& entry : live) {
+    for (const Pending& entry : live) {
       const Event& event = lane.pool[entry.slot];
       auto sid = sink_ids_.find(event.sink);
       if (sid == sink_ids_.end()) {
@@ -516,7 +563,7 @@ Status Simulator::SaveState(ByteWriter& w) const {
                                        std::to_string(li));
       }
       CkptWrite(w, entry.time);
-      CkptWrite(w, entry.seq);
+      CkptWrite(w, event.seq);
       CkptWrite(w, event.kind);
       CkptWrite(w, sid->second);
       CkptWrite(w, event.payload);
@@ -586,13 +633,17 @@ void Simulator::LoadState(ByteReader& r) {
     // checkpoint; handle-holders re-capture via OnEventRestored below.
     lane.pool.clear();
     lane.free_slots.clear();
-    lane.queue = std::priority_queue<QueueEntry, std::vector<QueueEntry>, Later>();
+    lane.runs.clear();
+    lane.queued = 0;
+    lane.open_tail = kNoSlot;
     CkptRead(r, lane.now);
     CkptRead(r, lane.next_seq);
     CkptRead(r, lane.executed);
     CkptRead(r, CkptFixed(lane.fp));
     uint64_t pending = 0;
     CkptRead(r, pending);
+    SimTime prev_time = 0;
+    uint64_t prev_seq = 0;
     for (uint64_t i = 0; i < pending && r.ok(); ++i) {
       SimTime time = 0;
       uint64_t seq = 0;
@@ -611,6 +662,16 @@ void Simulator::LoadState(ByteReader& r) {
         return r.Fail(
             DataLossError("restore: invalid event record in lane " + std::to_string(li)));
       }
+      // The run queue rebuilds its runs from records in (time, seq) order, and later
+      // pushes must draw seqs past every restored one: refuse records that break
+      // either rule (a saving run writes them strictly ascending, below next_seq).
+      if (seq >= lane.next_seq ||
+          (i > 0 && std::make_pair(time, seq) <= std::make_pair(prev_time, prev_seq))) {
+        return r.Fail(DataLossError("restore: queue records out of (time, seq) order "
+                                    "in lane " + std::to_string(li)));
+      }
+      prev_time = time;
+      prev_seq = seq;
       const uint32_t slot = static_cast<uint32_t>(lane.pool.size());
       lane.pool.emplace_back();
       Event& event = lane.pool[slot];
@@ -620,7 +681,8 @@ void Simulator::LoadState(ByteReader& r) {
       CkptRead(r, event.payload);
       // Original (time, seq): same-time tie-break order is part of the replay
       // contract, so events re-enter with the seqs they were scheduled under.
-      lane.queue.push(QueueEntry{time, seq, slot, event.gen});
+      event.seq = seq;
+      Link(lane, time, slot);
       announce.push_back(Restored{static_cast<int>(li), time, kind, slot});
     }
     uint64_t box_count = 0;

@@ -33,7 +33,18 @@
 // payload (bulk frame bytes ride in the event itself), so a pooled event slot holds no
 // closure state and every pending event can be checkpointed.
 // Cancellation is generation-based: a handle names (lane, slot, generation) and a
-// stale generation makes both Cancel() and queue pops no-ops.
+// stale generation makes Cancel() a no-op; a cancelled event keeps its queue place
+// (and its slot) until the queue reaches it, then is dropped unexecuted.
+//
+// Event queue: each lane keeps its pending events in *time runs*. A push joins the
+// open run (the run of the lane's latest push, while it is still queued) when its
+// time equals that run's time, and otherwise starts a new run; runs sit in a small
+// binary heap keyed by (time, first seq) and chain their entries through the event
+// pool slots. A pop takes the head of the earliest run and touches the heap only when
+// the run empties. Sensing deployments start their sensors together, so most pushes
+// join a run and most pops are O(1). Seqs only grow within a lane, so two runs at
+// one time hold disjoint seq ranges in start order and the pop order is exactly
+// (time, seq) order, the order a heap of single events would give.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
@@ -42,7 +53,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "src/util/ckpt.h"
@@ -261,33 +271,46 @@ class Simulator {
   // configured simulator: same lane count — the thread count may differ (replay is
   // thread-count independent), and the epoch grid is restored with the state. Existing queues are discarded;
   // events re-enter their pools with their original (time, seq) keys and each is
-  // announced via OnEventRestored. Call after every subsystem's own LoadState, so
-  // re-captured handles land in fully restored objects.
+  // announced via OnEventRestored. A lane whose queue records are not strictly
+  // ascending in (time, seq), or carry a seq at or past the lane's sequence counter,
+  // is refused with DataLoss: the run queue's order rests on both. Call after every
+  // subsystem's own LoadState, so re-captured handles land in fully restored objects.
   void LoadState(ByteReader& r);
 
  private:
-  struct QueueEntry {
-    SimTime time;
-    uint64_t seq;  // tie-break: FIFO among same-time events within a lane
-    uint32_t slot;
-    uint32_t gen;
-  };
-  struct Later {
-    bool operator()(const QueueEntry& a, const QueueEntry& b) const {
-      if (a.time != b.time) {
-        return a.time > b.time;
-      }
-      return a.seq > b.seq;
-    }
-  };
+  static constexpr uint32_t kNoSlot = 0xffffffffu;
   // A free slot's payload is EventPayload{}, and so is a bare event's (one scheduled
-  // without a payload): only events with `has_payload` move theirs in and out.
+  // without a payload): only events with `has_payload` move theirs in and out. A
+  // queued slot's `sink` is null once the event is cancelled.
   struct Event {
     EventKind kind = EventKind::kTimer;
     bool has_payload = false;
     uint32_t gen = 0;
+    uint32_t next = kNoSlot;  // the next entry of its run while queued
     EventSink* sink = nullptr;
+    uint64_t seq = 0;  // tie-break: FIFO among same-time events within a lane
     EventPayload payload;
+  };
+  // Pending entries with one time, in seq order: `head` is the earliest, the rest
+  // follow Event::next. The heap key is (time, first_seq); `first_seq` is the seq the
+  // run started with and stays put as the head advances.
+  struct Run {
+    SimTime time;
+    uint64_t first_seq;
+    uint32_t head;
+  };
+  struct RunAfter {
+    bool operator()(const Run& a, const Run& b) const {
+      if (a.time != b.time) {
+        return a.time > b.time;
+      }
+      return a.first_seq > b.first_seq;
+    }
+  };
+  // One queued entry, as InOrder lists them.
+  struct Pending {
+    SimTime time;
+    uint32_t slot;
   };
   // A cross-lane schedule awaiting the next barrier. Lives in the *target* lane's
   // per-source FIFO, written only by the source lane's worker.
@@ -304,7 +327,12 @@ class Simulator {
     uint64_t fp = 0xcbf29ce484222325ull;  // FNV-1a offset basis
     std::vector<Event> pool;
     std::vector<uint32_t> free_slots;
-    std::priority_queue<QueueEntry, std::vector<QueueEntry>, Later> queue;
+    std::vector<Run> runs;  // min-heap under RunAfter
+    size_t queued = 0;      // entries linked into runs, cancelled ones included
+    // The open run: the run holding the latest push, named by its tail, while any
+    // of it is queued (kNoSlot otherwise).
+    uint32_t open_tail = kNoSlot;
+    SimTime open_time = 0;
     std::vector<std::vector<Mail>> inbox;  // [source worker lane] -> FIFO
     // Mail this lane posted (to any inbox) since the last drain, and the earliest
     // time among it. Written only by this lane while it runs; the barrier reads and
@@ -322,7 +350,16 @@ class Simulator {
                    EventPayload* payload);
   uint32_t Enqueue(Lane& lane, SimTime t, EventKind kind, EventSink* sink,
                    EventPayload* payload);
+  // Queues `slot` (its seq already set) at time `t` under the run rule.
+  static void Link(Lane& lane, SimTime t, uint32_t slot);
+  // Unlinks and returns the head of the earliest run.
+  static uint32_t PopHead(Lane& lane);
+  // Every queued entry of `lane` in (time, seq) order, cancelled ones included.
+  static std::vector<Pending> InOrder(const Lane& lane);
   void CancelEvent(int internal_lane, uint32_t slot, uint32_t gen);
+  // Bumps the generation and drops the sink and payload; the slot stays put.
+  static void RetireEvent(Event& event);
+  // Retires the event in `slot` and frees the slot.
   void ReleaseSlot(Lane& lane, uint32_t slot);
   // Executes queued events of `lane` with time < end (<= end when `inclusive`).
   void RunLaneTo(int internal_lane, SimTime end, bool inclusive);

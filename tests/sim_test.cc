@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -11,6 +12,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <queue>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -19,6 +22,7 @@
 #include "src/sim/simulator.h"
 #include "src/sim/timer.h"
 #include "src/util/bytes.h"
+#include "src/util/rng.h"
 #include "tests/read_status.h"
 
 namespace presto {
@@ -211,6 +215,280 @@ TEST(SimulatorTest, FingerprintIsScheduleSensitive) {
   EXPECT_NE(run(false), run(true));   // a different event order does not
 }
 
+// ---------- the run queue against a heap model ----------
+
+// A heap of single events keyed (time, seq): the order the run queue must reproduce.
+struct ModelEntry {
+  SimTime time;
+  uint64_t seq;
+  uint64_t id;
+  bool movable;
+  bool operator>(const ModelEntry& other) const {
+    return time != other.time ? time > other.time : seq > other.seq;
+  }
+};
+using ModelQueue =
+    std::priority_queue<ModelEntry, std::vector<ModelEntry>, std::greater<ModelEntry>>;
+
+// One lane of the model. During a run only the lane itself touches its entry, or
+// the control lane while every worker is idle.
+struct LaneModel {
+  ModelQueue queue;
+  uint64_t next_seq = 0;  // mirrors the lane's sequence counter
+  std::set<uint64_t> cancelled;
+  std::vector<std::pair<SimTime, uint64_t>> executed;  // (time, seq)
+  std::vector<std::pair<uint64_t, EventHandle>> handles;  // cancellable events
+  uint64_t mismatches = 0;
+};
+
+// Differential probe: every schedule goes through Push, which mirrors it into the
+// model, and every execution pops the model and checks that it names the event the
+// simulator ran, at the time it ran. Decisions draw from a Pcg32 stream per event
+// id, so runs at any worker count make the same pushes and cancels.
+class RunQueueProbe : public EventSink {
+ public:
+  static constexpr int kLanes = 4;
+  static constexpr Duration kEpoch = Millis(2);
+  static constexpr SimTime kStop = Millis(400);
+
+  RunQueueProbe(Simulator* sim, std::vector<LaneModel>* model, uint64_t seed)
+      : sim_(sim), model_(model), seed_(seed) {
+    sim_->RegisterSink(this);
+  }
+
+  static size_t Index(int lane) {
+    return lane == Simulator::kLaneControl ? kLanes : static_cast<size_t>(lane);
+  }
+
+  // payload: a = id, b = depth (0 for re-arming tickers), c = movable (rebinds
+  // take it; handle-free), d = cancellable (its handle is kept).
+  void Push(int lane, SimTime t, uint64_t depth, bool movable, bool cancellable) {
+    LaneModel& m = (*model_)[Index(lane)];
+    const uint64_t seq = m.next_seq++;
+    const uint64_t id = (static_cast<uint64_t>(Index(lane)) << 40) | seq;
+    EventPayload payload;
+    payload.a = id;
+    payload.b = depth;
+    payload.c = movable ? 1 : 0;
+    payload.d = cancellable ? 1 : 0;
+    const EventHandle handle =
+        sim_->ScheduleEventAt(t, EventKind::kTimer, this, std::move(payload), lane);
+    m.queue.push(ModelEntry{t, seq, id, movable});
+    if (cancellable) {
+      m.handles.emplace_back(id, handle);
+    }
+  }
+
+  void OnSimEvent(EventKind kind, EventPayload& payload) override {
+    (void)kind;
+    const int lane = sim_->CurrentLane();
+    LaneModel& m = (*model_)[Index(lane)];
+    while (!m.queue.empty() && m.cancelled.count(m.queue.top().id) > 0) {
+      m.queue.pop();
+    }
+    if (m.queue.empty()) {
+      ++m.mismatches;
+      return;
+    }
+    const ModelEntry want = m.queue.top();
+    m.queue.pop();
+    const SimTime now = sim_->Now();
+    if (want.id != payload.a || want.time != now) {
+      ++m.mismatches;
+    }
+    m.executed.emplace_back(want.time, want.seq);
+    if (now >= kStop) {
+      return;  // wind down: the queues drain
+    }
+    Pcg32 rng(seed_, payload.a);
+    if (lane == Simulator::kLaneControl) {
+      ControlStep(rng, now);
+      return;
+    }
+    const uint64_t depth = payload.b;
+    if (depth == 0) {
+      // Tickers share a 1 ms phase, so their re-arms meet in runs.
+      Push(lane, now + Millis(1 << (payload.a % 3)), 0, false, false);
+    }
+    if (rng.Bernoulli(0.35)) {
+      // A burst at one time: at Now() (joining the run being popped when it is the
+      // open run) below depth 2, else a few ms on.
+      const SimTime at = depth < 2 && rng.Bernoulli(0.5)
+                             ? now
+                             : now + Millis(static_cast<double>(rng.UniformInt(1, 4)));
+      const bool movable = rng.Bernoulli(0.4);
+      const int n = static_cast<int>(rng.UniformInt(1, 5));
+      const size_t first = m.handles.size();
+      for (int i = 0; i < n; ++i) {
+        Push(lane, at, depth + 1, movable, !movable);
+      }
+      if (!movable) {
+        // Cancel the burst's head, middle or tail, or all of it (the last live
+        // entry included), or none.
+        const int64_t pick = rng.UniformInt(0, 4);
+        for (int i = 0; i < n; ++i) {
+          const bool hit = pick == 3 || (pick == 0 && i == 0) ||
+                           (pick == 1 && i == n / 2) || (pick == 2 && i == n - 1);
+          if (hit) {
+            Cancel(m, first + static_cast<size_t>(i));
+          }
+        }
+      }
+    }
+    if (!m.handles.empty() && rng.Bernoulli(0.25)) {
+      Cancel(m, static_cast<size_t>(rng.UniformInt(
+                    0, static_cast<int64_t>(m.handles.size()) - 1)));
+    }
+    if (m.handles.size() > 64) {
+      m.handles.erase(m.handles.begin(), m.handles.begin() + 32);
+    }
+  }
+
+  void OnEventRestored(SimTime t, EventKind kind, const EventPayload& payload,
+                       const EventHandle& handle, int lane) override {
+    (void)t;
+    (void)kind;
+    if (payload.d != 0) {
+      (*model_)[Index(lane)].handles.emplace_back(payload.a, handle);
+    }
+  }
+
+  // Moves every movable event of `from` to `to` in the simulator and the model;
+  // returns whether both moved the same number.
+  bool Rebind(int from, int to) {
+    LaneModel& src = (*model_)[Index(from)];
+    LaneModel& dst = (*model_)[Index(to)];
+    ModelQueue keep;
+    size_t moved = 0;
+    for (; !src.queue.empty(); src.queue.pop()) {
+      const ModelEntry& entry = src.queue.top();
+      if (src.cancelled.count(entry.id) > 0) {
+        continue;
+      }
+      if (entry.movable) {
+        dst.queue.push(ModelEntry{entry.time, dst.next_seq++, entry.id, true});
+        ++moved;
+      } else {
+        keep.push(entry);
+      }
+    }
+    src.queue = std::move(keep);
+    return sim_->RebindMatchingEvents(
+               from, to, [](EventKind, const EventSink*, const EventPayload& payload) {
+                 return payload.c != 0;
+               }) == moved;
+  }
+
+ private:
+  // Control posts into worker lanes, at least one epoch on so the barrier clamp
+  // never binds, and cancels events of any lane (every worker is idle).
+  void ControlStep(Pcg32& rng, SimTime now) {
+    const int posts = static_cast<int>(rng.UniformInt(1, 3));
+    for (int i = 0; i < posts; ++i) {
+      const int lane = static_cast<int>(rng.UniformInt(0, kLanes - 1));
+      const bool movable = rng.Bernoulli(0.5);
+      Push(lane, now + kEpoch + Millis(static_cast<double>(rng.UniformInt(0, 2))), 1,
+           movable, !movable);
+    }
+    LaneModel& victim =
+        (*model_)[static_cast<size_t>(rng.UniformInt(0, kLanes - 1))];
+    if (!victim.handles.empty()) {
+      Cancel(victim, static_cast<size_t>(rng.UniformInt(
+                         0, static_cast<int64_t>(victim.handles.size()) - 1)));
+    }
+    Push(Simulator::kLaneControl, now + Millis(3), 0, false, false);
+  }
+
+  static void Cancel(LaneModel& m, size_t i) {
+    m.handles[i].second.Cancel();
+    m.cancelled.insert(m.handles[i].first);
+  }
+
+  Simulator* sim_;
+  std::vector<LaneModel>* model_;
+  uint64_t seed_;
+};
+
+struct RunQueueOutcome {
+  uint64_t fingerprint = 0;
+  std::vector<std::vector<std::pair<SimTime, uint64_t>>> executed;  // per lane
+  uint64_t mismatches = 0;
+  size_t left_in_model = 0;
+  bool rebinds_agree = true;
+  uint64_t events_executed = 0;
+};
+
+// Four worker lanes of phase-aligned tickers with bursts and cancels, a control
+// lane posting into them; between slices, two rebinds and a save/restore.
+RunQueueOutcome RunQueueScenario(uint64_t seed, int threads) {
+  constexpr int kLanes = RunQueueProbe::kLanes;
+  std::vector<LaneModel> model(kLanes + 1);
+  auto sim = std::make_unique<Simulator>(kLanes, threads, RunQueueProbe::kEpoch);
+  auto probe = std::make_unique<RunQueueProbe>(sim.get(), &model, seed);
+  for (int lane = 0; lane < kLanes; ++lane) {
+    for (int i = 0; i < 6; ++i) {
+      probe->Push(lane, Millis(1), 0, false, false);
+    }
+  }
+  probe->Push(Simulator::kLaneControl, Millis(1), 0, false, false);
+  RunQueueOutcome out;
+  sim->RunUntil(Millis(101));
+  out.rebinds_agree &= probe->Rebind(0, 1);
+  sim->RunUntil(Millis(203));
+
+  // Save and continue in a fresh simulator; handles re-capture from the restore.
+  ByteWriter w;
+  if (!sim->SaveState(w).ok()) {
+    ADD_FAILURE() << "save failed";
+    return out;
+  }
+  for (LaneModel& m : model) {
+    m.handles.clear();
+  }
+  auto restored = std::make_unique<Simulator>(kLanes, threads, RunQueueProbe::kEpoch);
+  auto restored_probe = std::make_unique<RunQueueProbe>(restored.get(), &model, seed);
+  ByteReader r(w.buffer());
+  if (!ReadStatus(r, *restored).ok() || restored->fingerprint() != sim->fingerprint()) {
+    ADD_FAILURE() << "restore failed";
+    return out;
+  }
+  restored->RunUntil(Millis(302));
+  out.rebinds_agree &= restored_probe->Rebind(2, 3);
+  restored->RunAll();
+
+  out.fingerprint = restored->fingerprint();
+  out.events_executed = restored->events_executed();
+  for (LaneModel& m : model) {
+    out.mismatches += m.mismatches;
+    while (!m.queue.empty() && m.cancelled.count(m.queue.top().id) > 0) {
+      m.queue.pop();
+    }
+    out.left_in_model += m.queue.size();
+    out.executed.push_back(std::move(m.executed));
+  }
+  return out;
+}
+
+TEST(SimulatorTest, RunQueueMatchesHeapOrder) {
+  for (const uint64_t seed : {1, 2, 3}) {
+    const RunQueueOutcome one = RunQueueScenario(seed, 1);
+    const RunQueueOutcome four = RunQueueScenario(seed, 4);
+    for (const RunQueueOutcome* out : {&one, &four}) {
+      EXPECT_EQ(out->mismatches, 0u) << "seed " << seed;
+      EXPECT_EQ(out->left_in_model, 0u) << "seed " << seed;
+      EXPECT_TRUE(out->rebinds_agree) << "seed " << seed;
+      size_t executed = 0;
+      for (const auto& lane : out->executed) {
+        executed += lane.size();
+      }
+      EXPECT_EQ(executed, out->events_executed) << "seed " << seed;
+      EXPECT_GT(executed, 5000u) << "seed " << seed;
+    }
+    EXPECT_EQ(one.executed, four.executed) << "seed " << seed;
+    EXPECT_EQ(one.fingerprint, four.fingerprint) << "seed " << seed;
+  }
+}
+
 // A synthetic multi-lane workload: every lane runs a self-rescheduling chain that
 // periodically posts cross-lane work, exercising queues, mailboxes, and barriers.
 // Padding keeps each lane's counter on its own cache line (the lanes genuinely run
@@ -285,9 +563,11 @@ TEST(LaneEngineTest, CancellationIsGenerationScoped) {
   bool a_fired = false;
   bool b_fired = false;
   EventHandle a = act.At(Seconds(1), [&] { a_fired = true; }, 0);
-  a.Cancel();  // releases the slot
+  a.Cancel();  // retires A; its slot frees when the queue reaches it
+  sim.RunUntil(Seconds(1));
   // B reuses A's slot under a fresh generation.
-  EventHandle b = act.At(Seconds(1), [&] { b_fired = true; }, 0);
+  EventHandle b = act.At(Seconds(2), [&] { b_fired = true; }, 0);
+  EXPECT_EQ(sim.PoolSlotsForTest(0), 1u);
   a.Cancel();  // stale generation: must NOT cancel B
   sim.RunUntil(Seconds(2));
   EXPECT_FALSE(a_fired);
@@ -615,6 +895,69 @@ TEST(SimulatorCheckpointTest, RestoreRejectsOutOfRangeEventKinds) {
           << "kind " << int{kind} << (mailed ? " in a mailbox: " : " in a queue: ")
           << status.ToString();
     }
+  }
+}
+
+// One lane-0 queue record of a PostingSink event (sink id 0, an all-zero payload) as
+// SaveState writes it.
+std::vector<uint8_t> QueueRecord(SimTime time, uint64_t seq) {
+  ByteWriter w;
+  CkptWrite(w, time);
+  CkptWrite(w, seq);
+  CkptWrite(w, EventKind::kTimer);
+  CkptWrite(w, uint64_t{0});
+  CkptWrite(w, EventPayload{});
+  return w.TakeBuffer();
+}
+
+// The run queue rebuilds a lane's runs from its records in file order, so a lane
+// whose records are not strictly ascending in (time, seq), or that holds a seq the
+// lane's counter would hand out again, is refused rather than replayed out of order.
+TEST(SimulatorCheckpointTest, RestoreRefusesOutOfOrderQueueRecords) {
+  Simulator sim(2, 1, Millis(100));
+  PostingSink sink(&sim);
+  sim.ScheduleEventAt(Millis(5), EventKind::kTimer, &sink, EventPayload{}, 0);
+  sim.ScheduleEventAt(Millis(5), EventKind::kTimer, &sink, EventPayload{}, 0);
+  sim.ScheduleEventAt(Millis(7), EventKind::kTimer, &sink, EventPayload{}, 0);
+  ByteWriter w;
+  ASSERT_TRUE(sim.SaveState(w).ok());
+  const std::vector<uint8_t> saved = w.TakeBuffer();
+  ASSERT_TRUE(RestoreInto(saved).ok());
+
+  const std::vector<uint8_t> a = QueueRecord(Millis(5), 0);
+  const std::vector<uint8_t> b = QueueRecord(Millis(5), 1);
+  const std::vector<uint8_t> c = QueueRecord(Millis(7), 2);
+  std::vector<uint8_t> abc = a;
+  abc.insert(abc.end(), b.begin(), b.end());
+  abc.insert(abc.end(), c.begin(), c.end());
+  const auto at = std::search(saved.begin(), saved.end(), abc.begin(), abc.end());
+  ASSERT_NE(at, saved.end()) << "lane 0's three records are not where expected";
+  const auto with_records =
+      [&](std::initializer_list<const std::vector<uint8_t>*> records) {
+        std::vector<uint8_t> bytes(saved.begin(), at);
+        for (const std::vector<uint8_t>* record : records) {
+          bytes.insert(bytes.end(), record->begin(), record->end());
+        }
+        bytes.insert(bytes.end(), at + static_cast<std::ptrdiff_t>(abc.size()),
+                     saved.end());
+        EXPECT_EQ(bytes.size(), saved.size());
+        return bytes;
+      };
+  ASSERT_EQ(with_records({&a, &b, &c}), saved);
+  const std::vector<uint8_t> c_at_next_seq = QueueRecord(Millis(7), 3);
+  const struct {
+    const char* what;
+    std::vector<uint8_t> bytes;
+  } cases[] = {
+      {"same-time pair swapped", with_records({&b, &a, &c})},
+      {"times swapped", with_records({&a, &c, &b})},
+      {"record repeated", with_records({&a, &a, &c})},
+      {"seq at next_seq", with_records({&a, &b, &c_at_next_seq})},
+  };
+  for (const auto& item : cases) {
+    const Status status = RestoreInto(item.bytes);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << item.what << ": "
+                                                    << status.ToString();
   }
 }
 

@@ -7,7 +7,10 @@ Usage: tools/bench_compare.py <baseline.json> <new.json> [--threshold 0.2]
 Rows are matched by their "key". Two families of comparison:
 
 - Throughput metrics (higher is better): a drop beyond --threshold prints a
-  WARNING. These depend on host speed, so the default run is advisory.
+  WARNING. These depend on host speed, so the default run is advisory. A row
+  whose wall_s is under WALL_FLOOR_S on either side ran too briefly for its
+  rates to be more than timer and scheduler noise: it prints a
+  "non-comparable" note and its throughput is not compared.
 - Latency histogram percentiles (the "latency_ms" section: mean/p50/p95/p99...,
   lower is better): an increase beyond --latency-threshold prints a WARNING.
   Latencies are *simulated* time — deterministic for a given seed and code, not
@@ -31,6 +34,18 @@ import sys
 
 # Higher-is-better rates; absolute counters are not compared.
 THROUGHPUT_METRICS = ("events_per_s", "queries_per_s", "queries_per_min")
+# Shortest wall time (seconds) whose throughput is compared. Smoke rows run
+# 6-300 ms, too briefly for a rate to tell a regression from timer and
+# scheduler noise.
+WALL_FLOOR_S = 0.25
+
+
+def short_walls(base_row, new_row):
+    """The rows' wall_s values when either is under WALL_FLOOR_S, else None."""
+    walls = [row.get("metrics", {}).get("wall_s") for row in (base_row, new_row)]
+    if any(isinstance(w, (int, float)) and w < WALL_FLOOR_S for w in walls):
+        return walls
+    return None
 
 
 def load_rows(path):
@@ -63,6 +78,7 @@ def main(argv):
     warnings = 0
     mismatches = 0
     compared = 0
+    non_comparable = 0
     latency_compared = 0
     fingerprints_compared = 0
     for key, base_row in sorted(baseline.items()):
@@ -79,7 +95,12 @@ def main(argv):
                 print(f"MISMATCH: {key}: fingerprint {name} "
                       f"{base_fps.get(name)} -> {new_fps.get(name)}")
                 mismatches += 1
-        for metric in THROUGHPUT_METRICS:
+        walls = short_walls(base_row, new_row)
+        if walls is not None:
+            non_comparable += 1
+            print(f"note: {key}: wall_s {walls[0]} -> {walls[1]} is under the "
+                  f"{WALL_FLOOR_S} s floor, throughput non-comparable")
+        for metric in THROUGHPUT_METRICS if walls is None else ():
             base_value = base_row.get("metrics", {}).get(metric)
             new_value = new_row.get("metrics", {}).get(metric)
             if not isinstance(base_value, (int, float)) or base_value <= 0:
@@ -111,7 +132,8 @@ def main(argv):
                       f"{new_value:.4g}ms (+{100 * rise:.1f}% > "
                       f"{100 * latency_threshold:.0f}% tolerance)")
                 warnings += 1
-    print(f"bench_compare: {compared} throughput metric(s), "
+    print(f"bench_compare: {compared} throughput metric(s) "
+          f"({non_comparable} row(s) under the wall_s floor skipped), "
           f"{latency_compared} latency percentile(s) and "
           f"{fingerprints_compared} fingerprint(s) compared, "
           f"{warnings} regression warning(s), {mismatches} fingerprint mismatch(es)")
